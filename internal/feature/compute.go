@@ -22,9 +22,9 @@ type Matrix struct {
 
 	gen      *view.Generator
 	registry *Registry
-	// version counts Rows mutations (RefreshRow/RefreshFamily). Consumers
-	// that derive state from the rows — the seeker's whole-space scaler,
-	// its refit sufficient statistics — key their caches on it.
+	// version counts Rows mutations (RefreshFamily). Consumers that derive
+	// state from the rows — the seeker's whole-space scaler, its refit
+	// sufficient statistics — key their caches on it.
 	version atomic.Uint64
 }
 
@@ -66,8 +66,8 @@ func ComputeWorkersCtx(ctx context.Context, g *view.Generator, r *Registry, work
 // reference table — the "rough" utility scores of the optimisation. The
 // target subset DQ is always scanned exactly: it is a fraction of a
 // percent of the data, so sampling it would add noise without saving
-// meaningful work. Rows are marked inexact; RefreshRow upgrades them on
-// demand. Like Compute it parallelises over all CPUs; see
+// meaningful work. Rows are marked inexact; RefreshFamily upgrades them
+// on demand. Like Compute it parallelises over all CPUs; see
 // ComputePartialWorkers.
 func ComputePartial(g *view.Generator, r *Registry, alpha float64) (*Matrix, error) {
 	return ComputePartialWorkers(g, r, alpha, 0)
@@ -105,7 +105,7 @@ func computeMatrix(ctx context.Context, g *view.Generator, r *Registry, refRows 
 		registry: r,
 	}
 	// Exact passes go through the generator's persistent caches so later
-	// RefreshRow calls (a no-op here, but uniform) share the same scans;
+	// refreshes (a no-op here, but uniform) share the same scans;
 	// sampled passes get run-scoped caches. Both warm their layout scans
 	// concurrently first — full-data scans dominate the offline phase and
 	// are independent per (table, layout) — then fan the per-view feature
@@ -180,12 +180,15 @@ func computeMatrix(ctx context.Context, g *view.Generator, r *Registry, refRows 
 	return m, nil
 }
 
-// Rebuild reconstructs a Matrix from externally stored components — the
-// offline-result cache's hit path. The generator may be nil only when
-// every row is exact: RefreshRow never consults it then, whereas a partial
-// matrix needs it for incremental refinement. The rows become the
-// matrix's backing store (callers handing out shared data must copy
-// first; the store layer clones on every Get).
+// Rebuild reconstructs a Matrix over shared, immutable rows — how every
+// session attaches to an offline version. The matrix gets its own copies
+// of the outer row-header slice and the exactness flags and nothing else:
+// the row contents stay shared, and refinement never writes into them
+// (RefreshFamily installs freshly allocated rows), so the matrix is a
+// copy-on-write overlay that cannot disturb the caller's rows or any other
+// matrix rebuilt from them. The generator may be nil only when every row
+// is exact: refreshes never consult it then, whereas a partial matrix
+// needs it for incremental refinement.
 func Rebuild(g *view.Generator, r *Registry, specs []view.Spec, rows [][]float64, exact []bool) (*Matrix, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("feature: rebuild needs a non-empty view space")
@@ -207,6 +210,8 @@ func Rebuild(g *view.Generator, r *Registry, specs []view.Spec, rows [][]float64
 			}
 		}
 	}
+	rows = append([][]float64(nil), rows...)
+	exact = append([]bool(nil), exact...)
 	return &Matrix{Specs: specs, Names: names, Rows: rows, Exact: exact, gen: g, registry: r}, nil
 }
 
@@ -234,44 +239,18 @@ func (m *Matrix) ExactCount() int {
 	return n
 }
 
-// RefreshRow recomputes view i on the full data and marks it exact. It is
-// a no-op for rows that are already exact. The refresh scans only the
-// view's own measure (see view.PairFocused) so that the optimisation's
-// pruning — never refreshing unpromising views — translates into real
-// work saved.
-func (m *Matrix) RefreshRow(i int) error {
-	if i < 0 || i >= len(m.Rows) {
-		return fmt.Errorf("feature: row %d out of range [0, %d)", i, len(m.Rows))
-	}
-	if m.Exact[i] {
-		return nil
-	}
-	p, err := m.gen.PairFocused(m.Specs[i])
-	if err != nil {
-		return err
-	}
-	vec, err := m.registry.Vector(p)
-	if err != nil {
-		return err
-	}
-	m.Rows[i] = vec
-	m.Exact[i] = true
-	m.version.Add(1)
-	return nil
-}
-
 // RefreshFamily recomputes the given views on the full data and marks
-// them exact — RefreshRow batched over one (dimension, bins, measure)
-// family. The family's statistics are fetched once with PairFocused's
+// them exact, one (dimension, bins, measure) family at a time. The family's statistics are fetched once with PairFocused's
 // cost model (a cached all-measures scan, else one narrow single-measure
 // scan) and rows are block-filled from them, so refining a whole family
 // costs one scan plus the fused kernels instead of per-view Histogram
-// assembly and closure dispatch. Rows are written in place when already
-// sized, keeping the refresh allocation-free outside the scan (see
-// TestFeatureBlockAllocations). Registries without the standard prefix
-// fall back to per-view computation over the shared statistics.
-// Already-exact rows are skipped; results are bit-identical to
-// RefreshRow's.
+// assembly and closure dispatch. The refreshed rows are installed fresh,
+// sharing one backing array per family, so the refresh costs one row
+// allocation outside the scan (see TestFeatureBlockAllocations) and never
+// writes into a row another matrix may share. Registries without the
+// standard prefix fall back to per-view computation over the shared
+// statistics. Already-exact rows are skipped; results are bit-identical
+// to the per-view oracle (RefreshRow, kept as test code).
 func (m *Matrix) RefreshFamily(idxs []int) error {
 	if len(idxs) == 0 {
 		return nil
@@ -301,10 +280,9 @@ func (m *Matrix) RefreshFamily(idxs []int) error {
 		return err
 	}
 	k := m.registry.Len()
-	for _, i := range todo {
-		if len(m.Rows[i]) != k {
-			m.Rows[i] = make([]float64, k)
-		}
+	backing := make([]float64, len(todo)*k)
+	for j, i := range todo {
+		m.Rows[i] = backing[j*k : (j+1)*k : (j+1)*k]
 	}
 	if m.registry.stdPrefix {
 		var sc blockScratch

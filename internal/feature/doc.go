@@ -22,10 +22,16 @@
 // (block.go); the per-pair path is retained for custom registries and as
 // the bit-identity oracle the block path must match exactly. Rows from an
 // α-sampled pass are flagged rough (Matrix.Exact[i] == false) and carry
-// the contract that refinement may later rewrite them in place with the
-// exact values (RefreshRow one view at a time, RefreshFamily one
-// aggregate family per narrow scan); exact rows are final, and every
-// refresh bumps Matrix.Version so row-derived caches can invalidate.
+// the contract that refinement may later replace them with the exact
+// values (RefreshFamily, one aggregate family per narrow scan, pinned
+// against a per-view oracle kept as test code); exact rows are final, and
+// every refresh bumps Matrix.Version so row-derived caches can invalidate.
+//
+// Copy-on-write: a refresh installs freshly allocated rows in
+// Matrix.Rows and never writes into an existing row. Rebuild copies only
+// the outer row-header slice and the exactness flags, so any number of
+// matrices — one per session — can overlay the same immutable rows of
+// one offline version, each refining privately.
 //
 // Observability: computeMatrix records the warm and feature-pass phases
 // as spans plus duration histograms against the context's obs registry;

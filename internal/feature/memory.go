@@ -22,15 +22,3 @@ func (m *Matrix) MemoryBytes() int64 {
 	}
 	return b
 }
-
-// MemoryBytesShallow is MemoryBytes for a matrix whose row contents are
-// shared read-only with another owner (sessions minted from a maintained
-// offline state): it counts only the per-session row headers, exactness
-// flags and spec/name tables, never the shared float banks.
-func (m *Matrix) MemoryBytesShallow() int64 {
-	var shared int64
-	for _, row := range m.Rows {
-		shared += int64(cap(row)) * 8
-	}
-	return m.MemoryBytes() - shared
-}

@@ -21,13 +21,15 @@
 // rebuilds a session deterministically from its log (create + feedback),
 // so the restored estimator, top-k and weights are exact.
 // RestoreSessions is lazy: it indexes journaled sessions cold and each
-// rehydrates on first touch rather than at boot.
+// rehydrates on first touch rather than at boot. A live-table create
+// record carries the seq of the version the session saw; restore skips
+// and reports a session whose table has moved on.
 //
 // Session lifecycle (DESIGN.md §16): sessions live in a memory-budgeted
 // manager (internal/session, Options.SessionBudgetBytes). Over budget,
 // idle sessions are LRU-evicted down to their journal mirror and
-// rehydrated bit-identically on next touch; sessions on maintained live
-// tables are pinned (shared offline state cannot be replayed). Under
+// rehydrated bit-identically on next touch — every session, since its
+// rehydration closure names the exact offline version it overlays. Under
 // hard overload — accounted bytes past budget × 1.5 or the rehydration
 // backlog full — creates and cold-session rehydrations are shed with
 // 429 + Retry-After. GET /healthz reports the manager state

@@ -28,10 +28,6 @@ func (s *Server) HostLive(lt *viewseeker.LiveTable, rec *viewseeker.LiveRecovery
 	defer s.mu.Unlock()
 	s.live[cur.Name] = lt
 	s.tables[cur.Name] = cur
-	// Live tables are addressed by version ref (base hash + WAL sequence):
-	// an append mints a new address in O(1) instead of rehashing contents,
-	// and cache entries of earlier versions survive as ancestors.
-	s.tableHash[cur.Name] = lt.VersionRef()
 	if !s.closed && s.maintainers[cur.Name] == nil {
 		s.maintainers[cur.Name] = newMaintainer(s, cur.Name, lt)
 	}
@@ -139,7 +135,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	s.tables[name] = lt.Current()
-	s.tableHash[name] = lt.VersionRef()
 	s.mu.Unlock()
 	s.notifyLive(name)
 	writeJSON(w, http.StatusOK, appendResponse{

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -10,24 +11,40 @@ import (
 
 	"viewseeker/internal/dataset"
 	"viewseeker/internal/live"
+	"viewseeker/internal/store"
 )
 
 // liveTestServer hosts a SYN live table and returns the raw server too,
 // so tests can reach its metrics registry.
 func liveTestServer(t *testing.T) (*httptest.Server, *Server) {
 	t.Helper()
+	srv := liveServer(t, Options{}, filepath.Join(t.TempDir(), "syn.wal"))
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts, srv
+}
+
+// liveServer hosts the SYN live table logged at walPath (replaying what
+// the log already holds) under opts.
+func liveServer(t *testing.T, opts Options, walPath string) *Server {
+	t.Helper()
 	table := dataset.GenerateSYN(dataset.SYNConfig{Rows: 2000, Seed: 9})
-	lt, rec, err := live.Open(nil, filepath.Join(t.TempDir(), "syn.wal"), table, live.Options{})
+	lt, rec, err := live.Open(nil, walPath, table, live.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lt.Close() })
-	srv := New()
+	srv := NewWithOptions(opts)
 	t.Cleanup(srv.Close)
 	srv.HostLive(lt, rec)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, srv
+	return srv
+}
+
+// caughtUp reports whether the server's maintainer has advanced every
+// hosted offline state to the live table's current version.
+func caughtUp(srv *Server) bool {
+	st := srv.liveStatuses()
+	return len(st) == 1 && st[0].MaintainerLag == 0
 }
 
 // waitFor polls cond until it holds or the deadline passes — the
@@ -252,4 +269,122 @@ func TestCheckpointEndpoint(t *testing.T) {
 		t.Fatalf("idle checkpoint seq = %d, want 0", ck.Seq)
 	}
 	doJSON(t, "POST", ts.URL+"/api/tables/nope/checkpoint", nil, http.StatusNotFound, nil)
+}
+
+// TestMaintainedEvictionRehydrationBitIdentity is the live-table twin of
+// TestEvictionRehydrationBitIdentity: an exact session minted from the
+// maintained offline version is evicted before every step under a 1-byte
+// budget while appends and maintainer advances move the table on, and its
+// rehydrations — a fresh overlay on the version it was minted from, plus
+// label replay — answer byte-for-byte like an unbudgeted twin that never
+// evicts.
+func TestMaintainedEvictionRehydrationBitIdentity(t *testing.T) {
+	budgeted := liveServer(t, Options{SessionBudgetBytes: 1}, filepath.Join(t.TempDir(), "syn.wal"))
+	control := liveServer(t, Options{}, filepath.Join(t.TempDir(), "syn.wal"))
+	bh, ch := budgeted.Handler(), control.Handler()
+
+	create := map[string]any{"table": "syn", "query": dataset.SYNQuery, "k": 5, "seed": 7}
+	var bInfo, cInfo sessionInfo
+	for _, tw := range []struct {
+		h    http.Handler
+		info *sessionInfo
+	}{{bh, &bInfo}, {ch, &cInfo}} {
+		if rec := serveJSON(t, tw.h, context.Background(), "POST", "/api/sessions", create, tw.info); rec.Code != http.StatusCreated {
+			t.Fatalf("create = %d: %s", rec.Code, rec.Body.String())
+		}
+		if !tw.info.Cached {
+			t.Fatal("exact live-table session was not minted from the maintained version")
+		}
+	}
+
+	steps := []struct {
+		view  int
+		label float64
+	}{{4, 1}, {11, 0}, {42, 0.5}, {7, 1}, {19, 0}, {3, 0.25}}
+	for i, fb := range steps {
+		budgeted.EvictIdleSessions()
+		body := map[string]any{"index": fb.view, "label": fb.label}
+		bCode, bBody := rawJSON(t, bh, "POST", "/api/sessions/"+bInfo.ID+"/feedback", body)
+		cCode, cBody := rawJSON(t, ch, "POST", "/api/sessions/"+cInfo.ID+"/feedback", body)
+		if bCode != http.StatusOK || cCode != http.StatusOK {
+			t.Fatalf("step %d: feedback = %d / %d", i, bCode, cCode)
+		}
+		if bBody != cBody {
+			t.Fatalf("step %d: post-eviction feedback diverged:\n got %s\nwant %s", i, bBody, cBody)
+		}
+		for _, route := range []string{"/top", "/weights"} {
+			_, b := rawJSON(t, bh, "GET", "/api/sessions/"+bInfo.ID+route, nil)
+			_, c := rawJSON(t, ch, "GET", "/api/sessions/"+cInfo.ID+route, nil)
+			if b != c {
+				t.Fatalf("step %d: %s diverged after rehydration:\n got %s\nwant %s", i, route, b, c)
+			}
+		}
+		// Move both tables on and let their maintainers advance before the
+		// next eviction.
+		for _, h := range []http.Handler{bh, ch} {
+			if code, out := rawJSON(t, h, "POST", "/api/tables/syn/append",
+				map[string]any{"rows": synJSONRows(5)}); code != http.StatusOK {
+				t.Fatalf("step %d: append = %d: %s", i, code, out)
+			}
+		}
+		waitFor(t, "maintainers to advance", func() bool { return caughtUp(budgeted) && caughtUp(control) })
+	}
+
+	snap := budgeted.Metrics().Snapshot()
+	if snap["viewseeker_session_evictions_total"] == 0 || snap["viewseeker_session_rehydrations_total"] == 0 {
+		t.Fatalf("evictions %v, rehydrations %v: the maintained session never left RAM",
+			snap["viewseeker_session_evictions_total"], snap["viewseeker_session_rehydrations_total"])
+	}
+}
+
+// TestRestoreRefusesAdvancedLiveTable: a journalled session on a live
+// table names the version it saw (its create record's seq). After a
+// restart at which the table serves another version, restore reports the
+// session and skips it — it answers 404 — instead of silently replaying
+// it over rows it never saw; a session created at the current version
+// restores normally.
+func TestRestoreRefusesAdvancedLiveTable(t *testing.T) {
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "syn.wal")
+	journal, err := store.OpenJournal(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := liveServer(t, Options{Journal: journal}, walPath)
+	h := srv.Handler()
+	body := map[string]any{"table": "syn", "query": dataset.SYNQuery, "k": 3}
+	var stale, current sessionInfo
+	serveJSON(t, h, context.Background(), "POST", "/api/sessions", body, &stale)
+	if code, out := rawJSON(t, h, "POST", "/api/tables/syn/append",
+		map[string]any{"rows": synJSONRows(5)}); code != http.StatusOK {
+		t.Fatalf("append = %d: %s", code, out)
+	}
+	// The maintained version must reach the appended rows first: a session
+	// minted from a lagging version would (rightly) be refused too.
+	waitFor(t, "maintainer to advance", func() bool { return caughtUp(srv) })
+	serveJSON(t, h, context.Background(), "POST", "/api/sessions", body, &current)
+	if stale.ID == "" || current.ID == "" {
+		t.Fatal("session creation failed")
+	}
+
+	// Restart: a new server over the same WAL replays the append.
+	recs, err := store.ReadJournal(journal.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := liveServer(t, Options{}, walPath)
+	restored, err := srv2.RestoreSessions(recs)
+	if err == nil || !strings.Contains(err.Error(), stale.ID) {
+		t.Fatalf("restore error %v does not report the stale session", err)
+	}
+	if restored != 1 {
+		t.Fatalf("restored %d sessions, want only the current-version one", restored)
+	}
+	h2 := srv2.Handler()
+	if code, _ := rawJSON(t, h2, "GET", "/api/sessions/"+stale.ID+"/top", nil); code != http.StatusNotFound {
+		t.Fatalf("stale session answered %d, want 404", code)
+	}
+	if code, out := rawJSON(t, h2, "GET", "/api/sessions/"+current.ID+"/top", nil); code != http.StatusOK {
+		t.Fatalf("current-version session answered %d: %s", code, out)
+	}
 }

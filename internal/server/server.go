@@ -87,10 +87,6 @@ type Server struct {
 	// admission control all live there (internal/session, DESIGN.md §16).
 	sessions *session.Manager
 
-	// tableHash caches each hosted table's content hash: tables are fixed
-	// at construction, so warm session creation never rehashes the dataset.
-	tableHash map[string]string
-
 	cache      *store.Cache
 	journal    *store.Journal
 	maxBody    int64
@@ -124,7 +120,6 @@ func NewWithOptions(opts Options, tables ...*viewseeker.Table) *Server {
 		tables:      make(map[string]*viewseeker.Table),
 		live:        make(map[string]*viewseeker.LiveTable),
 		sessions:    session.NewManager(session.Config{BudgetBytes: opts.SessionBudgetBytes}),
-		tableHash:   make(map[string]string),
 		maintainers: make(map[string]*maintainer),
 		maintSem:    make(chan struct{}, maintainerConcurrency),
 		cache:       opts.Cache,
@@ -161,7 +156,9 @@ func NewWithOptions(opts Options, tables ...*viewseeker.Table) *Server {
 	}
 	for _, t := range tables {
 		s.tables[t.Name] = t
-		s.tableHash[t.Name] = viewseeker.HashTable(t)
+		// Hash now: the hash is memoized on the table, so warm session
+		// creation never rehashes the dataset.
+		viewseeker.HashTable(t)
 	}
 	return s
 }
@@ -501,22 +498,24 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Admission control runs before the offline phase is paid: when the
-	// session budget is exhausted by unevictable (in-flight or pinned)
-	// sessions, the request is shed up front instead of computing a matrix
-	// there is no room to keep.
+	// session budget is exhausted by unevictable (in-flight) sessions, the
+	// request is shed up front instead of computing a matrix there is no
+	// room to keep.
 	if err := s.sessions.AdmitNew(); err != nil {
 		writeOverload(w, err)
 		return
 	}
-	s.mu.Lock()
-	table := s.tables[req.Table]
-	refHash := s.tableHash[req.Table]
-	s.mu.Unlock()
+	table, refHash, seq := s.tableVersion(req.Table)
 	if table == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown table %q", req.Table))
 		return
 	}
-	seeker, err := s.newSeeker(r.Context(), req, table, refHash)
+	create := store.Record{
+		Op: store.OpCreate, Table: req.Table, Query: req.Query,
+		K: req.K, Alpha: req.Alpha, Strategy: req.Strategy, Seed: req.Seed,
+		Workers: req.Workers,
+	}
+	seeker, build, err := s.newSeeker(r.Context(), &create, table, refHash, seq)
 	if err != nil {
 		// A cancelled or timed-out request abandoned its offline phase: that
 		// is the server protecting itself, not a bad request, so report it
@@ -533,18 +532,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	create := store.Record{
-		Op: store.OpCreate, Session: id, Table: req.Table, Query: req.Query,
-		K: req.K, Alpha: req.Alpha, Strategy: req.Strategy, Seed: req.Seed,
-		Workers: req.Workers,
-	}
-	// Sessions minted from a maintained live-table state share offline
-	// state that advances with the table, so journal replay could not
-	// rebuild them bit-identically: they are pinned resident (and
-	// accounted shallowly — the shared banks belong to the maintainer).
-	pinned := seeker.SharedOffline()
+	create.Session = id
 	// 64-bit id collisions are theoretical, but free to rule out.
-	for !s.sessions.Put(id, create, s.buildFunc(table, refHash), seeker, pinned) {
+	for !s.sessions.Put(id, create, build, seeker) {
 		if id, err = newSessionID(); err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
@@ -571,50 +561,77 @@ func writeOverload(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, err)
 }
 
-// newSeeker builds a session's seeker. Exact sessions on hosted live
-// tables come warm from the table's maintained offline state — the
-// maintainer has already advanced it to the current version, so creation
-// skips the offline phase entirely. Sampled sessions (alpha < 1) and
-// static tables take the cold path through the offline-result cache.
-func (s *Server) newSeeker(ctx context.Context, req createSessionRequest, table *viewseeker.Table, refHash string) (*viewseeker.Seeker, error) {
-	if req.Alpha <= 0 || req.Alpha >= 1 { // exact after normalisation
+// tableVersion resolves a hosted table to its current version, that
+// version's cache address and its WAL sequence (0 for a static table). A
+// live table's address is its version ref (base hash + sequence, O(1) per
+// append), and all three come from one snapshot, so a concurrent append
+// can never pair one version's rows with another's address.
+func (s *Server) tableVersion(name string) (table *viewseeker.Table, refHash string, seq uint64) {
+	s.mu.Lock()
+	lt, table := s.live[name], s.tables[name]
+	s.mu.Unlock()
+	if lt != nil {
+		table, seq = lt.Snapshot()
+		return table, store.VersionedRef(store.HashTable(lt.Base()), seq), seq
+	}
+	if table == nil {
+		return nil, "", 0
+	}
+	return table, store.HashTable(table), 0
+}
+
+// newSeeker builds a session's seeker by calling the rehydration closure
+// it returns — creating and rehydrating are one call — and stamps the
+// create record with the live-table sequence of the version the session
+// sees. Exact sessions on hosted live tables are minted from the table's
+// maintained offline version (already advanced, so creation skips the
+// offline phase), which the closure holds however far the table moves on;
+// the rest go through the offline-result cache at the current version.
+func (s *Server) newSeeker(ctx context.Context, create *store.Record, table *viewseeker.Table, refHash string, seq uint64) (*viewseeker.Seeker, session.BuildFunc, error) {
+	build := s.buildFunc(table, refHash)
+	if create.Alpha <= 0 || create.Alpha >= 1 { // exact after normalisation
 		s.mu.Lock()
-		mt := s.maintainers[req.Table]
+		mt := s.maintainers[create.Table]
 		s.mu.Unlock()
 		if mt != nil {
-			m, ok, err := mt.state(req.Query)
+			m, ok, err := mt.state(create.Query)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if ok {
-				return m.NewSessionWith(viewseeker.Options{
-					K: req.K, Strategy: req.Strategy, Seed: req.Seed,
-					Workers: req.Workers, RefineHook: s.refineHook,
-				})
+				var v *viewseeker.OfflineVersion
+				v, seq = m.Version()
+				build = func(_ context.Context, c store.Record) (*viewseeker.Seeker, error) {
+					return m.NewSessionOn(v, s.sessionOptions(c))
+				}
 			}
 		}
 	}
-	return viewseeker.NewCtx(ctx, table, req.Query, viewseeker.Options{
-		K: req.K, Alpha: req.Alpha, Strategy: req.Strategy, Seed: req.Seed,
-		Workers: req.Workers, Cache: s.cache, RefHash: refHash,
-		RefineHook: s.refineHook,
-	})
+	create.Seq = seq
+	sk, err := build(ctx, *create)
+	return sk, build, err
+}
+
+// sessionOptions maps a create record onto the facade's session options.
+func (s *Server) sessionOptions(c store.Record) viewseeker.Options {
+	return viewseeker.Options{
+		K: c.K, Alpha: c.Alpha, Strategy: c.Strategy, Seed: c.Seed,
+		Workers: c.Workers, RefineHook: s.refineHook,
+	}
 }
 
 // buildFunc returns the rehydration closure for sessions created against
-// (table, refHash): a cold rebuild through the offline-result cache, with
-// the feedback replay handled by the session manager. The closure pins
-// the exact table version the session was created on — live-table appends
-// swap s.tables[name] to a new version, and replaying a session against a
-// version it never saw would break the bit-identity contract.
+// (table, refHash): a rebuild through the offline-result cache, with the
+// feedback replay handled by the session manager. The closure pins the
+// exact table version the session was created on — live-table appends
+// move the hosted table to a new version, and replaying a session against
+// a version it never saw would break the bit-identity contract.
 func (s *Server) buildFunc(table *viewseeker.Table, refHash string) session.BuildFunc {
 	return func(ctx context.Context, c store.Record) (*viewseeker.Seeker, error) {
 		ctx = obs.NewContext(ctx, s.metrics, s.tracer)
-		return viewseeker.NewCtx(ctx, table, c.Query, viewseeker.Options{
-			K: c.K, Alpha: c.Alpha, Strategy: c.Strategy, Seed: c.Seed,
-			Workers: c.Workers, Cache: s.cache, RefHash: refHash,
-			RefineHook: s.refineHook,
-		})
+		opts := s.sessionOptions(c)
+		opts.Cache, opts.RefHash = s.cache, refHash
+		return viewseeker.NewCtx(ctx, table, c.Query, opts)
 	}
 }
 
@@ -635,20 +652,24 @@ func (s *Server) infoOf(id, table, query string, sk *viewseeker.Seeker) sessionI
 // history replayed through the deterministic feedback path. Boot is
 // therefore O(records) regardless of how many sessions the journal holds;
 // the indexed-but-cold count is logged and carried by the
-// viewseeker_session_cold gauge. Sessions whose table is gone are skipped
-// and reported; one broken record never blocks the rest of the boot. A
+// viewseeker_session_cold gauge. Sessions whose table is gone, or whose
+// live table now serves another version than their create record's seq,
+// are skipped and reported rather than silently replayed over rows they
+// never saw; one broken record never blocks the rest of the boot. A
 // session whose replay no longer succeeds surfaces its error on first
 // touch instead of at boot.
 func (s *Server) RestoreSessions(recs []store.Record) (restored int, err error) {
 	var errs []error
 	for _, lg := range store.Replay(recs) {
 		c := lg.Create
-		s.mu.Lock()
-		table := s.tables[c.Table]
-		refHash := s.tableHash[c.Table]
-		s.mu.Unlock()
+		table, refHash, seq := s.tableVersion(c.Table)
 		if table == nil {
 			errs = append(errs, fmt.Errorf("session %s: unknown table %q", c.Session, c.Table))
+			continue
+		}
+		if seq != c.Seq {
+			errs = append(errs, fmt.Errorf("session %s: table %q now serves seq %d, the session saw seq %d",
+				c.Session, c.Table, seq, c.Seq))
 			continue
 		}
 		s.sessions.Index(c.Session, lg, s.buildFunc(table, refHash))
@@ -829,8 +850,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// EvictIdleSessions drops every idle, unpinned session's in-RAM state
-// regardless of the budget; each rehydrates from its journal mirror on
-// the next touch. The operator/bench hook behind the bit-identity
+// EvictIdleSessions drops every idle session's in-RAM state regardless of
+// the budget; each rehydrates from its journal mirror on the next touch. The operator/bench hook behind the bit-identity
 // harness in cmd/bench -serve.
 func (s *Server) EvictIdleSessions() int { return s.sessions.EvictIdle() }

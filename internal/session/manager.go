@@ -15,11 +15,12 @@ import (
 
 // BuildFunc rebuilds a session's seeker from its journalled create record:
 // the rehydration path. The closure is captured when the session is
-// registered, so it pins everything replay depends on — in particular the
-// table *version* the session was created on (live tables advance under
-// the server, journal replay must not). Feedback replay is the manager's
-// job; Build only reconstructs the post-offline-phase state, normally via
-// viewseeker.NewCtx through the shared offline-result cache.
+// registered, so it pins everything replay depends on — the table version
+// the session was created on, or the exact offline version a maintained
+// live-table session was minted from (live tables advance under the
+// server, journal replay must not). Feedback replay is the manager's job;
+// Build only attaches a fresh overlay to the session's offline version,
+// normally via viewseeker.NewCtx through the shared offline-result cache.
 type BuildFunc func(ctx context.Context, create store.Record) (*viewseeker.Seeker, error)
 
 // Config sizes a Manager. The zero value is an unbudgeted manager:
@@ -28,9 +29,9 @@ type BuildFunc func(ctx context.Context, create store.Record) (*viewseeker.Seeke
 type Config struct {
 	// BudgetBytes caps the accounted resident bytes across all sessions
 	// (0 = unbudgeted). When the total exceeds it, idle sessions are
-	// evicted coldest-first; sessions currently serving a request and
-	// pinned sessions are never evicted, so the total can exceed the
-	// budget by the working set of in-flight requests.
+	// evicted coldest-first; sessions currently serving a request are
+	// never evicted, so the total can exceed the budget by the working
+	// set of in-flight requests.
 	BudgetBytes int64
 	// HeadroomFraction sets the shed threshold above the budget: when the
 	// unevictable resident bytes exceed BudgetBytes × (1 +
@@ -110,10 +111,6 @@ type entry struct {
 	id    string
 	log   store.SessionLog // create + feedback records: the journal pointer
 	build BuildFunc
-	// pinned entries are never evicted: sessions minted from a maintained
-	// live-table state share offline state that advances with the table,
-	// so journal replay could not rebuild them bit-identically.
-	pinned bool
 
 	// The fields below are guarded by the Manager's mu, except seeker,
 	// which is additionally read/written under e.mu by the holder while
@@ -178,28 +175,32 @@ func (m *Manager) updateGaugesLocked() {
 
 // evictLocked sheds idle resident sessions coldest-first until the
 // accounted total is back under the budget (or nothing evictable
-// remains), returning how many were dropped. The seeker (matrix, target,
-// generator, estimator) is released to the collector; the journal mirror
-// stays, so the next touch rehydrates.
+// remains), returning how many were dropped.
 func (m *Manager) evictLocked() int {
 	if m.cfg.BudgetBytes <= 0 {
 		return 0
 	}
+	return m.evictDownToLocked(m.cfg.BudgetBytes)
+}
+
+// evictDownToLocked is the one eviction walk: idle resident sessions go
+// coldest-first while the accounted total exceeds limit (a negative limit
+// drops every idle session). The seeker — its overlay, its estimator and
+// its references into the shared offline version — is released to the
+// collector; the journal mirror stays, so the next touch rehydrates.
+func (m *Manager) evictDownToLocked(limit int64) int {
 	evicted := 0
-	for el := m.lru.Front(); el != nil && m.resident > m.cfg.BudgetBytes; {
+	for el := m.lru.Front(); el != nil && m.resident > limit; {
 		next := el.Next()
-		e := el.Value.(*entry)
-		if e.refs > 0 || e.pinned {
-			el = next
-			continue
+		if e := el.Value.(*entry); e.refs == 0 {
+			e.seeker = nil
+			m.resident -= e.bytes
+			e.bytes = 0
+			m.lru.Remove(el)
+			e.elem = nil
+			m.mEvictions.Inc()
+			evicted++
 		}
-		e.seeker = nil
-		m.resident -= e.bytes
-		e.bytes = 0
-		m.lru.Remove(el)
-		e.elem = nil
-		m.mEvictions.Inc()
-		evicted++
 		el = next
 	}
 	if evicted > 0 {
@@ -239,18 +240,18 @@ func (m *Manager) AdmitNew() error {
 // Put registers a freshly built resident session under id, reporting
 // false when the id is already taken (the caller picks another). create
 // must be the session's journalled create record; build is the
-// rehydration closure; pinned sessions are never evicted. Registration
-// may push the total over budget, in which case older idle sessions are
-// evicted immediately — and at a budget smaller than one session, the new
-// session itself may be dropped the moment it goes idle.
-func (m *Manager) Put(id string, create store.Record, build BuildFunc, sk *viewseeker.Seeker, pinned bool) bool {
+// rehydration closure. Registration may push the total over budget, in
+// which case older idle sessions are evicted immediately — and at a budget
+// smaller than one session, the new session itself may be dropped the
+// moment it goes idle.
+func (m *Manager) Put(id string, create store.Record, build BuildFunc, sk *viewseeker.Seeker) bool {
 	bytes := sk.MemoryBytes() + logBytes(store.SessionLog{Create: create})
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, taken := m.entries[id]; taken {
 		return false
 	}
-	e := &entry{id: id, log: store.SessionLog{Create: create}, build: build, pinned: pinned, seeker: sk, bytes: bytes}
+	e := &entry{id: id, log: store.SessionLog{Create: create}, build: build, seeker: sk, bytes: bytes}
 	m.entries[id] = e
 	e.elem = m.lru.PushBack(e)
 	m.resident += bytes
@@ -423,31 +424,13 @@ func (m *Manager) Has(id string) bool {
 	return m.entries[id] != nil
 }
 
-// EvictIdle drops every idle, unpinned resident session regardless of the
-// budget, returning how many were evicted — the operator/test hook behind
+// EvictIdle drops every idle resident session regardless of the budget,
+// returning how many were evicted — the operator/test hook behind
 // Server.EvictIdleSessions and the bit-identity harness in cmd/bench.
 func (m *Manager) EvictIdle() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	evicted := 0
-	for el := m.lru.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*entry)
-		if e.refs == 0 && !e.pinned {
-			e.seeker = nil
-			m.resident -= e.bytes
-			e.bytes = 0
-			m.lru.Remove(el)
-			e.elem = nil
-			m.mEvictions.Inc()
-			evicted++
-		}
-		el = next
-	}
-	if evicted > 0 {
-		m.updateGaugesLocked()
-	}
-	return evicted
+	return m.evictDownToLocked(-1)
 }
 
 // Stats is the manager's state snapshot for GET /healthz.

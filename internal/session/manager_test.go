@@ -53,7 +53,7 @@ func putSession(t *testing.T, m *Manager, table *viewseeker.Table, id string) st
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Put(id, c, buildFrom(table), sk, false) {
+	if !m.Put(id, c, buildFrom(table), sk) {
 		t.Fatalf("Put(%q) refused: id taken", id)
 	}
 	return c
@@ -227,30 +227,32 @@ func TestAdmissionShed(t *testing.T) {
 	}
 }
 
-// TestPinnedNeverEvicted: pinned sessions (maintained live-table state)
-// survive both budget pressure and EvictIdle.
-func TestPinnedNeverEvicted(t *testing.T) {
+// TestEvictIdleSparesInFlight: EvictIdle — the budget-free stop condition
+// of the shared eviction walk — drops every idle session but never one
+// serving a request, which goes on the next walk once released.
+func TestEvictIdleSparesInFlight(t *testing.T) {
 	table := diab(t)
-	c := createRecord("pinned")
-	sk, err := buildFrom(table)(context.Background(), c)
+	m := NewManager(Config{})
+	putSession(t, m, table, "idle")
+	putSession(t, m, table, "busy")
+	h, err := m.Acquire(context.Background(), "busy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(Config{BudgetBytes: 1}) // everything over budget
-	if !m.Put("pinned", c, buildFrom(table), sk, true) {
-		t.Fatal("Put refused")
+	busy := h.Seeker()
+	if n := m.EvictIdle(); n != 1 {
+		t.Fatalf("EvictIdle evicted %d sessions, want only the idle one", n)
 	}
-	if n := m.EvictIdle(); n != 0 {
-		t.Fatalf("EvictIdle evicted pinned session (%d)", n)
-	}
-	h, err := m.Acquire(context.Background(), "pinned")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Seeker() != sk {
-		t.Fatal("pinned session was rebuilt")
+	if h.Seeker() != busy {
+		t.Fatal("in-flight session lost its seeker")
 	}
 	h.Release()
+	if n := m.EvictIdle(); n != 1 {
+		t.Fatalf("EvictIdle after release evicted %d, want 1", n)
+	}
+	if st := m.Stats(); st.Resident != 0 || st.Cold != 2 || st.ResidentBytes != 0 {
+		t.Fatalf("stats after evicting everything: %+v", st)
+	}
 }
 
 func TestDeleteAndUnknown(t *testing.T) {

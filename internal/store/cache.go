@@ -1,89 +1,29 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"viewseeker/internal/dataset"
 	"viewseeker/internal/faultfs"
 	"viewseeker/internal/obs"
 	"viewseeker/internal/retry"
-	"viewseeker/internal/view"
 )
 
-// OfflineResult is the offline phase's cached output: the enumerated view
-// space and the utility-feature matrix, with per-row exactness flags (an
-// α-sampled pass caches its rough rows; a session warmed from them still
-// refines on demand).
-type OfflineResult struct {
-	Specs []view.Spec
-	Names []string
-	Rows  [][]float64
-	Exact []bool
-	// Target, when non-empty, is the query-selected subset DQ in the
-	// internal/dataset binary encoding. Only query-addressed entries carry
-	// it: with the target stored alongside the matrix, a warm session skips
-	// query execution as well as the feature pass.
-	Target []byte
-}
-
-// AllExact reports whether every cached row was computed on the full data.
-func (r *OfflineResult) AllExact() bool {
-	for _, e := range r.Exact {
-		if !e {
-			return false
-		}
-	}
-	return true
-}
-
-// validate checks the result's internal shape so that a corrupted or
-// hand-edited snapshot can never crash a session built from it.
-func (r *OfflineResult) validate() error {
-	if r == nil || len(r.Specs) == 0 {
-		return fmt.Errorf("store: empty offline result")
-	}
-	if len(r.Rows) != len(r.Specs) || len(r.Exact) != len(r.Specs) {
-		return fmt.Errorf("store: offline result has %d specs, %d rows, %d exact flags",
-			len(r.Specs), len(r.Rows), len(r.Exact))
-	}
-	for i, row := range r.Rows {
-		if len(row) != len(r.Names) {
-			return fmt.Errorf("store: offline result row %d has %d features, want %d",
-				i, len(row), len(r.Names))
-		}
-	}
-	return nil
-}
-
-// clone deep-copies the result. The cache clones on both Put and Get:
-// sessions refine matrix rows in place, and a shared slice would let one
-// session's refinement leak into the cache and into other sessions.
-func (r *OfflineResult) clone() *OfflineResult {
-	out := &OfflineResult{
-		Specs:  append([]view.Spec(nil), r.Specs...),
-		Names:  append([]string(nil), r.Names...),
-		Rows:   make([][]float64, len(r.Rows)),
-		Exact:  append([]bool(nil), r.Exact...),
-		Target: append([]byte(nil), r.Target...),
-	}
-	for i, row := range r.Rows {
-		out.Rows[i] = append([]float64(nil), row...)
-	}
-	return out
-}
-
-// Cache is a content-addressed store of offline results with an in-memory
-// LRU front and an optional on-disk snapshot backend. All methods are safe
-// for concurrent use. Entries are immutable once stored: invalidation is
-// purely by addressing (any input change produces a different
-// fingerprint), so there is no explicit invalidation API.
+// Cache is a content-addressed store of offline versions with an
+// in-memory LRU front and an optional on-disk snapshot backend. All
+// methods are safe for concurrent use. Entries are immutable once stored
+// and handed out by reference — sessions overlay them copy-on-write, never
+// write them — and invalidation is purely by addressing (any input change
+// produces a different fingerprint), so there is no explicit invalidation
+// API.
 //
 // Failure semantics: snapshot writes retry on a bounded backoff schedule;
 // exhaustion marks the cache Degraded and keeps the in-memory entry — the
@@ -203,13 +143,14 @@ func (c *Cache) Stats() (hits, misses, evictions int64) {
 	return c.hits, c.misses, c.evictions
 }
 
-// Get returns the cached result for a fingerprint, consulting the disk
-// backend on a memory miss. The returned result is the caller's to mutate.
+// Get returns the cached version for a fingerprint, consulting the disk
+// backend on a memory miss. The version is shared: callers must not write
+// it.
 func (c *Cache) Get(fp string) (*OfflineResult, bool) {
 	c.mu.Lock()
 	if el, ok := c.byFP[fp]; ok {
 		c.ll.MoveToFront(el)
-		res := el.Value.(*cacheEntry).res.clone()
+		res := el.Value.(*cacheEntry).res
 		c.hits++
 		c.mHits.Inc()
 		c.mu.Unlock()
@@ -221,7 +162,7 @@ func (c *Cache) Get(fp string) (*OfflineResult, bool) {
 	if c.dir != "" {
 		if res, err := readSnapshot(c.fs, c.snapshotPath(fp), fp); err == nil {
 			c.mu.Lock()
-			c.insert(fp, res.clone())
+			c.insert(fp, res)
 			c.hits++
 			c.mHits.Inc()
 			c.mu.Unlock()
@@ -235,19 +176,19 @@ func (c *Cache) Get(fp string) (*OfflineResult, bool) {
 	return nil, false
 }
 
-// Put stores a result. The entry is deep-copied, snapshotted to disk when
-// a backend is configured, and may evict the least-recently-used entry
-// from memory (never from disk). A disk write failure is retried on the
-// cache's backoff schedule; exhaustion leaves the memory entry in place,
-// marks the cache Degraded, and returns the error for logging — callers
-// may ignore it, the cache keeps serving memory-only.
+// Put stores a version, which nobody may write afterwards. It is
+// snapshotted to disk when a backend is configured, and may evict the
+// least-recently-used entry from memory (never from disk). A disk write
+// failure is retried on the cache's backoff schedule; exhaustion leaves
+// the memory entry in place, marks the cache Degraded, and returns the
+// error for logging — callers may ignore it, the cache keeps serving
+// memory-only.
 func (c *Cache) Put(fp string, res *OfflineResult) error {
 	if err := res.validate(); err != nil {
 		return err
 	}
-	stored := res.clone()
 	c.mu.Lock()
-	c.insert(fp, stored)
+	c.insert(fp, res)
 	policy := c.policy
 	// Counters ride the policy copy so a SetRetryPolicy after Instrument
 	// cannot silently disconnect retry accounting.
@@ -258,7 +199,7 @@ func (c *Cache) Put(fp string, res *OfflineResult) error {
 		start := time.Now()
 		var written int64
 		err := policy.Do(context.Background(), func() error {
-			n, werr := writeSnapshot(c.fs, c.snapshotPath(fp), fp, stored)
+			n, werr := writeSnapshot(c.fs, c.snapshotPath(fp), fp, res)
 			written = n
 			return werr
 		})
@@ -313,42 +254,42 @@ type snapshot struct {
 
 const snapshotVersion = 1
 
-// countingWriter counts bytes on their way into the snapshot file so the
-// instrumented cache can report bytes actually written to disk.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
+// writeSnapshot encodes one entry — its target subset inline, as the
+// wire form — and publishes it atomically, returning the bytes written.
 func writeSnapshot(fs faultfs.FS, path, fp string, res *OfflineResult) (int64, error) {
+	wire := OfflineResult{Specs: res.Specs, Names: res.Names, Rows: res.Rows, Exact: res.Exact}
+	var target, buf bytes.Buffer
+	if res.target != nil {
+		if err := dataset.WriteBinary(res.target, &target); err != nil {
+			return 0, err
+		}
+		wire.Target = target.Bytes()
+	}
+	if err := gob.NewEncoder(&buf).Encode(snapshot{Version: snapshotVersion, Fingerprint: fp, Result: wire}); err != nil {
+		return 0, err
+	}
 	tmp, err := fs.CreateTemp(filepath.Dir(path), ".vscache-*")
 	if err != nil {
 		return 0, err
 	}
 	defer fs.Remove(tmp.Name())
-	cw := &countingWriter{w: tmp}
-	err = gob.NewEncoder(cw).Encode(snapshot{Version: snapshotVersion, Fingerprint: fp, Result: *res})
+	n, err := tmp.Write(buf.Bytes())
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return cw.n, err
+		return int64(n), err
 	}
 	// Atomic publish: a crash mid-write leaves only a temp file, never a
 	// truncated snapshot under the real name.
-	return cw.n, fs.Rename(tmp.Name(), path)
+	return int64(n), fs.Rename(tmp.Name(), path)
 }
 
-// readSnapshot loads and validates one disk entry. Any failure — missing
-// file, truncation, version skew, fingerprint mismatch, shape corruption —
-// quarantines the file (best effort) and reports an error; the caller
-// treats it as a miss and recomputes, never crashes.
+// readSnapshot loads and validates one disk entry, decoding its target
+// once. Any failure — missing file, truncation, version skew, fingerprint
+// mismatch, shape corruption, a bad target — quarantines the file (best
+// effort) and reports an error; the caller treats it as a miss and
+// recomputes, never crashes.
 func readSnapshot(fs faultfs.FS, path, fp string) (*OfflineResult, error) {
 	f, err := fs.Open(path)
 	if err != nil {
@@ -368,9 +309,18 @@ func readSnapshot(fs faultfs.FS, path, fp string) (*OfflineResult, error) {
 		fs.Remove(path)
 		return nil, fmt.Errorf("store: snapshot fingerprint mismatch")
 	}
-	if err := snap.Result.validate(); err != nil {
+	res := &snap.Result
+	if err := res.validate(); err != nil {
 		fs.Remove(path)
 		return nil, err
 	}
-	return &snap.Result, nil
+	if len(res.Target) > 0 {
+		if res.target, err = dataset.ReadBinary(bytes.NewReader(res.Target)); err != nil || res.target.NumRows() == 0 {
+			fs.Remove(path)
+			return nil, fmt.Errorf("store: snapshot %s has an undecodable or empty target", filepath.Base(path))
+		}
+		res.Target = nil
+	}
+	res.gen = &genSlot{}
+	return res, nil
 }

@@ -11,8 +11,13 @@
 // Content addressing: cache entries are immutable once stored and are
 // invalidated purely by addressing — any input change produces a
 // different fingerprint — so there is no invalidation API to misuse.
-// Results are deep-copied on Put and Get; no session can leak its in-place
-// refinements into another.
+//
+// Shared versions: an entry (OfflineResult) is handed out by reference,
+// never cloned, with the state its sessions share — the target subset,
+// decoded once at disk load, and one view generator, held weakly unless
+// owned. Sessions overlay it copy-on-write (feature.Rebuild), so none can
+// leak refinements into the cache or another session. Snapshots hold only
+// the exported fields, byte-for-byte as before (snapshotVersion 1).
 //
 // Degraded mode (DESIGN.md §10): journal appends and cache snapshot
 // writes run under retry.Policy; when retries exhaust, the write is

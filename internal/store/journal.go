@@ -39,6 +39,10 @@ type Record struct {
 	Strategy string  `json:"strategy,omitempty"`
 	Seed     int64   `json:"seed,omitempty"`
 	Workers  int     `json:"workers,omitempty"`
+	// Seq is the WAL sequence of the live-table version the session saw
+	// (0, omitted, for static tables and a live table's base). Restore
+	// refuses to replay a session over any other version.
+	Seq uint64 `json:"seq,omitempty"`
 
 	// Feedback fields (no omitempty: view 0 and label 0 are meaningful).
 	View  int     `json:"view"`

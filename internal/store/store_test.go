@@ -143,27 +143,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheIsolation(t *testing.T) {
-	c := NewCache(4)
-	orig := testResult(2)
-	if err := c.Put("fp", orig); err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the caller's copy after Put, and a returned copy after Get,
-	// must not leak into later Gets: sessions refine rows in place.
-	orig.Rows[0][0] = 999
-	got1, _ := c.Get("fp")
-	if got1.Rows[0][0] == 999 {
-		t.Fatal("Put did not copy its input")
-	}
-	got1.Rows[1][1] = -1
-	got1.Exact[0] = false
-	got2, _ := c.Get("fp")
-	if got2.Rows[1][1] == -1 || !got2.Exact[0] {
-		t.Fatal("Get handed out a shared entry")
-	}
-}
-
 func TestCacheRejectsMalformedResult(t *testing.T) {
 	c := NewCache(4)
 	bad := testResult(3)

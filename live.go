@@ -1,12 +1,14 @@
 package viewseeker
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"viewseeker/internal/feature"
 	"viewseeker/internal/live"
 	"viewseeker/internal/sql"
+	"viewseeker/internal/store"
 	"viewseeker/internal/view"
 	"viewseeker/internal/wal"
 )
@@ -72,11 +74,11 @@ type Maintained struct {
 	// driftThreshold is the resolved Options.DriftThreshold (< 0 disabled).
 	driftThreshold float64
 
-	seq    uint64
-	ref    *Table
-	target *Table
-	gen    *view.Generator
-	matrix *feature.Matrix
+	// cur is the published offline version (it owns the generator whose
+	// pinned-layout scans the next Advance extends) and seq the live-table
+	// sequence it is current to.
+	cur *store.OfflineResult
+	seq uint64
 
 	// suffixable marks the query row-local (non-aggregate projections plus
 	// at most a WHERE filter): its result over an extended table is its
@@ -120,13 +122,10 @@ func Maintain(lt *LiveTable, query string, opts Options) (*Maintained, error) {
 	}
 	opts.Alpha = 1
 	opts.Cache = nil
-	registry, err := buildRegistry(opts)
+	registry, spaceCfg, _, err := offlineConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	spaceCfg := view.SpaceConfig{
-		Aggs: opts.Aggs, BinCounts: opts.BinCounts, EqualDepth: opts.EqualDepth,
-	}.Normalized()
 	m := &Maintained{lt: lt, query: query, opts: opts, registry: registry, spaceCfg: spaceCfg}
 	m.driftThreshold = opts.DriftThreshold
 	if m.driftThreshold == 0 {
@@ -147,7 +146,7 @@ func Maintain(lt *LiveTable, query string, opts Options) (*Maintained, error) {
 // drift resets to zero. Callers count the rebuild against the right
 // counter. Caller holds no lock or the lock.
 func (m *Maintained) rebuild(ref *Table, seq uint64) error {
-	target, err := m.runQuery(ref)
+	target, err := runExplorationQuery(context.Background(), ref, m.query)
 	if err != nil {
 		return err
 	}
@@ -159,20 +158,14 @@ func (m *Maintained) rebuild(ref *Table, seq uint64) error {
 	if err != nil {
 		return err
 	}
-	m.ref, m.target, m.gen, m.matrix, m.seq = ref, target, gen, matrix, seq
+	m.cur, m.seq = store.NewVersion(matrix, target, gen), seq
 	return nil
 }
 
-func (m *Maintained) runQuery(ref *Table) (*Table, error) {
-	target, err := Query(ref, m.query)
-	if err != nil {
-		return nil, fmt.Errorf("viewseeker: exploration query: %w", err)
-	}
-	if target.NumRows() == 0 {
-		return nil, fmt.Errorf("viewseeker: exploration query selected no rows")
-	}
-	target.Name = ref.Name + "_dq"
-	return target, nil
+// genOf returns a maintained version's generator, which the version owns.
+func genOf(v *OfflineVersion) *view.Generator {
+	g, _ := v.Generator(nil)
+	return g
 }
 
 // Advance folds rows appended since the last Advance (or Maintain) into
@@ -200,10 +193,10 @@ func (m *Maintained) Advance() (bool, error) {
 		return false, nil
 	}
 	// The live table's versions form a copy-on-append chain, so newRef is a
-	// bit-exact prefix extension of m.ref by construction — only the target
-	// needs extension checking.
+	// bit-exact prefix extension of the current one by construction — only
+	// the target needs extension checking.
 	if newTarget, ok := m.extendTarget(newRef); ok {
-		if ng, err := m.gen.ApplyAppend(newRef, newTarget); err == nil {
+		if ng, err := genOf(m.cur).ApplyAppend(newRef, newTarget); err == nil {
 			if m.driftThreshold >= 0 && ng.MaxDriftRate() >= m.driftThreshold {
 				// The pinned layouts no longer represent the data: re-fit.
 				if err := m.rebuild(newRef, newSeq); err != nil {
@@ -215,7 +208,7 @@ func (m *Maintained) Advance() (bool, error) {
 			// The delta-extended generator answers every scan from its
 			// seeded caches; Compute then only reassembles per-view vectors.
 			if matrix, err := feature.ComputeWorkers(ng, m.registry, m.opts.Workers); err == nil {
-				m.ref, m.target, m.gen, m.matrix, m.seq = newRef, newTarget, ng, matrix, newSeq
+				m.cur, m.seq = store.NewVersion(matrix, newTarget, ng), newSeq
 				m.extended++
 				return true, nil
 			}
@@ -235,7 +228,7 @@ func (m *Maintained) Advance() (bool, error) {
 // new data only appended result rows (Table.IsPrefixOf).
 func (m *Maintained) extendTarget(newRef *Table) (*Table, bool) {
 	if m.suffixable {
-		from, to := m.ref.NumRows(), newRef.NumRows()
+		from, to := genOf(m.cur).Ref.NumRows(), newRef.NumRows()
 		suffix := newRef.Subset(newRef.Name, seqRange(from, to))
 		matches, err := Query(suffix, m.query)
 		if err != nil {
@@ -245,14 +238,14 @@ func (m *Maintained) extendTarget(newRef *Table) (*Table, bool) {
 		for i := range rows {
 			rows[i] = matches.Row(i)
 		}
-		newTarget, err := m.target.WithAppended(rows)
+		newTarget, err := m.cur.TargetTable().WithAppended(rows)
 		if err != nil {
 			return nil, false
 		}
 		return newTarget, true
 	}
-	newTarget, err := m.runQuery(newRef)
-	if err != nil || !m.target.IsPrefixOf(newTarget) {
+	newTarget, err := runExplorationQuery(context.Background(), newRef, m.query)
+	if err != nil || !m.cur.TargetTable().IsPrefixOf(newTarget) {
 		return nil, false
 	}
 	return newTarget, true
@@ -270,52 +263,38 @@ func seqRange(from, to int) []int {
 // the offline phase is already paid, so this is the warm path regardless
 // of any Options.Cache. The session keeps the version it was built on:
 // later Advances never mutate it.
-func (m *Maintained) NewSession() (*Seeker, error) {
-	return m.newSession(nil)
-}
+func (m *Maintained) NewSession() (*Seeker, error) { return m.NewSessionWith(m.opts) }
 
 // NewSessionWith is NewSession with per-session interaction knobs — K, M,
-// Strategy, Seed, Workers, RefineHook — overlaid onto the maintained
-// configuration, so one maintained offline state can serve sessions with
-// different recommendation sizes or query strategies. Knobs that shape
-// the offline state itself (aggregates, bin counts, features, alpha) come
-// from the Maintained and are ignored here.
+// Strategy, Seed, Workers, RefineHook — so one maintained offline state
+// can serve sessions with different recommendation sizes or query
+// strategies. Knobs that shape the offline state itself (aggregates, bin
+// counts, features, alpha) come from the Maintained and are ignored here.
 func (m *Maintained) NewSessionWith(opts Options) (*Seeker, error) {
-	return m.newSession(&opts)
+	v, _ := m.Version()
+	return m.NewSessionOn(v, opts)
 }
 
-func (m *Maintained) newSession(overlay *Options) (*Seeker, error) {
+// OfflineVersion is one immutable offline version: the view space,
+// utility-feature rows, target subset and view generator of one (table
+// version, query, α, space config), shared read-only by every session
+// minted from it.
+type OfflineVersion = store.OfflineResult
+
+// Version returns the current offline version and the live-table
+// sequence it is current to.
+func (m *Maintained) Version() (*OfflineVersion, uint64) {
 	m.mu.Lock()
-	ref, target, gen := m.ref, m.target, m.gen
-	matrix, registry := m.matrix, m.registry
-	opts, spaceCfg := m.opts, m.spaceCfg
-	m.mu.Unlock()
-	if overlay != nil {
-		opts.K, opts.M = overlay.K, overlay.M
-		opts.Strategy, opts.Seed = overlay.Strategy, overlay.Seed
-		opts.Workers, opts.RefineHook = overlay.Workers, overlay.RefineHook
-	}
-	// Sessions share the maintained matrix read-only (exact rows are never
-	// refined), but Rebuild makes the rows the matrix's backing store, so
-	// hand each session its own row headers.
-	rows := make([][]float64, len(matrix.Rows))
-	copy(rows, matrix.Rows)
-	exact := make([]bool, len(matrix.Exact))
-	copy(exact, matrix.Exact)
-	sm, err := feature.Rebuild(gen, registry, matrix.Specs, rows, exact)
-	if err != nil {
-		return nil, err
-	}
-	s, err := finishSession(ref, target, opts, registry, spaceCfg, sm, gen, true, false)
-	if err != nil {
-		return nil, err
-	}
-	// The session shares the maintained target/generator/row contents
-	// read-only: account it shallowly and bar the server from evicting it
-	// (its offline state advances with the table, so journal replay could
-	// not rebuild it bit-identically).
-	s.sharedOffline = true
-	return s, nil
+	defer m.mu.Unlock()
+	return m.cur, m.seq
+}
+
+// NewSessionOn is NewSessionWith on a version this Maintained published
+// (Version), however far the table has advanced since: a fresh session
+// over exactly that version, which is how a journalled session is
+// replayed bit-identically after eviction.
+func (m *Maintained) NewSessionOn(v *OfflineVersion, opts Options) (*Seeker, error) {
+	return sessionOn(genOf(v).Ref, v.TargetTable(), v, opts, m.registry, m.spaceCfg, true)
 }
 
 // Seq returns the live-table sequence the maintained state is current to.
@@ -352,12 +331,13 @@ func (m *Maintained) Stats() MaintainedStats {
 func (m *Maintained) DriftRate() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.gen.MaxDriftRate()
+	return genOf(m.cur).MaxDriftRate()
 }
 
-// Matrix returns the current feature matrix (shared, read-only).
+// Matrix returns the current version's feature matrix (read-only: its
+// rows are the version's).
 func (m *Maintained) Matrix() *feature.Matrix {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.matrix
+	v, _ := m.Version()
+	matrix, _ := feature.Rebuild(genOf(v), m.registry, v.Specs, v.Rows, v.Exact)
+	return matrix
 }

@@ -18,11 +18,11 @@
 package viewseeker
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -130,14 +130,10 @@ func StaticTopK(table *Table, query, featureName string, k int) ([]View, error) 
 	if k <= 0 {
 		k = 10
 	}
-	target, err := Query(table, query)
+	target, err := runExplorationQuery(context.Background(), table, query)
 	if err != nil {
-		return nil, fmt.Errorf("viewseeker: exploration query: %w", err)
+		return nil, err
 	}
-	if target.NumRows() == 0 {
-		return nil, fmt.Errorf("viewseeker: exploration query selected no rows")
-	}
-	target.Name = table.Name + "_dq"
 	gen, err := view.NewGenerator(table, target, view.SpaceConfig{})
 	if err != nil {
 		return nil, err
@@ -261,23 +257,18 @@ type View struct {
 }
 
 // Seeker is an interactive recommendation session over one dataset and
-// one exploration query.
+// one exploration query. It references an immutable offline version
+// shared with every session over the same (table version, query, α,
+// space config) and owns only its overlay on it: its matrix's row headers
+// and exactness flags, the rows refinement replaced, and its estimator.
 type Seeker struct {
 	ref      *Table
 	target   *Table
-	specs    []Spec
+	off      *store.OfflineResult
 	registry *feature.Registry
 	matrix   *feature.Matrix
 	inner    *core.Seeker
 	cacheHit bool
-
-	// sharedOffline marks sessions minted from a maintained offline state
-	// (Maintained.NewSession*): their target, generator and matrix row
-	// contents are shared read-only with the maintainer, so MemoryBytes
-	// accounts only the per-session slivers — and the server must never
-	// evict them, because their offline state advances with the live
-	// table and cannot be replayed bit-identically from the journal.
-	sharedOffline bool
 
 	// memTarget caches the one-time target-table estimate: the target is
 	// immutable for the session's lifetime and string columns make the
@@ -285,41 +276,45 @@ type Seeker struct {
 	memTargetOnce sync.Once
 	memTarget     int64
 
-	// The generator is built lazily on an exact cache hit: recommendation
-	// needs only the cached matrix, so warm sessions defer the layout
-	// scans until something actually executes a view (Pair, Render, SQL).
+	// An exact session takes the version's generator only when a view
+	// executes (Pair, Render, SQL); holding it keeps it alive.
 	spaceCfg view.SpaceConfig
 	genOnce  sync.Once
 	gen      *view.Generator
 	genErr   error
 }
 
-// generator returns the session's view generator, building it on first
-// use when the session was warmed from the cache.
+// generator returns the version's generator, taken on first use.
 func (s *Seeker) generator() (*view.Generator, error) {
 	s.genOnce.Do(func() {
-		if s.gen != nil {
-			return
-		}
-		s.gen, s.genErr = view.NewGenerator(s.ref, s.target, s.spaceCfg)
+		s.gen, s.genErr = s.off.Generator(func() (*view.Generator, error) {
+			return view.NewGenerator(s.ref, s.target, s.spaceCfg)
+		})
 	})
 	return s.gen, s.genErr
 }
 
-// buildRegistry assembles one session's feature registry from the options.
-func buildRegistry(opts Options) (*feature.Registry, error) {
-	registry := feature.StandardRegistry()
+// offlineConfig resolves the options that shape the offline state: the
+// feature registry, the view-space configuration and their cache-key
+// fields.
+func offlineConfig(opts Options) (registry *feature.Registry, cfg view.SpaceConfig, key store.Key, err error) {
+	registry = feature.StandardRegistry()
 	for _, f := range opts.ExtraFeatures {
-		if err := registry.Add(f); err != nil {
-			return nil, err
+		if err = registry.Add(f); err != nil {
+			return
 		}
 	}
 	if opts.Quadratic {
-		if err := feature.AddQuadratic(registry); err != nil {
-			return nil, err
+		if err = feature.AddQuadratic(registry); err != nil {
+			return
 		}
 	}
-	return registry, nil
+	cfg = view.SpaceConfig{Aggs: opts.Aggs, BinCounts: opts.BinCounts, EqualDepth: opts.EqualDepth}.Normalized()
+	key = store.Key{
+		Alpha: normalizeAlpha(opts.Alpha), Features: registry.Names(),
+		Aggs: cfg.Aggs, BinCounts: cfg.BinCounts, EqualDepth: cfg.EqualDepth,
+	}
+	return registry, cfg, key, nil
 }
 
 func normalizeAlpha(a float64) float64 {
@@ -385,30 +380,21 @@ func NewCtx(ctx context.Context, table *Table, query string, opts Options) (*See
 		}
 		return NewFromTablesCtx(ctx, table, target, opts)
 	}
-	registry, err := buildRegistry(opts)
+	registry, spaceCfg, key, err := offlineConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	spaceCfg := view.SpaceConfig{
-		Aggs: opts.Aggs, BinCounts: opts.BinCounts, EqualDepth: opts.EqualDepth,
-	}.Normalized()
-	alpha := normalizeAlpha(opts.Alpha)
 	if opts.RefHash == "" {
 		opts.RefHash = store.HashTable(table)
 	}
-	queryFP := store.Key{
-		RefHash: opts.RefHash, Query: query, Alpha: alpha,
-		Features: registry.Names(), Aggs: spaceCfg.Aggs,
-		BinCounts: spaceCfg.BinCounts, EqualDepth: spaceCfg.EqualDepth,
-	}.Fingerprint()
-	if res, ok := opts.Cache.Get(queryFP); ok && len(res.Target) > 0 {
-		if target, derr := dataset.ReadBinary(bytes.NewReader(res.Target)); derr == nil && target.NumRows() > 0 {
-			if s, berr := buildFromCached(table, target, opts, registry, spaceCfg, alpha, res); berr == nil {
-				obs.RegistryFrom(ctx).Counter(`viewseeker_offline_sessions_total{result="warm"}`).Inc()
-				return s, nil
-			}
+	key.RefHash, key.Query = opts.RefHash, query
+	queryFP := key.Fingerprint()
+	if v, ok := opts.Cache.Get(queryFP); ok && v.TargetTable() != nil {
+		if s, err := sessionOn(table, v.TargetTable(), v, opts, registry, spaceCfg, true); err == nil {
+			obs.RegistryFrom(ctx).Counter(`viewseeker_offline_sessions_total{result="warm"}`).Inc()
+			return s, nil
 		}
-		// An undecodable or mismatched entry degrades to recomputation.
+		// A mismatched entry degrades to recomputation.
 	}
 	target, err := runExplorationQuery(ctx, table, query)
 	if err != nil {
@@ -418,15 +404,9 @@ func NewCtx(ctx context.Context, table *Table, query string, opts Options) (*See
 	if err != nil {
 		return nil, err
 	}
-	// Index the result under the query too, with the target attached, so
+	// Index the version under the query too, with the target attached, so
 	// the next session over this (table, query) skips the query as well.
-	var buf bytes.Buffer
-	if err := dataset.WriteBinary(target, &buf); err == nil {
-		_ = opts.Cache.Put(queryFP, &store.OfflineResult{
-			Specs: s.matrix.Specs, Names: s.matrix.Names, Rows: s.matrix.Rows,
-			Exact: s.matrix.Exact, Target: buf.Bytes(),
-		})
-	}
+	_ = opts.Cache.Put(queryFP, s.off.WithTarget(target))
 	return s, nil
 }
 
@@ -444,36 +424,23 @@ func NewFromTablesCtx(ctx context.Context, ref, target *Table, opts Options) (*S
 	if ref == nil || target == nil {
 		return nil, fmt.Errorf("viewseeker: nil table")
 	}
-	spaceCfg := view.SpaceConfig{
-		Aggs: opts.Aggs, BinCounts: opts.BinCounts, EqualDepth: opts.EqualDepth,
-	}.Normalized()
-	registry, err := buildRegistry(opts)
+	registry, spaceCfg, key, err := offlineConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	alpha := normalizeAlpha(opts.Alpha)
-	withRefinement := alpha < 1
 
 	// The offline-result cache is addressed by a fingerprint of everything
 	// the matrix depends on; hashing both tables is one pass over their
 	// columns — noise next to the feature computation a hit skips.
 	var fingerprint string
 	if opts.Cache != nil {
-		refHash := opts.RefHash
-		if refHash == "" {
-			refHash = store.HashTable(ref)
+		key.RefHash, key.TargetHash = opts.RefHash, store.HashTable(target)
+		if key.RefHash == "" {
+			key.RefHash = store.HashTable(ref)
 		}
-		fingerprint = store.Key{
-			RefHash:    refHash,
-			TargetHash: store.HashTable(target),
-			Alpha:      alpha,
-			Features:   registry.Names(),
-			Aggs:       spaceCfg.Aggs,
-			BinCounts:  spaceCfg.BinCounts,
-			EqualDepth: spaceCfg.EqualDepth,
-		}.Fingerprint()
-		if res, ok := opts.Cache.Get(fingerprint); ok {
-			if s, berr := buildFromCached(ref, target, opts, registry, spaceCfg, alpha, res); berr == nil {
+		fingerprint = key.Fingerprint()
+		if v, ok := opts.Cache.Get(fingerprint); ok {
+			if s, err := sessionOn(ref, target, v, opts, registry, spaceCfg, true); err == nil {
 				obs.RegistryFrom(ctx).Counter(`viewseeker_offline_sessions_total{result="warm"}`).Inc()
 				return s, nil
 			}
@@ -486,49 +453,39 @@ func NewFromTablesCtx(ctx context.Context, ref, target *Table, opts Options) (*S
 	if err != nil {
 		return nil, err
 	}
-	var matrix *feature.Matrix
-	if withRefinement {
-		matrix, err = feature.ComputePartialWorkersCtx(ctx, gen, registry, alpha, opts.Workers)
-	} else {
-		matrix, err = feature.ComputeWorkersCtx(ctx, gen, registry, opts.Workers)
-	}
+	// ComputePartial at α = 1 is the exact pass.
+	matrix, err := feature.ComputePartialWorkersCtx(ctx, gen, registry, key.Alpha, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	obs.RegistryFrom(ctx).Counter(`viewseeker_offline_sessions_total{result="cold"}`).Inc()
+	v := store.NewVersion(matrix, nil, nil)
+	// Lend this pass's warm scans to the version's other sessions.
+	v.Generator(func() (*view.Generator, error) { return gen, nil })
 	if opts.Cache != nil {
 		// Best-effort fill: a failed snapshot write degrades the cache
 		// to memory-only, it never fails the session.
-		_ = opts.Cache.Put(fingerprint, &store.OfflineResult{
-			Specs: matrix.Specs, Names: matrix.Names, Rows: matrix.Rows, Exact: matrix.Exact,
-		})
+		_ = opts.Cache.Put(fingerprint, v)
 	}
-	return finishSession(ref, target, opts, registry, spaceCfg, matrix, gen, false, withRefinement)
+	return sessionOn(ref, target, v, opts, registry, spaceCfg, false)
 }
 
-// buildFromCached assembles a session from a cached offline result. An
-// α-sampled result still refines during the session, which needs the
-// generator up front; an exact one defers the layout scans until a view
-// actually executes.
-func buildFromCached(ref, target *Table, opts Options, registry *feature.Registry, spaceCfg view.SpaceConfig, alpha float64, res *store.OfflineResult) (*Seeker, error) {
-	var gen *view.Generator
-	var err error
-	if !res.AllExact() {
-		gen, err = view.NewGenerator(ref, target, spaceCfg)
-		if err != nil {
+// sessionOn mints a session over the offline version v — the one path
+// behind cold, cache-warmed and maintained sessions — as a copy-on-write
+// overlay on v's rows (feature.Rebuild). Refining an α-sampled version
+// needs its generator up front.
+func sessionOn(ref, target *Table, v *store.OfflineResult, opts Options, registry *feature.Registry, spaceCfg view.SpaceConfig, cacheHit bool) (*Seeker, error) {
+	s := &Seeker{ref: ref, target: target, off: v, registry: registry, cacheHit: cacheHit, spaceCfg: spaceCfg}
+	withRefinement := slices.Contains(v.Exact, false)
+	if withRefinement {
+		if _, err := s.generator(); err != nil {
 			return nil, err
 		}
 	}
-	matrix, err := feature.Rebuild(gen, registry, res.Specs, res.Rows, res.Exact)
+	matrix, err := feature.Rebuild(s.gen, registry, v.Specs, v.Rows, v.Exact)
 	if err != nil {
 		return nil, err
 	}
-	return finishSession(ref, target, opts, registry, spaceCfg, matrix, gen, true, alpha < 1)
-}
-
-// finishSession wires the shared tail of every construction path: the
-// query strategy, the core estimator, and the Seeker itself.
-func finishSession(ref, target *Table, opts Options, registry *feature.Registry, spaceCfg view.SpaceConfig, matrix *feature.Matrix, gen *view.Generator, cacheHit, withRefinement bool) (*Seeker, error) {
 	var strategy active.Strategy
 	switch opts.Strategy {
 	case "", "uncertainty":
@@ -542,30 +499,20 @@ func finishSession(ref, target *Table, opts Options, registry *feature.Registry,
 	default:
 		return nil, fmt.Errorf("viewseeker: unknown strategy %q", opts.Strategy)
 	}
-	inner, err := core.NewSeeker(matrix, core.Config{
+	s.matrix = matrix
+	s.inner, err = core.NewSeeker(matrix, core.Config{
 		K: opts.K, M: opts.M, Strategy: strategy, ColdStartSeed: opts.Seed,
 		Workers: opts.Workers, RefineHook: opts.RefineHook,
 	}, withRefinement)
 	if err != nil {
 		return nil, err
 	}
-	return &Seeker{
-		ref: ref, target: target, specs: matrix.Specs, registry: registry,
-		matrix: matrix, inner: inner, cacheHit: cacheHit, spaceCfg: spaceCfg, gen: gen,
-	}, nil
+	return s, nil
 }
 
 // CacheHit reports whether this session's offline phase was served from
 // Options.Cache instead of being computed.
 func (s *Seeker) CacheHit() bool { return s.cacheHit }
-
-// SharedOffline reports whether this session shares its offline state
-// (target, generator, matrix row contents) read-only with a maintained
-// live-table state (Maintained.NewSession*). Such sessions cannot be
-// rebuilt bit-identically from the journal once the maintained state
-// advances, so the server's session manager pins them resident instead of
-// evicting them.
-func (s *Seeker) SharedOffline() bool { return s.sharedOffline }
 
 // sessionOverheadBytes is the fixed per-session charge in MemoryBytes: the
 // struct headers, small maps and slices the itemised estimates below do
@@ -574,12 +521,11 @@ const sessionOverheadBytes = 16 << 10
 
 // MemoryBytes estimates the session's resident heap bytes — the quantity
 // the server's eviction budget (-session-budget-bytes) accounts per
-// session (DESIGN.md §16). It sums the target subset's columns, the
-// feature matrix, the view generator's scan caches (once built; the
+// session (DESIGN.md §16). It charges everything the session references
+// except the shared reference table: the target subset's columns, the
+// feature matrix, the view generator's scan caches (once taken; the
 // estimate grows as views are rendered) and the estimator state, plus a
-// fixed overhead constant; the reference table is excluded because it is
-// shared across every session on it. Sessions minted from a maintained
-// offline state (SharedOffline) count only their per-session slivers.
+// fixed overhead — the offline version's share in full, per session.
 //
 // The result is an estimate of the dominant allocations, not a heap
 // census; cmd/loadgen plus the viewseeker_session_resident_bytes gauge
@@ -587,11 +533,7 @@ const sessionOverheadBytes = 16 << 10
 // Call it under the same serialisation as the session's other operations
 // — it reads the lazily built generator.
 func (s *Seeker) MemoryBytes() int64 {
-	b := int64(sessionOverheadBytes) + s.inner.MemoryBytes()
-	if s.sharedOffline {
-		return b + s.matrix.MemoryBytesShallow()
-	}
-	b += s.matrix.MemoryBytes()
+	b := int64(sessionOverheadBytes) + s.inner.MemoryBytes() + s.matrix.MemoryBytes()
 	s.memTargetOnce.Do(func() { s.memTarget = s.target.MemoryBytes() })
 	b += s.memTarget
 	if s.gen != nil {
@@ -610,7 +552,7 @@ func (s *Seeker) Target() *Table { return s.target }
 func (s *Seeker) NumViews() int { return s.matrix.Len() }
 
 // Specs returns the enumerated view space.
-func (s *Seeker) Specs() []Spec { return s.specs }
+func (s *Seeker) Specs() []Spec { return s.matrix.Specs }
 
 // FeatureNames returns the active utility feature names, in weight order.
 func (s *Seeker) FeatureNames() []string { return s.registry.Names() }
@@ -650,7 +592,7 @@ func (s *Seeker) NextViewsCtx(ctx context.Context) ([]View, error) {
 }
 
 func (s *Seeker) viewAt(idx int) View {
-	return View{Index: idx, Spec: s.specs[idx], Score: s.inner.Predict(idx)}
+	return View{Index: idx, Spec: s.matrix.Specs[idx], Score: s.inner.Predict(idx)}
 }
 
 // Feedback records the user's 0–1 interest label for a view and refits
@@ -714,7 +656,7 @@ func (s *Seeker) SQL(index int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	spec := s.specs[index]
+	spec := s.matrix.Specs[index]
 	return spec.SQL(s.ref.Name, gen.Layout(spec)), nil
 }
 
@@ -758,7 +700,7 @@ func (s *Seeker) Pair(index int) (*Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	return gen.Pair(s.specs[index])
+	return gen.Pair(s.matrix.Specs[index])
 }
 
 // Render returns an ASCII rendering of one view's target vs reference bar
