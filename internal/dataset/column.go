@@ -53,6 +53,42 @@ func (c *Column) cloneForAppend() *Column {
 	return out
 }
 
+// Gather returns a new column holding the cells at rows, in order — the
+// column-at-a-time form of Table.Subset. NULL cells stay NULL and store
+// the kind's zero value, as Append would.
+func (c *Column) Gather(rows []int) *Column {
+	out := &Column{Def: c.Def}
+	switch c.Def.Kind {
+	case KindInt:
+		out.Ints = gather(c, c.Ints, rows)
+	case KindFloat:
+		out.Floats = gather(c, c.Floats, rows)
+	case KindString:
+		out.Strs = gather(c, c.Strs, rows)
+	case KindBool:
+		out.Bools = gather(c, c.Bools, rows)
+	}
+	if c.nulls != nil {
+		for i, r := range rows {
+			if c.IsNull(r) {
+				out.markNull(i)
+			}
+		}
+	}
+	return out
+}
+
+// gather copies src[r] for each row r of c, leaving NULL cells zero.
+func gather[T any](c *Column, src []T, rows []int) []T {
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		if !c.IsNull(r) {
+			out[i] = src[r]
+		}
+	}
+	return out
+}
+
 // Len returns the number of stored cells.
 func (c *Column) Len() int {
 	switch c.Def.Kind {

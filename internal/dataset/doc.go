@@ -13,6 +13,11 @@
 // the column grows. The bitmap is the store of record for NULLs; IsNull
 // is two shifts and a bounds check.
 //
+// Gathers: Column.Gather copies a column's cells at a list of rows into a
+// new column of the same definition, NULL bits included (NULL cells hold
+// the kind's zero value, as Append stores them); Table.Subset and the SQL
+// executor's pass-through projections are built from it.
+//
 // Bit-identity: the numeric view yields exactly the values the
 // row-at-a-time accessors yield, in the same row order, so scan kernels
 // built on either surface agree bit for bit. Generators are seeded and

@@ -144,18 +144,33 @@ func (t *Table) Row(i int) []Value {
 	return out
 }
 
-// Subset materialises a new table holding the given row indices, in order.
-// It is how query results (DQ) are represented as first-class tables.
+// Subset materialises a new table holding the given row indices, in order,
+// one column gather at a time.
 func (t *Table) Subset(name string, rows []int) *Table {
-	out := NewTable(name, t.Schema)
-	for _, i := range rows {
-		vals := make([]Value, len(t.Cols))
-		for j, c := range t.Cols {
-			vals[j] = c.Value(i)
-		}
-		out.MustAppendRow(vals...)
+	cols := make([]*Column, len(t.Cols))
+	for j, c := range t.Cols {
+		cols[j] = c.Gather(rows)
 	}
-	return out
+	return &Table{Name: name, Schema: t.Schema, Cols: cols, rows: len(rows), version: 1}
+}
+
+// FromColumns assembles a table from filled columns, one per schema
+// column in order, whose definitions match the schema's and whose lengths
+// agree.
+func FromColumns(name string, schema *Schema, cols []*Column) (*Table, error) {
+	if len(cols) != schema.Len() {
+		return nil, fmt.Errorf("dataset: table %q has %d columns, schema %d", name, len(cols), schema.Len())
+	}
+	for j, c := range cols {
+		if c.Def != schema.Columns[j] {
+			return nil, fmt.Errorf("dataset: column %d of table %q is %v, schema says %v", j, name, c.Def, schema.Columns[j])
+		}
+	}
+	t := &Table{Name: name, Schema: schema, Cols: cols}
+	if err := t.sealRows(); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // IsPrefixOf reports whether u extends t row-for-row: same schema shape

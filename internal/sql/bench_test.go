@@ -50,6 +50,25 @@ func BenchmarkScanFilter(b *testing.B) {
 	}
 }
 
+// BenchmarkExplorationQuery times the query shape every cold session
+// create runs: SELECT * under a two-dimension range box (~1% of SYN 200k).
+func BenchmarkExplorationQuery(b *testing.B) {
+	c := NewCatalog()
+	c.Register(dataset.GenerateSYN(dataset.SYNConfig{Rows: 200_000, Seed: 1}))
+	const q = "SELECT * FROM syn WHERE d3 >= 0.21 AND d3 < 0.31 AND d1 >= 0.5 AND d1 < 0.6"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.Query(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.NumRows() == 0 {
+			b.Fatal("no rows")
+		}
+	}
+}
+
 func BenchmarkHashAggregate(b *testing.B) {
 	c := NewCatalog()
 	c.Register(benchTable(100_000))

@@ -13,7 +13,12 @@
 // vector over the scan, then either a projection or one fused aggregation
 // pass that accumulates every aggregate slot of the statement into flat
 // per-slot accumulator banks, reading plain numeric columns through
-// dataset.Column.NumericView instead of boxed per-row evaluation.
+// dataset.Column.NumericView instead of boxed per-row evaluation. A WHERE
+// predicate over columns and constants that cannot fail at run time
+// compiles to typed kernels over the unboxed columns (kernel.go), with
+// NOT pushed to the leaves; any other predicate runs boxed as a whole. A
+// projection of bare columns without DISTINCT or ORDER BY is gathered
+// column by column (dataset.Column.Gather).
 // ExecuteInterpreted is the retained tree-walking interpreter — the
 // bit-identity oracle the planned executor is tested against (the same
 // retained-reference pattern as view.CollectStatsReference). Both engines
@@ -37,6 +42,11 @@
 // use moments shifted by the group's first value, so they survive
 // |mean| ≫ stddev inputs that a raw Σv² formulation loses to float64
 // cancellation.
+//
+// Result kinds: a column passed through unchanged (* or a bare column
+// reference) keeps its source column's kind and role, even when every
+// selected cell is NULL or no row is selected; a computed column takes
+// the kind of its first non-NULL value, string when it has none.
 //
 // Queries never mutate their input tables; every result is a fresh table.
 package sql

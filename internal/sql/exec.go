@@ -72,13 +72,23 @@ func tableBinder(table *dataset.Table) func(e Expr) (getter, bool, error) {
 	}
 }
 
+// sourceDef returns the definition of the column an output item passes
+// through unchanged (a bare column reference), or the zero definition —
+// kind KindNull, role Other — for a computed item.
+func sourceDef(e Expr, table *dataset.Table) dataset.ColumnDef {
+	if c := column(table, columnName(e)); c != nil {
+		return c.Def
+	}
+	return dataset.ColumnDef{}
+}
+
 // projectionGetters expands the statement's SELECT items into output
-// names, source roles for pass-through columns, and compiled getters.
+// names, source definitions (see sourceDef), and compiled getters.
 // Shared by the interpreter's plain path and the planned projection.
-func projectionGetters(stmt *SelectStmt, table *dataset.Table, comp *compiler) ([]string, []dataset.Role, []getter, error) {
+func projectionGetters(stmt *SelectStmt, table *dataset.Table, comp *compiler) ([]string, []dataset.ColumnDef, []getter, error) {
 	var names []string
 	var getters []getter
-	var roles []dataset.Role
+	var defs []dataset.ColumnDef
 	for _, it := range stmt.Items {
 		if it.Star {
 			if table == nil {
@@ -87,7 +97,7 @@ func projectionGetters(stmt *SelectStmt, table *dataset.Table, comp *compiler) (
 			for _, col := range table.Cols {
 				c := col
 				names = append(names, c.Def.Name)
-				roles = append(roles, c.Def.Role)
+				defs = append(defs, c.Def)
 				getters = append(getters, func(row int) (dataset.Value, error) { return c.Value(row), nil })
 			}
 			continue
@@ -97,21 +107,15 @@ func projectionGetters(stmt *SelectStmt, table *dataset.Table, comp *compiler) (
 			return nil, nil, nil, err
 		}
 		names = append(names, it.OutputName())
-		role := dataset.RoleOther
-		if ref, ok := it.Expr.(*ColumnRef); ok && table != nil {
-			if def, found := table.Schema.Def(ref.Name); found {
-				role = def.Role
-			}
-		}
-		roles = append(roles, role)
+		defs = append(defs, sourceDef(it.Expr, table))
 		getters = append(getters, g)
 	}
-	return names, roles, getters, nil
+	return names, defs, getters, nil
 }
 
 func executePlain(stmt *SelectStmt, table *dataset.Table) (*dataset.Table, error) {
 	comp := &compiler{bindNode: tableBinder(table)}
-	names, roles, getters, err := projectionGetters(stmt, table, comp)
+	names, defs, getters, err := projectionGetters(stmt, table, comp)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +165,7 @@ func executePlain(stmt *SelectStmt, table *dataset.Table) (*dataset.Table, error
 		}
 		rows = append(rows, out)
 	}
-	return finishRows(stmt, names, roles, rows)
+	return finishRows(stmt, names, defs, rows)
 }
 
 // orderGetter evaluates one ORDER BY key either from the row context or
@@ -213,8 +217,10 @@ func indexOf(names []string, name string) int {
 }
 
 // finishRows applies DISTINCT, ORDER BY, LIMIT and materialises the result
-// table.
-func finishRows(stmt *SelectStmt, names []string, roles []dataset.Role, rows []outputRow) (*dataset.Table, error) {
+// table. A column passed through from the source (defs[j].Kind set) keeps
+// its kind and role; a computed column takes the kind of its first
+// non-NULL value (string when it has none).
+func finishRows(stmt *SelectStmt, names []string, defs []dataset.ColumnDef, rows []outputRow) (*dataset.Table, error) {
 	if stmt.Distinct {
 		seen := make(map[string]bool, len(rows))
 		kept := rows[:0]
@@ -250,28 +256,19 @@ func finishRows(stmt *SelectStmt, names []string, roles []dataset.Role, rows []o
 		rows = rows[:stmt.Limit]
 	}
 
-	// Infer output kinds from the first non-null value per column.
-	kinds := make([]dataset.Kind, len(names))
-	for j := range kinds {
-		kinds[j] = dataset.KindString
+	for j := range defs {
+		if defs[j].Kind != dataset.KindNull {
+			continue
+		}
+		defs[j].Kind = dataset.KindString
 		for _, r := range rows {
 			if !r.vals[j].IsNull() {
-				kinds[j] = r.vals[j].Kind
+				defs[j].Kind = r.vals[j].Kind
 				break
 			}
 		}
 	}
-	defs := make([]dataset.ColumnDef, len(names))
-	used := make(map[string]int)
-	for j, n := range names {
-		// Disambiguate duplicate output names (e.g. SELECT a, a).
-		if c := used[n]; c > 0 {
-			n = n + "_" + strconv.Itoa(c)
-		}
-		used[names[j]]++
-		defs[j] = dataset.ColumnDef{Name: n, Kind: kinds[j], Role: roles[j]}
-	}
-	schema, err := dataset.NewSchema(defs...)
+	schema, err := resultSchema(names, defs)
 	if err != nil {
 		return nil, err
 	}
@@ -282,6 +279,21 @@ func finishRows(stmt *SelectStmt, names []string, roles []dataset.Role, rows []o
 		}
 	}
 	return res, nil
+}
+
+// resultSchema names the output columns — duplicates disambiguated, as in
+// SELECT a, a → a, a_1 — over the given kinds and roles.
+func resultSchema(names []string, defs []dataset.ColumnDef) (*dataset.Schema, error) {
+	out := make([]dataset.ColumnDef, len(names))
+	used := make(map[string]int)
+	for j, n := range names {
+		if c := used[n]; c > 0 {
+			n = n + "_" + strconv.Itoa(c)
+		}
+		used[names[j]]++
+		out[j] = dataset.ColumnDef{Name: n, Kind: defs[j].Kind, Role: defs[j].Role}
+	}
+	return dataset.NewSchema(out...)
 }
 
 func rowKey(vals []dataset.Value) string {
@@ -598,15 +610,10 @@ func groupCompiler(groupKeys []string, slotIndex map[string]int, grp *groupOut) 
 // via finishRows.
 func projectGroups(stmt *SelectStmt, table *dataset.Table, groupKeys []string, slotIndex map[string]int, groups []*groupOut) (*dataset.Table, error) {
 	names := make([]string, len(stmt.Items))
-	roles := make([]dataset.Role, len(stmt.Items))
+	defs := make([]dataset.ColumnDef, len(stmt.Items))
 	for i, it := range stmt.Items {
 		names[i] = it.OutputName()
-		roles[i] = dataset.RoleOther
-		if ref, ok := it.Expr.(*ColumnRef); ok && table != nil {
-			if def, found := table.Schema.Def(ref.Name); found {
-				roles[i] = def.Role
-			}
-		}
+		defs[i] = sourceDef(it.Expr, table)
 	}
 
 	var rows []outputRow
@@ -650,7 +657,7 @@ func projectGroups(stmt *SelectStmt, table *dataset.Table, groupKeys []string, s
 		}
 		rows = append(rows, out)
 	}
-	return finishRows(stmt, names, roles, rows)
+	return finishRows(stmt, names, defs, rows)
 }
 
 type group struct {

@@ -26,9 +26,11 @@ type Plan struct {
 //
 //	scan      Table
 //	values    (leaf; table-less SELECT evaluates one const row)
-//	filter    Predicate, and Phase="having" for the post-aggregate filter
+//	filter    Predicate; Phase="having" for the post-aggregate filter,
+//	          else Strategy "typed" (a column kernel) or "boxed"
 //	aggregate GroupBy, Strategy, Aggregates
-//	project   Columns
+//	project   Columns, and Strategy="gather" when the result is gathered
+//	          column by column from the selection vector
 //	distinct  (no operands)
 //	sort      Keys
 //	limit     Count
@@ -65,10 +67,12 @@ type PlanSortKey struct {
 }
 
 // Lower turns a parsed statement into its physical plan. Lowering is
-// structural: expressions are carried as their canonical strings, not
-// compiled — compilation stays in the executor, so Lower never needs row
-// context and works with a nil table (per-aggregate Columnar then simply
-// reports false for column-fed slots it cannot see).
+// structural: expressions are carried as their canonical strings —
+// compilation stays in the executor, which Lower only asks whether the
+// WHERE predicate compiles to a typed kernel — so Lower never needs row
+// context and works with a nil table (the table only refines the
+// strategies: per-aggregate Columnar, the typed filter and the gathered
+// projection then report the boxed paths for columns Lower cannot see).
 func Lower(stmt *SelectStmt, table *dataset.Table) (*Plan, error) {
 	var node *PlanNode
 	if stmt.From != "" {
@@ -80,7 +84,11 @@ func Lower(stmt *SelectStmt, table *dataset.Table) (*Plan, error) {
 		if isAggregate(stmt) && ContainsAggregate(stmt.Where) {
 			return nil, fmt.Errorf("sql: aggregate in WHERE (use HAVING)")
 		}
-		node = &PlanNode{Op: "filter", Predicate: stmt.Where.String(), Input: node}
+		strategy := "boxed"
+		if _, ok := compileKernel(stmt.Where, table, false); ok {
+			strategy = "typed"
+		}
+		node = &PlanNode{Op: "filter", Predicate: stmt.Where.String(), Strategy: strategy, Input: node}
 	}
 	if isAggregate(stmt) {
 		for _, it := range stmt.Items {
@@ -133,6 +141,9 @@ func Lower(stmt *SelectStmt, table *dataset.Table) (*Plan, error) {
 		}
 	}
 	node = &PlanNode{Op: "project", Columns: cols, Input: node}
+	if !isAggregate(stmt) && gatherable(stmt, table) {
+		node.Strategy = "gather"
+	}
 	if stmt.Distinct {
 		node = &PlanNode{Op: "distinct", Input: node}
 	}

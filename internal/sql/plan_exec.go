@@ -20,9 +20,11 @@ func executePlanned(stmt *SelectStmt, table *dataset.Table) (*dataset.Table, err
 }
 
 // buildSelection evaluates the WHERE predicate over nRows and returns the
-// surviving row indexes (all rows when there is no predicate). aggContext
-// rejects aggregates inside WHERE.
-func buildSelection(stmt *SelectStmt, comp *compiler, nRows int, aggContext bool) ([]int, error) {
+// surviving row indexes (all rows when there is no predicate). A predicate
+// compileKernel accepts runs as one typed kernel over the unboxed
+// columns; any other is evaluated boxed, row by row. aggContext rejects
+// aggregates inside WHERE.
+func buildSelection(stmt *SelectStmt, table *dataset.Table, comp *compiler, nRows int, aggContext bool) ([]int, error) {
 	if stmt.Where == nil {
 		sel := make([]int, nRows)
 		for r := range sel {
@@ -32,6 +34,20 @@ func buildSelection(stmt *SelectStmt, comp *compiler, nRows int, aggContext bool
 	}
 	if aggContext && ContainsAggregate(stmt.Where) {
 		return nil, fmt.Errorf("sql: aggregate in WHERE (use HAVING)")
+	}
+	if k, ok := compileKernel(stmt.Where, table, false); ok {
+		// Filter a fixed-size block of rows at a time, so the scratch
+		// selection stays cache-resident and only survivors are kept.
+		var sel []int
+		block := make([]int, min(nRows, 4096))
+		for lo := 0; lo < nRows; lo += len(block) {
+			chunk := block[:min(len(block), nRows-lo)]
+			for i := range chunk {
+				chunk[i] = lo + i
+			}
+			sel = append(sel, k.filter(chunk)...)
+		}
+		return sel, nil
 	}
 	whereG, err := comp.compile(stmt.Where)
 	if err != nil {
@@ -50,11 +66,47 @@ func buildSelection(stmt *SelectStmt, comp *compiler, nRows int, aggContext bool
 	return sel, nil
 }
 
+// gatherable reports whether a non-aggregate statement's projection is a
+// column gather over its selection vector: every item passes a column of
+// table through unchanged (* or a bare column reference) and neither
+// DISTINCT nor ORDER BY drops or reorders rows.
+func gatherable(stmt *SelectStmt, table *dataset.Table) bool {
+	if table == nil || stmt.Distinct || len(stmt.OrderBy) > 0 {
+		return false
+	}
+	for _, it := range stmt.Items {
+		if !it.Star && column(table, columnName(it.Expr)) == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// gatherResult materialises a gatherable projection column by column:
+// output column j is source column defs[j] gathered at the selected rows
+// (the first LIMIT of them), with no per-cell boxing.
+func gatherResult(stmt *SelectStmt, table *dataset.Table, names []string, defs []dataset.ColumnDef, sel []int) (*dataset.Table, error) {
+	if stmt.Limit >= 0 && len(sel) > stmt.Limit {
+		sel = sel[:stmt.Limit]
+	}
+	schema, err := resultSchema(names, defs)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]*dataset.Column, len(defs))
+	for j, def := range defs {
+		cols[j] = table.Column(def.Name).Gather(sel)
+		cols[j].Def = schema.Columns[j]
+	}
+	return dataset.FromColumns("result", schema, cols)
+}
+
 // executeProjection is the planned non-aggregate path: selection vector
-// first, then projection and ORDER BY key evaluation over selected rows.
+// first, then either a column gather (gatherable) or projection and ORDER
+// BY key evaluation over the selected rows.
 func executeProjection(stmt *SelectStmt, table *dataset.Table) (*dataset.Table, error) {
 	comp := &compiler{bindNode: tableBinder(table)}
-	names, roles, getters, err := projectionGetters(stmt, table, comp)
+	names, defs, getters, err := projectionGetters(stmt, table, comp)
 	if err != nil {
 		return nil, err
 	}
@@ -62,9 +114,12 @@ func executeProjection(stmt *SelectStmt, table *dataset.Table) (*dataset.Table, 
 	if table != nil {
 		nRows = table.NumRows()
 	}
-	sel, err := buildSelection(stmt, comp, nRows, false)
+	sel, err := buildSelection(stmt, table, comp, nRows, false)
 	if err != nil {
 		return nil, err
+	}
+	if gatherable(stmt, table) {
+		return gatherResult(stmt, table, names, defs, sel)
 	}
 	orderGetters, err := bindOrderBy(stmt, comp, names)
 	if err != nil {
@@ -89,7 +144,7 @@ func executeProjection(stmt *SelectStmt, table *dataset.Table) (*dataset.Table, 
 		}
 		rows = append(rows, out)
 	}
-	return finishRows(stmt, names, roles, rows)
+	return finishRows(stmt, names, defs, rows)
 }
 
 // executeFusedAggregate is the planned grouped path. One keying pass turns
@@ -137,7 +192,7 @@ func executeFusedAggregate(stmt *SelectStmt, table *dataset.Table) (*dataset.Tab
 	if table != nil {
 		nRows = table.NumRows()
 	}
-	sel, err := buildSelection(stmt, rowComp, nRows, true)
+	sel, err := buildSelection(stmt, table, rowComp, nRows, true)
 	if err != nil {
 		return nil, err
 	}

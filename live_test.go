@@ -329,3 +329,70 @@ func TestMaintainedProjectionSuffix(t *testing.T) {
 		}
 	}
 }
+
+// TestMaintainedAllNullColumnExtends is the regression test for a result
+// column whose cells are all NULL when Maintain runs. Result kinds used
+// to be inferred from the values, so that column came back as a string
+// column; the suffix path then appended later numbers to it as strings,
+// and every view over the measure silently stayed empty, unlike a rebuild.
+// A passed-through column now keeps its source kind.
+func TestMaintainedAllNullColumnExtends(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.ColumnDef{Name: "g", Kind: dataset.KindString, Role: dataset.RoleDimension},
+		dataset.ColumnDef{Name: "m", Kind: dataset.KindFloat, Role: dataset.RoleMeasure},
+	)
+	base := dataset.NewTable("t", schema)
+	for i := 0; i < 40; i++ {
+		if i%2 == 0 {
+			base.MustAppendRow(dataset.StringVal("z"), dataset.Null)
+		} else {
+			base.MustAppendRow(dataset.StringVal("a"), dataset.Float(float64(i)))
+		}
+	}
+	lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "t.wal"), base, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lt.Close()
+	const query = "SELECT * FROM t WHERE g = 'z'"
+	m, err := Maintain(lt, query, Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lt.Append([][]Value{
+		{dataset.StringVal("z"), dataset.Float(5)}, {dataset.StringVal("z"), dataset.Float(7)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Advance(); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.Extended != 1 {
+		t.Fatalf("stats = %+v, want one suffix extension", st)
+	}
+	maintained, err := m.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := lt.Snapshot()
+	fresh, err := New(ref, query, Options{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := maintained.Target().Schema.Columns, fresh.Target().Schema.Columns; !reflect.DeepEqual(got, want) {
+		t.Fatalf("maintained target schema %v, rebuilt %v", got, want)
+	}
+	for i := 0; i < fresh.NumViews(); i++ {
+		a, err := maintained.Pair(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fresh.Pair(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Target.Values, b.Target.Values) {
+			t.Errorf("%v: maintained %v, rebuilt %v", fresh.Specs()[i], a.Target.Values, b.Target.Values)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package viewseeker
 
 import (
+	"context"
 	"fmt"
 
 	"viewseeker/internal/core"
@@ -38,14 +39,10 @@ func NewScatter(table *Table, query string, opts Options) (*ScatterSeeker, error
 	if table == nil {
 		return nil, fmt.Errorf("viewseeker: nil table")
 	}
-	target, err := Query(table, query)
+	target, err := runExplorationQuery(context.Background(), table, query)
 	if err != nil {
-		return nil, fmt.Errorf("viewseeker: exploration query: %w", err)
+		return nil, err
 	}
-	if target.NumRows() == 0 {
-		return nil, fmt.Errorf("viewseeker: exploration query selected no rows")
-	}
-	target.Name = table.Name + "_dq"
 	matrix, specs, err := scatter.BuildMatrix(table, target)
 	if err != nil {
 		return nil, err
