@@ -162,7 +162,8 @@ func (s *Seeker) FeedbackCtx(ctx context.Context, viewIdx int, label float64) er
 		// The full label→refine→refit round trip — the latency the user
 		// actually waits out between giving a label and seeing the next
 		// recommendation. The acceptance target for interactive scale is
-		// < 1 s per iteration (see cmd/bench -online).
+		// < 1 s per iteration (iterate_sampled's iter_p50_ms in
+		// benchmark/ measures it at SYN 1M).
 		start := time.Now()
 		defer func() {
 			reg.Histogram("viewseeker_feedback_iteration_seconds", obs.DurationBuckets).

@@ -210,7 +210,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // Snapshot flattens the registry into a single map for programmatic
-// consumers (cmd/bench's occupancy report, tests): counters and gauges
+// consumers (tests, embedding commands): counters and gauges
 // under their series name, histograms as <name>_sum and <name>_count with
 // any label set preserved. A nil registry returns an empty map.
 func (r *Registry) Snapshot() map[string]float64 {

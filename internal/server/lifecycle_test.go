@@ -1,10 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"viewseeker/internal/dataset"
 	"viewseeker/internal/store"
@@ -199,4 +211,228 @@ func TestLazyRestoreIndexesCold(t *testing.T) {
 		health.SessionManager.Rehydrations != 1 {
 		t.Fatalf("after first touch: %+v, want 1 cold / 1 resident / 1 rehydration", health.SessionManager)
 	}
+}
+
+// TestBudgetedPopulationLoad drives a session population four times the
+// server's budget over real HTTP: 100 DIAB sessions, 8 in flight, each
+// create → 3 feedback steps → top, then a revisit pass that labels one
+// more view and reads the top-k of every completed session, most of them
+// evicted by then. Every session must complete or be shed with 429 and
+// nothing may fail; eviction and journal-replay rehydration must both
+// fire; the resident gauge, sampled through the run, must never exceed
+// the budget; and feedback must stay interactive (p99 under a second).
+func TestBudgetedPopulationLoad(t *testing.T) {
+	const sessions, concurrency, feedback = 100, 8, 3
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	table := diabTable()
+	create := func(i int) map[string]any {
+		return map[string]any{"table": "diab", "query": dataset.DIABQuery, "k": 3, "seed": 7 + i}
+	}
+
+	// The budget is a quarter of what the whole population would hold
+	// resident, from the accounted cost of one probe session.
+	probe := NewWithOptions(Options{Logger: quiet}, table)
+	if rec := serveJSON(t, probe.Handler(), context.Background(), "POST", "/api/sessions", create(0), nil); rec.Code != http.StatusCreated {
+		t.Fatalf("probe create = %d: %s", rec.Code, rec.Body.String())
+	}
+	per := int64(probe.Metrics().Snapshot()["viewseeker_session_resident_bytes"])
+	if per <= 0 {
+		t.Fatal("probe session accounted zero bytes")
+	}
+	budget := per * sessions / 4
+
+	srv := NewWithOptions(Options{SessionBudgetBytes: budget, Logger: quiet}, table)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var peak atomic.Int64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(2 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if v := int64(srv.Metrics().Snapshot()["viewseeker_session_resident_bytes"]); v > peak.Load() {
+					peak.Store(v)
+				}
+			}
+		}
+	}()
+
+	c := &loadClient{client: ts.Client(), base: ts.URL}
+	type visited struct {
+		path     string
+		numViews int
+		index    int
+	}
+	var (
+		completed, shed atomic.Int64
+		mu              sync.Mutex
+		done            []visited
+	)
+	c.parallel(concurrency, sessions, func(i int) {
+		var info sessionInfo
+		err := c.do("POST", "/api/sessions", create(i), &info)
+		if err == nil && info.NumViews == 0 {
+			c.errs5xx.Add(1) // a created session with no views is a server bug
+			return
+		}
+		path := "/api/sessions/" + info.ID
+		for f := 0; err == nil && f < feedback; f++ {
+			err = c.do("POST", path+"/feedback", map[string]any{
+				"index": (i*37 + f*13) % info.NumViews, "label": float64((i + f) % 2),
+			}, nil)
+		}
+		if err == nil {
+			err = c.do("GET", path+"/top", nil, nil)
+		}
+		switch {
+		case err == nil:
+			completed.Add(1)
+			mu.Lock()
+			done = append(done, visited{path, info.NumViews, i})
+			mu.Unlock()
+		case errors.Is(err, errShed):
+			shed.Add(1)
+		}
+	})
+	// A failed revisit is counted by class in do; a shed one does not
+	// un-complete its session.
+	c.parallel(concurrency, len(done), func(j int) {
+		s := done[j]
+		err := c.do("POST", s.path+"/feedback", map[string]any{
+			"index": (s.index*17 + feedback*13) % s.numViews, "label": float64(s.index % 2),
+		}, nil)
+		if err == nil {
+			c.do("GET", s.path+"/top", nil, nil)
+		}
+	})
+	close(stop)
+	<-sampled
+
+	if got := completed.Load() + shed.Load(); got != sessions {
+		t.Errorf("completed %d + shed %d = %d, want %d sessions", completed.Load(), shed.Load(), got, sessions)
+	}
+	if completed.Load() == 0 {
+		t.Error("no session completed")
+	}
+	if n5, n4, nt := c.errs5xx.Load(), c.errs4xx.Load(), c.transport.Load(); n5+n4+nt != 0 {
+		t.Errorf("hard failures: %d 5xx, %d other non-2xx, %d transport; want none", n5, n4, nt)
+	}
+	snap := srv.Metrics().Snapshot()
+	evictions, rehydrations := snap["viewseeker_session_evictions_total"], snap["viewseeker_session_rehydrations_total"]
+	if evictions <= 0 || rehydrations <= 0 {
+		t.Errorf("lifecycle not exercised: %v evictions, %v rehydrations", evictions, rehydrations)
+	}
+	if peak.Load() > budget {
+		t.Errorf("resident bytes peaked at %d, over the %d-byte budget", peak.Load(), budget)
+	}
+	p99 := c.feedbackP99()
+	if p99 >= time.Second {
+		t.Errorf("feedback p99 = %v, want under 1s", p99)
+	}
+	t.Logf("%d/%d completed, %d shed, %v evictions, %v rehydrations, peak resident %d/%d B, feedback p99 %v",
+		completed.Load(), sessions, shed.Load(), evictions, rehydrations, peak.Load(), budget, p99)
+}
+
+// errShed is what loadClient.do returns for a request still answered 429
+// after loadMaxRetries retries.
+var errShed = errors.New("shed")
+
+const loadMaxRetries = 8
+
+// loadClient issues JSON requests against a live server. A 429 is retried
+// after the delay its Retry-After header names; every other non-2xx,
+// transport or decode failure is counted by class. Feedback latencies are
+// kept for the interactivity bound.
+type loadClient struct {
+	client *http.Client
+	base   string
+
+	errs5xx, errs4xx, transport atomic.Int64
+
+	mu       sync.Mutex
+	feedback []time.Duration
+}
+
+// parallel runs fn(0..n-1) on workers goroutines.
+func (c *loadClient) parallel(workers, n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func (c *loadClient) do(method, path string, body, out any) error {
+	var payload []byte
+	if body != nil {
+		var err error
+		if payload, err = json.Marshal(body); err != nil {
+			c.transport.Add(1)
+			return err
+		}
+	}
+	for attempt := 0; ; attempt++ {
+		req, err := http.NewRequest(method, c.base+path, bytes.NewReader(payload))
+		if err != nil {
+			c.transport.Add(1)
+			return err
+		}
+		start := time.Now()
+		res, err := c.client.Do(req)
+		if err != nil {
+			c.transport.Add(1)
+			return err
+		}
+		if strings.HasSuffix(path, "/feedback") {
+			c.mu.Lock()
+			c.feedback = append(c.feedback, time.Since(start))
+			c.mu.Unlock()
+		}
+		if res.StatusCode < 300 && out != nil {
+			err = json.NewDecoder(res.Body).Decode(out)
+		}
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		switch {
+		case res.StatusCode == http.StatusTooManyRequests:
+			if attempt == loadMaxRetries {
+				return errShed
+			}
+			secs, _ := strconv.Atoi(res.Header.Get("Retry-After"))
+			time.Sleep(time.Duration(secs) * time.Second)
+			continue
+		case res.StatusCode >= 500:
+			c.errs5xx.Add(1)
+		case res.StatusCode >= 300:
+			c.errs4xx.Add(1)
+		case err != nil:
+			c.transport.Add(1)
+		default:
+			return nil
+		}
+		return fmt.Errorf("%s %s: %d %v", method, path, res.StatusCode, err)
+	}
+}
+
+func (c *loadClient) feedbackP99() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.feedback) == 0 {
+		return 0
+	}
+	slices.Sort(c.feedback)
+	return c.feedback[(len(c.feedback)*99+99)/100-1]
 }

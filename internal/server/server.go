@@ -164,8 +164,8 @@ func NewWithOptions(opts Options, tables ...*viewseeker.Table) *Server {
 }
 
 // Metrics exposes the server's observability registry — the one backing
-// GET /metricz — so embedding commands (cmd/serve, cmd/bench) can read the
-// same counters the endpoint exports.
+// GET /metricz — so embedding commands and tests can read the same
+// counters the endpoint exports.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // Tracer exposes the server's span tracer (cmd/serve points its sink at
@@ -851,6 +851,6 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // EvictIdleSessions drops every idle session's in-RAM state regardless of
-// the budget; each rehydrates from its journal mirror on the next touch. The operator/bench hook behind the bit-identity
-// harness in cmd/bench -serve.
+// the budget; each rehydrates from its journal mirror on the next touch.
+// The operator/test hook behind TestEvictionRehydrationBitIdentity.
 func (s *Server) EvictIdleSessions() int { return s.sessions.EvictIdle() }

@@ -426,7 +426,7 @@ func (m *Manager) Has(id string) bool {
 
 // EvictIdle drops every idle resident session regardless of the budget,
 // returning how many were evicted — the operator/test hook behind
-// Server.EvictIdleSessions and the bit-identity harness in cmd/bench.
+// Server.EvictIdleSessions and its bit-identity test.
 func (m *Manager) EvictIdle() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -19,11 +19,12 @@
 // NOT pushed to the leaves; any other predicate runs boxed as a whole. A
 // projection of bare columns without DISTINCT or ORDER BY is gathered
 // column by column (dataset.Column.Gather).
-// ExecuteInterpreted is the retained tree-walking interpreter — the
-// bit-identity oracle the planned executor is tested against (the same
-// retained-reference pattern as view.CollectStatsReference). Both engines
-// feed the identical aggAccumulator operation sequence per (group, value)
-// in row order, so their results match bit-for-bit, floats included.
+// The retained tree-walking interpreter, ExecuteInterpreted, lives in test
+// code (interp_test.go): it has no production caller and is the
+// bit-identity oracle the planned executor is tested and fuzzed against.
+// Both engines feed the identical aggAccumulator operation sequence per
+// (group, value) in row order, so their results match bit-for-bit, floats
+// included.
 //
 // EXPLAIN (via Catalog.Query) returns the lowered plan as one JSON
 // document — a one-row, one-column "plan" table — whose schema is

@@ -12,8 +12,7 @@
 // (CollectStatsIndexed, CollectStatsSampled) produce bit-identical
 // statistics to the retained row-at-a-time oracle CollectStatsReference —
 // same values, same ascending row order into every accumulator, one
-// shared binning expression — enforced by a randomised property test and
-// a cmd/bench startup check that refuses to benchmark diverging kernels.
+// shared binning expression — enforced by randomised property tests.
 //
 // Cancellation (DESIGN.md §10): WarmCtx under a cancelled context returns
 // ctx.Err() without publishing a partial warm — the generator's

@@ -639,7 +639,8 @@ func accumulateColumn(cnt, sum, sq, mn, mx, vals []float64, nulls []uint64, rows
 // implementation the columnar kernels are held bit-identical to: per-row
 // BinOf (kind switch, group-key lookup), per-cell Column.Float, bin-major
 // scratch accumulators — the pre-kernel scan path. The kernel property
-// tests and cmd/bench compare against it. rows == nil scans every row.
+// tests here and in internal/feature compare against it. rows == nil
+// scans every row.
 func CollectStatsReference(t *dataset.Table, layout *BinLayout, measures []string, rows []int) (*Stats, error) {
 	dimCol := t.Column(layout.Dimension)
 	if dimCol == nil {

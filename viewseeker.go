@@ -528,8 +528,9 @@ const sessionOverheadBytes = 16 << 10
 // fixed overhead — the offline version's share in full, per session.
 //
 // The result is an estimate of the dominant allocations, not a heap
-// census; cmd/loadgen plus the viewseeker_session_resident_bytes gauge
-// calibrate it against real RSS (README "Scaling & capacity planning").
+// census; a budget_churn run of benchmark/run.sh plus the
+// viewseeker_session_resident_bytes gauge calibrate it against real RSS
+// (README "Scaling & capacity planning").
 // Call it under the same serialisation as the session's other operations
 // — it reads the lazily built generator.
 func (s *Seeker) MemoryBytes() int64 {
