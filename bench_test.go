@@ -7,6 +7,7 @@ package viewseeker_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -77,6 +78,37 @@ func runSession(b *testing.B, tb *exp.Testbed, fn sim.IdealFunction, k int,
 		b.Fatal(err)
 	}
 	return float64(res.LabelsUsed)
+}
+
+// BenchmarkColdCreate measures one cold session create the way the server
+// pays it: SYN 200k, an offline cache on, the reference hash precomputed,
+// and a distinct hypercube query (two dimensions, ~1 % of the rows) per
+// iteration, so every create misses the cache. Creates share the table's
+// reference side as a server's creates over one hosted table do; the
+// first one fits the layouts and scans DR, before the timer starts.
+func BenchmarkColdCreate(b *testing.B) {
+	table := dataset.GenerateSYN(dataset.SYNConfig{Rows: 200_000, Seed: 1})
+	opts := viewseeker.Options{Cache: viewseeker.NewCache(64), RefHash: viewseeker.HashTable(table)}
+	rng := rand.New(rand.NewSource(1))
+	query := func() string {
+		d := rng.Perm(5)
+		x, y := rng.Float64()*0.9, rng.Float64()*0.9
+		return fmt.Sprintf("SELECT * FROM syn WHERE d%d >= %.4f AND d%d < %.4f AND d%d >= %.4f AND d%d < %.4f",
+			d[0]+1, x, d[0]+1, x+0.1, d[1]+1, y, d[1]+1, y+0.1)
+	}
+	if _, err := viewseeker.New(table, query(), opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := viewseeker.New(table, query(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.CacheHit() {
+			b.Fatal("create hit the offline cache")
+		}
+	}
 }
 
 // BenchmarkTable1Testbed measures the offline phase that Table 1

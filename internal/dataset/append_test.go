@@ -97,28 +97,40 @@ func TestWithAppendedBadRow(t *testing.T) {
 	}
 }
 
-func TestVersionCounterAndMemoHash(t *testing.T) {
+func TestVersionCounterAndMemo(t *testing.T) {
 	tbl := NewTable("t", liveSchema(t))
 	v0 := tbl.Version()
 	tbl.MustAppendRow(StringVal("a"), Int(1), Float(0.5), Bool(true))
 	if tbl.Version() == v0 {
 		t.Fatal("AppendRow did not bump the version")
 	}
+	type keyA struct{}
+	type keyB struct{}
 	calls := 0
-	compute := func() []byte { calls++; return []byte{byte(calls)} }
-	h1 := tbl.MemoHash(compute)
-	h2 := tbl.MemoHash(compute)
-	if calls != 1 || string(h1) != string(h2) {
-		t.Fatalf("unchanged table recomputed hash: %d calls", calls)
+	compute := func() any { calls++; return calls }
+	h1 := tbl.Memo(keyA{}, compute)
+	h2 := tbl.Memo(keyA{}, compute)
+	if calls != 1 || h1 != h2 {
+		t.Fatalf("unchanged table recomputed memo: %d calls", calls)
+	}
+	if b := tbl.Memo(keyB{}, compute); calls != 2 || b == h1 {
+		t.Fatalf("distinct keys shared a memo entry: %d calls", calls)
+	}
+	next, err := tbl.WithAppended([][]Value{{StringVal("c"), Int(3), Float(2.5), Bool(true)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := next.Memo(keyA{}, compute); calls != 3 || v == h1 {
+		t.Fatalf("appended version inherited its parent's memo: %d calls", calls)
 	}
 	tbl.MustAppendRow(StringVal("b"), Int(2), Float(1.5), Bool(false))
-	if h3 := tbl.MemoHash(compute); calls != 2 || string(h3) == string(h1) {
+	if h3 := tbl.Memo(keyA{}, compute); calls != 4 || h3 == h1 {
 		t.Fatalf("mutation did not invalidate memo: %d calls", calls)
 	}
 	if err := AssignRoles(tbl, []string{"n"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.MemoHash(compute); calls != 3 {
+	if tbl.Memo(keyA{}, compute); calls != 5 {
 		t.Fatalf("AssignRoles did not invalidate memo: %d calls", calls)
 	}
 }

@@ -8,9 +8,10 @@ import (
 	"strings"
 )
 
-// ReadCSV loads a table from CSV. The first record is the header. Column
-// kinds are inferred from the first data row (int, float, bool, string, in
-// that order of preference); later rows that fail to coerce are an error.
+// ReadCSV loads a table from CSV. The first record is the header. Each
+// column's kind is inferred from its first non-empty cell (int, float,
+// bool, string, in that order of preference; an all-empty column is a
+// string column); later cells that fail to coerce are an error.
 // Roles default to RoleOther; callers assign roles with AssignRoles.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)

@@ -17,13 +17,19 @@ type Table struct {
 	rows   int
 
 	// version counts content mutations (appends, seals, role changes).
-	// Fingerprint caches key on it via MemoHash, so an unchanged table is
-	// hashed once, not once per lookup.
+	// Memo keys on it, so state derived from an unchanged table is
+	// computed once, not once per lookup.
 	version uint64
 
-	hashMu  sync.Mutex
-	hash    []byte
-	hashVer uint64
+	memoMu  sync.Mutex
+	memoVer uint64
+	memo    map[any]*memoEntry
+}
+
+// memoEntry is one Memo value, computed once.
+type memoEntry struct {
+	once sync.Once
+	val  any
 }
 
 // NewTable allocates an empty table for the schema.
@@ -63,26 +69,35 @@ func (t *Table) AppendRow(vals ...Value) error {
 }
 
 // Version returns the table's mutation counter. It increases on every
-// content change (AppendRow, sealRows, AssignRoles) and is what MemoHash
-// keys its cache on. Not safe against concurrent mutation — like the
+// content change (AppendRow, sealRows, AssignRoles) and is what Memo keys
+// its entries on. Not safe against concurrent mutation — like the
 // mutators themselves.
 func (t *Table) Version() uint64 { return t.version }
 
-// MemoHash returns the table's content hash for its current version,
-// calling compute only on a miss and caching the result until the next
-// mutation. The hash function itself lives in the store layer (it owns the
-// fingerprint byte stream); the memo lives here because only the table
-// knows when its contents changed. Safe for concurrent use; compute runs
-// under the memo lock, so concurrent lookups hash at most once.
-func (t *Table) MemoHash(compute func() []byte) []byte {
-	t.hashMu.Lock()
-	defer t.hashMu.Unlock()
-	if t.hash != nil && t.hashVer == t.version {
-		return t.hash
+// Memo returns the value memoised under key for the table's current
+// version, calling compute only on the first lookup of key since the last
+// mutation. It holds state that is a pure function of the table's
+// contents but is computed by other layers — the store layer's content
+// hash, the view layer's reference side — because only the table knows
+// when its contents changed. A mutation drops every entry, and a new
+// version made by WithAppended starts with none, so derived state is freed
+// with the version it describes. Keys must be comparable; each caller
+// uses its own unexported key type, so entries of different layers never
+// collide. Safe for concurrent use: concurrent lookups of one key compute
+// it once, and a lookup never waits for another key's compute.
+func (t *Table) Memo(key any, compute func() any) any {
+	t.memoMu.Lock()
+	if t.memo == nil || t.memoVer != t.version {
+		t.memo, t.memoVer = make(map[any]*memoEntry), t.version
 	}
-	t.hash = compute()
-	t.hashVer = t.version
-	return t.hash
+	e, ok := t.memo[key]
+	if !ok {
+		e = &memoEntry{}
+		t.memo[key] = e
+	}
+	t.memoMu.Unlock()
+	e.once.Do(func() { e.val = compute() })
+	return e.val
 }
 
 // WithAppended returns a new table holding the receiver's rows plus the
@@ -216,8 +231,8 @@ func (t *Table) DistinctValues(col string) ([]string, error) {
 	return out, nil
 }
 
-// NumericRange returns the [min,max] of a numeric column, ignoring NULLs.
-// ok is false when the column has no numeric cells.
+// NumericRange returns the [min,max] of a numeric column, ignoring NULLs
+// and NaNs. ok is false when the column has no other numeric cells.
 func (t *Table) NumericRange(col string) (lo, hi float64, ok bool) {
 	c := t.Column(col)
 	if c == nil {
@@ -226,7 +241,7 @@ func (t *Table) NumericRange(col string) (lo, hi float64, ok bool) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for i := 0; i < t.rows; i++ {
 		f, fok := c.Float(i)
-		if !fok {
+		if !fok || math.IsNaN(f) {
 			continue
 		}
 		if f < lo {

@@ -216,3 +216,19 @@ func TestGroupKeyNulls(t *testing.T) {
 		t.Error("NULL key must differ from value keys")
 	}
 }
+
+func TestNumericRangeSkipsNaN(t *testing.T) {
+	schema := MustSchema(ColumnDef{Name: "x", Kind: KindFloat})
+	tbl := NewTable("t", schema)
+	for _, v := range []Value{Float(math.NaN()), Float(2), Null, Float(-1), Float(math.NaN())} {
+		tbl.MustAppendRow(v)
+	}
+	if lo, hi, ok := tbl.NumericRange("x"); !ok || lo != -1 || hi != 2 {
+		t.Fatalf("NumericRange = %v, %v, %v; want -1, 2, true", lo, hi, ok)
+	}
+	allNaN := NewTable("n", schema)
+	allNaN.MustAppendRow(Float(math.NaN()))
+	if lo, hi, ok := allNaN.NumericRange("x"); ok {
+		t.Fatalf("all-NaN column reported range [%v, %v]", lo, hi)
+	}
+}

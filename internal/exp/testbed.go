@@ -85,12 +85,19 @@ func newTestbed(name string, ref *dataset.Table, query string, spaceCfg view.Spa
 // tables. Timed experiments need one per run: generators cache full-data
 // group statistics, and sharing those caches across an unoptimised run and
 // the optimised run it is compared against would contaminate the timings.
+// A generator scans the reference through the side its table version
+// owns, so the fresh one runs over a new version of the reference that
+// shares tb.Ref's columns: its reference caches start cold too.
 func (tb *Testbed) NewGeneratorLike() (*view.Generator, error) {
 	cfg := view.SpaceConfig{}
 	if tb.Name == "SYN" {
 		cfg.BinCounts = []int{3, 4}
 	}
-	return view.NewGenerator(tb.Ref, tb.Target, cfg)
+	ref, err := dataset.FromColumns(tb.Ref.Name, tb.Ref.Schema, tb.Ref.Cols)
+	if err != nil {
+		return nil, err
+	}
+	return view.NewGenerator(ref, tb.Target, cfg)
 }
 
 // Table1Row is one parameter line of the testbed table.

@@ -73,10 +73,11 @@ func (w *hashWriter) sum() string {
 // unchanged table hash once; the full pass over the typed column slices
 // runs only after a mutation.
 func HashTable(t *dataset.Table) string {
-	return string(t.MemoHash(func() []byte {
-		return []byte(hashTableContents(t))
-	}))
+	return t.Memo(hashMemoKey{}, func() any { return hashTableContents(t) }).(string)
 }
+
+// hashMemoKey addresses the content hash among a table's memoised values.
+type hashMemoKey struct{}
 
 func hashTableContents(t *dataset.Table) string {
 	w := newHashWriter()

@@ -200,6 +200,10 @@ func (s *Stats) clone() *Stats {
 // assembly. g itself is untouched — sessions holding it keep a consistent
 // snapshot (the MVCC discipline of the live-table layer).
 //
+// The new generator's reference side is private: its layouts stay pinned
+// to the base reference, which a fresh generator over newRef would re-fit,
+// so it cannot take newRef's shared side.
+//
 // Contract: newRef extends g.Ref row-for-row and newTarget extends
 // g.Target row-for-row (the live layer verifies target prefix-extension
 // before calling and falls back to a fresh generator otherwise). Layouts
@@ -214,8 +218,8 @@ func (g *Generator) ApplyAppend(newRef, newTarget *dataset.Table) (*Generator, e
 		return nil, fmt.Errorf("view: new target has %d rows, fewer than the base %d", newTarget.NumRows(), g.Target.NumRows())
 	}
 	ng := &Generator{
-		Ref: newRef, Target: newTarget, cfg: g.cfg, specs: g.specs,
-		layouts: g.layouts, dimLayouts: g.dimLayouts,
+		Ref: newRef, Target: newTarget, specs: g.specs,
+		ref:   &refSide{layouts: g.ref.layouts, dimLayouts: g.ref.dimLayouts},
 		drift: make(map[layoutKey]Drift, len(g.drift)),
 	}
 	// Drift is cumulative since the layouts were fit: each generation
@@ -223,60 +227,46 @@ func (g *Generator) ApplyAppend(newRef, newTarget *dataset.Table) (*Generator, e
 	for k, d := range g.drift {
 		ng.drift[k] = d
 	}
-	if err := g.extendSide(ng, sideRef, newRef, g.Ref.NumRows()); err != nil {
+	// Layouts are fit on the reference side, so the reference scan is the
+	// authoritative drift signal (the target is a subset of the same rows).
+	if err := g.extendSide(&g.ref.scans, &ng.ref.scans, newRef, g.Ref.NumRows(), ng.drift); err != nil {
 		return nil, err
 	}
-	if err := g.extendSide(ng, sideTarget, newTarget, g.Target.NumRows()); err != nil {
+	if err := g.extendSide(&g.tgt, &ng.tgt, newTarget, g.Target.NumRows(), nil); err != nil {
 		return nil, err
 	}
 	return ng, nil
 }
 
-type side int
-
-const (
-	sideRef side = iota
-	sideTarget
-)
-
 // extendSide delta-extends one table side's caches (bin bundles, layout
-// stats, focused stats) from g into ng.
-func (g *Generator) extendSide(ng *Generator, sd side, newT *dataset.Table, from int) error {
-	oldBins, newBins := &g.refBins, &ng.refBins
-	oldStats, newStats := &g.refStats, &ng.refStats
-	oldFocused, newFocused := &g.refFocused, &ng.refFocused
-	if sd == sideTarget {
-		oldBins, newBins = &g.tgtBins, &ng.tgtBins
-		oldStats, newStats = &g.tgtStats, &ng.tgtStats
-		oldFocused, newFocused = &g.tgtFocused, &ng.tgtFocused
-	}
+// stats, focused stats) from old into nw, under g's layouts. A non-nil
+// drift accumulates how many of the side's appended values escaped each
+// layout.
+func (g *Generator) extendSide(old, nw *scans, newT *dataset.Table, from int, drift map[layoutKey]Drift) error {
 	extended := make(map[string][][]int32)
-	for dim, old := range oldBins.snapshot() {
-		keys := g.dimLayouts[dim]
+	for dim, oldBundle := range old.bins.snapshot() {
+		keys := g.ref.dimLayouts[dim]
 		layouts := make([]*BinLayout, len(keys))
 		for i, k := range keys {
-			layouts[i] = g.layouts[k]
+			layouts[i] = g.ref.layouts[k]
 		}
-		bundle, drift, err := ExtendBinIndexAll(newT, layouts, old, from)
+		bundle, escaped, err := ExtendBinIndexAll(newT, layouts, oldBundle, from)
 		if err != nil {
 			return err
 		}
-		if sd == sideRef {
-			// Layouts are fit on the reference side, so the reference scan
-			// is the authoritative drift signal (the target is a subset of
-			// the same rows).
+		if drift != nil {
 			for i, k := range keys {
-				d := ng.drift[k]
-				d.add(drift[i])
-				ng.drift[k] = d
+				d := drift[k]
+				d.add(escaped[i])
+				drift[k] = d
 			}
 		}
-		newBins.seed(dim, bundle)
+		nw.bins.seed(dim, bundle)
 		extended[dim] = bundle
 	}
 	binOf := func(k layoutKey) ([]int32, error) {
 		if bundle, ok := extended[k.dim]; ok {
-			for i, kk := range g.dimLayouts[k.dim] {
+			for i, kk := range g.ref.dimLayouts[k.dim] {
 				if kk == k {
 					return bundle[i], nil
 				}
@@ -285,9 +275,9 @@ func (g *Generator) extendSide(ng *Generator, sd side, newT *dataset.Table, from
 		// Stats were cached without their bin bundle surviving (should not
 		// happen — statsFor builds bins first — but recompute rather than
 		// fail).
-		return ng.binsFor(newT, newBins, k)
+		return g.binsFor(newT, nw, k)
 	}
-	for k, st := range oldStats.snapshot() {
+	for k, st := range old.stats.snapshot() {
 		bins, err := binOf(k)
 		if err != nil {
 			return err
@@ -297,14 +287,14 @@ func (g *Generator) extendSide(ng *Generator, sd side, newT *dataset.Table, from
 			return err
 		}
 		if !ok { // shift drift: rebuild this layout from scratch
-			ns, err = CollectStatsIndexed(newT, g.layouts[k], st.Measures, bins)
+			ns, err = CollectStatsIndexed(newT, g.ref.layouts[k], st.Measures, bins)
 			if err != nil {
 				return err
 			}
 		}
-		newStats.seed(k, ns)
+		nw.stats.seed(k, ns)
 	}
-	for mk, st := range oldFocused.snapshot() {
+	for mk, st := range old.focused.snapshot() {
 		bins, err := binOf(mk.layoutKey)
 		if err != nil {
 			return err
@@ -314,12 +304,12 @@ func (g *Generator) extendSide(ng *Generator, sd side, newT *dataset.Table, from
 			return err
 		}
 		if !ok {
-			ns, err = CollectStatsIndexed(newT, g.layouts[mk.layoutKey], st.Measures, bins)
+			ns, err = CollectStatsIndexed(newT, g.ref.layouts[mk.layoutKey], st.Measures, bins)
 			if err != nil {
 				return err
 			}
 		}
-		newFocused.seed(mk, ns)
+		nw.focused.seed(mk, ns)
 	}
 	return nil
 }

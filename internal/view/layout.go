@@ -94,7 +94,9 @@ func ComputeLayoutEqualDepth(ref *dataset.Table, dim string, bins int) (*BinLayo
 	}
 	vals := make([]float64, 0, ref.NumRows())
 	for r := 0; r < ref.NumRows(); r++ {
-		if v, ok := col.Float(r); ok {
+		// NaN is outside every numeric layout (binOfFloat), so it must not
+		// place a boundary either: sorted first, it would collapse the fit.
+		if v, ok := col.Float(r); ok && !math.IsNaN(v) {
 			vals = append(vals, v)
 		}
 	}
@@ -127,9 +129,9 @@ func ComputeLayoutEqualDepth(ref *dataset.Table, dim string, bins int) (*BinLayo
 // NumBins returns the layout's bin count.
 func (l *BinLayout) NumBins() int { return len(l.Labels) }
 
-// BinOf maps one cell to its bin index, or -1 for NULLs and values outside
-// the layout (e.g. a categorical value present in DQ but absent from DR —
-// impossible when DQ ⊆ DR, but guarded anyway).
+// BinOf maps one cell to its bin index, or -1 for NULLs, NaNs and values
+// outside the layout (e.g. a categorical value present in DQ but absent
+// from DR — impossible when DQ ⊆ DR, but guarded anyway).
 func (l *BinLayout) BinOf(col *dataset.Column, row int) int {
 	if col.IsNull(row) {
 		return -1
@@ -150,8 +152,9 @@ func (l *BinLayout) BinOf(col *dataset.Column, row int) int {
 // binOfFloat maps a numeric value to its bin, or -1 outside [Lo, Hi). It
 // is the single binning expression shared by BinOf and the columnar
 // bin-index kernel, so the two can never disagree on boundary rounding.
+// NaN is outside every layout, like NULL: it fails both range tests.
 func (l *BinLayout) binOfFloat(f float64) int {
-	if f < l.Lo || f >= l.Hi {
+	if !(f >= l.Lo && f < l.Hi) {
 		if f == l.Hi { // degenerate constant-column layout
 			return l.Bins - 1
 		}
@@ -171,7 +174,13 @@ func (l *BinLayout) binOfFloat(f float64) int {
 		}
 		return i - 1
 	}
-	i := int((f - l.Lo) / (l.Hi - l.Lo) * float64(l.Bins))
+	x := (f - l.Lo) / (l.Hi - l.Lo) * float64(l.Bins)
+	if math.IsNaN(x) {
+		// An infinite bound makes the position ∞/∞: the layout cannot
+		// place the value, and int(NaN) is not a bin.
+		return -1
+	}
+	i := int(x)
 	if i >= l.Bins {
 		i = l.Bins - 1
 	}

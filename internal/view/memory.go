@@ -44,30 +44,39 @@ func (s *Stats) MemoryBytes() int64 {
 	return int64(len(s.Counts))*5*8 + int64(len(s.Shifts))*8
 }
 
-// MemoryBytes estimates the resident heap bytes of the generator's own
-// state: bin layouts plus every scan cache filled so far (full and
-// focused stats, per-dimension bin-index bundles). The reference and
-// target tables are deliberately excluded — the reference is shared
-// across sessions and the target is accounted by the session owner. The
-// estimate grows as the lazy caches fill, so accounting after a feedback
-// round sees the scans that round materialised. Safe for concurrent use
-// with scans; an in-flight scan is counted once it completes.
-func (g *Generator) MemoryBytes() int64 {
+// memoryBytes estimates the resident heap bytes of one side's filled
+// scan caches: full and focused stats plus per-dimension bin-index bundles.
+func (sc *scans) memoryBytes() int64 {
 	var b int64
-	for _, l := range g.layouts {
-		b += l.MemoryBytes()
-	}
 	addStats := func(s *Stats) { b += s.MemoryBytes() }
-	g.refStats.readyEach(addStats)
-	g.tgtStats.readyEach(addStats)
-	g.refFocused.readyEach(addStats)
-	g.tgtFocused.readyEach(addStats)
-	addBins := func(bundle [][]int32) {
+	sc.stats.readyEach(addStats)
+	sc.focused.readyEach(addStats)
+	sc.bins.readyEach(func(bundle [][]int32) {
 		for _, idx := range bundle {
 			b += int64(cap(idx)) * 4
 		}
+	})
+	return b
+}
+
+// MemoryBytes estimates the resident heap bytes of the generator's own
+// state: the target side's scan caches, plus — only for a generator whose
+// reference side is private (ApplyAppend's) — that side's layouts and
+// caches. A shared reference side belongs to the table version, like the
+// reference table itself, so no generator is charged for it: a session's
+// charge must not depend on what other sessions over the same table have
+// already warmed. The target table is excluded too — it is accounted by the
+// session owner. The estimate grows as the lazy caches fill, so
+// accounting after a feedback round sees the scans that round
+// materialised. Safe for concurrent use with scans; an in-flight scan is
+// counted once it completes.
+func (g *Generator) MemoryBytes() int64 {
+	b := g.tgt.memoryBytes()
+	if !g.sharedRef {
+		for _, l := range g.ref.layouts {
+			b += l.MemoryBytes()
+		}
+		b += g.ref.scans.memoryBytes()
 	}
-	g.refBins.readyEach(addBins)
-	g.tgtBins.readyEach(addBins)
 	return b
 }

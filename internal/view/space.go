@@ -3,7 +3,6 @@ package view
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"viewseeker/internal/dataset"
 	"viewseeker/internal/obs"
@@ -37,6 +36,16 @@ func (c SpaceConfig) binCounts() []int {
 	return c.BinCounts
 }
 
+// binConfigs returns the bin configurations of one dimension of t: the
+// configured bin counts for a numeric dimension, the single categorical
+// configuration (0) otherwise.
+func (c SpaceConfig) binConfigs(t *dataset.Table, dim string) []int {
+	if def, _ := t.Schema.Def(dim); def.Kind == dataset.KindInt || def.Kind == dataset.KindFloat {
+		return c.binCounts()
+	}
+	return []int{0}
+}
+
 // Normalized returns the config with its defaults made explicit, so two
 // spellings of the same space (nil vs the literal default set) enumerate,
 // compare and fingerprint identically.
@@ -57,13 +66,7 @@ func Enumerate(t *dataset.Table, cfg SpaceConfig) ([]Spec, error) {
 	}
 	var specs []Spec
 	for _, d := range dims {
-		def, _ := t.Schema.Def(d)
-		numeric := def.Kind == dataset.KindInt || def.Kind == dataset.KindFloat
-		binConfigs := []int{0}
-		if numeric {
-			binConfigs = cfg.binCounts()
-		}
-		for _, bins := range binConfigs {
+		for _, bins := range cfg.binConfigs(t, d) {
 			for _, m := range measures {
 				for _, f := range cfg.aggs() {
 					specs = append(specs, Spec{Dimension: d, Measure: m, Agg: f, Bins: bins})
@@ -78,37 +81,26 @@ func Enumerate(t *dataset.Table, cfg SpaceConfig) ([]Spec, error) {
 // subset DQ, amortising one scan per (dimension, bins) layout across all
 // (measure, aggregate) combinations.
 //
+// The reference half of that work — layouts fit to DR, DR's bin indexes
+// and statistics — is the same for every exploration query over one table
+// version, so a fresh generator takes it from the version (see refSide):
+// a cold create pays only for its own target scans.
+//
 // All methods are safe for concurrent use: the lazy scan caches are
 // single-flight (see lazyCache), so a whole-space feature pass can fan out
 // over goroutines, and request-path refinement (PairFocused) can run
-// concurrently with anything else touching the generator, without
-// duplicating scans.
+// concurrently with anything else touching the generator — or any other
+// generator sharing its reference side — without duplicating scans.
 type Generator struct {
 	Ref    *dataset.Table
 	Target *dataset.Table
-	cfg    SpaceConfig
 
-	specs   []Spec
-	layouts map[layoutKey]*BinLayout // immutable after construction
-	// dimLayouts orders each dimension's layout keys (ascending bin
-	// count); its index positions address the per-dimension bin-index
-	// bundles below. Immutable after construction.
-	dimLayouts map[string][]layoutKey
-
-	refStats lazyCache[layoutKey, *Stats] // full-data reference stats cache
-	tgtStats lazyCache[layoutKey, *Stats] // full-data target stats cache
-	// Focused (single-measure) full-data stats, used by incremental
-	// refresh so that upgrading one view costs one narrow scan instead of
-	// an all-measures layout scan.
-	refFocused lazyCache[measureKey, *Stats]
-	tgtFocused lazyCache[measureKey, *Stats]
-	// Lazily built dictionary-encoded dimension columns (row → bin),
-	// keyed by dimension: one single-flight entry materialises the bin
-	// indexes of every bin configuration of that dimension in one shared
-	// pass (BinIndexAll), so warm-up, focused refresh and the SQL offline
-	// path never re-read a dimension column per configuration.
-	refBins lazyCache[string, [][]int32]
-	tgtBins lazyCache[string, [][]int32]
+	specs []Spec
+	// ref holds the layouts and DR's scan caches: the table version's
+	// shared side (sharedRef), or a private one after ApplyAppend.
+	ref       *refSide
+	sharedRef bool
+	tgt       scans
 
 	// drift accumulates per-layout out-of-range counts across the
 	// ApplyAppend chain since the layouts were fit (nil on a fresh
@@ -128,8 +120,10 @@ type measureKey struct {
 	measure string
 }
 
-// NewGenerator enumerates the space and pre-computes bin layouts from the
-// reference table. The target table must share the reference schema.
+// NewGenerator enumerates the space and takes the bin layouts and
+// reference scan caches of ref's current version, fitting the layouts on
+// the version's first generator. The target table must share the
+// reference schema.
 func NewGenerator(ref, target *dataset.Table, cfg SpaceConfig) (*Generator, error) {
 	if ref == nil || target == nil {
 		return nil, fmt.Errorf("view: generator needs both reference and target tables")
@@ -138,46 +132,23 @@ func NewGenerator(ref, target *dataset.Table, cfg SpaceConfig) (*Generator, erro
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{
-		Ref: ref, Target: target, cfg: cfg, specs: specs,
-		layouts: make(map[layoutKey]*BinLayout),
+	rs := sharedRefSide(ref, cfg)
+	if rs.err != nil {
+		return nil, rs.err
 	}
-	for _, s := range specs {
-		k := layoutKey{s.Dimension, s.Bins}
-		if _, ok := g.layouts[k]; ok {
-			continue
-		}
-		var l *BinLayout
-		var err error
-		if cfg.EqualDepth && s.Bins > 0 {
-			l, err = ComputeLayoutEqualDepth(ref, s.Dimension, s.Bins)
-		} else {
-			l, err = ComputeLayout(ref, s.Dimension, s.Bins)
-		}
-		if err != nil {
-			return nil, err
-		}
-		g.layouts[k] = l
-	}
-	g.dimLayouts = make(map[string][]layoutKey)
-	for k := range g.layouts {
-		g.dimLayouts[k.dim] = append(g.dimLayouts[k.dim], k)
-	}
-	for _, ks := range g.dimLayouts {
-		sort.Slice(ks, func(i, j int) bool { return ks[i].bins < ks[j].bins })
-	}
-	return g, nil
+	return &Generator{Ref: ref, Target: target, specs: specs, ref: rs, sharedRef: true}, nil
 }
 
 // Specs returns the enumerated view space (shared slice; do not mutate).
 func (g *Generator) Specs() []Spec { return g.specs }
 
 // Layout returns the bin layout a spec uses.
-func (g *Generator) Layout(s Spec) *BinLayout { return g.layouts[layoutKey{s.Dimension, s.Bins}] }
+func (g *Generator) Layout(s Spec) *BinLayout { return g.ref.layouts[layoutKey{s.Dimension, s.Bins}] }
 
 // warmJob names one (table, layout) scan a Warm pass front-loads.
 type warmJob struct {
 	t     *dataset.Table
+	sc    *scans
 	cache *lazyCache[layoutKey, *Stats]
 	rows  []int
 	k     layoutKey
@@ -196,7 +167,7 @@ func (g *Generator) runWarm(ctx context.Context, jobs []warmJob, workers int) er
 	obs.RegistryFrom(ctx).Counter("viewseeker_view_warm_scans_total").Add(int64(len(jobs)))
 	return par.ForEachCtx(ctx, len(jobs), workers, func(i int) error {
 		j := jobs[i]
-		_, err := g.statsFor(j.t, j.cache, j.k, j.rows)
+		_, err := g.statsFor(j.t, j.sc, j.cache, j.k, j.rows)
 		return err
 	})
 }
@@ -212,9 +183,11 @@ func (g *Generator) Warm(workers int) error {
 // WarmCtx is Warm under a context: cancellation stops the pass between
 // layout scans with the context's error.
 func (g *Generator) WarmCtx(ctx context.Context, workers int) error {
-	jobs := make([]warmJob, 0, 2*len(g.layouts))
-	for k := range g.layouts {
-		jobs = append(jobs, warmJob{g.Ref, &g.refStats, nil, k}, warmJob{g.Target, &g.tgtStats, nil, k})
+	jobs := make([]warmJob, 0, 2*len(g.ref.layouts))
+	for k := range g.ref.layouts {
+		jobs = append(jobs,
+			warmJob{g.Ref, &g.ref.scans, &g.ref.stats, nil, k},
+			warmJob{g.Target, &g.tgt, &g.tgt.stats, nil, k})
 	}
 	return g.runWarm(ctx, jobs, workers)
 }
@@ -225,12 +198,12 @@ func (g *Generator) WarmCtx(ctx context.Context, workers int) error {
 // layout's dimension, built in a single shared pass over the dimension
 // column, and single-flight caching makes concurrent warm jobs for sibling
 // configurations wait on that one pass instead of each paying their own.
-func (g *Generator) binsFor(t *dataset.Table, cache *lazyCache[string, [][]int32], k layoutKey) ([]int32, error) {
-	keys := g.dimLayouts[k.dim]
-	all, err := cache.get(k.dim, func() ([][]int32, error) {
+func (g *Generator) binsFor(t *dataset.Table, sc *scans, k layoutKey) ([]int32, error) {
+	keys := g.ref.dimLayouts[k.dim]
+	all, err := sc.bins.get(k.dim, func() ([][]int32, error) {
 		layouts := make([]*BinLayout, len(keys))
 		for i, kk := range keys {
-			layouts[i] = g.layouts[kk]
+			layouts[i] = g.ref.layouts[kk]
 		}
 		return BinIndexAll(t, layouts)
 	})
@@ -245,27 +218,23 @@ func (g *Generator) binsFor(t *dataset.Table, cache *lazyCache[string, [][]int32
 	return nil, fmt.Errorf("view: layout %s/%d bins is outside the enumerated space", k.dim, k.bins)
 }
 
-// statsFor returns the group statistics of one table under one layout,
-// scanning on first use and caching per layout — one scan answers every
-// (measure, aggregate) view on that dimension. Both full scans (rows ==
-// nil) and sampled scans go through the bin-index cache: an α-sample pass
-// gathers through the shared full-table index instead of re-binning the
-// dimension column, and the index it builds is the same one the exact
-// refinement scans reuse later.
-func (g *Generator) statsFor(t *dataset.Table, cache *lazyCache[layoutKey, *Stats], k layoutKey, rows []int) (*Stats, error) {
+// statsFor returns the group statistics of table t (whose scan caches are
+// sc) under one layout, scanning on first use and caching per layout in
+// cache — one scan answers every (measure, aggregate) view on that
+// dimension. Both full scans (rows == nil) and sampled scans go through
+// sc's bin-index cache: an α-sample pass gathers through the shared
+// full-table index instead of re-binning the dimension column, and the
+// index it builds is the same one the exact refinement scans reuse later.
+func (g *Generator) statsFor(t *dataset.Table, sc *scans, cache *lazyCache[layoutKey, *Stats], k layoutKey, rows []int) (*Stats, error) {
 	return cache.get(k, func() (*Stats, error) {
-		binCache := &g.refBins
-		if t == g.Target {
-			binCache = &g.tgtBins
-		}
-		bins, err := g.binsFor(t, binCache, k)
+		bins, err := g.binsFor(t, sc, k)
 		if err != nil {
 			return nil, err
 		}
 		if rows == nil {
-			return CollectStatsIndexed(t, g.layouts[k], t.Schema.Measures(), bins)
+			return CollectStatsIndexed(t, g.ref.layouts[k], t.Schema.Measures(), bins)
 		}
-		return CollectStatsSampled(t, g.layouts[k], t.Schema.Measures(), rows, bins)
+		return CollectStatsSampled(t, g.ref.layouts[k], t.Schema.Measures(), rows, bins)
 	})
 }
 
@@ -273,7 +242,7 @@ func (g *Generator) statsFor(t *dataset.Table, cache *lazyCache[layoutKey, *Stat
 // scanning (and caching) all measures of the spec's layout at once — the
 // right cost model for whole-space passes.
 func (g *Generator) Pair(s Spec) (*Pair, error) {
-	return g.pair(s, &g.refStats, &g.tgtStats, nil, nil)
+	return g.pair(s, &g.ref.stats, &g.tgt.stats, nil, nil)
 }
 
 // PairFocused executes one view spec over the full data, scanning only the
@@ -299,27 +268,27 @@ func (g *Generator) PairFocused(s Spec) (*Pair, error) {
 // MeasureIndex); they are cache-shared and must not be mutated.
 func (g *Generator) FamilyStats(s Spec) (refStats, tgtStats *Stats, err error) {
 	k := layoutKey{s.Dimension, s.Bins}
-	layout, ok := g.layouts[k]
+	layout, ok := g.ref.layouts[k]
 	if !ok {
 		return nil, nil, fmt.Errorf("view: spec %s is outside the enumerated space", s)
 	}
-	statsOf := func(t *dataset.Table, full *lazyCache[layoutKey, *Stats], focused *lazyCache[measureKey, *Stats], binCache *lazyCache[string, [][]int32]) (*Stats, error) {
-		if st, ok := full.peek(k); ok {
+	statsOf := func(t *dataset.Table, sc *scans) (*Stats, error) {
+		if st, ok := sc.stats.peek(k); ok {
 			return st, nil
 		}
 		mk := measureKey{k, s.Measure}
-		return focused.get(mk, func() (*Stats, error) {
-			bins, err := g.binsFor(t, binCache, k)
+		return sc.focused.get(mk, func() (*Stats, error) {
+			bins, err := g.binsFor(t, sc, k)
 			if err != nil {
 				return nil, err
 			}
 			return CollectStatsIndexed(t, layout, []string{s.Measure}, bins)
 		})
 	}
-	if refStats, err = statsOf(g.Ref, &g.refStats, &g.refFocused, &g.refBins); err != nil {
+	if refStats, err = statsOf(g.Ref, &g.ref.scans); err != nil {
 		return nil, nil, err
 	}
-	if tgtStats, err = statsOf(g.Target, &g.tgtStats, &g.tgtFocused, &g.tgtBins); err != nil {
+	if tgtStats, err = statsOf(g.Target, &g.tgt); err != nil {
 		return nil, nil, err
 	}
 	return refStats, tgtStats, nil
@@ -331,17 +300,7 @@ func (g *Generator) FamilyStats(s Spec) (refStats, tgtStats *Stats, err error) {
 // directly, bypassing per-pair Histogram materialisation. The Stats are
 // cache-shared and must not be mutated.
 func (g *Generator) LayoutStats(s Spec) (refStats, tgtStats *Stats, err error) {
-	k := layoutKey{s.Dimension, s.Bins}
-	if _, ok := g.layouts[k]; !ok {
-		return nil, nil, fmt.Errorf("view: spec %s is outside the enumerated space", s)
-	}
-	if refStats, err = g.statsFor(g.Ref, &g.refStats, k, nil); err != nil {
-		return nil, nil, err
-	}
-	if tgtStats, err = g.statsFor(g.Target, &g.tgtStats, k, nil); err != nil {
-		return nil, nil, err
-	}
-	return refStats, tgtStats, nil
+	return g.pairStats(s, &g.ref.stats, &g.tgt.stats, nil, nil)
 }
 
 // SampledRun scopes one α-sample pass over the generator's tables: it
@@ -370,17 +329,7 @@ func (r *SampledRun) Pair(s Spec) (*Pair, error) {
 // spec's (dimension, bins) layout for both tables — Generator.LayoutStats
 // over the run's row samples, with the same sharing contract.
 func (r *SampledRun) LayoutStats(s Spec) (refStats, tgtStats *Stats, err error) {
-	k := layoutKey{s.Dimension, s.Bins}
-	if _, ok := r.g.layouts[k]; !ok {
-		return nil, nil, fmt.Errorf("view: spec %s is outside the enumerated space", s)
-	}
-	if refStats, err = r.g.statsFor(r.g.Ref, &r.refStats, k, r.refRows); err != nil {
-		return nil, nil, err
-	}
-	if tgtStats, err = r.g.statsFor(r.g.Target, &r.tgtStats, k, r.tgtRows); err != nil {
-		return nil, nil, err
-	}
-	return refStats, tgtStats, nil
+	return r.g.pairStats(s, &r.refStats, &r.tgtStats, r.refRows, r.tgtRows)
 }
 
 // Warm pre-scans every layout's sampled statistics for both tables over a
@@ -393,29 +342,38 @@ func (r *SampledRun) Warm(workers int) error {
 
 // WarmCtx is Warm under a context, with Generator.WarmCtx's semantics.
 func (r *SampledRun) WarmCtx(ctx context.Context, workers int) error {
-	jobs := make([]warmJob, 0, 2*len(r.g.layouts))
-	for k := range r.g.layouts {
+	g := r.g
+	jobs := make([]warmJob, 0, 2*len(g.ref.layouts))
+	for k := range g.ref.layouts {
 		jobs = append(jobs,
-			warmJob{r.g.Ref, &r.refStats, r.refRows, k},
-			warmJob{r.g.Target, &r.tgtStats, r.tgtRows, k})
+			warmJob{g.Ref, &g.ref.scans, &r.refStats, r.refRows, k},
+			warmJob{g.Target, &g.tgt, &r.tgtStats, r.tgtRows, k})
 	}
 	return r.g.runWarm(ctx, jobs, workers)
 }
 
 func (g *Generator) pair(s Spec, refCache, tgtCache *lazyCache[layoutKey, *Stats], refRows, tgtRows []int) (*Pair, error) {
-	k := layoutKey{s.Dimension, s.Bins}
-	if _, ok := g.layouts[k]; !ok {
-		return nil, fmt.Errorf("view: spec %s is outside the enumerated space", s)
-	}
-	rs, err := g.statsFor(g.Ref, refCache, k, refRows)
-	if err != nil {
-		return nil, err
-	}
-	ts, err := g.statsFor(g.Target, tgtCache, k, tgtRows)
+	rs, ts, err := g.pairStats(s, refCache, tgtCache, refRows, tgtRows)
 	if err != nil {
 		return nil, err
 	}
 	return assemblePair(s, rs, ts)
+}
+
+// pairStats returns both tables' statistics of the spec's layout from the
+// given stats caches, scanning the given rows (nil = all) on a miss.
+func (g *Generator) pairStats(s Spec, refCache, tgtCache *lazyCache[layoutKey, *Stats], refRows, tgtRows []int) (refStats, tgtStats *Stats, err error) {
+	k := layoutKey{s.Dimension, s.Bins}
+	if _, ok := g.ref.layouts[k]; !ok {
+		return nil, nil, fmt.Errorf("view: spec %s is outside the enumerated space", s)
+	}
+	if refStats, err = g.statsFor(g.Ref, &g.ref.scans, refCache, k, refRows); err != nil {
+		return nil, nil, err
+	}
+	if tgtStats, err = g.statsFor(g.Target, &g.tgt, tgtCache, k, tgtRows); err != nil {
+		return nil, nil, err
+	}
+	return refStats, tgtStats, nil
 }
 
 func assemblePair(s Spec, refStats, tgtStats *Stats) (*Pair, error) {

@@ -164,3 +164,37 @@ func TestSharedVersionConcurrentSessions(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionMemoryIgnoresSharedRefSide is the accounting trap: a session
+// is charged for its target side and its own state, never for the
+// reference side its table version shares with every other session, so
+// its MemoryBytes after SQL(0) and Pair(0) must not depend on whether
+// another session over the same table warmed that side first. α-sampled
+// sessions make a difference visible: their own pass leaves the shared
+// full-data reference statistics cold, and an exact session over another
+// query fills them.
+func TestSessionMemoryIgnoresSharedRefSide(t *testing.T) {
+	charge := func(warmFirst bool) int64 {
+		t.Helper()
+		table := dataset.GenerateDIAB(dataset.DIABConfig{Rows: 1500, Seed: 42})
+		if warmFirst {
+			if _, err := New(table, "SELECT * FROM diab WHERE diag_group = 'diabetes'", Options{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := New(table, "SELECT * FROM diab WHERE age_group = '[80-90)'", Options{K: 5, Alpha: 0.3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SQL(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Pair(0); err != nil {
+			t.Fatal(err)
+		}
+		return s.MemoryBytes()
+	}
+	if cold, warm := charge(false), charge(true); cold != warm {
+		t.Fatalf("session charged %d bytes over a cold reference side, %d over one another session warmed", cold, warm)
+	}
+}

@@ -522,10 +522,12 @@ const sessionOverheadBytes = 16 << 10
 // MemoryBytes estimates the session's resident heap bytes — the quantity
 // the server's eviction budget (-session-budget-bytes) accounts per
 // session (DESIGN.md §16). It charges everything the session references
-// except the shared reference table: the target subset's columns, the
-// feature matrix, the view generator's scan caches (once taken; the
-// estimate grows as views are rendered) and the estimator state, plus a
-// fixed overhead — the offline version's share in full, per session.
+// except the shared reference table and its reference side (DR's layouts,
+// bin indexes and stats, owned by the table version): the target subset's
+// columns, the feature matrix, the view generator's target-side scan
+// caches (once taken; the estimate grows as views are rendered) and the
+// estimator state, plus a fixed overhead — the offline version's share in
+// full, per session.
 //
 // The result is an estimate of the dominant allocations, not a heap
 // census; a budget_churn run of benchmark/run.sh plus the
