@@ -12,7 +12,13 @@
 // the Nth write, writes after a byte budget — never probabilistically, so
 // a failing robustness test replays identically. Torn writes really
 // persist their prefix, matching what a crashed kernel leaves behind;
-// the journal's torn-line recovery is tested against that exact shape.
+// the frame log's torn-write repair (internal/wal), which the WAL and the
+// session journal share, is tested against that exact shape.
+//
+// Atomic publish: WriteFileAtomic is the one temp-file + fsync + rename
+// sequence in the tree. Cache snapshots, live checkpoints and WAL
+// compaction all publish through it, so none can expose a renamed file
+// whose contents are not yet on stable storage.
 //
 // Pass-through fidelity: OS adds no buffering, caching or retry of its
 // own. Whatever semantics the platform gives os.File, callers get.

@@ -3,6 +3,7 @@ package faultfs
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -47,6 +48,34 @@ func (OS) Rename(oldpath, newpath string) error         { return os.Rename(oldpa
 func (OS) Remove(name string) error                     { return os.Remove(name) }
 func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (OS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
+
+// WriteFileAtomic publishes a file at path atomically: write fills a temp
+// file that fs.CreateTemp makes in path's directory under pattern, which is
+// then synced, closed and renamed over path. Readers see the old file or
+// the complete new one, never a partial write, and the new contents are
+// on stable storage before the rename makes them visible. On any failure
+// the temp file is removed and path is left as it was.
+func WriteFileAtomic(fs FS, path, pattern string, write func(io.Writer) error) (err error) {
+	tmp, err := fs.CreateTemp(filepath.Dir(path), pattern)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			fs.Remove(tmp.Name())
+		}
+	}()
+	if err = write(tmp); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return fs.Rename(tmp.Name(), path)
+}
 
 // Faulty wraps an FS and injects write-path faults on the files it opens.
 // Faults apply to Write and Sync calls (where real disks surface ENOSPC

@@ -2,6 +2,7 @@ package faultfs
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -140,5 +141,42 @@ func TestFaultyMetadataOpsPassThrough(t *testing.T) {
 	f.Close()
 	if err := fs.Rename(f.Name(), filepath.Join(dir, "done")); err != nil {
 		t.Fatalf("Rename under write fault: %v", err)
+	}
+}
+
+// renameFailFS fails every Rename, the last step of an atomic publish.
+type renameFailFS struct{ FS }
+
+func (renameFailFS) Rename(string, string) error { return errors.New("injected rename failure") }
+
+// TestWriteFileAtomic: a publish either replaces the file whole or leaves
+// it untouched, and a failure at any step (write, sync, rename) removes
+// the temp file.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap")
+	write := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	if err := WriteFileAtomic(OS{}, path, "snap.tmp-*", write("v1")); err != nil {
+		t.Fatal(err)
+	}
+	faulty := NewFaulty(nil)
+	faulty.FailNextWrites(1, errNoSpace)
+	if err := WriteFileAtomic(faulty, path, "snap.tmp-*", write("v2")); !errors.Is(err, errNoSpace) {
+		t.Fatalf("failed write: err = %v", err)
+	}
+	faulty.FailWrites(errNoSpace) // Sync fails too
+	if err := WriteFileAtomic(faulty, path, "snap.tmp-*", func(io.Writer) error { return nil }); !errors.Is(err, errNoSpace) {
+		t.Fatalf("failed sync: err = %v", err)
+	}
+	if err := WriteFileAtomic(renameFailFS{OS{}}, path, "snap.tmp-*", write("v3")); err == nil {
+		t.Fatal("failed rename reported success")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "v1" {
+		t.Fatalf("after failed publishes the file holds %q, %v; want v1", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("failed publishes left %d files behind", len(entries)-1)
 	}
 }

@@ -1,7 +1,10 @@
 // Package live turns the immutable dataset.Table into a durable,
 // versioned, appendable one: a base snapshot plus a redo-log WAL
 // (internal/wal) of append batches, published as a chain of immutable
-// table versions via copy-on-append (dataset.Table.WithAppended).
+// table versions via copy-on-append (dataset.Table.WithAppended). The
+// WAL is a payload-agnostic frame log; the row-batch codec that fills
+// its frames (batch.go) lives here, with its only user. A frame that
+// passes its checksum but does not decode as a batch fails Open.
 //
 // Contracts:
 //
@@ -19,7 +22,7 @@
 //     entries by it, so appends mint new addresses instead of forcing
 //     whole-table re-hashing, and ancestor versions' entries survive.
 //   - Bounded recovery: Checkpoint persists the current version as an
-//     atomic snapshot (temp + fsync + rename beside the WAL) and compacts
+//     atomic snapshot (faultfs.WriteFileAtomic beside the WAL) and compacts
 //     the log to the post-checkpoint suffix, so restart replay is
 //     snapshot + suffix however long the table has lived. The snapshot
 //     records the ORIGINAL base hash — VersionRef stays baseHash@seq,
@@ -33,6 +36,7 @@
 //
 // Observability follows the DESIGN.md §11 schema: appended-rows counter,
 // last-sequence gauge, checkpoint counters and the checkpoint-age and
-// WAL-size gauges, plus the wal package's fsync/recovery series. Status
+// WAL-size gauges, plus the viewseeker_wal_* append, fsync and recovery
+// series it wires into its frame log. Status
 // snapshots the same numbers for /healthz.
 package live

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -44,7 +45,7 @@ type Table struct {
 	mu   sync.Mutex
 	base *dataset.Table
 	cur  *dataset.Table
-	w    *wal.WAL
+	w    *wal.Log
 	seq  uint64
 
 	fs        faultfs.FS
@@ -82,9 +83,13 @@ type Table struct {
 // longer decodes is a hard error, not a silent fallback: the log may
 // have been compacted, so replaying from base could lose data.
 //
+// A frame that passes its checksum but does not decode as a batch is a
+// hard error too: it was written whole, so it is not a torn tail, and
+// dropping it would silently lose every later batch.
+//
 // fs is the filesystem (nil selects the OS); tests inject faultfs.Faulty.
 // The returned Recovery reports what replay found.
-func Open(fs faultfs.FS, path string, base *dataset.Table, opts Options) (*Table, *wal.Recovery, error) {
+func Open(fs faultfs.FS, path string, base *dataset.Table, opts Options) (*Table, *Recovery, error) {
 	if base == nil {
 		return nil, nil, fmt.Errorf("live: nil base table")
 	}
@@ -107,12 +112,21 @@ func Open(fs faultfs.FS, path string, base *dataset.Table, opts Options) (*Table
 		ckptSeq = ck.Seq
 		ckptAt = ck.WrittenUnix
 	}
-	w, rec, err := wal.Open(fs, path, wal.Options{
+	rec := &Recovery{}
+	w, wrec, err := wal.Open(fs, path, wal.Options{
 		SyncEvery: opts.SyncEvery, Retry: opts.Retry, SkipThrough: ckptSeq,
+	}, func(seq uint64, payload []byte) error {
+		rows, err := decodeBatch(payload)
+		if err != nil {
+			return fmt.Errorf("live: WAL %s frame %d: %w", path, seq, err)
+		}
+		rec.Batches = append(rec.Batches, Batch{Seq: seq, Rows: rows})
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	rec.Recovery = *wrec
 	cur := start
 	for _, b := range rec.Batches {
 		next, err := cur.WithAppended(b.Rows)
@@ -131,12 +145,35 @@ func Open(fs faultfs.FS, path string, base *dataset.Table, opts Options) (*Table
 	return t, rec, nil
 }
 
+// Recovery reports what Open found: the WAL's recovery scan plus the
+// batches it replayed, in sequence order.
+type Recovery struct {
+	wal.Recovery
+	// Batches are the committed batches past the checkpoint.
+	Batches []Batch
+}
+
 // Instrument registers the live-table metrics (and the underlying WAL's)
 // against reg, and feeds rec — when non-nil — into the recovery counters.
-func (t *Table) Instrument(reg *obs.Registry, rec *wal.Recovery) {
-	t.w.Instrument(reg)
+func (t *Table) Instrument(reg *obs.Registry, rec *Recovery) {
+	t.w.Instrument(wal.Metrics{
+		Appends:       reg.Counter("viewseeker_wal_appends_total"),
+		Bytes:         reg.Counter("viewseeker_wal_bytes_total"),
+		Truncations:   reg.Counter("viewseeker_wal_truncations_total"),
+		Compactions:   reg.Counter("viewseeker_wal_compactions_total"),
+		RetryBackoffs: reg.Counter("viewseeker_retry_backoffs_total"),
+		RetryExhausts: reg.Counter("viewseeker_retry_exhausted_total"),
+		LastSeq:       reg.Gauge("viewseeker_wal_last_seq"),
+		DiskBytes:     reg.Gauge("viewseeker_wal_bytes"),
+		FsyncSeconds:  reg.Histogram("viewseeker_wal_fsync_seconds", obs.DurationBuckets),
+	})
+	recovered := reg.Counter("viewseeker_wal_recovered_batches_total")
+	tornTails := reg.Counter("viewseeker_wal_torn_tails_total")
 	if rec != nil {
-		t.w.RecordRecovery(rec)
+		recovered.Add(int64(len(rec.Batches)))
+		if rec.TornTail {
+			tornTails.Inc()
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -175,7 +212,11 @@ func (t *Table) Append(rows [][]dataset.Value) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("live: %w", err)
 	}
-	seq, werr := t.w.Append(rows)
+	payload, err := encodeBatch(rows)
+	if err != nil {
+		return 0, err
+	}
+	seq, werr := t.w.Append(payload)
 	if seq == 0 {
 		return 0, werr
 	}
@@ -307,34 +348,6 @@ func readCheckpoint(fs faultfs.FS, path string) (*checkpointFile, *dataset.Table
 	return &ck, tab, nil
 }
 
-// writeCheckpoint persists ck atomically: temp file in the same directory,
-// fsync, rename — the store snapshot idiom. Readers only ever see the old
-// snapshot or the complete new one, never a partial write.
-func writeCheckpoint(fs faultfs.FS, path string, ck *checkpointFile) error {
-	tmp, err := fs.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("live: checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	// Removing the temp is a no-op after a successful rename.
-	defer fs.Remove(tmpName)
-	if err := gob.NewEncoder(tmp).Encode(ck); err != nil {
-		tmp.Close()
-		return fmt.Errorf("live: encoding checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("live: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("live: closing checkpoint temp: %w", err)
-	}
-	if err := fs.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("live: publishing checkpoint: %w", err)
-	}
-	return nil
-}
-
 // Checkpoint persists the current version as a durable snapshot and
 // compacts the WAL to the entries past it, returning the sequence number
 // covered. It returns (0, nil) when there is nothing to do — no appends
@@ -372,9 +385,13 @@ func (t *Table) Checkpoint() (uint64, error) {
 		WrittenUnix: time.Now().Unix(),
 		Table:       buf.Bytes(),
 	}
-	if err := writeCheckpoint(t.fs, CheckpointPath(t.path), ck); err != nil {
+	// Readers only ever see the old snapshot or the complete new one.
+	path := CheckpointPath(t.path)
+	if err := faultfs.WriteFileAtomic(t.fs, path, filepath.Base(path)+".tmp-*", func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(ck)
+	}); err != nil {
 		t.mCkptFailures.Inc()
-		return 0, err
+		return 0, fmt.Errorf("live: publishing checkpoint: %w", err)
 	}
 	t.ckptSeq.Store(seq)
 	t.ckptAtUnix.Store(ck.WrittenUnix)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -268,21 +269,10 @@ func writeSnapshot(fs faultfs.FS, path, fp string, res *OfflineResult) (int64, e
 	if err := gob.NewEncoder(&buf).Encode(snapshot{Version: snapshotVersion, Fingerprint: fp, Result: wire}); err != nil {
 		return 0, err
 	}
-	tmp, err := fs.CreateTemp(filepath.Dir(path), ".vscache-*")
-	if err != nil {
-		return 0, err
-	}
-	defer fs.Remove(tmp.Name())
-	n, err := tmp.Write(buf.Bytes())
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return int64(n), err
-	}
-	// Atomic publish: a crash mid-write leaves only a temp file, never a
-	// truncated snapshot under the real name.
-	return int64(n), fs.Rename(tmp.Name(), path)
+	return int64(buf.Len()), faultfs.WriteFileAtomic(fs, path, ".vscache-*", func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
+	})
 }
 
 // readSnapshot loads and validates one disk entry, decoding its target

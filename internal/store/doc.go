@@ -26,10 +26,15 @@
 // The flag is write-path only and the next successful write clears it, so
 // recovery is automatic when the fault lifts.
 //
-// Torn-line safety: journal appends are single write calls; a partial
-// write sets a flag that makes the next append terminate the torn
-// fragment with a newline, and replay skips lines that fail to parse —
-// one torn write costs exactly one record, never its neighbours.
+// Torn-write safety: the journal is a JSON record codec over the WAL's
+// frame log (internal/wal), one CRC-32C-checksummed, sequence-numbered
+// frame per record. A torn write is resumed at its missing suffix or
+// truncated away; if even the truncate fails the journal poisons itself
+// and stays Degraded until reopened. OpenJournal truncates a torn or
+// corrupted tail and reports it (Journal.Recovery), and ReadJournal
+// returns exactly the committed prefix — a flipped byte fails its CRC, so
+// it and everything after it are never replayed. A JSON-lines journal
+// from an older version is refused by name, not truncated.
 //
 // Replay exactness: a session's create record plus its feedback records,
 // replayed in order, reconstruct its estimator bit-identically — the

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -137,20 +138,87 @@ func TestJournalFaultTornWriteDoesNotCorruptNeighbours(t *testing.T) {
 	if !j.Degraded() {
 		t.Error("torn append did not degrade the journal")
 	}
+	// The failed append already truncated its partial frame away.
+	if st, err := os.Stat(path); err != nil || st.Size() != frameLen(t, path) {
+		t.Fatalf("torn frame left on disk: %v", err)
+	}
 	fs.Clear()
-	// The next append terminates the torn fragment before writing itself.
 	if err := j.Append(Record{Op: OpFeedback, Session: "a", View: 2, Label: 0}); err != nil {
 		t.Fatal(err)
+	}
+	if j.Degraded() {
+		t.Error("successful append did not clear the degraded flag")
 	}
 	recs, err := ReadJournalFS(fs, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 || recs[0].Op != OpCreate || recs[1].Op != OpFeedback || recs[1].View != 2 {
-		t.Fatalf("replay = %+v, want create + view-2 feedback (torn line skipped)", recs)
+		t.Fatalf("replay = %+v, want create + view-2 feedback (torn record dropped)", recs)
 	}
-	raw, _ := os.ReadFile(path)
-	t.Logf("journal bytes: %q", raw)
+}
+
+// frameLen is the on-disk size of the journal at path's first frame.
+func frameLen(t *testing.T, path string) int64 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil || len(raw) < 4 {
+		t.Fatalf("reading %s: %v", path, err)
+	}
+	return 8 + int64(binary.LittleEndian.Uint32(raw[0:4]))
+}
+
+// failTruncateFS makes torn-write repair impossible, forcing the poison
+// path.
+type failTruncateFS struct{ faultfs.FS }
+
+func (f *failTruncateFS) Truncate(string, int64) error {
+	return errors.New("injected truncate failure")
+}
+
+// TestJournalFaultPoisonedAfterFailedTruncate: a torn append whose repair
+// truncate fails poisons the journal. Every later append fails and the
+// journal stays Degraded, because a record written past the tear would be
+// lost to recovery; reopening on a healthy filesystem repairs the tail.
+func TestJournalFaultPoisonedAfterFailedTruncate(t *testing.T) {
+	faulty := faultfs.NewFaulty(nil)
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, err := OpenJournalFS(&failTruncateFS{FS: faulty}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.SetRetryPolicy(retry.Policy{Attempts: 1})
+	if err := j.Append(Record{Op: OpCreate, Session: "a", Table: "t", Query: "q"}); err != nil {
+		t.Fatal(err)
+	}
+	faulty.TearWritesAfter(3, errNoSpace)
+	if err := j.Append(Record{Op: OpFeedback, Session: "a", View: 1, Label: 1}); err == nil {
+		t.Fatal("torn, untruncatable append reported success")
+	}
+	faulty.Clear()
+	if err := j.Append(Record{Op: OpFeedback, Session: "a", View: 2, Label: 0}); err == nil {
+		t.Fatal("poisoned journal accepted an append")
+	}
+	if !j.Degraded() {
+		t.Fatal("poisoned journal does not report degraded")
+	}
+	j.Close()
+
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if rec := j2.Recovery(); !rec.TornTail || rec.TornBytes != 3 {
+		t.Fatalf("recovery after poison = %+v, want 3 torn bytes", rec)
+	}
+	if err := j2.Append(Record{Op: OpFeedback, Session: "a", View: 3, Label: 1}); err != nil {
+		t.Fatalf("append after repair: %v", err)
+	}
+	recs, err := ReadJournal(path)
+	if err != nil || len(recs) != 2 || recs[1].View != 3 {
+		t.Fatalf("replay after repair = %+v, %v", recs, err)
+	}
 }
 
 func TestCacheFaultSnapshotENOSPCDegradesToMemoryOnly(t *testing.T) {

@@ -1,11 +1,11 @@
 package store
 
 import (
-	"bufio"
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
+	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +13,7 @@ import (
 	"viewseeker/internal/faultfs"
 	"viewseeker/internal/obs"
 	"viewseeker/internal/retry"
+	"viewseeker/internal/wal"
 )
 
 // Journal record operations.
@@ -49,38 +50,35 @@ type Record struct {
 	Label float64 `json:"label"`
 }
 
-// Journal is an append-only log of session records, one JSON object per
-// line. Appends are atomic at the line level (a single write call each),
-// and ReadJournal tolerates torn lines, so a crash mid-append loses at
-// most the record being written. Safe for concurrent use.
+// Journal is an append-only log of session records: one JSON record per
+// frame of a wal.Log, so every record carries a CRC-32C, a sequence number
+// and the frame log's recovery semantics. Safe for concurrent use.
 //
-// Failure semantics: a failed append is retried on a bounded
-// exponential-backoff schedule (SetRetryPolicy); once the schedule is
-// exhausted the error is returned and the journal marks itself Degraded.
-// The file stays open — the next append retries from scratch, and its
-// success clears the degraded flag, so a transient disk fault costs only
-// the records written while it lasted. A write that persisted some bytes
-// before failing leaves a torn line; the journal terminates it with a
-// newline before the next record so one torn write never corrupts the
-// records after it.
+// Failure semantics are the frame log's: a failed append is retried on a
+// bounded exponential-backoff schedule (SetRetryPolicy), and a torn write
+// is resumed at the byte where it stopped. Once the schedule is exhausted
+// the partial frame is truncated away, the error is returned and the
+// journal marks itself Degraded. The next successful append clears the
+// flag, so a transient disk fault costs only the records written while it
+// lasted. If that truncation fails too, the log is poisoned: every later
+// append fails and the journal stays Degraded until a restart reopens it,
+// because a record behind an unrepaired tear would be lost to recovery.
+//
+// Appends are not fsynced one by one; Sync and Close flush them.
 type Journal struct {
-	mu      sync.Mutex
-	f       faultfs.File
-	path    string
-	midLine bool // last write failed after persisting part of a line
-	policy  retry.Policy
-
+	mu       sync.Mutex
+	log      *wal.Log
+	rec      wal.Recovery
 	degraded atomic.Bool
 
 	// Metric handles, nil until Instrument is called; nil-safe throughout.
-	mAppends, mBytes              *obs.Counter
-	mDegradedTransitions          *obs.Counter
-	mRetryBackoffs, mRetryExhaust *obs.Counter
-	mDegraded                     *obs.Gauge
-	mAppendSeconds                *obs.Histogram
+	mDegradedTransitions *obs.Counter
+	mDegraded            *obs.Gauge
+	mAppendSeconds       *obs.Histogram
 }
 
-// OpenJournal opens (creating if needed) an append-only journal at path.
+// OpenJournal opens (creating if needed) an append-only journal at path,
+// truncating a torn tail left by a crash (see Recovery).
 func OpenJournal(path string) (*Journal, error) {
 	return OpenJournalFS(faultfs.OS{}, path)
 }
@@ -88,85 +86,88 @@ func OpenJournal(path string) (*Journal, error) {
 // OpenJournalFS is OpenJournal over an explicit filesystem — the
 // fault-injection seam.
 func OpenJournalFS(fs faultfs.FS, path string) (*Journal, error) {
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err := refuseJSONL(fs, path); err != nil {
+		return nil, err
+	}
+	// Sync only on Sync and Close: a per-record fsync would put a disk
+	// flush on every create and feedback request.
+	log, rec, err := wal.Open(fs, path, wal.Options{SyncEvery: math.MaxInt}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening journal: %w", err)
 	}
-	return &Journal{f: f, path: path, policy: retry.Default()}, nil
+	return &Journal{log: log, rec: *rec}, nil
+}
+
+// refuseJSONL rejects a journal in the JSON-lines format older versions
+// wrote. Its first bytes read as an oversized frame length, so recovery
+// would take the whole file for a torn tail and truncate it to nothing.
+func refuseJSONL(fs faultfs.FS, path string) error {
+	f, err := fs.Open(path)
+	if err != nil {
+		return nil // a missing file is an empty journal; others surface on open
+	}
+	var first [1]byte
+	_, err = io.ReadFull(f, first[:])
+	f.Close()
+	if err != nil || first[0] != '{' {
+		return nil
+	}
+	errFound := errors.New("found")
+	if _, err := wal.Scan(fs, path, 0, func(uint64, []byte) error { return errFound }); errors.Is(err, errFound) {
+		return nil // a valid first frame whose length happens to start with '{'
+	}
+	return fmt.Errorf("store: %s is a JSON-lines session journal from an older version; "+
+		"move it aside (its sessions cannot be restored by this version)", path)
 }
 
 // Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
+func (j *Journal) Path() string { return j.log.Path() }
+
+// Recovery reports what opening the journal found on disk: the committed
+// prefix and the torn tail, if any, that was truncated away.
+func (j *Journal) Recovery() wal.Recovery { return j.rec }
 
 // SetRetryPolicy replaces the append retry schedule (tests inject a
 // recording sleeper to assert deterministic backoff timing).
-func (j *Journal) SetRetryPolicy(p retry.Policy) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.policy = p
-}
+func (j *Journal) SetRetryPolicy(p retry.Policy) { j.log.SetRetryPolicy(p) }
 
-// Degraded reports whether the last append exhausted its retries: the
-// journal is still accepting appends, but records written while the flag
-// is set were lost and will not survive a restart.
+// Degraded reports whether the last append failed: records written while
+// the flag is set were lost and will not survive a restart.
 func (j *Journal) Degraded() bool { return j.degraded.Load() }
 
 // Instrument registers the journal's metrics against reg: append count,
-// bytes and latency, degraded-state gauge and transition counter, and the
-// shared retry counters (one series across journal and cache). Call once
-// at wiring time; an uninstrumented journal records nothing.
+// bytes (frames included) and latency, degraded-state gauge and transition
+// counter, and the shared retry counters (one series across journal, cache
+// and WAL). Call once at wiring time; an uninstrumented journal records
+// nothing.
 func (j *Journal) Instrument(reg *obs.Registry) {
+	j.log.Instrument(wal.Metrics{
+		Appends:       reg.Counter("viewseeker_store_journal_appends_total"),
+		Bytes:         reg.Counter("viewseeker_store_journal_bytes_total"),
+		RetryBackoffs: reg.Counter("viewseeker_retry_backoffs_total"),
+		RetryExhausts: reg.Counter("viewseeker_retry_exhausted_total"),
+	})
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.mAppends = reg.Counter("viewseeker_store_journal_appends_total")
-	j.mBytes = reg.Counter("viewseeker_store_journal_bytes_total")
 	j.mAppendSeconds = reg.Histogram("viewseeker_store_journal_append_seconds", obs.DurationBuckets)
 	j.mDegraded = reg.Gauge(`viewseeker_store_degraded{component="journal"}`)
 	j.mDegradedTransitions = reg.Counter(`viewseeker_store_degraded_transitions_total{component="journal"}`)
-	j.mRetryBackoffs = reg.Counter("viewseeker_retry_backoffs_total")
-	j.mRetryExhaust = reg.Counter("viewseeker_retry_exhausted_total")
 }
 
-// Append writes one record, retrying transient failures on the journal's
-// backoff schedule. On success the degraded flag clears; on exhaustion it
-// sets and the last write error is returned — callers deciding to keep
-// serving without durability (the HTTP server does) log it and move on.
+// Append writes one record as one frame. On success the degraded flag
+// clears; on failure it sets and the error is returned — callers deciding
+// to keep serving without durability (the HTTP server does) log it and
+// move on.
 func (j *Journal) Append(rec Record) error {
-	line, err := json.Marshal(rec)
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: encoding journal record: %w", err)
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("store: journal is closed")
-	}
 	start := time.Now()
-	defer func() {
-		j.mAppendSeconds.ObserveDuration(time.Since(start))
-	}()
-	policy := j.policy
-	policy.Backoffs = j.mRetryBackoffs
-	policy.Exhausted = j.mRetryExhaust
-	err = policy.Do(context.Background(), func() error {
-		payload := line
-		if j.midLine {
-			// Terminate the torn fragment a previous partial write left, so
-			// the replay scanner sees one malformed line, not a corrupted
-			// merge of fragment and record.
-			payload = append([]byte{'\n'}, line...)
-		}
-		n, werr := j.f.Write(payload)
-		if werr != nil {
-			if n > 0 {
-				j.midLine = true
-			}
-			return werr
-		}
-		j.midLine = false
-		return nil
-	})
+	_, err = j.log.Append(payload)
+	j.mAppendSeconds.ObserveDuration(time.Since(start))
 	if err != nil {
 		if !j.degraded.Swap(true) {
 			j.mDegradedTransitions.Inc()
@@ -176,74 +177,47 @@ func (j *Journal) Append(rec Record) error {
 	}
 	j.degraded.Store(false)
 	j.mDegraded.Set(0)
-	j.mAppends.Inc()
-	j.mBytes.Add(int64(len(line)))
 	return nil
 }
 
 // Sync flushes appended records to stable storage.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	return j.f.Sync()
-}
+func (j *Journal) Sync() error { return j.log.Sync() }
 
 // Close syncs and closes the journal. Further appends fail.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
-}
+func (j *Journal) Close() error { return j.log.Close() }
 
-// ReadJournal loads every well-formed record from a journal file. A
-// missing file is an empty journal. Malformed or unrecognised lines are
-// skipped, not fatal: a torn tail from a crash and torn interior lines
-// from a disk fault mid-append (each terminated by the next successful
-// append, see Journal.Append) both cost only the record being written —
-// every record journalled around them survives. Records are whole lines,
-// so a skipped fragment can never merge two surviving records.
+// ReadJournal loads every committed record from a journal file, in
+// append order. A missing file is an empty journal. The read stops at the
+// committed prefix's end: a torn or corrupted frame and everything after
+// it is not returned (OpenJournal truncates it). A frame that passes its
+// checksum but does not decode as a record is an error, never skipped —
+// it was written whole, so skipping it would replay a session with a
+// label missing.
 func ReadJournal(path string) ([]Record, error) {
 	return ReadJournalFS(faultfs.OS{}, path)
 }
 
 // ReadJournalFS is ReadJournal over an explicit filesystem.
 func ReadJournalFS(fs faultfs.FS, path string) ([]Record, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("store: opening journal: %w", err)
+	if err := refuseJSONL(fs, path); err != nil {
+		return nil, err
 	}
-	defer f.Close()
 	var out []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
+	_, err := wal.Scan(fs, path, 0, func(seq uint64, payload []byte) error {
 		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return fmt.Errorf("store: journal %s record %d: %w", path, seq, err)
 		}
 		switch rec.Op {
 		case OpCreate, OpFeedback, OpDelete:
 		default:
-			continue
+			return fmt.Errorf("store: journal %s record %d: unknown op %q", path, seq, rec.Op)
 		}
 		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil && len(out) == 0 {
-		return nil, fmt.Errorf("store: reading journal: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -4,175 +4,163 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"viewseeker/internal/dataset"
 	"viewseeker/internal/faultfs"
 	"viewseeker/internal/obs"
 	"viewseeker/internal/retry"
 )
 
-// Batch is one committed append: a contiguous run of rows (boxed values in
-// schema order) under a monotone sequence number. Sequence numbers start at
-// 1 and increase by exactly 1 per committed batch; Open verifies the chain
-// during recovery, so a corrupted or cross-copied log can never replay out
-// of order.
-type Batch struct {
-	Seq  uint64
-	Rows [][]dataset.Value
-}
-
-// Options configures a WAL.
+// Options configures a Log.
 type Options struct {
 	// SyncEvery batches fsyncs: the log syncs after every SyncEvery-th
-	// committed batch instead of after each one (and always on Sync and
+	// committed frame instead of after each one (and always on Sync and
 	// Close). <= 1 syncs every append — the durable default; larger values
-	// trade up to SyncEvery-1 most-recent batches on a crash for append
+	// trade up to SyncEvery-1 most-recent frames on a crash for append
 	// throughput. Recovery is unaffected either way: the on-disk prefix is
-	// always a valid record sequence.
+	// always a valid frame sequence.
 	SyncEvery int
 	// Retry is the append retry schedule; the zero value selects
 	// retry.Default().
 	Retry retry.Policy
 	// SkipThrough marks the sequence number already covered by an external
-	// snapshot: recovery still validates every on-disk frame, but batches
-	// with Seq <= SkipThrough are dropped from Recovery.Batches (counted in
-	// Recovery.SkippedFrames) instead of being replayed. This is how a
+	// snapshot: recovery still validates every on-disk frame, but frames
+	// with seq <= SkipThrough are not handed to the replay function
+	// (counted in Recovery.SkippedFrames instead). This is how a
 	// checkpointed log tolerates the crash window between the snapshot
-	// rename and the log truncation — duplicate suffix frames are detected
+	// rename and the log truncation — duplicate prefix frames are detected
 	// by seq and skipped. The log may legitimately begin at any seq in
 	// [1, SkipThrough+1]; the chain must be contiguous from there.
 	SkipThrough uint64
 }
 
-// Value kind tags of the record payload encoding.
-const (
-	tagNull = iota
-	tagInt
-	tagFloat
-	tagString
-	tagBool
-)
+// Metrics are the instruments a Log feeds. Nil fields record nothing, so
+// each owner registers only the series it reports under its own names.
+type Metrics struct {
+	Appends, Bytes               *obs.Counter // committed frames and their on-disk bytes
+	Truncations, Compactions     *obs.Counter // torn-append repairs and CompactThrough calls
+	RetryBackoffs, RetryExhausts *obs.Counter // the append retry schedule
+	LastSeq, DiskBytes           *obs.Gauge
+	FsyncSeconds                 *obs.Histogram
+}
 
-// recordHeaderLen is the fixed per-record frame: payload length then
-// CRC-32C of the payload, both little-endian u32. Length-prefixing finds
-// record boundaries; the checksum rejects torn or bit-rotted payloads.
-const recordHeaderLen = 8
+// headerLen is the fixed frame header: payload length then CRC-32C of the
+// payload, both little-endian u32. Length-prefixing finds frame
+// boundaries; the checksum rejects torn or bit-rotted payloads.
+const headerLen = 8
 
-// maxPayload bounds a single record so a corrupted length field can never
+// seqLen is the u64 sequence number the log writes as the first bytes of
+// every frame payload, ahead of the caller's bytes.
+const seqLen = 8
+
+// maxPayload bounds a single frame so a corrupted length field can never
 // drive recovery into a multi-gigabyte allocation.
 const maxPayload = 1 << 30
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WAL is a redo log of table append batches: length-prefixed, checksummed
-// records, written whole and fsynced on a batching schedule. The write
-// path is Append; the recovery path is Open, which replays the committed
-// prefix and truncates a torn tail. All methods are safe for concurrent
-// use.
+// Log is an append-only log of length-prefixed, checksummed frames, each
+// carrying a caller payload under a monotone sequence number. Frames are
+// written whole and fsynced on a batching schedule. The write path is
+// Append; the recovery path is Open, which scans the committed prefix and
+// truncates a torn tail. All methods are safe for concurrent use.
 //
-// Failure semantics: a write that persists only part of a record is
-// retried by completing the missing suffix — the record is length-prefixed,
+// Failure semantics: a write that persists only part of a frame is
+// retried by completing the missing suffix — the frame is length-prefixed,
 // so the byte stream is position-independent to resume. If retries
 // exhaust, the torn tail is truncated away (restoring the committed
 // prefix) and the append fails cleanly; if even truncation fails, the log
 // is poisoned and every later append errors until the process reopens it —
-// an un-repairable tail must never take more records, because a reader
+// an un-repairable tail must never take more frames, because recovery
 // would lose everything after the tear.
-type WAL struct {
+type Log struct {
 	mu        sync.Mutex
 	fs        faultfs.FS
 	f         faultfs.File
 	path      string
 	seq       uint64 // last committed sequence number
-	committed int64  // bytes of fully committed records on disk
+	committed int64  // bytes of fully committed frames on disk
 	sinceSync int
 	syncEvery int
 	policy    retry.Policy
 	poisoned  error // non-nil: the tail is torn and could not be repaired
-
-	lastSeq atomic.Uint64
-
-	// Metric handles, nil until Instrument; nil-safe throughout.
-	mAppends, mBytes  *obs.Counter
-	mTruncations      *obs.Counter
-	mRetryBackoffs    *obs.Counter
-	mRetryExhaust     *obs.Counter
-	mLastSeq          *obs.Gauge
-	mDiskBytes        *obs.Gauge
-	mFsyncSeconds     *obs.Histogram
-	mRecoveredBatches *obs.Counter
-	mTornTails        *obs.Counter
-	mCompactions      *obs.Counter
+	m         Metrics
 }
 
-// Open opens (creating if needed) the log at path, replays its committed
-// records, and returns the opened WAL positioned after them together with
-// the recovered batches in sequence order. A torn tail — an incomplete or
-// checksum-failing final record, the signature of a crash or disk fault
-// mid-write — is truncated away and counted in Recovery.TornTail; every
-// record before it survives.
-func Open(fs faultfs.FS, path string, opts Options) (*WAL, *Recovery, error) {
+// Recovery reports what a scan of the log found on disk.
+type Recovery struct {
+	// LastSeq is the last committed sequence number: the last frame's seq,
+	// or Options.SkipThrough when the log holds nothing past it (0 for an
+	// empty, uncheckpointed log).
+	LastSeq uint64
+	// SkippedFrames counts valid frames not replayed because their seq was
+	// already covered by Options.SkipThrough.
+	SkippedFrames int
+	// CommittedBytes is the on-disk length of the committed prefix.
+	CommittedBytes int64
+	// TornTail reports whether bytes past the committed prefix were found
+	// (and, for Open, truncated).
+	TornTail bool
+	// TornBytes is how many trailing bytes lie past the committed prefix.
+	TornBytes int64
+}
+
+// Open opens (creating if needed) the log at path, scans its committed
+// frames, and returns the opened Log positioned after them. replay, when
+// non-nil, receives every committed frame past opts.SkipThrough in
+// sequence order (the payload is only valid during the call); an error
+// from it aborts Open with the file untouched. A torn tail — an
+// incomplete, checksum-failing or out-of-chain frame, the signature of a
+// crash or disk fault mid-write — ends the committed prefix: it and
+// everything after it is truncated away and counted in Recovery.TornBytes.
+func Open(fs faultfs.FS, path string, opts Options, replay func(seq uint64, payload []byte) error) (*Log, *Recovery, error) {
 	if fs == nil {
 		fs = faultfs.OS{}
 	}
-	rec, err := recover_(fs, path, opts.SkipThrough)
+	rec, err := Scan(fs, path, opts.SkipThrough, replay)
 	if err != nil {
 		return nil, nil, err
+	}
+	if rec.TornTail {
+		if err := fs.Truncate(path, rec.CommittedBytes); err != nil {
+			return nil, nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
+		}
 	}
 	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: opening %s: %w", path, err)
 	}
-	syncEvery := opts.SyncEvery
-	if syncEvery < 1 {
-		syncEvery = 1
-	}
 	policy := opts.Retry
 	if policy.Attempts == 0 {
 		policy = retry.Default()
 	}
-	w := &WAL{
+	l := &Log{
 		fs: fs, f: f, path: path,
 		seq: rec.LastSeq, committed: rec.CommittedBytes,
-		syncEvery: syncEvery, policy: policy,
+		syncEvery: max(opts.SyncEvery, 1), policy: policy,
 	}
-	w.lastSeq.Store(rec.LastSeq)
-	return w, rec, nil
+	return l, rec, nil
 }
 
-// Recovery reports what Open found on disk.
-type Recovery struct {
-	// Batches are the committed batches in sequence order, excluding any
-	// dropped by Options.SkipThrough.
-	Batches []Batch
-	// LastSeq is the last committed sequence number: the last frame's seq,
-	// or Options.SkipThrough when the log holds nothing past it (0 for an
-	// empty, uncheckpointed log).
-	LastSeq uint64
-	// SkippedFrames counts valid frames dropped because their seq was
-	// already covered by Options.SkipThrough.
-	SkippedFrames int
-	// CommittedBytes is the on-disk length of the committed prefix.
-	CommittedBytes int64
-	// TornTail reports whether a torn tail was found and truncated.
-	TornTail bool
-	// TornBytes is how many trailing bytes the truncation discarded.
-	TornBytes int64
-}
-
-// recover_ scans the log, validating each record's frame, checksum,
-// payload encoding and sequence chain, and truncates the file back to the
-// last valid record boundary when anything past it fails.
-func recover_(fs faultfs.FS, path string, skipThrough uint64) (*Recovery, error) {
+// Scan reads the log at path front to back without modifying it, handing
+// every committed frame past skipThrough to fn (when non-nil) in sequence
+// order; the payload is only valid during the call. The committed prefix
+// ends at the first frame that is short, oversized, fails its checksum or
+// breaks the sequence chain — Open truncates there, Scan only reports it.
+// An error from fn stops the scan and is returned. A missing file is an
+// empty log.
+func Scan(fs faultfs.FS, path string, skipThrough uint64, fn func(seq uint64, payload []byte) error) (*Recovery, error) {
+	if fs == nil {
+		fs = faultfs.OS{}
+	}
 	rec := &Recovery{LastSeq: skipThrough}
 	f, err := fs.Open(path)
 	if err != nil {
@@ -181,472 +169,300 @@ func recover_(fs faultfs.FS, path string, skipThrough uint64) (*Recovery, error)
 		}
 		return nil, fmt.Errorf("wal: opening %s for recovery: %w", path, err)
 	}
+	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-	var read int64     // total bytes consumed, valid or not
+	var read int64     // bytes consumed, valid or not
 	var prevSeq uint64 // seq of the last valid frame (0: none yet)
-	header := make([]byte, recordHeaderLen)
+	var header [headerLen]byte
 	var payload []byte
 	for {
-		n, herr := io.ReadFull(br, header)
+		n, err := io.ReadFull(br, header[:])
 		read += int64(n)
-		if herr != nil {
-			if herr != io.EOF {
-				rec.TornTail = true
-			}
-			break
-		}
 		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length == 0 || length > maxPayload {
-			rec.TornTail = true
-			break
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		n, perr := io.ReadFull(br, payload)
-		read += int64(n)
-		if perr != nil {
-			rec.TornTail = true
-			break
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			rec.TornTail = true
-			break
-		}
-		b, derr := decodeBatch(payload)
-		if derr != nil {
-			rec.TornTail = true
-			break
-		}
-		if prevSeq == 0 {
-			// First frame: an uncompacted log starts at 1; a compacted one
-			// starts anywhere up to skipThrough+1 (the snapshot covers the
-			// rest). Anything else is a foreign or corrupted log.
-			if b.Seq == 0 || b.Seq > skipThrough+1 {
-				rec.TornTail = true
+		if err == nil {
+			if length < seqLen || length > maxPayload {
 				break
 			}
-		} else if b.Seq != prevSeq+1 {
-			rec.TornTail = true
+			payload, err = readPayload(br, payload, int(length))
+			read += int64(len(payload))
+		}
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break // a short frame: the torn tail starts here
+		} else if err != nil {
+			return nil, fmt.Errorf("wal: reading %s: %w", path, err)
+		}
+		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(header[4:8]) {
 			break
 		}
-		prevSeq = b.Seq
-		rec.CommittedBytes += recordHeaderLen + int64(length)
-		if b.Seq <= skipThrough {
+		seq := binary.LittleEndian.Uint64(payload[0:seqLen])
+		// An uncompacted log starts at 1; a compacted one starts anywhere up
+		// to skipThrough+1 (the snapshot covers the rest). Anything else is
+		// a foreign or corrupted log.
+		if prevSeq == 0 && (seq == 0 || seq > skipThrough+1) || prevSeq != 0 && seq != prevSeq+1 {
+			break
+		}
+		prevSeq = seq
+		rec.CommittedBytes += headerLen + int64(length)
+		if seq <= skipThrough {
 			rec.SkippedFrames++
 			continue
 		}
-		rec.Batches = append(rec.Batches, b)
-		rec.LastSeq = b.Seq
-	}
-	// Anything buffered past the last committed record is tail garbage too.
-	f.Close()
-	if !rec.TornTail {
-		// io.ReadFull hit clean EOF exactly at a record boundary only when
-		// no header bytes were read; a partial header is a torn tail.
-		rec.TornTail = read > rec.CommittedBytes
-	}
-	if rec.TornTail {
-		// The scanner stopped mid-garbage; the file may extend beyond what
-		// it consumed. Truncating to the committed prefix discards all of
-		// it — size-agnostic, so we never need to stat through faultfs.
-		rec.TornBytes = read - rec.CommittedBytes
-		if err := fs.Truncate(path, rec.CommittedBytes); err != nil {
-			return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
+		rec.LastSeq = seq
+		if fn != nil {
+			if err := fn(seq, payload[seqLen:]); err != nil {
+				return nil, err
+			}
 		}
 	}
+	// Everything past the committed prefix — the frame that failed and
+	// whatever follows it — is the torn tail.
+	rest, err := io.Copy(io.Discard, br)
+	if err != nil {
+		return nil, fmt.Errorf("wal: reading %s: %w", path, err)
+	}
+	rec.TornBytes = read + rest - rec.CommittedBytes
+	rec.TornTail = rec.TornBytes > 0
 	return rec, nil
 }
 
-// Instrument registers the WAL's metrics against reg (DESIGN.md §11 name
-// schema): append count/bytes, fsync latency, last committed sequence,
-// torn-tail truncations, and the shared retry counters. Call once at
-// wiring time; an uninstrumented WAL records nothing.
-func (w *WAL) Instrument(reg *obs.Registry) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.mAppends = reg.Counter("viewseeker_wal_appends_total")
-	w.mBytes = reg.Counter("viewseeker_wal_bytes_total")
-	w.mFsyncSeconds = reg.Histogram("viewseeker_wal_fsync_seconds", obs.DurationBuckets)
-	w.mLastSeq = reg.Gauge("viewseeker_wal_last_seq")
-	w.mDiskBytes = reg.Gauge("viewseeker_wal_bytes")
-	w.mTruncations = reg.Counter("viewseeker_wal_truncations_total")
-	w.mRecoveredBatches = reg.Counter("viewseeker_wal_recovered_batches_total")
-	w.mTornTails = reg.Counter("viewseeker_wal_torn_tails_total")
-	w.mCompactions = reg.Counter("viewseeker_wal_compactions_total")
-	w.mRetryBackoffs = reg.Counter("viewseeker_retry_backoffs_total")
-	w.mRetryExhaust = reg.Counter("viewseeker_retry_exhausted_total")
-	w.mLastSeq.Set(int64(w.seq))
-	w.mDiskBytes.Set(w.committed)
-}
-
-// RecordRecovery feeds one Open's Recovery into the instrumented counters,
-// so restart behaviour is visible at /metricz.
-func (w *WAL) RecordRecovery(rec *Recovery) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.mRecoveredBatches.Add(int64(len(rec.Batches)))
-	if rec.TornTail {
-		w.mTornTails.Inc()
+// readPayload reads n bytes into buf, growing it by at most 1 MiB ahead of
+// the bytes actually read, so a corrupt length field costs an allocation
+// bounded by the file, not by the field. On error it returns what it read.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		chunk := min(n-len(buf), 1<<20)
+		buf = slices.Grow(buf, chunk)
+		k, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return buf, err
+		}
 	}
+	return buf, nil
 }
 
-// Seq returns the last committed sequence number.
-func (w *WAL) Seq() uint64 { return w.lastSeq.Load() }
+// Instrument attaches m to the log. Call once at wiring time; an
+// uninstrumented log records nothing.
+func (l *Log) Instrument(m Metrics) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.m = m
+	m.LastSeq.Set(int64(l.seq))
+	m.DiskBytes.Set(l.committed)
+}
+
+// SetRetryPolicy replaces the append retry schedule.
+func (l *Log) SetRetryPolicy(p retry.Policy) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.policy = p
+}
 
 // Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
+func (l *Log) Path() string { return l.path }
 
 // Bytes returns the on-disk size of the committed log in bytes. Replay
 // cost is proportional to it, which makes it the natural checkpoint
 // trigger.
-func (w *WAL) Bytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.committed
+func (l *Log) Bytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.committed
 }
 
-// Append commits one batch of rows and returns its sequence number. The
-// record is written as a single frame and fsynced per the SyncEvery
-// schedule; on return the batch either is durable (or scheduled within the
-// current sync window) or the log is exactly as it was — a failed append
-// never leaves a half-record for recovery to trip over (see WAL failure
-// semantics).
-func (w *WAL) Append(rows [][]dataset.Value) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return 0, fmt.Errorf("wal: log is closed")
+var errClosed = errors.New("wal: log is closed")
+
+// writableLocked reports why the log cannot take a write, if it cannot.
+func (l *Log) writableLocked() error {
+	if l.f == nil {
+		return errClosed
 	}
-	if w.poisoned != nil {
-		return 0, fmt.Errorf("wal: log has an unrepaired torn tail (reopen to recover): %w", w.poisoned)
+	if l.poisoned != nil {
+		return fmt.Errorf("wal: log has an unrepaired torn tail (reopen to recover): %w", l.poisoned)
 	}
-	if len(rows) == 0 {
-		return 0, fmt.Errorf("wal: empty batch")
-	}
-	seq := w.seq + 1
-	payload, err := encodeBatch(Batch{Seq: seq, Rows: rows})
-	if err != nil {
+	return nil
+}
+
+// Append commits payload as one frame under the next sequence number and
+// returns that number. The frame is fsynced per the SyncEvery schedule; on
+// return it either is durable (or scheduled within the current sync
+// window) or the log is exactly as it was — a failed append never leaves
+// a half-frame for recovery to trip over (see Log failure semantics). A
+// non-nil error with a non-zero seq means the frame committed but its
+// fsync failed; the next sync retries.
+func (l *Log) Append(payload []byte) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.writableLocked(); err != nil {
 		return 0, err
 	}
-	frame := make([]byte, recordHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[recordHeaderLen:], payload)
+	seq := l.seq + 1
+	frame := make([]byte, headerLen+seqLen+len(payload))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(seqLen+len(payload)))
+	binary.LittleEndian.PutUint64(frame[headerLen:], seq)
+	copy(frame[headerLen+seqLen:], payload)
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[headerLen:], crcTable))
 
-	policy := w.policy
-	policy.Backoffs = w.mRetryBackoffs
-	policy.Exhausted = w.mRetryExhaust
+	policy := l.policy
+	policy.Backoffs = l.m.RetryBackoffs
+	policy.Exhausted = l.m.RetryExhausts
 	// written tracks how many frame bytes reached the file across retries:
 	// a torn write persists a prefix, so the retry completes the suffix
-	// rather than rewriting (and thereby corrupting) the record.
+	// rather than rewriting (and thereby corrupting) the frame.
 	written := 0
-	err = policy.Do(context.Background(), func() error {
-		n, werr := w.f.Write(frame[written:])
+	err := policy.Do(context.Background(), func() error {
+		n, werr := l.f.Write(frame[written:])
 		written += n
 		return werr
 	})
 	if err != nil {
 		if written > 0 {
-			// Retries exhausted mid-record: chop the partial frame so the
+			// Retries exhausted mid-frame: chop the partial frame so the
 			// log ends at the committed prefix again.
-			if terr := w.fs.Truncate(w.path, w.committed); terr != nil {
-				w.poisoned = terr
+			if terr := l.fs.Truncate(l.path, l.committed); terr != nil {
+				l.poisoned = terr
 				return 0, fmt.Errorf("wal: append tore at %d/%d bytes and truncation failed: %w",
 					written, len(frame), terr)
 			}
-			w.mTruncations.Inc()
+			l.m.Truncations.Inc()
 		}
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
-	w.seq = seq
-	w.committed += int64(len(frame))
-	w.lastSeq.Store(seq)
-	w.mAppends.Inc()
-	w.mBytes.Add(int64(len(frame)))
-	w.mLastSeq.Set(int64(seq))
-	w.mDiskBytes.Set(w.committed)
-	w.sinceSync++
-	if w.sinceSync >= w.syncEvery {
-		if err := w.syncLocked(); err != nil {
-			// The record is written but not yet durable; the next sync (or
-			// Close) retries. Surface the error — callers decide whether
-			// lost durability fails the append.
+	l.seq = seq
+	l.committed += int64(len(frame))
+	l.m.Appends.Inc()
+	l.m.Bytes.Add(int64(len(frame)))
+	l.m.LastSeq.Set(int64(seq))
+	l.m.DiskBytes.Set(l.committed)
+	l.sinceSync++
+	if l.sinceSync >= l.syncEvery {
+		if err := l.syncLocked(); err != nil {
 			return seq, fmt.Errorf("wal: fsync after append: %w", err)
 		}
 	}
 	return seq, nil
 }
 
-// Sync flushes committed records to stable storage.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
+// Sync flushes committed frames to stable storage.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
 		return nil
 	}
-	return w.syncLocked()
+	return l.syncLocked()
 }
 
-func (w *WAL) syncLocked() error {
+func (l *Log) syncLocked() error {
 	start := time.Now()
-	err := w.f.Sync()
-	w.mFsyncSeconds.ObserveDuration(time.Since(start))
+	err := l.f.Sync()
+	l.m.FsyncSeconds.ObserveDuration(time.Since(start))
 	if err == nil {
-		w.sinceSync = 0
+		l.sinceSync = 0
 	}
 	return err
 }
 
-// CompactThrough drops every committed record with sequence number <= seq
+// CompactThrough drops every committed frame with sequence number <= seq
 // from the log: the caller has persisted a snapshot covering them, so
 // replay no longer needs them. When seq covers the whole log the file is
 // truncated to zero in place (the open O_APPEND handle stays valid — later
 // appends continue at the new end); otherwise the retained suffix is
-// rewritten into a temp file, fsynced, and atomically renamed over the
-// log. The sequence chain is NOT reset: the next append still gets the
-// next seq, and recovery accepts a log starting past 1 when told the
-// snapshot's coverage via Options.SkipThrough.
-func (w *WAL) CompactThrough(seq uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("wal: log is closed")
-	}
-	if w.poisoned != nil {
-		return fmt.Errorf("wal: log has an unrepaired torn tail (reopen to recover): %w", w.poisoned)
-	}
-	if seq >= w.seq {
-		if err := w.fs.Truncate(w.path, 0); err != nil {
-			return fmt.Errorf("wal: compacting %s: %w", w.path, err)
-		}
-		w.committed = 0
-		w.sinceSync = 0
-		w.mCompactions.Inc()
-		w.mDiskBytes.Set(0)
-		return nil
-	}
-	kept, err := w.rewriteRetained(seq)
-	if err != nil {
+// published over the log with faultfs.WriteFileAtomic. The sequence chain
+// is NOT reset: the next append still gets the next seq, and recovery
+// accepts a log starting past 1 when told the snapshot's coverage via
+// Options.SkipThrough.
+func (l *Log) CompactThrough(seq uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.writableLocked(); err != nil {
 		return err
 	}
-	w.committed = kept
-	w.sinceSync = 0
-	w.mCompactions.Inc()
-	w.mDiskBytes.Set(kept)
+	var kept int64
+	if seq >= l.seq {
+		if err := l.fs.Truncate(l.path, 0); err != nil {
+			return fmt.Errorf("wal: compacting %s: %w", l.path, err)
+		}
+	} else {
+		var err error
+		if kept, err = l.rewriteRetained(seq); err != nil {
+			return err
+		}
+	}
+	l.committed = kept
+	l.sinceSync = 0
+	l.m.Compactions.Inc()
+	l.m.DiskBytes.Set(kept)
 	return nil
 }
 
-// rewriteRetained copies the frames with seq > through into a temp file
-// and swaps it in for the log, returning the retained byte count. Called
-// with w.mu held. The committed prefix is valid by construction (Open
-// validated it and every later frame was written whole under the mutex),
-// so frames are copied raw after a bounds check plus seq filter.
-func (w *WAL) rewriteRetained(through uint64) (int64, error) {
-	src, err := w.fs.Open(w.path)
+// rewriteRetained copies the frames with seq > through into a fresh file
+// published over the log, then reopens the append handle, returning the
+// retained byte count. Called with l.mu held. The committed prefix is
+// valid by construction (Open validated it and every later frame was
+// written whole under the mutex), so frames are copied raw after a bounds
+// check plus seq filter.
+func (l *Log) rewriteRetained(through uint64) (int64, error) {
+	src, err := l.fs.Open(l.path)
 	if err != nil {
-		return 0, fmt.Errorf("wal: opening %s for compaction: %w", w.path, err)
+		return 0, fmt.Errorf("wal: opening %s for compaction: %w", l.path, err)
 	}
 	defer src.Close()
-	tmp, err := w.fs.CreateTemp(filepath.Dir(w.path), filepath.Base(w.path)+".compact-*")
+	var kept int64
+	err = faultfs.WriteFileAtomic(l.fs, l.path, filepath.Base(l.path)+".compact-*", func(w io.Writer) error {
+		br := bufio.NewReaderSize(src, 1<<16)
+		bw := bufio.NewWriterSize(w, 1<<16)
+		frame := make([]byte, headerLen)
+		for read := int64(0); read < l.committed; {
+			if _, err := io.ReadFull(br, frame[:headerLen]); err != nil {
+				return fmt.Errorf("wal: compaction read: %w", err)
+			}
+			length := binary.LittleEndian.Uint32(frame[0:4])
+			if length < seqLen || length > maxPayload {
+				return fmt.Errorf("wal: compaction found implausible frame length %d", length)
+			}
+			n := headerLen + int(length)
+			frame = slices.Grow(frame[:headerLen], int(length))[:n]
+			if _, err := io.ReadFull(br, frame[headerLen:]); err != nil {
+				return fmt.Errorf("wal: compaction read: %w", err)
+			}
+			read += int64(n)
+			if binary.LittleEndian.Uint64(frame[headerLen:]) <= through {
+				continue
+			}
+			if _, err := bw.Write(frame); err != nil {
+				return fmt.Errorf("wal: compaction write: %w", err)
+			}
+			kept += int64(n)
+		}
+		return bw.Flush()
+	})
 	if err != nil {
-		return 0, fmt.Errorf("wal: compaction temp file: %w", err)
+		return 0, fmt.Errorf("wal: compacting %s: %w", l.path, err)
 	}
-	tmpName := tmp.Name()
-	// Removing the temp is a no-op after a successful rename.
-	defer w.fs.Remove(tmpName)
-	br := bufio.NewReaderSize(src, 1<<16)
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	header := make([]byte, recordHeaderLen)
-	var payload []byte
-	var read, kept int64
-	for read < w.committed {
-		if _, err := io.ReadFull(br, header); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("wal: compaction read: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		if length < 16 || length > maxPayload {
-			tmp.Close()
-			return 0, fmt.Errorf("wal: compaction found implausible frame length %d", length)
-		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("wal: compaction read: %w", err)
-		}
-		read += recordHeaderLen + int64(length)
-		if binary.LittleEndian.Uint64(payload[0:8]) <= through {
-			continue
-		}
-		if _, err := bw.Write(header); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("wal: compaction write: %w", err)
-		}
-		if _, err := bw.Write(payload); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("wal: compaction write: %w", err)
-		}
-		kept += recordHeaderLen + int64(length)
+	// The append handle still points at the replaced file; reopen the path.
+	l.f.Close()
+	f, err := l.fs.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		l.f = nil
+		return 0, fmt.Errorf("wal: reopening %s after compaction: %w", l.path, err)
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("wal: compaction flush: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("wal: compaction fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("wal: compaction close: %w", err)
-	}
-	// Swap: close the append handle, rename, reopen. Reopening the same
-	// path succeeds whether or not the rename did, so the log stays
-	// appendable either way.
-	w.f.Close()
-	renameErr := w.fs.Rename(tmpName, w.path)
-	f, openErr := w.fs.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if openErr != nil {
-		w.f = nil
-		return 0, fmt.Errorf("wal: reopening %s after compaction: %w", w.path, openErr)
-	}
-	w.f = f
-	if renameErr != nil {
-		return 0, fmt.Errorf("wal: swapping compacted log: %w", renameErr)
-	}
+	l.f = f
 	return kept, nil
 }
 
 // Close syncs and closes the log. Further appends fail.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
+func (l *Log) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
 		return nil
 	}
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
+	err := l.f.Sync()
+	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
-	w.f = nil
+	l.f = nil
 	return err
-}
-
-// encodeBatch serialises a batch payload: seq, row/column counts, then
-// rows row-major with one kind tag per value. The encoding is
-// schema-independent — recovery can decode without the table — and every
-// variable-length field is length-prefixed, following the
-// internal/store fingerprint conventions.
-func encodeBatch(b Batch) ([]byte, error) {
-	if len(b.Rows) == 0 {
-		return nil, fmt.Errorf("wal: empty batch")
-	}
-	width := len(b.Rows[0])
-	buf := make([]byte, 0, 16+len(b.Rows)*width*9)
-	buf = binary.LittleEndian.AppendUint64(buf, b.Seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Rows)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(width))
-	for _, row := range b.Rows {
-		if len(row) != width {
-			return nil, fmt.Errorf("wal: ragged batch: row has %d values, want %d", len(row), width)
-		}
-		for _, v := range row {
-			switch {
-			case v.IsNull():
-				buf = append(buf, tagNull)
-			case v.Kind == dataset.KindInt:
-				buf = append(buf, tagInt)
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
-			case v.Kind == dataset.KindFloat:
-				buf = append(buf, tagFloat)
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-			case v.Kind == dataset.KindString:
-				buf = append(buf, tagString)
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.S)))
-				buf = append(buf, v.S...)
-			case v.Kind == dataset.KindBool:
-				buf = append(buf, tagBool)
-				if v.B {
-					buf = append(buf, 1)
-				} else {
-					buf = append(buf, 0)
-				}
-			default:
-				return nil, fmt.Errorf("wal: cannot encode value kind %v", v.Kind)
-			}
-		}
-	}
-	return buf, nil
-}
-
-// decodeBatch reverses encodeBatch. Every read is bounds-checked so a
-// corrupted payload yields an error, never a panic.
-func decodeBatch(p []byte) (Batch, error) {
-	var b Batch
-	if len(p) < 16 {
-		return b, fmt.Errorf("wal: batch payload too short (%d bytes)", len(p))
-	}
-	b.Seq = binary.LittleEndian.Uint64(p[0:8])
-	nrows := int(binary.LittleEndian.Uint32(p[8:12]))
-	width := int(binary.LittleEndian.Uint32(p[12:16]))
-	if nrows <= 0 || width <= 0 || nrows > maxPayload || width > 1<<16 {
-		return b, fmt.Errorf("wal: implausible batch shape %d×%d", nrows, width)
-	}
-	off := 16
-	b.Rows = make([][]dataset.Value, nrows)
-	for r := range b.Rows {
-		row := make([]dataset.Value, width)
-		for c := range row {
-			if off >= len(p) {
-				return b, fmt.Errorf("wal: batch payload truncated at row %d", r)
-			}
-			tag := p[off]
-			off++
-			switch tag {
-			case tagNull:
-				row[c] = dataset.Null
-			case tagInt:
-				if off+8 > len(p) {
-					return b, fmt.Errorf("wal: batch payload truncated in int value")
-				}
-				row[c] = dataset.Int(int64(binary.LittleEndian.Uint64(p[off:])))
-				off += 8
-			case tagFloat:
-				if off+8 > len(p) {
-					return b, fmt.Errorf("wal: batch payload truncated in float value")
-				}
-				row[c] = dataset.Float(math.Float64frombits(binary.LittleEndian.Uint64(p[off:])))
-				off += 8
-			case tagString:
-				if off+4 > len(p) {
-					return b, fmt.Errorf("wal: batch payload truncated in string length")
-				}
-				n := int(binary.LittleEndian.Uint32(p[off:]))
-				off += 4
-				if n < 0 || off+n > len(p) {
-					return b, fmt.Errorf("wal: batch payload truncated in string value")
-				}
-				row[c] = dataset.StringVal(string(p[off : off+n]))
-				off += n
-			case tagBool:
-				if off >= len(p) {
-					return b, fmt.Errorf("wal: batch payload truncated in bool value")
-				}
-				row[c] = dataset.Bool(p[off] == 1)
-				off++
-			default:
-				return b, fmt.Errorf("wal: unknown value tag %d", tag)
-			}
-		}
-		b.Rows[r] = row
-	}
-	if off != len(p) {
-		return b, fmt.Errorf("wal: %d trailing bytes after batch payload", len(p)-off)
-	}
-	return b, nil
 }

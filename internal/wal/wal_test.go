@@ -1,142 +1,166 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
-	"viewseeker/internal/dataset"
 	"viewseeker/internal/faultfs"
 	"viewseeker/internal/retry"
 )
 
-func testRows(n, base int) [][]dataset.Value {
-	rows := make([][]dataset.Value, n)
-	for i := range rows {
-		rows[i] = []dataset.Value{
-			dataset.Int(int64(base + i)),
-			dataset.Float(float64(base+i) * 0.5),
-			dataset.StringVal("cat"),
-			dataset.Bool(i%2 == 0),
-			dataset.Null,
-		}
-	}
-	return rows
+// frame is one replayed frame, its payload copied out of the scan buffer.
+type frame struct {
+	Seq     uint64
+	Payload []byte
 }
 
-func openT(t *testing.T, fs faultfs.FS, path string, opts Options) (*WAL, *Recovery) {
+// testPayload is a distinct, variable-length payload per i.
+func testPayload(i int) []byte {
+	return bytes.Repeat([]byte(fmt.Sprintf("payload-%d;", i)), 1+i%4)
+}
+
+func openT(t *testing.T, fs faultfs.FS, path string, opts Options) (*Log, *Recovery, []frame) {
 	t.Helper()
-	w, rec, err := Open(fs, path, opts)
+	var frames []frame
+	l, rec, err := Open(fs, path, opts, func(seq uint64, p []byte) error {
+		frames = append(frames, frame{seq, bytes.Clone(p)})
+		return nil
+	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	t.Cleanup(func() { w.Close() })
-	return w, rec
+	t.Cleanup(func() { l.Close() })
+	return l, rec, frames
+}
+
+// encodeFrames is the on-disk image of frames: u32 len | u32 crc32c |
+// u64 seq | payload each.
+func encodeFrames(frames []frame) []byte {
+	var out []byte
+	for _, f := range frames {
+		body := binary.LittleEndian.AppendUint64(nil, f.Seq)
+		body = append(body, f.Payload...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
+		out = append(out, body...)
+	}
+	return out
 }
 
 func TestAppendReplayRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
-	w, rec := openT(t, nil, path, Options{})
-	if rec.LastSeq != 0 || len(rec.Batches) != 0 {
-		t.Fatalf("fresh log recovered %d batches, seq %d", len(rec.Batches), rec.LastSeq)
+	l, rec, frames := openT(t, nil, path, Options{})
+	if rec.LastSeq != 0 || len(frames) != 0 {
+		t.Fatalf("fresh log recovered %d frames, seq %d", len(frames), rec.LastSeq)
 	}
-	want := []Batch{}
+	var want []frame
 	for i := 0; i < 5; i++ {
-		rows := testRows(3+i, i*100)
-		seq, err := w.Append(rows)
+		seq, err := l.Append(testPayload(i))
 		if err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 		if seq != uint64(i+1) {
 			t.Fatalf("Append %d: seq %d, want %d", i, seq, i+1)
 		}
-		want = append(want, Batch{Seq: seq, Rows: rows})
+		want = append(want, frame{seq, testPayload(i)})
 	}
-	if w.Seq() != 5 {
-		t.Fatalf("Seq() = %d, want 5", w.Seq())
-	}
-	if err := w.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	w2, rec2 := openT(t, nil, path, Options{})
-	if rec2.TornTail {
-		t.Fatal("clean log reported a torn tail")
+	l2, rec2, got := openT(t, nil, path, Options{})
+	if rec2.TornTail || rec2.LastSeq != 5 {
+		t.Fatalf("clean log recovered %+v", rec2)
 	}
-	if !reflect.DeepEqual(rec2.Batches, want) {
-		t.Fatalf("replayed batches differ:\n got %+v\nwant %+v", rec2.Batches, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed frames differ:\n got %+v\nwant %+v", got, want)
 	}
-	if w2.Seq() != 5 {
-		t.Fatalf("reopened Seq() = %d, want 5", w2.Seq())
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, encodeFrames(want)) {
+		t.Fatal("on-disk bytes are not the documented frame format")
 	}
 	// Appends continue the chain after reopen.
-	if seq, err := w2.Append(testRows(1, 999)); err != nil || seq != 6 {
+	if seq, err := l2.Append(testPayload(99)); err != nil || seq != 6 {
 		t.Fatalf("post-reopen Append: seq %d err %v, want 6 nil", seq, err)
 	}
 }
 
-func TestEmptyBatchRejected(t *testing.T) {
-	w, _ := openT(t, nil, filepath.Join(t.TempDir(), "t.wal"), Options{})
-	if _, err := w.Append(nil); err == nil {
-		t.Fatal("empty batch accepted")
+// TestParentFormatFixture opens a log written by the codec that predates
+// the frame log's split from the batch codec (testdata/parent-v1.wal: four
+// batches). It must recover every frame untouched, and the frames must
+// re-encode to the file byte for byte. internal/live decodes the same
+// fixture back to its rows.
+func TestParentFormatFixture(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent-v1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.wal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, rec, frames := openT(t, nil, path, Options{})
+	if rec.TornTail || rec.LastSeq != 4 || len(frames) != 4 || rec.CommittedBytes != int64(len(raw)) {
+		t.Fatalf("fixture recovery: %+v, %d frames", rec, len(frames))
+	}
+	for i, f := range frames {
+		if f.Seq != uint64(i+1) {
+			t.Fatalf("frame %d has seq %d", i, f.Seq)
+		}
+	}
+	if !bytes.Equal(encodeFrames(frames), raw) {
+		t.Fatal("recovered frames do not re-encode to the fixture")
 	}
 }
 
-func TestRaggedBatchRejected(t *testing.T) {
-	w, _ := openT(t, nil, filepath.Join(t.TempDir(), "t.wal"), Options{})
-	rows := [][]dataset.Value{{dataset.Int(1), dataset.Int(2)}, {dataset.Int(3)}}
-	if _, err := w.Append(rows); err == nil {
-		t.Fatal("ragged batch accepted")
-	}
-	// The failed encode must not advance the sequence or write anything.
-	if w.Seq() != 0 {
-		t.Fatalf("Seq advanced to %d on rejected batch", w.Seq())
-	}
-	if _, rec := openT(t, nil, w.Path(), Options{}); len(rec.Batches) != 0 {
-		t.Fatalf("rejected batch reached disk: %d batches", len(rec.Batches))
-	}
-}
-
-// TestRecoveryTruncatesTornTail appends through a tearing FS so a partial
+// TestRecoveryFaultTornTail appends through a tearing FS so a partial
 // frame lands on disk (retries disabled so the tear survives), then checks
 // Open truncates it and replays exactly the committed prefix.
 func TestRecoveryFaultTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	fs := faultfs.NewFaulty(nil)
-	w, _ := openT(t, fs, path, Options{Retry: retry.Policy{Attempts: 1}})
-	committed := testRows(4, 0)
-	if _, err := w.Append(committed); err != nil {
+	l, _, _ := openT(t, fs, path, Options{Retry: retry.Policy{Attempts: 1}})
+	committed := testPayload(4)
+	if _, err := l.Append(committed); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 
-	// Tear mid-record and make truncation fail too, simulating a crash
+	// Tear mid-frame and make truncation fail too, simulating a crash
 	// before repair: the partial frame stays on disk for recovery to find.
 	tearErr := errors.New("injected tear")
 	fs.TearWritesAfter(10, tearErr)
 	failFS := &failTruncateFS{FS: fs}
-	w2, _ := openT(t, failFS, path, Options{Retry: retry.Policy{Attempts: 1}})
-	if _, err := w2.Append(testRows(2, 50)); err == nil {
+	l2, _, _ := openT(t, failFS, path, Options{Retry: retry.Policy{Attempts: 1}})
+	if _, err := l2.Append(testPayload(50)); err == nil {
 		t.Fatal("torn append reported success")
 	}
 	fs.Clear()
-	w2.Close()
+	l2.Close()
 
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w3, rec := openT(t, fs, path, Options{})
+	l3, rec, frames := openT(t, fs, path, Options{})
 	if !rec.TornTail {
 		t.Fatal("recovery missed the torn tail")
 	}
 	if rec.TornBytes != 10 {
 		t.Fatalf("TornBytes = %d, want 10", rec.TornBytes)
 	}
-	if len(rec.Batches) != 1 || !reflect.DeepEqual(rec.Batches[0].Rows, committed) {
-		t.Fatalf("recovery did not restore the committed prefix: %+v", rec.Batches)
+	if len(frames) != 1 || !bytes.Equal(frames[0].Payload, committed) {
+		t.Fatalf("recovery did not restore the committed prefix: %+v", frames)
 	}
 	st2, err := os.Stat(path)
 	if err != nil {
@@ -146,46 +170,44 @@ func TestRecoveryFaultTornTail(t *testing.T) {
 		t.Fatalf("truncation sizes: before %d after %d committed %d", st.Size(), st2.Size(), rec.CommittedBytes)
 	}
 	// The log is writable again after recovery.
-	if seq, err := w3.Append(testRows(1, 7)); err != nil || seq != 2 {
+	if seq, err := l3.Append(testPayload(7)); err != nil || seq != 2 {
 		t.Fatalf("post-recovery Append: seq %d err %v, want 2 nil", seq, err)
 	}
 }
 
 // TestAppendRetryCompletesTear: one torn write followed by healthy writes —
-// the retry must complete the record's missing suffix so the log stays
+// the retry must complete the frame's missing suffix so the log stays
 // byte-perfect.
 func TestFaultAppendRetryCompletesTear(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	fs := faultfs.NewFaulty(nil)
-	w, _ := openT(t, fs, path, Options{Retry: retry.Policy{Attempts: 3, Sleep: func(time.Duration) {}}})
-	rows := testRows(3, 0)
+	l, _, _ := openT(t, fs, path, Options{Retry: retry.Policy{Attempts: 3, Sleep: func(time.Duration) {}}})
+	p1 := testPayload(3)
 	fs.FailNextWrites(1, errors.New("transient"))
-	if _, err := w.Append(rows); err != nil {
+	if _, err := l.Append(p1); err != nil {
 		t.Fatalf("Append with transient fault: %v", err)
 	}
-	w.Close()
+	l.Close()
 
-	// Reopen through an FS that tears exactly one write mid-record: the
+	// Reopen through an FS that tears exactly one write mid-frame: the
 	// retry must resume at the torn byte, not rewrite the whole frame.
 	tfs := &tearOnceFS{FS: faultfs.OS{}, tearAt: 5}
-	w2, _ := openT(t, tfs, path, Options{Retry: retry.Policy{Attempts: 3, Sleep: func(time.Duration) {}}})
-	rows2 := testRows(2, 10)
-	if _, err := w2.Append(rows2); err != nil {
+	l2, _, _ := openT(t, tfs, path, Options{Retry: retry.Policy{Attempts: 3, Sleep: func(time.Duration) {}}})
+	p2 := testPayload(10)
+	if _, err := l2.Append(p2); err != nil {
 		t.Fatalf("Append with torn first write: %v", err)
 	}
 	if !tfs.torn {
 		t.Fatal("tear fault never fired")
 	}
-	w2.Close()
+	l2.Close()
 
-	_, rec := openT(t, nil, path, Options{})
+	_, rec, frames := openT(t, nil, path, Options{})
 	if rec.TornTail {
 		t.Fatal("retried appends left a torn tail")
 	}
-	if len(rec.Batches) != 2 ||
-		!reflect.DeepEqual(rec.Batches[0].Rows, rows) ||
-		!reflect.DeepEqual(rec.Batches[1].Rows, rows2) {
-		t.Fatalf("replay after retries: %+v", rec.Batches)
+	if len(frames) != 2 || !bytes.Equal(frames[0].Payload, p1) || !bytes.Equal(frames[1].Payload, p2) {
+		t.Fatalf("replay after retries: %+v", frames)
 	}
 }
 
@@ -233,103 +255,158 @@ func TestFaultPoisonedAfterFailedTruncate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	faulty := faultfs.NewFaulty(nil)
 	fs := &failTruncateFS{FS: faulty}
-	w, _ := openT(t, fs, path, Options{Retry: retry.Policy{Attempts: 1}})
-	if _, err := w.Append(testRows(1, 0)); err != nil {
+	l, _, _ := openT(t, fs, path, Options{Retry: retry.Policy{Attempts: 1}})
+	if _, err := l.Append(testPayload(0)); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	faulty.TearWritesAfter(3, errors.New("tear"))
-	if _, err := w.Append(testRows(1, 1)); err == nil {
+	if _, err := l.Append(testPayload(1)); err == nil {
 		t.Fatal("torn, untruncatable append reported success")
 	}
 	faulty.Clear()
-	if _, err := w.Append(testRows(1, 2)); err == nil {
+	if _, err := l.Append(testPayload(2)); err == nil {
 		t.Fatal("poisoned log accepted an append")
 	}
-	// Reopen through a healthy FS repairs the tail.
-	w.Close()
-	w2, rec := openT(t, nil, path, Options{})
-	if len(rec.Batches) != 1 || !rec.TornTail {
-		t.Fatalf("recovery after poison: %d batches, torn=%v", len(rec.Batches), rec.TornTail)
+	if err := l.CompactThrough(1); err == nil {
+		t.Fatal("poisoned log accepted a compaction")
 	}
-	if _, err := w2.Append(testRows(1, 3)); err != nil {
+	// Reopen through a healthy FS repairs the tail.
+	l.Close()
+	l2, rec, frames := openT(t, nil, path, Options{})
+	if len(frames) != 1 || !rec.TornTail {
+		t.Fatalf("recovery after poison: %d frames, torn=%v", len(frames), rec.TornTail)
+	}
+	if _, err := l2.Append(testPayload(3)); err != nil {
 		t.Fatalf("append after repair: %v", err)
 	}
 }
 
-// TestRecoveryCorruptPayload flips a byte inside a committed record: the
-// checksum must reject it and truncate from that record on.
+// TestRecoveryCorruptPayload flips a byte inside a committed frame: the
+// checksum must reject it and truncate from that frame on, and TornBytes
+// must count every byte dropped, not just the failing frame's.
 func TestRecoveryCorruptPayload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
-	w, _ := openT(t, nil, path, Options{})
-	w.Append(testRows(2, 0))
-	w.Append(testRows(2, 10))
-	w.Close()
+	l, _, _ := openT(t, nil, path, Options{})
+	for i := 0; i < 3; i++ {
+		l.Append(testPayload(i))
+	}
+	l.Close()
 
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt a payload byte of the second record. Record 1's frame length
-	// is in its first 4 bytes.
-	rec1 := recordHeaderLen + int64(uint32le(raw[0:4]))
-	raw[rec1+recordHeaderLen+2] ^= 0xFF
+	// Corrupt a payload byte of the second frame. Frame 1's length is in
+	// its first 4 bytes.
+	frame1 := headerLen + int64(binary.LittleEndian.Uint32(raw[0:4]))
+	raw[frame1+headerLen+seqLen+2] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	_, rec := openT(t, nil, path, Options{})
-	if !rec.TornTail || len(rec.Batches) != 1 || rec.Batches[0].Seq != 1 {
-		t.Fatalf("corrupt second record: torn=%v batches=%d", rec.TornTail, len(rec.Batches))
+	_, rec, frames := openT(t, nil, path, Options{})
+	if !rec.TornTail || len(frames) != 1 || frames[0].Seq != 1 {
+		t.Fatalf("corrupt second frame: torn=%v frames=%d", rec.TornTail, len(frames))
+	}
+	if rec.CommittedBytes != frame1 || rec.TornBytes != int64(len(raw))-frame1 {
+		t.Fatalf("committed %d torn %d, want %d and %d", rec.CommittedBytes, rec.TornBytes, frame1, int64(len(raw))-frame1)
 	}
 }
 
-// TestRecoverySeqChainBreak: a record whose sequence number skips ahead is
+// TestRecoverySeqChainBreak: a frame whose sequence number skips ahead is
 // rejected even though its checksum is valid — logs cannot replay out of
 // order.
 func TestRecoverySeqChainBreak(t *testing.T) {
 	dir := t.TempDir()
-	a := filepath.Join(dir, "a.wal")
 	b := filepath.Join(dir, "b.wal")
-	wa, _ := openT(t, nil, a, Options{})
-	wa.Append(testRows(1, 0))
-	wa.Close()
-	wb, _ := openT(t, nil, b, Options{})
-	wb.Append(testRows(1, 0))
-	wb.Append(testRows(1, 1))
-	wb.Close()
-	// Splice b's second record (seq 2) after nothing: seq chain 2 ≠ 1.
+	lb, _, _ := openT(t, nil, b, Options{})
+	lb.Append(testPayload(0))
+	lb.Append(testPayload(1))
+	lb.Close()
+	// Splice b's second frame (seq 2) after nothing: seq chain 2 ≠ 1.
 	rawB, _ := os.ReadFile(b)
-	recB1 := recordHeaderLen + int64(uint32le(rawB[0:4]))
+	frameB1 := headerLen + int64(binary.LittleEndian.Uint32(rawB[0:4]))
 	spliced := filepath.Join(dir, "s.wal")
-	if err := os.WriteFile(spliced, rawB[recB1:], 0o644); err != nil {
+	if err := os.WriteFile(spliced, rawB[frameB1:], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := openT(t, nil, spliced, Options{})
-	if !rec.TornTail || len(rec.Batches) != 0 {
-		t.Fatalf("out-of-order record accepted: torn=%v batches=%d", rec.TornTail, len(rec.Batches))
+	_, rec, frames := openT(t, nil, spliced, Options{})
+	if !rec.TornTail || len(frames) != 0 {
+		t.Fatalf("out-of-order frame accepted: torn=%v frames=%d", rec.TornTail, len(frames))
+	}
+}
+
+// TestScanIsReadOnly: Scan reports a torn tail but leaves the file alone;
+// only Open repairs.
+func TestScanIsReadOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	l, _, _ := openT(t, nil, path, Options{})
+	l.Append(testPayload(0))
+	l.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte("garbage"))
+	f.Close()
+	before, _ := os.ReadFile(path)
+
+	n := 0
+	rec, err := Scan(nil, path, 0, func(uint64, []byte) error { n++; return nil })
+	if err != nil || n != 1 || !rec.TornTail || rec.TornBytes != 7 {
+		t.Fatalf("Scan: %d frames, %+v, %v", n, rec, err)
+	}
+	after, _ := os.ReadFile(path)
+	if !bytes.Equal(before, after) {
+		t.Fatal("Scan modified the log")
+	}
+}
+
+// TestReplayErrorAbortsOpen: an error from the replay function fails Open
+// and leaves the log, torn tail included, exactly as it was.
+func TestReplayErrorAbortsOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	l, _, _ := openT(t, nil, path, Options{})
+	l.Append(testPayload(0))
+	l.Append(testPayload(1))
+	l.Close()
+	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f.Write([]byte{1, 2, 3})
+	f.Close()
+	before, _ := os.ReadFile(path)
+
+	bad := errors.New("undecodable")
+	_, _, err := Open(nil, path, Options{}, func(seq uint64, _ []byte) error {
+		if seq == 2 {
+			return bad
+		}
+		return nil
+	})
+	if !errors.Is(err, bad) {
+		t.Fatalf("Open err = %v, want the replay error", err)
+	}
+	after, _ := os.ReadFile(path)
+	if !bytes.Equal(before, after) {
+		t.Fatal("failed Open modified the log")
 	}
 }
 
 func TestSyncEveryBatchesFsync(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	fs := &countingFS{FS: faultfs.OS{}}
-	w, _ := openT(t, fs, path, Options{SyncEvery: 3})
+	l, _, _ := openT(t, fs, path, Options{SyncEvery: 3})
 	for i := 0; i < 7; i++ {
-		if _, err := w.Append(testRows(1, i)); err != nil {
+		if _, err := l.Append(testPayload(i)); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
-	if got := fs.syncs.count(); got != 2 { // after batches 3 and 6
+	if got := fs.syncs.count(); got != 2 { // after frames 3 and 6
 		t.Fatalf("fsyncs after 7 appends with SyncEvery=3: %d, want 2", got)
 	}
-	w.Close() // final sync
+	l.Close() // final sync
 	if got := fs.syncs.count(); got != 3 {
 		t.Fatalf("fsyncs after Close: %d, want 3", got)
 	}
-}
-
-func uint32le(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 type syncCounter struct {
@@ -381,43 +458,43 @@ func (c *countingFile) Sync() error {
 }
 
 // TestSkipThroughRecovery: recovery with SkipThrough validates every frame
-// but drops the already-covered prefix from Batches, and LastSeq never
-// goes below SkipThrough even when the log holds nothing past it.
+// but does not replay the already-covered prefix, and LastSeq never goes
+// below SkipThrough even when the log holds nothing past it.
 func TestSkipThroughRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
-	w, _ := openT(t, nil, path, Options{})
+	l, _, _ := openT(t, nil, path, Options{})
 	for i := 0; i < 5; i++ {
-		if _, err := w.Append(testRows(2, i*10)); err != nil {
+		if _, err := l.Append(testPayload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w.Close()
+	l.Close()
 
-	w2, rec := openT(t, nil, path, Options{SkipThrough: 3})
-	if rec.SkippedFrames != 3 || len(rec.Batches) != 2 || rec.LastSeq != 5 || rec.TornTail {
-		t.Fatalf("skip 3: %d skipped, %d batches, seq %d, torn %v",
-			rec.SkippedFrames, len(rec.Batches), rec.LastSeq, rec.TornTail)
+	l2, rec, frames := openT(t, nil, path, Options{SkipThrough: 3})
+	if rec.SkippedFrames != 3 || len(frames) != 2 || rec.LastSeq != 5 || rec.TornTail {
+		t.Fatalf("skip 3: %d skipped, %d frames, seq %d, torn %v",
+			rec.SkippedFrames, len(frames), rec.LastSeq, rec.TornTail)
 	}
-	if rec.Batches[0].Seq != 4 || rec.Batches[1].Seq != 5 {
-		t.Fatalf("surviving batch seqs: %d, %d", rec.Batches[0].Seq, rec.Batches[1].Seq)
+	if frames[0].Seq != 4 || frames[1].Seq != 5 {
+		t.Fatalf("surviving frame seqs: %d, %d", frames[0].Seq, frames[1].Seq)
 	}
-	w2.Close()
+	l2.Close()
 
-	// Everything covered: no batches, but the seq counter holds.
-	w3, rec := openT(t, nil, path, Options{SkipThrough: 5})
-	if rec.SkippedFrames != 5 || len(rec.Batches) != 0 || rec.LastSeq != 5 {
-		t.Fatalf("skip 5: %d skipped, %d batches, seq %d",
-			rec.SkippedFrames, len(rec.Batches), rec.LastSeq)
+	// Everything covered: no frames, but the seq counter holds.
+	l3, rec, frames := openT(t, nil, path, Options{SkipThrough: 5})
+	if rec.SkippedFrames != 5 || len(frames) != 0 || rec.LastSeq != 5 {
+		t.Fatalf("skip 5: %d skipped, %d frames, seq %d",
+			rec.SkippedFrames, len(frames), rec.LastSeq)
 	}
-	w3.Close()
+	l3.Close()
 
 	// SkipThrough beyond the log: LastSeq = SkipThrough, appends continue
 	// from there (the external snapshot is ahead of this log).
-	w4, rec := openT(t, nil, path, Options{SkipThrough: 7})
-	if rec.LastSeq != 7 || len(rec.Batches) != 0 {
-		t.Fatalf("skip 7: %d batches, seq %d", len(rec.Batches), rec.LastSeq)
+	l4, rec, frames := openT(t, nil, path, Options{SkipThrough: 7})
+	if rec.LastSeq != 7 || len(frames) != 0 {
+		t.Fatalf("skip 7: %d frames, seq %d", len(frames), rec.LastSeq)
 	}
-	if seq, err := w4.Append(testRows(1, 0)); err != nil || seq != 8 {
+	if seq, err := l4.Append(testPayload(0)); err != nil || seq != 8 {
 		t.Fatalf("append after skip-beyond: seq %d err %v", seq, err)
 	}
 }
@@ -427,33 +504,33 @@ func TestSkipThroughRecovery(t *testing.T) {
 // the matching SkipThrough sees only later frames.
 func TestCompactThroughTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
-	w, _ := openT(t, nil, path, Options{})
+	l, _, _ := openT(t, nil, path, Options{})
 	for i := 0; i < 3; i++ {
-		if _, err := w.Append(testRows(2, i*10)); err != nil {
+		if _, err := l.Append(testPayload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if w.Bytes() == 0 {
+	if l.Bytes() == 0 {
 		t.Fatal("Bytes() = 0 after appends")
 	}
-	if err := w.CompactThrough(3); err != nil {
+	if err := l.CompactThrough(3); err != nil {
 		t.Fatal(err)
 	}
-	if w.Bytes() != 0 {
-		t.Fatalf("Bytes() = %d after full compaction, want 0", w.Bytes())
+	if l.Bytes() != 0 {
+		t.Fatalf("Bytes() = %d after full compaction, want 0", l.Bytes())
 	}
-	rows := testRows(2, 100)
-	if seq, err := w.Append(rows); err != nil || seq != 4 {
+	p := testPayload(100)
+	if seq, err := l.Append(p); err != nil || seq != 4 {
 		t.Fatalf("append after compaction: seq %d err %v", seq, err)
 	}
-	w.Close()
+	l.Close()
 
-	_, rec := openT(t, nil, path, Options{SkipThrough: 3})
-	if len(rec.Batches) != 1 || rec.Batches[0].Seq != 4 || rec.LastSeq != 4 || rec.SkippedFrames != 0 {
-		t.Fatalf("recovery after tail compaction: %+v", rec)
+	_, rec, frames := openT(t, nil, path, Options{SkipThrough: 3})
+	if len(frames) != 1 || frames[0].Seq != 4 || rec.LastSeq != 4 || rec.SkippedFrames != 0 {
+		t.Fatalf("recovery after tail compaction: %+v, %d frames", rec, len(frames))
 	}
-	if !reflect.DeepEqual(rec.Batches[0].Rows, rows) {
-		t.Fatal("surviving batch rows differ")
+	if !bytes.Equal(frames[0].Payload, p) {
+		t.Fatal("surviving frame payload differs")
 	}
 }
 
@@ -462,39 +539,40 @@ func TestCompactThroughTail(t *testing.T) {
 // continue on the rewritten file.
 func TestCompactThroughPartial(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
-	w, _ := openT(t, nil, path, Options{})
-	var kept [][][]dataset.Value
+	l, _, _ := openT(t, nil, path, Options{})
+	var kept []frame
 	for i := 0; i < 5; i++ {
-		rows := testRows(2+i, i*10)
-		if _, err := w.Append(rows); err != nil {
+		seq, err := l.Append(testPayload(i))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if i >= 2 {
-			kept = append(kept, rows)
+			kept = append(kept, frame{seq, testPayload(i)})
 		}
 	}
-	before := w.Bytes()
-	if err := w.CompactThrough(2); err != nil {
+	before := l.Bytes()
+	if err := l.CompactThrough(2); err != nil {
 		t.Fatal(err)
 	}
-	if after := w.Bytes(); after == 0 || after >= before {
+	if after := l.Bytes(); after == 0 || after >= before {
 		t.Fatalf("Bytes() = %d after partial compaction, want in (0, %d)", after, before)
 	}
-	last := testRows(1, 900)
-	if seq, err := w.Append(last); err != nil || seq != 6 {
+	seq, err := l.Append(testPayload(900))
+	if err != nil || seq != 6 {
 		t.Fatalf("append after compaction: seq %d err %v", seq, err)
 	}
-	kept = append(kept, last)
-	w.Close()
+	kept = append(kept, frame{seq, testPayload(900)})
+	l.Close()
 
-	_, rec := openT(t, nil, path, Options{SkipThrough: 2})
-	if len(rec.Batches) != 4 || rec.LastSeq != 6 || rec.SkippedFrames != 0 || rec.TornTail {
+	_, rec, frames := openT(t, nil, path, Options{SkipThrough: 2})
+	if rec.LastSeq != 6 || rec.SkippedFrames != 0 || rec.TornTail {
 		t.Fatalf("recovery after partial compaction: %+v", rec)
 	}
-	for i, b := range rec.Batches {
-		if b.Seq != uint64(i+3) || !reflect.DeepEqual(b.Rows, kept[i]) {
-			t.Fatalf("batch %d: seq %d, rows equal %v", i, b.Seq, reflect.DeepEqual(b.Rows, kept[i]))
-		}
+	if !reflect.DeepEqual(frames, kept) {
+		t.Fatalf("kept frames differ:\n got %+v\nwant %+v", frames, kept)
+	}
+	if dir, _ := os.ReadDir(filepath.Dir(path)); len(dir) != 1 {
+		t.Fatalf("compaction left %d files behind, want only the log", len(dir))
 	}
 }
 
@@ -503,20 +581,60 @@ func TestCompactThroughPartial(t *testing.T) {
 // indistinguishable from corruption and reported as a torn tail.
 func TestCompactedLogNeedsSkipThrough(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
-	w, _ := openT(t, nil, path, Options{})
+	l, _, _ := openT(t, nil, path, Options{})
 	for i := 0; i < 4; i++ {
-		if _, err := w.Append(testRows(2, i*10)); err != nil {
+		if _, err := l.Append(testPayload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.CompactThrough(2); err != nil {
+	if err := l.CompactThrough(2); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
+	l.Close()
 
-	_, rec := openT(t, nil, path, Options{})
-	if !rec.TornTail || len(rec.Batches) != 0 {
-		t.Fatalf("mid-chain log without SkipThrough: torn %v, %d batches",
-			rec.TornTail, len(rec.Batches))
+	_, rec, frames := openT(t, nil, path, Options{})
+	if !rec.TornTail || len(frames) != 0 {
+		t.Fatalf("mid-chain log without SkipThrough: torn %v, %d frames",
+			rec.TornTail, len(frames))
 	}
+}
+
+// FuzzFrameRecovery opens arbitrary file bytes as a log. It must never
+// panic; the frames it recovers must re-encode to the end of the committed
+// prefix (skipped frames precede them), the file must be cut to exactly
+// that prefix, and a second open must find nothing left to repair.
+func FuzzFrameRecovery(f *testing.F) {
+	var valid []frame
+	for i := 0; i < 4; i++ {
+		valid = append(valid, frame{uint64(i + 1), testPayload(i)})
+	}
+	img := encodeFrames(valid)
+	f.Add(img, uint8(0))
+	f.Add(img, uint8(2))
+	f.Add(img[:len(img)-3], uint8(0))
+	f.Add(append(bytes.Clone(img), "torn"...), uint8(1))
+	f.Add([]byte(`{"op":"create","session":"s1"}`+"\n"), uint8(0))
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, skip uint8) {
+		path := filepath.Join(t.TempDir(), "f.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, rec, frames := openT(t, nil, path, Options{SkipThrough: uint64(skip)})
+		l.Close()
+		if rec.CommittedBytes+rec.TornBytes != int64(len(data)) || rec.TornTail != (rec.TornBytes > 0) {
+			t.Fatalf("committed %d + torn %d != %d bytes", rec.CommittedBytes, rec.TornBytes, len(data))
+		}
+		enc := encodeFrames(frames)
+		if int64(len(enc)) > rec.CommittedBytes || !bytes.Equal(enc, data[rec.CommittedBytes-int64(len(enc)):rec.CommittedBytes]) {
+			t.Fatal("recovered frames do not re-encode to the committed prefix")
+		}
+		if st, err := os.Stat(path); err != nil || st.Size() != rec.CommittedBytes {
+			t.Fatalf("file not cut to the committed prefix: %v", err)
+		}
+		_, rec2, frames2 := openT(t, nil, path, Options{SkipThrough: uint64(skip)})
+		if rec2.TornTail || rec2.CommittedBytes != rec.CommittedBytes || !reflect.DeepEqual(frames2, frames) {
+			t.Fatalf("second open was not a no-op: %+v vs %+v", rec2, rec)
+		}
+	})
 }

@@ -10,7 +10,6 @@ import (
 	"viewseeker/internal/sql"
 	"viewseeker/internal/store"
 	"viewseeker/internal/view"
-	"viewseeker/internal/wal"
 )
 
 // LiveTable is a WAL-backed appendable table: a base snapshot plus a
@@ -22,7 +21,7 @@ type LiveTable = live.Table
 // found: the last committed sequence, whether a torn tail from a crash
 // mid-append was truncated, and how many already-checkpointed frames were
 // skipped.
-type LiveRecovery = wal.Recovery
+type LiveRecovery = live.Recovery
 
 // LiveOptions configures a live table: WAL fsync batching, append retry
 // policy, and the auto-checkpoint threshold (see live.Options).
