@@ -12,7 +12,8 @@
 // serves Prometheus-format metrics and GET /debug/vars the same registry
 // as JSON plus recent phase traces; -pprof additionally mounts the
 // net/http/pprof profiling handlers under /debug/pprof/, and -trace-log
-// streams every completed root span as one JSON line to a file.
+// streams every completed root span as one JSON line to a file, starting
+// with one boot.load span per CSV table loaded at boot.
 //
 // With -wal-dir every table is hosted live: POST /api/tables/{name}/append
 // durably grows it through a write-ahead log, sessions in flight keep the
@@ -48,6 +49,7 @@ import (
 
 	"viewseeker"
 	"viewseeker/internal/dataset"
+	"viewseeker/internal/obs"
 	"viewseeker/internal/server"
 	"viewseeker/internal/store"
 )
@@ -68,6 +70,18 @@ func main() {
 		sessBudget = flag.Int64("session-budget-bytes", 0, "memory budget across all interactive sessions: over it, the coldest idle sessions are evicted and rebuilt transparently from the journal on their next touch; when even eviction cannot make room the server sheds with 429 + Retry-After (0 = unbudgeted; see the Scaling section of README.md for sizing)")
 	)
 	flag.Parse()
+	// The tracer and its -trace-log sink come first, so the boot's table
+	// loads are traced too.
+	tracer := obs.NewTracer(0)
+	if *traceLog != "" {
+		f, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "serve: opening trace log:", err)
+			os.Exit(1)
+		}
+		defer f.Close()
+		tracer.SetSink(f)
+	}
 	var tables []*viewseeker.Table
 	switch *gen {
 	case "none", "":
@@ -87,12 +101,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "serve: argument %q is not name=path.csv\n", arg)
 			os.Exit(1)
 		}
-		t, err := viewseeker.LoadCSV(path)
+		t, err := loadTable(tracer, name, path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "serve:", err)
 			os.Exit(1)
 		}
-		t.Name = name
 		if len(t.Schema.Dimensions()) == 0 || len(t.Schema.Measures()) == 0 {
 			fmt.Fprintf(os.Stderr, "serve: table %q has no roles; ship a .schema.json sidecar (cmd/datagen writes one)\n", name)
 			os.Exit(1)
@@ -104,7 +117,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := server.Options{SessionBudgetBytes: *sessBudget}
+	opts := server.Options{SessionBudgetBytes: *sessBudget, Tracer: tracer}
 	var journal *store.Journal
 	if *cacheDir != "" {
 		cache, err := store.Open(*cacheDir, 0)
@@ -155,15 +168,6 @@ func main() {
 			}
 			srv.HostLive(lt, rec)
 		}
-	}
-	if *traceLog != "" {
-		f, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "serve: opening trace log:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		srv.Tracer().SetSink(f)
 	}
 	if journal != nil {
 		recs, err := store.ReadJournal(journal.Path())
@@ -270,4 +274,25 @@ func main() {
 		}
 		fmt.Println("serve: session journal flushed")
 	}
+}
+
+// loadTable loads one name=path.csv argument under a boot.load span
+// (attributes: table, rows, bytes), so a trace shows what the boot spent
+// on each table, and prints the load's duration.
+func loadTable(tracer *obs.Tracer, name, path string) (*viewseeker.Table, error) {
+	_, sp := obs.StartSpan(obs.NewContext(context.Background(), nil, tracer), "boot.load")
+	defer sp.End()
+	sp.SetAttr("table", name)
+	if fi, err := os.Stat(path); err == nil {
+		sp.SetAttr("bytes", fi.Size())
+	}
+	start := time.Now()
+	t, err := viewseeker.LoadCSV(path)
+	if err != nil {
+		return nil, err
+	}
+	t.Name = name
+	sp.SetAttr("rows", t.NumRows())
+	fmt.Printf("Loaded %q (%d rows) in %s\n", name, t.NumRows(), time.Since(start).Round(time.Millisecond))
+	return t, nil
 }

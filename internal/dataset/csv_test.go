@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -124,5 +125,88 @@ func TestReadCSVMixedIntFloatColumn(t *testing.T) {
 	}
 	if got := tab.Column("v").Ints[1]; got != 2 {
 		t.Errorf("coerced value = %d, want truncated 2", got)
+	}
+}
+
+func TestReadCSVWithSchemaWholeFloat(t *testing.T) {
+	// A float column whose first value is whole is written as "2"; the
+	// sidecar's kind must win over the int that inference alone gives it.
+	tab := NewTable("t", MustSchema(
+		ColumnDef{Name: "cat", Kind: KindString, Role: RoleDimension},
+		ColumnDef{Name: "m", Kind: KindFloat, Role: RoleMeasure}))
+	tab.MustAppendRow(StringVal("a"), Float(2))
+	tab.MustAppendRow(StringVal("b"), Float(2.5))
+	path := filepath.Join(t.TempDir(), "t.csv")
+	if err := WriteCSVWithSchema(tab, path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadCSVWithSchema(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := back.Column("m")
+	if m.Def != tab.Column("m").Def || len(m.Floats) != 2 || m.Floats[0] != 2 || m.Floats[1] != 2.5 {
+		t.Errorf("m = %v %v, want float measure [2 2.5]", m.Def, m.Floats)
+	}
+}
+
+func TestReadCSVWithSchemaKindMismatch(t *testing.T) {
+	// Every other disagreement between the first cell and the sidecar is
+	// still an error.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.csv")
+	if err := os.WriteFile(path, []byte("m\n2.5\n2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sidecar := `{"version":1,"table":"t","columns":[{"name":"m","kind":"int","role":"measure"}]}`
+	if err := os.WriteFile(filepath.Join(dir, "t.schema.json"), []byte(sidecar), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadCSVWithSchema(path)
+	if want := `dataset: column "m" is float in the data but int in the sidecar`; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %s", err, want)
+	}
+}
+
+func TestReadCSVRaggedRowPosition(t *testing.T) {
+	// The second record spans lines 3-4 (a quoted newline), so the ragged
+	// third record sits on line 5.
+	_, err := ReadCSV("t", strings.NewReader("a,b\n1,2\n\"x\ny\",3\n4\n"))
+	if want := "dataset: csv row 3 (line 5) has 1 fields, header has 2"; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %s", err, want)
+	}
+}
+
+func TestReadCSVAllocsPerRow(t *testing.T) {
+	// Each record costs csv.Reader's one string; the typed columns grow by
+	// doubling and the parse blocks are reused, so an all-numeric table
+	// stays within two mallocs per row (the boxed loader took ~32).
+	const rows = 20_000
+	var buf bytes.Buffer
+	if err := WriteCSV(GenerateSYN(SYNConfig{Rows: rows, Seed: 1}), &buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := ReadCSV("syn", bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRow := allocs / rows; perRow > 2 {
+		t.Errorf("%.2f mallocs per row, want at most 2", perRow)
+	}
+}
+
+// BenchmarkLoadCSV loads SYN 200k with its sidecar, the way LoadCSV does.
+func BenchmarkLoadCSV(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "syn.csv")
+	if err := WriteCSVWithSchema(GenerateSYN(SYNConfig{Rows: 200_000, Seed: 1}), path); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadCSVWithSchema(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

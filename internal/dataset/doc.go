@@ -18,6 +18,17 @@
 // the kind's zero value, as Append stores them); Table.Subset and the SQL
 // executor's pass-through projections are built from it.
 //
+// CSV loading (DESIGN.md §17): ReadCSV, ReadCSVFile and
+// ReadCSVWithSchema share one streaming loader. A .schema.json sidecar is
+// read before the data and its kinds define the columns it names; only
+// the other columns are inferred from their first non-empty cell. Cells
+// are parsed straight into the typed slices, in column-parallel blocks,
+// with a fallback to coerceCell + Column.Append whenever the direct parse
+// would differ, so tables, coercions and errors (and their order) are
+// those of the boxed row-at-a-time loader the tests keep as an oracle.
+// The one difference: a column the sidecar calls float accepts a whole
+// first cell, so a float column that WriteCSV wrote as "2" round-trips.
+//
 // Bit-identity: the numeric view yields exactly the values the
 // row-at-a-time accessors yield, in the same row order, so scan kernels
 // built on either surface agree bit for bit. Generators are seeded and

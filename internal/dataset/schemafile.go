@@ -42,22 +42,65 @@ func WriteSchema(t *Table, w io.Writer) error {
 // freshly loaded table. Kinds are verified, not coerced: a mismatch means
 // the CSV and sidecar have drifted apart and is reported as an error.
 func ApplySchema(t *Table, r io.Reader) error {
+	sf, err := decodeSchemaFile(r)
+	if err != nil {
+		return err
+	}
+	return sf.apply(t, nil)
+}
+
+func decodeSchemaFile(r io.Reader) (*schemaFile, error) {
 	var sf schemaFile
 	if err := json.NewDecoder(r).Decode(&sf); err != nil {
-		return fmt.Errorf("dataset: decoding schema sidecar: %w", err)
+		return nil, fmt.Errorf("dataset: decoding schema sidecar: %w", err)
 	}
 	if sf.Version != schemaFileVersion {
-		return fmt.Errorf("dataset: schema sidecar version %d, want %d", sf.Version, schemaFileVersion)
+		return nil, fmt.Errorf("dataset: schema sidecar version %d, want %d", sf.Version, schemaFileVersion)
 	}
+	return &sf, nil
+}
+
+// kinds maps each column the sidecar names to the kind it gives it,
+// KindNull for a kind this version does not know (the sidecar check
+// rejects that once the data is loaded). A nil sidecar names none.
+func (sf *schemaFile) kinds() map[string]Kind {
+	if sf == nil {
+		return nil
+	}
+	m := make(map[string]Kind, len(sf.Columns))
+	for _, col := range sf.Columns {
+		if _, dup := m[col.Name]; dup {
+			continue
+		}
+		m[col.Name] = KindNull
+		for k := KindInt; k <= KindBool; k++ {
+			if k.String() == col.Kind {
+				m[col.Name] = k
+			}
+		}
+	}
+	return m
+}
+
+// apply checks the sidecar's columns and kinds against t, column by
+// column in sidecar order, then applies its roles and name. kinds, when
+// not nil, holds per table column the kind to check instead of the
+// column's own (the loader checks an all-empty column as string, the kind
+// inference gives it).
+func (sf *schemaFile) apply(t *Table, kinds []Kind) error {
 	var dims, measures []string
 	for _, col := range sf.Columns {
-		def, ok := t.Schema.Def(col.Name)
-		if !ok {
+		i := t.Schema.Index(col.Name)
+		if i < 0 {
 			return fmt.Errorf("dataset: sidecar column %q not in table", col.Name)
 		}
-		if def.Kind.String() != col.Kind {
+		kind := t.Schema.Columns[i].Kind
+		if kinds != nil {
+			kind = kinds[i]
+		}
+		if kind.String() != col.Kind {
 			return fmt.Errorf("dataset: column %q is %s in the data but %s in the sidecar",
-				col.Name, def.Kind, col.Kind)
+				col.Name, kind, col.Kind)
 		}
 		switch col.Role {
 		case "dimension":
@@ -94,24 +137,24 @@ func WriteCSVWithSchema(t *Table, csvPath string) error {
 	return WriteSchema(t, f)
 }
 
-// ReadCSVWithSchema loads a CSV and, when a .schema.json sidecar exists
-// next to it, applies the saved roles. Without a sidecar it behaves like
-// ReadCSVFile.
+// ReadCSVWithSchema loads a CSV with the .schema.json sidecar next to it,
+// when one exists: the sidecar is read first, its kinds define the columns
+// it names and its roles and name are applied to the table. A column the
+// sidecar calls float may begin with a whole number, which inference alone
+// would make an int column; every other disagreement between the sidecar
+// and the data is an error. Without a sidecar it behaves like ReadCSVFile.
 func ReadCSVWithSchema(csvPath string) (*Table, error) {
-	t, err := ReadCSVFile(csvPath)
-	if err != nil {
-		return nil, err
-	}
 	f, err := os.Open(schemaPathFor(csvPath))
 	if os.IsNotExist(err) {
-		return t, nil
+		return ReadCSVFile(csvPath)
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	if err := ApplySchema(t, f); err != nil {
+	sf, err := decodeSchemaFile(f)
+	f.Close()
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return readCSVFile(csvPath, sf)
 }

@@ -233,6 +233,27 @@ func TestTracerSinkJSONL(t *testing.T) {
 	}
 }
 
+// TestSpanAttrs: attributes ride the span into the sink's JSON line, and
+// setting one on the nil span is a no-op.
+func TestSpanAttrs(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(0)
+	tr.SetSink(&buf)
+	_, sp := StartSpan(NewContext(context.Background(), nil, tr), "boot.load")
+	sp.SetAttr("table", "syn")
+	sp.SetAttr("rows", 3)
+	sp.End()
+	var d SpanData
+	if err := json.Unmarshal(buf.Bytes(), &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Attrs["table"] != "syn" || d.Attrs["rows"] != float64(3) {
+		t.Errorf("attrs = %v", d.Attrs)
+	}
+	var nilSpan *Span
+	nilSpan.SetAttr("table", "syn")
+}
+
 // TestDisabledPathAllocs pins the whole disabled surface at 0 allocs/op:
 // nil handles, nil-registry lookups, and StartSpan over a context with no
 // tracer. This is the zero-cost-when-disabled contract of DESIGN.md §11.

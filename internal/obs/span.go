@@ -8,14 +8,15 @@ import (
 )
 
 // SpanData is one finished span: a named phase, its wall-clock start, its
-// monotonic duration, and the child phases that ran inside it. It is the
-// unit stored in the tracer ring and emitted as one JSON line per root
-// span by the trace-log sink.
+// monotonic duration, the attributes set on it, and the child phases that
+// ran inside it. It is the unit stored in the tracer ring and emitted as
+// one JSON line per root span by the trace-log sink.
 type SpanData struct {
-	Name     string      `json:"name"`
-	Start    time.Time   `json:"start"`
-	Duration int64       `json:"duration_ns"`
-	Children []*SpanData `json:"children,omitempty"`
+	Name     string         `json:"name"`
+	Start    time.Time      `json:"start"`
+	Duration int64          `json:"duration_ns"`
+	Attrs    map[string]any `json:"attrs,omitempty"`
+	Children []*SpanData    `json:"children,omitempty"`
 }
 
 // Span is one in-flight phase measurement. Spans come only from StartSpan;
@@ -30,6 +31,19 @@ type Span struct {
 	start  time.Time // carries the monotonic reading
 
 	mu sync.Mutex // guards data.Children while children attach
+}
+
+// SetAttr records an attribute of the span (a table name, a row count),
+// emitted with it. Call it before End, from the goroutine that owns the
+// span. Nil-safe.
+func (s *Span) SetAttr(key string, v any) {
+	if s == nil {
+		return
+	}
+	if s.data.Attrs == nil {
+		s.data.Attrs = make(map[string]any)
+	}
+	s.data.Attrs[key] = v
 }
 
 // End stamps the span's duration from the monotonic clock and attaches it
