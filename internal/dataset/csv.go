@@ -41,8 +41,9 @@ func csvBlockRows(width int) int { return max(1, csvBlockCells/width) }
 // block while another parses the current one, one column per work item,
 // straight into the typed slices. Tables, cell errors and their order are
 // those of the boxed row-at-a-time loader this replaced, which the tests
-// keep as an oracle; the one deliberate difference is that a column the
-// sidecar calls float accepts a whole first cell.
+// keep as an oracle, with two deliberate differences: a column the
+// sidecar calls float accepts a whole first cell, and a column with no
+// non-empty cell takes the sidecar's kind instead of string.
 func readCSV(name string, r io.Reader, sf *schemaFile) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -71,23 +72,20 @@ func readCSV(name string, r io.Reader, sf *schemaFile) (*Table, error) {
 	if err := src.parse(cols); err != nil {
 		return nil, err
 	}
-	// A column the parse retyped carries its data's kind now.
+	// A column the parse retyped carries its data's kind now; a column
+	// with no non-empty cell keeps the kind it started with, the
+	// sidecar's when it names one.
 	final := make([]*Column, len(cols))
-	checked := make([]Kind, len(cols))
 	for j, col := range cols {
 		final[j] = col.c
 		defs[j] = col.c.Def
-		checked[j] = col.c.Def.Kind
-		if !col.seen {
-			checked[j] = KindString // what inference makes of an all-empty column
-		}
 	}
 	t, err := FromColumns(name, MustSchema(defs...), final)
 	if err != nil {
 		return nil, err
 	}
 	if sf != nil {
-		if err := sf.apply(t, checked); err != nil {
+		if err := sf.apply(t); err != nil {
 			return nil, err
 		}
 	}

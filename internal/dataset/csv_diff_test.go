@@ -24,16 +24,19 @@ import (
 // loads a table, the loader's is identical cell for cell, bitmap for
 // bitmap and by content hash; wherever the oracle fails, the loader fails
 // at the same data row and column (or with the same message, for failures
-// that name no row). The one deliberate difference is a column the sidecar calls
-// float whose first non-empty cell is whole: the oracle infers int and
-// rejects the sidecar, the loader loads a float column, which is checked
-// against dataset.WholeFloatReference instead.
+// that name no row). The deliberate differences are two columns whose
+// sidecar kind the oracle rejects and the loader takes: a column the
+// sidecar calls float whose first non-empty cell is whole (the oracle
+// infers int), and a column with no non-empty cell that the sidecar gives
+// any kind (the oracle infers string). Wherever the oracle fails a sidecar
+// kind check, the loader is checked against dataset.SidecarReference
+// instead, which departs from the oracle in exactly those two cases.
 
 var (
-	rowErr        = regexp.MustCompile(`csv row (\d+)[: ]`)
-	raggedErr     = regexp.MustCompile(`has \d+ fields, header has \d+$`)
-	wholeFloatErr = regexp.MustCompile(`is int in the data but float in the sidecar$`)
-	errColumn     = regexp.MustCompile(`column "[^"]*"$`)
+	rowErr     = regexp.MustCompile(`csv row (\d+)[: ]`)
+	raggedErr  = regexp.MustCompile(`has \d+ fields, header has \d+$`)
+	sidecarErr = regexp.MustCompile(`in the data but \w+ in the sidecar$`)
+	errColumn  = regexp.MustCompile(`column "[^"]*"$`)
 )
 
 // oracleLoad is the old loading path: the oracle, then ApplySchema.
@@ -53,8 +56,8 @@ func oracleLoad(text, sidecar string) (*dataset.Table, error) {
 func diffLoad(text, sidecar string) error {
 	got, gerr := dataset.ReadCSVSidecar("t", strings.NewReader(text), sidecar)
 	want, werr := oracleLoad(text, sidecar)
-	if werr != nil && wholeFloatErr.MatchString(werr.Error()) {
-		want, werr = dataset.WholeFloatReference(text, sidecar)
+	if werr != nil && sidecarErr.MatchString(werr.Error()) {
+		want, werr = dataset.SidecarReference(text, sidecar)
 	}
 	switch {
 	case werr == nil && gerr == nil:

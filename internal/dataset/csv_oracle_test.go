@@ -61,13 +61,15 @@ func oracleReadCSV(name string, r io.Reader) (*Table, error) {
 	return t, nil
 }
 
-// wholeFloatReference is the reference where the oracle fails only
-// because a column the sidecar calls float begins with a whole number —
-// the one place the typed loader departs from the oracle on purpose. It
-// is the oracle's parse with those columns stored as float, then the
-// sidecar applied. The caller has seen the oracle read every record, so
-// records here are well-formed.
-func wholeFloatReference(text, sidecar string) (*Table, error) {
+// sidecarReference is the reference where the oracle fails only at a
+// sidecar kind check the typed loader passes on purpose: a column the
+// sidecar calls float that begins with a whole number, and a column with
+// no non-empty cell (every column of an empty table) that the sidecar
+// gives a kind. It is the oracle's parse with those columns stored in the
+// sidecar's kind, then the sidecar applied; where neither case applies
+// it fails as the oracle does. The caller has seen the oracle read every
+// record, so records here are well-formed.
+func sidecarReference(text, sidecar string) (*Table, error) {
 	sf, err := decodeSchemaFile(strings.NewReader(sidecar))
 	if err != nil {
 		return nil, err
@@ -82,15 +84,20 @@ func wholeFloatReference(text, sidecar string) (*Table, error) {
 	sidecarKinds := sf.kinds()
 	defs := make([]ColumnDef, len(header))
 	for j, h := range header {
-		defs[j] = ColumnDef{Name: strings.TrimSpace(h), Kind: KindString}
+		defs[j] = ColumnDef{Name: strings.TrimSpace(h), Kind: KindNull}
 		for _, row := range rows {
 			if row[j] != "" {
 				defs[j].Kind = ParseValue(row[j]).Kind
 				break
 			}
 		}
-		if defs[j].Kind == KindInt && sidecarKinds[defs[j].Name] == KindFloat {
+		switch sk := sidecarKinds[defs[j].Name]; {
+		case defs[j].Kind == KindInt && sk == KindFloat:
 			defs[j].Kind = KindFloat
+		case defs[j].Kind == KindNull && sk != KindNull:
+			defs[j].Kind = sk
+		case defs[j].Kind == KindNull:
+			defs[j].Kind = KindString
 		}
 	}
 	t := NewTable("t", MustSchema(defs...))
@@ -103,7 +110,7 @@ func wholeFloatReference(text, sidecar string) (*Table, error) {
 			return nil, fmt.Errorf("dataset: csv row %d: %w", i+1, err)
 		}
 	}
-	if err := sf.apply(t, nil); err != nil {
+	if err := sf.apply(t); err != nil {
 		return nil, err
 	}
 	return t, nil

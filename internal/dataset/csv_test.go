@@ -136,7 +136,50 @@ func TestReadCSVWithSchemaWholeFloat(t *testing.T) {
 		ColumnDef{Name: "m", Kind: KindFloat, Role: RoleMeasure}))
 	tab.MustAppendRow(StringVal("a"), Float(2))
 	tab.MustAppendRow(StringVal("b"), Float(2.5))
-	path := filepath.Join(t.TempDir(), "t.csv")
+	m := roundTripWithSchema(t, tab).Column("m")
+	if m.Def != tab.Column("m").Def || len(m.Floats) != 2 || m.Floats[0] != 2 || m.Floats[1] != 2.5 {
+		t.Errorf("m = %v %v, want float measure [2 2.5]", m.Def, m.Floats)
+	}
+}
+
+func TestReadCSVWithSchemaAllNullColumn(t *testing.T) {
+	// A float column holding only NULLs is written as empty cells; the
+	// sidecar's kind must win over the string that inference alone gives
+	// a column with no non-empty cell.
+	tab := NewTable("t", MustSchema(
+		ColumnDef{Name: "cat", Kind: KindString, Role: RoleDimension},
+		ColumnDef{Name: "m", Kind: KindFloat, Role: RoleMeasure}))
+	tab.MustAppendRow(StringVal("a"), Null)
+	tab.MustAppendRow(StringVal("b"), Null)
+	m := roundTripWithSchema(t, tab).Column("m")
+	if m.Def != tab.Column("m").Def || len(m.Floats) != 2 || !m.IsNull(0) || !m.IsNull(1) {
+		t.Errorf("m = %v %v, want an all-NULL float measure of 2 rows", m.Def, m.Floats)
+	}
+}
+
+func TestReadCSVWithSchemaEmptyTable(t *testing.T) {
+	// Every column of an empty table has no non-empty cell, so every
+	// column takes its kind from the sidecar.
+	tab := NewTable("t", MustSchema(
+		ColumnDef{Name: "cat", Kind: KindString, Role: RoleDimension},
+		ColumnDef{Name: "n", Kind: KindInt, Role: RoleMeasure},
+		ColumnDef{Name: "m", Kind: KindFloat, Role: RoleMeasure},
+		ColumnDef{Name: "b", Kind: KindBool, Role: RoleOther}))
+	back := roundTripWithSchema(t, tab)
+	if back.NumRows() != 0 {
+		t.Fatalf("%d rows, want 0", back.NumRows())
+	}
+	for i, def := range tab.Schema.Columns {
+		if got := back.Schema.Columns[i]; got != def {
+			t.Errorf("column %d = %v, want %v", i, got, def)
+		}
+	}
+}
+
+// roundTripWithSchema writes tab with its sidecar and loads it back.
+func roundTripWithSchema(t *testing.T, tab *Table) *Table {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), tab.Name+".csv")
 	if err := WriteCSVWithSchema(tab, path); err != nil {
 		t.Fatal(err)
 	}
@@ -144,10 +187,7 @@ func TestReadCSVWithSchemaWholeFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := back.Column("m")
-	if m.Def != tab.Column("m").Def || len(m.Floats) != 2 || m.Floats[0] != 2 || m.Floats[1] != 2.5 {
-		t.Errorf("m = %v %v, want float measure [2 2.5]", m.Def, m.Floats)
-	}
+	return back
 }
 
 func TestReadCSVWithSchemaKindMismatch(t *testing.T) {

@@ -9,9 +9,9 @@ import (
 // content hashes through internal/store — an import this package's own
 // tests cannot make.
 var (
-	OracleReadCSV       = oracleReadCSV
-	WholeFloatReference = wholeFloatReference
-	CSVBlockRows        = csvBlockRows
+	OracleReadCSV    = oracleReadCSV
+	SidecarReference = sidecarReference
+	CSVBlockRows     = csvBlockRows
 )
 
 // ReadCSVSidecar is the loader behind ReadCSVWithSchema over in-memory

@@ -46,7 +46,7 @@ func ApplySchema(t *Table, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	return sf.apply(t, nil)
+	return sf.apply(t)
 }
 
 func decodeSchemaFile(r io.Reader) (*schemaFile, error) {
@@ -83,11 +83,8 @@ func (sf *schemaFile) kinds() map[string]Kind {
 }
 
 // apply checks the sidecar's columns and kinds against t, column by
-// column in sidecar order, then applies its roles and name. kinds, when
-// not nil, holds per table column the kind to check instead of the
-// column's own (the loader checks an all-empty column as string, the kind
-// inference gives it).
-func (sf *schemaFile) apply(t *Table, kinds []Kind) error {
+// column in sidecar order, then applies its roles and name.
+func (sf *schemaFile) apply(t *Table) error {
 	var dims, measures []string
 	for _, col := range sf.Columns {
 		i := t.Schema.Index(col.Name)
@@ -95,9 +92,6 @@ func (sf *schemaFile) apply(t *Table, kinds []Kind) error {
 			return fmt.Errorf("dataset: sidecar column %q not in table", col.Name)
 		}
 		kind := t.Schema.Columns[i].Kind
-		if kinds != nil {
-			kind = kinds[i]
-		}
 		if kind.String() != col.Kind {
 			return fmt.Errorf("dataset: column %q is %s in the data but %s in the sidecar",
 				col.Name, kind, col.Kind)
@@ -141,8 +135,11 @@ func WriteCSVWithSchema(t *Table, csvPath string) error {
 // when one exists: the sidecar is read first, its kinds define the columns
 // it names and its roles and name are applied to the table. A column the
 // sidecar calls float may begin with a whole number, which inference alone
-// would make an int column; every other disagreement between the sidecar
-// and the data is an error. Without a sidecar it behaves like ReadCSVFile.
+// would make an int column, and a column with no non-empty cell (every
+// column of an empty table) takes the sidecar's kind, where inference
+// alone would make it a string column; every other disagreement between
+// the sidecar and the data is an error. Without a sidecar it behaves like
+// ReadCSVFile.
 func ReadCSVWithSchema(csvPath string) (*Table, error) {
 	f, err := os.Open(schemaPathFor(csvPath))
 	if os.IsNotExist(err) {

@@ -76,7 +76,7 @@ func measureBlockFor(rs, ts *view.Stats, measure string) (measureBlock, error) {
 // the aggregate extraction, one fused normalise+deviation pass, and the
 // χ² score remain. Every arithmetic sequence matches the per-pair
 // registry path, so rows are bit-identical to Registry.Vector — the
-// retained oracle.
+// oracle the tests hold it to.
 //
 // rows[i] must be pre-sized to the registry's length; the standard-eight
 // prefix is written in place. Registries longer than the standard eight
@@ -125,7 +125,7 @@ func (r *Registry) fillBlockRows(rs, ts *view.Stats,
 		}
 		row[7] = pv
 		if r.Len() > numStd {
-			if err := r.vectorFromStats(s, rs, ts, row, numStd); err != nil {
+			if err := r.vectorFromStats(s, rs, ts, row); err != nil {
 				return err
 			}
 		}
@@ -133,27 +133,17 @@ func (r *Registry) fillBlockRows(rs, ts *view.Stats,
 	return nil
 }
 
-// vectorFromStats computes the registry's columns from startCol onward for
-// one view, through the per-pair interface custom features are written
-// against. The pair is assembled from the supplied layout statistics, so
-// the features see exactly the histograms the per-pair path would build.
-// startCol numStd fills a standard registry's extra columns after a block
-// fill; startCol 0 is the full per-view fallback for registries without
-// the standard prefix.
-func (r *Registry) vectorFromStats(s view.Spec, rs, ts *view.Stats, row []float64, startCol int) error {
-	rh, err := rs.Histogram(s.Measure, s.Agg)
+// vectorFromStats computes a registry's columns past the standard eight
+// (from column numStd on) for one view, through the per-pair interface
+// custom features are written against. The pair is assembled from the
+// supplied layout statistics, so the features see exactly the histograms
+// the per-pair path would build.
+func (r *Registry) vectorFromStats(s view.Spec, rs, ts *view.Stats, row []float64) error {
+	p, err := view.AssemblePair(s, rs, ts)
 	if err != nil {
 		return fmt.Errorf("feature: computing %s: %w", s, err)
 	}
-	th, err := ts.Histogram(s.Measure, s.Agg)
-	if err != nil {
-		return fmt.Errorf("feature: computing %s: %w", s, err)
-	}
-	p := &view.Pair{Spec: s, Target: th, Reference: rh}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	for j := startCol; j < len(r.feats); j++ {
+	for j := numStd; j < len(r.feats); j++ {
 		f := r.feats[j]
 		v, err := f.Compute(p)
 		if err != nil {

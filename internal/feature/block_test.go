@@ -9,15 +9,6 @@ import (
 	"viewseeker/internal/view"
 )
 
-// perPairRegistry returns the standard eight with the block fast path
-// disabled: computations route through the retained per-pair closures,
-// which are the bit-identity oracle for the block kernel.
-func perPairRegistry() *Registry {
-	r := StandardRegistry()
-	r.stdPrefix = false
-	return r
-}
-
 // randomTable builds a random reference/target pair with adversarial
 // structure for the block kernel: null-heavy measures, constant measures
 // (accuracy's lossless branch), categorical and numeric dimensions, and a
@@ -58,64 +49,78 @@ func randomTable(t *testing.T, rng *rand.Rand) (ref, tgt *dataset.Table) {
 	return ref, tgt
 }
 
+// oracleRegistries returns the registries the block kernel is checked
+// under: the standard eight, the extended registry, and a registry with a
+// custom feature and quadratic products, whose columns past the eighth
+// ride the per-pair interface on top of a block fill.
+func oracleRegistries(t *testing.T) map[string]*Registry {
+	t.Helper()
+	custom := StandardRegistry()
+	if err := custom.Add(TrendDiff()); err != nil {
+		t.Fatal(err)
+	}
+	if err := AddQuadratic(custom); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Registry{"standard": StandardRegistry(), "extended": ExtendedRegistry(), "custom": custom}
+}
+
 // TestBlockFillMatchesPerPairQuick is the property test pinning the
-// layout-block fast path bit-identical to the per-pair oracle: across
-// random tables, null patterns and bin configurations, the exact and
-// α-sampled matrices computed with the block kernel must match the
-// per-pair registry float for float — including extended registries,
-// whose extra columns ride the per-pair interface on top of a block fill.
+// layout-block fill bit-identical to the per-pair oracle: across random
+// tables, null patterns and bin configurations, the exact and α-sampled
+// matrices must match perPairMatrix float for float — for the standard,
+// extended and custom registries alike.
 func TestBlockFillMatchesPerPairQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
+	regs := oracleRegistries(t)
+	names := []string{"standard", "extended", "custom"}
 	for trial := 0; trial < 12; trial++ {
 		ref, tgt := randomTable(t, rng)
 		cfg := view.SpaceConfig{BinCounts: []int{2 + rng.Intn(4), 6 + rng.Intn(6)}}
-		fastReg, slowReg := StandardRegistry(), perPairRegistry()
-		if trial%3 == 2 {
-			fastReg, slowReg = ExtendedRegistry(), ExtendedRegistry()
-			slowReg.stdPrefix = false
-		}
-		compare := func(fast, slow *Matrix) {
+		name := names[trial%len(names)]
+		reg := regs[name]
+		compare := func(block *Matrix, perPair [][]float64) {
 			t.Helper()
-			if len(fast.Rows) != len(slow.Rows) {
-				t.Fatalf("trial %d: %d vs %d rows", trial, len(fast.Rows), len(slow.Rows))
+			if len(block.Rows) != len(perPair) {
+				t.Fatalf("trial %d: %d vs %d rows", trial, len(block.Rows), len(perPair))
 			}
-			for i := range fast.Rows {
-				for j := range fast.Rows[i] {
-					if math.Float64bits(fast.Rows[i][j]) != math.Float64bits(slow.Rows[i][j]) {
-						t.Fatalf("trial %d: %s feature %q: block %v != per-pair %v",
-							trial, fast.Specs[i], fast.Names[j], fast.Rows[i][j], slow.Rows[i][j])
+			for i := range block.Rows {
+				for j := range block.Rows[i] {
+					if math.Float64bits(block.Rows[i][j]) != math.Float64bits(perPair[i][j]) {
+						t.Fatalf("trial %d (%s): %s feature %q: block %v != per-pair %v",
+							trial, name, block.Specs[i], block.Names[j], block.Rows[i][j], perPair[i][j])
 					}
 				}
 			}
 		}
-		gFast, err := view.NewGenerator(ref, tgt, cfg)
+		gBlock, err := view.NewGenerator(ref, tgt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gSlow, err := view.NewGenerator(ref, tgt, cfg)
+		gPair, err := view.NewGenerator(ref, tgt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := Compute(gFast, fastReg)
+		block, err := Compute(gBlock, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := Compute(gSlow, slowReg)
+		perPair, err := perPairMatrix(gPair, reg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compare(fast, slow)
+		compare(block, perPair)
 
 		alpha := 0.1 + rng.Float64()*0.5
-		fastP, err := ComputePartial(gFast, fastReg, alpha)
+		blockP, err := ComputePartial(gBlock, reg, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slowP, err := ComputePartial(gSlow, slowReg, alpha)
+		perPairP, err := perPairMatrix(gPair, reg, ref.SampleRows(alpha))
 		if err != nil {
 			t.Fatal(err)
 		}
-		compare(fastP, slowP)
+		compare(blockP, perPairP)
 	}
 }
 
@@ -150,6 +155,7 @@ func TestRefreshFamilyMatchesRefreshRow(t *testing.T) {
 	ref, tgt := randomTable(t, rng)
 	cfg := view.SpaceConfig{BinCounts: []int{3, 5}}
 	build := func(reg *Registry) *Matrix {
+		t.Helper()
 		g, err := view.NewGenerator(ref, tgt, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -160,11 +166,8 @@ func TestRefreshFamilyMatchesRefreshRow(t *testing.T) {
 		}
 		return m
 	}
-	for name, regs := range map[string][2]*Registry{
-		"standard": {StandardRegistry(), StandardRegistry()},
-		"custom":   {perPairRegistry(), perPairRegistry()},
-	} {
-		fam, row := build(regs[0]), build(regs[1])
+	for name, reg := range oracleRegistries(t) {
+		fam, row := build(reg), build(reg)
 		if fam.Version() != 0 {
 			t.Fatalf("%s: fresh matrix version %d", name, fam.Version())
 		}

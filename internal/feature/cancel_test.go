@@ -26,7 +26,7 @@ func TestCancelledComputeReturnsNoMatrix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		m, err := ComputeWorkersCtx(ctx, g, StandardRegistry(), workers)
+		m, err := ComputePartialWorkersCtx(ctx, g, StandardRegistry(), 1, workers)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -59,10 +59,10 @@ func TestCancelMidComputeIsCleanForRetry(t *testing.T) {
 	g := cancelTestGenerator(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ComputeWorkersCtx(ctx, g, reg, 2); !errors.Is(err, context.Canceled) {
+	if _, err := ComputePartialWorkersCtx(ctx, g, reg, 1, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
-	got, err := ComputeWorkersCtx(context.Background(), g, reg, 2)
+	got, err := ComputePartialWorkersCtx(context.Background(), g, reg, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,17 +49,7 @@ func Compute(g *view.Generator, r *Registry) (*Matrix, error) {
 // features registered on r must be safe for concurrent use when
 // workers != 1 (the standard eight are pure).
 func ComputeWorkers(g *view.Generator, r *Registry, workers int) (*Matrix, error) {
-	return ComputeWorkersCtx(context.Background(), g, r, workers)
-}
-
-// ComputeWorkersCtx is ComputeWorkers under a context. Cancellation is
-// checked between work items — layout scans during warming, per-view
-// feature vectors afterwards — never inside the row-level kernels, so the
-// overhead is amortised per item and a cancelled offline pass stops within
-// one item per worker. The partial matrix is discarded: the context's
-// error is returned and no session is built.
-func ComputeWorkersCtx(ctx context.Context, g *view.Generator, r *Registry, workers int) (*Matrix, error) {
-	return computeMatrix(ctx, g, r, nil, true, workers)
+	return computeMatrix(context.Background(), g, r, nil, workers)
 }
 
 // ComputePartial builds the matrix from a uniform α-sample of the
@@ -68,34 +58,37 @@ func ComputeWorkersCtx(ctx context.Context, g *view.Generator, r *Registry, work
 // percent of the data, so sampling it would add noise without saving
 // meaningful work. Rows are marked inexact; RefreshFamily upgrades them
 // on demand. Like Compute it parallelises over all CPUs; see
-// ComputePartialWorkers.
+// ComputePartialWorkersCtx.
 func ComputePartial(g *view.Generator, r *Registry, alpha float64) (*Matrix, error) {
-	return ComputePartialWorkers(g, r, alpha, 0)
+	return ComputePartialWorkersCtx(context.Background(), g, r, alpha, 0)
 }
 
-// ComputePartialWorkers is ComputePartial with an explicit worker count,
-// with the same semantics and determinism guarantee as ComputeWorkers (the
-// α-sample is a deterministic stride, so sampled matrices are also
-// bit-identical across worker counts).
-func ComputePartialWorkers(g *view.Generator, r *Registry, alpha float64, workers int) (*Matrix, error) {
-	return ComputePartialWorkersCtx(context.Background(), g, r, alpha, workers)
-}
-
-// ComputePartialWorkersCtx is ComputePartialWorkers under a context, with
-// ComputeWorkersCtx's cancellation semantics.
+// ComputePartialWorkersCtx is ComputePartial with an explicit worker
+// count, under a context. Worker counts have ComputeWorkers's semantics
+// and determinism guarantee (the α-sample is a deterministic stride, so
+// sampled matrices are also bit-identical across worker counts); α = 1 is
+// the exact pass. Cancellation is checked between work items — layout
+// scans during warming, layout blocks of feature rows afterwards — never
+// inside the row-level kernels, so the overhead is amortised per item and
+// a cancelled offline pass stops within one item per worker. The partial
+// matrix is discarded: the context's error is returned and no session is
+// built.
 func ComputePartialWorkersCtx(ctx context.Context, g *view.Generator, r *Registry, alpha float64, workers int) (*Matrix, error) {
 	if alpha <= 0 || alpha > 1 {
 		return nil, fmt.Errorf("feature: alpha must be in (0, 1], got %g", alpha)
 	}
 	if alpha == 1 {
-		return ComputeWorkersCtx(ctx, g, r, workers)
+		return computeMatrix(ctx, g, r, nil, workers)
 	}
-	return computeMatrix(ctx, g, r, g.Ref.SampleRows(alpha), false, workers)
+	return computeMatrix(ctx, g, r, g.Ref.SampleRows(alpha), workers)
 }
 
-func computeMatrix(ctx context.Context, g *view.Generator, r *Registry, refRows []int, exact bool, workers int) (*Matrix, error) {
+// computeMatrix fills the matrix of g's view space under r, over the
+// refRows sample of the reference table (nil = every row, an exact pass).
+func computeMatrix(ctx context.Context, g *view.Generator, r *Registry, refRows []int, workers int) (*Matrix, error) {
 	workers = par.Resolve(workers)
 	specs := g.Specs()
+	exact := refRows == nil
 	m := &Matrix{
 		Specs:    specs,
 		Names:    r.Names(),
@@ -108,19 +101,19 @@ func computeMatrix(ctx context.Context, g *view.Generator, r *Registry, refRows 
 	// refreshes (a no-op here, but uniform) share the same scans;
 	// sampled passes get run-scoped caches. Both warm their layout scans
 	// concurrently first — full-data scans dominate the offline phase and
-	// are independent per (table, layout) — then fan the per-view feature
-	// vectors out over the same worker budget.
+	// are independent per (table, layout) — then fan the layout blocks of
+	// feature rows out over the same worker budget.
 	reg := obs.RegistryFrom(ctx)
 	warmCtx, warmSpan := obs.StartSpan(ctx, "offline.warm")
 	warmStart := time.Now()
-	pairOf, statsOf := g.Pair, g.LayoutStats
-	if refRows != nil {
+	statsOf := g.LayoutStats
+	if !exact {
 		run := g.NewSampledRun(refRows, nil)
 		if err := run.WarmCtx(warmCtx, workers); err != nil {
 			warmSpan.End()
 			return nil, err
 		}
-		pairOf, statsOf = run.Pair, run.LayoutStats
+		statsOf = run.LayoutStats
 	} else if err := g.WarmCtx(warmCtx, workers); err != nil {
 		warmSpan.End()
 		return nil, err
@@ -129,47 +122,29 @@ func computeMatrix(ctx context.Context, g *view.Generator, r *Registry, refRows 
 	reg.Histogram("viewseeker_offline_warm_seconds", obs.DurationBuckets).
 		ObserveDuration(time.Since(warmStart))
 
+	// One layout's views are filled together straight from the layout
+	// statistics (see block.go), so cancellation granularity is one layout
+	// block. Each block's rows share one flat backing array, cutting the
+	// per-view allocation to a slice header.
 	featCtx, featSpan := obs.StartSpan(ctx, "offline.features")
 	featStart := time.Now()
-	var err error
-	if r.stdPrefix {
-		// Block fast path: one layout's views are filled together straight
-		// from the layout statistics (see block.go), bit-identical to the
-		// per-pair loop below. Cancellation granularity widens from one view
-		// to one layout block. Each block's rows share one flat backing
-		// array, cutting the per-view allocation to a slice header.
-		groups := layoutGroups(specs)
-		k := r.Len()
-		err = par.ForEachCtx(featCtx, len(groups), workers, func(gi int) error {
-			idxs := groups[gi]
-			rs, ts, err := statsOf(specs[idxs[0]])
-			if err != nil {
-				return err
-			}
-			backing := make([]float64, len(idxs)*k)
-			for j, i := range idxs {
-				m.Rows[i] = backing[j*k : (j+1)*k : (j+1)*k]
-				m.Exact[i] = exact
-			}
-			var sc blockScratch
-			return r.fillBlockRows(rs, ts, specs, idxs, m.Rows, &sc)
-		})
-		reg.Counter("viewseeker_feature_block_fills_total").Add(int64(len(groups)))
-	} else {
-		err = par.ForEachCtx(featCtx, len(specs), workers, func(i int) error {
-			p, err := pairOf(specs[i])
-			if err != nil {
-				return err
-			}
-			vec, err := r.Vector(p)
-			if err != nil {
-				return err
-			}
-			m.Rows[i] = vec
+	groups := layoutGroups(specs)
+	k := r.Len()
+	err := par.ForEachCtx(featCtx, len(groups), workers, func(gi int) error {
+		idxs := groups[gi]
+		rs, ts, err := statsOf(specs[idxs[0]])
+		if err != nil {
+			return err
+		}
+		backing := make([]float64, len(idxs)*k)
+		for j, i := range idxs {
+			m.Rows[i] = backing[j*k : (j+1)*k : (j+1)*k]
 			m.Exact[i] = exact
-			return nil
-		})
-	}
+		}
+		var sc blockScratch
+		return r.fillBlockRows(rs, ts, specs, idxs, m.Rows, &sc)
+	})
+	reg.Counter("viewseeker_feature_block_fills_total").Add(int64(len(groups)))
 	featSpan.End()
 	if err != nil {
 		return nil, err
@@ -240,17 +215,17 @@ func (m *Matrix) ExactCount() int {
 }
 
 // RefreshFamily recomputes the given views on the full data and marks
-// them exact, one (dimension, bins, measure) family at a time. The family's statistics are fetched once with PairFocused's
-// cost model (a cached all-measures scan, else one narrow single-measure
-// scan) and rows are block-filled from them, so refining a whole family
-// costs one scan plus the fused kernels instead of per-view Histogram
-// assembly and closure dispatch. The refreshed rows are installed fresh,
-// sharing one backing array per family, so the refresh costs one row
-// allocation outside the scan (see TestFeatureBlockAllocations) and never
-// writes into a row another matrix may share. Registries without the
-// standard prefix fall back to per-view computation over the shared
-// statistics. Already-exact rows are skipped; results are bit-identical
-// to the per-view oracle (RefreshRow, kept as test code).
+// them exact, one (dimension, bins, measure) family at a time. The
+// family's statistics are fetched once through Generator.FamilyStats (a
+// cached all-measures scan, else one narrow single-measure scan) and rows
+// are block-filled from them, so refining a whole family costs one scan
+// plus the fused kernels instead of per-view Histogram assembly and
+// closure dispatch. The refreshed rows are installed fresh, sharing one
+// backing array per family, so the refresh costs one row allocation
+// outside the scan (see TestFeatureBlockAllocations) and never writes
+// into a row another matrix may share. Already-exact rows are skipped;
+// results are bit-identical to the per-view oracle (RefreshRow, kept as
+// test code).
 func (m *Matrix) RefreshFamily(idxs []int) error {
 	if len(idxs) == 0 {
 		return nil
@@ -284,17 +259,9 @@ func (m *Matrix) RefreshFamily(idxs []int) error {
 	for j, i := range todo {
 		m.Rows[i] = backing[j*k : (j+1)*k : (j+1)*k]
 	}
-	if m.registry.stdPrefix {
-		var sc blockScratch
-		if err := m.registry.fillBlockRows(rs, ts, m.Specs, todo, m.Rows, &sc); err != nil {
-			return err
-		}
-	} else {
-		for _, i := range todo {
-			if err := m.registry.vectorFromStats(m.Specs[i], rs, ts, m.Rows[i], 0); err != nil {
-				return err
-			}
-		}
+	var sc blockScratch
+	if err := m.registry.fillBlockRows(rs, ts, m.Specs, todo, m.Rows, &sc); err != nil {
+		return err
 	}
 	for _, i := range todo {
 		m.Exact[i] = true

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"context"
 	"testing"
 
 	"viewseeker/internal/dataset"
@@ -65,11 +66,11 @@ func TestComputeWorkersEquivalence(t *testing.T) {
 		t.Error("parallel exact pass must mark every row exact")
 	}
 
-	seqP, err := ComputePartialWorkers(diabGenerator(t), reg, 0.25, 1)
+	seqP, err := ComputePartialWorkersCtx(context.Background(), diabGenerator(t), reg, 0.25, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parP, err := ComputePartialWorkers(diabGenerator(t), reg, 0.25, 8)
+	parP, err := ComputePartialWorkersCtx(context.Background(), diabGenerator(t), reg, 0.25, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,21 +6,23 @@
 //
 // # Contracts
 //
-// Cancellation (DESIGN.md §10): Compute and ComputePartial under a
-// cancelled context return (nil, ctx.Err()) — never a partial matrix.
+// Cancellation (DESIGN.md §10): ComputePartialWorkersCtx under a
+// cancelled context returns (nil, ctx.Err()) — never a partial matrix.
 // Cancellation granularity is one layout block (all views sharing a
-// (dimension, bins) layout) on the standard fast path, one view's
-// feature row on the per-pair path; a retry under a live context is
+// (dimension, bins) layout); a retry under a live context is
 // bit-identical to an uninterrupted run because the single-flight caches
 // below only ever hold completed scans.
 //
 // Bit-identity: the matrix is a deterministic function of (table, query
 // subset, view space, registry order, α-sample); worker count never
-// changes a byte — rows are computed into disjoint slots. Registries
-// whose leading features are exactly StandardRegistry's eight are filled
-// layout-block-at-a-time through internal/metric's fused kernels
-// (block.go); the per-pair path is retained for custom registries and as
-// the bit-identity oracle the block path must match exactly. Rows from an
+// changes a byte — rows are computed into disjoint slots. Every registry
+// starts with StandardRegistry's eight (it is the only constructor, and
+// Add only appends), so every matrix is filled layout-block-at-a-time
+// through internal/metric's fused kernels (block.go); custom features
+// past the eighth column ride the per-pair Feature interface over a pair
+// assembled from the same statistics. The whole-row per-pair path —
+// Registry.Vector over each view's Histogram pair — is kept in test code
+// as the bit-identity oracle the block fill must match exactly. Rows from an
 // α-sampled pass are flagged rough (Matrix.Exact[i] == false) and carry
 // the contract that refinement may later replace them with the exact
 // values (RefreshFamily, one aggregate family per narrow scan, pinned

@@ -52,13 +52,19 @@ func TestStandardRegistry(t *testing.T) {
 }
 
 func TestRegistryAdd(t *testing.T) {
-	r := NewRegistry()
+	r := StandardRegistry()
 	f := Feature{Name: "X", Compute: func(p *view.Pair) (float64, error) { return 1, nil }}
 	if err := r.Add(f); err != nil {
 		t.Fatal(err)
 	}
+	if r.Index("X") != 8 {
+		t.Errorf("custom feature at %d, want 8 (after the standard eight)", r.Index("X"))
+	}
 	if err := r.Add(f); err == nil {
 		t.Error("duplicate name should fail")
+	}
+	if err := r.Add(Feature{Name: KL, Compute: f.Compute}); err == nil {
+		t.Error("redefining a standard feature should fail")
 	}
 	if err := r.Add(Feature{Name: ""}); err == nil {
 		t.Error("empty feature should fail")
@@ -242,7 +248,7 @@ func TestCustomFeature(t *testing.T) {
 }
 
 func TestAddQuadratic(t *testing.T) {
-	r := NewRegistry()
+	r := StandardRegistry()
 	mustAdd := func(f Feature) {
 		if err := r.Add(f); err != nil {
 			t.Fatal(err)
@@ -253,9 +259,9 @@ func TestAddQuadratic(t *testing.T) {
 	if err := AddQuadratic(r); err != nil {
 		t.Fatal(err)
 	}
-	// 2 base + 3 products (A*A, A*B, B*B).
-	if r.Len() != 5 {
-		t.Fatalf("features = %d, want 5", r.Len())
+	// 10 base features + their 55 products, squares included.
+	if r.Len() != 65 {
+		t.Fatalf("features = %d, want 65", r.Len())
 	}
 	g := demoGenerator(t)
 	p, err := g.Pair(view.Spec{Dimension: "cat", Measure: "m", Agg: "COUNT"})
@@ -266,10 +272,9 @@ func TestAddQuadratic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{2, 3, 4, 6, 9}
-	for i, w := range want {
-		if vec[i] != w {
-			t.Errorf("feature %d (%s) = %v, want %v", i, r.Names()[i], vec[i], w)
+	for name, w := range map[string]float64{"A": 2, "B": 3, "A*A": 4, "A*B": 6, "B*B": 9} {
+		if got := vec[r.Index(name)]; got != w {
+			t.Errorf("feature %s = %v, want %v", name, got, w)
 		}
 	}
 	// Calling twice duplicates names and must fail cleanly.

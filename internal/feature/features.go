@@ -26,28 +26,23 @@ type Feature struct {
 	Compute func(p *view.Pair) (float64, error)
 }
 
-// Registry is an ordered, name-unique collection of features.
+// Registry is an ordered, name-unique collection of features. Every
+// registry starts with the standard eight of StandardRegistry, in order:
+// StandardRegistry is the only constructor and Add only appends. The
+// layout-block kernel (block.go) relies on that prefix to fill the first
+// eight columns straight from layout statistics; custom features ride
+// behind it, from column eight on.
 type Registry struct {
 	feats []Feature
 	index map[string]int
-	// stdPrefix marks registries whose first eight features are exactly
-	// the standard eight of StandardRegistry, in order — the condition for
-	// the layout-block fast path (see block.go). Only StandardRegistry
-	// sets it; registries merely naming a feature "KL" do not qualify, so
-	// custom features can never be silently replaced by the block kernel.
-	// Add only appends, so registries built on top of StandardRegistry
-	// (ExtendedRegistry, AddQuadratic) keep the prefix.
-	stdPrefix bool
 }
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{index: make(map[string]int)} }
 
 // StandardRegistry returns the paper's eight utility features: the five
 // deviation measures between target and reference distributions, plus
-// Usability, Accuracy and the p-value score.
+// Usability, Accuracy and the p-value score. Custom features are appended
+// to it with Add.
 func StandardRegistry() *Registry {
-	r := NewRegistry()
+	r := &Registry{index: make(map[string]int)}
 	dist := func(f func(p, q []float64) (float64, error)) func(*view.Pair) (float64, error) {
 		return func(p *view.Pair) (float64, error) {
 			return f(p.Target.Distribution(), p.Reference.Distribution())
@@ -73,7 +68,6 @@ func StandardRegistry() *Registry {
 			panic(err) // unreachable: names are unique by construction
 		}
 	}
-	r.stdPrefix = true
 	return r
 }
 

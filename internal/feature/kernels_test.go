@@ -8,12 +8,13 @@ import (
 	"viewseeker/internal/view"
 )
 
-// TestMatrixMatchesReferenceKernels pins the offline phase's output to the
-// retained row-at-a-time reference scan: the feature matrix computed
-// through the columnar kernels (exact and α-sampled) must be bit-identical
-// to vectors assembled from view.CollectStatsReference over the same
-// layouts. A kernel regression that changes any accumulator by one ULP
-// fails here.
+// TestMatrixMatchesReferenceKernels pins the offline phase's output to
+// per-pair vectors over stats scanned directly with view.CollectStats,
+// outside the generator's caches: the feature matrix (exact and
+// α-sampled) must be bit-identical to them. view's own kernel tests hold
+// CollectStats bit-identical to the row-at-a-time reference scan, so a
+// kernel regression that changes any accumulator by one ULP fails there,
+// and a wiring regression between the scans and the matrix fails here.
 func TestMatrixMatchesReferenceKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	schema := dataset.MustSchema(
@@ -47,26 +48,22 @@ func TestMatrixMatchesReferenceKernels(t *testing.T) {
 	reg := StandardRegistry()
 	measures := ref.Schema.Measures()
 
+	scan := func(tab *dataset.Table, layout *view.BinLayout, rows []int) *view.Stats {
+		t.Helper()
+		bins, err := view.BinIndexAll(tab, []*view.BinLayout{layout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := view.CollectStats(tab, layout, measures, rows, bins[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	referenceVector := func(s view.Spec, refRows []int) []float64 {
 		t.Helper()
 		layout := g.Layout(s)
-		rs, err := view.CollectStatsReference(ref, layout, measures, refRows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts, err := view.CollectStatsReference(tgt, layout, measures, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rh, err := rs.Histogram(s.Measure, s.Agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		th, err := ts.Histogram(s.Measure, s.Agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vec, err := reg.Vector(&view.Pair{Spec: s, Target: th, Reference: rh})
+		vec, err := perPairRow(reg, s, scan(ref, layout, refRows), scan(tgt, layout, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -34,7 +35,7 @@ func offlinePasses(ref, tgt *dataset.Table, cfg view.SpaceConfig, workers int) (
 	if g, err = view.NewGenerator(ref, tgt, cfg); err != nil {
 		return nil, nil, err
 	}
-	partial, err = ComputePartialWorkers(g, reg, 0.3, workers)
+	partial, err = ComputePartialWorkersCtx(context.Background(), g, reg, 0.3, workers)
 	return exact, partial, err
 }
 

@@ -19,7 +19,7 @@ type Refiner struct {
 	// Now is the clock (default time.Now).
 	Now Clock
 	// MinPerCall guarantees progress even under a zero/tiny budget: at
-	// least this many rows are refreshed per Refine call while any remain
+	// least this many rows are refreshed per RefineCtx call while any remain
 	// (default 1).
 	MinPerCall int
 	// Workers bounds how many rows a batch holds and how many of its
@@ -45,24 +45,21 @@ func NewRefiner(m *feature.Matrix) *Refiner { return &Refiner{Matrix: m} }
 // Done reports whether every row is already exact.
 func (r *Refiner) Done() bool { return r.Matrix.AllExact() }
 
-// Refine refreshes rows in the given priority order (highest priority
+// RefineCtx refreshes rows in the given priority order (highest priority
 // first) until the budget elapses or everything is exact, fanning batches
 // of up to Workers rows out concurrently. It returns the number of rows
 // refreshed. Rows already exact (and duplicate priority entries) cost
 // nothing and are skipped. A nil priority refreshes in index order. The
 // budget is checked between batches, so at least MinPerCall rows — and at
 // most one extra batch — refresh even under a zero budget.
-func (r *Refiner) Refine(priority []int, budget time.Duration) (int, error) {
-	return r.RefineCtx(context.Background(), priority, budget)
-}
-
-// RefineCtx is Refine under a context: cancellation is honoured like an
-// expired budget, checked between batches and between family groups inside
-// a batch (via par.ForEachCtx), so a cancelled call returns within one
-// layout-family scan per worker — with Workers = 1 every group is a single
-// row, preserving the sequential one-row granularity. Rows already
-// refreshed stay refreshed — refinement is monotonic, so stopping early is
-// always safe — and the context's error is returned alongside the count.
+//
+// Cancellation is honoured like an expired budget, checked between
+// batches and between family groups inside a batch (via par.ForEachCtx),
+// so a cancelled call returns within one layout-family scan per worker —
+// with Workers = 1 every group is a single row, preserving the sequential
+// one-row granularity. Rows already refreshed stay refreshed — refinement
+// is monotonic, so stopping early is always safe — and the context's
+// error is returned alongside the count.
 func (r *Refiner) RefineCtx(ctx context.Context, priority []int, budget time.Duration) (refreshed int, err error) {
 	if r.Matrix == nil {
 		return 0, fmt.Errorf("optimize: refiner has no matrix")

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func TestRefineAllWithGenerousBudget(t *testing.T) {
 	if r.Done() {
 		t.Fatal("partial matrix should not start done")
 	}
-	n, err := r.Refine(nil, time.Minute)
+	n, err := r.RefineCtx(context.Background(), nil, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestRefineAllWithGenerousBudget(t *testing.T) {
 		t.Error("refiner should be done")
 	}
 	// Second call is a no-op.
-	n, err = r.Refine(nil, time.Minute)
+	n, err = r.RefineCtx(context.Background(), nil, time.Minute)
 	if err != nil || n != 0 {
 		t.Errorf("second refine = %d, %v", n, err)
 	}
@@ -61,7 +62,7 @@ func TestRefineAllWithGenerousBudget(t *testing.T) {
 func TestRefineZeroBudgetMakesMinimumProgress(t *testing.T) {
 	m := partialMatrix(t)
 	r := NewRefiner(m)
-	n, err := r.Refine(nil, 0)
+	n, err := r.RefineCtx(context.Background(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestRefineHonoursPriorityOrder(t *testing.T) {
 	}
 	last := m.Len() - 1
 	priority := []int{last, 0, 1, 2, 3, 4}
-	n, err := r.Refine(priority, 25*time.Millisecond)
+	n, err := r.RefineCtx(context.Background(), priority, 25*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +109,10 @@ func TestRefineParallelMatchesSequential(t *testing.T) {
 	// Duplicate priority entries must be deduplicated (two goroutines
 	// refreshing one row would race on its matrix slots).
 	priority := []int{3, 3, 0, 1, 0, 2, 4}
-	if _, err := rs.Refine(priority, time.Minute); err != nil {
+	if _, err := rs.RefineCtx(context.Background(), priority, time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	n, err := rp.Refine(priority, time.Minute)
+	n, err := rp.RefineCtx(context.Background(), priority, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestRefineParallelMatchesSequential(t *testing.T) {
 func TestRefineBadPriorityIndex(t *testing.T) {
 	m := partialMatrix(t)
 	r := NewRefiner(m)
-	if _, err := r.Refine([]int{9999}, time.Second); err == nil {
+	if _, err := r.RefineCtx(context.Background(), []int{9999}, time.Second); err == nil {
 		t.Error("out-of-range priority should fail")
 	}
 	var empty Refiner
-	if _, err := empty.Refine(nil, time.Second); err == nil {
+	if _, err := empty.RefineCtx(context.Background(), nil, time.Second); err == nil {
 		t.Error("refiner without matrix should fail")
 	}
 }

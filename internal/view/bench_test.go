@@ -20,6 +20,8 @@ func benchGenerator(b *testing.B, rows int) *Generator {
 	return g
 }
 
+// BenchmarkCollectStats measures the all-rows scan through a prebuilt
+// bin index.
 func BenchmarkCollectStats(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	tab := randomTable(rng, 100_000)
@@ -27,30 +29,11 @@ func BenchmarkCollectStats(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	bins := binIndex(b, tab, layout)
 	measures := tab.Schema.Measures()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CollectStats(tab, layout, measures, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCollectStatsIndexed(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	tab := randomTable(rng, 100_000)
-	layout, err := ComputeLayout(tab, "cat", 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bins, err := BinIndex(tab, layout)
-	if err != nil {
-		b.Fatal(err)
-	}
-	measures := tab.Schema.Measures()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CollectStatsIndexed(tab, layout, measures, bins); err != nil {
+		if _, err := CollectStats(tab, layout, measures, nil, bins); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,9 +52,9 @@ func BenchmarkFullViewSpacePairs(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectStatsReference measures the retained row-at-a-time
-// reference scan — the pre-kernel path — so the columnar speedup stays
-// visible in every benchmark run.
+// BenchmarkCollectStatsReference measures the row-at-a-time reference
+// scan the tests keep as the kernels' oracle — the pre-kernel path — so
+// the columnar speedup stays visible in every benchmark run.
 func BenchmarkCollectStatsReference(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	tab := randomTable(rng, 100_000)
@@ -82,14 +65,15 @@ func BenchmarkCollectStatsReference(b *testing.B) {
 	measures := tab.Schema.Measures()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CollectStatsReference(tab, layout, measures, nil); err != nil {
+		if _, err := collectStatsReference(tab, layout, measures, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkCollectStatsSampled measures the α-pass gather through a cached
-// full-table bin index against the direct re-binning scan of the same rows.
+// full-table bin index against the reference's re-binning scan of the
+// same rows.
 func BenchmarkCollectStatsSampled(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	tab := randomTable(rng, 100_000)
@@ -97,22 +81,19 @@ func BenchmarkCollectStatsSampled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bins, err := BinIndex(tab, layout)
-	if err != nil {
-		b.Fatal(err)
-	}
+	bins := binIndex(b, tab, layout)
 	measures := tab.Schema.Measures()
 	rows := tab.SampleRows(0.1)
 	b.Run("indexed-gather", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := CollectStatsSampled(tab, layout, measures, rows, bins); err != nil {
+			if _, err := CollectStats(tab, layout, measures, rows, bins); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("direct-rebin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := CollectStatsReference(tab, layout, measures, rows); err != nil {
+			if _, err := collectStatsReference(tab, layout, measures, rows); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -132,10 +113,11 @@ func BenchmarkBinIndex(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		layouts := []*BinLayout{layout}
 		b.Run(spec.dim, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := BinIndex(tab, layout); err != nil {
+				if _, err := BinIndexAll(tab, layouts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -143,9 +125,10 @@ func BenchmarkBinIndex(b *testing.B) {
 	}
 }
 
-// TestBinIndexAllocations pins the categorical bin-index kernel to a
-// single allocation per call (the output slice): the per-row GroupKey
-// string materialisation is gone and must not come back.
+// TestBinIndexAllocations pins the bin-index kernel to zero allocations
+// per call, so the per-row GroupKey string materialisation of the
+// categorical path cannot come back, and BinIndexAll to its output: one
+// slice of indexes plus one index per layout.
 func TestBinIndexAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tab := randomTable(rng, 10_000)
@@ -157,16 +140,19 @@ func TestBinIndexAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := BinIndex(tab, layout); err != nil { // warm decode caches
-			t.Fatal(err)
+		layouts := []*BinLayout{layout}
+		out := [][]int32{binIndex(t, tab, layout)} // also warms decode caches
+		col := tab.Column(spec.dim)
+		if allocs := testing.AllocsPerRun(10, func() { binRows(col, layouts, out, 0) }); allocs > 0 {
+			t.Errorf("bin kernel on %s allocates %.1f times per run, want 0", spec.dim, allocs)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := BinIndex(tab, layout); err != nil {
+			if _, err := BinIndexAll(tab, layouts); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 1 {
-			t.Errorf("BinIndex(%s) allocates %.1f times per run, want ≤ 1", spec.dim, allocs)
+		if allocs > 2 {
+			t.Errorf("BinIndexAll(%s) allocates %.1f times per run, want ≤ 2", spec.dim, allocs)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ func TestCollectStatsConcurrentDecode(t *testing.T) {
 	want := make([]*Stats, len(layouts))
 	for i, l := range layouts {
 		var err error
-		if want[i], err = CollectStatsReference(tab, l, measures, nil); err != nil {
+		if want[i], err = collectStatsReference(tab, l, measures, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -29,12 +30,12 @@ func TestCollectStatsConcurrentDecode(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, l := range layouts {
-				bins, err := BinIndex(tab, l)
+				bins, err := BinIndexAll(tab, []*BinLayout{l})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got, err := CollectStatsIndexed(tab, l, measures, bins)
+				got, err := CollectStats(tab, l, measures, nil, bins[0])
 				if err != nil {
 					t.Error(err)
 					return
@@ -50,8 +51,8 @@ func TestCollectStatsConcurrentDecode(t *testing.T) {
 }
 
 // TestGeneratorConcurrentAccess hammers one generator's lazy caches from
-// many goroutines mixing every access path — full pairs, focused pairs,
-// warming, and sampled runs — so `go test -race` proves the single-flight
+// many goroutines mixing every access path — full pairs, focused family
+// stats, warming, and sampled runs — so `go test -race` proves the single-flight
 // caches hold up. Results must also match a sequential reference.
 func TestGeneratorConcurrentAccess(t *testing.T) {
 	ref, tgt := demoTables(t)
@@ -82,13 +83,13 @@ func TestGeneratorConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			if w%3 == 0 {
-				if err := g.Warm(2); err != nil {
+				if err := g.WarmCtx(context.Background(), 2); err != nil {
 					errCh <- err
 					return
 				}
 			}
 			if w%4 == 0 {
-				if err := run.Warm(2); err != nil {
+				if err := run.WarmCtx(context.Background(), 2); err != nil {
 					errCh <- err
 					return
 				}
@@ -104,11 +105,11 @@ func TestGeneratorConcurrentAccess(t *testing.T) {
 						t.Errorf("concurrent pair %s bin %d = %v, want %v", s, b, v, want[i].Target.Values[b])
 					}
 				}
-				if _, err := g.PairFocused(s); err != nil {
+				if _, _, err := g.FamilyStats(s); err != nil {
 					errCh <- err
 					return
 				}
-				if _, err := run.Pair(s); err != nil {
+				if _, _, err := run.LayoutStats(s); err != nil {
 					errCh <- err
 					return
 				}
@@ -123,7 +124,7 @@ func TestGeneratorConcurrentAccess(t *testing.T) {
 }
 
 // TestSampledRunWarmMatchesLazy checks that a warmed sampled run produces
-// the same histograms as a lazily evaluated one.
+// the same statistics as a lazily evaluated one.
 func TestSampledRunWarmMatchesLazy(t *testing.T) {
 	ref, tgt := demoTables(t)
 	g, err := NewGenerator(ref, tgt, SpaceConfig{BinCounts: []int{3}})
@@ -132,23 +133,24 @@ func TestSampledRunWarmMatchesLazy(t *testing.T) {
 	}
 	rows := ref.SampleRows(0.2)
 	warmed := g.NewSampledRun(rows, nil)
-	if err := warmed.Warm(4); err != nil {
+	if err := warmed.WarmCtx(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	lazy := g.NewSampledRun(rows, nil)
 	for _, s := range g.Specs() {
-		pw, err := warmed.Pair(s)
+		wr, wt, err := warmed.LayoutStats(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := lazy.Pair(s)
+		lr, lt, err := lazy.LayoutStats(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for b := range pw.Reference.Values {
-			if pw.Reference.Values[b] != pl.Reference.Values[b] {
-				t.Fatalf("%s bin %d: warmed %v != lazy %v", s, b, pw.Reference.Values[b], pl.Reference.Values[b])
-			}
+		if err := statsEqual(wr, lr); err != nil {
+			t.Fatalf("%s reference: warmed vs lazy: %v", s, err)
+		}
+		if err := statsEqual(wt, lt); err != nil {
+			t.Fatalf("%s target: warmed vs lazy: %v", s, err)
 		}
 	}
 }

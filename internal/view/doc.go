@@ -8,11 +8,14 @@
 //
 // # Contracts
 //
-// Bit-identity (DESIGN.md §9): the columnar scan kernels
-// (CollectStatsIndexed, CollectStatsSampled) produce bit-identical
-// statistics to the retained row-at-a-time oracle CollectStatsReference —
-// same values, same ascending row order into every accumulator, one
-// shared binning expression — enforced by randomised property tests.
+// Bit-identity (DESIGN.md §9): one scan path turns rows into statistics.
+// BinIndexAll materialises a dimension's bin indexes with one columnar
+// kernel, which ExtendBinIndexAll reuses for an appended suffix, and
+// CollectStats accumulates every measure through such an index, over all
+// rows or a gathered sample. Both are bit-identical to the per-row spec —
+// BinOf, and the row-at-a-time reference scan kept in test code — same
+// values, same ascending row order into every accumulator, one shared
+// binning expression — enforced by randomised property tests.
 //
 // Shared reference side (DESIGN.md §7): the reference half of the
 // offline pass — layouts fit to DR, DR's bin indexes and layout

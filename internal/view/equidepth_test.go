@@ -37,7 +37,7 @@ func TestEqualDepthBalancesSkewedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := func(l *BinLayout) []float64 {
-		s, err := CollectStats(tab, l, []string{"m"}, nil)
+		s, err := CollectStats(tab, l, []string{"m"}, nil, binIndex(t, tab, l))
 		if err != nil {
 			t.Fatal(err)
 		}

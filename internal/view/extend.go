@@ -61,10 +61,11 @@ func (d *Drift) add(o Drift) {
 // t must extend the indexes' original table row-for-row, old must be a
 // BinIndexAll result over the same layouts (all on one dimension), and
 // from is the original row count (= len of each old index). Rows below
-// from are copied; rows from..NumRows-1 are binned fresh. The result is
-// exactly BinIndexAll(t, layouts) — appended values that fall outside a
-// pinned layout (new categoricals, out-of-range numerics) map to bin -1,
-// same as a full re-index under that layout. The per-layout Drift reports
+// from are copied; rows from..NumRows-1 are binned by BinIndexAll's own
+// kernel. The result is exactly BinIndexAll(t, layouts) — appended values
+// that fall outside a pinned layout (new categoricals, out-of-range
+// numerics, NaN) map to bin -1, same as a full re-index under that
+// layout. The per-layout Drift, counted from the kernel's output, reports
 // how many appended non-null values escaped each layout this call.
 func ExtendBinIndexAll(t *dataset.Table, layouts []*BinLayout, old [][]int32, from int) ([][]int32, []Drift, error) {
 	if len(layouts) == 0 {
@@ -73,11 +74,9 @@ func ExtendBinIndexAll(t *dataset.Table, layouts []*BinLayout, old [][]int32, fr
 	if len(old) != len(layouts) {
 		return nil, nil, fmt.Errorf("view: extending %d bin indexes with %d layouts", len(old), len(layouts))
 	}
-	dim := layouts[0].Dimension
-	for _, l := range layouts[1:] {
-		if l.Dimension != dim {
-			return nil, nil, fmt.Errorf("view: ExtendBinIndexAll layouts mix dimensions %q and %q", dim, l.Dimension)
-		}
+	col, err := dimensionColumn(t, layouts)
+	if err != nil {
+		return nil, nil, err
 	}
 	n := t.NumRows()
 	if from > n {
@@ -88,29 +87,23 @@ func ExtendBinIndexAll(t *dataset.Table, layouts []*BinLayout, old [][]int32, fr
 			return nil, nil, fmt.Errorf("view: bin index %d has %d entries, want %d", i, len(o), from)
 		}
 	}
-	col := t.Column(dim)
-	if col == nil {
-		return nil, nil, fmt.Errorf("view: table has no column %q", dim)
-	}
 	out := make([][]int32, len(layouts))
 	for i := range out {
 		out[i] = make([]int32, n)
 		copy(out[i], old[i])
 	}
+	binRows(col, layouts, out, from)
+	// NULLs fit no layout, so they say nothing about drift: they count
+	// neither as appended nor as out of range.
+	nulls := col.NullBitmap()
 	drift := make([]Drift, len(layouts))
 	for r := from; r < n; r++ {
-		if col.IsNull(r) {
-			// BinOf maps nulls to -1 under every layout; not drift.
-			for i := range layouts {
-				out[i][r] = -1
-			}
+		if isNull(nulls, r) {
 			continue
 		}
-		for i, l := range layouts {
-			b := int32(l.BinOf(col, r))
-			out[i][r] = b
+		for i := range drift {
 			drift[i].Appended++
-			if b < 0 {
+			if out[i][r] < 0 {
 				drift[i].OutOfRange++
 			}
 		}
@@ -287,7 +280,7 @@ func (g *Generator) extendSide(old, nw *scans, newT *dataset.Table, from int, dr
 			return err
 		}
 		if !ok { // shift drift: rebuild this layout from scratch
-			ns, err = CollectStatsIndexed(newT, g.ref.layouts[k], st.Measures, bins)
+			ns, err = CollectStats(newT, g.ref.layouts[k], st.Measures, nil, bins)
 			if err != nil {
 				return err
 			}
@@ -304,7 +297,7 @@ func (g *Generator) extendSide(old, nw *scans, newT *dataset.Table, from int, dr
 			return err
 		}
 		if !ok {
-			ns, err = CollectStatsIndexed(newT, g.ref.layouts[mk.layoutKey], st.Measures, bins)
+			ns, err = CollectStats(newT, g.ref.layouts[mk.layoutKey], st.Measures, nil, bins)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,8 @@
 package view
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,87 +10,164 @@ import (
 	"viewseeker/internal/dataset"
 )
 
-// splitKernelTable generates one kernel-path-covering table and splits it
-// into a base prefix plus the suffix as append batches: the appended table
-// is content-identical to the full one, so full-table scans of it are the
-// rebuild-from-scratch oracle for the extend kernels.
-func splitKernelTable(t *testing.T, rng *rand.Rand) (base, appended, full *dataset.Table, from int) {
+// appendedKernelTable generates one kernel-path-covering base table and
+// appends an adversarial suffix to it: categoricals new to the base
+// layouts (one sharing its first byte with base labels), the empty
+// string, NaN and ±Inf numerics, values past the fitted ranges, and NULLs
+// in every dimension. The suffix opens with one row of each special
+// value, so every seed exercises them. from is the base row count.
+func appendedKernelTable(t *testing.T, rng *rand.Rand) (base, appended *dataset.Table, from int) {
 	t.Helper()
-	n := 150 + rng.Intn(150)
-	from = 50 + rng.Intn(n-100)
-	full = kernelTable(rng, n)
-	idx := make([]int, from)
-	for i := range idx {
-		idx[i] = i
-	}
-	base = full.Subset(full.Name, idx)
-	rows := make([][]dataset.Value, 0, n-from)
-	for r := from; r < n; r++ {
-		rows = append(rows, full.Row(r))
+	from = 50 + rng.Intn(150)
+	base = kernelTable(rng, from)
+	pick := func(vals ...dataset.Value) dataset.Value { return vals[rng.Intn(len(vals))] }
+	f := dataset.Float
+	cats := []dataset.Value{dataset.StringVal("apple"), dataset.StringVal("avocado"),
+		dataset.StringVal("banana"), dataset.StringVal(""), dataset.StringVal("apricot"),
+		dataset.StringVal("zebra"), dataset.Null}
+	nums := []dataset.Value{f(math.NaN()), f(math.Inf(1)), f(math.Inf(-1)), f(1e6), dataset.Null}
+	var rows [][]dataset.Value
+	for i := 0; i < len(nums)+len(cats)+rng.Intn(100); i++ {
+		num := pick(f(rng.NormFloat64()*10), pick(nums...))
+		if i < len(nums) {
+			num = nums[i]
+		}
+		cat := pick(cats...)
+		if i < len(cats) {
+			cat = cats[i]
+		}
+		rows = append(rows, []dataset.Value{
+			cat,
+			pick(dataset.Bool(true), dataset.Bool(false), dataset.Null),
+			num,
+			pick(dataset.Int(int64(rng.Intn(60)-10)), dataset.Null),
+			pick(f(7.5), f(8), f(9), f(math.NaN()), dataset.Null),
+			pick(f(rng.NormFloat64()*5), dataset.Null),
+			dataset.Int(int64(rng.Intn(50))),
+			f(3),
+			pick(dataset.Bool(true), dataset.Bool(false)),
+		})
 	}
 	appended, err := base.WithAppended(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return base, appended, full, from
+	return base, appended, from
+}
+
+// kernelBundles returns the layout bundles ExtendBinIndexAll is called
+// with, one per (dimension, binning): every bin configuration of a
+// numeric dimension together — equal-width, and separately equal-depth,
+// as a generator with EqualDepth set would fit them — and the single
+// configuration of each categorical dimension.
+func kernelBundles(t *testing.T, tab *dataset.Table) [][]*BinLayout {
+	t.Helper()
+	bundles := [][]*BinLayout{}
+	for _, dim := range []string{"cat", "flag"} {
+		l, err := ComputeLayout(tab, dim, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles = append(bundles, []*BinLayout{l})
+	}
+	for _, dim := range []string{"num", "numint", "constd"} {
+		for _, depth := range []bool{false, true} {
+			var bundle []*BinLayout
+			for _, bins := range []int{3, 4, 6} {
+				var l *BinLayout
+				var err error
+				if depth {
+					l, err = ComputeLayoutEqualDepth(tab, dim, bins)
+				} else {
+					l, err = ComputeLayout(tab, dim, bins)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				bundle = append(bundle, l)
+			}
+			bundles = append(bundles, bundle)
+		}
+	}
+	return bundles
 }
 
 // TestExtendMatchesRebuild is the IVM property test: over randomised
-// tables and split points, append-then-extend must equal rebuild-from-
-// scratch bit for bit — bin indexes entry-for-entry, Stats across every
-// accumulator array — with CollectStatsReference over the post-append
-// table as the oracle. Layouts are pinned to the base prefix, so appended
-// values outside them (range escapes, new categoricals) exercise the
-// bin -1 drop path on both sides.
+// tables and adversarial appends, append-then-extend must equal
+// rebuild-from-scratch bit for bit — each multi-layout bin bundle entry
+// for entry against BinIndexAll over the appended table, Stats across
+// every accumulator array — with collectStatsReference over the
+// post-append table as the stats oracle. Each layout's Drift must equal a
+// per-row BinOf count: a non-null appended value is appended, and out of
+// range when BinOf places it nowhere (so NaN is out of range); a NULL is
+// neither. Layouts are pinned to the base, so appended values outside
+// them exercise the bin -1 drop path on both sides.
 func TestExtendMatchesRebuild(t *testing.T) {
 	measures := []string{"m1", "m2", "mconst", "mbool"}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		base, appended, _, from := splitKernelTable(t, rng)
-		for _, layout := range kernelLayouts(t, base) {
-			oldBins, err := BinIndex(base, layout)
+		base, appended, from := appendedKernelTable(t, rng)
+		for _, bundle := range kernelBundles(t, base) {
+			dim := bundle[0].Dimension
+			old, err := BinIndexAll(base, bundle)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ext, _, err := ExtendBinIndexAll(appended, []*BinLayout{layout}, [][]int32{oldBins}, from)
+			ext, drift, err := ExtendBinIndexAll(appended, bundle, old, from)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fullBins, err := BinIndex(appended, layout)
+			full, err := BinIndexAll(appended, bundle)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r, want := range fullBins {
-				if ext[0][r] != want {
-					t.Fatalf("dim %q row %d: extended bin %d != rebuilt %d",
-						layout.Dimension, r, ext[0][r], want)
+			col := appended.Column(dim)
+			for i, l := range bundle {
+				for r, want := range full[i] {
+					if ext[i][r] != want {
+						t.Fatalf("dim %q/%d row %d: extended bin %d != rebuilt %d",
+							dim, l.NumBins(), r, ext[i][r], want)
+					}
 				}
-			}
+				var want Drift
+				for r := from; r < appended.NumRows(); r++ {
+					if col.IsNull(r) {
+						continue
+					}
+					want.Appended++
+					if l.BinOf(col, r) < 0 {
+						want.OutOfRange++
+					}
+				}
+				if drift[i] != want {
+					t.Fatalf("dim %q/%d: drift %+v, per-row BinOf count %+v", dim, l.NumBins(), drift[i], want)
+				}
 
-			oldStats, err := CollectStatsIndexed(base, layout, measures, oldBins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			extStats, _, ok, err := ExtendStats(appended, oldStats, ext[0], from)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatalf("dim %q: shift drift on a base with non-null measures", layout.Dimension)
-			}
-			rebuilt, err := CollectStatsIndexed(appended, layout, measures, fullBins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := statsEqual(extStats, rebuilt); err != nil {
-				t.Fatalf("dim %q: extend vs rebuild: %v", layout.Dimension, err)
-			}
-			oracle, err := CollectStatsReference(appended, layout, measures, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := statsEqual(extStats, oracle); err != nil {
-				t.Fatalf("dim %q: extend vs reference oracle: %v", layout.Dimension, err)
+				oldStats, err := CollectStats(base, l, measures, nil, old[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				extStats, _, ok, err := ExtendStats(appended, oldStats, ext[i], from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					t.Fatalf("dim %q: shift drift on a base with non-null measures", dim)
+				}
+				rebuilt, err := CollectStats(appended, l, measures, nil, full[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := statsEqual(extStats, rebuilt); err != nil {
+					t.Fatalf("dim %q/%d: extend vs rebuild: %v", dim, l.NumBins(), err)
+				}
+				oracle, err := collectStatsReference(appended, l, measures, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := statsEqual(extStats, oracle); err != nil {
+					t.Fatalf("dim %q/%d: extend vs reference oracle: %v", dim, l.NumBins(), err)
+				}
 			}
 		}
 		return true
@@ -113,11 +192,8 @@ func TestExtendStatsShiftDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldBins, err := BinIndex(base, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldStats, err := CollectStatsIndexed(base, layout, []string{"m"}, oldBins)
+	oldBins := binIndex(t, base, layout)
+	oldStats, err := CollectStats(base, layout, []string{"m"}, nil, oldBins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +229,7 @@ func TestExtendStatsShiftDrift(t *testing.T) {
 // over the new tables).
 func TestApplyAppendMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	base, appended, _, _ := splitKernelTable(t, rng)
+	base, appended, _ := appendedKernelTable(t, rng)
 	// Target: a filtered subset of the base, extended by the append's
 	// matching rows — prefix-extension, like live query maintenance.
 	filter := func(tab *dataset.Table) []int {
@@ -174,7 +250,7 @@ func TestApplyAppendMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := warm.Warm(2); err != nil {
+	if err := warm.WarmCtx(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	delta, err := warm.ApplyAppend(appended, newTgt)
@@ -228,10 +304,7 @@ func TestDriftTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldBins, err := BinIndex(base, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldBins := binIndex(t, base, layout)
 	// 2 in range, 2 out of range, 1 null: drift is 2/4.
 	rows := [][]dataset.Value{
 		{dataset.Float(1), dataset.Float(1)},
@@ -270,7 +343,7 @@ func TestDriftTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gen.Warm(1); err != nil {
+	if err := gen.WarmCtx(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := gen.MaxDriftRate(); got != 0 {

@@ -3,6 +3,7 @@ package view
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"viewseeker/internal/dataset"
@@ -277,88 +278,83 @@ func isNull(nulls []uint64, r int) bool {
 	return w < len(nulls) && nulls[w]>>(uint(r)&63)&1 == 1
 }
 
-// BinIndex materialises the bin of every row of a table under a layout —
-// a dictionary-encoded dimension column. Scans that reuse it avoid the
-// per-row map lookup that otherwise dominates categorical grouping.
-// Entries are -1 for NULLs and out-of-layout values.
-func BinIndex(t *dataset.Table, layout *BinLayout) ([]int32, error) {
-	dimCol := t.Column(layout.Dimension)
-	if dimCol == nil {
-		return nil, fmt.Errorf("view: table %q has no column %q", t.Name, layout.Dimension)
-	}
-	bins := make([]int32, t.NumRows())
-	layout.fillBins(dimCol, bins)
-	return bins, nil
-}
-
 // BinIndexAll materialises the bin index of every supplied layout — all
-// bin configurations of one dimension — in a single pass over the
-// dimension column. Each result is exactly BinIndex's for that layout;
-// fusing the pass means a multi-configuration numeric dimension pays one
-// column read and one null test per row instead of one per configuration.
+// bin configurations of one dimension — as dictionary-encoded dimension
+// columns: entry r of result i is layouts[i].BinOf(dimension column, r),
+// -1 for NULLs and out-of-layout values. Scans that reuse an index avoid
+// the per-row lookup that otherwise dominates grouping, and the fused
+// pass pays one column read and one null test per row for a
+// multi-configuration numeric dimension instead of one per configuration.
 func BinIndexAll(t *dataset.Table, layouts []*BinLayout) ([][]int32, error) {
 	if len(layouts) == 0 {
 		return nil, nil
 	}
-	dim := layouts[0].Dimension
-	for _, l := range layouts[1:] {
-		if l.Dimension != dim {
-			return nil, fmt.Errorf("view: BinIndexAll layouts mix dimensions %q and %q", dim, l.Dimension)
-		}
-	}
-	dimCol := t.Column(dim)
-	if dimCol == nil {
-		return nil, fmt.Errorf("view: table %q has no column %q", t.Name, dim)
+	dimCol, err := dimensionColumn(t, layouts)
+	if err != nil {
+		return nil, err
 	}
 	out := make([][]int32, len(layouts))
 	for i := range out {
 		out[i] = make([]int32, t.NumRows())
 	}
-	allNumeric := true
-	for _, l := range layouts {
-		if !l.Numeric {
-			allNumeric = false
-			break
-		}
-	}
-	if allNumeric && len(layouts) > 1 {
-		vals, nulls, ok := dimCol.NumericView()
-		if !ok {
-			// fillBins's rule for a dimension with no numeric view: every
-			// row is outside every layout.
-			for i := range out {
-				for r := range out[i] {
-					out[i][r] = -1
-				}
-			}
-			return out, nil
-		}
-		for r := range vals {
-			if isNull(nulls, r) {
-				for i := range layouts {
-					out[i][r] = -1
-				}
-				continue
-			}
-			v := vals[r]
-			for i, l := range layouts {
-				out[i][r] = int32(l.binOfFloat(v))
-			}
-		}
-		return out, nil
-	}
-	for i, l := range layouts {
-		l.fillBins(dimCol, out[i])
-	}
+	binRows(dimCol, layouts, out, 0)
 	return out, nil
 }
 
-// fillBins is the columnar bin-index kernel: it switches on the dimension
-// column's kind once and walks the backing slice directly, instead of
-// paying BinOf's kind switch — and, for categorical dimensions, GroupKey's
-// boxing — once per row. Every path produces exactly BinOf's result (the
-// bin-index property test holds the two together).
-func (l *BinLayout) fillBins(col *dataset.Column, bins []int32) {
+// dimensionColumn returns the one dimension column a set of layouts bins.
+func dimensionColumn(t *dataset.Table, layouts []*BinLayout) (*dataset.Column, error) {
+	dim := layouts[0].Dimension
+	for _, l := range layouts[1:] {
+		if l.Dimension != dim {
+			return nil, fmt.Errorf("view: bin index layouts mix dimensions %q and %q", dim, l.Dimension)
+		}
+	}
+	col := t.Column(dim)
+	if col == nil {
+		return nil, fmt.Errorf("view: table %q has no column %q", t.Name, dim)
+	}
+	return col, nil
+}
+
+// binRows is the bin-index kernel: it writes rows from..len(out[i])-1 of
+// every out[i] under layouts[i], leaving the rows below from untouched,
+// so a full index (from 0) and an appended suffix are binned by the same
+// code. Several numeric layouts share one pass over the column.
+func binRows(col *dataset.Column, layouts []*BinLayout, out [][]int32, from int) {
+	fused := len(layouts) > 1
+	for _, l := range layouts {
+		fused = fused && l.Numeric
+	}
+	if !fused {
+		for i, l := range layouts {
+			l.fillBins(col, out[i], from)
+		}
+		return
+	}
+	vals, nulls, ok := col.NumericView()
+	for r := from; r < len(out[0]); r++ {
+		if !ok || isNull(nulls, r) {
+			// fillBins's rule: NULLs, and every row of a dimension with no
+			// numeric view, are outside every layout.
+			for i := range layouts {
+				out[i][r] = -1
+			}
+			continue
+		}
+		v := vals[r]
+		for i, l := range layouts {
+			out[i][r] = int32(l.binOfFloat(v))
+		}
+	}
+}
+
+// fillBins is the one-layout bin-index kernel for rows from..len(bins)-1:
+// it switches on the dimension column's kind once and walks the backing
+// slice directly, instead of paying BinOf's kind switch — and, for
+// categorical dimensions, GroupKey's boxing — once per row. Every path
+// produces exactly BinOf's result (the bin-index property tests hold the
+// two together).
+func (l *BinLayout) fillBins(col *dataset.Column, bins []int32, from int) {
 	if !l.Numeric {
 		nulls := col.NullBitmap()
 		switch col.Def.Kind {
@@ -388,7 +384,7 @@ func (l *BinLayout) fillBins(col *dataset.Column, bins []int32) {
 						first[b0] = -2 // shared initial: always probe
 					}
 				}
-				for r := range bins {
+				for r := from; r < len(bins); r++ {
 					if isNull(nulls, r) {
 						bins[r] = -1
 						continue
@@ -413,7 +409,7 @@ func (l *BinLayout) fillBins(col *dataset.Column, bins []int32) {
 				}
 				return
 			}
-			for r := range bins {
+			for r := from; r < len(bins); r++ {
 				if isNull(nulls, r) {
 					bins[r] = -1
 					continue
@@ -435,7 +431,7 @@ func (l *BinLayout) fillBins(col *dataset.Column, bins []int32) {
 				binTrue = int32(i)
 			}
 			bools := col.Bools
-			for r := range bins {
+			for r := from; r < len(bins); r++ {
 				switch {
 				case isNull(nulls, r):
 					bins[r] = -1
@@ -446,21 +442,15 @@ func (l *BinLayout) fillBins(col *dataset.Column, bins []int32) {
 				}
 			}
 		default:
-			for r := range bins {
+			for r := from; r < len(bins); r++ {
 				bins[r] = int32(l.BinOf(col, r))
 			}
 		}
 		return
 	}
 	vals, nulls, ok := col.NumericView()
-	if !ok {
-		for r := range bins {
-			bins[r] = -1
-		}
-		return
-	}
-	for r := range bins {
-		if isNull(nulls, r) {
+	for r := from; r < len(bins); r++ {
+		if !ok || isNull(nulls, r) {
 			bins[r] = -1
 			continue
 		}
@@ -468,98 +458,31 @@ func (l *BinLayout) fillBins(col *dataset.Column, bins []int32) {
 	}
 }
 
-// CollectStats scans the table (restricted to rows, or all rows when rows
-// is nil) and accumulates per-bin statistics for every measure.
-func CollectStats(t *dataset.Table, layout *BinLayout, measures []string, rows []int) (*Stats, error) {
-	return collectStats(t, layout, measures, rows, nil)
-}
-
-// CollectStatsIndexed is CollectStats over all rows using a precomputed
-// bin index (from BinIndex), skipping the per-row bin lookup.
-func CollectStatsIndexed(t *dataset.Table, layout *BinLayout, measures []string, bins []int32) (*Stats, error) {
+// CollectStats scans the table's rows — the listed ones, or all rows when
+// rows is nil — and accumulates per-bin statistics for every measure.
+// bins is the table's bin index under layout (a BinIndexAll result, one
+// entry per table row), so a sampled pass is a gather through the same
+// full-table index the exact scans use, never a re-binning.
+func CollectStats(t *dataset.Table, layout *BinLayout, measures []string, rows []int, bins []int32) (*Stats, error) {
 	if len(bins) != t.NumRows() {
 		return nil, fmt.Errorf("view: bin index has %d entries for %d rows", len(bins), t.NumRows())
-	}
-	return collectStats(t, layout, measures, nil, bins)
-}
-
-// CollectStatsSampled is CollectStats over a row subset using a
-// precomputed full-table bin index: an α-sample pass costs a gather
-// through the index instead of re-binning the dimension column row by row.
-func CollectStatsSampled(t *dataset.Table, layout *BinLayout, measures []string, rows []int, bins []int32) (*Stats, error) {
-	if len(bins) != t.NumRows() {
-		return nil, fmt.Errorf("view: bin index has %d entries for %d rows", len(bins), t.NumRows())
-	}
-	return collectStats(t, layout, measures, rows, bins)
-}
-
-func collectStats(t *dataset.Table, layout *BinLayout, measures []string, rows []int, bins []int32) (*Stats, error) {
-	dimCol := t.Column(layout.Dimension)
-	if dimCol == nil {
-		return nil, fmt.Errorf("view: table %q has no column %q", t.Name, layout.Dimension)
-	}
-	mCols := make([]*dataset.Column, len(measures))
-	for i, m := range measures {
-		mCols[i] = t.Column(m)
-		if mCols[i] == nil {
-			return nil, fmt.Errorf("view: table %q has no measure %q", t.Name, m)
-		}
 	}
 	nb := layout.NumBins()
 	s := newStats(layout, measures)
-	for m, col := range mCols {
+	for m, name := range measures {
+		col := t.Column(name)
+		if col == nil {
+			return nil, fmt.Errorf("view: table %q has no measure %q", t.Name, name)
+		}
 		s.Shifts[m] = measureShift(col)
-	}
-	if bins == nil && rows == nil {
-		// Full unindexed scan: bin the dimension once up front, then run
-		// the indexed kernels — the same decode-once work a cached index
-		// would have saved, paid exactly once.
-		bins = make([]int32, t.NumRows())
-		layout.fillBins(dimCol, bins)
-	}
-	if bins != nil {
-		for m, col := range mCols {
-			vals, nulls, ok := col.NumericView()
-			if !ok {
-				continue // non-numeric measure: every cell skips, stats stay empty
-			}
-			base := m * nb
-			accumulateColumn(s.Counts[base:base+nb], s.Sums[base:base+nb],
-				s.SumSqs[base:base+nb], s.Mins[base:base+nb], s.Maxs[base:base+nb],
-				vals, nulls, rows, bins, s.Shifts[m])
+		vals, nulls, ok := col.NumericView()
+		if !ok {
+			continue // non-numeric measure: every cell skips, stats stay empty
 		}
-		return s, nil
-	}
-	// Row subset without a bin index: per-row BinOf, but still decode-once
-	// measure reads and flat accumulators.
-	views := make([][]float64, len(mCols))
-	nullsOf := make([][]uint64, len(mCols))
-	numeric := make([]bool, len(mCols))
-	for m, col := range mCols {
-		views[m], nullsOf[m], numeric[m] = col.NumericView()
-	}
-	for _, r := range rows {
-		b := layout.BinOf(dimCol, r)
-		if b < 0 {
-			continue
-		}
-		for m := range mCols {
-			if !numeric[m] || isNull(nullsOf[m], r) {
-				continue
-			}
-			v := views[m][r]
-			d := v - s.Shifts[m]
-			i := m*nb + b
-			s.Counts[i]++
-			s.Sums[i] += v
-			s.SumSqs[i] += d * d
-			if v < s.Mins[i] {
-				s.Mins[i] = v
-			}
-			if v > s.Maxs[i] {
-				s.Maxs[i] = v
-			}
-		}
+		base := m * nb
+		accumulateColumn(s.Counts[base:base+nb], s.Sums[base:base+nb],
+			s.SumSqs[base:base+nb], s.Mins[base:base+nb], s.Maxs[base:base+nb],
+			vals, nulls, rows, bins, s.Shifts[m])
 	}
 	return s, nil
 }
@@ -644,93 +567,6 @@ func accumulateColumn(cnt, sum, sq, mn, mx, vals []float64, nulls []uint64, rows
 	}
 }
 
-// CollectStatsReference is the retained row-at-a-time reference
-// implementation the columnar kernels are held bit-identical to: per-row
-// BinOf (kind switch, group-key lookup), per-cell Column.Float, bin-major
-// scratch accumulators — the pre-kernel scan path. The kernel property
-// tests here and in internal/feature compare against it. rows == nil
-// scans every row.
-func CollectStatsReference(t *dataset.Table, layout *BinLayout, measures []string, rows []int) (*Stats, error) {
-	dimCol := t.Column(layout.Dimension)
-	if dimCol == nil {
-		return nil, fmt.Errorf("view: table %q has no column %q", t.Name, layout.Dimension)
-	}
-	mCols := make([]*dataset.Column, len(measures))
-	for i, m := range measures {
-		mCols[i] = t.Column(m)
-		if mCols[i] == nil {
-			return nil, fmt.Errorf("view: table %q has no measure %q", t.Name, m)
-		}
-	}
-	nb := layout.NumBins()
-	alloc := func() [][]float64 {
-		out := make([][]float64, nb)
-		for i := range out {
-			out[i] = make([]float64, len(measures))
-		}
-		return out
-	}
-	counts, sums, sumsqs := alloc(), alloc(), alloc()
-	mins, maxs := alloc(), alloc()
-	for b := 0; b < nb; b++ {
-		for m := range measures {
-			mins[b][m] = math.Inf(1)
-			maxs[b][m] = math.Inf(-1)
-		}
-	}
-	// The same full-column shifts as the flat kernels (measureShift is a
-	// column property, not a scan strategy), so flat-vs-reference stays a
-	// bit-identity comparison over every array including SumSqs.
-	shifts := make([]float64, len(mCols))
-	for m, col := range mCols {
-		shifts[m] = measureShift(col)
-	}
-	accumulate := func(r, b int) {
-		for m, col := range mCols {
-			v, ok := col.Float(r)
-			if !ok {
-				continue
-			}
-			d := v - shifts[m]
-			counts[b][m]++
-			sums[b][m] += v
-			sumsqs[b][m] += d * d
-			if v < mins[b][m] {
-				mins[b][m] = v
-			}
-			if v > maxs[b][m] {
-				maxs[b][m] = v
-			}
-		}
-	}
-	if rows == nil {
-		for r := 0; r < t.NumRows(); r++ {
-			if b := layout.BinOf(dimCol, r); b >= 0 {
-				accumulate(r, b)
-			}
-		}
-	} else {
-		for _, r := range rows {
-			if b := layout.BinOf(dimCol, r); b >= 0 {
-				accumulate(r, b)
-			}
-		}
-	}
-	s := newStats(layout, measures)
-	copy(s.Shifts, shifts)
-	for b := 0; b < nb; b++ {
-		for m := range measures {
-			i := s.Index(m, b)
-			s.Counts[i] = counts[b][m]
-			s.Sums[i] = sums[b][m]
-			s.SumSqs[i] = sumsqs[b][m]
-			s.Mins[i] = mins[b][m]
-			s.Maxs[i] = maxs[b][m]
-		}
-	}
-	return s, nil
-}
-
 // MeasureIndex returns the position of measure in s.Measures, or -1.
 func (s *Stats) MeasureIndex(measure string) int {
 	for i, m := range s.Measures {
@@ -742,12 +578,11 @@ func (s *Stats) MeasureIndex(measure string) int {
 }
 
 // ValuesInto writes the aggregate bar heights of (measure index mi, agg)
-// into out — exactly the Values slice Histogram would build, without
-// materialising the Histogram. len(out) must equal the layout's bin
-// count. Empty bins are written as 0 (out is fully overwritten, so a
-// reused scratch buffer carries no stale values). The per-bin aggregate
-// expressions are Histogram's own, so the two stay bit-identical; the agg
-// switch is hoisted out of the bin loop.
+// into out — the Values slice of Histogram, which builds on it, so the
+// block feature kernel reads the same bar heights without materialising
+// a Histogram. len(out) must equal the layout's bin count. Empty bins are
+// written as 0 (out is fully overwritten, so a reused scratch buffer
+// carries no stale values). The agg switch is hoisted out of the bin loop.
 func (s *Stats) ValuesInto(mi int, agg string, out []float64) error {
 	if mi < 0 || mi >= len(s.Measures) {
 		return fmt.Errorf("view: measure index %d out of range (%d measures)", mi, len(s.Measures))
@@ -792,44 +627,26 @@ func (s *Stats) ValuesInto(mi int, agg string, out []float64) error {
 	return nil
 }
 
-// Histogram extracts the (measure, agg) view from collected statistics.
+// Histogram extracts the (measure, agg) view from collected statistics:
+// the bar heights are ValuesInto's, beside copies of the measure's
+// per-bin count, sum and shifted sum-of-squares stripes.
 func (s *Stats) Histogram(measure, agg string) (*Histogram, error) {
 	mi := s.MeasureIndex(measure)
 	if mi < 0 {
 		return nil, fmt.Errorf("view: stats have no measure %q", measure)
 	}
 	nb := s.Layout.NumBins()
+	stripe := func(v []float64) []float64 { return slices.Clone(v[mi*nb : (mi+1)*nb]) }
 	h := &Histogram{
 		Labels: s.Layout.Labels,
 		Shift:  s.Shifts[mi],
 		Values: make([]float64, nb),
-		Counts: make([]float64, nb),
-		Sums:   make([]float64, nb),
-		SumSqs: make([]float64, nb),
+		Counts: stripe(s.Counts),
+		Sums:   stripe(s.Sums),
+		SumSqs: stripe(s.SumSqs),
 	}
-	base := mi * nb
-	for b := 0; b < nb; b++ {
-		c := s.Counts[base+b]
-		h.Counts[b] = c
-		h.Sums[b] = s.Sums[base+b]
-		h.SumSqs[b] = s.SumSqs[base+b]
-		if c == 0 {
-			continue // empty bin: bar height 0 for every aggregate
-		}
-		switch agg {
-		case "COUNT":
-			h.Values[b] = c
-		case "SUM":
-			h.Values[b] = s.Sums[base+b]
-		case "AVG":
-			h.Values[b] = s.Sums[base+b] / c
-		case "MIN":
-			h.Values[b] = s.Mins[base+b]
-		case "MAX":
-			h.Values[b] = s.Maxs[base+b]
-		default:
-			return nil, fmt.Errorf("view: unknown aggregate %q", agg)
-		}
+	if err := s.ValuesInto(mi, agg, h.Values); err != nil {
+		return nil, err
 	}
 	return h, nil
 }

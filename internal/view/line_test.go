@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -73,11 +74,11 @@ func TestRenderLine(t *testing.T) {
 func TestWarmMatchesLazy(t *testing.T) {
 	g1 := benchLikeGenerator(t)
 	g2 := benchLikeGenerator(t)
-	if err := g1.Warm(4); err != nil {
+	if err := g1.WarmCtx(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	// Warm twice is a no-op.
-	if err := g1.Warm(4); err != nil {
+	if err := g1.WarmCtx(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range g1.Specs() {

@@ -49,10 +49,7 @@ func TestBinIndexMatchesBinOf(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bins, err := BinIndex(tab, layout)
-			if err != nil {
-				t.Fatal(err)
-			}
+			bins := binIndex(t, tab, layout)
 			col := tab.Column(spec.dim)
 			for r := 0; r < tab.NumRows(); r++ {
 				if int(bins[r]) != layout.BinOf(col, r) {
@@ -67,8 +64,9 @@ func TestBinIndexMatchesBinOf(t *testing.T) {
 	}
 }
 
-// TestCollectStatsIndexedEquivalence checks the indexed scan produces
-// exactly the statistics of the plain scan.
+// TestCollectStatsIndexedEquivalence checks the all-rows scan (rows ==
+// nil) produces exactly the statistics of the same scan with every row
+// listed, and that a bin index not covering the table is rejected.
 func TestCollectStatsIndexedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tab := randomTable(rng, 500)
@@ -76,23 +74,26 @@ func TestCollectStatsIndexedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := CollectStats(tab, layout, []string{"m1", "m2"}, nil)
+	bins := binIndex(t, tab, layout)
+	all, err := CollectStats(tab, layout, []string{"m1", "m2"}, nil, bins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bins, err := BinIndex(tab, layout)
+	every := make([]int, tab.NumRows())
+	for i := range every {
+		every[i] = i
+	}
+	listed, err := CollectStats(tab, layout, []string{"m1", "m2"}, every, bins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := CollectStatsIndexed(tab, layout, []string{"m1", "m2"}, bins)
-	if err != nil {
+	if err := statsEqual(all, listed); err != nil {
 		t.Fatal(err)
 	}
-	if err := statsEqual(plain, indexed); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CollectStatsIndexed(tab, layout, []string{"m1"}, bins[:10]); err == nil {
-		t.Error("short bin index should fail")
+	for _, rows := range [][]int{nil, {0}} {
+		if _, err := CollectStats(tab, layout, []string{"m1"}, rows, bins[:10]); err == nil {
+			t.Errorf("short bin index with rows %v should fail", rows)
+		}
 	}
 }
 
@@ -114,15 +115,16 @@ func TestStatsAdditivity(t *testing.T) {
 				bRows = append(bRows, i)
 			}
 		}
-		sa, err := CollectStats(tab, layout, []string{"m1"}, a)
+		bins := binIndex(t, tab, layout)
+		sa, err := CollectStats(tab, layout, []string{"m1"}, a, bins)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := CollectStats(tab, layout, []string{"m1"}, bRows)
+		sb, err := CollectStats(tab, layout, []string{"m1"}, bRows, bins)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, err := CollectStats(tab, layout, []string{"m1"}, nil)
+		all, err := CollectStats(tab, layout, []string{"m1"}, nil, bins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +165,7 @@ func TestDistributionSumsToOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := CollectStats(tab, layout, []string{"m1", "m2"}, nil)
+		stats, err := CollectStats(tab, layout, []string{"m1", "m2"}, nil, binIndex(t, tab, layout))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,9 +192,9 @@ func TestDistributionSumsToOne(t *testing.T) {
 	}
 }
 
-// TestPairFocusedMatchesPair: the narrow refresh path must produce
-// exactly the same pair as the all-measures path.
-func TestPairFocusedMatchesPair(t *testing.T) {
+// TestFamilyStatsMatchesLayoutStats: the narrow refresh scan must produce
+// exactly the same pair as the all-measures scan.
+func TestFamilyStatsMatchesLayoutStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ref := randomTable(rng, 400)
 	var rows []int
@@ -214,7 +216,18 @@ func TestPairFocusedMatchesPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pn, err := gFocused.PairFocused(spec)
+		rs, ts, err := gFocused.FamilyStats(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The reference side is the table version's, shared with gFull,
+		// whose all-measures scan it reuses; the target side is scanned
+		// narrowly.
+		if len(ts.Measures) != 1 {
+			t.Fatalf("%s: focused target scan carries measures %v, want just %q",
+				spec, ts.Measures, spec.Measure)
+		}
+		pn, err := AssemblePair(spec, rs, ts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,9 +326,8 @@ func kernelLayouts(t *testing.T, tab *dataset.Table) []*BinLayout {
 
 // TestFlatKernelMatchesReference is the kernel property test: over
 // randomized tables (NULLs, constant columns, bool/int/float/string
-// dimensions, equal-depth layouts) every columnar scan shape — full,
-// indexed, sampled-indexed, row-subset fallback — must produce Stats and
-// Histograms bit-identical to the retained row-at-a-time reference
+// dimensions, equal-depth layouts) the columnar all-rows scan must produce
+// Stats and Histograms bit-identical to the row-at-a-time reference
 // implementation, including on a subset table with empty bins.
 func TestFlatKernelMatchesReference(t *testing.T) {
 	measures := []string{"m1", "m2", "mconst", "mbool"}
@@ -330,10 +342,7 @@ func TestFlatKernelMatchesReference(t *testing.T) {
 		sub := tab.Subset("sub", sel)
 		for _, layout := range kernelLayouts(t, tab) {
 			for _, scanned := range []*dataset.Table{tab, sub} {
-				bins, err := BinIndex(scanned, layout)
-				if err != nil {
-					t.Fatal(err)
-				}
+				bins := binIndex(t, scanned, layout)
 				// The bin-index kernel must agree with per-row BinOf.
 				dimCol := scanned.Column(layout.Dimension)
 				for r := 0; r < scanned.NumRows(); r++ {
@@ -342,22 +351,16 @@ func TestFlatKernelMatchesReference(t *testing.T) {
 							layout.Dimension, r, bins[r], layout.BinOf(dimCol, r))
 					}
 				}
-				want, err := CollectStatsReference(scanned, layout, measures, nil)
+				want, err := collectStatsReference(scanned, layout, measures, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				full, err := CollectStats(scanned, layout, measures, nil)
+				indexed, err := CollectStats(scanned, layout, measures, nil, bins)
 				if err != nil {
 					t.Fatal(err)
 				}
-				indexed, err := CollectStatsIndexed(scanned, layout, measures, bins)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for name, got := range map[string]*Stats{"full": full, "indexed": indexed} {
-					if err := statsEqual(want, got); err != nil {
-						t.Fatalf("dim %q %s kernel: %v", layout.Dimension, name, err)
-					}
+				if err := statsEqual(want, indexed); err != nil {
+					t.Fatalf("dim %q kernel: %v", layout.Dimension, err)
 				}
 				for _, agg := range Aggregates {
 					for _, m := range measures {
@@ -387,8 +390,8 @@ func TestFlatKernelMatchesReference(t *testing.T) {
 }
 
 // TestSampledIndexedMatchesDirect checks the α-pass gather (sampled scan
-// through the cached full-table bin index) against both the direct
-// row-subset scan and the reference implementation.
+// through the cached full-table bin index) against the reference's direct
+// re-binning scan of the same rows.
 func TestSampledIndexedMatchesDirect(t *testing.T) {
 	measures := []string{"m1", "m2", "mconst", "mbool"}
 	f := func(seed int64) bool {
@@ -396,27 +399,16 @@ func TestSampledIndexedMatchesDirect(t *testing.T) {
 		tab := kernelTable(rng, 200+rng.Intn(100))
 		rows := tab.SampleRows(0.1 + rng.Float64()*0.5)
 		for _, layout := range kernelLayouts(t, tab) {
-			bins, err := BinIndex(tab, layout)
+			gathered, err := CollectStats(tab, layout, measures, rows, binIndex(t, tab, layout))
 			if err != nil {
 				t.Fatal(err)
 			}
-			gathered, err := CollectStatsSampled(tab, layout, measures, rows, bins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct, err := CollectStats(tab, layout, measures, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := CollectStatsReference(tab, layout, measures, rows)
+			want, err := collectStatsReference(tab, layout, measures, rows)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := statsEqual(want, gathered); err != nil {
 				t.Fatalf("dim %q sampled-indexed: %v", layout.Dimension, err)
-			}
-			if err := statsEqual(want, direct); err != nil {
-				t.Fatalf("dim %q sampled-direct: %v", layout.Dimension, err)
 			}
 		}
 		return true
@@ -424,20 +416,10 @@ func TestSampledIndexedMatchesDirect(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
 	}
-	// A short bin index is rejected.
-	rng := rand.New(rand.NewSource(1))
-	tab := kernelTable(rng, 100)
-	layout, err := ComputeLayout(tab, "cat", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CollectStatsSampled(tab, layout, measures, []int{0}, make([]int32, 10)); err == nil {
-		t.Error("short bin index should fail")
-	}
 }
 
-// TestPairFocusedOutsideSpace rejects unknown specs.
-func TestPairFocusedOutsideSpace(t *testing.T) {
+// TestFamilyStatsOutsideSpace rejects unknown specs.
+func TestFamilyStatsOutsideSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ref := randomTable(rng, 50)
 	tgt := ref.Subset("tgt", []int{0, 1, 2})
@@ -445,7 +427,7 @@ func TestPairFocusedOutsideSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.PairFocused(Spec{Dimension: "cat", Measure: "m1", Agg: "SUM", Bins: 77}); err == nil {
+	if _, _, err := g.FamilyStats(Spec{Dimension: "cat", Measure: "m1", Agg: "SUM", Bins: 77}); err == nil {
 		t.Error("expected out-of-space error")
 	}
 }

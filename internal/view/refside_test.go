@@ -81,10 +81,7 @@ func TestNaNAndInfDimensionsMatchReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, l := range layouts {
-					idx, err := BinIndex(tab, l)
-					if err != nil {
-						t.Fatal(err)
-					}
+					idx := binIndex(t, tab, l)
 					for r := 0; r < tab.NumRows(); r++ {
 						want := l.BinOf(col, r)
 						if want < -1 || want >= l.NumBins() {
@@ -98,11 +95,11 @@ func TestNaNAndInfDimensionsMatchReference(t *testing.T) {
 								seed, dim, equalDepth, r, want, idx[r], all[i][r])
 						}
 					}
-					full, err := CollectStatsReference(tab, l, measures, nil)
+					full, err := collectStatsReference(tab, l, measures, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sub, err := CollectStatsReference(tab, l, measures, sel)
+					sub, err := collectStatsReference(tab, l, measures, sel)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -111,10 +108,9 @@ func TestNaNAndInfDimensionsMatchReference(t *testing.T) {
 						want *Stats
 						got  func() (*Stats, error)
 					}{
-						{"full", full, func() (*Stats, error) { return CollectStats(tab, l, measures, nil) }},
-						{"indexed", full, func() (*Stats, error) { return CollectStatsIndexed(tab, l, measures, idx) }},
-						{"rows", sub, func() (*Stats, error) { return CollectStats(tab, l, measures, sel) }},
-						{"sampled", sub, func() (*Stats, error) { return CollectStatsSampled(tab, l, measures, sel, idx) }},
+						{"indexed", full, func() (*Stats, error) { return CollectStats(tab, l, measures, nil, idx) }},
+						{"fused", full, func() (*Stats, error) { return CollectStats(tab, l, measures, nil, all[i]) }},
+						{"sampled", sub, func() (*Stats, error) { return CollectStats(tab, l, measures, sel, idx) }},
 					} {
 						got, err := c.got()
 						if err != nil {
@@ -192,7 +188,7 @@ func TestSharedRefSideLifetime(t *testing.T) {
 	if g3.ref == g1.ref {
 		t.Fatal("different bin counts shared a reference side")
 	}
-	if err := g1.Warm(2); err != nil {
+	if err := g1.WarmCtx(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -242,7 +238,7 @@ func TestGeneratorMemoryExcludesSharedRefSide(t *testing.T) {
 		if _, err := g.Pair(spec(g)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g.PairFocused(g.Specs()[len(g.Specs())-1]); err != nil {
+		if _, _, err := g.FamilyStats(g.Specs()[len(g.Specs())-1]); err != nil {
 			t.Fatal(err)
 		}
 		return g.MemoryBytes()
@@ -253,7 +249,7 @@ func TestGeneratorMemoryExcludesSharedRefSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Warm(2); err != nil {
+	if err := other.WarmCtx(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if warm := charge(ref, tgt); warm != cold {
@@ -327,7 +323,7 @@ func TestSharedRefCancelledWarmUnpoisoned(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := shared.Warm(2); err != nil {
+				if err := shared.WarmCtx(context.Background(), 2); err != nil {
 					t.Error(err)
 					return
 				}

@@ -88,7 +88,7 @@ func Enumerate(t *dataset.Table, cfg SpaceConfig) ([]Spec, error) {
 //
 // All methods are safe for concurrent use: the lazy scan caches are
 // single-flight (see lazyCache), so a whole-space feature pass can fan out
-// over goroutines, and request-path refinement (PairFocused) can run
+// over goroutines, and request-path refinement (FamilyStats) can run
 // concurrently with anything else touching the generator — or any other
 // generator sharing its reference side — without duplicating scans.
 type Generator struct {
@@ -172,16 +172,12 @@ func (g *Generator) runWarm(ctx context.Context, jobs []warmJob, workers int) er
 	})
 }
 
-// Warm computes the full-data bin indexes and group statistics of every
-// layout for both tables, fanning the scans out over the given number of
-// worker goroutines (≤ 1 means sequential). Already-cached layouts cost
-// nothing. Like every generator method it is safe to call concurrently.
-func (g *Generator) Warm(workers int) error {
-	return g.WarmCtx(context.Background(), workers)
-}
-
-// WarmCtx is Warm under a context: cancellation stops the pass between
-// layout scans with the context's error.
+// WarmCtx computes the full-data bin indexes and group statistics of
+// every layout for both tables, fanning the scans out over the given
+// number of worker goroutines (≤ 1 means sequential). Already-cached
+// layouts cost nothing; cancellation stops the pass between layout scans
+// with the context's error. Like every generator method it is safe to
+// call concurrently.
 func (g *Generator) WarmCtx(ctx context.Context, workers int) error {
 	jobs := make([]warmJob, 0, 2*len(g.ref.layouts))
 	for k := range g.ref.layouts {
@@ -231,40 +227,29 @@ func (g *Generator) statsFor(t *dataset.Table, sc *scans, cache *lazyCache[layou
 		if err != nil {
 			return nil, err
 		}
-		if rows == nil {
-			return CollectStatsIndexed(t, g.ref.layouts[k], t.Schema.Measures(), bins)
-		}
-		return CollectStatsSampled(t, g.ref.layouts[k], t.Schema.Measures(), rows, bins)
+		return CollectStats(t, g.ref.layouts[k], t.Schema.Measures(), rows, bins)
 	})
 }
 
 // Pair executes one view spec over the full reference and target data,
-// scanning (and caching) all measures of the spec's layout at once — the
-// right cost model for whole-space passes.
+// from the layout statistics LayoutStats scans (and caches) for all
+// measures of the spec's layout at once.
 func (g *Generator) Pair(s Spec) (*Pair, error) {
-	return g.pair(s, &g.ref.stats, &g.tgt.stats, nil, nil)
-}
-
-// PairFocused executes one view spec over the full data, scanning only the
-// spec's own measure when the all-measures statistics are not already
-// cached. Incremental refinement uses it so that upgrading one rough view
-// costs one narrow scan: the optimisation's pruning claim is about
-// per-view work, and a full-layout scan would amortise it away.
-func (g *Generator) PairFocused(s Spec) (*Pair, error) {
-	rs, ts, err := g.FamilyStats(s)
+	rs, ts, err := g.LayoutStats(s)
 	if err != nil {
 		return nil, err
 	}
-	return assemblePair(s, rs, ts)
+	return AssemblePair(s, rs, ts)
 }
 
 // FamilyStats returns the full-data reference and target statistics
-// backing the spec's (dimension, bins, measure) family, with PairFocused's
-// cost model: an already-cached all-measures layout scan is reused, and
-// otherwise only the spec's own measure is scanned. The returned Stats
-// answer every aggregate of that family — block refresh uses this to
-// upgrade a whole family of rough views on one narrow scan. The Stats may
-// carry either all measures or just the spec's (locate it with
+// backing the spec's (dimension, bins, measure) family: an already-cached
+// all-measures layout scan is reused, and otherwise only the spec's own
+// measure is scanned. Incremental refinement uses it so that upgrading a
+// family of rough views costs one narrow scan: the optimisation's pruning
+// claim is about per-view work, and a full-layout scan would amortise it
+// away. The returned Stats answer every aggregate of that family. They
+// may carry either all measures or just the spec's (locate it with
 // MeasureIndex); they are cache-shared and must not be mutated.
 func (g *Generator) FamilyStats(s Spec) (refStats, tgtStats *Stats, err error) {
 	k := layoutKey{s.Dimension, s.Bins}
@@ -282,7 +267,7 @@ func (g *Generator) FamilyStats(s Spec) (refStats, tgtStats *Stats, err error) {
 			if err != nil {
 				return nil, err
 			}
-			return CollectStatsIndexed(t, layout, []string{s.Measure}, bins)
+			return CollectStats(t, layout, []string{s.Measure}, nil, bins)
 		})
 	}
 	if refStats, err = statsOf(g.Ref, &g.ref.scans); err != nil {
@@ -320,11 +305,6 @@ func (g *Generator) NewSampledRun(refRows, tgtRows []int) *SampledRun {
 	return &SampledRun{g: g, refRows: refRows, tgtRows: tgtRows}
 }
 
-// Pair executes one view spec over the run's samples.
-func (r *SampledRun) Pair(s Spec) (*Pair, error) {
-	return r.g.pair(s, &r.refStats, &r.tgtStats, r.refRows, r.tgtRows)
-}
-
 // LayoutStats returns the run's sampled all-measures statistics of the
 // spec's (dimension, bins) layout for both tables — Generator.LayoutStats
 // over the run's row samples, with the same sharing contract.
@@ -332,15 +312,10 @@ func (r *SampledRun) LayoutStats(s Spec) (refStats, tgtStats *Stats, err error) 
 	return r.g.pairStats(s, &r.refStats, &r.tgtStats, r.refRows, r.tgtRows)
 }
 
-// Warm pre-scans every layout's sampled statistics for both tables over a
-// bounded worker pool — the sampled-pass counterpart of Generator.Warm, so
-// that parallel partial feature passes front-load their layout scans
-// concurrently too.
-func (r *SampledRun) Warm(workers int) error {
-	return r.WarmCtx(context.Background(), workers)
-}
-
-// WarmCtx is Warm under a context, with Generator.WarmCtx's semantics.
+// WarmCtx pre-scans every layout's sampled statistics for both tables
+// over a bounded worker pool — the sampled-pass counterpart of
+// Generator.WarmCtx, with its semantics, so that parallel partial feature
+// passes front-load their layout scans concurrently too.
 func (r *SampledRun) WarmCtx(ctx context.Context, workers int) error {
 	g := r.g
 	jobs := make([]warmJob, 0, 2*len(g.ref.layouts))
@@ -350,14 +325,6 @@ func (r *SampledRun) WarmCtx(ctx context.Context, workers int) error {
 			warmJob{g.Target, &g.tgt, &r.tgtStats, r.tgtRows, k})
 	}
 	return r.g.runWarm(ctx, jobs, workers)
-}
-
-func (g *Generator) pair(s Spec, refCache, tgtCache *lazyCache[layoutKey, *Stats], refRows, tgtRows []int) (*Pair, error) {
-	rs, ts, err := g.pairStats(s, refCache, tgtCache, refRows, tgtRows)
-	if err != nil {
-		return nil, err
-	}
-	return assemblePair(s, rs, ts)
 }
 
 // pairStats returns both tables' statistics of the spec's layout from the
@@ -376,7 +343,9 @@ func (g *Generator) pairStats(s Spec, refCache, tgtCache *lazyCache[layoutKey, *
 	return refStats, tgtStats, nil
 }
 
-func assemblePair(s Spec, refStats, tgtStats *Stats) (*Pair, error) {
+// AssemblePair builds the spec's validated view pair from one layout's
+// reference and target statistics.
+func AssemblePair(s Spec, refStats, tgtStats *Stats) (*Pair, error) {
 	rh, err := refStats.Histogram(s.Measure, s.Agg)
 	if err != nil {
 		return nil, err

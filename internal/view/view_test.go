@@ -100,7 +100,7 @@ func TestComputeLayoutConstantColumn(t *testing.T) {
 func TestCollectStatsAndHistogram(t *testing.T) {
 	ref, _ := demoTables(t)
 	l, _ := ComputeLayout(ref, "cat", 0)
-	s, err := CollectStats(ref, l, []string{"m"}, nil)
+	s, err := CollectStats(ref, l, []string{"m"}, nil, binIndex(t, ref, l))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCollectStatsAndHistogram(t *testing.T) {
 func TestCollectStatsRowSubset(t *testing.T) {
 	ref, _ := demoTables(t)
 	l, _ := ComputeLayout(ref, "cat", 0)
-	s, err := CollectStats(ref, l, []string{"m"}, []int{0, 1, 2})
+	s, err := CollectStats(ref, l, []string{"m"}, []int{0, 1, 2}, binIndex(t, ref, l))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,11 @@ func TestGeneratorSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := Spec{Dimension: "cat", Measure: "m", Agg: "COUNT"}
-	p, err := g.NewSampledRun(ref.SampleRows(0.1), nil).Pair(spec)
+	rs, ts, err := g.NewSampledRun(ref.SampleRows(0.1), nil).LayoutStats(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := AssemblePair(spec, rs, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
