@@ -48,7 +48,9 @@ func WriteBinary(t *Table, w io.Writer) error {
 	return gob.NewEncoder(w).Encode(bt)
 }
 
-// ReadBinary deserialises a table written by WriteBinary.
+// ReadBinary deserialises a table written by WriteBinary. Input that no
+// WriteBinary could have produced — a NULL index outside its column,
+// ragged columns — is an error, never a panic.
 func ReadBinary(r io.Reader) (*Table, error) {
 	var bt binaryTable
 	if err := gob.NewDecoder(r).Decode(&bt); err != nil {
@@ -70,6 +72,9 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		col := t.Cols[i]
 		col.Ints, col.Floats, col.Strs, col.Bools = bc.Ints, bc.Floats, bc.Strs, bc.Bools
 		for _, n := range bc.Nulls {
+			if n < 0 || n >= col.Len() {
+				return nil, fmt.Errorf("dataset: binary column %q has NULL index %d outside [0, %d)", bc.Name, n, col.Len())
+			}
 			col.markNull(n)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"viewseeker/internal/dataset"
 	"viewseeker/internal/faultfs"
+	"viewseeker/internal/feature"
 	"viewseeker/internal/store"
 	"viewseeker/internal/view"
 	"viewseeker/internal/wal"
@@ -215,10 +216,10 @@ func TestAtomicPublishSyncsBeforeRename(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &store.OfflineResult{
+	res := store.NewVersion(&feature.Matrix{
 		Specs: []view.Spec{{Dimension: "d", Measure: "m", Agg: "COUNT", Bins: 4}},
 		Names: []string{"KL"}, Rows: [][]float64{{0.25}}, Exact: []bool{true},
-	}
+	}, baseTable(t, 3), nil)
 	if err := cache.Put("fp1", res); err != nil {
 		t.Fatal(err)
 	}

@@ -163,6 +163,10 @@ func decodeRows(schema *dataset.Schema, in [][]any) ([][]dataset.Value, error) {
 	return out, nil
 }
 
+// maxExactInt is the largest integer a JSON number carries without
+// rounding: every integer in [-maxExactInt, maxExactInt] is a float64.
+const maxExactInt = 1<<53 - 1
+
 func decodeCell(def dataset.ColumnDef, cell any) (dataset.Value, error) {
 	if cell == nil {
 		return dataset.Null, nil
@@ -172,6 +176,11 @@ func decodeCell(def dataset.ColumnDef, cell any) (dataset.Value, error) {
 		f, ok := cell.(float64)
 		if !ok || f != math.Trunc(f) || math.IsInf(f, 0) {
 			return dataset.Value{}, fmt.Errorf("want an integer, got %v", cell)
+		}
+		// Past maxExactInt the decoded float has already rounded the value,
+		// and past ±2^63 the conversion to int64 is implementation-defined.
+		if math.Abs(f) > maxExactInt {
+			return dataset.Value{}, fmt.Errorf("integer %v is outside ±(2^53 - 1), the range a JSON number holds exactly", cell)
 		}
 		return dataset.Int(int64(f)), nil
 	case dataset.KindFloat:

@@ -143,6 +143,34 @@ func TestAppendEndpointRejectsBadRows(t *testing.T) {
 	}
 }
 
+// TestDecodeRowsRejectsUnrepresentableInts: an integral JSON number an
+// int column cannot hold exactly — past 2^53 - 1 the float has already
+// rounded it, past ±2^63 int64 cannot hold it at all — is rejected with
+// its row and column named; the edges of the exact range are accepted.
+// (The SYN fixture the endpoint tests host has no int column.)
+func TestDecodeRowsRejectsUnrepresentableInts(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.ColumnDef{Name: "s", Kind: dataset.KindString},
+		dataset.ColumnDef{Name: "n", Kind: dataset.KindInt},
+	)
+	for _, f := range []float64{1 << 53, -(1 << 53), 1e19, -1e19, 1e300} {
+		_, err := decodeRows(schema, [][]any{{"a", 1.0}, {"b", f}})
+		if err == nil || !strings.Contains(err.Error(), `row 1 column "n"`) {
+			t.Errorf("%g: err = %v, want a rejection naming row 1 column \"n\"", f, err)
+		}
+	}
+	rows, err := decodeRows(schema, [][]any{{"a", float64(1<<53 - 1)}, {"b", -float64(1<<53 - 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := rows[0][1].AsInt(); got != 1<<53-1 {
+		t.Fatalf("2^53 - 1 decoded as %d", got)
+	}
+	if got, _ := rows[1][1].AsInt(); got != -(1<<53 - 1) {
+		t.Fatalf("-(2^53 - 1) decoded as %d", got)
+	}
+}
+
 // TestAppendDoesNotDisturbSessions pins the MVCC contract at the API
 // level: a session created before an append keeps answering over the
 // version it was built on.

@@ -18,7 +18,7 @@ import (
 	"viewseeker/internal/retry"
 )
 
-// Cache is a content-addressed store of offline versions with an
+// Cache is a fingerprint-addressed store of offline versions with an
 // in-memory LRU front and an optional on-disk snapshot backend. All
 // methods are safe for concurrent use. Entries are immutable once stored
 // and handed out by reference — sessions overlay them copy-on-write, never
@@ -60,8 +60,8 @@ type cacheEntry struct {
 
 // DefaultCapacity is the in-memory LRU size used when a caller passes
 // capacity <= 0: entries are a few MB each at typical view-space sizes, so
-// a few dozen hot (table, query) pairs stay resident.
-const DefaultCapacity = 64
+// a few dozen hot (table, query) pairs stay resident — one entry each.
+const DefaultCapacity = 32
 
 // NewCache returns a memory-only cache holding at most capacity entries
 // (<= 0 selects DefaultCapacity).
@@ -258,14 +258,11 @@ const snapshotVersion = 1
 // writeSnapshot encodes one entry — its target subset inline, as the
 // wire form — and publishes it atomically, returning the bytes written.
 func writeSnapshot(fs faultfs.FS, path, fp string, res *OfflineResult) (int64, error) {
-	wire := OfflineResult{Specs: res.Specs, Names: res.Names, Rows: res.Rows, Exact: res.Exact}
 	var target, buf bytes.Buffer
-	if res.target != nil {
-		if err := dataset.WriteBinary(res.target, &target); err != nil {
-			return 0, err
-		}
-		wire.Target = target.Bytes()
+	if err := dataset.WriteBinary(res.target, &target); err != nil {
+		return 0, err
 	}
+	wire := OfflineResult{Specs: res.Specs, Names: res.Names, Rows: res.Rows, Exact: res.Exact, Target: target.Bytes()}
 	if err := gob.NewEncoder(&buf).Encode(snapshot{Version: snapshotVersion, Fingerprint: fp, Result: wire}); err != nil {
 		return 0, err
 	}
@@ -277,39 +274,46 @@ func writeSnapshot(fs faultfs.FS, path, fp string, res *OfflineResult) (int64, e
 
 // readSnapshot loads and validates one disk entry, decoding its target
 // once. Any failure — missing file, truncation, version skew, fingerprint
-// mismatch, shape corruption, a bad target — quarantines the file (best
-// effort) and reports an error; the caller treats it as a miss and
-// recomputes, never crashes.
+// mismatch, a missing or bad target, shape corruption — quarantines the
+// file (best effort) and reports an error; the caller treats it as a miss
+// and recomputes, never crashes.
 func readSnapshot(fs faultfs.FS, path, fp string) (*OfflineResult, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	res, err := decodeSnapshot(f, fp)
+	if err != nil {
+		fs.Remove(path)
+		return nil, fmt.Errorf("store: snapshot %s: %w", filepath.Base(path), err)
+	}
+	return res, nil
+}
+
+// decodeSnapshot decodes one snapshot stream addressed by fp into a
+// validated version with its target decoded.
+func decodeSnapshot(r io.Reader, fp string) (*OfflineResult, error) {
 	var snap snapshot
-	if err := gob.NewDecoder(f).Decode(&snap); err != nil {
-		fs.Remove(path)
-		return nil, fmt.Errorf("store: decoding snapshot %s: %w", filepath.Base(path), err)
-	}
-	if snap.Version != snapshotVersion {
-		fs.Remove(path)
-		return nil, fmt.Errorf("store: snapshot version %d, want %d", snap.Version, snapshotVersion)
-	}
-	if snap.Fingerprint != fp {
-		fs.Remove(path)
-		return nil, fmt.Errorf("store: snapshot fingerprint mismatch")
-	}
-	res := &snap.Result
-	if err := res.validate(); err != nil {
-		fs.Remove(path)
+	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, err
 	}
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("version %d, want %d", snap.Version, snapshotVersion)
+	}
+	if snap.Fingerprint != fp {
+		return nil, fmt.Errorf("fingerprint mismatch")
+	}
+	res := &snap.Result
 	if len(res.Target) > 0 {
-		if res.target, err = dataset.ReadBinary(bytes.NewReader(res.Target)); err != nil || res.target.NumRows() == 0 {
-			fs.Remove(path)
-			return nil, fmt.Errorf("store: snapshot %s has an undecodable or empty target", filepath.Base(path))
+		target, err := dataset.ReadBinary(bytes.NewReader(res.Target))
+		if err != nil {
+			return nil, err
 		}
-		res.Target = nil
+		res.target, res.Target = target, nil
+	}
+	if err := res.validate(); err != nil {
+		return nil, err
 	}
 	res.gen = &genSlot{}
 	return res, nil

@@ -1,23 +1,28 @@
 // Package store persists the two kinds of server-side state the
-// interactive phases sit on: the offline phase's output (view layouts
-// plus the utility-feature matrix), kept in a content-addressed cache so
-// a second session over the same (table, query, configuration) skips the
-// offline pass entirely, and the interactive sessions themselves, kept as
+// interactive phases sit on: the offline phase's output (the view space,
+// the utility-feature matrix and the target subset), kept in a cache
+// addressed by (reference contents, query text, configuration) so a
+// second session over the same inputs skips the query and the offline
+// pass entirely, and the interactive sessions themselves, kept as
 // an append-only journal of labelling events whose deterministic replay
 // reconstructs every estimator after a restart.
 //
 // # Contracts
 //
-// Content addressing: cache entries are immutable once stored and are
+// Addressing: cache entries are immutable once stored and are
 // invalidated purely by addressing — any input change produces a
-// different fingerprint — so there is no invalidation API to misuse.
+// different fingerprint (Key) — so there is no invalidation API to
+// misuse. There is one address per entry: textually different queries
+// selecting the same rows do not share one.
 //
 // Shared versions: an entry (OfflineResult) is handed out by reference,
 // never cloned, with the state its sessions share — the target subset,
-// decoded once at disk load, and one view generator, held weakly unless
-// owned. Sessions overlay it copy-on-write (feature.Rebuild), so none can
-// leak refinements into the cache or another session. Snapshots hold only
-// the exported fields, byte-for-byte as before (snapshotVersion 1).
+// which every entry carries and which is decoded once at disk load, and
+// one view generator, held weakly unless owned. Sessions overlay it
+// copy-on-write (feature.Rebuild), so none can leak refinements into the
+// cache or another session. Snapshots hold only the exported fields,
+// byte-for-byte as before (snapshotVersion 1); a snapshot without a
+// target is rejected like any other corrupt one.
 //
 // Degraded mode (DESIGN.md §10): journal appends and cache snapshot
 // writes run under retry.Policy; when retries exhaust, the write is

@@ -28,10 +28,11 @@ func recordingPolicy(slept *[]time.Duration) retry.Policy {
 
 func faultResult() *OfflineResult {
 	return &OfflineResult{
-		Specs: []view.Spec{{Dimension: "d", Measure: "m", Agg: "COUNT", Bins: 4}},
-		Names: []string{"KL"},
-		Rows:  [][]float64{{0.25}},
-		Exact: []bool{true},
+		Specs:  []view.Spec{{Dimension: "d", Measure: "m", Agg: "COUNT", Bins: 4}},
+		Names:  []string{"KL"},
+		Rows:   [][]float64{{0.25}},
+		Exact:  []bool{true},
+		target: testTarget,
 	}
 }
 

@@ -138,24 +138,18 @@ func VersionedRef(baseHash string, seq uint64) string {
 
 // Key identifies one offline-phase computation: the inputs that fully
 // determine the enumerated view space and its feature matrix. Every field
-// participates in the fingerprint, so any change — one cell of either
-// table, the sampling ratio, the feature set, a bin configuration —
-// invalidates the cache entry by simply addressing a different one.
+// participates in the fingerprint, so any change — one cell of the
+// reference table, the query text, the sampling ratio, the feature set, a
+// bin configuration — invalidates the cache entry by simply addressing a
+// different one.
 type Key struct {
-	// RefHash and TargetHash are HashTable of the reference table DR and
-	// the query-selected subset DQ. Keying on the target's contents rather
-	// than the query text means two textually different queries selecting
-	// the same rows share an entry, and callers that build DQ without SQL
-	// (NewFromTables) cache just as well.
-	RefHash    string
-	TargetHash string
-	// Query, when set, addresses the entry by the exploration query's text
-	// instead of the target subset's contents. Query-addressed entries can
-	// carry the serialised target table, letting a warm session skip query
-	// execution entirely; the trade-off is that textually different but
-	// equivalent queries no longer share the entry, which is why both
-	// addressing modes coexist (a query-addressed miss still falls back to
-	// the content-addressed entry after the query runs).
+	// RefHash is HashTable of the reference table DR (or a VersionedRef of
+	// a live table's version).
+	RefHash string
+	// Query is the exploration query's text. Entries carry the target
+	// subset it selected, so a warm session skips query execution too;
+	// textually different queries selecting the same rows address
+	// different entries.
 	Query string
 	// Alpha is the offline pass's sampling ratio, normalised so that every
 	// exact configuration (alpha <= 0 or >= 1) shares one entry.
@@ -182,7 +176,9 @@ func (k Key) Fingerprint() string {
 	w := newHashWriter()
 	w.u64(fingerprintVersion)
 	w.str(k.RefHash)
-	w.str(k.TargetHash)
+	// The retired target-contents slot hashes as an empty string, keeping
+	// every existing query-addressed fingerprint byte-identical.
+	w.str("")
 	w.str(k.Query)
 	alpha := k.Alpha
 	if alpha <= 0 || alpha > 1 {

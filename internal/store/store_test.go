@@ -47,7 +47,7 @@ func TestHashTableSeesCellChanges(t *testing.T) {
 
 func baseKey() Key {
 	return Key{
-		RefHash: "r", TargetHash: "t", Alpha: 1,
+		RefHash: "r", Query: "q", Alpha: 1,
 		Features: []string{"KL", "EMD"}, Aggs: []string{"COUNT"},
 		BinCounts: []int{4}, EqualDepth: false,
 	}
@@ -60,8 +60,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 	k.RefHash = "r2"
 	mutations["ref hash"] = k
 	k = baseKey()
-	k.TargetHash = "t2"
-	mutations["target hash"] = k
+	k.Query = "q2"
+	mutations["query"] = k
 	k = baseKey()
 	k.Alpha = 0.5
 	mutations["alpha"] = k
@@ -87,10 +87,32 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	// Field aliasing: moving a string across field boundaries must not
 	// produce the same digest.
-	a := Key{RefHash: "ab", TargetHash: "c"}
-	b := Key{RefHash: "a", TargetHash: "bc"}
+	a := Key{RefHash: "ab", Query: "c"}
+	b := Key{RefHash: "a", Query: "bc"}
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("adjacent fields alias in the fingerprint")
+	}
+}
+
+// TestFingerprintGolden pins the query-addressed encoding, so existing
+// cache directories stay warm: these digests were written by the encoder
+// that still had a target-contents slot, for keys that left it empty.
+func TestFingerprintGolden(t *testing.T) {
+	query := "SELECT * FROM diab WHERE age_group = '[80-90)'"
+	for _, tc := range []struct {
+		key  Key
+		want string
+	}{
+		{Key{RefHash: "r", Query: query, Alpha: 1, Features: []string{"KL", "EMD"},
+			Aggs: []string{"COUNT"}, BinCounts: []int{4}},
+			"258c221caffed8939a72643c733f102a79c3bac3fc13a8e9b88e7a99e1146727"},
+		{Key{RefHash: "r", Query: query, Alpha: 0.3, Features: []string{"KL", "EMD"},
+			Aggs: []string{"COUNT"}, BinCounts: []int{3, 4}, EqualDepth: true},
+			"fcae3069f648e38823e3d6bd09f682c95720510a89151b10d6af92a0a19a10ab"},
+	} {
+		if got := tc.key.Fingerprint(); got != tc.want {
+			t.Errorf("%+v fingerprints as %s, want %s", tc.key, got, tc.want)
+		}
 	}
 }
 
@@ -105,8 +127,11 @@ func TestFingerprintNormalisesExactAlpha(t *testing.T) {
 	}
 }
 
+// testTarget is a small target subset for versions built by hand.
+var testTarget = dataset.GenerateDIAB(dataset.DIABConfig{Rows: 6, Seed: 1})
+
 func testResult(n int) *OfflineResult {
-	res := &OfflineResult{Names: []string{"F1", "F2"}}
+	res := &OfflineResult{Names: []string{"F1", "F2"}, target: testTarget}
 	for i := 0; i < n; i++ {
 		res.Specs = append(res.Specs, view.Spec{Dimension: "d", Measure: "m", Agg: "COUNT", Bins: i})
 		res.Rows = append(res.Rows, []float64{float64(i), float64(i) * 2})
@@ -147,11 +172,15 @@ func TestCacheRejectsMalformedResult(t *testing.T) {
 	c := NewCache(4)
 	bad := testResult(3)
 	bad.Rows = bad.Rows[:2]
-	if err := c.Put("fp", bad); err == nil {
-		t.Fatal("Put accepted a shape-mismatched result")
-	}
-	if _, ok := c.Get("fp"); ok {
-		t.Fatal("malformed result was stored")
+	noTarget := testResult(3)
+	noTarget.target = nil
+	for name, res := range map[string]*OfflineResult{"shape-mismatched": bad, "target-less": noTarget} {
+		if err := c.Put("fp", res); err == nil {
+			t.Fatalf("Put accepted a %s result", name)
+		}
+		if _, ok := c.Get("fp"); ok {
+			t.Fatalf("%s result was stored", name)
+		}
 	}
 }
 
@@ -188,6 +217,9 @@ func TestDiskSnapshotRoundTrip(t *testing.T) {
 	}
 	if got.Exact[3] || !got.Exact[0] {
 		t.Fatalf("exact flags corrupted: %v", got.Exact)
+	}
+	if got.TargetTable().NumRows() != testTarget.NumRows() {
+		t.Fatalf("target has %d rows, want %d", got.TargetTable().NumRows(), testTarget.NumRows())
 	}
 }
 

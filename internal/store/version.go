@@ -20,20 +20,20 @@ type OfflineResult struct {
 	Names []string
 	Rows  [][]float64
 	Exact []bool
-	// Target is the snapshot form (internal/dataset binary encoding) of a
-	// query-addressed entry's target subset; in memory TargetTable holds it
-	// decoded, so a warm session skips query execution too.
+	// Target is the snapshot form (internal/dataset binary encoding) of
+	// the target subset; in memory TargetTable holds it decoded, so a warm
+	// session skips query execution too.
 	Target []byte
 
 	target *dataset.Table
 	gen    *genSlot
 }
 
-// NewVersion makes a version of m's view space and rows, taking them
-// over: nobody may write m afterwards. target is the version's DQ (nil
-// for a content-addressed entry, whose sessions bring their own). A
-// non-nil gen is owned by the version — a maintained live-table state,
-// whose scans the next advance extends; otherwise see Generator.
+// NewVersion makes a version of m's view space and rows over the target
+// subset DQ they were computed on, taking them over: nobody may write m
+// afterwards. A non-nil gen is owned by the version — a maintained
+// live-table state, whose scans the next advance extends; otherwise see
+// Generator.
 func NewVersion(m *feature.Matrix, target *dataset.Table, gen *view.Generator) *OfflineResult {
 	return &OfflineResult{
 		Specs: m.Specs, Names: m.Names, Rows: m.Rows, Exact: m.Exact,
@@ -41,17 +41,7 @@ func NewVersion(m *feature.Matrix, target *dataset.Table, gen *view.Generator) *
 	}
 }
 
-// WithTarget returns the query-addressed twin of a content-addressed
-// version: the same rows and generator, with target as its DQ.
-func (r *OfflineResult) WithTarget(target *dataset.Table) *OfflineResult {
-	return &OfflineResult{
-		Specs: r.Specs, Names: r.Names, Rows: r.Rows, Exact: r.Exact,
-		target: target, gen: r.gen,
-	}
-}
-
-// TargetTable returns the decoded target subset (nil when the entry is
-// content-addressed).
+// TargetTable returns the decoded target subset.
 func (r *OfflineResult) TargetTable() *dataset.Table { return r.target }
 
 // genSlot is a version's view generator. An owned one lives as long as
@@ -87,11 +77,15 @@ func (r *OfflineResult) Generator(build func() (*view.Generator, error)) (*view.
 	return g, nil
 }
 
-// validate checks the result's internal shape so that a corrupted or
-// hand-edited snapshot can never crash a session built from it.
+// validate checks the result's internal shape and that it carries a
+// non-empty target, so that a corrupted or hand-edited snapshot can never
+// crash a session built from it.
 func (r *OfflineResult) validate() error {
 	if r == nil || len(r.Specs) == 0 {
 		return fmt.Errorf("store: empty offline result")
+	}
+	if r.target == nil || r.target.NumRows() == 0 {
+		return fmt.Errorf("store: offline result has no target subset")
 	}
 	if len(r.Rows) != len(r.Specs) || len(r.Exact) != len(r.Specs) {
 		return fmt.Errorf("store: offline result has %d specs, %d rows, %d exact flags",

@@ -64,12 +64,11 @@ func OpenLiveTableOptions(walPath string, base *Table, opts LiveOptions) (*LiveT
 // crosses Options.DriftThreshold, rebuilds from scratch — re-fitting
 // every layout to the current data (counted in Stats.DriftRebuilds).
 type Maintained struct {
-	mu       sync.Mutex
-	lt       *LiveTable
-	query    string
-	opts     Options
-	registry *feature.Registry
-	spaceCfg view.SpaceConfig
+	mu    sync.Mutex
+	lt    *LiveTable
+	query string
+	opts  Options
+	cfg   offlineConfig
 	// driftThreshold is the resolved Options.DriftThreshold (< 0 disabled).
 	driftThreshold float64
 
@@ -121,11 +120,11 @@ func Maintain(lt *LiveTable, query string, opts Options) (*Maintained, error) {
 	}
 	opts.Alpha = 1
 	opts.Cache = nil
-	registry, spaceCfg, _, err := offlineConfig(opts)
+	cfg, err := resolveOffline(opts)
 	if err != nil {
 		return nil, err
 	}
-	m := &Maintained{lt: lt, query: query, opts: opts, registry: registry, spaceCfg: spaceCfg}
+	m := &Maintained{lt: lt, query: query, opts: opts, cfg: cfg}
 	m.driftThreshold = opts.DriftThreshold
 	if m.driftThreshold == 0 {
 		m.driftThreshold = DefaultDriftThreshold
@@ -145,19 +144,11 @@ func Maintain(lt *LiveTable, query string, opts Options) (*Maintained, error) {
 // drift resets to zero. Callers count the rebuild against the right
 // counter. Caller holds no lock or the lock.
 func (m *Maintained) rebuild(ref *Table, seq uint64) error {
-	target, err := runExplorationQuery(context.Background(), ref, m.query)
+	v, err := buildVersion(context.Background(), ref, m.query, m.cfg, m.opts.Workers, true)
 	if err != nil {
 		return err
 	}
-	gen, err := view.NewGenerator(ref, target, m.spaceCfg)
-	if err != nil {
-		return err
-	}
-	matrix, err := feature.ComputeWorkers(gen, m.registry, m.opts.Workers)
-	if err != nil {
-		return err
-	}
-	m.cur, m.seq = store.NewVersion(matrix, target, gen), seq
+	m.cur, m.seq = v, seq
 	return nil
 }
 
@@ -206,7 +197,7 @@ func (m *Maintained) Advance() (bool, error) {
 			}
 			// The delta-extended generator answers every scan from its
 			// seeded caches; Compute then only reassembles per-view vectors.
-			if matrix, err := feature.ComputeWorkers(ng, m.registry, m.opts.Workers); err == nil {
+			if matrix, err := feature.ComputeWorkers(ng, m.cfg.registry, m.opts.Workers); err == nil {
 				m.cur, m.seq = store.NewVersion(matrix, newTarget, ng), newSeq
 				m.extended++
 				return true, nil
@@ -293,7 +284,7 @@ func (m *Maintained) Version() (*OfflineVersion, uint64) {
 // over exactly that version, which is how a journalled session is
 // replayed bit-identically after eviction.
 func (m *Maintained) NewSessionOn(v *OfflineVersion, opts Options) (*Seeker, error) {
-	return sessionOn(genOf(v).Ref, v.TargetTable(), v, opts, m.registry, m.spaceCfg, true)
+	return sessionOn(genOf(v).Ref, v, opts, m.cfg, true)
 }
 
 // Seq returns the live-table sequence the maintained state is current to.
@@ -337,6 +328,6 @@ func (m *Maintained) DriftRate() float64 {
 // rows are the version's).
 func (m *Maintained) Matrix() *feature.Matrix {
 	v, _ := m.Version()
-	matrix, _ := feature.Rebuild(genOf(v), m.registry, v.Specs, v.Rows, v.Exact)
+	matrix, _ := feature.Rebuild(genOf(v), m.cfg.registry, v.Specs, v.Rows, v.Exact)
 	return matrix
 }

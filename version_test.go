@@ -119,6 +119,46 @@ func TestSessionsShareOneOfflineVersion(t *testing.T) {
 	}
 }
 
+// TestColdCreateFillsOneEntry: a cold create makes one offline version
+// and stores it once — one cache entry, one snapshot file — under its
+// query address; the cold session and every later hit share that
+// version, target included.
+func TestColdCreateFillsOneEntry(t *testing.T) {
+	table := dataset.GenerateDIAB(dataset.DIABConfig{Rows: 1500, Seed: 42})
+	query := "SELECT * FROM diab WHERE age_group = '[80-90)'"
+	dir := t.TempDir()
+	cache, err := OpenCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{K: 5, Cache: cache}
+	cold, err := New(table, query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.CacheHit() {
+		t.Fatal("first session hit an empty cache")
+	}
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("one cold create left %d cache entries, want 1", n)
+	}
+	if paths, _ := filepath.Glob(filepath.Join(dir, "*.vscache")); len(paths) != 1 {
+		t.Fatalf("one cold create wrote %d snapshots, want 1", len(paths))
+	}
+	if hits, misses, _ := cache.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("one cold create probed the cache %d/%d times (hits/misses), want 0/1", hits, misses)
+	}
+	for i := 0; i < 2; i++ {
+		hit, err := New(table, query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.CacheHit() || hit.off != cold.off || hit.Target() != cold.Target() {
+			t.Fatal("a cache hit does not share the cold session's offline version")
+		}
+	}
+}
+
 // TestSharedVersionConcurrentSessions drives α-sampled sessions over one
 // cached version from several goroutines at once — concurrent first use
 // of the shared generator, concurrent refinement scans on it — and checks

@@ -60,8 +60,9 @@ type (
 	Feature = feature.Feature
 	// Catalog maps table names to tables for SQL access.
 	Catalog = sql.Catalog
-	// Cache is a content-addressed store of offline-phase results (view
-	// space plus feature matrix), shared across sessions via Options.Cache.
+	// Cache is a fingerprint-addressed store of offline-phase results
+	// (view space, feature matrix and target subset), shared across
+	// sessions via Options.Cache.
 	Cache = store.Cache
 )
 
@@ -130,21 +131,16 @@ func StaticTopK(table *Table, query, featureName string, k int) ([]View, error) 
 	if k <= 0 {
 		k = 10
 	}
-	target, err := runExplorationQuery(context.Background(), table, query)
+	cfg, err := resolveOffline(Options{})
 	if err != nil {
 		return nil, err
 	}
-	gen, err := view.NewGenerator(table, target, view.SpaceConfig{})
-	if err != nil {
-		return nil, err
-	}
-	registry := feature.StandardRegistry()
-	fi := registry.Index(featureName)
+	fi := cfg.registry.Index(featureName)
 	if fi < 0 {
 		return nil, fmt.Errorf("viewseeker: unknown utility feature %q (want one of %v)",
-			featureName, registry.Names())
+			featureName, cfg.registry.Names())
 	}
-	matrix, err := feature.Compute(gen, registry)
+	v, err := buildVersion(context.Background(), table, query, cfg, 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -152,8 +148,8 @@ func StaticTopK(table *Table, query, featureName string, k int) ([]View, error) 
 		idx   int
 		score float64
 	}
-	ss := make([]scored, matrix.Len())
-	for i, row := range matrix.Rows {
+	ss := make([]scored, len(v.Rows))
+	for i, row := range v.Rows {
 		ss[i] = scored{i, row[fi]}
 	}
 	sort.SliceStable(ss, func(a, b int) bool {
@@ -167,7 +163,7 @@ func StaticTopK(table *Table, query, featureName string, k int) ([]View, error) 
 	}
 	out := make([]View, k)
 	for i := 0; i < k; i++ {
-		out[i] = View{Index: ss[i].idx, Spec: gen.Specs()[ss[i].idx], Score: ss[i].score}
+		out[i] = View{Index: ss[i].idx, Spec: v.Specs[ss[i].idx], Score: ss[i].score}
 	}
 	return out, nil
 }
@@ -212,12 +208,12 @@ type Options struct {
 	// concurrent use. Results are bit-identical across worker counts.
 	Workers int
 	// Cache, when non-nil, consults and fills the offline-result store: a
-	// session whose fingerprint — table contents, query result contents,
-	// Alpha, feature names, aggregate and bin configuration — is already
-	// cached skips the offline feature pass entirely (CacheHit reports
-	// which path was taken). Note that ExtraFeatures participate in the
-	// fingerprint by name only: registering two different computations
-	// under one name aliases their cache entries.
+	// session whose fingerprint — table contents, query text, Alpha,
+	// feature names, aggregate and bin configuration — is already cached
+	// skips the exploration query and the offline feature pass entirely
+	// (CacheHit reports which path was taken). Note that ExtraFeatures
+	// participate in the fingerprint by name only: registering two
+	// different computations under one name aliases their cache entries.
 	Cache *Cache
 	// RefHash optionally supplies a precomputed HashTable of the reference
 	// table, sparing the cache lookup a full pass over the dataset. Only
@@ -294,27 +290,33 @@ func (s *Seeker) generator() (*view.Generator, error) {
 	return s.gen, s.genErr
 }
 
-// offlineConfig resolves the options that shape the offline state: the
-// feature registry, the view-space configuration and their cache-key
-// fields.
-func offlineConfig(opts Options) (registry *feature.Registry, cfg view.SpaceConfig, key store.Key, err error) {
-	registry = feature.StandardRegistry()
+// offlineConfig is the part of Options that shapes an offline version:
+// the feature registry, the view-space configuration and the cache key's
+// configuration fields.
+type offlineConfig struct {
+	registry *feature.Registry
+	spaceCfg view.SpaceConfig
+	key      store.Key
+}
+
+// resolveOffline resolves opts' offline configuration.
+func resolveOffline(opts Options) (offlineConfig, error) {
+	registry := feature.StandardRegistry()
 	for _, f := range opts.ExtraFeatures {
-		if err = registry.Add(f); err != nil {
-			return
+		if err := registry.Add(f); err != nil {
+			return offlineConfig{}, err
 		}
 	}
 	if opts.Quadratic {
-		if err = feature.AddQuadratic(registry); err != nil {
-			return
+		if err := feature.AddQuadratic(registry); err != nil {
+			return offlineConfig{}, err
 		}
 	}
-	cfg = view.SpaceConfig{Aggs: opts.Aggs, BinCounts: opts.BinCounts, EqualDepth: opts.EqualDepth}.Normalized()
-	key = store.Key{
+	cfg := view.SpaceConfig{Aggs: opts.Aggs, BinCounts: opts.BinCounts, EqualDepth: opts.EqualDepth}.Normalized()
+	return offlineConfig{registry: registry, spaceCfg: cfg, key: store.Key{
 		Alpha: normalizeAlpha(opts.Alpha), Features: registry.Names(),
 		Aggs: cfg.Aggs, BinCounts: cfg.BinCounts, EqualDepth: cfg.EqualDepth,
-	}
-	return registry, cfg, key, nil
+	}}, nil
 }
 
 func normalizeAlpha(a float64) float64 {
@@ -344,15 +346,44 @@ func runExplorationQuery(ctx context.Context, table *Table, query string) (*Tabl
 	return target, nil
 }
 
+// buildVersion runs the offline phase of query over table — the one path
+// that makes an offline version: the exploration query carves DQ, the
+// view space is enumerated and the feature pass runs (on an α-sample when
+// cfg's alpha < 1). The version carries its DQ. An owning version keeps
+// the generator for life (a maintained state, whose scans the next
+// Advance extends); any other lends this pass's warm scans to its
+// sessions (OfflineResult.Generator).
+func buildVersion(ctx context.Context, table *Table, query string, cfg offlineConfig, workers int, own bool) (*store.OfflineResult, error) {
+	target, err := runExplorationQuery(ctx, table, query)
+	if err != nil {
+		return nil, err
+	}
+	gen, err := view.NewGenerator(table, target, cfg.spaceCfg)
+	if err != nil {
+		return nil, err
+	}
+	// ComputePartial at α = 1 is the exact pass.
+	matrix, err := feature.ComputePartialWorkersCtx(ctx, gen, cfg.registry, cfg.key.Alpha, workers)
+	if err != nil {
+		return nil, err
+	}
+	if own {
+		return store.NewVersion(matrix, target, gen), nil
+	}
+	v := store.NewVersion(matrix, target, nil)
+	v.Generator(func() (*view.Generator, error) { return gen, nil })
+	return v, nil
+}
+
 // New builds a session: query carves the exploration subset DQ out of the
 // table, the view space is enumerated over the table's dimension/measure
 // roles, and the offline feature pass runs (on an α-sample when
 // Options.Alpha < 1).
 //
 // With Options.Cache set, the session is first looked up by (reference
-// contents, query text, configuration); such entries carry the serialised
-// target subset alongside the matrix, so a warm start skips query
-// execution as well as the offline pass.
+// contents, query text, configuration); entries carry the target subset
+// alongside the matrix, so a warm start skips query execution as well as
+// the offline pass.
 func New(table *Table, query string, opts Options) (*Seeker, error) {
 	return NewCtx(context.Background(), table, query, opts)
 }
@@ -368,121 +399,58 @@ func NewCtx(ctx context.Context, table *Table, query string, opts Options) (*See
 	if table == nil {
 		return nil, fmt.Errorf("viewseeker: nil table")
 	}
-	// The offline umbrella span: everything below — query execution, cache
-	// probes, layout warming, the feature pass — nests under it when the
-	// context carries a tracer.
+	// The offline umbrella span: everything below — cache probe, query
+	// execution, layout warming, the feature pass — nests under it when
+	// the context carries a tracer.
 	ctx, span := obs.StartSpan(ctx, "offline")
 	defer span.End()
-	if opts.Cache == nil {
-		target, err := runExplorationQuery(ctx, table, query)
-		if err != nil {
-			return nil, err
-		}
-		return NewFromTablesCtx(ctx, table, target, opts)
-	}
-	registry, spaceCfg, key, err := offlineConfig(opts)
+	cfg, err := resolveOffline(opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.RefHash == "" {
-		opts.RefHash = store.HashTable(table)
-	}
-	key.RefHash, key.Query = opts.RefHash, query
-	queryFP := key.Fingerprint()
-	if v, ok := opts.Cache.Get(queryFP); ok && v.TargetTable() != nil {
-		if s, err := sessionOn(table, v.TargetTable(), v, opts, registry, spaceCfg, true); err == nil {
-			obs.RegistryFrom(ctx).Counter(`viewseeker_offline_sessions_total{result="warm"}`).Inc()
-			return s, nil
-		}
-		// A mismatched entry degrades to recomputation.
-	}
-	target, err := runExplorationQuery(ctx, table, query)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewFromTablesCtx(ctx, table, target, opts) // fills the content-addressed entry
-	if err != nil {
-		return nil, err
-	}
-	// Index the version under the query too, with the target attached, so
-	// the next session over this (table, query) skips the query as well.
-	_ = opts.Cache.Put(queryFP, s.off.WithTarget(target))
-	return s, nil
-}
-
-// NewFromTables builds a session from an explicit reference table and
-// target subset (for callers that produce DQ by other means). Cache
-// entries on this path are addressed by the target subset's contents, so
-// textually different queries selecting the same rows share them.
-func NewFromTables(ref, target *Table, opts Options) (*Seeker, error) {
-	return NewFromTablesCtx(context.Background(), ref, target, opts)
-}
-
-// NewFromTablesCtx is NewFromTables under a context, with NewCtx's
-// cancellation semantics.
-func NewFromTablesCtx(ctx context.Context, ref, target *Table, opts Options) (*Seeker, error) {
-	if ref == nil || target == nil {
-		return nil, fmt.Errorf("viewseeker: nil table")
-	}
-	registry, spaceCfg, key, err := offlineConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// The offline-result cache is addressed by a fingerprint of everything
-	// the matrix depends on; hashing both tables is one pass over their
-	// columns — noise next to the feature computation a hit skips.
-	var fingerprint string
+	var fp string
 	if opts.Cache != nil {
-		key.RefHash, key.TargetHash = opts.RefHash, store.HashTable(target)
+		key := cfg.key
+		key.RefHash, key.Query = opts.RefHash, query
 		if key.RefHash == "" {
-			key.RefHash = store.HashTable(ref)
+			key.RefHash = store.HashTable(table)
 		}
-		fingerprint = key.Fingerprint()
-		if v, ok := opts.Cache.Get(fingerprint); ok {
-			if s, err := sessionOn(ref, target, v, opts, registry, spaceCfg, true); err == nil {
+		fp = key.Fingerprint()
+		if v, ok := opts.Cache.Get(fp); ok {
+			if s, err := sessionOn(table, v, opts, cfg, true); err == nil {
 				obs.RegistryFrom(ctx).Counter(`viewseeker_offline_sessions_total{result="warm"}`).Inc()
 				return s, nil
 			}
-			// A rebuild error means the entry does not fit this session
-			// (fingerprint collision or corruption): fall through and
-			// recompute rather than fail.
+			// An entry that does not fit this session (fingerprint
+			// collision or corruption) degrades to recomputation.
 		}
 	}
-	gen, err := view.NewGenerator(ref, target, spaceCfg)
-	if err != nil {
-		return nil, err
-	}
-	// ComputePartial at α = 1 is the exact pass.
-	matrix, err := feature.ComputePartialWorkersCtx(ctx, gen, registry, key.Alpha, opts.Workers)
+	v, err := buildVersion(ctx, table, query, cfg, opts.Workers, false)
 	if err != nil {
 		return nil, err
 	}
 	obs.RegistryFrom(ctx).Counter(`viewseeker_offline_sessions_total{result="cold"}`).Inc()
-	v := store.NewVersion(matrix, nil, nil)
-	// Lend this pass's warm scans to the version's other sessions.
-	v.Generator(func() (*view.Generator, error) { return gen, nil })
 	if opts.Cache != nil {
 		// Best-effort fill: a failed snapshot write degrades the cache
 		// to memory-only, it never fails the session.
-		_ = opts.Cache.Put(fingerprint, v)
+		_ = opts.Cache.Put(fp, v)
 	}
-	return sessionOn(ref, target, v, opts, registry, spaceCfg, false)
+	return sessionOn(table, v, opts, cfg, false)
 }
 
-// sessionOn mints a session over the offline version v — the one path
-// behind cold, cache-warmed and maintained sessions — as a copy-on-write
-// overlay on v's rows (feature.Rebuild). Refining an α-sampled version
-// needs its generator up front.
-func sessionOn(ref, target *Table, v *store.OfflineResult, opts Options, registry *feature.Registry, spaceCfg view.SpaceConfig, cacheHit bool) (*Seeker, error) {
-	s := &Seeker{ref: ref, target: target, off: v, registry: registry, cacheHit: cacheHit, spaceCfg: spaceCfg}
+// sessionOn mints a session over the offline version v of ref — the one
+// path behind cold, cache-warmed and maintained sessions — as a
+// copy-on-write overlay on v's rows (feature.Rebuild). Refining an
+// α-sampled version needs its generator up front.
+func sessionOn(ref *Table, v *store.OfflineResult, opts Options, cfg offlineConfig, cacheHit bool) (*Seeker, error) {
+	s := &Seeker{ref: ref, target: v.TargetTable(), off: v, registry: cfg.registry, cacheHit: cacheHit, spaceCfg: cfg.spaceCfg}
 	withRefinement := slices.Contains(v.Exact, false)
 	if withRefinement {
 		if _, err := s.generator(); err != nil {
 			return nil, err
 		}
 	}
-	matrix, err := feature.Rebuild(s.gen, registry, v.Specs, v.Rows, v.Exact)
+	matrix, err := feature.Rebuild(s.gen, cfg.registry, v.Specs, v.Rows, v.Exact)
 	if err != nil {
 		return nil, err
 	}
