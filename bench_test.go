@@ -211,56 +211,44 @@ func BenchmarkFig6Optimization(b *testing.B) {
 	b.Run("optimized", func(b *testing.B) {
 		total := 0.0
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			gen, err := tb.NewGeneratorLike()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			partial, err := feature.ComputePartial(gen, tb.Registry, 0.1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += runSession(b, tb, fn, 10, sim.StopAtZeroUD,
-				core.Config{RefineBudget: time.Second}, true, partial)
+			labels, _ := coldRun(b, tb, fn, 0.1)
+			total += float64(labels)
 		}
 		b.ReportMetric(total/float64(b.N), "labels")
 	})
 }
 
 // BenchmarkFig7Runtime regenerates one Figure 7 point: total system
-// runtime (offline pass + session compute) to UD = 0, optimisation on
-// versus off. Wall time per op is the figure's y-axis.
+// runtime (a cold session's offline phase plus its session compute) to
+// UD = 0, optimisation on versus off. Wall time per op is the figure's
+// y-axis.
 func BenchmarkFig7Runtime(b *testing.B) {
 	tb := benchDIAB(b)
 	fn := sim.IdealFunctionsWithComponents(1)[1]
-	b.Run("unoptimized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gen, err := tb.NewGeneratorLike()
-			if err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		alpha float64
+	}{{"unoptimized", 1}, {"optimized", 0.1}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				coldRun(b, tb, fn, c.alpha)
 			}
-			exact, err := feature.Compute(gen, tb.Registry)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runSession(b, tb, fn, 10, sim.StopAtZeroUD, core.Config{}, false, exact)
-		}
-	})
-	b.Run("optimized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gen, err := tb.NewGeneratorLike()
-			if err != nil {
-				b.Fatal(err)
-			}
-			partial, err := feature.ComputePartial(gen, tb.Registry, 0.1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runSession(b, tb, fn, 10, sim.StopAtZeroUD,
-				core.Config{RefineBudget: time.Second}, true, partial)
-		}
-	})
+		})
+	}
+}
+
+// coldRun is one Figure 6/7 measurement at k = 10 (exp.Testbed.ColdRun).
+func coldRun(b *testing.B, tb *exp.Testbed, fn sim.IdealFunction, alpha float64) (int, time.Duration) {
+	b.Helper()
+	user, err := sim.NewUser(fn, tb.Exact)
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels, elapsed, err := tb.ColdRun(user, 10, alpha)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return labels, elapsed
 }
 
 // BenchmarkAblationStrategies compares the main-phase query strategies on
@@ -325,16 +313,8 @@ func BenchmarkAblationAlpha(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			total := 0.0
 			for i := 0; i < b.N; i++ {
-				gen, err := tb.NewGeneratorLike()
-				if err != nil {
-					b.Fatal(err)
-				}
-				partial, err := feature.ComputePartial(gen, tb.Registry, alpha)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += runSession(b, tb, fn, 10, sim.StopAtZeroUD,
-					core.Config{RefineBudget: time.Second}, true, partial)
+				labels, _ := coldRun(b, tb, fn, alpha)
+				total += float64(labels)
 			}
 			b.ReportMetric(total/float64(b.N), "labels")
 		})
@@ -525,7 +505,7 @@ func BenchmarkAblationBinning(b *testing.B) {
 				b.Fatal(err)
 			}
 			reg := feature.StandardRegistry()
-			matrix, err := feature.Compute(gen, reg)
+			matrix, err := feature.ComputeWorkers(gen, reg, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -634,24 +614,30 @@ func BenchmarkSessionWarmStart(b *testing.B) {
 
 // BenchmarkOfflineParallel measures the parallelised offline phase on the
 // SYN testbed: the exact feature matrix for the whole view space computed
-// with 1, 2, 4, and 8 workers. A fresh generator per iteration keeps the
-// scan caches cold so each op pays the full offline cost. Before timing,
-// it asserts the 8-worker matrix is bit-identical to the sequential one —
-// parallelism must never change the numbers.
+// with 1, 2, 4, and 8 workers. A generator over a cold reference version
+// per iteration keeps the scan caches cold so each op pays the full
+// offline cost. Before timing, it asserts the 8-worker matrix is
+// bit-identical to the sequential one — parallelism must never change the
+// numbers.
 func BenchmarkOfflineParallel(b *testing.B) {
 	tb := benchSYN(b)
+	reg := feature.StandardRegistry()
 	newGen := func() *view.Generator {
-		gen, err := tb.NewGeneratorLike()
+		ref, err := tb.ColdReference()
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen, err := view.NewGenerator(ref, tb.Session.Target(), view.SpaceConfig{BinCounts: tb.Opts.BinCounts})
 		if err != nil {
 			b.Fatal(err)
 		}
 		return gen
 	}
-	seq, err := feature.ComputeWorkers(newGen(), tb.Registry, 1)
+	seq, err := feature.ComputeWorkers(newGen(), reg, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	par, err := feature.ComputeWorkers(newGen(), tb.Registry, 8)
+	par, err := feature.ComputeWorkers(newGen(), reg, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -672,7 +658,7 @@ func BenchmarkOfflineParallel(b *testing.B) {
 				b.StopTimer()
 				gen := newGen()
 				b.StartTimer()
-				if _, err := feature.ComputeWorkers(gen, tb.Registry, workers); err != nil {
+				if _, err := feature.ComputeWorkers(gen, reg, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"viewseeker/internal/exp"
 	"viewseeker/internal/sim"
@@ -25,7 +24,6 @@ func main() {
 		synRows  = flag.Int("syn-rows", 1_000_000, "SYN record count (Table 1: 1000000)")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		alpha    = flag.Float64("alpha", 0.1, "optimisation partial-data ratio (Table 1: 10%)")
-		budget   = flag.Duration("tl", time.Second, "per-iteration refinement budget (Table 1: 1s)")
 		ks       = flag.String("ks", "5,10,15,20,25,30", "comma-separated k values")
 		outDir   = flag.String("out", "", "also write machine-readable CSV series into this directory")
 	)
@@ -55,7 +53,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "DIAB offline feature pass: %v\n", diab.ExactBuild)
+		fmt.Fprintf(os.Stderr, "DIAB offline phase: %v\n", diab.ExactBuild)
 	}
 	if needSYN {
 		fmt.Fprintf(os.Stderr, "building SYN testbed (%d rows)...\n", *synRows)
@@ -63,7 +61,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "SYN offline feature pass: %v\n", syn.ExactBuild)
+		fmt.Fprintf(os.Stderr, "SYN offline phase: %v\n", syn.ExactBuild)
 	}
 
 	if all || want["table1"] {
@@ -107,7 +105,7 @@ func main() {
 	if all || want["fig6"] || want["fig7"] {
 		for _, components := range []int{1, 2, 3} {
 			fmt.Fprintf(os.Stderr, "optimisation study: %d-component u*()...\n", components)
-			curve, err := exp.OptimizationStudy(diab, components, kList, *alpha, *budget)
+			curve, err := exp.OptimizationStudy(diab, components, kList, *alpha)
 			if err != nil {
 				fatal(err)
 			}

@@ -249,32 +249,9 @@ func run(table *viewseeker.Table, query string, k int, alpha float64, workers in
 }
 
 // simulatedUser builds the ground-truth labeller from an exact session's
-// feature matrix via the sim package.
+// feature rows.
 func simulatedUser(s *viewseeker.Seeker, fn sim.IdealFunction) (*sim.User, error) {
-	m, err := exactMatrixOf(s)
-	if err != nil {
-		return nil, err
-	}
-	return sim.NewUser(fn, m)
-}
-
-// exactMatrixOf recomputes the exact feature matrix of a session's view
-// space using the public API surface plus the feature package.
-func exactMatrixOf(s *viewseeker.Seeker) (*feature.Matrix, error) {
-	reg := feature.StandardRegistry()
-	rows := make([][]float64, s.NumViews())
-	for i := 0; i < s.NumViews(); i++ {
-		p, err := s.Pair(i)
-		if err != nil {
-			return nil, err
-		}
-		vec, err := reg.Vector(p)
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = vec
-	}
-	return &feature.Matrix{Specs: s.Specs(), Names: reg.Names(), Rows: rows, Exact: make([]bool, len(rows))}, nil
+	return sim.NewUser(fn, &feature.Matrix{Specs: s.Specs(), Names: s.FeatureNames(), Rows: s.FeatureRows()})
 }
 
 func askLabel(in *bufio.Scanner) (float64, error) {

@@ -11,7 +11,7 @@ import (
 	"log"
 	"strings"
 
-	"viewseeker/internal/core"
+	"viewseeker"
 	"viewseeker/internal/exp"
 	"viewseeker/internal/sim"
 )
@@ -27,13 +27,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seeker, err := core.NewSeeker(tb.Exact, core.Config{K: k}, false)
+	seeker, err := tb.NewSession(k)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("hidden ideal utility function: u*() = %s\n", ideal.Name())
-	fmt.Printf("view space: %d views; target: 100%% top-%d precision\n\n", tb.Exact.Len(), k)
+	fmt.Printf("view space: %d views; target: 100%% top-%d precision\n\n", seeker.NumViews(), k)
 	fmt.Println("label  view                                            given  precision")
 
 	labels := 0
@@ -46,17 +46,16 @@ func main() {
 			break
 		}
 		v := next[0]
-		label := user.Label(v)
-		if err := seeker.Feedback(v, label); err != nil {
+		label := user.Label(v.Index)
+		if err := seeker.Feedback(v.Index, label); err != nil {
 			log.Fatal(err)
 		}
 		labels++
-		pred := seeker.TopK()
-		precision, err := sim.Precision(pred, user.Scores(), k)
+		precision, err := sim.Precision(indices(seeker.TopK()), user.Scores(), k)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%5d  %-46s  %.2f   %s\n", labels, tb.Exact.Specs[v], label, bar(precision))
+		fmt.Printf("%5d  %-46s  %.2f   %s\n", labels, v.Spec, label, bar(precision))
 		if precision >= 1 {
 			break
 		}
@@ -69,14 +68,23 @@ func main() {
 	fmt.Println("ideal top-5 vs recommended top-5:")
 	idealTop := user.TopK(k)
 	predTop := seeker.TopK()
+	specs := seeker.Specs()
 	for i := 0; i < k; i++ {
 		marker := " "
-		if contains(predTop, idealTop[i]) {
+		if contains(indices(predTop), idealTop[i]) {
 			marker = "="
 		}
 		fmt.Printf("  %s ideal: %-44s  recommended: %s\n",
-			marker, tb.Exact.Specs[idealTop[i]], tb.Exact.Specs[predTop[i]])
+			marker, specs[idealTop[i]], predTop[i].Spec)
 	}
+}
+
+func indices(vs []viewseeker.View) []int {
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = v.Index
+	}
+	return out
 }
 
 func bar(p float64) string {

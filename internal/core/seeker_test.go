@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -29,9 +30,9 @@ func buildMatrix(t *testing.T, alpha float64) *feature.Matrix {
 	reg := feature.StandardRegistry()
 	var m *feature.Matrix
 	if alpha > 0 && alpha < 1 {
-		m, err = feature.ComputePartial(g, reg, alpha)
+		m, err = feature.ComputePartialWorkersCtx(context.Background(), g, reg, alpha, 0)
 	} else {
-		m, err = feature.Compute(g, reg)
+		m, err = feature.ComputeWorkers(g, reg, 0)
 	}
 	if err != nil {
 		t.Fatal(err)

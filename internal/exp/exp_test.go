@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"viewseeker/internal/sim"
 )
@@ -32,17 +31,17 @@ func testSYN(t *testing.T) *Testbed {
 
 func TestTestbedShapes(t *testing.T) {
 	diab := testDIAB(t)
-	if got := len(diab.Gen.Specs()); got != 280 {
+	if got := diab.Session.NumViews(); got != 280 {
 		t.Errorf("DIAB view space = %d, want 280", got)
 	}
-	if diab.Target.NumRows() == 0 || diab.Target.NumRows() >= diab.Ref.NumRows()/10 {
-		t.Errorf("DQ size = %d of %d", diab.Target.NumRows(), diab.Ref.NumRows())
+	if dq := diab.Session.Target().NumRows(); dq == 0 || dq >= diab.Ref.NumRows()/10 {
+		t.Errorf("DQ size = %d of %d", dq, diab.Ref.NumRows())
 	}
 	if !diab.Exact.AllExact() {
 		t.Error("testbed matrix must be exact")
 	}
 	syn := testSYN(t)
-	if got := len(syn.Gen.Specs()); got != 250 {
+	if got := syn.Session.NumViews(); got != 250 {
 		t.Errorf("SYN view space = %d, want 250", got)
 	}
 }
@@ -123,7 +122,7 @@ func TestBaselineComparison(t *testing.T) {
 
 func TestOptimizationStudy(t *testing.T) {
 	tb := testDIAB(t)
-	curve, err := OptimizationStudy(tb, 1, []int{5}, 0.1, 50*time.Millisecond)
+	curve, err := OptimizationStudy(tb, 1, []int{5}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +211,7 @@ func TestCSVOutputs(t *testing.T) {
 	}
 	assertCSV(t, basePath, "ideal_function,ranker,precision", 10)
 
-	opt, err := OptimizationStudy(tb, 1, []int{5}, 0.1, 20*time.Millisecond)
+	opt, err := OptimizationStudy(tb, 1, []int{5}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"viewseeker/internal/core"
-	"viewseeker/internal/feature"
+	"viewseeker"
 	"viewseeker/internal/sim"
 )
 
@@ -31,6 +30,12 @@ type EffortCurve struct {
 // group: for each k it averages, over the group's ideal functions, the
 // number of labels the seeker needs before top-k precision reaches 100%.
 func LabelsToFullPrecision(tb *Testbed, components int, ks []int) (*EffortCurve, error) {
+	return meanLabels(tb, components, ks, sim.StopAtFullPrecision)
+}
+
+// meanLabels averages, for each k, the labels exact sessions need to meet
+// criterion over the u* group with the given component count.
+func meanLabels(tb *Testbed, components int, ks []int, criterion sim.StopCriterion) (*EffortCurve, error) {
 	fns := sim.IdealFunctionsWithComponents(components)
 	if len(fns) == 0 {
 		return nil, fmt.Errorf("exp: no ideal functions with %d components", components)
@@ -46,13 +51,7 @@ func LabelsToFullPrecision(tb *Testbed, components int, ks []int) (*EffortCurve,
 			if err != nil {
 				return nil, err
 			}
-			seeker, err := core.NewSeeker(tb.Exact, core.Config{K: k}, false)
-			if err != nil {
-				return nil, err
-			}
-			runner := &sim.Runner{Seeker: seeker, User: user, K: k,
-				MaxLabels: defaultMaxLabels, Criterion: sim.StopAtFullPrecision}
-			res, err := runner.Run()
+			res, err := tb.runExact(user, k, criterion)
 			if err != nil {
 				return nil, fmt.Errorf("exp: %s u*#%d k=%d: %w", tb.Name, fn.ID, k, err)
 			}
@@ -66,6 +65,41 @@ func LabelsToFullPrecision(tb *Testbed, components int, ks []int) (*EffortCurve,
 	return curve, nil
 }
 
+// runExact drives a fresh exact session with recommendation size k by
+// user until criterion holds.
+func (tb *Testbed) runExact(user sim.Labeller, k int, criterion sim.StopCriterion) (*sim.Result, error) {
+	s, err := tb.NewSession(k)
+	if err != nil {
+		return nil, err
+	}
+	return run(s, user, k, criterion)
+}
+
+// run drives s by user until criterion holds or defaultMaxLabels are spent.
+func run(s *viewseeker.Seeker, user sim.Labeller, k int, criterion sim.StopCriterion) (*sim.Result, error) {
+	return (&sim.Runner{Seeker: indexed{s}, User: user, K: k,
+		MaxLabels: defaultMaxLabels, Criterion: criterion}).Run()
+}
+
+// indexed adapts a facade session to sim.Seeker, which speaks view
+// indices.
+type indexed struct{ *viewseeker.Seeker }
+
+func (s indexed) NextViews() ([]int, error) {
+	vs, err := s.Seeker.NextViews()
+	return indices(vs), err
+}
+
+func (s indexed) TopK() []int { return indices(s.Seeker.TopK()) }
+
+func indices(vs []viewseeker.View) []int {
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = v.Index
+	}
+	return out
+}
+
 // BaselineResult is one bar of Figure 5: the maximum top-k precision a
 // fixed ranker achieves against the ideal utility function.
 type BaselineResult struct {
@@ -75,36 +109,34 @@ type BaselineResult struct {
 
 // BaselineComparison runs Experiment 2 (Figure 5): for the given ideal
 // function (the paper uses u* #11 on DIAB, k=10), it measures the
-// precision of each single utility feature used as a fixed ranker, and of
-// ViewSeeker after an interactive session.
+// precision of each single utility feature used as a fixed ranker
+// (viewseeker.StaticTopK), and of ViewSeeker after an interactive
+// session. StaticTopK ranks the default view space, so the testbed must
+// use the default space configuration (DIAB does).
 func BaselineComparison(tb *Testbed, fn sim.IdealFunction, k int) ([]BaselineResult, error) {
 	if k <= 0 {
 		k = 10
+	}
+	if len(tb.Opts.BinCounts) > 0 {
+		return nil, fmt.Errorf("exp: %s testbed has a custom view space; StaticTopK ranks the default one", tb.Name)
 	}
 	user, err := sim.NewUser(fn, tb.Exact)
 	if err != nil {
 		return nil, err
 	}
 	var out []BaselineResult
-	for j, name := range tb.Exact.Names {
-		scores := make([]float64, tb.Exact.Len())
-		for i, row := range tb.Exact.Rows {
-			scores[i] = row[j]
+	for _, name := range tb.Session.FeatureNames() {
+		top, err := viewseeker.StaticTopK(tb.Ref, tb.Query, name, k)
+		if err != nil {
+			return nil, err
 		}
-		pred := sim.TopKByScore(scores, k)
-		p, err := sim.Precision(pred, user.Scores(), k)
+		p, err := sim.Precision(indices(top), user.Scores(), k)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, BaselineResult{Name: name, Precision: p})
 	}
-	seeker, err := core.NewSeeker(tb.Exact, core.Config{K: k}, false)
-	if err != nil {
-		return nil, err
-	}
-	runner := &sim.Runner{Seeker: seeker, User: user, K: k,
-		MaxLabels: defaultMaxLabels, Criterion: sim.StopAtFullPrecision}
-	res, err := runner.Run()
+	res, err := tb.runExact(user, k, sim.StopAtFullPrecision)
 	if err != nil {
 		return nil, err
 	}
@@ -133,8 +165,9 @@ type OptimizationCurve struct {
 
 // OptimizationStudy compares the optimisations-enabled ViewSeeker against
 // the optimisations-disabled baseline (Section 5.2): both run to UD = 0;
-// runtime includes the offline feature pass plus all session compute.
-func OptimizationStudy(tb *Testbed, components int, ks []int, alpha float64, budget time.Duration) (*OptimizationCurve, error) {
+// runtime is a cold session's whole life, offline phase included
+// (Testbed.ColdRun), at α = 1 and at alpha.
+func OptimizationStudy(tb *Testbed, components int, ks []int, alpha float64) (*OptimizationCurve, error) {
 	fns := sim.IdealFunctionsWithComponents(components)
 	if len(fns) == 0 {
 		return nil, fmt.Errorf("exp: no ideal functions with %d components", components)
@@ -145,9 +178,6 @@ func OptimizationStudy(tb *Testbed, components int, ks []int, alpha float64, bud
 	if alpha <= 0 {
 		alpha = 0.1
 	}
-	if budget <= 0 {
-		budget = time.Second
-	}
 	curve := &OptimizationCurve{Dataset: tb.Name, Components: components, Alpha: alpha}
 	for _, k := range ks {
 		pt := OptimizationPoint{K: k}
@@ -156,50 +186,18 @@ func OptimizationStudy(tb *Testbed, components int, ks []int, alpha float64, bud
 			if err != nil {
 				return nil, err
 			}
-
-			// Baseline: full offline pass, no refinement.
-			gen, err := tb.NewGeneratorLike()
+			labels, elapsed, err := tb.ColdRun(user, k, 1)
 			if err != nil {
 				return nil, err
 			}
-			start := time.Now()
-			exact, err := feature.Compute(gen, tb.Registry)
+			pt.LabelsBaseline += float64(labels)
+			pt.TimeBaseline += elapsed
+			labels, elapsed, err = tb.ColdRun(user, k, alpha)
 			if err != nil {
 				return nil, err
 			}
-			seeker, err := core.NewSeeker(exact, core.Config{K: k}, false)
-			if err != nil {
-				return nil, err
-			}
-			res, err := (&sim.Runner{Seeker: seeker, User: user, K: k,
-				MaxLabels: defaultMaxLabels, Criterion: sim.StopAtZeroUD}).Run()
-			if err != nil {
-				return nil, err
-			}
-			pt.TimeBaseline += time.Since(start)
-			pt.LabelsBaseline += float64(res.LabelsUsed)
-
-			// Optimised: α-sample offline pass + rank-ordered refinement.
-			gen, err = tb.NewGeneratorLike()
-			if err != nil {
-				return nil, err
-			}
-			start = time.Now()
-			partial, err := feature.ComputePartial(gen, tb.Registry, alpha)
-			if err != nil {
-				return nil, err
-			}
-			seeker, err = core.NewSeeker(partial, core.Config{K: k, RefineBudget: budget}, true)
-			if err != nil {
-				return nil, err
-			}
-			res, err = (&sim.Runner{Seeker: seeker, User: user, K: k,
-				MaxLabels: defaultMaxLabels, Criterion: sim.StopAtZeroUD}).Run()
-			if err != nil {
-				return nil, err
-			}
-			pt.TimeOptimized += time.Since(start)
-			pt.LabelsOptimized += float64(res.LabelsUsed)
+			pt.LabelsOptimized += float64(labels)
+			pt.TimeOptimized += elapsed
 		}
 		n := float64(len(fns))
 		pt.LabelsBaseline /= n

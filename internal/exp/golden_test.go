@@ -85,10 +85,10 @@ func TestPaperScaleSYNSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Gen.Specs()) != 250 {
-		t.Fatalf("view space = %d", len(tb.Gen.Specs()))
+	if tb.Session.NumViews() != 250 {
+		t.Fatalf("view space = %d", tb.Session.NumViews())
 	}
-	ratio := float64(tb.Target.NumRows()) / float64(tb.Ref.NumRows())
+	ratio := float64(tb.Session.Target().NumRows()) / float64(tb.Ref.NumRows())
 	if ratio < 0.003 || ratio > 0.008 {
 		t.Errorf("DQ ratio = %.4f", ratio)
 	}

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,30 +51,41 @@ func randomTable(t *testing.T, rng *rand.Rand) (ref, tgt *dataset.Table) {
 }
 
 // oracleRegistries returns the registries the block kernel is checked
-// under: the standard eight, the extended registry, and a registry with a
-// custom feature and quadratic products, whose columns past the eighth
-// ride the per-pair interface on top of a block fill.
+// under: the standard eight, a registry with one custom feature, and that
+// registry with quadratic products. Columns past the eighth ride the
+// per-pair interface on top of a block fill.
 func oracleRegistries(t *testing.T) map[string]*Registry {
 	t.Helper()
 	custom := StandardRegistry()
-	if err := custom.Add(TrendDiff()); err != nil {
+	if err := custom.Add(trendDiff); err != nil {
 		t.Fatal(err)
 	}
-	if err := AddQuadratic(custom); err != nil {
+	quadratic := StandardRegistry()
+	if err := quadratic.Add(trendDiff); err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*Registry{"standard": StandardRegistry(), "extended": ExtendedRegistry(), "custom": custom}
+	if err := AddQuadratic(quadratic); err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Registry{"standard": StandardRegistry(), "custom": custom, "quadratic": quadratic}
 }
+
+// trendDiff is a custom feature that reads the pair's bar heights, not
+// its distributions: the absolute difference between the target's and
+// the reference's normalised trend slopes.
+var trendDiff = Feature{Name: "TREND_DIFF", Compute: func(p *view.Pair) (float64, error) {
+	return math.Abs(p.Target.TrendSlope() - p.Reference.TrendSlope()), nil
+}}
 
 // TestBlockFillMatchesPerPairQuick is the property test pinning the
 // layout-block fill bit-identical to the per-pair oracle: across random
 // tables, null patterns and bin configurations, the exact and α-sampled
 // matrices must match perPairMatrix float for float — for the standard,
-// extended and custom registries alike.
+// custom and quadratic registries alike.
 func TestBlockFillMatchesPerPairQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	regs := oracleRegistries(t)
-	names := []string{"standard", "extended", "custom"}
+	names := []string{"standard", "custom", "quadratic"}
 	for trial := 0; trial < 12; trial++ {
 		ref, tgt := randomTable(t, rng)
 		cfg := view.SpaceConfig{BinCounts: []int{2 + rng.Intn(4), 6 + rng.Intn(6)}}
@@ -101,7 +113,7 @@ func TestBlockFillMatchesPerPairQuick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		block, err := Compute(gBlock, reg)
+		block, err := ComputeWorkers(gBlock, reg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +124,7 @@ func TestBlockFillMatchesPerPairQuick(t *testing.T) {
 		compare(block, perPair)
 
 		alpha := 0.1 + rng.Float64()*0.5
-		blockP, err := ComputePartial(gBlock, reg, alpha)
+		blockP, err := ComputePartialWorkersCtx(context.Background(), gBlock, reg, alpha, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +172,7 @@ func TestRefreshFamilyMatchesRefreshRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := ComputePartial(g, reg, 0.25)
+		m, err := ComputePartialWorkersCtx(context.Background(), g, reg, 0.25, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +224,7 @@ func TestRefreshFamilyRejectsMixedFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ComputePartial(g, StandardRegistry(), 0.25)
+	m, err := ComputePartialWorkersCtx(context.Background(), g, StandardRegistry(), 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +257,7 @@ func TestFeatureBlockAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ComputePartial(g, StandardRegistry(), 0.25)
+	m, err := ComputePartialWorkersCtx(context.Background(), g, StandardRegistry(), 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

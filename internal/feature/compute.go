@@ -33,41 +33,28 @@ type Matrix struct {
 // without comparing row contents. Safe for concurrent use.
 func (m *Matrix) Version() uint64 { return m.version.Load() }
 
-// Compute builds the matrix over the full data: the unoptimised offline
-// phase of ViewSeeker, parallelised over all CPUs. Use ComputeWorkers to
-// control the fan-out explicitly.
-func Compute(g *view.Generator, r *Registry) (*Matrix, error) {
-	return ComputeWorkers(g, r, 0)
-}
-
-// ComputeWorkers is Compute with an explicit worker count: feature vectors
-// (and the layout scans beneath them) fan out over at most workers
-// goroutines. workers ≤ 0 selects runtime.NumCPU(); workers == 1 is the
-// fully sequential path. The resulting matrix is bit-identical across
-// worker counts — every row is a pure function of its view's scan
-// statistics, which are computed single-threaded per layout. Custom
-// features registered on r must be safe for concurrent use when
-// workers != 1 (the standard eight are pure).
+// ComputeWorkers builds the matrix over the full data — the unoptimised
+// offline phase of ViewSeeker. Feature vectors (and the layout scans
+// beneath them) fan out over at most workers goroutines. workers ≤ 0
+// selects runtime.NumCPU(); workers == 1 is the fully sequential path.
+// The resulting matrix is bit-identical across worker counts — every row
+// is a pure function of its view's scan statistics, which are computed
+// single-threaded per layout. Custom features registered on r must be
+// safe for concurrent use when workers != 1 (the standard eight are
+// pure).
 func ComputeWorkers(g *view.Generator, r *Registry, workers int) (*Matrix, error) {
 	return computeMatrix(context.Background(), g, r, nil, workers)
 }
 
-// ComputePartial builds the matrix from a uniform α-sample of the
-// reference table — the "rough" utility scores of the optimisation. The
-// target subset DQ is always scanned exactly: it is a fraction of a
-// percent of the data, so sampling it would add noise without saving
-// meaningful work. Rows are marked inexact; RefreshFamily upgrades them
-// on demand. Like Compute it parallelises over all CPUs; see
-// ComputePartialWorkersCtx.
-func ComputePartial(g *view.Generator, r *Registry, alpha float64) (*Matrix, error) {
-	return ComputePartialWorkersCtx(context.Background(), g, r, alpha, 0)
-}
-
-// ComputePartialWorkersCtx is ComputePartial with an explicit worker
-// count, under a context. Worker counts have ComputeWorkers's semantics
-// and determinism guarantee (the α-sample is a deterministic stride, so
-// sampled matrices are also bit-identical across worker counts); α = 1 is
-// the exact pass. Cancellation is checked between work items — layout
+// ComputePartialWorkersCtx builds the matrix from a uniform α-sample of
+// the reference table — the "rough" utility scores of the optimisation —
+// under a context. The target subset DQ is always scanned exactly: it is
+// a fraction of a percent of the data, so sampling it would add noise
+// without saving meaningful work. Rows are marked inexact; RefreshFamily
+// upgrades them on demand. α = 1 is the exact pass. Worker counts have
+// ComputeWorkers's semantics and determinism guarantee (the α-sample is a
+// deterministic stride, so sampled matrices are also bit-identical across
+// worker counts). Cancellation is checked between work items — layout
 // scans during warming, layout blocks of feature rows afterwards — never
 // inside the row-level kernels, so the overhead is amortised per item and
 // a cancelled offline pass stops within one item per worker. The partial

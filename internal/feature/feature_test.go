@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestVectorValues(t *testing.T) {
 func TestComputeMatrix(t *testing.T) {
 	g := demoGenerator(t)
 	r := StandardRegistry()
-	m, err := Compute(g, r)
+	m, err := ComputeWorkers(g, r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +129,11 @@ func TestComputeMatrix(t *testing.T) {
 func TestComputePartialAndRefresh(t *testing.T) {
 	g := demoGenerator(t)
 	r := StandardRegistry()
-	exact, err := Compute(g, r)
+	exact, err := ComputeWorkers(g, r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := ComputePartial(g, r, 0.25)
+	part, err := ComputePartialWorkersCtx(context.Background(), g, r, 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,13 +170,13 @@ func TestComputePartialAndRefresh(t *testing.T) {
 func TestComputePartialAlphaValidation(t *testing.T) {
 	g := demoGenerator(t)
 	r := StandardRegistry()
-	if _, err := ComputePartial(g, r, 0); err == nil {
+	if _, err := ComputePartialWorkersCtx(context.Background(), g, r, 0, 0); err == nil {
 		t.Error("alpha 0 should fail")
 	}
-	if _, err := ComputePartial(g, r, 1.5); err == nil {
+	if _, err := ComputePartialWorkersCtx(context.Background(), g, r, 1.5, 0); err == nil {
 		t.Error("alpha > 1 should fail")
 	}
-	m, err := ComputePartial(g, r, 1)
+	m, err := ComputePartialWorkersCtx(context.Background(), g, r, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +202,11 @@ func TestPartialApproximatesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := StandardRegistry()
-	exact, err := Compute(g, r)
+	exact, err := ComputeWorkers(g, r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := ComputePartial(g, r, 0.3)
+	part, err := ComputePartialWorkersCtx(context.Background(), g, r, 0.3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestCustomFeature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Compute(g, r)
+	m, err := ComputeWorkers(g, r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestQuadraticCapturesProductTarget(t *testing.T) {
 	if err := AddQuadratic(r); err != nil {
 		t.Fatal(err)
 	}
-	m, err := Compute(g, r)
+	m, err := ComputeWorkers(g, r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,67 +305,5 @@ func TestQuadraticCapturesProductTarget(t *testing.T) {
 		if diff := row[prodIdx] - row[kl]*row[emd]; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("row %d product feature mismatch", i)
 		}
-	}
-}
-
-func TestExtendedRegistry(t *testing.T) {
-	r := ExtendedRegistry()
-	if r.Len() != 11 {
-		t.Fatalf("extended registry has %d features, want 11", r.Len())
-	}
-	for _, name := range []string{JS, Hellinger, ChiSqDist} {
-		if r.Index(name) < 0 {
-			t.Errorf("missing extended feature %s", name)
-		}
-	}
-	g := demoGenerator(t)
-	p, err := g.Pair(view.Spec{Dimension: "cat", Measure: "m", Agg: "COUNT"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec, err := r.Vector(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The skewed demo target must register on all three extra geometries.
-	for _, name := range []string{JS, Hellinger, ChiSqDist} {
-		if v := vec[r.Index(name)]; v <= 0 {
-			t.Errorf("%s = %v, want > 0", name, v)
-		}
-	}
-}
-
-func TestTrendDiffFeature(t *testing.T) {
-	f := TrendDiff()
-	if f.Name != "TREND_DIFF" {
-		t.Fatalf("name = %q", f.Name)
-	}
-	mk := func(values []float64) *view.Histogram {
-		return &view.Histogram{Labels: []string{"a", "b", "c"}, Values: values}
-	}
-	// Opposite trends: large diff. Same trend: zero.
-	opposed := &view.Pair{
-		Spec:      view.Spec{Dimension: "d", Measure: "m", Agg: "AVG"},
-		Target:    mk([]float64{1, 2, 3}),
-		Reference: mk([]float64{3, 2, 1}),
-	}
-	same := &view.Pair{
-		Spec:      view.Spec{Dimension: "d", Measure: "m", Agg: "AVG"},
-		Target:    mk([]float64{1, 2, 3}),
-		Reference: mk([]float64{2, 4, 6}),
-	}
-	vOpposed, err := f.Compute(opposed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vSame, err := f.Compute(same)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vOpposed <= vSame {
-		t.Errorf("opposed trends %v should exceed same trends %v", vOpposed, vSame)
-	}
-	if vSame > 1e-9 {
-		t.Errorf("identical normalised trends diff = %v, want ~0", vSame)
 	}
 }

@@ -71,56 +71,6 @@ func StandardRegistry() *Registry {
 	return r
 }
 
-// Canonical names of the optional extended deviation features.
-const (
-	JS        = "JS"
-	Hellinger = "HELLINGER"
-	ChiSqDist = "CHI2_DIST"
-)
-
-// ExtendedRegistry returns the standard eight features plus the optional
-// deviation measures from the wider literature: Jensen–Shannon divergence,
-// Hellinger distance and the symmetric χ² distance. The ideal utility
-// functions of Table 2 never reference these, so the paper's experiments
-// are unaffected; they exist for users whose notion of "interesting"
-// matches a different geometry.
-func ExtendedRegistry() *Registry {
-	r := StandardRegistry()
-	dist := func(f func(p, q []float64) (float64, error)) func(*view.Pair) (float64, error) {
-		return func(p *view.Pair) (float64, error) {
-			return f(p.Target.Distribution(), p.Reference.Distribution())
-		}
-	}
-	for _, f := range []Feature{
-		{JS, dist(metric.JensenShannon)},
-		{Hellinger, dist(metric.Hellinger)},
-		{ChiSqDist, dist(metric.ChiSquareDistance)},
-	} {
-		if err := r.Add(f); err != nil {
-			panic(err) // unreachable: names are unique by construction
-		}
-	}
-	return r
-}
-
-// TrendDiff returns an optional utility feature for line-chart-style
-// exploration: the absolute difference between the normalised linear
-// trend slopes of the target and reference series. Analysts hunting for
-// "the subset trends up where the population trends down" register it via
-// Registry.Add (it is not part of the paper's standard eight).
-func TrendDiff() Feature {
-	return Feature{
-		Name: "TREND_DIFF",
-		Compute: func(p *view.Pair) (float64, error) {
-			d := p.Target.TrendSlope() - p.Reference.TrendSlope()
-			if d < 0 {
-				d = -d
-			}
-			return d, nil
-		},
-	}
-}
-
 // AddQuadratic extends a registry with the pairwise products of its
 // current features (including squares), named "A*B". A linear estimator
 // over the extended space captures multiplicative utility functions —
@@ -185,17 +135,4 @@ func (r *Registry) Index(name string) int {
 		return i
 	}
 	return -1
-}
-
-// Vector computes all features for one pair, in registry order.
-func (r *Registry) Vector(p *view.Pair) ([]float64, error) {
-	out := make([]float64, len(r.feats))
-	for i, f := range r.feats {
-		v, err := f.Compute(p)
-		if err != nil {
-			return nil, fmt.Errorf("feature: computing %s for %s: %w", f.Name, p.Spec, err)
-		}
-		out[i] = v
-	}
-	return out, nil
 }

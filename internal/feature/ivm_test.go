@@ -61,7 +61,7 @@ func TestMatrixDeltaMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compute(warm, reg); err != nil { // fills every scan cache
+	if _, err := ComputeWorkers(warm, reg, 0); err != nil { // fills every scan cache
 		t.Fatal(err)
 	}
 	delta, err := warm.ApplyAppend(appended, subset(appended))
@@ -77,11 +77,11 @@ func TestMatrixDeltaMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mDelta, err := Compute(delta, reg)
+	mDelta, err := ComputeWorkers(delta, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mScratch, err := Compute(scratch, reg)
+	mScratch, err := ComputeWorkers(scratch, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestMatrixMatchesReferenceKernels(t *testing.T) {
 		return vec
 	}
 
-	exact, err := Compute(g, reg)
+	exact, err := ComputeWorkers(g, reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestMatrixMatchesReferenceKernels(t *testing.T) {
 	}
 
 	const alpha = 0.2
-	partial, err := ComputePartial(g, reg, alpha)
+	partial, err := ComputePartialWorkersCtx(context.Background(), g, reg, alpha, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,3 +70,17 @@ func (m *Matrix) RefreshRow(i int) error {
 	m.version.Add(1)
 	return nil
 }
+
+// Vector computes all features for one pair, in registry order: the
+// per-pair specification of one matrix row.
+func (r *Registry) Vector(p *view.Pair) ([]float64, error) {
+	out := make([]float64, len(r.feats))
+	for i, f := range r.feats {
+		v, err := f.Compute(p)
+		if err != nil {
+			return nil, fmt.Errorf("feature: computing %s for %s: %w", f.Name, p.Spec, err)
+		}
+		out[i] = v
+	}
+	return out, nil
+}

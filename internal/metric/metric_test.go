@@ -350,90 +350,3 @@ func TestPValueScoreGrowsWithSampleSize(t *testing.T) {
 		t.Errorf("significance should grow with n: small=%v large=%v", small, large)
 	}
 }
-
-func TestJensenShannonKnown(t *testing.T) {
-	// Identical distributions: 0. Disjoint: ln 2.
-	p := []float64{0.5, 0.5, 0, 0}
-	if d, err := JensenShannon(p, p); err != nil || d > 1e-12 {
-		t.Errorf("JS(p,p) = %v, %v", d, err)
-	}
-	q := []float64{0, 0, 0.5, 0.5}
-	d, err := JensenShannon(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-math.Ln2) > 1e-12 {
-		t.Errorf("JS disjoint = %v, want ln 2", d)
-	}
-	// Symmetric.
-	d2, _ := JensenShannon(q, p)
-	if math.Abs(d-d2) > 1e-12 {
-		t.Error("JS must be symmetric")
-	}
-	if _, err := JensenShannon(p, []float64{1}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
-func TestHellingerKnown(t *testing.T) {
-	p := []float64{1, 0}
-	q := []float64{0, 1}
-	if d, _ := Hellinger(p, q); d != 1 {
-		t.Errorf("disjoint Hellinger = %v, want 1", d)
-	}
-	if d, _ := Hellinger(p, p); d > 1e-12 {
-		t.Errorf("identical Hellinger = %v", d)
-	}
-	a := Normalize([]float64{3, 1})
-	b := Normalize([]float64{1, 3})
-	d, _ := Hellinger(a, b)
-	if d <= 0 || d >= 1 {
-		t.Errorf("Hellinger = %v, want in (0,1)", d)
-	}
-}
-
-func TestChiSquareDistanceKnown(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0.25, 0.75}
-	// ½[(0.25²/0.75) + (0.25²/1.25)] = ½[1/12 + 1/20]
-	want := 0.5 * (0.0625/0.75 + 0.0625/1.25)
-	d, err := ChiSquareDistance(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-want) > 1e-12 {
-		t.Errorf("chi2 distance = %v, want %v", d, want)
-	}
-	// Symmetric, zero on identity, empty pairs skipped.
-	d2, _ := ChiSquareDistance(q, p)
-	if d != d2 {
-		t.Error("chi2 distance must be symmetric")
-	}
-	if d, _ := ChiSquareDistance([]float64{0, 1}, []float64{0, 1}); d != 0 {
-		t.Errorf("identical chi2 distance = %v", d)
-	}
-}
-
-func TestExtraMetricsProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mk := func() []float64 {
-			v := make([]float64, 6)
-			for i := range v {
-				v[i] = rng.Float64()
-			}
-			return Normalize(v)
-		}
-		p, q := mk(), mk()
-		js, err1 := JensenShannon(p, q)
-		h, err2 := Hellinger(p, q)
-		c, err3 := ChiSquareDistance(p, q)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return false
-		}
-		return js >= 0 && js <= math.Ln2+1e-12 && h >= 0 && h <= 1 && c >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}

@@ -1,6 +1,6 @@
 // Package optimize implements the paper's Section 3.3 optimisations: the
 // α-sample "rough" feature pass lives in internal/feature
-// (ComputePartial); this package schedules the incremental refinement of
+// (ComputePartialWorkersCtx at α < 1); this package schedules the incremental refinement of
 // rough feature rows against the full data, in utility-estimator rank
 // order, under the per-iteration latency budget tl — hiding the expensive
 // computation inside the user's labelling time.

@@ -29,7 +29,7 @@ func partialMatrix(t *testing.T) *feature.Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := feature.ComputePartial(g, feature.StandardRegistry(), 0.2)
+	m, err := feature.ComputePartialWorkersCtx(context.Background(), g, feature.StandardRegistry(), 0.2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // the eleven ideal utility functions of Table 2, a simulated user that
 // labels views with their normalised ideal utility, the evaluation
 // measures (top-k precision and utility distance, Eq. 8), and a session
-// runner that drives a core.Seeker until a stop criterion is met.
+// runner that drives a session (core.Seeker, or the public facade through
+// internal/exp's adapter) until a stop criterion is met.
 //
 // # Contracts
 //

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"time"
-
-	"viewseeker/internal/core"
 )
 
 // StopCriterion selects when a simulated session is finished.
@@ -31,10 +29,18 @@ type Labeller interface {
 	Scores() []float64
 }
 
+// Seeker is the session a runner drives, over view indices. core.Seeker
+// satisfies it; internal/exp adapts the public viewseeker.Seeker to it.
+type Seeker interface {
+	NextViews() ([]int, error)
+	Feedback(viewIdx int, label float64) error
+	TopK() []int
+}
+
 // Runner drives one simulated session: the user labels whatever the
 // seeker presents until the criterion is met or MaxLabels is spent.
 type Runner struct {
-	Seeker    *core.Seeker
+	Seeker    Seeker
 	User      Labeller
 	K         int
 	MaxLabels int // default 100

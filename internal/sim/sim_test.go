@@ -26,7 +26,7 @@ func exactMatrix(t *testing.T) *feature.Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := feature.Compute(g, feature.StandardRegistry())
+	m, err := feature.ComputeWorkers(g, feature.StandardRegistry(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

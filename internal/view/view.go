@@ -161,8 +161,8 @@ func (p *Pair) RenderLine(height int) string {
 
 // TrendSlope fits a least-squares line through the histogram's bar heights
 // over bin positions 0..b−1 and returns its slope, normalised by the mean
-// bar height so views of different magnitudes compare. It is the basis of
-// the TREND_DIFF utility feature for line-chart views.
+// bar height so views of different magnitudes compare. Explanations
+// (internal/explain) use it to spot trend reversals.
 func (h *Histogram) TrendSlope() float64 {
 	n := float64(h.Bins())
 	if n < 2 {

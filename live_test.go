@@ -90,7 +90,7 @@ func TestMaintainedAdvanceMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := feature.Compute(scratch, feature.StandardRegistry())
+	want, err := feature.ComputeWorkers(scratch, feature.StandardRegistry(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,7 +362,7 @@ func buildVersion(ctx context.Context, table *Table, query string, cfg offlineCo
 	if err != nil {
 		return nil, err
 	}
-	// ComputePartial at α = 1 is the exact pass.
+	// The α-sample pass at α = 1 is the exact pass.
 	matrix, err := feature.ComputePartialWorkersCtx(ctx, gen, cfg.registry, cfg.key.Alpha, workers)
 	if err != nil {
 		return nil, err
@@ -527,6 +527,21 @@ func (s *Seeker) Specs() []Spec { return s.matrix.Specs }
 
 // FeatureNames returns the active utility feature names, in weight order.
 func (s *Seeker) FeatureNames() []string { return s.registry.Names() }
+
+// FeatureRows returns a copy of the session's utility-feature matrix: one
+// row per view in Specs order, one column per feature in FeatureNames
+// order. With Options.Alpha < 1 a row holds rough α-sample values until
+// refinement replaces it with the exact ones.
+func (s *Seeker) FeatureRows() [][]float64 {
+	n := len(s.matrix.Names)
+	backing := make([]float64, len(s.matrix.Rows)*n)
+	out := make([][]float64, len(s.matrix.Rows))
+	for i, row := range s.matrix.Rows {
+		out[i] = backing[i*n : (i+1)*n : (i+1)*n]
+		copy(out[i], row)
+	}
+	return out
+}
 
 // Next returns the single next view to label. It is a convenience wrapper
 // around NextViews for the default M = 1.

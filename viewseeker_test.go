@@ -3,11 +3,14 @@ package viewseeker
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"viewseeker/internal/dataset"
+	"viewseeker/internal/feature"
+	"viewseeker/internal/view"
 )
 
 func facadeTable(t *testing.T) *Table {
@@ -167,6 +170,66 @@ func TestAlphaPartialSession(t *testing.T) {
 	}
 	if s.NumLabels() != 1 {
 		t.Error("label not recorded")
+	}
+}
+
+// TestFeatureRows: the accessor returns a private copy of the session's
+// rows, in Specs × FeatureNames order. An exact session's rows are the
+// exact matrix; an α-sampled session's rows start rough and turn exact
+// as refinement reaches them.
+func TestFeatureRows(t *testing.T) {
+	table := facadeTable(t)
+	const query = "SELECT * FROM diab WHERE diag_group = 'diabetes'"
+	exact, err := New(table, query, Options{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := exact.FeatureRows()
+	if len(rows) != exact.NumViews() || len(rows[0]) != len(exact.FeatureNames()) {
+		t.Fatalf("rows are %d×%d, want %d×%d", len(rows), len(rows[0]), exact.NumViews(), len(exact.FeatureNames()))
+	}
+	gen, err := view.NewGenerator(table, exact.Target(), view.SpaceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := feature.ComputeWorkers(gen, feature.StandardRegistry(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, want.Rows) {
+		t.Fatal("exact session's rows differ from the exact matrix")
+	}
+	rows[0][0] = -1
+	if exact.FeatureRows()[0][0] == -1 {
+		t.Fatal("FeatureRows exposed the session's own rows")
+	}
+
+	sampled, err := New(table, query, Options{K: 5, Alpha: 0.2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func() int {
+		n := 0
+		for i, row := range sampled.FeatureRows() {
+			if reflect.DeepEqual(row, want.Rows[i]) {
+				n++
+			}
+		}
+		return n
+	}
+	before := same()
+	if before == len(want.Rows) {
+		t.Fatal("an α-sampled session starts with every row exact")
+	}
+	v, err := sampled.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sampled.Feedback(v.Index, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if after := same(); after <= before {
+		t.Errorf("exact rows %d → %d: refinement did not show in FeatureRows", before, after)
 	}
 }
 
