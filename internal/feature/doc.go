@@ -2,7 +2,10 @@
 // internal representation ViewSeeker trains on. Each feature is one
 // "utility component" from the literature (Section 3.1 of the paper lists
 // the eight the prototype ships); users may register custom components
-// for personalised analysis.
+// for personalised analysis. The offline pass has two entry points:
+// ComputePartialWorkersCtx, behind every offline version the public
+// facade builds (α = 1 is the exact pass), and ComputeWorkers, which
+// reassembles a maintained query's rows over its delta-extended scans.
 //
 // # Contracts
 //

@@ -196,7 +196,7 @@ func (m *Maintained) Advance() (bool, error) {
 				return true, nil
 			}
 			// The delta-extended generator answers every scan from its
-			// seeded caches; Compute then only reassembles per-view vectors.
+			// seeded caches; ComputeWorkers then only reassembles the rows.
 			if matrix, err := feature.ComputeWorkers(ng, m.cfg.registry, m.opts.Workers); err == nil {
 				m.cur, m.seq = store.NewVersion(matrix, newTarget, ng), newSeq
 				m.extended++
