@@ -10,7 +10,8 @@
 // With -drift D each batch K additionally has every numeric cell offset
 // by K*D — a distribution-shifted append stream whose values progressively
 // escape bin layouts fitted to the base, for exercising drift-triggered
-// rebuilds (viewseeker.Options.DriftThreshold).
+// rebuilds (Maintained.Advance re-fits once a quarter of a layout's
+// appended values fall outside it).
 package main
 
 import (

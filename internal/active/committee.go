@@ -13,15 +13,14 @@ import (
 // an alternative to least-confidence sampling and one of the ablation
 // points DESIGN.md calls out.
 type Committee struct {
-	// Size is the committee size (default 5).
-	Size int
-	// Threshold binarises labels (default 0.5).
-	Threshold float64
 	// Seed drives bootstrap resampling.
 	Seed int64
 
 	rng *rand.Rand
 }
+
+// committeeSize is the number of bootstrap members that vote.
+const committeeSize = 5
 
 // Name implements Strategy.
 func (c *Committee) Name() string { return "committee" }
@@ -35,52 +34,30 @@ func (c *Committee) Select(rows [][]float64, labeled map[int]float64, m int) ([]
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	size := c.Size
-	if size <= 0 {
-		size = 5
-	}
-	threshold := c.Threshold
-	if threshold <= 0 {
-		threshold = 0.5
-	}
 	if c.rng == nil {
 		c.rng = rand.New(rand.NewSource(c.Seed))
 	}
-	type example struct {
-		x []float64
-		y float64
-	}
-	var pool []example
-	// Iterate in index order for determinism.
-	for i := 0; i < len(rows); i++ {
-		if label, ok := labeled[i]; ok {
-			y := 0.0
-			if label >= threshold {
-				y = 1
-			}
-			pool = append(pool, example{rows[i], y})
-		}
-	}
+	poolX, poolY := binarized(rows, labeled)
 	// One whole-space scaler shared by every member: the members' weight
 	// vectors then live in the same standardised feature space, which is
 	// what lets a later member warm-start from an earlier one's optimum
 	// (and what makes their votes comparable in the first place).
 	var scaler *ml.Scaler
-	if len(pool) > 0 {
+	if len(poolX) > 0 {
 		var err error
 		if scaler, err = ml.FitScaler(rows); err != nil {
 			return nil, err
 		}
 	}
 	var members []*ml.LogisticRegression
-	for k := 0; k < size; k++ {
+	for k := 0; k < committeeSize; k++ {
 		model := ml.NewLogisticRegression()
-		if len(pool) > 0 {
-			x := make([][]float64, len(pool))
-			y := make([]float64, len(pool))
-			for j := range pool {
-				e := pool[c.rng.Intn(len(pool))]
-				x[j], y[j] = e.x, e.y
+		if len(poolX) > 0 {
+			x := make([][]float64, len(poolX))
+			y := make([]float64, len(poolX))
+			for j := range poolX {
+				e := c.rng.Intn(len(poolX))
+				x[j], y[j] = poolX[e], poolY[e]
 			}
 			model.ExternalScaler = scaler
 			// Warm-start each member from its predecessor: the resamples

@@ -12,18 +12,17 @@ import (
 // a view from a dense region of feature space informs the model about all
 // its neighbours. The selection score is
 //
-//	uncertainty(x) · density(x)^Beta
+//	uncertainty(x) · density(x)^β
 //
 // where density is the mean similarity of x to the rest of the space.
 type DensityWeighted struct {
-	// Threshold binarises labels (default 0.5).
-	Threshold float64
-	// Beta trades informativeness against representativeness (default 1).
-	Beta float64
-
 	densities []float64 // cached per space (keyed by len(rows))
 	densityN  int
 }
+
+// densityBeta is β, which trades informativeness against
+// representativeness: at 1 uncertainty and density weigh equally.
+const densityBeta = 1
 
 // Name implements Strategy.
 func (d *DensityWeighted) Name() string { return "density" }
@@ -37,41 +36,13 @@ func (d *DensityWeighted) Select(rows [][]float64, labeled map[int]float64, m in
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	threshold := d.Threshold
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	beta := d.Beta
-	if beta <= 0 {
-		beta = 1
-	}
 	d.ensureDensities(rows)
-
-	model := ml.NewLogisticRegression()
-	var x [][]float64
-	var y []float64
-	for i := 0; i < len(rows); i++ {
-		if label, ok := labeled[i]; ok {
-			x = append(x, rows[i])
-			if label >= threshold {
-				y = append(y, 1)
-			} else {
-				y = append(y, 0)
-			}
-		}
-	}
-	if len(x) > 0 {
-		scaler, err := ml.FitScaler(rows)
-		if err != nil {
-			return nil, err
-		}
-		model.ExternalScaler = scaler
-		if err := model.Fit(x, y); err != nil {
-			return nil, err
-		}
+	model, err := fitUncertainty(rows, labeled)
+	if err != nil {
+		return nil, err
 	}
 	score := func(i int) float64 {
-		return model.Uncertainty(rows[i]) * math.Pow(d.densities[i], beta)
+		return model.Uncertainty(rows[i]) * math.Pow(d.densities[i], densityBeta)
 	}
 	return topByScore(candidates, score, m), nil
 }

@@ -3,7 +3,14 @@ package active
 import (
 	"fmt"
 	"sort"
+
+	"viewseeker/internal/ml"
 )
+
+// PositiveThreshold splits the user's 0–1 interest labels into the
+// positive and negative classes the uncertainty estimators train on, and
+// the cold-start stage's exit test uses the same split.
+const PositiveThreshold = 0.5
 
 // Strategy selects up to m unlabelled view indices to present next.
 // rows is the feature matrix of the whole view space; labeled maps view
@@ -11,6 +18,51 @@ import (
 type Strategy interface {
 	Name() string
 	Select(rows [][]float64, labeled map[int]float64, m int) ([]int, error)
+}
+
+// binarized returns the labelled rows in ascending index order with their
+// labels split at PositiveThreshold: the training set of every
+// model-based strategy. The order is fixed because gradient descent is
+// order-sensitive; ranging over the map would let identical sessions
+// select different views.
+func binarized(rows [][]float64, labeled map[int]float64) (x [][]float64, y []float64) {
+	idx := make([]int, 0, len(labeled))
+	for i := range labeled {
+		idx = append(idx, i)
+	}
+	sort.Ints(idx)
+	x = make([][]float64, len(idx))
+	y = make([]float64, len(idx))
+	for j, i := range idx {
+		x[j] = rows[i]
+		if labeled[i] >= PositiveThreshold {
+			y[j] = 1
+		}
+	}
+	return x, y
+}
+
+// fitUncertainty trains a fresh logistic uncertainty estimator on the
+// binarised labels. Features are standardised against the whole view
+// space: the model scores every unlabelled view, and labelled-only
+// statistics make near-constant features explode off-sample (see
+// ml.LinearRegression.ExternalScaler). With no labels the model stays
+// unfitted and rates every view equally uncertain.
+func fitUncertainty(rows [][]float64, labeled map[int]float64) (*ml.LogisticRegression, error) {
+	model := ml.NewLogisticRegression()
+	x, y := binarized(rows, labeled)
+	if len(x) == 0 {
+		return model, nil
+	}
+	scaler, err := ml.FitScaler(rows)
+	if err != nil {
+		return nil, err
+	}
+	model.ExternalScaler = scaler
+	if err := model.Fit(x, y); err != nil {
+		return nil, err
+	}
+	return model, nil
 }
 
 // unlabeledIndices returns the sorted indices not yet labelled.

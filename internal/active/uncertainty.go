@@ -1,42 +1,13 @@
 package active
 
-import (
-	"sort"
-
-	"viewseeker/internal/ml"
-)
-
 // Uncertainty implements least-confidence uncertainty sampling (Eq. 6–7):
 // it trains a logistic-regression uncertainty estimator on the labels seen
-// so far (binarised at Threshold) and presents the views whose predicted
-// class probability is closest to 0.5.
-type Uncertainty struct {
-	// Threshold binarises the 0–1 interest labels into the positive /
-	// negative classes the uncertainty estimator trains on (default 0.5).
-	Threshold float64
-	// NewModel builds a fresh estimator per selection; nil uses
-	// ml.NewLogisticRegression.
-	NewModel func() *ml.LogisticRegression
-	// WarmStart retrains the previous selection's estimator in place
-	// instead of fitting a fresh one, seeding gradient descent from the
-	// last optimum — one new label rarely moves it far, so warm fits
-	// converge in a fraction of the epochs. Off by default because it
-	// trades away replay purity: Select becomes dependent on the
-	// strategy's own call history, so a session restored by replaying
-	// labels alone (core.SessionState) will not reproduce the original
-	// selections unless every intervening Select is replayed too. Keep it
-	// off for sessions that must be snapshot-restorable.
-	WarmStart bool
-
-	lastModel *ml.LogisticRegression
-}
+// so far (binarised at PositiveThreshold) and presents the views whose
+// predicted class probability is closest to 0.5.
+type Uncertainty struct{}
 
 // Name implements Strategy.
 func (u *Uncertainty) Name() string { return "uncertainty" }
-
-// Model returns the most recently trained uncertainty estimator (nil
-// before the first selection).
-func (u *Uncertainty) Model() *ml.LogisticRegression { return u.lastModel }
 
 // Select implements Strategy.
 func (u *Uncertainty) Select(rows [][]float64, labeled map[int]float64, m int) ([]int, error) {
@@ -47,53 +18,9 @@ func (u *Uncertainty) Select(rows [][]float64, labeled map[int]float64, m int) (
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	threshold := u.Threshold
-	if threshold <= 0 {
-		threshold = 0.5
+	model, err := fitUncertainty(rows, labeled)
+	if err != nil {
+		return nil, err
 	}
-	// Train in sorted index order: ranging over the map feeds the logistic
-	// fit in random order, and its gradient descent is order-sensitive, so
-	// identical seeds could select different views run-to-run.
-	trainIdx := make([]int, 0, len(labeled))
-	for i := range labeled {
-		trainIdx = append(trainIdx, i)
-	}
-	sort.Ints(trainIdx)
-	var x [][]float64
-	var y []float64
-	for _, i := range trainIdx {
-		x = append(x, rows[i])
-		if labeled[i] >= threshold {
-			y = append(y, 1)
-		} else {
-			y = append(y, 0)
-		}
-	}
-	model := ml.NewLogisticRegression()
-	if u.NewModel != nil {
-		model = u.NewModel()
-	} else if u.WarmStart && u.lastModel != nil {
-		model = u.lastModel
-		model.WarmStart = true
-		// Rows shift under refinement, so the scaler is refitted below;
-		// the stale weights are only a descent seed, not a prediction.
-		model.ExternalScaler = nil
-	}
-	if len(x) > 0 {
-		// Standardise against the whole view space: the model scores every
-		// unlabelled view, and labelled-only statistics make near-constant
-		// features explode off-sample (see ml.LinearRegression.ExternalScaler).
-		if model.ExternalScaler == nil {
-			scaler, err := ml.FitScaler(rows)
-			if err != nil {
-				return nil, err
-			}
-			model.ExternalScaler = scaler
-		}
-		if err := model.Fit(x, y); err != nil {
-			return nil, err
-		}
-	}
-	u.lastModel = model
 	return topByScore(candidates, func(i int) float64 { return model.Uncertainty(rows[i]) }, m), nil
 }

@@ -7,6 +7,20 @@ import (
 	"viewseeker/internal/active"
 )
 
+// refineBudget is the per-iteration latency budget tl granted to the
+// incremental feature refiner (Table 1: 1 s). It only matters when the
+// Seeker is built from a partial matrix.
+const refineBudget = time.Second
+
+// refineCap bounds how many rough rows one iteration may refresh, on top
+// of the time budget. The paper's saving comes from *pruning*: low-ranked
+// views never get their exact features computed, so the cap must be small
+// relative to the view space. It is deliberately not scaled with K: it
+// models how much exact recomputation hides inside one user think-pause,
+// which depends on the machine and the data, not on how many views the
+// user asked to see.
+const refineCap = 24
+
 // Config parameterises a Seeker session. The zero value is usable; each
 // field documents its default.
 type Config struct {
@@ -14,9 +28,6 @@ type Config struct {
 	K int
 	// M is the number of views presented per iteration (Table 1 default 1).
 	M int
-	// PositiveThreshold splits interest labels into positive/negative for
-	// the uncertainty estimator and the cold-start exit test (default 0.5).
-	PositiveThreshold float64
 	// Ridge is the view utility estimator's regularisation (default 1e-4:
 	// small enough for near-exact recovery of linear utility targets,
 	// large enough that near-degenerate feature directions cannot soak up
@@ -27,15 +38,6 @@ type Config struct {
 	Strategy active.Strategy
 	// ColdStartSeed seeds the cold-start random fallback.
 	ColdStartSeed int64
-	// RefineBudget is the per-iteration latency budget tl granted to the
-	// incremental feature refiner; it only matters when the Seeker is built
-	// from a partial matrix (Table 1 default 1s).
-	RefineBudget time.Duration
-	// RefineCap bounds how many rough rows one iteration may refresh, on
-	// top of the time budget. The paper's saving comes from *pruning*:
-	// low-ranked views never get their exact features computed, so the cap
-	// must be small relative to the view space (default 2·K + M).
-	RefineCap int
 	// Workers bounds how many rough rows the refiner refreshes
 	// concurrently per iteration: more workers hide more exact
 	// recomputation inside the same per-iteration latency budget. ≤ 0
@@ -57,24 +59,11 @@ func (c Config) withDefaults() Config {
 	if c.M <= 0 {
 		c.M = 1
 	}
-	if c.PositiveThreshold <= 0 {
-		c.PositiveThreshold = 0.5
-	}
 	if c.Ridge <= 0 {
 		c.Ridge = 1e-4
 	}
 	if c.Strategy == nil {
-		c.Strategy = &active.Uncertainty{Threshold: c.PositiveThreshold}
-	}
-	if c.RefineBudget <= 0 {
-		c.RefineBudget = time.Second
-	}
-	if c.RefineCap <= 0 {
-		// A per-iteration constant, deliberately NOT scaled with K: the
-		// cap models how much exact recomputation hides inside one user
-		// think-pause, which depends on the machine and the data, not on
-		// how many views the user asked to see.
-		c.RefineCap = 24
+		c.Strategy = &active.Uncertainty{}
 	}
 	return c
 }
@@ -82,9 +71,6 @@ func (c Config) withDefaults() Config {
 func (c Config) validate() error {
 	if c.K < 0 || c.M < 0 {
 		return fmt.Errorf("core: negative K or M")
-	}
-	if c.PositiveThreshold < 0 || c.PositiveThreshold > 1 {
-		return fmt.Errorf("core: positive threshold %g outside [0, 1]", c.PositiveThreshold)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"viewseeker/internal/feature"
 )
@@ -34,7 +33,7 @@ func TestRefinedSessionMatchesExactSession(t *testing.T) {
 	}
 
 	run := func(m *feature.Matrix, refine bool) *Seeker {
-		s, err := NewSeeker(m, Config{K: 5, RefineBudget: time.Second}, refine)
+		s, err := NewSeeker(m, Config{K: 5}, refine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,10 +115,11 @@ func normalisedCombo(m *feature.Matrix, weights map[int]float64) []float64 {
 // adjacent to their family head.
 func TestRefinePriorityShape(t *testing.T) {
 	partial := buildMatrix(t, 0.2)
-	s, err := NewSeeker(partial, Config{K: 3, RefineCap: 12}, true)
+	s, err := NewSeeker(partial, Config{K: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.refineCap = 12
 	got := s.refinePriority(7)
 	if len(got) == 0 || len(got) > 12 {
 		t.Fatalf("priority length = %d", len(got))
@@ -153,10 +153,11 @@ func TestRefinePriorityShape(t *testing.T) {
 // the space must stay rough — the pruning the optimisation promises.
 func TestRefineCapActuallyPrunes(t *testing.T) {
 	partial := buildMatrix(t, 0.2)
-	s, err := NewSeeker(partial, Config{K: 3, RefineCap: 6, RefineBudget: time.Hour}, true)
+	s, err := NewSeeker(partial, Config{K: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.refineCap = 6
 	for i := 0; i < 4; i++ {
 		next, err := s.NextViews()
 		if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-	"time"
 
 	"viewseeker/internal/ml"
 	"viewseeker/internal/obs"
@@ -44,7 +43,7 @@ func fromScratchWeights(t *testing.T, s *Seeker) ([]float64, float64) {
 // against a from-scratch rebuild over the same labels and current rows.
 func TestRefitMatchesFromScratch(t *testing.T) {
 	partial := buildMatrix(t, 0.25)
-	s, err := NewSeeker(partial, Config{K: 5, RefineBudget: time.Second}, true)
+	s, err := NewSeeker(partial, Config{K: 5}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

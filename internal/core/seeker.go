@@ -27,6 +27,8 @@ type Seeker struct {
 	utility *ml.LinearRegression
 	cold    *active.ColdStart
 	refiner *optimize.Refiner
+	// refineCap starts at the package constant; tests narrow it.
+	refineCap int
 
 	havePositive bool
 	haveNegative bool
@@ -64,6 +66,8 @@ func NewSeeker(m *feature.Matrix, cfg Config, withRefinement bool) (*Seeker, err
 		labeled: make(map[int]float64),
 		utility: ml.NewLinearRegression(cfg.Ridge),
 		cold:    &active.ColdStart{Seed: cfg.ColdStartSeed},
+
+		refineCap: refineCap,
 	}
 	if withRefinement {
 		s.refiner = optimize.NewRefiner(m)
@@ -175,7 +179,7 @@ func (s *Seeker) FeedbackCtx(ctx context.Context, viewIdx int, label float64) er
 		s.order = append(s.order, viewIdx)
 	}
 	s.labeled[viewIdx] = label
-	if label >= s.cfg.PositiveThreshold {
+	if label >= active.PositiveThreshold {
 		s.havePositive = true
 	} else {
 		s.haveNegative = true
@@ -184,11 +188,11 @@ func (s *Seeker) FeedbackCtx(ctx context.Context, viewIdx int, label float64) er
 	// Spend the latency budget refining rough features (Section 3.3): the
 	// labelled view first (the estimator must train on exact features),
 	// then the most promising rough views in estimator-rank order, up to
-	// RefineCap rows — the work that hides inside the user's think time.
+	// refineCap rows — the work that hides inside the user's think time.
 	// Views that never reach the front of this queue are pruned: their
 	// exact features are simply never computed.
 	if s.refiner != nil && !s.refiner.Done() {
-		if _, err := s.refiner.RefineCtx(ctx, s.refinePriority(viewIdx), s.cfg.RefineBudget); err != nil {
+		if _, err := s.refiner.RefineCtx(ctx, s.refinePriority(viewIdx), refineBudget); err != nil {
 			// Cancellation stops the optional work, not the feedback: rows
 			// already refreshed stay exact, and the refit below proceeds on
 			// the matrix as it stands. Real refresh failures still abort.
@@ -216,7 +220,7 @@ func (s *Seeker) FeedbackCtx(ctx context.Context, viewIdx int, label float64) er
 // cap. Views never reaching the front of this queue are the "less
 // promising" calculations the optimisation prunes.
 func (s *Seeker) refinePriority(justLabeled int) []int {
-	limit := s.cfg.RefineCap
+	limit := s.refineCap
 	out := make([]int, 0, limit)
 	seen := make(map[int]bool, limit)
 	push := func(i int) {
@@ -354,10 +358,6 @@ func (s *Seeker) TopK() []int {
 	}
 	return ranked[:k]
 }
-
-// Estimator exposes the trained view utility estimator — the discovered
-// u_p() approximating the user's ideal utility function.
-func (s *Seeker) Estimator() *ml.LinearRegression { return s.utility }
 
 // Weights returns the estimator's learned feature weights (Eq. 4's β,
 // unnormalised) and intercept, aligned with matrix feature order.

@@ -45,8 +45,8 @@ func TestNewSeekerValidation(t *testing.T) {
 		t.Error("nil matrix should fail")
 	}
 	m := buildMatrix(t, 0)
-	if _, err := NewSeeker(m, Config{PositiveThreshold: 2}, false); err == nil {
-		t.Error("bad threshold should fail")
+	if _, err := NewSeeker(m, Config{K: -1}, false); err == nil {
+		t.Error("negative K should fail")
 	}
 	if _, err := NewSeeker(m, Config{}, false); err != nil {
 		t.Errorf("default config should work: %v", err)

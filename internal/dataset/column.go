@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 )
@@ -155,59 +154,6 @@ func zeroOf(k Kind) Value {
 	default:
 		return Null
 	}
-}
-
-// prefixEqual reports whether the first n cells of c and d are
-// bit-identical, including NULL positions (floats compared by bits).
-func (c *Column) prefixEqual(d *Column, n int) bool {
-	switch c.Def.Kind {
-	case KindInt:
-		for i := 0; i < n; i++ {
-			if c.Ints[i] != d.Ints[i] {
-				return false
-			}
-		}
-	case KindFloat:
-		for i := 0; i < n; i++ {
-			if math.Float64bits(c.Floats[i]) != math.Float64bits(d.Floats[i]) {
-				return false
-			}
-		}
-	case KindString:
-		for i := 0; i < n; i++ {
-			if c.Strs[i] != d.Strs[i] {
-				return false
-			}
-		}
-	case KindBool:
-		for i := 0; i < n; i++ {
-			if c.Bools[i] != d.Bools[i] {
-				return false
-			}
-		}
-	}
-	// Bitmaps may be sized differently (they stop at the highest null);
-	// compare word-wise with missing words as zero and the tail masked to
-	// the first n rows.
-	nw := (n + 63) >> 6
-	for w := 0; w < nw; w++ {
-		var a, b uint64
-		if w < len(c.nulls) {
-			a = c.nulls[w]
-		}
-		if w < len(d.nulls) {
-			b = d.nulls[w]
-		}
-		if w == nw-1 && n&63 != 0 {
-			mask := uint64(1)<<(uint(n)&63) - 1
-			a &= mask
-			b &= mask
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
 }
 
 // markNull flags row i as NULL, growing the bitmap as needed.

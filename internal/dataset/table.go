@@ -188,29 +188,6 @@ func FromColumns(name string, schema *Schema, cols []*Column) (*Table, error) {
 	return t, nil
 }
 
-// IsPrefixOf reports whether u extends t row-for-row: same schema shape
-// and u's first NumRows() rows bit-identical to t's (floats compared by
-// bits, so NaNs match themselves; NULL positions included). The
-// incremental-maintenance layer uses it to verify that re-running an
-// exploration query over an appended table only appended result rows —
-// the precondition for extending the target's cached scans.
-func (t *Table) IsPrefixOf(u *Table) bool {
-	n := t.rows
-	if u.rows < n || len(t.Cols) != len(u.Cols) {
-		return false
-	}
-	for i, c := range t.Cols {
-		d := u.Cols[i]
-		if c.Def != d.Def {
-			return false
-		}
-		if !c.prefixEqual(d, n) {
-			return false
-		}
-	}
-	return true
-}
-
 // DistinctValues returns the sorted distinct group keys of the named
 // column. It is used to lay out histogram bins for categorical dimensions.
 func (t *Table) DistinctValues(col string) ([]string, error) {

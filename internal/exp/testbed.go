@@ -85,9 +85,15 @@ func newTestbed(name string, ref *dataset.Table, query string, opts viewseeker.O
 // default) over the testbed. Sessions share one offline version through
 // the testbed's cache, as the server's sessions over one query do.
 func (tb *Testbed) NewSession(k int) (*viewseeker.Seeker, error) {
+	return viewseeker.New(tb.Ref, tb.Query, tb.options(k))
+}
+
+// options are the testbed's session options with recommendation size k,
+// addressing its one-entry offline cache.
+func (tb *Testbed) options(k int) viewseeker.Options {
 	opts := tb.Opts
 	opts.K, opts.Cache, opts.RefHash = k, tb.cache, tb.refHash
-	return viewseeker.New(tb.Ref, tb.Query, opts)
+	return opts
 }
 
 // ColdReference returns a new version of the reference table that shares

@@ -79,9 +79,9 @@ func measureBlockFor(rs, ts *view.Stats, measure string) (measureBlock, error) {
 // oracle the tests hold it to.
 //
 // rows[i] must be pre-sized to the registry's length; the standard-eight
-// prefix is written in place. Registries longer than the standard eight
-// get their extra columns from per-pair computation over a Histogram pair
-// assembled from the same statistics.
+// prefix is written in place. Custom columns come from per-pair
+// computation over a Histogram pair assembled from the same statistics,
+// and quadratic columns last, as products of the row's own columns.
 func (r *Registry) fillBlockRows(rs, ts *view.Stats,
 	specs []view.Spec, idxs []int, rows [][]float64, sc *blockScratch) error {
 	nb := ts.Layout.NumBins()
@@ -124,27 +124,32 @@ func (r *Registry) fillBlockRows(rs, ts *view.Stats,
 			return fmt.Errorf("feature: computing %s for %s: %w", PValue, s, err)
 		}
 		row[7] = pv
-		if r.Len() > numStd {
-			if err := r.vectorFromStats(s, rs, ts, row); err != nil {
+		if r.custom > 0 {
+			if err := r.customFromStats(s, rs, ts, row); err != nil {
 				return err
 			}
+		}
+		for _, p := range r.products {
+			row[p.col] = row[p.a] * row[p.b]
 		}
 	}
 	return nil
 }
 
-// vectorFromStats computes a registry's columns past the standard eight
-// (from column numStd on) for one view, through the per-pair interface
-// custom features are written against. The pair is assembled from the
-// supplied layout statistics, so the features see exactly the histograms
-// the per-pair path would build.
-func (r *Registry) vectorFromStats(s view.Spec, rs, ts *view.Stats, row []float64) error {
+// customFromStats computes a registry's custom columns for one view,
+// through the per-pair interface custom features are written against. The
+// pair is assembled from the supplied layout statistics, so the features
+// see exactly the histograms the per-pair path would build.
+func (r *Registry) customFromStats(s view.Spec, rs, ts *view.Stats, row []float64) error {
 	p, err := view.AssemblePair(s, rs, ts)
 	if err != nil {
 		return fmt.Errorf("feature: computing %s: %w", s, err)
 	}
 	for j := numStd; j < len(r.feats); j++ {
 		f := r.feats[j]
+		if f.Compute == nil {
+			continue // a quadratic column, filled from the row
+		}
 		v, err := f.Compute(p)
 		if err != nil {
 			return fmt.Errorf("feature: computing %s for %s: %w", f.Name, s, err)

@@ -3,7 +3,6 @@ package feature
 import (
 	"fmt"
 
-	"viewseeker/internal/metric"
 	"viewseeker/internal/view"
 )
 
@@ -28,45 +27,33 @@ type Feature struct {
 
 // Registry is an ordered, name-unique collection of features. Every
 // registry starts with the standard eight of StandardRegistry, in order:
-// StandardRegistry is the only constructor and Add only appends. The
-// layout-block kernel (block.go) relies on that prefix to fill the first
-// eight columns straight from layout statistics; custom features ride
-// behind it, from column eight on.
+// StandardRegistry is the only constructor, and Add and AddQuadratic only
+// append. The layout-block kernel (block.go) fills the first eight
+// columns straight from layout statistics; custom features ride behind
+// them, from column eight on, through their per-pair Compute; quadratic
+// columns are products of earlier columns of the same row.
 type Registry struct {
 	feats []Feature
 	index map[string]int
+	// custom counts the features Add registered (those with a Compute).
+	custom int
+	// products are AddQuadratic's columns: row[col] = row[a] * row[b].
+	products []product
 }
+
+// product is one quadratic column and the two columns it multiplies.
+type product struct{ col, a, b int }
 
 // StandardRegistry returns the paper's eight utility features: the five
 // deviation measures between target and reference distributions, plus
-// Usability, Accuracy and the p-value score. Custom features are appended
-// to it with Add.
+// Usability, Accuracy and the p-value score. The block kernel computes
+// them, so they carry no per-pair Compute. Custom features are appended
+// with Add.
 func StandardRegistry() *Registry {
 	r := &Registry{index: make(map[string]int)}
-	dist := func(f func(p, q []float64) (float64, error)) func(*view.Pair) (float64, error) {
-		return func(p *view.Pair) (float64, error) {
-			return f(p.Target.Distribution(), p.Reference.Distribution())
-		}
-	}
-	for _, f := range []Feature{
-		{KL, dist(metric.KLDivergence)},
-		{EMD, dist(metric.EMD)},
-		{L1, dist(metric.L1)},
-		{L2, dist(metric.L2)},
-		{MaxDiff, dist(metric.MaxDiff)},
-		{Usability, func(p *view.Pair) (float64, error) {
-			return metric.Usability(p.Target.Bins())
-		}},
-		{Accuracy, func(p *view.Pair) (float64, error) {
-			return metric.Accuracy(p.Target.Counts, p.Target.Sums, p.Target.SumSqs, p.Target.Shift)
-		}},
-		{PValue, func(p *view.Pair) (float64, error) {
-			return metric.PValueScore(p.Target.Counts, p.Reference.Distribution())
-		}},
-	} {
-		if err := r.Add(f); err != nil {
-			panic(err) // unreachable: names are unique by construction
-		}
+	for _, name := range []string{KL, EMD, L1, L2, MaxDiff, Usability, Accuracy, PValue} {
+		r.index[name] = len(r.feats)
+		r.feats = append(r.feats, Feature{Name: name})
 	}
 	return r
 }
@@ -77,34 +64,23 @@ func StandardRegistry() *Registry {
 // e.g. u* = EMD·KL — that the paper's linear composition (Eq. 4) cannot.
 // Call it after all base features are registered.
 func AddQuadratic(r *Registry) error {
-	base := make([]Feature, len(r.feats))
-	copy(base, r.feats)
-	for i := 0; i < len(base); i++ {
-		for j := i; j < len(base); j++ {
-			fi, fj := base[i], base[j]
-			err := r.Add(Feature{
-				Name: fi.Name + "*" + fj.Name,
-				Compute: func(p *view.Pair) (float64, error) {
-					a, err := fi.Compute(p)
-					if err != nil {
-						return 0, err
-					}
-					b, err := fj.Compute(p)
-					if err != nil {
-						return 0, err
-					}
-					return a * b, nil
-				},
-			})
-			if err != nil {
-				return err
+	n := len(r.feats)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			name := r.feats[i].Name + "*" + r.feats[j].Name
+			if _, dup := r.index[name]; dup {
+				return fmt.Errorf("feature: duplicate feature %q", name)
 			}
+			col := len(r.feats)
+			r.index[name] = col
+			r.feats = append(r.feats, Feature{Name: name})
+			r.products = append(r.products, product{col: col, a: i, b: j})
 		}
 	}
 	return nil
 }
 
-// Add appends a feature. Names must be unique and non-empty.
+// Add appends a custom feature. Names must be unique and non-empty.
 func (r *Registry) Add(f Feature) error {
 	if f.Name == "" || f.Compute == nil {
 		return fmt.Errorf("feature: feature needs a name and a compute function")
@@ -114,6 +90,7 @@ func (r *Registry) Add(f Feature) error {
 	}
 	r.index[f.Name] = len(r.feats)
 	r.feats = append(r.feats, f)
+	r.custom++
 	return nil
 }
 

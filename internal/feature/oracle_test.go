@@ -3,6 +3,7 @@ package feature
 import (
 	"fmt"
 
+	"viewseeker/internal/metric"
 	"viewseeker/internal/view"
 )
 
@@ -72,15 +73,59 @@ func (m *Matrix) RefreshRow(i int) error {
 }
 
 // Vector computes all features for one pair, in registry order: the
-// per-pair specification of one matrix row.
+// per-pair specification of one matrix row. Standard columns come from
+// standardOracle, custom ones from their Compute, and quadratic ones are
+// products of the two per-pair values they multiply.
 func (r *Registry) Vector(p *view.Pair) ([]float64, error) {
 	out := make([]float64, len(r.feats))
+	products := make(map[int]product, len(r.products))
+	for _, q := range r.products {
+		products[q.col] = q
+	}
 	for i, f := range r.feats {
-		v, err := f.Compute(p)
+		compute := f.Compute
+		if i < numStd {
+			compute = standardOracle[i]
+		}
+		if q, ok := products[i]; ok {
+			out[i] = out[q.a] * out[q.b]
+			continue
+		}
+		v, err := compute(p)
 		if err != nil {
 			return nil, fmt.Errorf("feature: computing %s for %s: %w", f.Name, p.Spec, err)
 		}
 		out[i] = v
 	}
 	return out, nil
+}
+
+// standardOracle computes the standard eight per pair, in registry order,
+// from the pair's Histograms. The deviation measures are DeviationsAll
+// over the pair's distributions: internal/metric pins that kernel bit
+// for bit to the scalar KL, EMD, L1, L2 and MaxDiff functions it fuses.
+var standardOracle = [numStd]func(p *view.Pair) (float64, error){
+	deviation(metric.DevKL),
+	deviation(metric.DevEMD),
+	deviation(metric.DevL1),
+	deviation(metric.DevL2),
+	deviation(metric.DevMaxDiff),
+	func(p *view.Pair) (float64, error) { return metric.Usability(p.Target.Bins()) },
+	func(p *view.Pair) (float64, error) {
+		return metric.Accuracy(p.Target.Counts, p.Target.Sums, p.Target.SumSqs, p.Target.Shift)
+	},
+	func(p *view.Pair) (float64, error) {
+		return metric.PValueScore(p.Target.Counts, p.Reference.Distribution())
+	},
+}
+
+// deviation is the per-pair closure of one deviation measure.
+func deviation(pos int) func(p *view.Pair) (float64, error) {
+	return func(p *view.Pair) (float64, error) {
+		out := make([]float64, metric.NumDeviations)
+		if err := metric.DeviationsAll(p.Target.Distribution(), p.Reference.Distribution(), out); err != nil {
+			return 0, err
+		}
+		return out[pos], nil
+	}
 }

@@ -22,9 +22,9 @@ const (
 // distributions in one fused pass, writing them into out[:NumDeviations]
 // in the order KL, EMD, L1, L2, MaxDiff. Each accumulator replays the
 // exact floating-point operation sequence of the corresponding scalar
-// function (KLDivergence, EMD, L1, L2, MaxDiff), so results are
-// bit-identical to the per-call path — the scalar functions remain the
-// oracle for this kernel. It allocates nothing.
+// function (KLDivergence, EMD, L1, L2, MaxDiff — all but L1 kept as test
+// code), so results are bit-identical to the per-call path — the scalar
+// functions remain the oracle for this kernel. It allocates nothing.
 func DeviationsAll(p, q, out []float64) error {
 	if err := checkPair(p, q); err != nil {
 		return err

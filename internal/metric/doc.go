@@ -22,4 +22,6 @@
 // replicates the exact floating-point operation sequence of its scalar
 // counterpart, so batched values are bit-identical to per-call values —
 // the per-pair functions remain the oracle, enforced by property tests.
+// The scalar KL, EMD, L2 and MaxDiff live only in that oracle
+// (oracle_test.go); production reaches them through DeviationsAll.
 package metric

@@ -118,57 +118,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) of the recorded
-// observations from the bucket counts, linearly interpolated within the
-// containing bucket (Prometheus histogram_quantile semantics). The first
-// bucket interpolates from zero; observations in the +Inf bucket clamp to
-// the largest finite bound, so the estimate is only as sharp as the
-// bucket layout. Returns 0 on a nil or empty histogram. Safe for
-// concurrent use with Observe; a concurrent observation may or may not be
-// included.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(total)
-	var cum float64
-	for i := range h.buckets {
-		n := float64(h.buckets[i].Load())
-		if cum+n >= target && n > 0 {
-			hi := math.Inf(1)
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if math.IsInf(hi, 1) {
-				// No upper bound to interpolate toward: clamp to the
-				// largest finite bound (or the lower edge when the layout
-				// has a single bucket).
-				return lo
-			}
-			return lo + (hi-lo)*((target-cum)/n)
-		}
-		cum += n
-	}
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return 0
-}
-
 // DurationBuckets is the standard latency layout, in seconds: 500µs up to
 // 30s. It brackets both per-item kernel work (sub-millisecond) and whole
 // offline passes (seconds).

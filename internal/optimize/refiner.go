@@ -18,10 +18,6 @@ type Refiner struct {
 	Matrix *feature.Matrix
 	// Now is the clock (default time.Now).
 	Now Clock
-	// MinPerCall guarantees progress even under a zero/tiny budget: at
-	// least this many rows are refreshed per RefineCtx call while any remain
-	// (default 1).
-	MinPerCall int
 	// Workers bounds how many rows a batch holds and how many of its
 	// family groups refresh concurrently: rows over the same (dimension,
 	// bins, measure) share one narrow scan via RefreshFamily, and the
@@ -39,6 +35,10 @@ type Refiner struct {
 	OnRow func(viewIdx int)
 }
 
+// minPerCall guarantees progress even under a zero or tiny budget: at
+// least this many rows are refreshed per RefineCtx call while any remain.
+const minPerCall = 1
+
 // NewRefiner wraps a matrix.
 func NewRefiner(m *feature.Matrix) *Refiner { return &Refiner{Matrix: m} }
 
@@ -50,7 +50,7 @@ func (r *Refiner) Done() bool { return r.Matrix.AllExact() }
 // of up to Workers rows out concurrently. It returns the number of rows
 // refreshed. Rows already exact (and duplicate priority entries) cost
 // nothing and are skipped. A nil priority refreshes in index order. The
-// budget is checked between batches, so at least MinPerCall rows — and at
+// budget is checked between batches, so at least minPerCall rows — and at
 // most one extra batch — refresh even under a zero budget.
 //
 // Cancellation is honoured like an expired budget, checked between
@@ -82,10 +82,6 @@ func (r *Refiner) RefineCtx(ctx context.Context, priority []int, budget time.Dur
 	if now == nil {
 		now = time.Now
 	}
-	minPer := r.MinPerCall
-	if minPer <= 0 {
-		minPer = 1
-	}
 	workers := par.Resolve(r.Workers)
 	if priority == nil {
 		priority = make([]int, r.Matrix.Len())
@@ -116,7 +112,7 @@ func (r *Refiner) RefineCtx(ctx context.Context, priority []int, budget time.Dur
 		if len(batch) == 0 {
 			break
 		}
-		if refreshed >= minPer && !now().Before(deadline) {
+		if refreshed >= minPerCall && !now().Before(deadline) {
 			break
 		}
 		if err := ctx.Err(); err != nil {

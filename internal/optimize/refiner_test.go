@@ -67,7 +67,7 @@ func TestRefineZeroBudgetMakesMinimumProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n < 1 {
-		t.Errorf("zero budget refreshed %d rows, want ≥ 1 (MinPerCall)", n)
+		t.Errorf("zero budget refreshed %d rows, want ≥ 1 (minPerCall)", n)
 	}
 	if m.ExactCount() != n {
 		t.Errorf("exact count %d != refreshed %d", m.ExactCount(), n)

@@ -50,10 +50,9 @@ func TestSecondSessionIsServedFromCache(t *testing.T) {
 }
 
 func TestOversizedBodyGets413(t *testing.T) {
-	srv := NewWithOptions(Options{MaxBodyBytes: 256}, diabTable())
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(New(diabTable()).Handler())
 	defer ts.Close()
-	big := bytes.Repeat([]byte("x"), 1024)
+	big := bytes.Repeat([]byte("x"), maxBodyBytes)
 	body := []byte(`{"table":"diab","query":"` + string(big) + `"}`)
 	res, err := http.Post(ts.URL+"/api/sessions", "application/json", bytes.NewReader(body))
 	if err != nil {

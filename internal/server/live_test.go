@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -415,4 +417,36 @@ func TestRestoreRefusesAdvancedLiveTable(t *testing.T) {
 	if code, out := rawJSON(t, h2, "GET", "/api/sessions/"+current.ID+"/top", nil); code != http.StatusOK {
 		t.Fatalf("current-version session answered %d: %s", code, out)
 	}
+}
+
+// FuzzDecodeRows drives the append endpoint's body decoding — JSON into
+// appendRequest, then decodeRows against a schema holding every column
+// kind — with arbitrary bytes. It must never panic, and every batch it
+// accepts must append cleanly to a table of that schema
+// (Table.WithAppended), so no accepted body can fail later in the live
+// table.
+func FuzzDecodeRows(f *testing.F) {
+	schema := dataset.MustSchema(
+		dataset.ColumnDef{Name: "i", Kind: dataset.KindInt, Role: dataset.RoleMeasure},
+		dataset.ColumnDef{Name: "f", Kind: dataset.KindFloat, Role: dataset.RoleMeasure},
+		dataset.ColumnDef{Name: "s", Kind: dataset.KindString, Role: dataset.RoleDimension},
+		dataset.ColumnDef{Name: "b", Kind: dataset.KindBool},
+	)
+	table := dataset.NewTable("fuzz", schema)
+	f.Add([]byte(`{"rows":[[1,2.5,"a",true],[null,null,null,null],[-9007199254740991,1e308,"",false]]}`))
+	f.Add([]byte(`{"rows":[[1.5,2,"a",true]]}`))
+	f.Add([]byte(`{"rows":[[1,2,3]]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req appendRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			return
+		}
+		rows, err := decodeRows(table.Schema, req.Rows)
+		if err != nil {
+			return
+		}
+		if _, err := table.WithAppended(rows); err != nil {
+			t.Fatalf("accepted batch %v does not append: %v", req.Rows, err)
+		}
+	})
 }

@@ -31,27 +31,19 @@ var indexHTML []byte
 type Options struct {
 	// Cache is the offline-result store shared by every session; nil
 	// builds a default in-memory cache (sharing the offline phase across
-	// sessions is always safe — entries are content-addressed).
+	// sessions is always safe — entries are content-addressed). The cache
+	// and journal report to the server's own registry (GET /metricz), so a
+	// cache shared across servers reports to the last one built.
 	Cache *store.Cache
 	// Journal, when non-nil, receives every session lifecycle event
 	// (create, feedback, delete) so sessions survive a restart via
 	// RestoreSessions.
 	Journal *store.Journal
-	// MaxBodyBytes caps POST request bodies (default 1 MiB); oversized
-	// requests get 413.
-	MaxBodyBytes int64
 	// RefineHook, when non-nil, is passed to every session's incremental
 	// refiner: it is called once per feature row refreshed during feedback
 	// handling (see viewseeker.Options.RefineHook). Tests use it to observe
 	// that a cancelled request stops refinement promptly.
 	RefineHook func(viewIdx int)
-	// Metrics is the observability registry exported at GET /metricz; nil
-	// builds a fresh one — the server is always instrumented, because its
-	// request path is never hot enough for the registry to matter. The cache
-	// and journal are instrumented against it, so sharing a cache across
-	// servers with distinct registries leaves the handles pointing at
-	// whichever server instrumented it last.
-	Metrics *obs.Registry
 	// Tracer receives the server's phase spans (offline, select, feedback);
 	// nil builds a default 64-entry ring. Recent traces are exported at
 	// GET /debug/vars.
@@ -70,10 +62,10 @@ type Options struct {
 	SessionBudgetBytes int64
 }
 
-// defaultMaxBodyBytes bounds POST bodies: session configs and feedback
-// records are tiny, so 1 MiB is generous headroom for long SQL queries
-// while keeping memory per request bounded.
-const defaultMaxBodyBytes = 1 << 20
+// maxBodyBytes bounds POST bodies (oversized requests get 413): session
+// configs and feedback records are tiny, so 1 MiB is generous headroom for
+// long SQL queries while keeping memory per request bounded.
+const maxBodyBytes = 1 << 20
 
 // Server hosts tables and interactive sessions. All methods are safe for
 // concurrent use; individual sessions serialise their own operations.
@@ -89,7 +81,6 @@ type Server struct {
 
 	cache      *store.Cache
 	journal    *store.Journal
-	maxBody    int64
 	refineHook func(viewIdx int)
 
 	// maintainers holds one background maintainer per hosted live table
@@ -124,20 +115,13 @@ func NewWithOptions(opts Options, tables ...*viewseeker.Table) *Server {
 		maintSem:    make(chan struct{}, maintainerConcurrency),
 		cache:       opts.Cache,
 		journal:     opts.Journal,
-		maxBody:     opts.MaxBodyBytes,
 		refineHook:  opts.RefineHook,
-		metrics:     opts.Metrics,
+		metrics:     obs.NewRegistry(),
 		tracer:      opts.Tracer,
 		log:         opts.Logger,
 	}
 	if s.cache == nil {
 		s.cache = store.NewCache(0)
-	}
-	if s.maxBody <= 0 {
-		s.maxBody = defaultMaxBodyBytes
-	}
-	if s.metrics == nil {
-		s.metrics = obs.NewRegistry()
 	}
 	if s.tracer == nil {
 		s.tracer = obs.NewTracer(0)
@@ -201,7 +185,7 @@ func (s *Server) journalAppend(rec store.Record) {
 // decodeBody decodes a size-capped JSON POST body, distinguishing an
 // oversized request (413) from a malformed one (400).
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

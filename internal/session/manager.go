@@ -33,26 +33,21 @@ type Config struct {
 	// never evicted, so the total can exceed the budget by the working
 	// set of in-flight requests.
 	BudgetBytes int64
-	// HeadroomFraction sets the shed threshold above the budget: when the
-	// unevictable resident bytes exceed BudgetBytes × (1 +
-	// HeadroomFraction), new sessions and rehydrations are refused with
-	// *Overload. ≤ 0 selects DefaultHeadroomFraction.
-	HeadroomFraction float64
-	// MaxRehydrations bounds concurrent journal replays; a cold touch
-	// past the bound is refused with *Overload instead of queueing
-	// unbounded rebuild work behind a burst. ≤ 0 selects
-	// DefaultMaxRehydrations.
-	MaxRehydrations int
-	// RetryAfter is the client backoff hint carried by *Overload (and the
-	// HTTP Retry-After header upstream). ≤ 0 selects DefaultRetryAfter.
-	RetryAfter time.Duration
 }
 
-// Defaults for the Config knobs.
 const (
-	DefaultHeadroomFraction = 0.5
-	DefaultMaxRehydrations  = 4
-	DefaultRetryAfter       = time.Second
+	// headroomFraction sets the shed threshold above the budget: when the
+	// unevictable resident bytes exceed BudgetBytes × (1 +
+	// headroomFraction), new sessions and rehydrations are refused with
+	// *Overload.
+	headroomFraction = 0.5
+	// maxRehydrations bounds concurrent journal replays; a cold touch past
+	// the bound is refused with *Overload instead of queueing unbounded
+	// rebuild work behind a burst.
+	maxRehydrations = 4
+	// retryAfter is the client backoff hint carried by *Overload (and the
+	// HTTP Retry-After header upstream).
+	retryAfter = time.Second
 )
 
 // Overload is the admission-control refusal: the manager cannot take the
@@ -124,15 +119,6 @@ type entry struct {
 
 // NewManager returns a manager for the config.
 func NewManager(cfg Config) *Manager {
-	if cfg.HeadroomFraction <= 0 {
-		cfg.HeadroomFraction = DefaultHeadroomFraction
-	}
-	if cfg.MaxRehydrations <= 0 {
-		cfg.MaxRehydrations = DefaultMaxRehydrations
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	m := &Manager{
 		cfg:     cfg,
 		entries: make(map[string]*entry),
@@ -164,7 +150,7 @@ func (m *Manager) BudgetBytes() int64 { return m.cfg.BudgetBytes }
 
 // hardLimitLocked is the shed threshold: budget plus headroom.
 func (m *Manager) hardLimitLocked() int64 {
-	return m.cfg.BudgetBytes + int64(float64(m.cfg.BudgetBytes)*m.cfg.HeadroomFraction)
+	return m.cfg.BudgetBytes + int64(float64(m.cfg.BudgetBytes)*headroomFraction)
 }
 
 func (m *Manager) updateGaugesLocked() {
@@ -213,11 +199,11 @@ func (m *Manager) evictDownToLocked(limit int64) int {
 // the unevictable resident bytes still exceed the hard limit, or the
 // rehydration backlog is full.
 func (m *Manager) overloadedLocked() *Overload {
-	if m.rehydrating >= m.cfg.MaxRehydrations {
-		return &Overload{Reason: "rehydration backlog full", RetryAfter: m.cfg.RetryAfter}
+	if m.rehydrating >= maxRehydrations {
+		return &Overload{Reason: "rehydration backlog full", RetryAfter: retryAfter}
 	}
 	if m.cfg.BudgetBytes > 0 && m.resident > m.hardLimitLocked() {
-		return &Overload{Reason: "session memory budget exhausted", RetryAfter: m.cfg.RetryAfter}
+		return &Overload{Reason: "session memory budget exhausted", RetryAfter: retryAfter}
 	}
 	return nil
 }

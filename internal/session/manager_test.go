@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"viewseeker"
 	"viewseeker/internal/dataset"
@@ -177,7 +176,7 @@ func TestAdmissionShed(t *testing.T) {
 	per := sk.MemoryBytes()
 	// Budget + headroom below two sessions, so two busy sessions trip the
 	// hard limit.
-	m := NewManager(Config{BudgetBytes: per, HeadroomFraction: 0.25, RetryAfter: 2 * time.Second})
+	m := NewManager(Config{BudgetBytes: per})
 	reg := obs.NewRegistry()
 	m.Instrument(reg)
 
@@ -199,7 +198,7 @@ func TestAdmissionShed(t *testing.T) {
 	if err := m.AdmitNew(); !errors.As(err, &ov) {
 		t.Fatalf("AdmitNew with busy set over limit = %v, want *Overload", err)
 	}
-	if ov.RetryAfter != 2*time.Second {
+	if ov.RetryAfter != retryAfter {
 		t.Errorf("RetryAfter = %v", ov.RetryAfter)
 	}
 	if _, err := m.Acquire(context.Background(), "cold"); !errors.As(err, &ov) {
@@ -309,7 +308,7 @@ func TestConcurrentAcquire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(Config{BudgetBytes: sk.MemoryBytes() * 2, MaxRehydrations: 2})
+	m := NewManager(Config{BudgetBytes: sk.MemoryBytes() * 2})
 	for i := 0; i < 4; i++ {
 		putSession(t, m, table, fmt.Sprintf("s%d", i))
 	}

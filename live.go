@@ -44,6 +44,12 @@ func OpenLiveTableOptions(walPath string, base *Table, opts LiveOptions) (*LiveT
 	return live.Open(nil, walPath, base, opts)
 }
 
+// driftThreshold is the fraction of appended values escaping a pinned bin
+// layout that triggers Advance's automatic re-fit. A quarter of new data
+// outside the histograms means the maintained scans have stopped
+// representing the live distribution.
+const driftThreshold = 0.25
+
 // Maintained is an incrementally maintained offline result over a live
 // table: the view-space bin indexes, scan statistics and utility-feature
 // matrix for one exploration query, kept current as the table grows.
@@ -61,16 +67,14 @@ func OpenLiveTableOptions(walPath string, base *Table, opts LiveOptions) (*LiveT
 // pinned-layout recomputation), so appended values outside a numeric
 // dimension's original range fall out of its histogram. Advance tracks
 // that escape rate per layout and, when any layout's cumulative rate
-// crosses Options.DriftThreshold, rebuilds from scratch — re-fitting
-// every layout to the current data (counted in Stats.DriftRebuilds).
+// reaches driftThreshold, rebuilds from scratch — re-fitting every layout
+// to the current data (counted in Stats.DriftRebuilds).
 type Maintained struct {
 	mu    sync.Mutex
 	lt    *LiveTable
 	query string
 	opts  Options
 	cfg   offlineConfig
-	// driftThreshold is the resolved Options.DriftThreshold (< 0 disabled).
-	driftThreshold float64
 
 	// cur is the published offline version (it owns the generator whose
 	// pinned-layout scans the next Advance extends) and seq the live-table
@@ -125,10 +129,6 @@ func Maintain(lt *LiveTable, query string, opts Options) (*Maintained, error) {
 		return nil, err
 	}
 	m := &Maintained{lt: lt, query: query, opts: opts, cfg: cfg}
-	m.driftThreshold = opts.DriftThreshold
-	if m.driftThreshold == 0 {
-		m.driftThreshold = DefaultDriftThreshold
-	}
 	if stmt, perr := sql.Parse(query); perr == nil {
 		m.suffixable = rowLocal(stmt)
 	}
@@ -163,11 +163,11 @@ func genOf(v *OfflineVersion) *view.Generator {
 // extends the cached bin indexes, statistics and feature matrix with only
 // the appended suffix — bit-identical to a recomputation because layouts
 // stay pinned and the floating-point accumulation order is preserved. It
-// applies when re-running the exploration query only appended result rows
-// (verified with Table.IsPrefixOf); a query whose result was reordered or
-// shrunk by the new data falls back to a full rebuild. Rebuilds also cover
-// appends that drift a measure's accumulation shift (an all-NULL column
-// gaining its first value).
+// applies to row-local queries (rowLocal), whose result over the appended
+// rows is exactly what the new data adds; any other query is rebuilt in
+// full on every Advance. Rebuilds also cover appends that drift a
+// measure's accumulation shift (an all-NULL column gaining its first
+// value).
 //
 // Distribution drift forces the other kind of rebuild: when the
 // cumulative fraction of appended values escaping any pinned bin layout
@@ -187,7 +187,7 @@ func (m *Maintained) Advance() (bool, error) {
 	// the target needs extension checking.
 	if newTarget, ok := m.extendTarget(newRef); ok {
 		if ng, err := genOf(m.cur).ApplyAppend(newRef, newTarget); err == nil {
-			if m.driftThreshold >= 0 && ng.MaxDriftRate() >= m.driftThreshold {
+			if ng.MaxDriftRate() >= driftThreshold {
 				// The pinned layouts no longer represent the data: re-fit.
 				if err := m.rebuild(newRef, newSeq); err != nil {
 					return false, err
@@ -212,30 +212,27 @@ func (m *Maintained) Advance() (bool, error) {
 }
 
 // extendTarget produces the exploration query's result over newRef as an
-// extension of the old result, or ok=false when the delta path does not
-// apply. A row-local query runs over only the appended suffix — O(appended)
-// instead of O(table); anything else reruns in full and verifies that the
-// new data only appended result rows (Table.IsPrefixOf).
+// extension of the old result, by running a row-local query over only
+// the appended suffix — O(appended) instead of O(table). ok=false sends
+// Advance to a rebuild: any other query (ORDER BY, LIMIT, DISTINCT,
+// aggregation) may reorder or rewrite earlier result rows, so it has no
+// delta path.
 func (m *Maintained) extendTarget(newRef *Table) (*Table, bool) {
-	if m.suffixable {
-		from, to := genOf(m.cur).Ref.NumRows(), newRef.NumRows()
-		suffix := newRef.Subset(newRef.Name, seqRange(from, to))
-		matches, err := Query(suffix, m.query)
-		if err != nil {
-			return nil, false
-		}
-		rows := make([][]Value, matches.NumRows())
-		for i := range rows {
-			rows[i] = matches.Row(i)
-		}
-		newTarget, err := m.cur.TargetTable().WithAppended(rows)
-		if err != nil {
-			return nil, false
-		}
-		return newTarget, true
+	if !m.suffixable {
+		return nil, false
 	}
-	newTarget, err := runExplorationQuery(context.Background(), newRef, m.query)
-	if err != nil || !m.cur.TargetTable().IsPrefixOf(newTarget) {
+	from, to := genOf(m.cur).Ref.NumRows(), newRef.NumRows()
+	suffix := newRef.Subset(newRef.Name, seqRange(from, to))
+	matches, err := Query(suffix, m.query)
+	if err != nil {
+		return nil, false
+	}
+	rows := make([][]Value, matches.NumRows())
+	for i := range rows {
+		rows[i] = matches.Row(i)
+	}
+	newTarget, err := m.cur.TargetTable().WithAppended(rows)
+	if err != nil {
 		return nil, false
 	}
 	return newTarget, true

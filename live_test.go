@@ -330,6 +330,60 @@ func TestMaintainedProjectionSuffix(t *testing.T) {
 	}
 }
 
+// TestMaintainedOrderByRebuilds: an ORDER BY query is not row-local —
+// appended rows may land anywhere in its result — so Advance serves it by
+// one rebuild, which equals a fresh Maintain over the current table.
+func TestMaintainedOrderByRebuilds(t *testing.T) {
+	query := dataset.SYNQuery + " ORDER BY m1"
+	base, batch := liveSYN(t, 2000, 300)
+	lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "syn.wal"), base, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lt.Close()
+	opts := Options{K: 3, BinCounts: []int{3, 4}}
+	m, err := Maintain(lt, query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lt.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := m.Advance(); err != nil || !changed {
+		t.Fatalf("Advance: changed %v err %v", changed, err)
+	}
+	if st := m.Stats(); st.Rebuilt != 1 || st.Extended != 0 || st.DriftRebuilds != 0 {
+		t.Fatalf("stats %+v, want one rebuild", st)
+	}
+
+	fresh, err := Maintain(lt, query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := m.Matrix(), fresh.Matrix()
+	if !reflect.DeepEqual(got.Specs, want.Specs) {
+		t.Fatal("view spaces differ from a fresh Maintain")
+	}
+	for i := range got.Rows {
+		for j := range got.Rows[i] {
+			if math.Float64bits(got.Rows[i][j]) != math.Float64bits(want.Rows[i][j]) {
+				t.Fatalf("matrix[%d][%d] = %v, fresh Maintain %v", i, j, got.Rows[i][j], want.Rows[i][j])
+			}
+		}
+	}
+	gv, _ := m.Version()
+	wv, _ := fresh.Version()
+	gt, wt := gv.TargetTable(), wv.TargetTable()
+	if gt.NumRows() != wt.NumRows() {
+		t.Fatalf("target has %d rows, fresh Maintain %d", gt.NumRows(), wt.NumRows())
+	}
+	for r := 0; r < gt.NumRows(); r++ {
+		if !reflect.DeepEqual(gt.Row(r), wt.Row(r)) {
+			t.Fatalf("target row %d: %v, fresh Maintain %v", r, gt.Row(r), wt.Row(r))
+		}
+	}
+}
+
 // TestMaintainedAllNullColumnExtends is the regression test for a result
 // column whose cells are all NULL when Maintain runs. Result kinds used
 // to be inferred from the values, so that column came back as a string

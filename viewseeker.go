@@ -126,24 +126,25 @@ func StandardFeatureNames() []string { return feature.StandardRegistry().Names()
 // (SeeDB-style): it ranks every view by a single fixed utility feature —
 // no interaction, no learning — and returns the top k. It exists both as
 // a baseline for comparisons and for callers who already know their
-// utility function. featureName is one of StandardFeatureNames.
-func StaticTopK(table *Table, query, featureName string, k int) ([]View, error) {
+// utility function. featureName is one of the session's FeatureNames.
+// opts shapes the view space as for New, with Alpha forced to 1: the
+// ranking reads exact rows, and with opts.Cache set it reuses a cached
+// exact version of the same query and configuration.
+func StaticTopK(table *Table, query, featureName string, k int, opts Options) ([]View, error) {
 	if k <= 0 {
 		k = 10
 	}
-	cfg, err := resolveOffline(Options{})
+	opts.Alpha = 1
+	s, err := New(table, query, opts)
 	if err != nil {
 		return nil, err
 	}
-	fi := cfg.registry.Index(featureName)
+	fi := s.registry.Index(featureName)
 	if fi < 0 {
 		return nil, fmt.Errorf("viewseeker: unknown utility feature %q (want one of %v)",
-			featureName, cfg.registry.Names())
+			featureName, s.registry.Names())
 	}
-	v, err := buildVersion(context.Background(), table, query, cfg, 0, false)
-	if err != nil {
-		return nil, err
-	}
+	v := s.off
 	type scored struct {
 		idx   int
 		score float64
@@ -228,22 +229,7 @@ type Options struct {
 	// cancellation tests and latency instrumentation can observe the
 	// refinement work a request triggers.
 	RefineHook func(viewIdx int)
-	// DriftThreshold governs Maintained.Advance's automatic layout re-fit:
-	// when the cumulative out-of-range rate of any pinned bin layout —
-	// appended values a layout cannot place, tracked per layout across
-	// appends — reaches it, Advance rebuilds the offline state from
-	// scratch, re-fitting every layout to the current data. 0 selects
-	// DefaultDriftThreshold; negative disables drift rebuilds (stale
-	// layouts keep dropping escaped values into bin -1 forever). Only
-	// Maintain reads it.
-	DriftThreshold float64
 }
-
-// DefaultDriftThreshold is the fraction of appended values escaping a
-// pinned bin layout that triggers an automatic re-fit (Options.
-// DriftThreshold = 0). A quarter of new data outside the histograms means
-// the maintained scans have stopped representing the live distribution.
-const DefaultDriftThreshold = 0.25
 
 // View is one recommended or presented view with its current score.
 type View struct {

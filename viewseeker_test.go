@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -520,7 +521,7 @@ func klOf(p *Pair) float64 {
 func TestStaticTopK(t *testing.T) {
 	table := facadeTable(t)
 	const query = "SELECT * FROM diab WHERE diag_group = 'diabetes'"
-	top, err := StaticTopK(table, query, "EMD", 5)
+	top, err := StaticTopK(table, query, "EMD", 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,10 +536,42 @@ func TestStaticTopK(t *testing.T) {
 	if top[0].Score <= 0 {
 		t.Errorf("best EMD = %v, want > 0", top[0].Score)
 	}
-	if _, err := StaticTopK(table, query, "NOT_A_FEATURE", 5); err == nil {
+	if _, err := StaticTopK(table, query, "NOT_A_FEATURE", 5, Options{}); err == nil {
 		t.Error("unknown feature should fail")
 	}
-	if _, err := StaticTopK(table, "SELECT * FROM diab WHERE race = 'X'", "EMD", 5); err == nil {
+	if _, err := StaticTopK(table, "SELECT * FROM diab WHERE race = 'X'", "EMD", 5, Options{}); err == nil {
 		t.Error("empty DQ should fail")
+	}
+}
+
+// TestStaticTopKRanksSessionSpace: StaticTopK ranks the view space its
+// Options configure, and with a cache it reuses the exact version a
+// session over the same query already built, whatever Alpha it is given.
+func TestStaticTopKRanksSessionSpace(t *testing.T) {
+	table := facadeTable(t)
+	const query = "SELECT * FROM diab WHERE diag_group = 'diabetes'"
+	cache := NewCache(2)
+	opts := Options{BinCounts: []int{3, 4}, Cache: cache}
+	s, err := New(table, query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Alpha = 0.3
+	top, err := StaticTopK(table, query, "KL", 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, _, _ := cache.Stats(); hits != 1 {
+		t.Errorf("cache hits = %d, want StaticTopK to reuse the session's exact version", hits)
+	}
+	kl := slices.Index(s.FeatureNames(), "KL")
+	rows, specs := s.FeatureRows(), s.Specs()
+	for i, v := range top {
+		if v.Spec != specs[v.Index] || v.Score != rows[v.Index][kl] {
+			t.Fatalf("top[%d] = %+v, session has %+v with KL %v", i, v, specs[v.Index], rows[v.Index][kl])
+		}
+		if i > 0 && top[i-1].Score < v.Score {
+			t.Error("static topk not sorted by feature score")
+		}
 	}
 }
