@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"viewseeker/internal/feature"
 )
@@ -157,7 +158,9 @@ func TestRefineCapActuallyPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Without a time limit the cap is the only thing that stops refinement.
 	s.refineCap = 6
+	s.refineBudget = time.Hour
 	for i := 0; i < 4; i++ {
 		next, err := s.NextViews()
 		if err != nil {

@@ -27,8 +27,10 @@ type Seeker struct {
 	utility *ml.LinearRegression
 	cold    *active.ColdStart
 	refiner *optimize.Refiner
-	// refineCap starts at the package constant; tests narrow it.
-	refineCap int
+	// refineCap and refineBudget start at the package constants; tests
+	// narrow the cap and lift the budget to isolate it.
+	refineCap    int
+	refineBudget time.Duration
 
 	havePositive bool
 	haveNegative bool
@@ -67,7 +69,8 @@ func NewSeeker(m *feature.Matrix, cfg Config, withRefinement bool) (*Seeker, err
 		utility: ml.NewLinearRegression(cfg.Ridge),
 		cold:    &active.ColdStart{Seed: cfg.ColdStartSeed},
 
-		refineCap: refineCap,
+		refineCap:    refineCap,
+		refineBudget: refineBudget,
 	}
 	if withRefinement {
 		s.refiner = optimize.NewRefiner(m)
@@ -192,7 +195,7 @@ func (s *Seeker) FeedbackCtx(ctx context.Context, viewIdx int, label float64) er
 	// Views that never reach the front of this queue are pruned: their
 	// exact features are simply never computed.
 	if s.refiner != nil && !s.refiner.Done() {
-		if _, err := s.refiner.RefineCtx(ctx, s.refinePriority(viewIdx), refineBudget); err != nil {
+		if _, err := s.refiner.RefineCtx(ctx, s.refinePriority(viewIdx), s.refineBudget); err != nil {
 			// Cancellation stops the optional work, not the feedback: rows
 			// already refreshed stay exact, and the refit below proceeds on
 			// the matrix as it stands. Real refresh failures still abort.

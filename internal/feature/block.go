@@ -74,9 +74,12 @@ func measureBlockFor(rs, ts *view.Stats, measure string) (measureBlock, error) {
 // per feature. Per-layout constants (USABILITY) and per-measure constants
 // (ACCURACY, the target's total count) are computed once; per view only
 // the aggregate extraction, one fused normalise+deviation pass, and the
-// χ² score remain. Every arithmetic sequence matches the per-pair
-// registry path, so rows are bit-identical to Registry.Vector — the
-// oracle the tests hold it to.
+// χ² score remain. Rows are bit-identical to Registry.Vector, the
+// per-pair oracle the tests hold them to. That oracle takes its deviation
+// columns from metric.DeviationsAll too, so it checks the distribution
+// extraction, USABILITY, ACCURACY, the χ² score and the custom and
+// quadratic columns; the deviation arithmetic itself is pinned by
+// metric's scalar oracle (TestDeviationsAllMatchesScalar).
 //
 // rows[i] must be pre-sized to the registry's length; the standard-eight
 // prefix is written in place. Custom columns come from per-pair

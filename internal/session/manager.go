@@ -82,6 +82,8 @@ type Manager struct {
 	lru         *list.List // *entry values; front = coldest resident
 	resident    int64      // accounted bytes of resident sessions
 	rehydrating int        // in-flight journal replays
+	// maxRehydrations starts at the package constant; tests narrow it.
+	maxRehydrations int
 
 	// Metric handles; registered against a private registry until
 	// Instrument re-points them, so they are never nil.
@@ -123,6 +125,8 @@ func NewManager(cfg Config) *Manager {
 		cfg:     cfg,
 		entries: make(map[string]*entry),
 		lru:     list.New(),
+
+		maxRehydrations: maxRehydrations,
 	}
 	m.Instrument(obs.NewRegistry())
 	return m
@@ -199,7 +203,7 @@ func (m *Manager) evictDownToLocked(limit int64) int {
 // the unevictable resident bytes still exceed the hard limit, or the
 // rehydration backlog is full.
 func (m *Manager) overloadedLocked() *Overload {
-	if m.rehydrating >= maxRehydrations {
+	if m.rehydrating >= m.maxRehydrations {
 		return &Overload{Reason: "rehydration backlog full", RetryAfter: retryAfter}
 	}
 	if m.cfg.BudgetBytes > 0 && m.resident > m.hardLimitLocked() {

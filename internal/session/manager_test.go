@@ -299,6 +299,64 @@ func TestRehydrateErrorStaysCold(t *testing.T) {
 	h.Release()
 }
 
+// TestRehydrationBacklogShed: while the rehydration backlog is full, a
+// cold Acquire and AdmitNew refuse with *Overload naming the backlog, and
+// both recover once the in-flight rebuild finishes.
+func TestRehydrationBacklogShed(t *testing.T) {
+	table := diab(t)
+	m := NewManager(Config{})
+	m.maxRehydrations = 1
+	reg := obs.NewRegistry()
+	m.Instrument(reg)
+
+	started := make(chan struct{})
+	unblock := make(chan struct{})
+	blocking := func(ctx context.Context, c store.Record) (*viewseeker.Seeker, error) {
+		close(started)
+		<-unblock
+		return buildFrom(table)(ctx, c)
+	}
+	m.Index("slow", store.SessionLog{Create: createRecord("slow")}, blocking)
+	m.Index("cold", store.SessionLog{Create: createRecord("cold")}, buildFrom(table))
+
+	done := make(chan error, 1)
+	go func() {
+		h, err := m.Acquire(context.Background(), "slow")
+		if err == nil {
+			h.Release()
+		}
+		done <- err
+	}()
+	<-started
+
+	const reason = "rehydration backlog full"
+	var ov *Overload
+	if err := m.AdmitNew(); !errors.As(err, &ov) || ov.Reason != reason {
+		t.Fatalf("AdmitNew with full backlog = %v, want *Overload %q", err, reason)
+	}
+	if _, err := m.Acquire(context.Background(), "cold"); !errors.As(err, &ov) || ov.Reason != reason {
+		t.Fatalf("cold Acquire with full backlog = %v, want *Overload %q", err, reason)
+	}
+	snap := reg.Snapshot()
+	if snap[`viewseeker_session_shed_total{route="create"}`] != 1 ||
+		snap[`viewseeker_session_shed_total{route="rehydrate"}`] != 1 {
+		t.Errorf("shed counters = %v", snap)
+	}
+
+	close(unblock)
+	if err := <-done; err != nil {
+		t.Fatalf("blocked rehydration = %v", err)
+	}
+	if err := m.AdmitNew(); err != nil {
+		t.Fatalf("AdmitNew after the backlog drained = %v", err)
+	}
+	h, err := m.Acquire(context.Background(), "cold")
+	if err != nil {
+		t.Fatalf("cold Acquire after the backlog drained = %v", err)
+	}
+	h.Release()
+}
+
 // TestConcurrentAcquire hammers one manager from many goroutines with a
 // tiny budget: meant for -race; correctness checks are that every
 // operation either succeeds or sheds, never corrupts.
@@ -309,6 +367,9 @@ func TestConcurrentAcquire(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager(Config{BudgetBytes: sk.MemoryBytes() * 2})
+	// Four sessions cycle through at most four concurrent rebuilds, so a
+	// cap of two lets the backlog shed fire under -race.
+	m.maxRehydrations = 2
 	for i := 0; i < 4; i++ {
 		putSession(t, m, table, fmt.Sprintf("s%d", i))
 	}
