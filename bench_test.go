@@ -275,35 +275,6 @@ func BenchmarkAblationStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRidge sweeps the utility estimator's ridge penalty.
-func BenchmarkAblationRidge(b *testing.B) {
-	tb := benchDIAB(b)
-	fn := sim.IdealFunctions()[3]
-	for _, lambda := range []float64{1e-9, 1e-6, 1e-3, 1e-1} {
-		b.Run(formatLambda(lambda), func(b *testing.B) {
-			total := 0.0
-			for i := 0; i < b.N; i++ {
-				total += runSession(b, tb, fn, 10, sim.StopAtFullPrecision,
-					core.Config{Ridge: lambda}, false, nil)
-			}
-			b.ReportMetric(total/float64(b.N), "labels")
-		})
-	}
-}
-
-func formatLambda(l float64) string {
-	switch l {
-	case 1e-9:
-		return "lambda=1e-9"
-	case 1e-6:
-		return "lambda=1e-6"
-	case 1e-3:
-		return "lambda=1e-3"
-	default:
-		return "lambda=1e-1"
-	}
-}
-
 // BenchmarkAblationAlpha sweeps the optimisation's partial-data ratio.
 func BenchmarkAblationAlpha(b *testing.B) {
 	tb := benchDIAB(b)
@@ -351,7 +322,7 @@ func BenchmarkAblationColdStart(b *testing.B) {
 			rnd := &active.Random{Seed: int64(i + 1)}
 			labels := 0
 			for warm := 0; warm < 8; warm++ {
-				picks, err := rnd.Select(tb.Exact.Rows, labeledOf(seeker), 1)
+				picks, err := rnd.Select(tb.Exact.Rows, nil, labeledOf(seeker), 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -432,20 +403,26 @@ func BenchmarkAblationClassifierVsRegressor(b *testing.B) {
 
 // classifierOnlySession runs the [3]-style baseline: uncertainty-sampled
 // binary labels train a logistic classifier; the recommendation is the
-// top-k by predicted class probability.
+// top-k by predicted class probability. The classifier is trained on the
+// labelled rows in ascending index order (gradient descent is
+// order-sensitive) and standardised by their own statistics.
 func classifierOnlySession(tb *exp.Testbed, user *sim.User, k, budget int, seed int64) (float64, error) {
+	rows := tb.Exact.Rows
+	space, err := ml.FitScaler(rows)
+	if err != nil {
+		return 0, err
+	}
 	labeled := map[int]float64{}
 	strategy := &active.Uncertainty{}
 	cold := &active.ColdStart{Seed: seed}
-	model := ml.NewLogisticRegression()
+	var model ml.LogisticRegression
 	havePos, haveNeg := false, false
 	for len(labeled) < budget {
 		var picks []int
-		var err error
 		if !(havePos && haveNeg) {
-			picks, err = cold.Select(tb.Exact.Rows, labeled, 1)
+			picks, err = cold.Select(rows, nil, labeled, 1)
 		} else {
-			picks, err = strategy.Select(tb.Exact.Rows, labeled, 1)
+			picks, err = strategy.Select(rows, space, labeled, 1)
 		}
 		if err != nil {
 			return 0, err
@@ -455,27 +432,35 @@ func classifierOnlySession(tb *exp.Testbed, user *sim.User, k, budget int, seed 
 		}
 		v := picks[0]
 		labeled[v] = user.Label(v)
-		if labeled[v] >= 0.5 {
+		if labeled[v] >= active.PositiveThreshold {
 			havePos = true
 		} else {
 			haveNeg = true
 		}
 		var x [][]float64
 		var y []float64
-		for idx, l := range labeled {
-			x = append(x, tb.Exact.Rows[idx])
-			if l >= 0.5 {
+		for i, row := range rows {
+			l, ok := labeled[i]
+			if !ok {
+				continue
+			}
+			x = append(x, row)
+			if l >= active.PositiveThreshold {
 				y = append(y, 1)
 			} else {
 				y = append(y, 0)
 			}
 		}
-		if err := model.Fit(x, y); err != nil {
+		labelledOnly, err := ml.FitScaler(x)
+		if err != nil {
+			return 0, err
+		}
+		if err := model.Fit(x, y, labelledOnly, nil); err != nil {
 			return 0, err
 		}
 	}
-	scores := make([]float64, tb.Exact.Len())
-	for i, row := range tb.Exact.Rows {
+	scores := make([]float64, len(rows))
+	for i, row := range rows {
 		scores[i] = model.Prob(row)
 	}
 	pred := sim.TopKByScore(scores, k)

@@ -2,6 +2,8 @@ package active
 
 import (
 	"testing"
+
+	"viewseeker/internal/ml"
 )
 
 // twoClusterRows builds feature rows where views 0..4 score high on
@@ -16,6 +18,16 @@ func twoClusterRows() [][]float64 {
 		}
 	}
 	return rows
+}
+
+// spaceScaler is the whole-space scaler a session would pass for rows.
+func spaceScaler(t testing.TB, rows [][]float64) *ml.Scaler {
+	t.Helper()
+	s, err := ml.FitScaler(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestUnlabeledIndices(t *testing.T) {
@@ -43,7 +55,7 @@ func TestColdStartWalksFeatures(t *testing.T) {
 	c := &ColdStart{Seed: 1}
 	labeled := map[int]float64{}
 	// First call: top of feature 0 → view 0.
-	got, err := c.Select(rows, labeled, 1)
+	got, err := c.Select(rows, nil, labeled, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,18 +63,18 @@ func TestColdStartWalksFeatures(t *testing.T) {
 		t.Errorf("first cold-start pick = %d, want 0", got[0])
 	}
 	labeled[0] = 0.9
-	if c.Exhausted(2) {
+	if c.cursor >= 2 {
 		t.Error("not yet exhausted after one feature")
 	}
 	// Second call: top of feature 1 → view 5.
-	got, _ = c.Select(rows, labeled, 1)
+	got, _ = c.Select(rows, nil, labeled, 1)
 	if got[0] != 5 {
 		t.Errorf("second cold-start pick = %d, want 5", got[0])
 	}
 	labeled[5] = 0.1
 	// Third call: features exhausted → random among the rest.
-	got, _ = c.Select(rows, labeled, 1)
-	if !c.Exhausted(2) {
+	got, _ = c.Select(rows, nil, labeled, 1)
+	if c.cursor < 2 {
 		t.Error("should be exhausted after both features")
 	}
 	if _, already := labeled[got[0]]; already {
@@ -74,7 +86,7 @@ func TestColdStartSkipsLabeled(t *testing.T) {
 	rows := twoClusterRows()
 	c := &ColdStart{}
 	labeled := map[int]float64{0: 0.9}
-	got, err := c.Select(rows, labeled, 1)
+	got, err := c.Select(rows, nil, labeled, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +104,7 @@ func TestUncertaintySelectsBoundary(t *testing.T) {
 	}
 	labeled := map[int]float64{0: 0, 1: 0, 9: 1, 10: 1}
 	u := &Uncertainty{}
-	got, err := u.Select(rows, labeled, 1)
+	got, err := u.Select(rows, spaceScaler(t, rows), labeled, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +116,7 @@ func TestUncertaintySelectsBoundary(t *testing.T) {
 func TestUncertaintyNoLabelsActsUniform(t *testing.T) {
 	rows := twoClusterRows()
 	u := &Uncertainty{}
-	got, err := u.Select(rows, map[int]float64{}, 3)
+	got, err := u.Select(rows, spaceScaler(t, rows), map[int]float64{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +133,7 @@ func TestUncertaintyAllLabeled(t *testing.T) {
 	rows := [][]float64{{1}, {2}}
 	labeled := map[int]float64{0: 1, 1: 0}
 	u := &Uncertainty{}
-	got, err := u.Select(rows, labeled, 1)
+	got, err := u.Select(rows, spaceScaler(t, rows), labeled, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +146,8 @@ func TestRandomDeterministicBySeed(t *testing.T) {
 	rows := twoClusterRows()
 	a := &Random{Seed: 7}
 	b := &Random{Seed: 7}
-	ga, _ := a.Select(rows, map[int]float64{}, 4)
-	gb, _ := b.Select(rows, map[int]float64{}, 4)
+	ga, _ := a.Select(rows, nil, map[int]float64{}, 4)
+	gb, _ := b.Select(rows, nil, map[int]float64{}, 4)
 	for i := range ga {
 		if ga[i] != gb[i] {
 			t.Fatal("same seed must select identically")
@@ -143,7 +155,7 @@ func TestRandomDeterministicBySeed(t *testing.T) {
 	}
 	// Never returns labelled views.
 	labeled := map[int]float64{0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
-	got, _ := a.Select(rows, labeled, 10)
+	got, _ := a.Select(rows, nil, labeled, 10)
 	if len(got) != 5 {
 		t.Fatalf("selected %d, want the 5 unlabelled", len(got))
 	}
@@ -161,7 +173,7 @@ func TestCommitteeSelectsDisagreement(t *testing.T) {
 	}
 	labeled := map[int]float64{0: 0, 1: 0, 2: 0, 18: 1, 19: 1, 20: 1}
 	c := &Committee{Seed: 3}
-	got, err := c.Select(rows, labeled, 1)
+	got, err := c.Select(rows, spaceScaler(t, rows), labeled, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,26 +184,13 @@ func TestCommitteeSelectsDisagreement(t *testing.T) {
 }
 
 func TestStrategyValidation(t *testing.T) {
-	for _, s := range []Strategy{&Uncertainty{}, &ColdStart{}, &Random{}, &Committee{}} {
-		if _, err := s.Select(nil, nil, 1); err == nil {
-			t.Errorf("%s: empty rows should fail", s.Name())
+	one := [][]float64{{1}}
+	for _, s := range []Strategy{&Uncertainty{}, &ColdStart{}, &Random{}, &Committee{}, &DensityWeighted{}} {
+		if _, err := s.Select(nil, nil, nil, 1); err == nil {
+			t.Errorf("%T: empty rows should fail", s)
 		}
-		if _, err := s.Select([][]float64{{1}}, nil, 0); err == nil {
-			t.Errorf("%s: m=0 should fail", s.Name())
-		}
-	}
-}
-
-func TestStrategyNames(t *testing.T) {
-	names := map[string]Strategy{
-		"uncertainty": &Uncertainty{},
-		"coldstart":   &ColdStart{},
-		"random":      &Random{},
-		"committee":   &Committee{},
-	}
-	for want, s := range names {
-		if s.Name() != want {
-			t.Errorf("Name() = %q, want %q", s.Name(), want)
+		if _, err := s.Select(one, spaceScaler(t, one), nil, 0); err == nil {
+			t.Errorf("%T: m=0 should fail", s)
 		}
 	}
 }
@@ -206,7 +205,7 @@ func TestDensityWeightedPrefersDenseRegions(t *testing.T) {
 		{50, 50}, // outlier
 	}
 	d := &DensityWeighted{}
-	got, err := d.Select(rows, map[int]float64{}, 1)
+	got, err := d.Select(rows, spaceScaler(t, rows), map[int]float64{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +217,9 @@ func TestDensityWeightedPrefersDenseRegions(t *testing.T) {
 func TestDensityWeightedBasics(t *testing.T) {
 	rows := twoClusterRows()
 	d := &DensityWeighted{}
-	if d.Name() != "density" {
-		t.Errorf("name = %q", d.Name())
-	}
+	scaler := spaceScaler(t, rows)
 	labeled := map[int]float64{0: 0.9, 5: 0.1}
-	got, err := d.Select(rows, labeled, 3)
+	got, err := d.Select(rows, scaler, labeled, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +231,23 @@ func TestDensityWeightedBasics(t *testing.T) {
 			t.Errorf("selected labelled view %d", v)
 		}
 	}
-	// Density cache reused across calls.
-	if _, err := d.Select(rows, labeled, 1); err != nil {
+	// Density cache reused across calls with the same scaler.
+	cached := d.densities
+	if _, err := d.Select(rows, scaler, labeled, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Validation shared with the other strategies.
-	if _, err := d.Select(nil, nil, 1); err == nil {
-		t.Error("empty rows should fail")
+	if &d.densities[0] != &cached[0] {
+		t.Error("same scaler recomputed the densities")
+	}
+	// A new scaler means the rows moved: the densities are recomputed.
+	if _, err := d.Select(rows, spaceScaler(t, rows), labeled, 1); err != nil {
+		t.Fatal(err)
+	}
+	if &d.densities[0] == &cached[0] {
+		t.Error("a new scaler kept the stale densities")
+	}
+	// The scaler is required.
+	if _, err := d.Select(rows, nil, labeled, 1); err == nil {
+		t.Error("a nil scaler should fail")
 	}
 }

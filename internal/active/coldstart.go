@@ -1,6 +1,6 @@
 package active
 
-import "math/rand"
+import "viewseeker/internal/ml"
 
 // ColdStart acquires the first positive and negative labels: it walks the
 // utility features in order, each iteration presenting the unlabelled
@@ -10,43 +10,27 @@ type ColdStart struct {
 	// Seed drives the random fallback.
 	Seed int64
 
-	cursor int
-	rng    *rand.Rand
+	cursor   int
+	fallback *Random
 }
 
-// Name implements Strategy.
-func (c *ColdStart) Name() string { return "coldstart" }
-
-// Exhausted reports whether every feature has had its ranking turn and the
-// strategy is now sampling randomly.
-func (c *ColdStart) Exhausted(numFeatures int) bool { return c.cursor >= numFeatures }
-
-// Select implements Strategy.
-func (c *ColdStart) Select(rows [][]float64, labeled map[int]float64, m int) ([]int, error) {
+// Select implements Strategy; it ignores the scaler.
+func (c *ColdStart) Select(rows [][]float64, _ *ml.Scaler, labeled map[int]float64, m int) ([]int, error) {
 	if err := validateSelect(rows, m); err != nil {
 		return nil, err
+	}
+	f := c.cursor
+	if f >= len(rows[0]) {
+		// Every feature has been tried: random sampling.
+		if c.fallback == nil {
+			c.fallback = &Random{Seed: c.Seed}
+		}
+		return c.fallback.Select(rows, nil, labeled, m)
 	}
 	candidates := unlabeledIndices(len(rows), labeled)
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	numFeatures := len(rows[0])
-	if c.cursor < numFeatures {
-		f := c.cursor
-		c.cursor++
-		return topByScore(candidates, func(i int) float64 { return rows[i][f] }, m), nil
-	}
-	// Every feature has been tried: random sampling.
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.Seed))
-	}
-	if m > len(candidates) {
-		m = len(candidates)
-	}
-	picked := make([]int, 0, m)
-	perm := c.rng.Perm(len(candidates))
-	for _, p := range perm[:m] {
-		picked = append(picked, candidates[p])
-	}
-	return picked, nil
+	c.cursor++
+	return topByScore(candidates, func(i int) float64 { return rows[i][f] }, m), nil
 }

@@ -22,11 +22,8 @@ type Committee struct {
 // committeeSize is the number of bootstrap members that vote.
 const committeeSize = 5
 
-// Name implements Strategy.
-func (c *Committee) Name() string { return "committee" }
-
 // Select implements Strategy.
-func (c *Committee) Select(rows [][]float64, labeled map[int]float64, m int) ([]int, error) {
+func (c *Committee) Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64, m int) ([]int, error) {
 	if err := validateSelect(rows, m); err != nil {
 		return nil, err
 	}
@@ -38,20 +35,13 @@ func (c *Committee) Select(rows [][]float64, labeled map[int]float64, m int) ([]
 		c.rng = rand.New(rand.NewSource(c.Seed))
 	}
 	poolX, poolY := binarized(rows, labeled)
-	// One whole-space scaler shared by every member: the members' weight
-	// vectors then live in the same standardised feature space, which is
-	// what lets a later member warm-start from an earlier one's optimum
-	// (and what makes their votes comparable in the first place).
-	var scaler *ml.Scaler
-	if len(poolX) > 0 {
-		var err error
-		if scaler, err = ml.FitScaler(rows); err != nil {
-			return nil, err
-		}
-	}
+	// Every member standardises by the one whole-space scaler, so the
+	// members' weight vectors live in the same feature space: their votes
+	// are comparable, and a later member can warm-start from an earlier
+	// one's optimum.
 	var members []*ml.LogisticRegression
 	for k := 0; k < committeeSize; k++ {
-		model := ml.NewLogisticRegression()
+		model := &ml.LogisticRegression{}
 		if len(poolX) > 0 {
 			x := make([][]float64, len(poolX))
 			y := make([]float64, len(poolX))
@@ -59,17 +49,16 @@ func (c *Committee) Select(rows [][]float64, labeled map[int]float64, m int) ([]
 				e := c.rng.Intn(len(poolX))
 				x[j], y[j] = poolX[e], poolY[e]
 			}
-			model.ExternalScaler = scaler
 			// Warm-start each member from its predecessor: the resamples
 			// overlap heavily, so the previous optimum is a few gradient
 			// steps from the next one. The chain lives entirely inside this
 			// call — members are fresh models, so Select stays a function of
-			// its arguments and the rng state, same as before.
+			// its arguments and the rng state.
+			var warm *ml.LogisticRegression
 			if k > 0 {
-				model.WarmStart = true
-				model.SeedFrom(members[k-1])
+				warm = members[k-1]
 			}
-			if err := model.Fit(x, y); err != nil {
+			if err := model.Fit(x, y, scaler, warm); err != nil {
 				return nil, err
 			}
 		}

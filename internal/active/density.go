@@ -1,6 +1,7 @@
 package active
 
 import (
+	"fmt"
 	"math"
 
 	"viewseeker/internal/ml"
@@ -16,28 +17,32 @@ import (
 //
 // where density is the mean similarity of x to the rest of the space.
 type DensityWeighted struct {
-	densities []float64 // cached per space (keyed by len(rows))
-	densityN  int
+	// densities is cached per view space, keyed on the scaler it was
+	// computed under: the session hands over a new scaler exactly when
+	// refinement rewrites rows, and the cache holds the old pointer, so an
+	// address cannot be reused for different rows.
+	densities     []float64
+	densityScaler *ml.Scaler
 }
 
 // densityBeta is β, which trades informativeness against
 // representativeness: at 1 uncertainty and density weigh equally.
 const densityBeta = 1
 
-// Name implements Strategy.
-func (d *DensityWeighted) Name() string { return "density" }
-
 // Select implements Strategy.
-func (d *DensityWeighted) Select(rows [][]float64, labeled map[int]float64, m int) ([]int, error) {
+func (d *DensityWeighted) Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64, m int) ([]int, error) {
 	if err := validateSelect(rows, m); err != nil {
 		return nil, err
+	}
+	if scaler == nil {
+		return nil, fmt.Errorf("active: density weighting needs the whole-space scaler")
 	}
 	candidates := unlabeledIndices(len(rows), labeled)
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	d.ensureDensities(rows)
-	model, err := fitUncertainty(rows, labeled)
+	d.ensureDensities(rows, scaler)
+	model, err := fitUncertainty(rows, scaler, labeled)
 	if err != nil {
 		return nil, err
 	}
@@ -47,22 +52,16 @@ func (d *DensityWeighted) Select(rows [][]float64, labeled map[int]float64, m in
 	return topByScore(candidates, score, m), nil
 }
 
-// ensureDensities computes (once per space) each row's mean similarity to
-// every other row, over standardised features.
-func (d *DensityWeighted) ensureDensities(rows [][]float64) {
-	if d.densities != nil && d.densityN == len(rows) {
+// ensureDensities computes (once per scaler, so once per version of the
+// rows) each row's mean similarity to every other row, over standardised
+// features.
+func (d *DensityWeighted) ensureDensities(rows [][]float64, scaler *ml.Scaler) {
+	if d.densityScaler == scaler {
 		return
 	}
 	n := len(rows)
-	d.densityN = n
+	d.densityScaler = scaler
 	d.densities = make([]float64, n)
-	scaler, err := ml.FitScaler(rows)
-	if err != nil {
-		for i := range d.densities {
-			d.densities[i] = 1
-		}
-		return
-	}
 	std := scaler.TransformAll(rows)
 	for i := 0; i < n; i++ {
 		total := 0.0

@@ -11,6 +11,7 @@ import (
 // index order rather than map-iteration order.
 func TestUncertaintySelectDeterministic(t *testing.T) {
 	rows := twoClusterRows()
+	scaler := spaceScaler(t, rows)
 	pairs := [][2]float64{{0, 0.9}, {1, 0.8}, {5, 0.1}, {6, 0.2}, {2, 0.7}, {7, 0.3}}
 	var want []int
 	rng := rand.New(rand.NewSource(3))
@@ -20,7 +21,7 @@ func TestUncertaintySelectDeterministic(t *testing.T) {
 			labeled[int(pairs[j][0])] = pairs[j][1]
 		}
 		u := &Uncertainty{}
-		got, err := u.Select(rows, labeled, 2)
+		got, err := u.Select(rows, scaler, labeled, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,16 @@
 // # Contracts
 //
 // Determinism: every Strategy is a deterministic function of (rows,
-// labeled, m) and its own seed — Random draws from a seeded source, and
+// scaler, labeled, m) and its own seed — Random (and ColdStart's random
+// fallback, which is a Random) draws from a seeded source, and
 // score-based strategies break ties by ascending view index — so a
 // replayed session selects the same views in the same order. The journal
 // replay in internal/store depends on this.
 //
-// Purity: Select never mutates rows or labeled; strategies may keep
-// private memoised state (cold-start cursor, density cache) but that
-// state is itself a pure function of the inputs seen so far.
+// Purity: Select never mutates rows, the scaler or labeled; strategies may
+// keep private memoised state (cold-start cursor, density cache) but that
+// state is itself a pure function of the inputs seen so far. The density
+// cache is keyed on the session's whole-space scaler, which the session
+// replaces exactly when refinement rewrites rows, so densities always
+// describe the rows they are applied to.
 package active

@@ -1,6 +1,10 @@
 package active
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"viewseeker/internal/ml"
+)
 
 // Random samples unlabelled views uniformly — the baseline query strategy
 // that active learning is measured against.
@@ -9,11 +13,8 @@ type Random struct {
 	rng  *rand.Rand
 }
 
-// Name implements Strategy.
-func (r *Random) Name() string { return "random" }
-
-// Select implements Strategy.
-func (r *Random) Select(rows [][]float64, labeled map[int]float64, m int) ([]int, error) {
+// Select implements Strategy; it ignores the scaler.
+func (r *Random) Select(rows [][]float64, _ *ml.Scaler, labeled map[int]float64, m int) ([]int, error) {
 	if err := validateSelect(rows, m); err != nil {
 		return nil, err
 	}

@@ -13,11 +13,14 @@ import (
 const PositiveThreshold = 0.5
 
 // Strategy selects up to m unlabelled view indices to present next.
-// rows is the feature matrix of the whole view space; labeled maps view
-// index → the user's label for every view already labelled.
+// rows is the feature matrix of the whole view space and scaler its
+// standardiser (ml.FitScaler over rows): the session fits it once per
+// feature-matrix version and passes the same pointer until the rows
+// change. The model- and distance-based strategies require it; ColdStart
+// and Random ignore it. labeled maps view index → the user's label for
+// every view already labelled.
 type Strategy interface {
-	Name() string
-	Select(rows [][]float64, labeled map[int]float64, m int) ([]int, error)
+	Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64, m int) ([]int, error)
 }
 
 // binarized returns the labelled rows in ascending index order with their
@@ -43,23 +46,18 @@ func binarized(rows [][]float64, labeled map[int]float64) (x [][]float64, y []fl
 }
 
 // fitUncertainty trains a fresh logistic uncertainty estimator on the
-// binarised labels. Features are standardised against the whole view
-// space: the model scores every unlabelled view, and labelled-only
-// statistics make near-constant features explode off-sample (see
-// ml.LinearRegression.ExternalScaler). With no labels the model stays
-// unfitted and rates every view equally uncertain.
-func fitUncertainty(rows [][]float64, labeled map[int]float64) (*ml.LogisticRegression, error) {
-	model := ml.NewLogisticRegression()
+// binarised labels. Features are standardised by the whole-space scaler:
+// the model scores every unlabelled view, and labelled-only statistics
+// make near-constant features explode off-sample (see
+// ml.LinearRegression). With no labels the model stays unfitted and rates
+// every view equally uncertain.
+func fitUncertainty(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64) (*ml.LogisticRegression, error) {
+	model := &ml.LogisticRegression{}
 	x, y := binarized(rows, labeled)
 	if len(x) == 0 {
 		return model, nil
 	}
-	scaler, err := ml.FitScaler(rows)
-	if err != nil {
-		return nil, err
-	}
-	model.ExternalScaler = scaler
-	if err := model.Fit(x, y); err != nil {
+	if err := model.Fit(x, y, scaler, nil); err != nil {
 		return nil, err
 	}
 	return model, nil

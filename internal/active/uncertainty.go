@@ -1,16 +1,15 @@
 package active
 
+import "viewseeker/internal/ml"
+
 // Uncertainty implements least-confidence uncertainty sampling (Eq. 6–7):
 // it trains a logistic-regression uncertainty estimator on the labels seen
 // so far (binarised at PositiveThreshold) and presents the views whose
 // predicted class probability is closest to 0.5.
 type Uncertainty struct{}
 
-// Name implements Strategy.
-func (u *Uncertainty) Name() string { return "uncertainty" }
-
 // Select implements Strategy.
-func (u *Uncertainty) Select(rows [][]float64, labeled map[int]float64, m int) ([]int, error) {
+func (u *Uncertainty) Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64, m int) ([]int, error) {
 	if err := validateSelect(rows, m); err != nil {
 		return nil, err
 	}
@@ -18,7 +17,7 @@ func (u *Uncertainty) Select(rows [][]float64, labeled map[int]float64, m int) (
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	model, err := fitUncertainty(rows, labeled)
+	model, err := fitUncertainty(rows, scaler, labeled)
 	if err != nil {
 		return nil, err
 	}

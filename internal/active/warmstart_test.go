@@ -9,15 +9,16 @@ import (
 // seed, driven identically, agree on every selection.
 func TestCommitteeWarmChainDeterministic(t *testing.T) {
 	rows := twoClusterRows()
+	scaler := spaceScaler(t, rows)
 	labeled := map[int]float64{0: 0.9, 1: 0.8, 5: 0.1, 6: 0.2}
 	a := &Committee{Seed: 7}
 	b := &Committee{Seed: 7}
 	for step := 0; step < 3; step++ {
-		ga, err := a.Select(rows, labeled, 2)
+		ga, err := a.Select(rows, scaler, labeled, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gb, err := b.Select(rows, labeled, 2)
+		gb, err := b.Select(rows, scaler, labeled, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

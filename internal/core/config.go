@@ -28,11 +28,6 @@ type Config struct {
 	K int
 	// M is the number of views presented per iteration (Table 1 default 1).
 	M int
-	// Ridge is the view utility estimator's regularisation (default 1e-4:
-	// small enough for near-exact recovery of linear utility targets,
-	// large enough that near-degenerate feature directions cannot soak up
-	// label noise).
-	Ridge float64
 	// Strategy is the main-phase query strategy (default
 	// &active.Uncertainty{}).
 	Strategy active.Strategy
@@ -58,9 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.M <= 0 {
 		c.M = 1
-	}
-	if c.Ridge <= 0 {
-		c.Ridge = 1e-4
 	}
 	if c.Strategy == nil {
 		c.Strategy = &active.Uncertainty{}

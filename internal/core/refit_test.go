@@ -29,9 +29,8 @@ func fromScratchWeights(t *testing.T, s *Seeker) ([]float64, float64) {
 			t.Fatal(err)
 		}
 	}
-	ref := ml.NewLinearRegression(s.cfg.Ridge)
-	ref.ExternalScaler = scaler
-	if err := ref.FitSufficient(suff); err != nil {
+	ref := &ml.LinearRegression{}
+	if err := ref.FitSufficient(suff, scaler); err != nil {
 		t.Fatal(err)
 	}
 	return ref.Weights()

@@ -35,20 +35,24 @@ type Seeker struct {
 	havePositive bool
 	haveNegative bool
 
-	// Incremental-refit state. The sufficient statistics absorb one
-	// standardised row per new label; they are valid only for the matrix
-	// version (and whole-space scaler) they were accumulated under, so any
-	// row refresh invalidates them and the next refit rebuilds from the
-	// label history. suffYs records the labels absorbed so far — a
-	// relabelled view changes an already-absorbed y, which rank-1 updates
-	// cannot express, so it too forces a rebuild.
-	suff      *ml.SuffStats
-	suffN     int
-	suffYs    []float64
+	// scaler standardises every view's features; it is refitted (a new
+	// pointer) only when refinement moves the matrix version past
+	// scalerVer. The refit and the query strategy both use it.
 	scaler    *ml.Scaler
 	scalerVer uint64
-	scalerSet bool
-	zbuf      []float64
+
+	// Incremental-refit state. The sufficient statistics absorb one
+	// standardised row per new label; they are valid only under the
+	// scaler they were accumulated under (suffScaler), so a new scaler
+	// invalidates them and the next refit rebuilds from the label history.
+	// suffYs records the labels absorbed so far — a relabelled view
+	// changes an already-absorbed y, which rank-1 updates cannot express,
+	// so it too forces a rebuild.
+	suff       *ml.SuffStats
+	suffScaler *ml.Scaler
+	suffN      int
+	suffYs     []float64
+	zbuf       []float64
 }
 
 // NewSeeker builds a session over the matrix. When the matrix was computed
@@ -66,7 +70,7 @@ func NewSeeker(m *feature.Matrix, cfg Config, withRefinement bool) (*Seeker, err
 		matrix:  m,
 		cfg:     cfg,
 		labeled: make(map[int]float64),
-		utility: ml.NewLinearRegression(cfg.Ridge),
+		utility: &ml.LinearRegression{},
 		cold:    &active.ColdStart{Seed: cfg.ColdStartSeed},
 
 		refineCap:    refineCap,
@@ -127,9 +131,12 @@ func (s *Seeker) NextViewsCtx(ctx context.Context) ([]int, error) {
 	var idxs []int
 	var err error
 	if s.InColdStart() {
-		idxs, err = s.cold.Select(s.matrix.Rows, s.labeled, s.cfg.M)
+		idxs, err = s.cold.Select(s.matrix.Rows, nil, s.labeled, s.cfg.M)
 	} else {
-		idxs, err = s.cfg.Strategy.Select(s.matrix.Rows, s.labeled, s.cfg.M)
+		var scaler *ml.Scaler
+		if scaler, err = s.wholeSpaceScaler(); err == nil {
+			idxs, err = s.cfg.Strategy.Select(s.matrix.Rows, scaler, s.labeled, s.cfg.M)
+		}
 	}
 	if reg != nil {
 		reg.Histogram("viewseeker_active_select_seconds", obs.DurationBuckets).
@@ -258,42 +265,50 @@ func (s *Seeker) refinePriority(justLabeled int) []int {
 	return out
 }
 
+// wholeSpaceScaler returns the standardiser of every view's current
+// features. Both learners use whole-space statistics rather than the
+// labelled rows': they score every view, and labelled-only statistics
+// would let near-constant-among-labels features explode on the rest of
+// the space. Matrix rows change under refinement, so the scaler is keyed
+// to the matrix version and refitted (|views| × |features|) only when it
+// moves; each refit is a new pointer, which is what row-derived caches
+// downstream key on.
+func (s *Seeker) wholeSpaceScaler() (*ml.Scaler, error) {
+	if ver := s.matrix.Version(); s.scaler == nil || ver != s.scalerVer {
+		scaler, err := ml.FitScaler(s.matrix.Rows)
+		if err != nil {
+			return nil, err
+		}
+		s.scaler, s.scalerVer = scaler, ver
+	}
+	return s.scaler, nil
+}
+
 // refit retrains the utility estimator on the labelled set. It keeps
-// sufficient statistics (ml.SuffStats) keyed to the matrix version: while
-// the matrix is stable — refinement finished, or none configured — each
-// new label is absorbed as a rank-1 update and the solve costs O(k²)
+// sufficient statistics (ml.SuffStats) bound to the whole-space scaler:
+// while the matrix is stable — refinement finished, or none configured —
+// each new label is absorbed as a rank-1 update and the solve costs O(k²)
 // regardless of how many labels exist. Any matrix refresh bumps the
-// version, which invalidates both the whole-space scaler and the
-// statistics, and the next refit rebuilds them from the label history
-// (O(labels·k²) — labels stay small, a user gives a few dozen at most).
-// Either path runs the identical Add sequence over the current rows, so a
-// restored session replaying its history refits bit-identically to the
-// session it snapshots (see SessionState).
+// version, which brings a new scaler, and the next refit rebuilds the
+// statistics from the label history (O(labels·k²) — labels stay small, a
+// user gives a few dozen at most). Either path runs the identical Add
+// sequence over the current rows, so a restored session replaying its
+// history refits bit-identically to the session it snapshots (see
+// SessionState).
 func (s *Seeker) refit(ctx context.Context) error {
 	if len(s.order) == 0 {
 		return nil
 	}
 	reg := obs.RegistryFrom(ctx)
-	// Standardise against the whole view space, not just the labelled
-	// rows: the estimator predicts over every view, and labelled-only
-	// statistics would let near-constant-among-labels features explode on
-	// the rest of the space. Matrix rows change under refinement, so the
-	// scaler is keyed to the matrix version and refitted when it moves
-	// (cheap: |views| × |features|).
-	ver := s.matrix.Version()
-	if !s.scalerSet || ver != s.scalerVer {
-		scaler, err := ml.FitScaler(s.matrix.Rows)
-		if err != nil {
-			return err
-		}
-		s.scaler = scaler
-		s.scalerVer = ver
-		s.scalerSet = true
-		s.suff = nil // statistics are bound to the scaler's feature space
+	scaler, err := s.wholeSpaceScaler()
+	if err != nil {
+		return err
 	}
-	// A relabelled view rewrites an absorbed y in place; rank-1 updates
-	// cannot undo that, so a history prefix mismatch forces a rebuild.
-	if s.suff != nil && s.suffN <= len(s.order) {
+	// Statistics accumulated under another scaler live in another feature
+	// space. A relabelled view rewrites an absorbed y in place; rank-1
+	// updates cannot undo that, so a history prefix mismatch forces a
+	// rebuild too.
+	if s.suff != nil && s.suffScaler == scaler && s.suffN <= len(s.order) {
 		for i := 0; i < s.suffN; i++ {
 			if s.suffYs[i] != s.labeled[s.order[i]] {
 				s.suff = nil
@@ -306,6 +321,7 @@ func (s *Seeker) refit(ctx context.Context) error {
 	k := len(s.matrix.Rows[0])
 	if s.suff == nil {
 		s.suff = ml.NewSuffStats(k)
+		s.suffScaler = scaler
 		s.suffN = 0
 		s.suffYs = s.suffYs[:0]
 		reg.Counter("viewseeker_refit_rebuilds_total").Inc()
@@ -317,15 +333,14 @@ func (s *Seeker) refit(ctx context.Context) error {
 	}
 	for _, i := range s.order[s.suffN:] {
 		y := s.labeled[i]
-		s.scaler.TransformInto(s.matrix.Rows[i], s.zbuf)
+		scaler.TransformInto(s.matrix.Rows[i], s.zbuf)
 		if err := s.suff.Add(s.zbuf, y); err != nil {
 			return err
 		}
 		s.suffYs = append(s.suffYs, y)
 		s.suffN++
 	}
-	s.utility.ExternalScaler = s.scaler
-	return s.utility.FitSufficient(s.suff)
+	return s.utility.FitSufficient(s.suff, scaler)
 }
 
 // Predict returns the current estimator's utility for one view (0 before

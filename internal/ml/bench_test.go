@@ -26,12 +26,24 @@ func benchData(n, k int) ([][]float64, []float64, []float64) {
 	return rows, yReg, yCls
 }
 
-func BenchmarkLinearRegressionFit(b *testing.B) {
+// BenchmarkLinearRegressionFitSufficient times one refit from
+// sufficient statistics over 100 absorbed labels, the per-label cost of a
+// session's utility estimator.
+func BenchmarkLinearRegressionFitSufficient(b *testing.B) {
 	rows, y, _ := benchData(100, 8)
-	m := NewLinearRegression(1e-6)
+	scaler := mustScaler(b, rows)
+	s := NewSuffStats(8)
+	z := make([]float64, 8)
+	for i, r := range rows {
+		scaler.TransformInto(r, z)
+		if err := s.Add(z, y[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var m LinearRegression
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Fit(rows, y); err != nil {
+		if err := m.FitSufficient(s, scaler); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,8 +51,8 @@ func BenchmarkLinearRegressionFit(b *testing.B) {
 
 func BenchmarkLinearRegressionPredictAll(b *testing.B) {
 	rows, y, _ := benchData(280, 8)
-	m := NewLinearRegression(1e-6)
-	if err := m.Fit(rows[:50], y[:50]); err != nil {
+	var m LinearRegression
+	if err := m.Fit(rows[:50], y[:50], nil, 1e-6); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -51,10 +63,11 @@ func BenchmarkLinearRegressionPredictAll(b *testing.B) {
 
 func BenchmarkLogisticRegressionFit(b *testing.B) {
 	rows, _, y := benchData(100, 8)
+	scaler := mustScaler(b, rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewLogisticRegression()
-		if err := m.Fit(rows, y); err != nil {
+		var m LogisticRegression
+		if err := m.Fit(rows, y, scaler, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,22 +10,15 @@ import (
 // ridge-regularised least squares over standardised features. Ridge keeps
 // the normal equations well-posed in the early iterations, when there are
 // fewer labels than features — exactly the regime ViewSeeker's cold start
-// operates in.
+// operates in. The zero value is an unfitted model.
+//
+// Features are standardised with a scaler the caller fitted elsewhere — in
+// ViewSeeker, over the whole view space rather than just the labelled
+// rows. In a transductive setting this matters: a feature that is
+// near-constant among the labelled views but wide-ranged globally would
+// otherwise turn into a huge-leverage direction, and predictions on
+// unlabelled views would extrapolate wildly off a handful of noisy labels.
 type LinearRegression struct {
-	// Lambda is the ridge penalty. Zero is ordinary least squares (and will
-	// fail on rank-deficient designs); the default used by ViewSeeker is
-	// small, just enough to recover exact linear targets while keeping the
-	// normal equations well-posed.
-	Lambda float64
-	// ExternalScaler, when set, standardises features with statistics the
-	// caller fitted elsewhere — in ViewSeeker, over the whole view space
-	// rather than just the labelled rows. In a transductive setting this
-	// matters: a feature that is near-constant among the labelled views
-	// but wide-ranged globally would otherwise turn into a huge-leverage
-	// direction, and predictions on unlabelled views would extrapolate
-	// wildly off a handful of noisy labels.
-	ExternalScaler *Scaler
-
 	weights []float64 // on standardised features
 	bias    float64
 	scaler  *Scaler
@@ -38,106 +31,27 @@ type LinearRegression struct {
 	rhs, fwd, sol, zbar []float64
 }
 
-// NewLinearRegression returns an estimator with the given ridge penalty.
-func NewLinearRegression(lambda float64) *LinearRegression {
-	return &LinearRegression{Lambda: lambda}
-}
+// ridgeLambda is the utility estimator's ridge penalty: small enough for
+// near-exact recovery of linear utility targets, large enough that
+// near-degenerate feature directions cannot soak up label noise.
+const ridgeLambda = 1e-4
 
-// Fit solves the regularised normal equations (Xᵀ X + λI)·w = Xᵀ y on
-// standardised, centred data. It requires at least one row.
-func (m *LinearRegression) Fit(rows [][]float64, y []float64) error {
-	if len(rows) == 0 {
-		return fmt.Errorf("ml: linear regression needs at least one labelled row")
-	}
-	if len(rows) != len(y) {
-		return fmt.Errorf("ml: %d rows but %d labels", len(rows), len(y))
-	}
-	scaler := m.ExternalScaler
-	if scaler == nil {
-		var err error
-		scaler, err = FitScaler(rows)
-		if err != nil {
-			return err
-		}
-	}
-	std := scaler.TransformAll(rows)
-	k := len(std[0])
-	// Centre both the labels and the (standardised) design by the
-	// labelled set's own means, so the intercept decouples regardless of
-	// where the scaler's statistics came from (internal fits have zero
-	// column means anyway; external, whole-space scalers do not).
-	yMean := 0.0
-	for _, v := range y {
-		yMean += v
-	}
-	yMean /= float64(len(y))
-	colMeans := make([]float64, k)
-	for _, r := range std {
-		for j, v := range r {
-			colMeans[j] += v
-		}
-	}
-	for j := range colMeans {
-		colMeans[j] /= float64(len(std))
-	}
-
-	x := linalg.NewMatrix(len(std), k)
-	for i, r := range std {
-		for j, v := range r {
-			x.Set(i, j, v-colMeans[j])
-		}
-	}
-	gram := x.Gram()
-	lambda := m.Lambda
-	if lambda <= 0 {
-		lambda = 0
-	}
-	for i := 0; i < k; i++ {
-		gram.Add(i, i, lambda)
-	}
-	rhs := make([]float64, k)
-	for i, r := range std {
-		resid := y[i] - yMean
-		for j, v := range r {
-			rhs[j] += (v - colMeans[j]) * resid
-		}
-	}
-	w, err := linalg.SolveCholesky(gram, rhs)
-	if err != nil {
-		// Rank-deficient and unregularised: fall back to pivoted Gaussian
-		// elimination with a tiny jitter so early-session fits always
-		// produce some estimator.
-		for i := 0; i < k; i++ {
-			gram.Add(i, i, 1e-9)
-		}
-		w, err = linalg.Solve(gram, rhs)
-		if err != nil {
-			return fmt.Errorf("ml: fitting linear regression: %w", err)
-		}
-	}
-	m.weights = w
-	m.bias = yMean - linalg.Dot(w, colMeans)
-	m.scaler = scaler
-	return nil
-}
-
-// FitSufficient solves the same regularised, centred normal equations as
-// Fit, but from accumulated sufficient statistics instead of labelled
-// rows: G = Sxx − n·z̄·z̄ᵀ + λI and rhs = Sxy − Sy·z̄ over the
-// standardised feature space the statistics were collected in. It
-// requires ExternalScaler (the statistics are meaningless without the
-// scaler that produced their z rows) and at least one absorbed label.
-// All solver buffers are reused across calls, so a per-label refit costs
-// O(k²) arithmetic and no steady-state allocations. Fit remains the
-// reference implementation; FitSufficient agrees with it to solver
-// tolerance (the algebra is rearranged), and with itself exactly: the
-// same statistics always produce bit-identical weights.
-func (m *LinearRegression) FitSufficient(s *SuffStats) error {
+// FitSufficient solves the ridge-regularised (ridgeLambda), centred
+// normal equations from accumulated sufficient statistics:
+// G = Sxx − n·z̄·z̄ᵀ + λI and rhs = Sxy − Sy·z̄ over the standardised
+// feature space the statistics were collected in. scaler must be the one
+// that produced their z rows (the statistics are meaningless without it),
+// and at least one label must have been absorbed. All solver buffers are
+// reused across calls, so a per-label refit costs O(k²) arithmetic and no
+// steady-state allocations. The same statistics always produce
+// bit-identical weights; a design-matrix solve, kept as the test oracle,
+// agrees to solver tolerance (the algebra is rearranged).
+func (m *LinearRegression) FitSufficient(s *SuffStats, scaler *Scaler) error {
 	if s == nil || s.N == 0 {
 		return fmt.Errorf("ml: linear regression needs at least one labelled row")
 	}
-	if m.ExternalScaler == nil {
-		return fmt.Errorf("ml: FitSufficient requires ExternalScaler (statistics are bound to a scaler)")
+	if scaler == nil {
+		return fmt.Errorf("ml: FitSufficient needs the scaler its statistics were accumulated under")
 	}
 	k := s.K
 	if m.gram == nil || m.gram.Rows != k {
@@ -153,15 +67,11 @@ func (m *LinearRegression) FitSufficient(s *SuffStats) error {
 	for j := 0; j < k; j++ {
 		m.zbar[j] = s.Sx[j] / n
 	}
-	lambda := m.Lambda
-	if lambda <= 0 {
-		lambda = 0
-	}
 	for i := 0; i < k; i++ {
 		for j := i; j < k; j++ {
 			g := s.Sxx.At(i, j) - n*m.zbar[i]*m.zbar[j]
 			if i == j {
-				g += lambda
+				g += ridgeLambda
 			}
 			m.gram.Set(i, j, g)
 			m.gram.Set(j, i, g)
@@ -169,8 +79,9 @@ func (m *LinearRegression) FitSufficient(s *SuffStats) error {
 		m.rhs[i] = s.Sxy[i] - s.Sy*m.zbar[i]
 	}
 	if err := linalg.CholeskyInto(m.gram, m.chol); err != nil {
-		// Rank-deficient and unregularised: the same jittered fallback as
-		// Fit, so early-session refits always produce some estimator.
+		// Numerically rank-deficient despite the ridge: retry with a tiny
+		// jitter and pivoted elimination, so early-session refits always
+		// produce some estimator.
 		for i := 0; i < k; i++ {
 			m.gram.Add(i, i, 1e-9)
 		}
@@ -187,14 +98,11 @@ func (m *LinearRegression) FitSufficient(s *SuffStats) error {
 	}
 	copy(m.weights, m.sol)
 	m.bias = yMean - linalg.Dot(m.weights, m.zbar)
-	m.scaler = m.ExternalScaler
+	m.scaler = scaler
 	return nil
 }
 
-// Fitted reports whether Fit has succeeded at least once.
-func (m *LinearRegression) Fitted() bool { return m.scaler != nil }
-
-// Predict returns ŷ for one feature row. Calling Predict before Fit
+// Predict returns ŷ for one feature row. Calling Predict before a fit
 // returns 0. It standardises inline — no per-call allocation — with the
 // same accumulation order as Dot over a Transformed copy, so predictions
 // are bit-identical to the allocating form.

@@ -10,46 +10,25 @@ import (
 // LogisticRegression is the uncertainty estimator: a binary classifier
 // whose predicted probability p(y=1|x) feeds the least-confidence query
 // strategy (Eq. 6). It is trained by full-batch gradient descent with L2
-// regularisation on standardised features.
+// regularisation on standardised features. The zero value is an unfitted
+// model.
 type LogisticRegression struct {
-	// LearningRate is the gradient step size (default 0.5 when zero).
-	LearningRate float64
-	// Epochs bounds the number of full-batch passes (default 500 when zero).
-	Epochs int
-	// Lambda is the L2 penalty (default 1e-3 when zero or negative).
-	Lambda float64
-	// Tol stops training early when the max weight update falls below it
-	// (default 1e-8 when zero).
-	Tol float64
-	// ExternalScaler, when set, standardises with caller-fitted statistics
-	// (see ml.LinearRegression.ExternalScaler for why transductive callers
-	// want whole-space statistics).
-	ExternalScaler *Scaler
-	// WarmStart seeds each Fit's gradient descent from the previously
-	// fitted weights instead of zero. With a near-convex objective and one
-	// new label per retrain, the previous optimum is a few steps from the
-	// new one, so warm-started fits converge in far fewer epochs. The
-	// mechanism is fully deterministic — identical previous state and data
-	// give identical results — but it makes Fit depend on the model's own
-	// history, so callers whose outputs must be reproducible from inputs
-	// alone (session replay) either keep it off or confine it to within
-	// one call's lifetime (see active.Committee).
-	WarmStart bool
-
 	weights []float64
 	bias    float64
 	scaler  *Scaler
 
-	// stdBuf is the reused standardisation buffer (see TransformAllInto);
-	// epochsRun records the last Fit's epoch count for observability.
-	stdBuf    [][]float64
+	// epochsRun records the last Fit's epoch count.
 	epochsRun int
 }
 
-// NewLogisticRegression returns a classifier with library defaults.
-func NewLogisticRegression() *LogisticRegression {
-	return &LogisticRegression{LearningRate: 0.5, Epochs: 500, Lambda: 1e-3, Tol: 1e-8}
-}
+// The fixed gradient-descent schedule: step size, epoch cap, L2 penalty,
+// and the early-stop tolerance on the largest weight update.
+const (
+	learningRate = 0.5
+	maxEpochs    = 500
+	logitLambda  = 1e-3
+	stepTol      = 1e-8
+)
 
 func sigmoid(z float64) float64 {
 	// Numerically stable split.
@@ -61,58 +40,44 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// Fit trains on rows with binary labels (0 or 1). At least one row is
-// required; a single-class dataset is legal and yields a confident constant
-// classifier, which the cold-start stage relies on.
-func (m *LogisticRegression) Fit(rows [][]float64, y []float64) error {
+// Fit trains on rows with binary labels (0 or 1), standardised by scaler.
+// Transductive callers pass a scaler fitted over the whole view space, not
+// just the labelled rows (see LinearRegression). At least one row is
+// required; a single-class dataset is legal and yields a confident
+// constant classifier, which the cold-start stage relies on.
+//
+// Gradient descent starts from zero, or, when warm is a fitted model over
+// the same standardised features, from warm's weights. With a near-convex
+// objective and heavily overlapping training sets the previous optimum is
+// a few steps from the next, so a warm fit converges in far fewer epochs.
+// Either way the result is a function of the arguments alone.
+func (m *LogisticRegression) Fit(rows [][]float64, y []float64, scaler *Scaler, warm *LogisticRegression) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("ml: logistic regression needs at least one labelled row")
 	}
 	if len(rows) != len(y) {
 		return fmt.Errorf("ml: %d rows but %d labels", len(rows), len(y))
 	}
+	if scaler == nil {
+		return fmt.Errorf("ml: logistic regression needs a scaler")
+	}
 	for i, v := range y {
 		if v != 0 && v != 1 {
 			return fmt.Errorf("ml: label %d is %v, want 0 or 1", i, v)
 		}
 	}
-	lr := m.LearningRate
-	if lr <= 0 {
-		lr = 0.5
-	}
-	epochs := m.Epochs
-	if epochs <= 0 {
-		epochs = 500
-	}
-	lambda := m.Lambda
-	if lambda <= 0 {
-		lambda = 1e-3
-	}
-	tol := m.Tol
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	scaler := m.ExternalScaler
-	if scaler == nil {
-		var err error
-		scaler, err = FitScaler(rows)
-		if err != nil {
-			return err
-		}
-	}
-	m.stdBuf = scaler.TransformAllInto(rows, m.stdBuf)
-	std := m.stdBuf
+	std := scaler.TransformAll(rows)
 	k := len(std[0])
 	w := make([]float64, k)
 	b := 0.0
-	if m.WarmStart && len(m.weights) == k {
-		copy(w, m.weights)
-		b = m.bias
+	if warm != nil && len(warm.weights) == k {
+		copy(w, warm.weights)
+		b = warm.bias
 	}
 	n := float64(len(std))
 	grad := make([]float64, k)
 	epochsRun := 0
-	for epoch := 0; epoch < epochs; epoch++ {
+	for epoch := 0; epoch < maxEpochs; epoch++ {
 		for j := range grad {
 			grad[j] = 0
 		}
@@ -125,16 +90,16 @@ func (m *LogisticRegression) Fit(rows [][]float64, y []float64) error {
 		}
 		maxStep := 0.0
 		for j := range w {
-			g := grad[j]/n + lambda*w[j]
-			step := lr * g
+			g := grad[j]/n + logitLambda*w[j]
+			step := learningRate * g
 			w[j] -= step
 			if s := math.Abs(step); s > maxStep {
 				maxStep = s
 			}
 		}
-		b -= lr * gb / n
+		b -= learningRate * gb / n
 		epochsRun++
-		if maxStep < tol && math.Abs(lr*gb/n) < tol {
+		if maxStep < stepTol && math.Abs(learningRate*gb/n) < stepTol {
 			break
 		}
 	}
@@ -144,28 +109,6 @@ func (m *LogisticRegression) Fit(rows [][]float64, y []float64) error {
 	m.epochsRun = epochsRun
 	return nil
 }
-
-// SeedFrom copies another model's fitted weights in as this model's
-// warm-start seed: the next Fit with WarmStart set starts its descent from
-// o's optimum instead of zero. It does not make the model fitted — Prob
-// still returns 0.5 until Fit runs — and it is how active.Committee chains
-// bootstrap members within one selection without sharing model state
-// across calls. A nil or unfitted o is a no-op.
-func (m *LogisticRegression) SeedFrom(o *LogisticRegression) {
-	if o == nil || len(o.weights) == 0 {
-		return
-	}
-	m.weights = append(m.weights[:0], o.weights...)
-	m.bias = o.bias
-}
-
-// EpochsRun returns the number of full-batch passes the last Fit took —
-// the observable effect of warm starting (a warm fit near the previous
-// optimum converges in a handful of epochs).
-func (m *LogisticRegression) EpochsRun() int { return m.epochsRun }
-
-// Fitted reports whether Fit has succeeded at least once.
-func (m *LogisticRegression) Fitted() bool { return m.scaler != nil }
 
 // Prob returns p(y=1|x). Before Fit it returns 0.5 — maximal uncertainty,
 // which makes an untrained uncertainty estimator equivalent to random

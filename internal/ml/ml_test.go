@@ -31,6 +31,16 @@ func TestScalerStandardises(t *testing.T) {
 	}
 }
 
+// mustScaler fits a scaler over rows or fails the test.
+func mustScaler(t testing.TB, rows [][]float64) *Scaler {
+	t.Helper()
+	s, err := FitScaler(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestScalerErrors(t *testing.T) {
 	if _, err := FitScaler(nil); err == nil {
 		t.Error("expected error on empty data")
@@ -51,8 +61,8 @@ func TestLinearRegressionRecoversExactTarget(t *testing.T) {
 		rows = append(rows, r)
 		y = append(y, 0.3*r[0]+0.7*r[2]+0.1)
 	}
-	m := NewLinearRegression(1e-9)
-	if err := m.Fit(rows, y); err != nil {
+	var m LinearRegression
+	if err := m.Fit(rows, y, nil, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range rows {
@@ -73,11 +83,11 @@ func TestLinearRegressionUnderdetermined(t *testing.T) {
 	// Fewer labels than features: ridge must still produce a usable fit.
 	rows := [][]float64{{1, 0, 0, 0, 0}, {0, 1, 0, 0, 0}}
 	y := []float64{1, 0}
-	m := NewLinearRegression(1e-6)
-	if err := m.Fit(rows, y); err != nil {
+	var m LinearRegression
+	if err := m.Fit(rows, y, nil, 1e-6); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Fitted() {
+	if m.scaler == nil {
 		t.Fatal("should be fitted")
 	}
 	if m.Predict(rows[0]) <= m.Predict(rows[1]) {
@@ -86,8 +96,8 @@ func TestLinearRegressionUnderdetermined(t *testing.T) {
 }
 
 func TestLinearRegressionSingleRow(t *testing.T) {
-	m := NewLinearRegression(1e-6)
-	if err := m.Fit([][]float64{{1, 2}}, []float64{0.7}); err != nil {
+	var m LinearRegression
+	if err := m.Fit([][]float64{{1, 2}}, []float64{0.7}, nil, 1e-6); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Predict([]float64{1, 2}); math.Abs(got-0.7) > 1e-9 {
@@ -96,11 +106,11 @@ func TestLinearRegressionSingleRow(t *testing.T) {
 }
 
 func TestLinearRegressionErrors(t *testing.T) {
-	m := NewLinearRegression(0)
-	if err := m.Fit(nil, nil); err == nil {
+	var m LinearRegression
+	if err := m.Fit(nil, nil, nil, 0); err == nil {
 		t.Error("expected error on empty fit")
 	}
-	if err := m.Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if err := m.Fit([][]float64{{1}}, []float64{1, 2}, nil, 0); err == nil {
 		t.Error("expected error on length mismatch")
 	}
 	if got := m.Predict([]float64{1}); got != 0 {
@@ -128,8 +138,8 @@ func TestLinearRegressionPropertyExactRecovery(t *testing.T) {
 			}
 			y = append(y, s)
 		}
-		m := NewLinearRegression(1e-10)
-		if err := m.Fit(rows, y); err != nil {
+		var m LinearRegression
+		if err := m.Fit(rows, y, nil, 1e-10); err != nil {
 			return false
 		}
 		got, gotB := m.Weights()
@@ -159,8 +169,8 @@ func TestLogisticRegressionSeparable(t *testing.T) {
 			y = append(y, 0)
 		}
 	}
-	m := NewLogisticRegression()
-	if err := m.Fit(rows, y); err != nil {
+	var m LogisticRegression
+	if err := m.Fit(rows, y, mustScaler(t, rows), nil); err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
@@ -178,8 +188,8 @@ func TestLogisticRegressionSeparable(t *testing.T) {
 func TestLogisticUncertaintyPeaksAtBoundary(t *testing.T) {
 	rows := [][]float64{{-2}, {-1}, {1}, {2}}
 	y := []float64{0, 0, 1, 1}
-	m := NewLogisticRegression()
-	if err := m.Fit(rows, y); err != nil {
+	var m LogisticRegression
+	if err := m.Fit(rows, y, mustScaler(t, rows), nil); err != nil {
 		t.Fatal(err)
 	}
 	uMid := m.Uncertainty([]float64{0})
@@ -193,8 +203,9 @@ func TestLogisticUncertaintyPeaksAtBoundary(t *testing.T) {
 }
 
 func TestLogisticSingleClass(t *testing.T) {
-	m := NewLogisticRegression()
-	if err := m.Fit([][]float64{{1}, {2}}, []float64{1, 1}); err != nil {
+	rows := [][]float64{{1}, {2}}
+	var m LogisticRegression
+	if err := m.Fit(rows, []float64{1, 1}, mustScaler(t, rows), nil); err != nil {
 		t.Fatal(err)
 	}
 	if p := m.Prob([]float64{1.5}); p <= 0.5 {
@@ -203,14 +214,18 @@ func TestLogisticSingleClass(t *testing.T) {
 }
 
 func TestLogisticRejectsNonBinaryLabels(t *testing.T) {
-	m := NewLogisticRegression()
-	if err := m.Fit([][]float64{{1}}, []float64{0.3}); err == nil {
+	rows := [][]float64{{1}}
+	var m LogisticRegression
+	if err := m.Fit(rows, []float64{0.3}, mustScaler(t, rows), nil); err == nil {
 		t.Fatal("expected error for non-binary label")
+	}
+	if err := m.Fit(rows, []float64{1}, nil, nil); err == nil {
+		t.Fatal("expected error without a scaler")
 	}
 }
 
 func TestLogisticUnfittedIsMaximallyUncertain(t *testing.T) {
-	m := NewLogisticRegression()
+	var m LogisticRegression
 	if p := m.Prob([]float64{1}); p != 0.5 {
 		t.Errorf("unfitted Prob = %v, want 0.5", p)
 	}

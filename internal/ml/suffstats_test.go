@@ -31,7 +31,7 @@ func randDesign(rng *rand.Rand, n, k int) (rows [][]float64, y []float64) {
 
 // fitFromScratch standardises and absorbs the rows in order and solves —
 // the reference an incremental session is held bit-identical to.
-func fitFromScratch(t *testing.T, scaler *Scaler, rows [][]float64, y []float64, lambda float64) *LinearRegression {
+func fitFromScratch(t *testing.T, scaler *Scaler, rows [][]float64, y []float64) *LinearRegression {
 	t.Helper()
 	s := NewSuffStats(len(rows[0]))
 	z := make([]float64, len(rows[0]))
@@ -41,9 +41,8 @@ func fitFromScratch(t *testing.T, scaler *Scaler, rows [][]float64, y []float64,
 			t.Fatal(err)
 		}
 	}
-	m := NewLinearRegression(lambda)
-	m.ExternalScaler = scaler
-	if err := m.FitSufficient(s); err != nil {
+	m := &LinearRegression{}
+	if err := m.FitSufficient(s, scaler); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -64,8 +63,7 @@ func TestIncrementalRefitMatchesFromScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc := NewLinearRegression(1e-4)
-		inc.ExternalScaler = scaler
+		inc := &LinearRegression{}
 		s := NewSuffStats(k)
 		z := make([]float64, k)
 		for i := 0; i < n; i++ {
@@ -73,10 +71,10 @@ func TestIncrementalRefitMatchesFromScratch(t *testing.T) {
 			if err := s.Add(z, y[i]); err != nil {
 				t.Fatal(err)
 			}
-			if err := inc.FitSufficient(s); err != nil {
+			if err := inc.FitSufficient(s, scaler); err != nil {
 				t.Fatal(err)
 			}
-			fresh := fitFromScratch(t, scaler, rows[:i+1], y[:i+1], 1e-4)
+			fresh := fitFromScratch(t, scaler, rows[:i+1], y[:i+1])
 			if math.Float64bits(inc.bias) != math.Float64bits(fresh.bias) {
 				t.Fatalf("trial %d label %d: bias %v vs %v", trial, i, inc.bias, fresh.bias)
 			}
@@ -104,12 +102,11 @@ func TestFitSufficientAgreesWithFit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := NewLinearRegression(1e-4)
-		ref.ExternalScaler = scaler
-		if err := ref.Fit(rows, y); err != nil {
+		ref := &LinearRegression{}
+		if err := ref.Fit(rows, y, scaler, ridgeLambda); err != nil {
 			t.Fatal(err)
 		}
-		inc := fitFromScratch(t, scaler, rows, y, 1e-4)
+		inc := fitFromScratch(t, scaler, rows, y)
 		probe := make([]float64, k)
 		for j := range probe {
 			probe[j] = rng.NormFloat64() * 3
@@ -150,8 +147,7 @@ func TestFitSufficientQuickLabelSequences(t *testing.T) {
 		if len(labels) < len(picks) {
 			return true
 		}
-		inc := NewLinearRegression(1e-4)
-		inc.ExternalScaler = scaler
+		inc := &LinearRegression{}
 		s := NewSuffStats(k)
 		z := make([]float64, k)
 		var seqRows [][]float64
@@ -168,11 +164,11 @@ func TestFitSufficientQuickLabelSequences(t *testing.T) {
 			if s.Add(z, yv) != nil {
 				return false
 			}
-			if inc.FitSufficient(s) != nil {
+			if inc.FitSufficient(s, scaler) != nil {
 				return false
 			}
 		}
-		fresh := fitFromScratch(t, scaler, seqRows, seqY, 1e-4)
+		fresh := fitFromScratch(t, scaler, seqRows, seqY)
 		if math.Float64bits(inc.bias) != math.Float64bits(fresh.bias) {
 			return false
 		}
@@ -189,11 +185,12 @@ func TestFitSufficientQuickLabelSequences(t *testing.T) {
 }
 
 func TestFitSufficientErrors(t *testing.T) {
-	m := NewLinearRegression(1e-4)
-	if err := m.FitSufficient(nil); err == nil {
+	m := &LinearRegression{}
+	scaler := mustScaler(t, [][]float64{{1, 2, 3}, {2, 3, 4}})
+	if err := m.FitSufficient(nil, scaler); err == nil {
 		t.Error("nil statistics should fail")
 	}
-	if err := m.FitSufficient(NewSuffStats(3)); err == nil {
+	if err := m.FitSufficient(NewSuffStats(3), scaler); err == nil {
 		t.Error("empty statistics should fail")
 	}
 	s := NewSuffStats(3)
@@ -203,8 +200,8 @@ func TestFitSufficientErrors(t *testing.T) {
 	if err := s.Add([]float64{1, 2, 3}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.FitSufficient(s); err == nil {
-		t.Error("FitSufficient without ExternalScaler should fail")
+	if err := m.FitSufficient(s, nil); err == nil {
+		t.Error("FitSufficient without a scaler should fail")
 	}
 }
 
@@ -221,8 +218,7 @@ func TestRefitAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewLinearRegression(1e-4)
-	m.ExternalScaler = scaler
+	m := &LinearRegression{}
 	s := NewSuffStats(k)
 	z := make([]float64, k)
 	next := 0
@@ -232,7 +228,7 @@ func TestRefitAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		next++
-		if err := m.FitSufficient(s); err != nil {
+		if err := m.FitSufficient(s, scaler); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,20 +257,18 @@ func TestPredictMatchesTransformDot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin := NewLinearRegression(1e-4)
-	lin.ExternalScaler = scaler
-	if err := lin.Fit(rows, y); err != nil {
+	lin := &LinearRegression{}
+	if err := lin.Fit(rows, y, scaler, ridgeLambda); err != nil {
 		t.Fatal(err)
 	}
-	cls := NewLogisticRegression()
-	cls.ExternalScaler = scaler
+	cls := &LogisticRegression{}
 	by := make([]float64, len(y))
 	for i := range y {
 		if y[i] > 0 {
 			by[i] = 1
 		}
 	}
-	if err := cls.Fit(rows, by); err != nil {
+	if err := cls.Fit(rows, by, scaler, nil); err != nil {
 		t.Fatal(err)
 	}
 	dot := func(a, b []float64) float64 {
@@ -328,27 +322,24 @@ func TestTransformIntoMatchesTransform(t *testing.T) {
 
 // TestLogisticWarmStart pins the warm-start mechanism: it is
 // deterministic (two identically driven chains agree bit for bit), it
-// converges in fewer epochs than a cold fit on a nearby problem, and it
-// changes nothing when disabled.
+// converges in fewer epochs than a cold fit on a nearby problem, and a
+// fit without a warm model ignores the model's own history.
 func TestLogisticWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	rows, _ := randDesign(rng, 120, 5)
+	// Noisy labels keep the problem non-separable, so fits converge by
+	// tolerance within the epoch cap instead of saturating it.
 	y := make([]float64, len(rows))
 	for i, r := range rows {
-		if r[0]+r[1] > 0 {
+		if r[0]+r[1]+3*rng.NormFloat64() > 0 {
 			y[i] = 1
 		}
 	}
-	scaler, err := FitScaler(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scaler := mustScaler(t, rows)
 	chain := func() *LogisticRegression {
-		m := NewLogisticRegression()
-		m.ExternalScaler = scaler
-		m.WarmStart = true
+		m := &LogisticRegression{}
 		for n := 40; n <= len(rows); n += 40 {
-			if err := m.Fit(rows[:n], y[:n]); err != nil {
+			if err := m.Fit(rows[:n], y[:n], scaler, m); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -364,56 +355,40 @@ func TestLogisticWarmStart(t *testing.T) {
 		}
 	}
 
-	// Epoch comparison runs with a cap high enough that both fits
-	// converge by tolerance rather than both saturating the cap (a
-	// separable problem's gradient decays slowly).
-	mk := func() *LogisticRegression {
-		m := NewLogisticRegression()
-		m.ExternalScaler = scaler
-		m.Epochs = 20000
-		m.Tol = 1e-6
-		return m
-	}
-	cold := mk()
-	if err := cold.Fit(rows, y); err != nil {
+	cold := &LogisticRegression{}
+	if err := cold.Fit(rows, y, scaler, nil); err != nil {
 		t.Fatal(err)
 	}
-	warm := mk()
-	warm.WarmStart = true
-	if err := warm.Fit(rows[:len(rows)-1], y[:len(rows)-1]); err != nil {
+	prev := &LogisticRegression{}
+	if err := prev.Fit(rows[:len(rows)-1], y[:len(rows)-1], scaler, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := warm.Fit(rows, y); err != nil {
+	warm := &LogisticRegression{}
+	if err := warm.Fit(rows, y, scaler, prev); err != nil {
 		t.Fatal(err)
 	}
-	if cold.EpochsRun() >= 20000 {
-		t.Fatalf("cold fit saturated the %d-epoch cap; comparison is meaningless", cold.EpochsRun())
+	if cold.epochsRun >= maxEpochs {
+		t.Fatalf("cold fit saturated the %d-epoch cap; comparison is meaningless", cold.epochsRun)
 	}
-	if warm.EpochsRun() >= cold.EpochsRun() {
+	if warm.epochsRun >= cold.epochsRun {
 		t.Errorf("warm fit took %d epochs, cold took %d — warm start saved nothing",
-			warm.EpochsRun(), cold.EpochsRun())
+			warm.epochsRun, cold.epochsRun)
 	}
 
-	// Disabled, the previous state is ignored: a reused model fits
-	// exactly like a fresh one with the same configuration.
-	fresh := NewLogisticRegression()
-	fresh.ExternalScaler = scaler
-	if err := fresh.Fit(rows, y); err != nil {
+	// Without a warm model the previous state is ignored: a reused model
+	// fits exactly like a fresh one.
+	reused := &LogisticRegression{}
+	if err := reused.Fit(rows[:60], y[:60], scaler, nil); err != nil {
 		t.Fatal(err)
 	}
-	reused := NewLogisticRegression()
-	reused.ExternalScaler = scaler
-	if err := reused.Fit(rows[:60], y[:60]); err != nil {
+	if err := reused.Fit(rows, y, scaler, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := reused.Fit(rows, y); err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(reused.bias) != math.Float64bits(fresh.bias) {
-		t.Fatalf("cold refit depends on history: bias %v vs %v", reused.bias, fresh.bias)
+	if math.Float64bits(reused.bias) != math.Float64bits(cold.bias) {
+		t.Fatalf("cold refit depends on history: bias %v vs %v", reused.bias, cold.bias)
 	}
 	for j := range reused.weights {
-		if math.Float64bits(reused.weights[j]) != math.Float64bits(fresh.weights[j]) {
+		if math.Float64bits(reused.weights[j]) != math.Float64bits(cold.weights[j]) {
 			t.Fatalf("cold refit depends on history at weight %d", j)
 		}
 	}
