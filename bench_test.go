@@ -8,6 +8,7 @@ package viewseeker_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -648,5 +649,44 @@ func BenchmarkOfflineParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLiveAppend measures the per-batch work of a live table: one
+// 1,000-row append to SYN 200k (WAL write plus a new table version) and
+// one Advance of a maintained SELECT * … WHERE query over it (the target
+// suffix, the delta-extended bin indexes and statistics, and the feature
+// matrix). B/op is the number to watch: a version that shares its
+// parent's storage costs its batch, one that copies it costs the table.
+// WAL fsyncs are batched out of the loop.
+func BenchmarkLiveAppend(b *testing.B) {
+	const rows, batchRows, batches = 200_000, 1000, 32
+	base := dataset.GenerateSYN(dataset.SYNConfig{Rows: rows, Seed: 1})
+	pool := dataset.GenerateSYN(dataset.SYNConfig{Rows: batches * batchRows, Seed: 2})
+	pending := make([][][]dataset.Value, batches)
+	for i := range pending {
+		pending[i] = make([][]dataset.Value, batchRows)
+		for r := range pending[i] {
+			pending[i][r] = pool.Row(i*batchRows + r)
+		}
+	}
+	lt, _, err := viewseeker.OpenLiveTable(filepath.Join(b.TempDir(), "syn.wal"), base, 1<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lt.Close()
+	m, err := viewseeker.Maintain(lt, dataset.SYNQuery, viewseeker.Options{K: 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lt.Append(pending[i%batches]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Advance(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

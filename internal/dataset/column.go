@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -11,6 +12,12 @@ import (
 // when row i holds SQL NULL (nil when the column has no nulls). The bitmap
 // is sized only up to the highest null row, so readers must bounds-check
 // the word index (IsNull does).
+//
+// A loader or generator fills a column it owns outright. A version made
+// by Table.WithAppended instead shares its parent's arrays (DESIGN.md
+// §13): its typed slice lives on a Backing and is clamped to its length,
+// so no caller's append can write into a tail another version owns, and
+// its bitmap is never written in place.
 type Column struct {
 	Def    ColumnDef
 	Ints   []int64
@@ -19,37 +26,98 @@ type Column struct {
 	Bools  []bool
 	nulls  []uint64
 
-	// dec caches the one-time numeric decode of an int/bool column as a
-	// flat []float64, so scan kernels read every column at full memory
+	// back is the Backing of the populated typed slice (*Backing[int64]
+	// for an int column, and so on), or nil while the column owns its
+	// array outright.
+	back any
+	// sharedNulls marks a bitmap that other versions may read: setting a
+	// bit copies it first.
+	sharedNulls bool
+
+	// dec caches the numeric decode of an int/bool column as a flat
+	// []float64, so scan kernels read every column at full memory
 	// bandwidth instead of re-running the per-cell kind switch once per
-	// row × measure × layout. Guarded by its own mutex: scans fan out over
+	// row × measure × layout. It lives on its own Backing: a version made
+	// by WithAppended starts from its parent's decode and decodes only
+	// the appended rows. Guarded by its own mutex: scans fan out over
 	// goroutines and may race to build it.
 	dec struct {
 		mu   sync.Mutex
 		vals []float64
-		n    int
+		back *Backing[float64]
 	}
 }
 
 // NewColumn allocates an empty column for the definition.
 func NewColumn(def ColumnDef) *Column { return &Column{Def: def} }
 
-// cloneForAppend returns a copy safe to append to while the receiver keeps
-// serving readers. The typed slice is shared but capacity-clamped, so the
-// clone's first append reallocates instead of writing into the shared
-// backing array; the null bitmap is copied outright because markNull ORs
-// into existing words; the decode cache starts empty (it would be rebuilt
-// on length change anyway).
-func (c *Column) cloneForAppend() *Column {
-	out := &Column{Def: c.Def}
-	out.Ints = c.Ints[:len(c.Ints):len(c.Ints)]
-	out.Floats = c.Floats[:len(c.Floats):len(c.Floats)]
-	out.Strs = c.Strs[:len(c.Strs):len(c.Strs)]
-	out.Bools = c.Bools[:len(c.Bools):len(c.Bools)]
-	if c.nulls != nil {
-		out.nulls = append(make([]uint64, 0, len(c.nulls)), c.nulls...)
+// appended returns a new column holding c's cells plus column j of rows,
+// which check accepted, leaving c untouched: the typed cells go into c's
+// tail when c can claim it, else into a copy, and the bitmap is shared
+// unless the batch holds a NULL (or c may still set bits in its own).
+func (c *Column) appended(rows [][]Value, j int) *Column {
+	out := &Column{Def: c.Def, Ints: c.Ints, Floats: c.Floats, Strs: c.Strs, Bools: c.Bools,
+		back: c.back, nulls: c.nulls, sharedNulls: true}
+	if !c.sharedNulls {
+		// c may still set bits in the bitmap it owns: out takes a copy.
+		out.nulls, out.sharedNulls = slices.Clone(c.nulls), false
+	}
+	out.extend(rows, j)
+	out.sharedNulls = true // published: later versions may share it
+	if c.Def.Kind == KindInt || c.Def.Kind == KindBool {
+		c.dec.mu.Lock()
+		out.dec.vals, out.dec.back = c.dec.vals, c.dec.back
+		c.dec.mu.Unlock()
 	}
 	return out
+}
+
+// extend appends column j of rows, which check accepted, to c in place.
+func (c *Column) extend(rows [][]Value, j int) {
+	n := c.Len()
+	switch c.Def.Kind {
+	case KindInt:
+		c.Ints, c.back = appendCells(c.Ints, c.back, rows, j, intCell)
+	case KindFloat:
+		c.Floats, c.back = appendCells(c.Floats, c.back, rows, j, floatCell)
+	case KindString:
+		c.Strs, c.back = appendCells(c.Strs, c.back, rows, j, stringCell)
+	case KindBool:
+		c.Bools, c.back = appendCells(c.Bools, c.back, rows, j, boolCell)
+	}
+	for i, r := range rows {
+		if r[j].IsNull() {
+			c.markNull(n + i)
+		}
+	}
+}
+
+// appendCells appends conv(row[j]) for each row to s through Extend, so
+// the cells land in back's tail when s may claim it.
+func appendCells[T any](s []T, back any, rows [][]Value, j int, conv func(Value) T) ([]T, any) {
+	b, _ := back.(*Backing[T])
+	n := len(s)
+	s, b = Extend(s, b, len(rows))
+	for i, r := range rows {
+		s[n+i] = conv(r[j])
+	}
+	return s, b
+}
+
+// The cell a column of each kind stores for a value check accepted; NULL
+// stores the kind's zero value.
+func intCell(v Value) int64     { i, _ := v.AsInt(); return i }
+func floatCell(v Value) float64 { f, _ := v.AsFloat(); return f }
+func boolCell(v Value) bool     { return v.B }
+func stringCell(v Value) string {
+	switch v.Kind {
+	case KindNull:
+		return ""
+	case KindString:
+		return v.S
+	default:
+		return v.String()
+	}
 }
 
 // Gather returns a new column holding the cells at rows, in order — the
@@ -105,59 +173,61 @@ func (c *Column) Len() int {
 }
 
 // Append adds a value, coercing numerically when needed. Appending NULL
-// stores the kind's zero value and records the position as null.
+// stores the kind's zero value and records the position as null. It is
+// the builder's primitive: it grows the column's own array with append,
+// so on a version that shares its array it copies (Table.AppendRow
+// claims the shared tail instead).
 func (c *Column) Append(v Value) error {
+	if err := c.check(v); err != nil {
+		return err
+	}
 	if v.IsNull() {
 		c.markNull(c.Len())
-		v = zeroOf(c.Def.Kind)
 	}
 	switch c.Def.Kind {
 	case KindInt:
-		i, ok := v.AsInt()
-		if !ok {
-			return fmt.Errorf("dataset: cannot store %s in int column %q", v.Kind, c.Def.Name)
-		}
-		c.Ints = append(c.Ints, i)
+		c.Ints = append(c.Ints, intCell(v))
 	case KindFloat:
-		f, ok := v.AsFloat()
-		if !ok {
-			return fmt.Errorf("dataset: cannot store %s in float column %q", v.Kind, c.Def.Name)
-		}
-		c.Floats = append(c.Floats, f)
+		c.Floats = append(c.Floats, floatCell(v))
 	case KindString:
-		if v.Kind != KindString {
-			c.Strs = append(c.Strs, v.String())
-		} else {
-			c.Strs = append(c.Strs, v.S)
-		}
+		c.Strs = append(c.Strs, stringCell(v))
 	case KindBool:
-		if v.Kind != KindBool {
-			return fmt.Errorf("dataset: cannot store %s in bool column %q", v.Kind, c.Def.Name)
-		}
-		c.Bools = append(c.Bools, v.B)
-	default:
-		return fmt.Errorf("dataset: column %q has invalid kind", c.Def.Name)
+		c.Bools = append(c.Bools, boolCell(v))
 	}
 	return nil
 }
 
-func zeroOf(k Kind) Value {
-	switch k {
+// check returns an error when the column cannot store v. NULL fits every
+// kind.
+func (c *Column) check(v Value) error {
+	ok := v.IsNull()
+	switch c.Def.Kind {
 	case KindInt:
-		return Int(0)
+		_, isInt := v.AsInt()
+		ok = ok || isInt
 	case KindFloat:
-		return Float(0)
+		_, isFloat := v.AsFloat()
+		ok = ok || isFloat
 	case KindString:
-		return StringVal("")
+		ok = true
 	case KindBool:
-		return Bool(false)
+		ok = ok || v.Kind == KindBool
 	default:
-		return Null
+		return fmt.Errorf("dataset: column %q has invalid kind", c.Def.Name)
 	}
+	if !ok {
+		return fmt.Errorf("dataset: cannot store %s in %s column %q", v.Kind, c.Def.Kind, c.Def.Name)
+	}
+	return nil
 }
 
-// markNull flags row i as NULL, growing the bitmap as needed.
+// markNull flags row i as NULL, growing the bitmap as needed. A bitmap
+// other versions may read is copied first: no word an older version reads
+// is ever written.
 func (c *Column) markNull(i int) {
+	if c.sharedNulls {
+		c.nulls, c.sharedNulls = slices.Clone(c.nulls), false
+	}
 	w := i >> 6
 	for len(c.nulls) <= w {
 		c.nulls = append(c.nulls, 0)
@@ -194,7 +264,7 @@ func (c *Column) IsNull(i int) bool {
 // when row i is NULL. The bitmap covers only up to the highest null row
 // (nil when the column has none) and is shared, not copied — callers must
 // treat it as read-only.
-func (c *Column) NullBitmap() []uint64 { return c.nulls }
+func (c *Column) NullBitmap() []uint64 { return slices.Clip(c.nulls) }
 
 // NullCount returns the number of NULL cells.
 func (c *Column) NullCount() int {
@@ -209,42 +279,47 @@ func (c *Column) NullCount() int {
 // and bools widened, bools as 0/1) plus the null bitmap, the decode-once
 // view the columnar scan kernels read. Float columns return their backing
 // slice directly; int/bool columns decode lazily on first use and cache
-// the result, rebuilding if rows were appended since. ok is false for
+// the result, decoding only the rows appended since. ok is false for
 // string columns, which have no numeric interpretation. NULL rows hold the
 // kind's zero value in vals; consult the bitmap to skip them. The returned
-// slices are shared — read-only for callers. Safe for concurrent use.
+// slices are shared and capacity-clamped — read-only for callers. Safe
+// for concurrent use.
 func (c *Column) NumericView() (vals []float64, nulls []uint64, ok bool) {
 	switch c.Def.Kind {
 	case KindFloat:
-		return c.Floats, c.nulls, true
+		return slices.Clip(c.Floats), slices.Clip(c.nulls), true
 	case KindInt, KindBool:
-		return c.decoded(), c.nulls, true
+		return c.decoded(), slices.Clip(c.nulls), true
 	default:
 		return nil, nil, false
 	}
 }
 
+// decoded returns the int/bool column widened to float64, extending the
+// cached decode (which may be a parent version's prefix) through Extend.
 func (c *Column) decoded() []float64 {
 	c.dec.mu.Lock()
 	defer c.dec.mu.Unlock()
 	n := c.Len()
-	if c.dec.vals != nil && c.dec.n == n {
+	m := len(c.dec.vals)
+	if m == n {
 		return c.dec.vals
 	}
-	vals := make([]float64, n)
+	vals, back := Extend(c.dec.vals[:m], c.dec.back, n-m)
 	switch c.Def.Kind {
 	case KindInt:
-		for i, v := range c.Ints {
-			vals[i] = float64(v)
+		for i, v := range c.Ints[m:] {
+			vals[m+i] = float64(v)
 		}
 	case KindBool:
-		for i, v := range c.Bools {
+		for i, v := range c.Bools[m:] {
+			vals[m+i] = 0
 			if v {
-				vals[i] = 1
+				vals[m+i] = 1
 			}
 		}
 	}
-	c.dec.vals, c.dec.n = vals, n
+	c.dec.vals, c.dec.back = vals, back
 	return vals
 }
 

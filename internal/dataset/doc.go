@@ -9,9 +9,15 @@
 // Decode-once columns (DESIGN.md §9): Column.NumericView returns the
 // column as a flat []float64 plus a null bitmap (bit i of word i/64).
 // Float columns alias their backing slice — callers must not mutate the
-// view — while int and bool columns decode into a cache that rebuilds if
-// the column grows. The bitmap is the store of record for NULLs; IsNull
-// is two shifts and a bounds check.
+// view — while int and bool columns decode into a cache that decodes only
+// the rows appended since. The bitmap is the store of record for NULLs;
+// IsNull is two shifts and a bounds check.
+//
+// Shared versions (DESIGN.md §13): Table.WithAppended returns a version
+// that shares its parent's arrays and writes only the appended rows.
+// Every shared array is a Backing with one high-water mark; Extend is the
+// one rule by which a version claims an array's tail or copies, and the
+// view layer's bin indexes grow through it too.
 //
 // Gathers: Column.Gather copies a column's cells at a list of rows into a
 // new column of the same definition, NULL bits included (NULL cells hold

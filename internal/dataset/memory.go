@@ -20,17 +20,25 @@ func (t *Table) MemoryBytes() int64 {
 }
 
 // MemoryBytes estimates the column's resident heap bytes (see
-// Table.MemoryBytes).
+// Table.MemoryBytes). A version that shares its arrays is charged for the
+// whole allocation it keeps alive, spare capacity and all.
 func (c *Column) MemoryBytes() int64 {
-	b := int64(cap(c.Ints))*8 + int64(cap(c.Floats))*8 + int64(cap(c.Bools)) + int64(cap(c.nulls))*8
+	b := allocated(c.Ints, c.back)*8 + allocated(c.Floats, c.back)*8 + allocated(c.Bools, c.back) +
+		int64(cap(c.nulls))*8
 	if len(c.Strs) > 0 {
-		b += int64(cap(c.Strs)) * 16 // string headers
+		b += allocated(c.Strs, c.back) * 16 // string headers
 		for _, s := range c.Strs {
 			b += int64(len(s))
 		}
 	}
 	c.dec.mu.Lock()
-	b += int64(cap(c.dec.vals)) * 8
+	b += int64(Allocated(c.dec.vals, c.dec.back)) * 8
 	c.dec.mu.Unlock()
 	return b
+}
+
+// allocated is Allocated for a typed slice and a column's untyped back.
+func allocated[T any](s []T, back any) int64 {
+	b, _ := back.(*Backing[T])
+	return int64(Allocated(s, b))
 }

@@ -53,18 +53,37 @@ func (t *Table) Column(name string) *Column {
 	return t.Cols[i]
 }
 
-// AppendRow adds one row. The number of values must equal the schema width.
+// AppendRow adds one row. The number of values must equal the schema
+// width. The row is checked whole before any column grows, so a bad row
+// changes nothing. Each column grows through the same tail claim as
+// WithAppended: in place when the table's version owns its arrays' tails,
+// by copy when another version has claimed them.
 func (t *Table) AppendRow(vals ...Value) error {
-	if len(vals) != len(t.Cols) {
-		return fmt.Errorf("dataset: table %q expects %d values, got %d", t.Name, len(t.Cols), len(vals))
+	rows := [][]Value{vals}
+	if err := t.check(rows); err != nil {
+		return err
 	}
-	for i, v := range vals {
-		if err := t.Cols[i].Append(v); err != nil {
-			return err
-		}
+	for j, c := range t.Cols {
+		c.extend(rows, j)
 	}
 	t.rows++
 	t.version++
+	return nil
+}
+
+// check returns an error for the first row of the wrong width or cell its
+// column cannot store.
+func (t *Table) check(rows [][]Value) error {
+	for _, r := range rows {
+		if len(r) != len(t.Cols) {
+			return fmt.Errorf("dataset: table %q expects %d values, got %d", t.Name, len(t.Cols), len(r))
+		}
+		for j, v := range r {
+			if err := t.Cols[j].check(v); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -101,23 +120,24 @@ func (t *Table) Memo(key any, compute func() any) any {
 }
 
 // WithAppended returns a new table holding the receiver's rows plus the
-// given rows, leaving the receiver untouched — the copy-on-append MVCC
-// step behind live tables. Readers of the old version keep a consistent
-// snapshot: the clone clamps the shared backing slices to their length (so
-// its first append reallocates rather than scribbling into shared arrays)
-// and copies the null bitmaps outright (bit sets mutate words in place).
-// On any row error the receiver is still untouched and the partial clone
-// is discarded.
+// given rows, leaving the receiver untouched — the MVCC step behind live
+// tables. The new version shares the receiver's storage and writes only
+// the appended rows (DESIGN.md §13): each typed column extends into its
+// backing array's tail when it wins the claim on it (see Extend), else
+// into a copy, and a column's null bitmap is shared unless the batch
+// holds a NULL in it, when it is copied. So appending to the head costs
+// O(batch), while a second WithAppended on the same receiver (a fork)
+// copies and stays correct. Readers of the receiver keep a consistent
+// snapshot: they read only its own length of each array. The batch is
+// checked before anything is claimed, so a bad row returns an error and
+// leaves the next append free to extend in place.
 func (t *Table) WithAppended(rows [][]Value) (*Table, error) {
-	out := &Table{Name: t.Name, Schema: t.Schema, rows: t.rows}
-	out.Cols = make([]*Column, len(t.Cols))
-	for i, c := range t.Cols {
-		out.Cols[i] = c.cloneForAppend()
+	if err := t.check(rows); err != nil {
+		return nil, err
 	}
-	for _, r := range rows {
-		if err := out.AppendRow(r...); err != nil {
-			return nil, err
-		}
+	out := &Table{Name: t.Name, Schema: t.Schema, Cols: make([]*Column, len(t.Cols)), rows: t.rows + len(rows), version: 1}
+	for j, c := range t.Cols {
+		out.Cols[j] = c.appended(rows, j)
 	}
 	return out, nil
 }

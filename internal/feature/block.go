@@ -81,10 +81,11 @@ func measureBlockFor(rs, ts *view.Stats, measure string) (measureBlock, error) {
 // quadratic columns; the deviation arithmetic itself is pinned by
 // metric's scalar oracle (TestDeviationsAllMatchesScalar).
 //
-// rows[i] must be pre-sized to the registry's length; the standard-eight
-// prefix is written in place. Custom columns come from per-pair
-// computation over a Histogram pair assembled from the same statistics,
-// and quadratic columns last, as products of the row's own columns.
+// rows[j], the row of view idxs[j], must be pre-sized to the registry's
+// length; the standard-eight prefix is written in place. Custom columns
+// come from per-pair computation over a Histogram pair assembled from the
+// same statistics, and quadratic columns last, as products of the row's
+// own columns.
 func (r *Registry) fillBlockRows(rs, ts *view.Stats,
 	specs []view.Spec, idxs []int, rows [][]float64, sc *blockScratch) error {
 	nb := ts.Layout.NumBins()
@@ -94,7 +95,7 @@ func (r *Registry) fillBlockRows(rs, ts *view.Stats,
 		return fmt.Errorf("feature: computing %s for %s: %w", Usability, specs[idxs[0]], err)
 	}
 	blocks := make(map[string]measureBlock, len(ts.Measures))
-	for _, i := range idxs {
+	for j, i := range idxs {
 		s := specs[i]
 		mb, ok := blocks[s.Measure]
 		if !ok {
@@ -115,7 +116,7 @@ func (r *Registry) fillBlockRows(rs, ts *view.Stats,
 		if err := metric.NormalizeInto(sc.qDist, sc.refVals); err != nil {
 			return fmt.Errorf("feature: computing %s: %w", s, err)
 		}
-		row := rows[i]
+		row := rows[j]
 		if err := metric.DeviationsAll(sc.pDist, sc.qDist, row[:metric.NumDeviations]); err != nil {
 			return fmt.Errorf("feature: computing deviations for %s: %w", s, err)
 		}

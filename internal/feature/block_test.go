@@ -2,8 +2,10 @@ package feature
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"viewseeker/internal/dataset"
@@ -282,5 +284,53 @@ func TestFeatureBlockAllocations(t *testing.T) {
 	// of 5+ blowing past this bound means the block path regressed.
 	if allocs > 12 {
 		t.Errorf("warm family refresh allocates %.0f times, want ≤ 12", allocs)
+	}
+}
+
+// TestRefreshFamilyFailureLeavesMatrix: when a custom feature fails on
+// the refreshed family, RefreshFamily returns the error and leaves Rows,
+// Exact and Version exactly as they were — no zeroed or half-filled row
+// is installed.
+func TestRefreshFamilyFailureLeavesMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(92))
+	ref, tgt := randomTable(t, rng)
+	g, err := view.NewGenerator(ref, tgt, view.SpaceConfig{BinCounts: []int{8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := false
+	r := StandardRegistry()
+	if err := r.Add(Feature{Name: "FLAKY", Compute: func(p *view.Pair) (float64, error) {
+		if fail {
+			return 0, errors.New("injected feature failure")
+		}
+		return p.Target.TotalCount(), nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ComputePartialWorkersCtx(context.Background(), g, r, 0.25, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := familiesOf(m.Specs)[0]
+	rows := make([][]float64, len(m.Rows))
+	for i, row := range m.Rows {
+		rows[i] = append([]float64(nil), row...)
+	}
+	exact := append([]bool(nil), m.Exact...)
+	version := m.Version()
+
+	fail = true
+	if err := m.RefreshFamily(fam); err == nil {
+		t.Fatal("RefreshFamily swallowed the feature's error")
+	}
+	if !reflect.DeepEqual(m.Rows, rows) {
+		t.Error("a failed refresh changed Rows")
+	}
+	if !reflect.DeepEqual(m.Exact, exact) {
+		t.Error("a failed refresh changed Exact")
+	}
+	if m.Version() != version {
+		t.Errorf("a failed refresh bumped Version %d -> %d", version, m.Version())
 	}
 }

@@ -123,13 +123,16 @@ func computeMatrix(ctx context.Context, g *view.Generator, r *Registry, refRows 
 		if err != nil {
 			return err
 		}
-		backing := make([]float64, len(idxs)*k)
+		rows := blockRows(len(idxs), k)
+		var sc blockScratch
+		if err := r.fillBlockRows(rs, ts, specs, idxs, rows, &sc); err != nil {
+			return err
+		}
 		for j, i := range idxs {
-			m.Rows[i] = backing[j*k : (j+1)*k : (j+1)*k]
+			m.Rows[i] = rows[j]
 			m.Exact[i] = exact
 		}
-		var sc blockScratch
-		return r.fillBlockRows(rs, ts, specs, idxs, m.Rows, &sc)
+		return nil
 	})
 	reg.Counter("viewseeker_feature_block_fills_total").Add(int64(len(groups)))
 	featSpan.End()
@@ -207,10 +210,12 @@ func (m *Matrix) ExactCount() int {
 // cached all-measures scan, else one narrow single-measure scan) and rows
 // are block-filled from them, so refining a whole family costs one scan
 // plus the fused kernels instead of per-view Histogram assembly and
-// closure dispatch. The refreshed rows are installed fresh, sharing one
-// backing array per family, so the refresh costs one row allocation
-// outside the scan (see TestFeatureBlockAllocations) and never writes
-// into a row another matrix may share. Already-exact rows are skipped;
+// closure dispatch. The refreshed rows are filled fresh, sharing one
+// backing array per family, and installed only once the whole family
+// filled, so the refresh costs two allocations outside the scan (see
+// TestFeatureBlockAllocations), never writes into a row another matrix
+// may share, and on error leaves Rows, Exact and Version as they were.
+// Already-exact rows are skipped;
 // results are bit-identical to the per-view oracle (RefreshRow, kept as
 // test code).
 func (m *Matrix) RefreshFamily(idxs []int) error {
@@ -241,18 +246,26 @@ func (m *Matrix) RefreshFamily(idxs []int) error {
 	if err != nil {
 		return err
 	}
-	k := m.registry.Len()
-	backing := make([]float64, len(todo)*k)
-	for j, i := range todo {
-		m.Rows[i] = backing[j*k : (j+1)*k : (j+1)*k]
-	}
+	rows := blockRows(len(todo), m.registry.Len())
 	var sc blockScratch
-	if err := m.registry.fillBlockRows(rs, ts, m.Specs, todo, m.Rows, &sc); err != nil {
+	if err := m.registry.fillBlockRows(rs, ts, m.Specs, todo, rows, &sc); err != nil {
 		return err
 	}
-	for _, i := range todo {
+	for j, i := range todo {
+		m.Rows[i] = rows[j]
 		m.Exact[i] = true
 	}
 	m.version.Add(1)
 	return nil
+}
+
+// blockRows returns n fresh rows of width k sharing one backing array,
+// for a block fill to write before they are installed.
+func blockRows(n, k int) [][]float64 {
+	backing := make([]float64, n*k)
+	rows := make([][]float64, n)
+	for j := range rows {
+		rows[j] = backing[j*k : (j+1)*k : (j+1)*k]
+	}
+	return rows
 }

@@ -9,94 +9,49 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestFromRowsAndAt(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if err != nil {
-		t.Fatal(err)
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
 	}
-	if m.Rows != 3 || m.Cols != 2 || m.At(2, 1) != 6 {
-		t.Errorf("unexpected matrix %+v", m)
-	}
-	if _, err := FromRows([][]float64{{1}, {1, 2}}); err == nil {
-		t.Error("expected ragged-rows error")
-	}
+	return m
 }
 
-func TestMatrixMul(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := range want {
-		for j := range want[i] {
-			if c.At(i, j) != want[i][j] {
-				t.Errorf("c[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-	if _, err := a.Mul(NewMatrix(3, 3)); err == nil {
-		t.Error("expected shape error")
-	}
+// clone returns a deep copy of m.
+func clone(m *Matrix) *Matrix {
+	out := NewMatrix(m.Rows, m.Cols)
+	copy(out.Data, m.Data)
+	return out
 }
 
-func TestMulVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 0, 2}, {0, 3, 0}})
-	got, err := a.MulVec([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
+// mulVec returns m × v.
+func mulVec(m *Matrix, v []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		out[i] = Dot(m.Data[i*m.Cols:(i+1)*m.Cols], v)
 	}
-	if got[0] != 7 || got[1] != 6 {
-		t.Errorf("MulVec = %v", got)
-	}
-	if _, err := a.MulVec([]float64{1}); err == nil {
-		t.Error("expected shape error")
-	}
+	return out
 }
 
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := NewMatrix(3, 5)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		tt := m.T().T()
-		for i := range m.Data {
-			if tt.Data[i] != m.Data[i] {
-				return false
-			}
-		}
-		return true
+// maxAbsDiff returns the largest element-wise |a - b|.
+func maxAbsDiff(a, b []float64) float64 {
+	d := 0.0
+	for i := range a {
+		d = math.Max(d, math.Abs(a[i]-b[i]))
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	return d
 }
 
-func TestGramMatchesExplicitTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := NewMatrix(20, 6)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	want, err := m.T().Mul(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Gram()
-	for i := range want.Data {
-		if !almostEqual(got.Data[i], want.Data[i], 1e-9) {
-			t.Fatalf("Gram mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
-		}
-	}
+// cholesky returns the factor CholeskyInto writes.
+func cholesky(a *Matrix) (*Matrix, error) {
+	l := NewMatrix(a.Rows, a.Rows)
+	return l, CholeskyInto(a, l)
 }
 
 func TestSolveKnownSystem(t *testing.T) {
-	a, _ := FromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := Solve(a.Clone(), []float64{5, 10})
+	a := fromRows([][]float64{{2, 1}, {1, 3}})
+	x, err := Solve(clone(a), []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +62,8 @@ func TestSolveKnownSystem(t *testing.T) {
 
 func TestSolveNeedsPivoting(t *testing.T) {
 	// Zero on the diagonal forces a row swap.
-	a, _ := FromRows([][]float64{{0, 1}, {1, 0}})
-	x, err := Solve(a.Clone(), []float64{2, 3})
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
+	x, err := Solve(clone(a), []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +73,8 @@ func TestSolveNeedsPivoting(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Solve(a.Clone(), []float64{1, 2}); err == nil {
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
+	if _, err := Solve(clone(a), []float64{1, 2}); err == nil {
 		t.Fatal("expected singular error")
 	}
 }
@@ -139,15 +94,12 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 		for i := range want {
 			want[i] = rng.NormFloat64()
 		}
-		b, err := a.MulVec(want)
+		b := mulVec(a, want)
+		got, err := Solve(clone(a), b)
 		if err != nil {
 			return false
 		}
-		got, err := Solve(a.Clone(), b)
-		if err != nil {
-			return false
-		}
-		return MaxAbsDiff(got, want) < 1e-8
+		return maxAbsDiff(got, want) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -161,37 +113,43 @@ func TestCholeskyAndSolve(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = rng.NormFloat64()
 	}
-	a := g.Gram()
+	a := NewMatrix(4, 4)
 	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			for r := 0; r < g.Rows; r++ {
+				a.Add(i, j, g.At(r, i)*g.At(r, j))
+			}
+		}
 		a.Add(i, i, 1)
 	}
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := l.Mul(l.T())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if !almostEqual(back.Data[i], a.Data[i], 1e-9) {
-			t.Fatalf("L·Lᵀ mismatch at %d", i)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			s := 0.0
+			for k := 0; k < 4; k++ {
+				s += l.At(i, k) * l.At(j, k)
+			}
+			if !almostEqual(s, a.At(i, j), 1e-9) {
+				t.Fatalf("L·Lᵀ mismatch at (%d, %d)", i, j)
+			}
 		}
 	}
 	want := []float64{1, -2, 3, 0.5}
-	b, _ := a.MulVec(want)
-	got, err := SolveCholesky(a, b)
-	if err != nil {
+	got := make([]float64, 4)
+	if err := SolveFactored(l, mulVec(a, want), make([]float64, 4), got); err != nil {
 		t.Fatal(err)
 	}
-	if MaxAbsDiff(got, want) > 1e-8 {
-		t.Errorf("SolveCholesky = %v, want %v", got, want)
+	if maxAbsDiff(got, want) > 1e-8 {
+		t.Errorf("SolveFactored = %v, want %v", got, want)
 	}
 }
 
 func TestCholeskyRejectsNonSPD(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	if _, err := cholesky(a); err == nil {
 		t.Fatal("expected non-SPD error")
 	}
 }
@@ -200,20 +158,9 @@ func TestVectorOps(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Error("Dot wrong")
 	}
-	if !almostEqual(Norm2([]float64{3, 4}), 5, 1e-15) {
-		t.Error("Norm2 wrong")
-	}
 	y := []float64{1, 1}
 	AXPY(2, []float64{1, 2}, y)
 	if y[0] != 3 || y[1] != 5 {
 		t.Errorf("AXPY = %v", y)
-	}
-	x := []float64{2, 4}
-	Scale(0.5, x)
-	if x[0] != 1 || x[1] != 2 {
-		t.Errorf("Scale = %v", x)
-	}
-	if MaxAbsDiff([]float64{1, 5}, []float64{2, 3}) != 2 {
-		t.Error("MaxAbsDiff wrong")
 	}
 }

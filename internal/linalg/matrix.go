@@ -16,22 +16,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must be equal length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("linalg: row %d has %d cols, want %d", i, len(r), cols)
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -40,82 +24,3 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Add accumulates into element (i, j).
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m × b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("linalg: mul shape mismatch %dx%d × %dx%d", m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				out.Add(i, j, a*b.At(k, j))
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m × v.
-func (m *Matrix) MulVec(v []float64) ([]float64, error) {
-	if m.Cols != len(v) {
-		return nil, fmt.Errorf("linalg: mulvec shape mismatch %dx%d × %d", m.Rows, m.Cols, len(v))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range v {
-			s += row[j] * x
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// Gram returns mᵀm, the k×k Gram matrix of an n×k design matrix, computed
-// without materialising the transpose.
-func (m *Matrix) Gram() *Matrix {
-	k := m.Cols
-	out := NewMatrix(k, k)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*k : (r+1)*k]
-		for i := 0; i < k; i++ {
-			if row[i] == 0 {
-				continue
-			}
-			for j := i; j < k; j++ {
-				out.Add(i, j, row[i]*row[j])
-			}
-		}
-	}
-	for i := 0; i < k; i++ {
-		for j := 0; j < i; j++ {
-			out.Set(i, j, out.At(j, i))
-		}
-	}
-	return out
-}

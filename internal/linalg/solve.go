@@ -10,7 +10,7 @@ import (
 var ErrSingular = errors.New("linalg: matrix is singular")
 
 // Solve solves A·x = b by Gaussian elimination with partial pivoting. A is
-// destroyed; pass A.Clone() to preserve it. b is not modified.
+// destroyed; pass a copy to preserve it. b is not modified.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -64,22 +64,12 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Cholesky decomposes a symmetric positive-definite matrix A into L·Lᵀ and
-// returns the lower-triangular L. It errors when A is not SPD within
+// CholeskyInto decomposes a symmetric positive-definite matrix A into
+// L·Lᵀ, writing the lower-triangular L into l (which must be square with
+// A's dimensions). It zeroes l first, so a reused workspace carries no
+// stale entries and repeated solves can recycle the factor buffer without
+// changing a single bit of the result. It errors when A is not SPD within
 // numerical tolerance.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	l := NewMatrix(a.Rows, a.Rows)
-	if err := CholeskyInto(a, l); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// CholeskyInto is Cholesky with a caller-owned factor: it decomposes A
-// into l (which must be square with A's dimensions), zeroing l first so a
-// reused workspace carries no stale entries. The arithmetic is exactly
-// Cholesky's, so repeated solves can recycle the factor buffer without
-// changing a single bit of the result.
 func CholeskyInto(a, l *Matrix) error {
 	n := a.Rows
 	if a.Cols != n {
@@ -110,31 +100,10 @@ func CholeskyInto(a, l *Matrix) error {
 	return nil
 }
 
-// SolveCholesky solves A·x = b for SPD A via Cholesky: two triangular
-// solves. A is preserved.
-func SolveCholesky(a *Matrix, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), n)
-	}
-	y := make([]float64, n)
-	x := make([]float64, n)
-	if err := SolveFactored(l, b, y, x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SolveFactored finishes a Cholesky solve from an existing factor: given
 // lower-triangular L with L·Lᵀ = A, it solves A·x = b by the forward
 // solve L·y = b into the scratch y, then the back solve Lᵀ·x = y into x.
-// y and x must have the factor's dimension; b is preserved. The two
-// triangular loops are SolveCholesky's own, so a reused workspace yields
-// bit-identical solutions.
+// y and x must have the factor's dimension; b is preserved.
 func SolveFactored(l *Matrix, b, y, x []float64) error {
 	n := l.Rows
 	if len(b) != n || len(y) != n || len(x) != n {

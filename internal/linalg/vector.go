@@ -1,7 +1,5 @@
 package linalg
 
-import "math"
-
 // Dot returns the inner product of equal-length vectors.
 func Dot(a, b []float64) float64 {
 	s := 0.0
@@ -11,32 +9,9 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm.
-func Norm2(a []float64) float64 { return math.Sqrt(Dot(a, a)) }
-
 // AXPY computes y ← y + alpha·x in place.
 func AXPY(alpha float64, x, y []float64) {
 	for i := range x {
 		y[i] += alpha * x[i]
 	}
-}
-
-// Scale multiplies the vector by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between
-// two equal-length vectors.
-func MaxAbsDiff(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

@@ -1,7 +1,10 @@
 // Package live turns the immutable dataset.Table into a durable,
 // versioned, appendable one: a base snapshot plus a redo-log WAL
 // (internal/wal) of append batches, published as a chain of immutable
-// table versions via copy-on-append (dataset.Table.WithAppended). The
+// table versions (dataset.Table.WithAppended). Each version shares its
+// parent's column arrays and writes only its batch into their tails; a
+// version claims a tail with a CAS on the array's high-water mark, and a
+// version that loses the claim (a fork) copies (DESIGN.md §13). The
 // WAL is a payload-agnostic frame log; the row-batch codec that fills
 // its frames (batch.go) lives here, with its only user. A frame that
 // passes its checksum but does not decode as a batch fails Open.
@@ -13,7 +16,9 @@
 //     A crash mid-append loses at most the in-flight batch; recovery
 //     (Open) replays the committed log over the base and lands exactly on
 //     the last committed batch, with no partial rows — batches are atomic
-//     (one WAL record, one copy-on-append step).
+//     (one WAL record, one WithAppended step). Append builds the version
+//     before the WAL write; when the write fails the version is dropped
+//     with its tail claim stranded, and the next append copies once.
 //   - MVCC reads: Current returns an immutable version; concurrent
 //     appends publish new versions and never mutate published ones, so
 //     sessions and scans are race-free without coordination.

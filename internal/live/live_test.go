@@ -3,6 +3,9 @@ package live
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -367,9 +370,29 @@ func TestCheckpointHardErrors(t *testing.T) {
 	}
 }
 
+// versionChecksum hashes every cell of every column of tab in row order,
+// NULLs and the numeric views the scan kernels read included.
+func versionChecksum(tab *dataset.Table) uint64 {
+	h := fnv.New64a()
+	for _, c := range tab.Cols {
+		vals, _, numeric := c.NumericView()
+		for r := 0; r < tab.NumRows(); r++ {
+			fmt.Fprintf(h, "%d|%v|", c.Value(r).Kind, c.Value(r))
+			if numeric {
+				fmt.Fprintf(h, "%x|", math.Float64bits(vals[r]))
+			}
+		}
+	}
+	return h.Sum64()
+}
+
 // TestConcurrentReadersDuringAppend holds reader goroutines on pinned
-// versions while appends publish new ones; run under -race this pins the
-// MVCC claim that published versions are immutable.
+// versions while appends publish new ones, which share the pinned
+// versions' arrays and write past them. Each reader re-checksums every
+// column of the version it pinned, and every published version must
+// still match the checksum taken at publication once all appends are
+// done: a write into a cell a published version reads fails it. Run under
+// -race this pins the MVCC claim that published versions are immutable.
 func TestConcurrentReadersDuringAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	lt, _, err := Open(nil, path, baseTable(t, 50), Options{})
@@ -377,6 +400,8 @@ func TestConcurrentReadersDuringAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lt.Close()
+	var published sync.Map // *dataset.Table -> uint64
+	published.Store(lt.Current(), versionChecksum(lt.Current()))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -391,30 +416,77 @@ func TestConcurrentReadersDuringAppend(t *testing.T) {
 				}
 				tab := lt.Current()
 				n := tab.NumRows()
-				sum := 0.0
-				col := tab.Column("m")
-				for r := 0; r < n; r++ {
-					if v, ok := col.Float(r); ok {
-						sum += v
-					}
-				}
-				if n2 := tab.NumRows(); n2 != n {
-					t.Error("pinned version changed row count")
+				sum := versionChecksum(tab)
+				if want, ok := published.Load(tab); ok && want.(uint64) != sum {
+					t.Error("a pinned version's cells changed")
 					return
 				}
-				_ = sum
+				if tab.NumRows() != n || versionChecksum(tab) != sum {
+					t.Error("a pinned version changed while it was read")
+					return
+				}
 			}
 		}()
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := lt.Append(batch(i*10, 5)); err != nil {
+		rows := batch(i*10, 5)
+		if i%3 == 0 {
+			rows[i%5][1] = dataset.Null
+		}
+		if _, err := lt.Append(rows); err != nil {
 			t.Fatal(err)
 		}
+		published.Store(lt.Current(), versionChecksum(lt.Current()))
 	}
 	close(stop)
 	wg.Wait()
 	if lt.Current().NumRows() != 150 {
 		t.Fatalf("rows %d, want 150", lt.Current().NumRows())
+	}
+	published.Range(func(v, sum any) bool {
+		if versionChecksum(v.(*dataset.Table)) != sum.(uint64) {
+			t.Errorf("the %d-row version changed after it was published", v.(*dataset.Table).NumRows())
+		}
+		return true
+	})
+}
+
+// TestWithAppendedAfterFailedWALWrite: an append whose WAL write fails
+// publishes nothing, but the version it built has already claimed the
+// tails of the current version's arrays. The next append finds the claim
+// stranded, copies, and must still land exactly the committed rows.
+func TestWithAppendedAfterFailedWALWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	faulty := faultfs.NewFaulty(nil)
+	lt, _, err := Open(faulty, path, baseTable(t, 10), Options{Retry: retry.Policy{Attempts: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lt.Close()
+	if _, err := lt.Append(batch(100, 5)); err != nil {
+		t.Fatal(err)
+	}
+	committed := tableRows(lt.Current())
+	faulty.TearWritesAfter(7, errors.New("injected crash"))
+	if seq, err := lt.Append(batch(200, 5)); err == nil || seq != 0 {
+		t.Fatalf("torn append: seq %d err %v, want 0 and error", seq, err)
+	}
+	faulty.Clear()
+	if _, err := lt.Append(batch(300, 3)); err != nil {
+		t.Fatal(err)
+	}
+	want := append(committed, batch(300, 3)...)
+	if got := tableRows(lt.Current()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the append after a failed WAL write landed %v, want %v", got, want)
+	}
+	lt.Close()
+	lt2, _, err := Open(nil, path, baseTable(t, 10), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lt2.Close()
+	if got := tableRows(lt2.Current()); !reflect.DeepEqual(got, want) {
+		t.Fatal("replay differs from the published version")
 	}
 }
 

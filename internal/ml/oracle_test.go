@@ -45,14 +45,27 @@ func (m *LinearRegression) Fit(rows [][]float64, y []float64, scaler *Scaler, la
 		colMeans[j] /= float64(len(std))
 	}
 
-	x := linalg.NewMatrix(len(std), k)
-	for i, r := range std {
+	// The Gram matrix XᵀX of the centred design, upper triangle
+	// accumulated row by row and mirrored.
+	gram := linalg.NewMatrix(k, k)
+	x := make([]float64, k)
+	for _, r := range std {
 		for j, v := range r {
-			x.Set(i, j, v-colMeans[j])
+			x[j] = v - colMeans[j]
+		}
+		for i := 0; i < k; i++ {
+			if x[i] == 0 {
+				continue
+			}
+			for j := i; j < k; j++ {
+				gram.Add(i, j, x[i]*x[j])
+			}
 		}
 	}
-	gram := x.Gram()
 	for i := 0; i < k; i++ {
+		for j := 0; j < i; j++ {
+			gram.Set(i, j, gram.At(j, i))
+		}
 		gram.Add(i, i, lambda)
 	}
 	rhs := make([]float64, k)
@@ -62,7 +75,7 @@ func (m *LinearRegression) Fit(rows [][]float64, y []float64, scaler *Scaler, la
 			rhs[j] += (v - colMeans[j]) * resid
 		}
 	}
-	w, err := linalg.SolveCholesky(gram, rhs)
+	w, err := choleskySolve(gram, rhs)
 	if err != nil {
 		// Rank-deficient and unregularised: fall back to pivoted Gaussian
 		// elimination with a tiny jitter.
@@ -78,4 +91,16 @@ func (m *LinearRegression) Fit(rows [][]float64, y []float64, scaler *Scaler, la
 	m.bias = yMean - linalg.Dot(w, colMeans)
 	m.scaler = scaler
 	return nil
+}
+
+// choleskySolve solves gram·w = rhs for SPD gram by a Cholesky factor
+// and two triangular solves; gram is preserved.
+func choleskySolve(gram *linalg.Matrix, rhs []float64) ([]float64, error) {
+	k := gram.Rows
+	l := linalg.NewMatrix(k, k)
+	if err := linalg.CholeskyInto(gram, l); err != nil {
+		return nil, err
+	}
+	w := make([]float64, k)
+	return w, linalg.SolveFactored(l, rhs, make([]float64, k), w)
 }

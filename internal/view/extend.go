@@ -59,38 +59,49 @@ func (d *Drift) add(o Drift) {
 
 // ExtendBinIndexAll extends cached bin indexes to cover an appended table:
 // t must extend the indexes' original table row-for-row, old must be a
-// BinIndexAll result over the same layouts (all on one dimension), and
-// from is the original row count (= len of each old index). Rows below
-// from are copied; rows from..NumRows-1 are binned by BinIndexAll's own
-// kernel. The result is exactly BinIndexAll(t, layouts) — appended values
-// that fall outside a pinned layout (new categoricals, out-of-range
-// numerics, NaN) map to bin -1, same as a full re-index under that
-// layout. The per-layout Drift, counted from the kernel's output, reports
-// how many appended non-null values escaped each layout this call.
-func ExtendBinIndexAll(t *dataset.Table, layouts []*BinLayout, old [][]int32, from int) ([][]int32, []Drift, error) {
+// BinIndexAll result over the same layouts (all on one dimension), backs
+// holds the Backing each old index lives on (nil for a fresh BinIndexAll
+// result), and from is the original row count (= len of each old index).
+// Each index grows through dataset.Extend: rows below from stay where
+// they are, shared with old, when the index can claim its array's tail,
+// and are copied otherwise; rows from..NumRows-1 are binned by
+// BinIndexAll's own kernel. The result is exactly BinIndexAll(t, layouts)
+// — appended values that fall outside a pinned layout (new categoricals,
+// out-of-range numerics, NaN) map to bin -1, same as a full re-index
+// under that layout — returned with the Backing of each index. The
+// per-layout Drift, counted from the kernel's output, reports how many
+// appended non-null values escaped each layout this call.
+func ExtendBinIndexAll(t *dataset.Table, layouts []*BinLayout, old [][]int32, backs []*dataset.Backing[int32], from int) ([][]int32, []*dataset.Backing[int32], []Drift, error) {
 	if len(layouts) == 0 {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	if len(old) != len(layouts) {
-		return nil, nil, fmt.Errorf("view: extending %d bin indexes with %d layouts", len(old), len(layouts))
+		return nil, nil, nil, fmt.Errorf("view: extending %d bin indexes with %d layouts", len(old), len(layouts))
+	}
+	if backs != nil && len(backs) != len(old) {
+		return nil, nil, nil, fmt.Errorf("view: %d bin indexes with %d backings", len(old), len(backs))
 	}
 	col, err := dimensionColumn(t, layouts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	n := t.NumRows()
 	if from > n {
-		return nil, nil, fmt.Errorf("view: bin index covers %d rows but table has %d", from, n)
+		return nil, nil, nil, fmt.Errorf("view: bin index covers %d rows but table has %d", from, n)
 	}
 	for i, o := range old {
 		if len(o) != from {
-			return nil, nil, fmt.Errorf("view: bin index %d has %d entries, want %d", i, len(o), from)
+			return nil, nil, nil, fmt.Errorf("view: bin index %d has %d entries, want %d", i, len(o), from)
 		}
 	}
 	out := make([][]int32, len(layouts))
+	nbacks := make([]*dataset.Backing[int32], len(layouts))
 	for i := range out {
-		out[i] = make([]int32, n)
-		copy(out[i], old[i])
+		var b *dataset.Backing[int32]
+		if backs != nil {
+			b = backs[i]
+		}
+		out[i], nbacks[i] = dataset.Extend(old[i], b, n-from)
 	}
 	binRows(col, layouts, out, from)
 	// NULLs fit no layout, so they say nothing about drift: they count
@@ -108,7 +119,7 @@ func ExtendBinIndexAll(t *dataset.Table, layouts []*BinLayout, old [][]int32, fr
 			}
 		}
 	}
-	return out, drift, nil
+	return out, nbacks, drift, nil
 }
 
 // ExtendStats extends full-data group statistics to cover an appended
@@ -243,7 +254,7 @@ func (g *Generator) extendSide(old, nw *scans, newT *dataset.Table, from int, dr
 		for i, k := range keys {
 			layouts[i] = g.ref.layouts[k]
 		}
-		bundle, escaped, err := ExtendBinIndexAll(newT, layouts, oldBundle, from)
+		idx, backs, escaped, err := ExtendBinIndexAll(newT, layouts, oldBundle.idx, oldBundle.backs, from)
 		if err != nil {
 			return err
 		}
@@ -254,8 +265,8 @@ func (g *Generator) extendSide(old, nw *scans, newT *dataset.Table, from int, dr
 				drift[k] = d
 			}
 		}
-		nw.bins.seed(dim, bundle)
-		extended[dim] = bundle
+		nw.bins.seed(dim, binBundle{idx: idx, backs: backs})
+		extended[dim] = idx
 	}
 	binOf := func(k layoutKey) ([]int32, error) {
 		if bundle, ok := extended[k.dim]; ok {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -113,7 +115,7 @@ func TestExtendMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ext, drift, err := ExtendBinIndexAll(appended, bundle, old, from)
+			ext, _, drift, err := ExtendBinIndexAll(appended, bundle, old, nil, from)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +203,7 @@ func TestExtendStatsShiftDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, _, err := ExtendBinIndexAll(appended, []*BinLayout{layout}, [][]int32{oldBins}, 2)
+	ext, _, _, err := ExtendBinIndexAll(appended, []*BinLayout{layout}, [][]int32{oldBins}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestExtendStatsShiftDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext2, _, err := ExtendBinIndexAll(appended2, []*BinLayout{layout}, [][]int32{oldBins}, 2)
+	ext2, _, _, err := ExtendBinIndexAll(appended2, []*BinLayout{layout}, [][]int32{oldBins}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestDriftTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, drift, err := ExtendBinIndexAll(appended, []*BinLayout{layout}, [][]int32{oldBins}, 10)
+	_, _, drift, err := ExtendBinIndexAll(appended, []*BinLayout{layout}, [][]int32{oldBins}, nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,5 +384,117 @@ func TestDriftTracking(t *testing.T) {
 	// The parent generation's counts were not mutated by the child.
 	if got := g2.MaxDriftRate(); got != 0.5 {
 		t.Fatalf("parent MaxDriftRate = %g, want 0.5", got)
+	}
+}
+
+// extendChain returns versions[0] = a random n-row table and each later
+// version = its predecessor with b random rows appended, plus the
+// (equal-width 4- and 8-bin) layouts of its numeric dimension.
+func extendChain(t *testing.T, n, b, appends int) ([]*dataset.Table, []*BinLayout) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	versions := []*dataset.Table{randomTable(rng, n)}
+	for i := 0; i < appends; i++ {
+		rows := make([][]dataset.Value, b)
+		for r := range rows {
+			rows[r] = []dataset.Value{dataset.StringVal("a"), dataset.Float(rng.Float64() * 120),
+				dataset.Float(1), dataset.Int(2)}
+		}
+		next, err := versions[len(versions)-1].WithAppended(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, next)
+	}
+	var layouts []*BinLayout
+	for _, bins := range []int{4, 8} {
+		l, err := ComputeLayout(versions[0], "num", bins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layouts = append(layouts, l)
+	}
+	return versions, layouts
+}
+
+// TestExtendBinIndexAllAllocationBound: N extensions of bin indexes over
+// an n-row table by b rows each allocate O(N·b) bytes, not O(N·n). The
+// first extension copies each fresh BinIndexAll index into an array grown
+// as append grows it (1.25× at this size), and the rest write only the
+// appended rows into its tail; copying the prefix on every extension
+// instead would cost about N times that one copy.
+func TestExtendBinIndexAllAllocationBound(t *testing.T) {
+	const n, appends, b = 50_000, 40, 100
+	versions, layouts := extendChain(t, n, b, appends)
+	idx, err := BinIndexAll(versions[0], layouts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var backs []*dataset.Backing[int32]
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, v := range versions[1:] {
+		if idx, backs, _, err = ExtendBinIndexAll(v, layouts, idx, backs, versions[i].NumRows()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	growth := uint64(len(layouts) * n * 4 * 5 / 4)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(appends*b*16)+growth; got > bound {
+		t.Errorf("%d extensions by %d rows allocated %d bytes, want ≤ %d", appends, b, got, bound)
+	}
+	want, err := BinIndexAll(versions[appends], layouts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(idx, want) {
+		t.Fatal("extended bin indexes differ from a rebuild")
+	}
+}
+
+// TestExtendBinIndexAllForkStaysExact extends one bundle twice, for two
+// versions appended to the same parent: the first extension claims the
+// indexes' tails and the second copies, and both equal a rebuild.
+func TestExtendBinIndexAllForkStaysExact(t *testing.T) {
+	versions, layouts := extendChain(t, 300, 20, 2)
+	base := versions[1]
+	idx, err := BinIndexAll(versions[0], layouts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, backs, _, err := ExtendBinIndexAll(base, layouts, idx, nil, versions[0].NumRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := versions[2]
+	right, err := base.WithAppended([][]dataset.Value{
+		{dataset.StringVal("b"), dataset.Float(-5), dataset.Null, dataset.Int(1)},
+		{dataset.StringVal("c"), dataset.Float(99), dataset.Float(3), dataset.Null},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2][][]int32
+	for i, v := range []*dataset.Table{left, right} {
+		if got[i], _, _, err = ExtendBinIndexAll(v, layouts, idx, backs, base.NumRows()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if &got[0][0][0] != &idx[0][0] || &got[1][0][0] == &idx[0][0] {
+		t.Fatal("want the first extension to share the parent's index and the fork to copy")
+	}
+	for i, v := range []*dataset.Table{base, left, right} {
+		want, err := BinIndexAll(v, layouts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		have := idx
+		if i > 0 {
+			have = got[i-1]
+		}
+		if !reflect.DeepEqual(have, want) {
+			t.Fatalf("version %d: extended bin indexes differ from a rebuild", i)
+		}
 	}
 }

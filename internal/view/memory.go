@@ -1,5 +1,7 @@
 package view
 
+import "viewseeker/internal/dataset"
+
 // This file is the view layer's contribution to the per-session memory
 // accounting behind the server's eviction budget (DESIGN.md §16). The
 // numbers are estimates of the dominant allocations — flat stat banks,
@@ -51,9 +53,13 @@ func (sc *scans) memoryBytes() int64 {
 	addStats := func(s *Stats) { b += s.MemoryBytes() }
 	sc.stats.readyEach(addStats)
 	sc.focused.readyEach(addStats)
-	sc.bins.readyEach(func(bundle [][]int32) {
-		for _, idx := range bundle {
-			b += int64(cap(idx)) * 4
+	sc.bins.readyEach(func(bundle binBundle) {
+		for i, idx := range bundle.idx {
+			var back *dataset.Backing[int32]
+			if bundle.backs != nil {
+				back = bundle.backs[i]
+			}
+			b += int64(dataset.Allocated(idx, back)) * 4
 		}
 	})
 	return b

@@ -20,7 +20,16 @@ type scans struct {
 	// indexes of every bin configuration of that dimension in one shared
 	// pass (BinIndexAll), so warm-up, focused refresh and the SQL offline
 	// path never re-read a dimension column per configuration.
-	bins lazyCache[string, [][]int32]
+	bins lazyCache[string, binBundle]
+}
+
+// binBundle is one dimension's bin indexes, one per layout in dimLayouts
+// order, with the Backing each index lives on (nil entries, or a nil
+// slice, for indexes built from scratch), so a delta-extended generator
+// writes only the appended rows (ExtendBinIndexAll).
+type binBundle struct {
+	idx   [][]int32
+	backs []*dataset.Backing[int32]
 }
 
 // refSide is the reference half of the offline pass: the bin layouts fit

@@ -196,19 +196,20 @@ func (g *Generator) WarmCtx(ctx context.Context, workers int) error {
 // configurations wait on that one pass instead of each paying their own.
 func (g *Generator) binsFor(t *dataset.Table, sc *scans, k layoutKey) ([]int32, error) {
 	keys := g.ref.dimLayouts[k.dim]
-	all, err := sc.bins.get(k.dim, func() ([][]int32, error) {
+	all, err := sc.bins.get(k.dim, func() (binBundle, error) {
 		layouts := make([]*BinLayout, len(keys))
 		for i, kk := range keys {
 			layouts[i] = g.ref.layouts[kk]
 		}
-		return BinIndexAll(t, layouts)
+		idx, err := BinIndexAll(t, layouts)
+		return binBundle{idx: idx}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, kk := range keys {
 		if kk == k {
-			return all[i], nil
+			return all.idx[i], nil
 		}
 	}
 	return nil, fmt.Errorf("view: layout %s/%d bins is outside the enumerated space", k.dim, k.bins)

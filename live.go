@@ -182,7 +182,7 @@ func (m *Maintained) Advance() (bool, error) {
 	if newSeq == m.seq {
 		return false, nil
 	}
-	// The live table's versions form a copy-on-append chain, so newRef is a
+	// The live table's versions form an append-only chain, so newRef is a
 	// bit-exact prefix extension of the current one by construction — only
 	// the target needs extension checking.
 	if newTarget, ok := m.extendTarget(newRef); ok {
