@@ -8,10 +8,10 @@
 // -wal-dir and feed the batches to POST /api/tables/{name}/append.
 //
 // With -drift D each batch K additionally has every numeric cell offset
-// by K*D — a distribution-shifted append stream whose values progressively
-// escape bin layouts fitted to the base, for exercising drift-triggered
-// rebuilds (Maintained.Advance re-fits once a quarter of a layout's
-// appended values fall outside it).
+// by K*D — a distribution-shifted append stream whose values pass the
+// ranges of every earlier version, for exercising refit rebuilds
+// (Maintained.Advance refits the bin layouts of a version whose appended
+// rows move a dimension's minimum or maximum).
 package main
 
 import (
@@ -30,7 +30,7 @@ func main() {
 		seed    = flag.Int64("seed", 0, "generator seed (0 = the dataset's default)")
 		out     = flag.String("out", "", "output CSV path (default <dataset>.csv)")
 		batches = flag.Int("append-batches", 0, "split the rows into a base CSV plus this many append-batch CSVs (<out>.batchK.csv), for replaying through the live-table append API")
-		drift   = flag.Float64("drift", 0, "offset every numeric cell of append batch K by K times this value, simulating distribution drift (requires -append-batches)")
+		drift   = flag.Float64("drift", 0, "offset every numeric cell of append batch K by K times this value, simulating distribution drift: each batch moves the numeric ranges, so a maintained query refits its bin layouts (requires -append-batches)")
 	)
 	flag.Parse()
 	var t *dataset.Table

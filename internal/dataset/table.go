@@ -209,7 +209,8 @@ func FromColumns(name string, schema *Schema, cols []*Column) (*Table, error) {
 }
 
 // DistinctValues returns the sorted distinct group keys of the named
-// column. It is used to lay out histogram bins for categorical dimensions.
+// column's non-NULL cells. It is used to lay out histogram bins for
+// categorical dimensions, where a NULL lands in no bin.
 func (t *Table) DistinctValues(col string) ([]string, error) {
 	c := t.Column(col)
 	if c == nil {
@@ -218,6 +219,9 @@ func (t *Table) DistinctValues(col string) ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string
 	for i := 0; i < t.rows; i++ {
+		if c.IsNull(i) {
+			continue
+		}
 		k := c.GroupKey(i)
 		if !seen[k] {
 			seen[k] = true

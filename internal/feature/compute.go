@@ -95,7 +95,7 @@ func computeMatrix(ctx context.Context, g *view.Generator, r *Registry, refRows 
 	warmStart := time.Now()
 	statsOf := g.LayoutStats
 	if !exact {
-		run := g.NewSampledRun(refRows, nil)
+		run := g.NewSampledRun(refRows)
 		if err := run.WarmCtx(warmCtx, workers); err != nil {
 			warmSpan.End()
 			return nil, err

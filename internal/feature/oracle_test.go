@@ -30,7 +30,7 @@ func perPairRow(r *Registry, s view.Spec, rs, ts *view.Stats) ([]float64, error)
 func perPairMatrix(g *view.Generator, r *Registry, refRows []int) ([][]float64, error) {
 	statsOf := g.LayoutStats
 	if refRows != nil {
-		statsOf = g.NewSampledRun(refRows, nil).LayoutStats
+		statsOf = g.NewSampledRun(refRows).LayoutStats
 	}
 	rows := make([][]float64, len(g.Specs()))
 	for i, s := range g.Specs() {

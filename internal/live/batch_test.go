@@ -219,7 +219,7 @@ func TestAtomicPublishSyncsBeforeRename(t *testing.T) {
 	res := store.NewVersion(&feature.Matrix{
 		Specs: []view.Spec{{Dimension: "d", Measure: "m", Agg: "COUNT", Bins: 4}},
 		Names: []string{"KL"}, Rows: [][]float64{{0.25}}, Exact: []bool{true},
-	}, baseTable(t, 3), nil)
+	}, baseTable(t, 3))
 	if err := cache.Put("fp1", res); err != nil {
 		t.Fatal(err)
 	}

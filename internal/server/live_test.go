@@ -239,9 +239,9 @@ func TestMaintainerKeepsSessionsWarm(t *testing.T) {
 			sess2.TargetRows, sess.TargetRows+5)
 	}
 	// The maintainer took the suffix path, not a rebuild storm — but either
-	// way the drift counter must exist on the registry.
-	if _, ok := srv.Metrics().Snapshot()["viewseeker_live_drift_rebuilds_total"]; !ok {
-		t.Fatal("drift rebuild counter not registered")
+	// way the rebuild counter must exist on the registry.
+	if _, ok := srv.Metrics().Snapshot()["viewseeker_live_rebuilds_total"]; !ok {
+		t.Fatal("rebuild counter not registered")
 	}
 }
 
@@ -372,7 +372,10 @@ func TestMaintainedEvictionRehydrationBitIdentity(t *testing.T) {
 // restart at which the table serves another version, restore reports the
 // session and skips it — it answers 404 — instead of silently replaying
 // it over rows it never saw; a session created at the current version
-// restores normally.
+// restores normally and answers byte for byte as before the restart. The
+// append widens every column's range with one 5.0 row among five, so the
+// maintained version it was minted from must refit its layouts, as the
+// restored session's cold rebuild does.
 func TestRestoreRefusesAdvancedLiveTable(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "syn.wal")
@@ -385,8 +388,14 @@ func TestRestoreRefusesAdvancedLiveTable(t *testing.T) {
 	body := map[string]any{"table": "syn", "query": dataset.SYNQuery, "k": 3}
 	var stale, current sessionInfo
 	serveJSON(t, h, context.Background(), "POST", "/api/sessions", body, &stale)
+	// Rows 1..4 of synJSONRows(6) lie inside SYN's ranges (row 0's zeros
+	// would not); the fifth row moves every range.
+	rows := synJSONRows(6)[1:]
+	for j := range rows[4] {
+		rows[4][j] = 5.0
+	}
 	if code, out := rawJSON(t, h, "POST", "/api/tables/syn/append",
-		map[string]any{"rows": synJSONRows(5)}); code != http.StatusOK {
+		map[string]any{"rows": rows}); code != http.StatusOK {
 		t.Fatalf("append = %d: %s", code, out)
 	}
 	// The maintained version must reach the appended rows first: a session
@@ -395,6 +404,16 @@ func TestRestoreRefusesAdvancedLiveTable(t *testing.T) {
 	serveJSON(t, h, context.Background(), "POST", "/api/sessions", body, &current)
 	if stale.ID == "" || current.ID == "" {
 		t.Fatal("session creation failed")
+	}
+	for i, fb := range []map[string]any{{"index": 4, "label": 1}, {"index": 11, "label": 0}, {"index": 42, "label": 0.5}} {
+		if code, out := rawJSON(t, h, "POST", "/api/sessions/"+current.ID+"/feedback", fb); code != http.StatusOK {
+			t.Fatalf("feedback %d = %d: %s", i, code, out)
+		}
+	}
+	routes := []string{"/top", "/weights"}
+	before := make(map[string]string)
+	for _, route := range routes {
+		_, before[route] = rawJSON(t, h, "GET", "/api/sessions/"+current.ID+route, nil)
 	}
 
 	// Restart: a new server over the same WAL replays the append.
@@ -414,8 +433,14 @@ func TestRestoreRefusesAdvancedLiveTable(t *testing.T) {
 	if code, _ := rawJSON(t, h2, "GET", "/api/sessions/"+stale.ID+"/top", nil); code != http.StatusNotFound {
 		t.Fatalf("stale session answered %d, want 404", code)
 	}
-	if code, out := rawJSON(t, h2, "GET", "/api/sessions/"+current.ID+"/top", nil); code != http.StatusOK {
-		t.Fatalf("current-version session answered %d: %s", code, out)
+	for _, route := range routes {
+		code, out := rawJSON(t, h2, "GET", "/api/sessions/"+current.ID+route, nil)
+		if code != http.StatusOK {
+			t.Fatalf("current-version session answered %s with %d: %s", route, code, out)
+		}
+		if out != before[route] {
+			t.Fatalf("%s after restore:\n got %s\nwant %s", route, out, before[route])
+		}
 	}
 }
 

@@ -120,8 +120,7 @@ func (mt *maintainer) advance(query string, m *viewseeker.Maintained) {
 		mt.s.log.Error("maintainer advance failed", "table", mt.name, "query", query, "err", err)
 		return
 	}
-	after := m.Stats()
-	mt.s.driftRebuilds.Add(int64(after.DriftRebuilds - before.DriftRebuilds))
+	mt.s.liveRebuilds.Add(int64(m.Stats().Rebuilt - before.Rebuilt))
 }
 
 // state returns the hosted Maintained for query, building it on first use.

@@ -91,13 +91,13 @@ type Server struct {
 	maintSem    chan struct{}
 	closed      bool
 
-	metrics       *obs.Registry
-	tracer        *obs.Tracer
-	log           *slog.Logger
-	inflight      *obs.Gauge
-	panics        *obs.Counter
-	maintPanics   *obs.Counter
-	driftRebuilds *obs.Counter
+	metrics      *obs.Registry
+	tracer       *obs.Tracer
+	log          *slog.Logger
+	inflight     *obs.Gauge
+	panics       *obs.Counter
+	maintPanics  *obs.Counter
+	liveRebuilds *obs.Counter
 }
 
 // New builds a server hosting the given tables with default Options.
@@ -132,7 +132,7 @@ func NewWithOptions(opts Options, tables ...*viewseeker.Table) *Server {
 	s.inflight = s.metrics.Gauge("viewseeker_server_inflight_requests")
 	s.panics = s.metrics.Counter("viewseeker_server_panics_total")
 	s.maintPanics = s.metrics.Counter("viewseeker_server_maintainer_panics_total")
-	s.driftRebuilds = s.metrics.Counter("viewseeker_live_drift_rebuilds_total")
+	s.liveRebuilds = s.metrics.Counter("viewseeker_live_rebuilds_total")
 	s.cache.Instrument(s.metrics)
 	s.sessions.Instrument(s.metrics)
 	if s.journal != nil {
@@ -583,10 +583,10 @@ func (s *Server) newSeeker(ctx context.Context, create *store.Record, table *vie
 				return nil, nil, err
 			}
 			if ok {
-				var v *viewseeker.OfflineVersion
-				v, seq = m.Version()
+				v, ref, vseq := m.Version()
+				seq = vseq
 				build = func(_ context.Context, c store.Record) (*viewseeker.Seeker, error) {
-					return m.NewSessionOn(v, s.sessionOptions(c))
+					return m.NewSessionOn(ref, v, s.sessionOptions(c))
 				}
 			}
 		}

@@ -18,7 +18,7 @@
 // Shared versions: an entry (OfflineResult) is handed out by reference,
 // never cloned, with the state its sessions share — the target subset,
 // which every entry carries and which is decoded once at disk load, and
-// one view generator, held weakly unless owned. Sessions overlay it
+// one view generator, held weakly. Sessions overlay it
 // copy-on-write (feature.Rebuild), so none can leak refinements into the
 // cache or another session. Snapshots hold only the exported fields,
 // byte-for-byte as before (snapshotVersion 1); a snapshot without a

@@ -31,39 +31,32 @@ type OfflineResult struct {
 
 // NewVersion makes a version of m's view space and rows over the target
 // subset DQ they were computed on, taking them over: nobody may write m
-// afterwards. A non-nil gen is owned by the version — a maintained
-// live-table state, whose scans the next advance extends; otherwise see
-// Generator.
-func NewVersion(m *feature.Matrix, target *dataset.Table, gen *view.Generator) *OfflineResult {
+// afterwards. Its generator is lent to it (see Generator).
+func NewVersion(m *feature.Matrix, target *dataset.Table) *OfflineResult {
 	return &OfflineResult{
 		Specs: m.Specs, Names: m.Names, Rows: m.Rows, Exact: m.Exact,
-		target: target, gen: &genSlot{owned: gen},
+		target: target, gen: &genSlot{},
 	}
 }
 
 // TargetTable returns the decoded target subset.
 func (r *OfflineResult) TargetTable() *dataset.Table { return r.target }
 
-// genSlot is a version's view generator. An owned one lives as long as
-// the version. Any other is held weakly: it lives exactly as long as some
-// session holds it, so a cached version never keeps scan caches alive
-// that no resident — and charged — session uses.
+// genSlot is a version's view generator, held weakly: it lives exactly
+// as long as some session (or a live table's maintainer) holds it, so a
+// cached version never keeps scan caches alive that no resident — and
+// charged — session uses. A version is a function of its table version,
+// so a collected generator is rebuilt from that table.
 type genSlot struct {
-	owned *view.Generator
-
 	mu     sync.Mutex
 	shared weakGen
 }
 
-// Generator returns the version's generator: the owned one, else the one
-// its sessions currently share, else build's result, which becomes the
-// shared one (concurrent first callers wait for one build; build may be
-// nil on an owning version). Callers keep it alive by holding it.
+// Generator returns the one generator the version's holders currently
+// share, else build's result, which becomes the shared one (concurrent
+// first callers wait for one build). Callers keep it alive by holding it.
 func (r *OfflineResult) Generator(build func() (*view.Generator, error)) (*view.Generator, error) {
 	s := r.gen
-	if s.owned != nil {
-		return s.owned, nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if g := s.shared.Value(); g != nil {

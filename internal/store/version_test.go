@@ -29,8 +29,7 @@ func TestCacheSharesVersions(t *testing.T) {
 }
 
 // TestVersionGeneratorSharedOnce: concurrent and later callers get the
-// one generator a version shares — built once, whatever they pass. An
-// owned generator is returned without building.
+// one generator a version shares — built once, whatever they pass.
 func TestVersionGeneratorSharedOnce(t *testing.T) {
 	ref := testTable(t, 3)
 	g0, err := view.NewGenerator(ref, ref, view.SpaceConfig{})
@@ -42,7 +41,7 @@ func TestVersionGeneratorSharedOnce(t *testing.T) {
 		m.Rows = append(m.Rows, []float64{1})
 		m.Exact = append(m.Exact, true)
 	}
-	v := NewVersion(m, ref, nil)
+	v := NewVersion(m, ref)
 	builds := 0
 	build := func() (*view.Generator, error) {
 		builds++
@@ -55,10 +54,6 @@ func TestVersionGeneratorSharedOnce(t *testing.T) {
 	b, _ := v.Generator(build)
 	if builds != 1 || a != b {
 		t.Fatalf("%d builds; generators %p %p — want one shared build", builds, a, b)
-	}
-	owner := NewVersion(m, ref, g0)
-	if g, _ := owner.Generator(nil); g != g0 {
-		t.Fatal("a version did not return the generator it owns")
 	}
 }
 
@@ -100,7 +95,7 @@ func TestSnapshotVersion1Compatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("golden", NewVersion(m, target, nil)); err != nil {
+	if err := c.Put("golden", NewVersion(m, target)); err != nil {
 		t.Fatal(err)
 	}
 	written, err := os.ReadFile(filepath.Join(out, "golden.vscache"))

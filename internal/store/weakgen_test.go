@@ -21,7 +21,7 @@ func TestSharedGeneratorLivesWithItsSessions(t *testing.T) {
 		builds++
 		return view.NewGenerator(ref, ref, view.SpaceConfig{})
 	}
-	v := NewVersion(&feature.Matrix{}, nil, nil)
+	v := NewVersion(&feature.Matrix{}, nil)
 	g, err := v.Generator(build)
 	if err != nil {
 		t.Fatal(err)

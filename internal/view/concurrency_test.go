@@ -74,7 +74,7 @@ func TestGeneratorConcurrentAccess(t *testing.T) {
 	}
 
 	sampleRows := ref.SampleRows(0.3)
-	run := g.NewSampledRun(sampleRows, nil)
+	run := g.NewSampledRun(sampleRows)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	errCh := make(chan error, goroutines*4)
@@ -132,11 +132,11 @@ func TestSampledRunWarmMatchesLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := ref.SampleRows(0.2)
-	warmed := g.NewSampledRun(rows, nil)
+	warmed := g.NewSampledRun(rows)
 	if err := warmed.WarmCtx(context.Background(), 4); err != nil {
 		t.Fatal(err)
 	}
-	lazy := g.NewSampledRun(rows, nil)
+	lazy := g.NewSampledRun(rows)
 	for _, s := range g.Specs() {
 		wr, wt, err := warmed.LayoutStats(s)
 		if err != nil {

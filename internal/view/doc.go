@@ -23,11 +23,12 @@
 // shape (bin counts and equal-depth flag), and every NewGenerator over
 // that version scans DR through it. It lives in the table's per-version
 // memo (dataset.Table.Memo), so a mutation or an append gives the next
-// generator a fresh side and the old one is freed with its version.
-// ApplyAppend generators carry a private, delta-extended side instead.
-// Results are bit-identical to unshared generators, and
-// Generator.MemoryBytes never charges a shared side: it belongs to the
-// table, like the table itself.
+// generator a fresh side and the old one is freed with its version. On a
+// live table, ApplyAppend installs the parent's side, delta-extended, as
+// the appended version's — only while the append leaves every layout's
+// fit unchanged, so it equals a fresh fit. Results are bit-identical to
+// unshared generators, and Generator.MemoryBytes never charges a
+// reference side: it belongs to the table, like the table itself.
 //
 // Cancellation (DESIGN.md §10): WarmCtx under a cancelled context returns
 // ctx.Err() without publishing a partial warm. The single-flight caches,

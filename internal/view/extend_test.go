@@ -99,11 +99,10 @@ func kernelBundles(t *testing.T, tab *dataset.Table) [][]*BinLayout {
 // rebuild-from-scratch bit for bit — each multi-layout bin bundle entry
 // for entry against BinIndexAll over the appended table, Stats across
 // every accumulator array — with collectStatsReference over the
-// post-append table as the stats oracle. Each layout's Drift must equal a
-// per-row BinOf count: a non-null appended value is appended, and out of
-// range when BinOf places it nowhere (so NaN is out of range); a NULL is
-// neither. Layouts are pinned to the base, so appended values outside
-// them exercise the bin -1 drop path on both sides.
+// post-append table as the stats oracle. The layouts stay the base's, so
+// appended values outside them exercise the bin -1 path on both sides.
+// Each layout's fitHolds must say exactly whether a fresh fit of the
+// appended table returns the layout again (never, for equal-depth).
 func TestExtendMatchesRebuild(t *testing.T) {
 	measures := []string{"m1", "m2", "mconst", "mbool"}
 	f := func(seed int64) bool {
@@ -115,7 +114,7 @@ func TestExtendMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ext, _, drift, err := ExtendBinIndexAll(appended, bundle, old, nil, from)
+			ext, _, err := ExtendBinIndexAll(appended, bundle, old, nil, from)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +122,6 @@ func TestExtendMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			col := appended.Column(dim)
 			for i, l := range bundle {
 				for r, want := range full[i] {
 					if ext[i][r] != want {
@@ -131,25 +129,19 @@ func TestExtendMatchesRebuild(t *testing.T) {
 							dim, l.NumBins(), r, ext[i][r], want)
 					}
 				}
-				var want Drift
-				for r := from; r < appended.NumRows(); r++ {
-					if col.IsNull(r) {
-						continue
-					}
-					want.Appended++
-					if l.BinOf(col, r) < 0 {
-						want.OutOfRange++
-					}
+				refit, err := ComputeLayout(appended, dim, l.Bins)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if drift[i] != want {
-					t.Fatalf("dim %q/%d: drift %+v, per-row BinOf count %+v", dim, l.NumBins(), drift[i], want)
+				if got, want := l.fitHolds(appended, from), l.edges == nil && reflect.DeepEqual(refit, l); got != want {
+					t.Fatalf("dim %q/%d: fitHolds = %v, fresh fit unchanged = %v", dim, l.NumBins(), got, want)
 				}
 
 				oldStats, err := CollectStats(base, l, measures, nil, old[i])
 				if err != nil {
 					t.Fatal(err)
 				}
-				extStats, _, ok, err := ExtendStats(appended, oldStats, ext[i], from)
+				extStats, ok, err := ExtendStats(appended, oldStats, ext[i], from)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,11 +195,11 @@ func TestExtendStatsShiftDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, _, _, err := ExtendBinIndexAll(appended, []*BinLayout{layout}, [][]int32{oldBins}, nil, 2)
+	ext, _, err := ExtendBinIndexAll(appended, []*BinLayout{layout}, [][]int32{oldBins}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, err := ExtendStats(appended, oldStats, ext[0], 2); err != nil || ok {
+	if _, ok, err := ExtendStats(appended, oldStats, ext[0], 2); err != nil || ok {
 		t.Fatalf("shift drift not detected: ok=%v err=%v", ok, err)
 	}
 	// An all-null append over the all-null base keeps shift 0: extendable.
@@ -215,26 +207,50 @@ func TestExtendStatsShiftDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext2, _, _, err := ExtendBinIndexAll(appended2, []*BinLayout{layout}, [][]int32{oldBins}, nil, 2)
+	ext2, _, err := ExtendBinIndexAll(appended2, []*BinLayout{layout}, [][]int32{oldBins}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, err := ExtendStats(appended2, oldStats, ext2[0], 2); err != nil || !ok {
+	if _, ok, err := ExtendStats(appended2, oldStats, ext2[0], 2); err != nil || !ok {
 		t.Fatalf("all-null extension refused: ok=%v err=%v", ok, err)
 	}
 }
 
+// inFitRows draws n rows that leave every layout fit to base unchanged:
+// base rows with dimension cells turned NULL (and the float dimension
+// NaN) now and then, and a fresh m1 — measures shape no layout.
+func inFitRows(rng *rand.Rand, base *dataset.Table, n int) [][]dataset.Value {
+	schema := base.Schema
+	rows := make([][]dataset.Value, n)
+	for i := range rows {
+		row := base.Row(rng.Intn(base.NumRows()))
+		for _, dim := range []string{"cat", "flag", "num", "numint"} {
+			if rng.Intn(6) == 0 {
+				row[schema.Index(dim)] = dataset.Null
+			}
+		}
+		if rng.Intn(6) == 0 {
+			row[schema.Index("num")] = dataset.Float(math.NaN())
+		}
+		row[schema.Index("m1")] = dataset.Float(rng.NormFloat64() * 100)
+		rows[i] = row
+	}
+	return rows
+}
+
 // TestApplyAppendMatchesScratch: a delta-extended generator must serve
-// every pair bit-identically to scanning the appended tables from scratch
-// under the same pinned layouts — which an ApplyAppend of a cold generator
-// conveniently is (no cached artifacts to extend, so everything recomputes
-// over the new tables).
+// every pair bit-identically to a fresh generator over a private copy of
+// the appended tables, which refits the layouts — so an append that
+// changes a fit must be refused. Rows re-drawn from the base, with NULL
+// and NaN cells, extend; appendedKernelTable's adversarial suffix (new
+// categories and extremes) is refused. The extended reference side
+// becomes the appended version's own.
 func TestApplyAppendMatchesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	base, appended, _ := appendedKernelTable(t, rng)
+	base, adversarial, _ := appendedKernelTable(t, rng)
 	// Target: a filtered subset of the base, extended by the append's
 	// matching rows — prefix-extension, like live query maintenance.
-	filter := func(tab *dataset.Table) []int {
+	dq := func(tab *dataset.Table) *dataset.Table {
 		col := tab.Column("m2")
 		var sel []int
 		for r := 0; r < tab.NumRows(); r++ {
@@ -242,10 +258,9 @@ func TestApplyAppendMatchesScratch(t *testing.T) {
 				sel = append(sel, r)
 			}
 		}
-		return sel
+		return tab.Subset("dq", sel)
 	}
-	baseTgt := base.Subset("dq", filter(base))
-	newTgt := appended.Subset("dq", filter(appended))
+	baseTgt := dq(base)
 
 	cfg := SpaceConfig{BinCounts: []int{3, 4}}
 	warm, err := NewGenerator(base, baseTgt, cfg)
@@ -255,19 +270,30 @@ func TestApplyAppendMatchesScratch(t *testing.T) {
 	if err := warm.WarmCtx(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	delta, err := warm.ApplyAppend(appended, newTgt)
+	if ng, ok, err := warm.ApplyAppend(adversarial, dq(adversarial)); err != nil || ok || ng != nil {
+		t.Fatalf("an append that changes the fits was extended: ok=%v err=%v", ok, err)
+	}
+	appended, err := base.WithAppended(inFitRows(rng, base, 80))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := NewGenerator(base, baseTgt, cfg)
-	if err != nil {
-		t.Fatal(err)
+	newTgt := dq(appended)
+	delta, ok, err := warm.ApplyAppend(appended, newTgt)
+	if err != nil || !ok {
+		t.Fatalf("an append within the fits was refused: ok=%v err=%v", ok, err)
 	}
-	scratch, err := cold.ApplyAppend(appended, newTgt)
+	if cold, err := NewGenerator(appended, newTgt, cfg); err != nil || cold.ref != delta.ref {
+		t.Fatalf("the appended version does not own the extended reference side (err %v)", err)
+	}
+	priv := appended.Subset("copy", allRows(appended))
+	scratch, err := NewGenerator(priv, dq(priv), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range warm.Specs() {
+		if !reflect.DeepEqual(delta.Layout(spec), scratch.Layout(spec)) {
+			t.Fatalf("spec %v: extended layout differs from a fresh fit", spec)
+		}
 		dp, err := delta.Pair(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -277,8 +303,8 @@ func TestApplyAppendMatchesScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, hp := range []struct{ d, s *Histogram }{{dp.Target, sp.Target}, {dp.Reference, sp.Reference}} {
-			if hp.d.Shift != hp.s.Shift {
-				t.Fatalf("spec %v: shift %g != %g", spec, hp.d.Shift, hp.s.Shift)
+			if hp.d.Shift != hp.s.Shift || !reflect.DeepEqual(hp.d.Labels, hp.s.Labels) {
+				t.Fatalf("spec %v: shift %g labels %v, fresh %g %v", spec, hp.d.Shift, hp.d.Labels, hp.s.Shift, hp.s.Labels)
 			}
 			for b := range hp.d.Values {
 				if hp.d.Values[b] != hp.s.Values[b] || hp.d.Counts[b] != hp.s.Counts[b] ||
@@ -290,100 +316,55 @@ func TestApplyAppendMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestDriftTracking: appended values outside a pinned numeric layout are
-// counted as drift (nulls are not), the counts accumulate across
-// ApplyAppend generations, and a fresh generator starts at zero.
-func TestDriftTracking(t *testing.T) {
+// TestApplyAppendRefitDecision pins when an append changes a fit: a value
+// past the fitted minimum or maximum or a new category does, while NULLs,
+// NaN and values inside the range do not; a constant column's fit holds
+// only for its constant, and an equal-depth fit never holds.
+func TestApplyAppendRefitDecision(t *testing.T) {
 	schema := dataset.MustSchema(
 		dataset.ColumnDef{Name: "d", Kind: dataset.KindFloat, Role: dataset.RoleDimension},
+		dataset.ColumnDef{Name: "c", Kind: dataset.KindString, Role: dataset.RoleDimension},
+		dataset.ColumnDef{Name: "k", Kind: dataset.KindInt, Role: dataset.RoleDimension},
 		dataset.ColumnDef{Name: "m", Kind: dataset.KindFloat, Role: dataset.RoleMeasure},
 	)
 	base := dataset.NewTable("t", schema)
 	for i := 0; i < 10; i++ {
-		base.MustAppendRow(dataset.Float(float64(i)), dataset.Float(1))
+		base.MustAppendRow(dataset.Float(float64(i)), dataset.StringVal(string(rune('a'+i%3))), dataset.Int(4), dataset.Float(1))
 	}
-	layout, err := ComputeLayout(base, "d", 5) // pinned to [0, 9]
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldBins := binIndex(t, base, layout)
-	// 2 in range, 2 out of range, 1 null: drift is 2/4.
-	rows := [][]dataset.Value{
-		{dataset.Float(1), dataset.Float(1)},
-		{dataset.Float(100), dataset.Float(1)},
-		{dataset.Float(-5), dataset.Float(1)},
-		{dataset.Null, dataset.Float(1)},
-		{dataset.Float(3), dataset.Float(1)},
-	}
-	appended, err := base.WithAppended(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, drift, err := ExtendBinIndexAll(appended, []*BinLayout{layout}, [][]int32{oldBins}, nil, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if drift[0].Appended != 4 || drift[0].OutOfRange != 2 {
-		t.Fatalf("drift = %+v, want {Appended:4 OutOfRange:2}", drift[0])
-	}
-	if r := drift[0].Rate(); r != 0.5 {
-		t.Fatalf("rate = %g, want 0.5", r)
-	}
-
-	// Generator-level accumulation across two generations. The target is a
-	// distinct table (all rows) so the reference-side caches — where drift
-	// is counted — are exercised as in real use.
-	allRows := func(tab *dataset.Table) *dataset.Table {
-		idx := make([]int, tab.NumRows())
-		for i := range idx {
-			idx[i] = i
-		}
-		return tab.Subset("dq", idx)
-	}
-	cfg := SpaceConfig{BinCounts: []int{5}}
-	gen, err := NewGenerator(base, allRows(base), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gen.WarmCtx(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := gen.MaxDriftRate(); got != 0 {
-		t.Fatalf("fresh generator drift = %g, want 0", got)
-	}
-	g2, err := gen.ApplyAppend(appended, allRows(appended))
-	if err != nil {
-		t.Fatal(err)
-	}
-	appended2, err := appended.WithAppended([][]dataset.Value{
-		{dataset.Float(200), dataset.Float(1)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g3, err := g2.ApplyAppend(appended2, allRows(appended2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := g3.DriftStats()
-	found := false
-	for _, ld := range ds {
-		if ld.Dimension == "d" && ld.Bins == 5 {
-			found = true
-			if ld.Drift.Appended != 5 || ld.Drift.OutOfRange != 3 {
-				t.Fatalf("cumulative drift = %+v, want {Appended:5 OutOfRange:3}", ld.Drift)
+	f, s, k, null := dataset.Float, dataset.StringVal, dataset.Int, dataset.Null
+	for _, c := range []struct {
+		name string
+		row  []dataset.Value
+		fits bool
+	}{
+		{"in range", []dataset.Value{f(3.5), s("b"), k(4), f(1e9)}, true},
+		{"range ends", []dataset.Value{f(0), s("a"), k(4), f(1)}, true},
+		{"nulls", []dataset.Value{null, null, null, null}, true},
+		{"nan", []dataset.Value{f(math.NaN()), s("c"), k(4), f(math.NaN())}, true},
+		{"new max", []dataset.Value{f(9.5), s("a"), k(4), f(1)}, false},
+		{"new min", []dataset.Value{f(-1), s("a"), k(4), f(1)}, false},
+		{"+inf", []dataset.Value{f(math.Inf(1)), s("a"), k(4), f(1)}, false},
+		{"new category", []dataset.Value{f(1), s("z"), k(4), f(1)}, false},
+		{"constant moves", []dataset.Value{f(1), s("a"), k(5), f(1)}, false},
+	} {
+		for _, equalDepth := range []bool{false, true} {
+			cfg := SpaceConfig{BinCounts: []int{3}, EqualDepth: equalDepth}
+			g, err := NewGenerator(base, base, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appended, err := base.WithAppended([][]dataset.Value{c.row})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ng, ok, err := g.ApplyAppend(appended, appended)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c.fits && !equalDepth; ok != want || (ng != nil) != want {
+				t.Errorf("%s (equalDepth=%v): extended %v, want %v", c.name, equalDepth, ok, want)
 			}
 		}
-	}
-	if !found {
-		t.Fatalf("no drift entry for layout d/5 in %+v", ds)
-	}
-	if got, want := g3.MaxDriftRate(), 0.6; got != want {
-		t.Fatalf("MaxDriftRate = %g, want %g", got, want)
-	}
-	// The parent generation's counts were not mutated by the child.
-	if got := g2.MaxDriftRate(); got != 0.5 {
-		t.Fatalf("parent MaxDriftRate = %g, want 0.5", got)
 	}
 }
 
@@ -435,7 +416,7 @@ func TestExtendBinIndexAllAllocationBound(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i, v := range versions[1:] {
-		if idx, backs, _, err = ExtendBinIndexAll(v, layouts, idx, backs, versions[i].NumRows()); err != nil {
+		if idx, backs, err = ExtendBinIndexAll(v, layouts, idx, backs, versions[i].NumRows()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -463,7 +444,7 @@ func TestExtendBinIndexAllForkStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, backs, _, err := ExtendBinIndexAll(base, layouts, idx, nil, versions[0].NumRows())
+	idx, backs, err := ExtendBinIndexAll(base, layouts, idx, nil, versions[0].NumRows())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +458,7 @@ func TestExtendBinIndexAllForkStaysExact(t *testing.T) {
 	}
 	var got [2][][]int32
 	for i, v := range []*dataset.Table{left, right} {
-		if got[i], _, _, err = ExtendBinIndexAll(v, layouts, idx, backs, base.NumRows()); err != nil {
+		if got[i], _, err = ExtendBinIndexAll(v, layouts, idx, backs, base.NumRows()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,6 +23,9 @@ type BinLayout struct {
 	// last bin.
 	Lo, Hi float64
 	Bins   int
+	// top is an equal-width layout's data maximum before Hi's nudge: with
+	// Lo, the fit an append is checked against (fitHolds).
+	top float64
 	// Numeric equal-depth layouts: bin i covers [edges[i], edges[i+1]),
 	// with the last bin closed above. nil for equal-width layouts.
 	edges []float64
@@ -32,7 +35,8 @@ type BinLayout struct {
 
 // ComputeLayout builds the layout for a dimension from the reference
 // table. bins > 0 requests numeric equal-width binning and is required for
-// numeric dimensions; categorical (string/bool) dimensions ignore it.
+// numeric dimensions; categorical (string/bool) dimensions ignore it and
+// get one bin per distinct non-NULL value.
 func ComputeLayout(ref *dataset.Table, dim string, bins int) (*BinLayout, error) {
 	col := ref.Column(dim)
 	if col == nil {
@@ -60,12 +64,13 @@ func ComputeLayout(ref *dataset.Table, dim string, bins int) (*BinLayout, error)
 		if !ok {
 			return nil, fmt.Errorf("view: dimension %q has no numeric values", dim)
 		}
+		top := hi
 		if hi <= lo {
 			hi = lo + 1 // constant column: one degenerate range
 		} else {
 			hi = hi + (hi-lo)*1e-9 // include the max in the last bin
 		}
-		l := &BinLayout{Dimension: dim, Numeric: true, Lo: lo, Hi: hi, Bins: bins}
+		l := &BinLayout{Dimension: dim, Numeric: true, Lo: lo, Hi: hi, Bins: bins, top: top}
 		width := (hi - lo) / float64(bins)
 		for i := 0; i < bins; i++ {
 			l.Labels = append(l.Labels, fmt.Sprintf("[%.3g,%.3g)", lo+float64(i)*width, lo+float64(i+1)*width))

@@ -25,21 +25,6 @@ func (c *lazyCache[K, V]) readyEach(fn func(V)) {
 	}
 }
 
-// MemoryBytes estimates the resident heap bytes of the layout: labels,
-// equal-depth edges, and the categorical group-key index.
-func (l *BinLayout) MemoryBytes() int64 {
-	b := int64(cap(l.Labels)) * 16
-	for _, s := range l.Labels {
-		b += int64(len(s))
-	}
-	b += int64(cap(l.edges)) * 8
-	// Map buckets amortise to roughly 48 bytes per categorical entry on
-	// top of the key string contents (already counted under Labels, which
-	// mirror the keys).
-	b += int64(len(l.index)) * 48
-	return b
-}
-
 // MemoryBytes estimates the resident heap bytes of the flat accumulator
 // banks (five float64 banks plus per-measure shifts).
 func (s *Stats) MemoryBytes() int64 {
@@ -66,23 +51,12 @@ func (sc *scans) memoryBytes() int64 {
 }
 
 // MemoryBytes estimates the resident heap bytes of the generator's own
-// state: the target side's scan caches, plus — only for a generator whose
-// reference side is private (ApplyAppend's) — that side's layouts and
-// caches. A shared reference side belongs to the table version, like the
-// reference table itself, so no generator is charged for it: a session's
-// charge must not depend on what other sessions over the same table have
-// already warmed. The target table is excluded too — it is accounted by the
-// session owner. The estimate grows as the lazy caches fill, so
-// accounting after a feedback round sees the scans that round
-// materialised. Safe for concurrent use with scans; an in-flight scan is
-// counted once it completes.
-func (g *Generator) MemoryBytes() int64 {
-	b := g.tgt.memoryBytes()
-	if !g.sharedRef {
-		for _, l := range g.ref.layouts {
-			b += l.MemoryBytes()
-		}
-		b += g.ref.scans.memoryBytes()
-	}
-	return b
-}
+// state: the target side's scan caches. The reference side belongs to the
+// table version, like the reference table itself, so no generator is
+// charged for it: a session's charge must not depend on what other
+// sessions over the same table have already warmed. The target table is
+// excluded too — it is accounted by the session owner. The estimate grows
+// as the lazy caches fill, so accounting after a feedback round sees the
+// scans that round materialised. Safe for concurrent use with scans; an
+// in-flight scan is counted once it completes.
+func (g *Generator) MemoryBytes() int64 { return g.tgt.memoryBytes() }

@@ -37,9 +37,11 @@ type binBundle struct {
 // this half is the same for every exploration query over one table
 // version. A table version therefore owns one refSide per layout shape
 // (sharedRefSide), and every generator built over that version scans DR
-// through it; a generator made by ApplyAppend carries a private one
-// instead, delta-extended from its parent's and pinned to its layouts.
+// through it. On a live table a version's side is usually its parent's
+// delta-extended (Generator.ApplyAppend), which is content-identical to a
+// fresh fit.
 type refSide struct {
+	cfg     SpaceConfig
 	layouts map[layoutKey]*BinLayout // immutable once built
 	// dimLayouts orders each dimension's layout keys (ascending bin
 	// count); its index positions address the per-dimension bin-index
@@ -59,18 +61,21 @@ type refSideKey struct {
 	equalDepth bool
 }
 
+func (c SpaceConfig) refSideKey() refSideKey {
+	return refSideKey{binCounts: fmt.Sprint(c.binCounts()), equalDepth: c.EqualDepth}
+}
+
 // sharedRefSide returns the reference side the table's current version
 // owns for cfg's layout shape, fitting its layouts on first use. Its scan
 // caches fill lazily as generators ask for them.
 func sharedRefSide(ref *dataset.Table, cfg SpaceConfig) *refSide {
-	key := refSideKey{binCounts: fmt.Sprint(cfg.binCounts()), equalDepth: cfg.EqualDepth}
-	return ref.Memo(key, func() any { return newRefSide(ref, cfg) }).(*refSide)
+	return ref.Memo(cfg.refSideKey(), func() any { return newRefSide(ref, cfg) }).(*refSide)
 }
 
 // newRefSide fits every layout of cfg's space to ref: one per categorical
 // dimension, one per (numeric dimension, bin count).
 func newRefSide(ref *dataset.Table, cfg SpaceConfig) *refSide {
-	rs := &refSide{layouts: make(map[layoutKey]*BinLayout), dimLayouts: make(map[string][]layoutKey)}
+	rs := &refSide{cfg: cfg, layouts: make(map[layoutKey]*BinLayout), dimLayouts: make(map[string][]layoutKey)}
 	for _, d := range ref.Schema.Dimensions() {
 		for _, bins := range cfg.binConfigs(ref, d) {
 			k := layoutKey{d, bins}

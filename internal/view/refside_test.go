@@ -165,8 +165,8 @@ func TestNaNDimensionFiveRows(t *testing.T) {
 // TestSharedRefSideLifetime pins who owns a reference side: generators
 // over one table version and layout shape share one, whatever their
 // target or aggregate set; another layout shape, a mutated table or an
-// appended version gets its own; an ApplyAppend generator keeps a private
-// side pinned to its parent's layouts.
+// appended version gets its own; an ApplyAppend generator's extended side
+// is the appended version's, which later generators over it share.
 func TestSharedRefSideLifetime(t *testing.T) {
 	ref, tgt := demoTables(t)
 	cfg := SpaceConfig{BinCounts: []int{3, 4}}
@@ -178,7 +178,7 @@ func TestSharedRefSideLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g1.ref != g2.ref || !g1.sharedRef {
+	if g1.ref != g2.ref {
 		t.Fatal("generators over one table version did not share its reference side")
 	}
 	g3, err := NewGenerator(ref, tgt, SpaceConfig{BinCounts: []int{3}})
@@ -196,19 +196,19 @@ func TestSharedRefSideLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ng, err := g1.ApplyAppend(next, tgt)
-	if err != nil {
-		t.Fatal(err)
+	ng, ok, err := g1.ApplyAppend(next, tgt)
+	if err != nil || !ok {
+		t.Fatalf("re-appending a row was not extended: ok=%v err=%v", ok, err)
 	}
 	fresh, err := NewGenerator(next, tgt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ng.sharedRef || ng.ref == g1.ref || ng.ref == fresh.ref {
-		t.Fatal("ApplyAppend generator does not own a private reference side")
-	}
-	if fresh.ref == g1.ref {
+	if ng.ref == g1.ref {
 		t.Fatal("an appended version reused its parent's reference side")
+	}
+	if fresh.ref != ng.ref {
+		t.Fatal("the appended version's generators do not share the extended reference side")
 	}
 	if _, ok := ng.ref.stats.peek(layoutKey{"z", 3}); !ok {
 		t.Fatal("ApplyAppend did not carry the extended reference stats")
@@ -227,7 +227,8 @@ func TestSharedRefSideLifetime(t *testing.T) {
 // TestGeneratorMemoryExcludesSharedRefSide is the accounting trap: a
 // generator's charge covers its target side only, so it must not change
 // when another generator over the same table warms the shared reference
-// side — while a private (ApplyAppend) side is charged to its owner.
+// side — nor when ApplyAppend extends that side into the appended
+// version's.
 func TestGeneratorMemoryExcludesSharedRefSide(t *testing.T) {
 	spec := func(g *Generator) Spec { return g.Specs()[0] }
 	charge := func(ref, tgt *dataset.Table) int64 {
@@ -260,12 +261,12 @@ func TestGeneratorMemoryExcludesSharedRefSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ng, err := other.ApplyAppend(next, other.Target)
-	if err != nil {
-		t.Fatal(err)
+	ng, ok, err := other.ApplyAppend(next, other.Target)
+	if err != nil || !ok {
+		t.Fatalf("re-appending a row was not extended: ok=%v err=%v", ok, err)
 	}
-	if ng.MemoryBytes() <= other.MemoryBytes() {
-		t.Fatalf("private reference side not charged: %d bytes after ApplyAppend, %d before", ng.MemoryBytes(), other.MemoryBytes())
+	if ng.MemoryBytes() != other.MemoryBytes() {
+		t.Fatalf("reference side charged: %d bytes after ApplyAppend over the same target, %d before", ng.MemoryBytes(), other.MemoryBytes())
 	}
 }
 

@@ -97,17 +97,9 @@ type Generator struct {
 
 	specs []Spec
 	// ref holds the layouts and DR's scan caches: the table version's
-	// shared side (sharedRef), or a private one after ApplyAppend.
-	ref       *refSide
-	sharedRef bool
-	tgt       scans
-
-	// drift accumulates per-layout out-of-range counts across the
-	// ApplyAppend chain since the layouts were fit (nil on a fresh
-	// generator). Written once while the new generator is built, read-only
-	// after publication — the same immutability discipline as the layout
-	// maps.
-	drift map[layoutKey]Drift
+	// shared side.
+	ref *refSide
+	tgt scans
 }
 
 type layoutKey struct {
@@ -136,7 +128,7 @@ func NewGenerator(ref, target *dataset.Table, cfg SpaceConfig) (*Generator, erro
 	if rs.err != nil {
 		return nil, rs.err
 	}
-	return &Generator{Ref: ref, Target: target, specs: specs, ref: rs, sharedRef: true}, nil
+	return &Generator{Ref: ref, Target: target, specs: specs, ref: rs}, nil
 }
 
 // Specs returns the enumerated view space (shared slice; do not mutate).
@@ -286,31 +278,32 @@ func (g *Generator) FamilyStats(s Spec) (refStats, tgtStats *Stats, err error) {
 // directly, bypassing per-pair Histogram materialisation. The Stats are
 // cache-shared and must not be mutated.
 func (g *Generator) LayoutStats(s Spec) (refStats, tgtStats *Stats, err error) {
-	return g.pairStats(s, &g.ref.stats, &g.tgt.stats, nil, nil)
+	return g.pairStats(s, &g.ref.stats, &g.tgt.stats, nil)
 }
 
 // SampledRun scopes one α-sample pass over the generator's tables: it
 // caches the sampled group statistics per layout so that a whole-space
 // feature pass costs one sampled scan per layout, not per view. refRows
-// and tgtRows restrict the reference and target scans (nil = all rows).
-// Like the generator itself, a run is safe for concurrent use.
+// restricts the reference scans (nil = all rows); the target is always
+// scanned in full. Like the generator itself, a run is safe for
+// concurrent use.
 type SampledRun struct {
-	g                *Generator
-	refRows, tgtRows []int
-	refStats         lazyCache[layoutKey, *Stats]
-	tgtStats         lazyCache[layoutKey, *Stats]
+	g        *Generator
+	refRows  []int
+	refStats lazyCache[layoutKey, *Stats]
+	tgtStats lazyCache[layoutKey, *Stats]
 }
 
 // NewSampledRun starts a sampled pass.
-func (g *Generator) NewSampledRun(refRows, tgtRows []int) *SampledRun {
-	return &SampledRun{g: g, refRows: refRows, tgtRows: tgtRows}
+func (g *Generator) NewSampledRun(refRows []int) *SampledRun {
+	return &SampledRun{g: g, refRows: refRows}
 }
 
 // LayoutStats returns the run's sampled all-measures statistics of the
 // spec's (dimension, bins) layout for both tables — Generator.LayoutStats
-// over the run's row samples, with the same sharing contract.
+// over the run's row sample, with the same sharing contract.
 func (r *SampledRun) LayoutStats(s Spec) (refStats, tgtStats *Stats, err error) {
-	return r.g.pairStats(s, &r.refStats, &r.tgtStats, r.refRows, r.tgtRows)
+	return r.g.pairStats(s, &r.refStats, &r.tgtStats, r.refRows)
 }
 
 // WarmCtx pre-scans every layout's sampled statistics for both tables
@@ -323,14 +316,15 @@ func (r *SampledRun) WarmCtx(ctx context.Context, workers int) error {
 	for k := range g.ref.layouts {
 		jobs = append(jobs,
 			warmJob{g.Ref, &g.ref.scans, &r.refStats, r.refRows, k},
-			warmJob{g.Target, &g.tgt, &r.tgtStats, r.tgtRows, k})
+			warmJob{g.Target, &g.tgt, &r.tgtStats, nil, k})
 	}
 	return r.g.runWarm(ctx, jobs, workers)
 }
 
 // pairStats returns both tables' statistics of the spec's layout from the
-// given stats caches, scanning the given rows (nil = all) on a miss.
-func (g *Generator) pairStats(s Spec, refCache, tgtCache *lazyCache[layoutKey, *Stats], refRows, tgtRows []int) (refStats, tgtStats *Stats, err error) {
+// given stats caches, scanning the given reference rows (nil = all) and
+// the whole target on a miss.
+func (g *Generator) pairStats(s Spec, refCache, tgtCache *lazyCache[layoutKey, *Stats], refRows []int) (refStats, tgtStats *Stats, err error) {
 	k := layoutKey{s.Dimension, s.Bins}
 	if _, ok := g.ref.layouts[k]; !ok {
 		return nil, nil, fmt.Errorf("view: spec %s is outside the enumerated space", s)
@@ -338,7 +332,7 @@ func (g *Generator) pairStats(s Spec, refCache, tgtCache *lazyCache[layoutKey, *
 	if refStats, err = g.statsFor(g.Ref, &g.ref.scans, refCache, k, refRows); err != nil {
 		return nil, nil, err
 	}
-	if tgtStats, err = g.statsFor(g.Target, &g.tgt, tgtCache, k, tgtRows); err != nil {
+	if tgtStats, err = g.statsFor(g.Target, &g.tgt, tgtCache, k, nil); err != nil {
 		return nil, nil, err
 	}
 	return refStats, tgtStats, nil

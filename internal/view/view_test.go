@@ -2,6 +2,7 @@ package view
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -230,7 +231,7 @@ func TestGeneratorSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := Spec{Dimension: "cat", Measure: "m", Agg: "COUNT"}
-	rs, ts, err := g.NewSampledRun(ref.SampleRows(0.1), nil).LayoutStats(spec)
+	rs, ts, err := g.NewSampledRun(ref.SampleRows(0.1)).LayoutStats(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,5 +334,48 @@ func TestPairRender(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 { // title + header + 3 bins
 		t.Errorf("render lines = %d:\n%s", len(lines), out)
+	}
+}
+
+// TestCategoricalLayoutSkipsNull: a NULL lands in no bin, so a string or
+// bool dimension holding NULLs gets no bin for them — an empty bar would
+// change the distributions every feature reads — and an appended NULL
+// leaves the fit unchanged.
+func TestCategoricalLayoutSkipsNull(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.ColumnDef{Name: "s", Kind: dataset.KindString, Role: dataset.RoleDimension},
+		dataset.ColumnDef{Name: "b", Kind: dataset.KindBool, Role: dataset.RoleDimension},
+		dataset.ColumnDef{Name: "m", Kind: dataset.KindFloat, Role: dataset.RoleMeasure},
+	)
+	tab := dataset.NewTable("t", schema)
+	tab.MustAppendRow(dataset.StringVal("b"), dataset.Bool(true), dataset.Float(1))
+	tab.MustAppendRow(dataset.Null, dataset.Null, dataset.Float(2))
+	tab.MustAppendRow(dataset.StringVal("a"), dataset.Bool(false), dataset.Float(3))
+	for dim, want := range map[string][]string{"s": {"a", "b"}, "b": {"false", "true"}} {
+		l, err := ComputeLayout(tab, dim, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(l.Labels, want) {
+			t.Errorf("%s: labels %q, want %q", dim, l.Labels, want)
+		}
+		g, err := NewGenerator(tab, tab, SpaceConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := g.Pair(Spec{Dimension: dim, Measure: "m", Agg: "COUNT"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.Reference.Values, []float64{1, 1}) {
+			t.Errorf("%s: COUNT bars %v, want [1 1]", dim, p.Reference.Values)
+		}
+		appended, err := tab.WithAppended([][]dataset.Value{{dataset.Null, dataset.Null, dataset.Float(4)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !l.fitHolds(appended, tab.NumRows()) {
+			t.Errorf("%s: an appended NULL changed the fit", dim)
+		}
 	}
 }

@@ -44,17 +44,10 @@ func OpenLiveTableOptions(walPath string, base *Table, opts LiveOptions) (*LiveT
 	return live.Open(nil, walPath, base, opts)
 }
 
-// driftThreshold is the fraction of appended values escaping a pinned bin
-// layout that triggers Advance's automatic re-fit. A quarter of new data
-// outside the histograms means the maintained scans have stopped
-// representing the live distribution.
-const driftThreshold = 0.25
-
 // Maintained is an incrementally maintained offline result over a live
 // table: the view-space bin indexes, scan statistics and utility-feature
 // matrix for one exploration query, kept current as the table grows.
-// Advance folds newly appended rows into the cached scans (bit-identical
-// to recomputing from scratch, at a fraction of the cost) instead of
+// Advance folds newly appended rows into the cached scans instead of
 // rerunning the offline pass; NewSession mints interactive sessions from
 // the current state without paying the offline phase again.
 //
@@ -62,13 +55,11 @@ const driftThreshold = 0.25
 // α-sampled matrices are tied to one session's refinement run and cannot
 // be extended across appends.
 //
-// Bin layouts are pinned to the table Maintain saw: incremental updates
-// never re-fit bin boundaries (that is what makes them bit-identical to a
-// pinned-layout recomputation), so appended values outside a numeric
-// dimension's original range fall out of its histogram. Advance tracks
-// that escape rate per layout and, when any layout's cumulative rate
-// reaches driftThreshold, rebuilds from scratch — re-fitting every layout
-// to the current data (counted in Stats.DriftRebuilds).
+// Every version it publishes is exactly the version Maintain — or a cold
+// exact New — returns over the same table version, bit for bit: Advance
+// extends the cached scans only while the appended rows leave every bin
+// layout's fit unchanged, and rebuilds otherwise (see Advance). So a
+// maintained session replays like a cold one at its table version.
 type Maintained struct {
 	mu    sync.Mutex
 	lt    *LiveTable
@@ -76,10 +67,11 @@ type Maintained struct {
 	opts  Options
 	cfg   offlineConfig
 
-	// cur is the published offline version (it owns the generator whose
-	// pinned-layout scans the next Advance extends) and seq the live-table
-	// sequence it is current to.
+	// cur is the published offline version, gen the generator it was
+	// computed on (whose scans the next Advance extends; gen.Ref is the
+	// table version), and seq the live-table sequence it is current to.
 	cur *store.OfflineResult
+	gen *view.Generator
 	seq uint64
 
 	// suffixable marks the query row-local (non-aggregate projections plus
@@ -88,7 +80,7 @@ type Maintained struct {
 	// evaluates it over the suffix only instead of rescanning the table.
 	suffixable bool
 
-	extended, rebuilt, driftRebuilds int
+	extended, rebuilt int
 }
 
 // rowLocal reports whether a statement's result over a prefix-extended
@@ -140,41 +132,32 @@ func Maintain(lt *LiveTable, query string, opts Options) (*Maintained, error) {
 }
 
 // rebuild recomputes the offline state from scratch over ref (the fallback
-// path, and the initial build): layouts are re-fit to ref, so accumulated
-// drift resets to zero. Callers count the rebuild against the right
-// counter. Caller holds no lock or the lock.
+// path, and the initial build). Caller holds no lock or the lock.
 func (m *Maintained) rebuild(ref *Table, seq uint64) error {
-	v, err := buildVersion(context.Background(), ref, m.query, m.cfg, m.opts.Workers, true)
+	v, gen, err := buildVersion(context.Background(), ref, m.query, m.cfg, m.opts.Workers)
 	if err != nil {
 		return err
 	}
-	m.cur, m.seq = v, seq
+	m.cur, m.gen, m.seq = v, gen, seq
 	return nil
-}
-
-// genOf returns a maintained version's generator, which the version owns.
-func genOf(v *OfflineVersion) *view.Generator {
-	g, _ := v.Generator(nil)
-	return g
 }
 
 // Advance folds rows appended since the last Advance (or Maintain) into
 // the maintained state, returning whether anything changed. The fast path
 // extends the cached bin indexes, statistics and feature matrix with only
-// the appended suffix — bit-identical to a recomputation because layouts
-// stay pinned and the floating-point accumulation order is preserved. It
-// applies to row-local queries (rowLocal), whose result over the appended
-// rows is exactly what the new data adds; any other query is rebuilt in
-// full on every Advance. Rebuilds also cover appends that drift a
-// measure's accumulation shift (an all-NULL column gaining its first
-// value).
+// the appended suffix — bit-identical to a recomputation because the
+// floating-point accumulation order is preserved. It applies when the
+// query is row-local (rowLocal), so its result over the appended rows is
+// exactly what the new data adds, and the appended rows leave every bin
+// layout's fit unchanged: no numeric value past a dimension's fitted
+// minimum or maximum, no new category, and no equal-depth layout (whose
+// quantiles move with any append). Every other Advance rebuilds, refitting
+// the layouts to the current table. Either way the result is what
+// Maintain over the current table would produce.
 //
-// Distribution drift forces the other kind of rebuild: when the
-// cumulative fraction of appended values escaping any pinned bin layout
-// reaches the configured threshold, Advance discards the extension and
-// rebuilds from scratch, re-fitting every layout to the current data
-// (Stats.DriftRebuilds). The rebuilt state is exactly what Maintain over
-// the current table would produce; drift accumulation restarts at zero.
+// Refits stay rare on a stationary stream: a batch forces one only by
+// holding a new column extreme, so their expected cost per append is
+// O(batch) amortised.
 func (m *Maintained) Advance() (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -186,19 +169,11 @@ func (m *Maintained) Advance() (bool, error) {
 	// bit-exact prefix extension of the current one by construction — only
 	// the target needs extension checking.
 	if newTarget, ok := m.extendTarget(newRef); ok {
-		if ng, err := genOf(m.cur).ApplyAppend(newRef, newTarget); err == nil {
-			if ng.MaxDriftRate() >= driftThreshold {
-				// The pinned layouts no longer represent the data: re-fit.
-				if err := m.rebuild(newRef, newSeq); err != nil {
-					return false, err
-				}
-				m.driftRebuilds++
-				return true, nil
-			}
+		if ng, ok, err := m.gen.ApplyAppend(newRef, newTarget); ok && err == nil {
 			// The delta-extended generator answers every scan from its
 			// seeded caches; ComputeWorkers then only reassembles the rows.
 			if matrix, err := feature.ComputeWorkers(ng, m.cfg.registry, m.opts.Workers); err == nil {
-				m.cur, m.seq = store.NewVersion(matrix, newTarget, ng), newSeq
+				m.cur, m.gen, m.seq = newVersion(matrix, newTarget, ng), ng, newSeq
 				m.extended++
 				return true, nil
 			}
@@ -221,7 +196,7 @@ func (m *Maintained) extendTarget(newRef *Table) (*Table, bool) {
 	if !m.suffixable {
 		return nil, false
 	}
-	from, to := genOf(m.cur).Ref.NumRows(), newRef.NumRows()
+	from, to := m.gen.Ref.NumRows(), newRef.NumRows()
 	suffix := newRef.Subset(newRef.Name, seqRange(from, to))
 	matches, err := Query(suffix, m.query)
 	if err != nil {
@@ -258,8 +233,8 @@ func (m *Maintained) NewSession() (*Seeker, error) { return m.NewSessionWith(m.o
 // strategies. Knobs that shape the offline state itself (aggregates, bin
 // counts, features, alpha) come from the Maintained and are ignored here.
 func (m *Maintained) NewSessionWith(opts Options) (*Seeker, error) {
-	v, _ := m.Version()
-	return m.NewSessionOn(v, opts)
+	v, ref, _ := m.Version()
+	return m.NewSessionOn(ref, v, opts)
 }
 
 // OfflineVersion is one immutable offline version: the view space,
@@ -268,20 +243,21 @@ func (m *Maintained) NewSessionWith(opts Options) (*Seeker, error) {
 // minted from it.
 type OfflineVersion = store.OfflineResult
 
-// Version returns the current offline version and the live-table
-// sequence it is current to.
-func (m *Maintained) Version() (*OfflineVersion, uint64) {
+// Version returns the current offline version, the table version it was
+// computed over and the live-table sequence that table version has.
+func (m *Maintained) Version() (*OfflineVersion, *Table, uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.cur, m.seq
+	return m.cur, m.gen.Ref, m.seq
 }
 
 // NewSessionOn is NewSessionWith on a version this Maintained published
-// (Version), however far the table has advanced since: a fresh session
-// over exactly that version, which is how a journalled session is
-// replayed bit-identically after eviction.
-func (m *Maintained) NewSessionOn(v *OfflineVersion, opts Options) (*Seeker, error) {
-	return sessionOn(genOf(v).Ref, v, opts, m.cfg, true)
+// and the table version it was computed over (Version), however far the
+// table has advanced since: a fresh session over exactly that version,
+// which is how a journalled session is replayed bit-identically after
+// eviction.
+func (m *Maintained) NewSessionOn(ref *Table, v *OfflineVersion, opts Options) (*Seeker, error) {
+	return sessionOn(ref, v, opts, m.cfg, true)
 }
 
 // Seq returns the live-table sequence the maintained state is current to.
@@ -295,36 +271,26 @@ func (m *Maintained) Seq() uint64 {
 type MaintainedStats struct {
 	// Extended counts Advances that took the incremental path.
 	Extended int
-	// Rebuilt counts fallback rebuilds (non-extendable query results,
-	// shift drift, extension failures). The initial Maintain build is not
-	// counted.
+	// Rebuilt counts rebuilds: appends that changed a layout's fit,
+	// non-row-local queries and extension failures. The initial Maintain
+	// build is not counted.
 	Rebuilt int
-	// DriftRebuilds counts rebuilds triggered by the layout drift
-	// threshold — appended data escaping the pinned bin layouts.
-	DriftRebuilds int
 }
 
 // Stats reports how many Advances took the incremental path versus fell
-// back to a full rebuild, and how many rebuilds were drift-triggered.
+// back to a full rebuild.
 func (m *Maintained) Stats() MaintainedStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return MaintainedStats{Extended: m.extended, Rebuilt: m.rebuilt, DriftRebuilds: m.driftRebuilds}
-}
-
-// DriftRate returns the highest cumulative out-of-range rate across the
-// pinned bin layouts — how much of the appended data the maintained
-// histograms are currently dropping (0 right after a build or re-fit).
-func (m *Maintained) DriftRate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return genOf(m.cur).MaxDriftRate()
+	return MaintainedStats{Extended: m.extended, Rebuilt: m.rebuilt}
 }
 
 // Matrix returns the current version's feature matrix (read-only: its
 // rows are the version's).
 func (m *Maintained) Matrix() *feature.Matrix {
-	v, _ := m.Version()
-	matrix, _ := feature.Rebuild(genOf(v), m.cfg.registry, v.Specs, v.Rows, v.Exact)
+	m.mu.Lock()
+	v, gen := m.cur, m.gen
+	m.mu.Unlock()
+	matrix, _ := feature.Rebuild(gen, m.cfg.registry, v.Specs, v.Rows, v.Exact)
 	return matrix
 }

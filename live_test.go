@@ -5,11 +5,11 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"viewseeker/internal/dataset"
-	"viewseeker/internal/feature"
 	"viewseeker/internal/view"
 )
 
@@ -38,8 +38,19 @@ func seqRows(from, to int) []int {
 	return out
 }
 
+// inFitBatch boxes n rows of base, taken with a stride, as an append
+// batch: every value is already in base, so the batch leaves every bin
+// layout's fit unchanged and Advance may extend.
+func inFitBatch(base *Table, n int) [][]Value {
+	out := make([][]Value, n)
+	for i := range out {
+		out[i] = base.Row(i * 37 % base.NumRows())
+	}
+	return out
+}
+
 func TestMaintainedAdvanceMatchesRebuild(t *testing.T) {
-	base, batch := liveSYN(t, 3000, 300)
+	base, _ := liveSYN(t, 3000, 0)
 	lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "syn.wal"), base, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +62,7 @@ func TestMaintainedAdvanceMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lt.Append(batch); err != nil {
+	if _, err := lt.Append(inFitBatch(base, 300)); err != nil {
 		t.Fatal(err)
 	}
 	changed, err := m.Advance()
@@ -64,52 +75,89 @@ func TestMaintainedAdvanceMatchesRebuild(t *testing.T) {
 	if st := m.Stats(); st.Extended != 1 || st.Rebuilt != 0 {
 		t.Fatalf("stats: extended %d rebuilt %d, want the incremental path", st.Extended, st.Rebuilt)
 	}
-
-	// Oracle: a full recompute over the appended tables with the base's
-	// pinned layouts (delta maintenance pins layouts by design — a fresh
-	// Maintain would re-fit bin boundaries to the new data and legitimately
-	// differ). A cold generator's ApplyAppend carries exactly the pinned
-	// layouts and empty caches, so Compute over it is a from-scratch pass.
-	newRef := lt.Current()
-	baseTarget, err := Query(base, dataset.SYNQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseTarget.Name = base.Name + "_dq"
-	newTarget, err := Query(newRef, dataset.SYNQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newTarget.Name = newRef.Name + "_dq"
-	spaceCfg := view.SpaceConfig{BinCounts: opts.BinCounts}.Normalized()
-	cold, err := view.NewGenerator(base, baseTarget, spaceCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch, err := cold.ApplyAppend(newRef, newTarget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := feature.ComputeWorkers(scratch, feature.StandardRegistry(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Matrix()
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("matrix rows %d vs %d", len(got.Rows), len(want.Rows))
-	}
-	for i := range got.Rows {
-		for j := range got.Rows[i] {
-			if math.Float64bits(got.Rows[i][j]) != math.Float64bits(want.Rows[i][j]) {
-				t.Fatalf("matrix[%d][%d] = %v, rebuild %v — delta maintenance is not bit-identical",
-					i, j, got.Rows[i][j], want.Rows[i][j])
-			}
-		}
-	}
+	requireColdEqual(t, lt, m, dataset.SYNQuery, opts)
 
 	// Idempotence: no new appends, no work.
 	if changed, err := m.Advance(); err != nil || changed {
 		t.Fatalf("no-op Advance: changed %v err %v", changed, err)
+	}
+}
+
+// sameBits reports whether two float slices are equal bit for bit (so a
+// NaN equals the same NaN).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// samePair reports whether two view pairs are equal bit for bit.
+func samePair(a, b *Pair) bool {
+	same := func(x, y *view.Histogram) bool {
+		return reflect.DeepEqual(x.Labels, y.Labels) && math.Float64bits(x.Shift) == math.Float64bits(y.Shift) &&
+			sameBits(x.Values, y.Values) && sameBits(x.Counts, y.Counts) &&
+			sameBits(x.Sums, y.Sums) && sameBits(x.SumSqs, y.SumSqs)
+	}
+	return a.Spec == b.Spec && same(a.Target, b.Target) && same(a.Reference, b.Reference)
+}
+
+// requireColdEqual fails the test unless m's current version is bit for
+// bit what a fresh Maintain and a cold exact New return at the live
+// table's current version — the specs, the feature matrix and every
+// view's pair. The cold New runs over a private copy of the table
+// version, so it shares no reference side with the maintained states.
+func requireColdEqual(t *testing.T, lt *LiveTable, m *Maintained, query string, opts Options) {
+	t.Helper()
+	v, ref, seq := m.Version()
+	if cur, curSeq := lt.Snapshot(); ref != cur || seq != curSeq {
+		t.Fatalf("maintained state at seq %d, the table at %d", seq, curSeq)
+	}
+	fresh, err := Maintain(lt, query, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyOpts := opts
+	copyOpts.Alpha = 1
+	cold, err := New(ref.Subset(ref.Name, seqRows(0, ref.NumRows())), query, copyOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := fresh.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range map[string]*Seeker{"cold New": cold, "fresh Maintain": warm} {
+		if !reflect.DeepEqual(v.Specs, w.Specs()) {
+			t.Fatalf("seq %d: view space differs from a %s", seq, name)
+		}
+		for j, row := range w.FeatureRows() {
+			if !sameBits(v.Rows[j], row) {
+				t.Fatalf("seq %d: %v features %v, %s %v", seq, v.Specs[j], v.Rows[j], name, row)
+			}
+		}
+		for j := range v.Specs {
+			a, err := got.Pair(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := w.Pair(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePair(a, b) {
+				t.Fatalf("seq %d: %v pair differs from a %s", seq, v.Specs[j], name)
+			}
+		}
 	}
 }
 
@@ -195,19 +243,18 @@ func shiftedBatch(full *Table, from, n int, shift float64) [][]Value {
 	return out
 }
 
-// TestMaintainedDriftRebuild is the drift property test: a distribution-
-// shifted append stream triggers exactly one drift rebuild per threshold
-// crossing — the rebuild re-fits the layouts, so a second batch from the
-// same shifted distribution extends instead of rebuilding, and only a
-// further shift crosses again — and the rebuilt state is bit-identical to
-// a fresh Maintain over the full table.
-func TestMaintainedDriftRebuild(t *testing.T) {
+// TestMaintainedRefitRebuild: a distribution-shifted batch moves the
+// dimensions' ranges, so Advance rebuilds with refitted layouts; the same
+// batch again leaves the refitted layouts' fit unchanged and extends; a
+// further shift rebuilds again. Each state equals a fresh Maintain and a
+// cold New at its version.
+func TestMaintainedRefitRebuild(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows := 2000 + rng.Intn(500)
 		batchN := 100 + rng.Intn(100)
 		shift := 2 + rng.Float64()*8
-		full := dataset.GenerateSYN(dataset.SYNConfig{Rows: rows + 3*batchN, Seed: seed})
+		full := dataset.GenerateSYN(dataset.SYNConfig{Rows: rows + 2*batchN, Seed: seed})
 		base := full.Subset(full.Name, seqRows(0, rows))
 		if err := dataset.AssignRoles(base, full.Schema.Dimensions(), full.Schema.Measures()); err != nil {
 			t.Fatal(err)
@@ -222,61 +269,25 @@ func TestMaintainedDriftRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// Crossing 1: the whole batch escapes the pinned layouts.
-		if _, err := lt.Append(shiftedBatch(full, rows, batchN, shift)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Advance(); err != nil {
-			t.Fatal(err)
-		}
-		if st := m.Stats(); st.DriftRebuilds != 1 {
-			t.Fatalf("after shifted batch: stats %+v, want exactly 1 drift rebuild", st)
-		}
-		if r := m.DriftRate(); r != 0 {
-			t.Fatalf("drift rate %g after re-fit, want 0", r)
-		}
-
-		// Same shifted distribution again: the re-fit layouts cover it, so
-		// the incremental path serves it — no second rebuild.
-		if _, err := lt.Append(shiftedBatch(full, rows+batchN, batchN, shift)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Advance(); err != nil {
-			t.Fatal(err)
-		}
-		if st := m.Stats(); st.DriftRebuilds != 1 || st.Extended != 1 {
-			t.Fatalf("after in-distribution batch: stats %+v, want extension without rebuild", st)
-		}
-
-		// Crossing 2: shift past the re-fit layouts.
-		if _, err := lt.Append(shiftedBatch(full, rows+2*batchN, batchN, 3*shift)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Advance(); err != nil {
-			t.Fatal(err)
-		}
-		if st := m.Stats(); st.DriftRebuilds != 2 {
-			t.Fatalf("after second shift: stats %+v, want a second drift rebuild", st)
-		}
-
-		// The drift rebuild is exactly a Maintain-from-scratch on the full
-		// table: same specs, bit-identical feature matrix.
-		fresh, err := Maintain(lt, dataset.SYNQuery, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := m.Matrix(), fresh.Matrix()
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("matrix rows %d vs fresh %d", len(got.Rows), len(want.Rows))
-		}
-		for i := range got.Rows {
-			for j := range got.Rows[i] {
-				if math.Float64bits(got.Rows[i][j]) != math.Float64bits(want.Rows[i][j]) {
-					t.Fatalf("matrix[%d][%d] = %v, fresh Maintain %v — drift rebuild is not bit-identical",
-						i, j, got.Rows[i][j], want.Rows[i][j])
-				}
+		shifted := shiftedBatch(full, rows, batchN, shift)
+		for i, step := range []struct {
+			batch             [][]Value
+			extended, rebuilt int
+		}{
+			{shifted, 0, 1},
+			{shifted, 1, 1},
+			{shiftedBatch(full, rows+batchN, batchN, 3*shift), 1, 2},
+		} {
+			if _, err := lt.Append(step.batch); err != nil {
+				t.Fatal(err)
 			}
+			if _, err := m.Advance(); err != nil {
+				t.Fatal(err)
+			}
+			if st := m.Stats(); st.Extended != step.extended || st.Rebuilt != step.rebuilt {
+				t.Fatalf("after batch %d: stats %+v, want %d extended and %d rebuilt", i, st, step.extended, step.rebuilt)
+			}
+			requireColdEqual(t, lt, m, dataset.SYNQuery, opts)
 		}
 		return true
 	}
@@ -291,7 +302,8 @@ func TestMaintainedDriftRebuild(t *testing.T) {
 // over the full current table.
 func TestMaintainedProjectionSuffix(t *testing.T) {
 	query := "SELECT d1, d2, d3, d4, d5, m1, m2, m3, m4, m5 FROM syn WHERE d1 < 0.0707 AND d2 < 0.0707"
-	base, batch := liveSYN(t, 2000, 300)
+	base, _ := liveSYN(t, 2000, 0)
+	batch := inFitBatch(base, 300)
 	lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "syn.wal"), base, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +319,7 @@ func TestMaintainedProjectionSuffix(t *testing.T) {
 	if _, err := m.Advance(); err != nil {
 		t.Fatal(err)
 	}
-	if st := m.Stats(); st.Extended != 1 || st.Rebuilt != 0 || st.DriftRebuilds != 0 {
+	if st := m.Stats(); st.Extended != 1 || st.Rebuilt != 0 {
 		t.Fatalf("stats %+v: the projection did not take the suffix fast path", st)
 	}
 
@@ -352,7 +364,7 @@ func TestMaintainedOrderByRebuilds(t *testing.T) {
 	if changed, err := m.Advance(); err != nil || !changed {
 		t.Fatalf("Advance: changed %v err %v", changed, err)
 	}
-	if st := m.Stats(); st.Rebuilt != 1 || st.Extended != 0 || st.DriftRebuilds != 0 {
+	if st := m.Stats(); st.Rebuilt != 1 || st.Extended != 0 {
 		t.Fatalf("stats %+v, want one rebuild", st)
 	}
 
@@ -371,8 +383,8 @@ func TestMaintainedOrderByRebuilds(t *testing.T) {
 			}
 		}
 	}
-	gv, _ := m.Version()
-	wv, _ := fresh.Version()
+	gv, _, _ := m.Version()
+	wv, _, _ := fresh.Version()
 	gt, wt := gv.TargetTable(), wv.TargetTable()
 	if gt.NumRows() != wt.NumRows() {
 		t.Fatalf("target has %d rows, fresh Maintain %d", gt.NumRows(), wt.NumRows())
@@ -448,5 +460,150 @@ func TestMaintainedAllNullColumnExtends(t *testing.T) {
 		if !reflect.DeepEqual(a.Target.Values, b.Target.Values) {
 			t.Errorf("%v: maintained %v, rebuilt %v", fresh.Specs()[i], a.Target.Values, b.Target.Values)
 		}
+	}
+}
+
+// streamSchema is the property stream's table: a string, a bool, a float
+// and an int dimension, a float measure with NaN, an int measure, and a
+// float measure that starts all NULL.
+var streamSchema = dataset.MustSchema(
+	dataset.ColumnDef{Name: "c", Kind: dataset.KindString, Role: dataset.RoleDimension},
+	dataset.ColumnDef{Name: "b", Kind: dataset.KindBool, Role: dataset.RoleDimension},
+	dataset.ColumnDef{Name: "x", Kind: dataset.KindFloat, Role: dataset.RoleDimension},
+	dataset.ColumnDef{Name: "k", Kind: dataset.KindInt, Role: dataset.RoleDimension},
+	dataset.ColumnDef{Name: "m", Kind: dataset.KindFloat, Role: dataset.RoleMeasure},
+	dataset.ColumnDef{Name: "mi", Kind: dataset.KindInt, Role: dataset.RoleMeasure},
+	dataset.ColumnDef{Name: "mn", Kind: dataset.KindFloat, Role: dataset.RoleMeasure},
+)
+
+// streamQueries are the two maintained queries of a stream; the base
+// table always holds rows for both.
+var streamQueries = [...]string{
+	"SELECT * FROM t WHERE x < 0.5",
+	"SELECT * FROM t WHERE c = 'a' OR k > 5",
+}
+
+// streamRow draws one row. kind picks what the row may carry beyond
+// in-range values: 0 in range only, 1 NULLs and NaN, 2 new extremes and
+// ±Inf, 3 new categories, 4 a first value for the all-NULL measure.
+func streamRow(rng *rand.Rand, kind int) []Value {
+	f := dataset.Float
+	pick := func(vals ...Value) Value { return vals[rng.Intn(len(vals))] }
+	row := []Value{
+		pick(dataset.StringVal("a"), dataset.StringVal("b"), dataset.StringVal("c")),
+		dataset.Bool(rng.Intn(2) == 0),
+		f(float64(rng.Intn(9)) / 8),
+		dataset.Int(int64(rng.Intn(11))),
+		f(rng.NormFloat64() * 10),
+		dataset.Int(int64(rng.Intn(100))),
+		dataset.Null,
+	}
+	switch kind {
+	case 1:
+		for _, j := range []int{0, 1, 2, 3, 4, 5} {
+			if rng.Intn(3) == 0 {
+				row[j] = dataset.Null
+			}
+		}
+		if rng.Intn(2) == 0 {
+			row[2] = f(math.NaN())
+		}
+		row[4] = pick(row[4], f(math.NaN()), dataset.Null)
+	case 2:
+		row[2] = pick(f(-1-rng.Float64()), f(2+rng.Float64()), f(math.Inf(1)), f(math.Inf(-1)))
+		row[3] = pick(dataset.Int(-3), dataset.Int(20))
+		row[4] = pick(f(-1e12), f(1e12))
+	case 3:
+		row[0] = pick(dataset.StringVal("new"), dataset.StringVal(""), dataset.StringVal("a"))
+	case 4:
+		row[6] = f(rng.NormFloat64())
+	}
+	return row
+}
+
+// TestMaintainedMatchesColdProperty is the IVM ≡ rebuild property test:
+// random append streams — in-range batches, new minima and maxima, NaN
+// and ±Inf, NULLs and new categories, an all-NULL measure gaining its
+// first value — drive two maintained queries on one live table, under
+// {3,4} equal-width and under equal-depth bin configurations. The two
+// states advance concurrently; after every Advance each must equal a
+// fresh Maintain and a cold exact New at that version bit for bit
+// (requireColdEqual), and the two must scan one reference side.
+func TestMaintainedMatchesColdProperty(t *testing.T) {
+	var extended, rebuilt int
+	f := func(seed int64, equalDepth bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		base := dataset.NewTable("t", streamSchema)
+		base.MustAppendRow(streamRow(rng, 0)...)
+		base.MustAppendRow(dataset.StringVal("a"), dataset.Bool(true), dataset.Float(0), dataset.Int(0),
+			dataset.Float(1), dataset.Int(1), dataset.Null)
+		for i := 0; i < 40+rng.Intn(40); i++ {
+			base.MustAppendRow(streamRow(rng, 0)...)
+		}
+		lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "t.wal"), base, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lt.Close()
+		opts := Options{K: 3, BinCounts: []int{3, 4}, EqualDepth: equalDepth}
+		var states [len(streamQueries)]*Maintained
+		for i, q := range streamQueries {
+			if states[i], err = Maintain(lt, q, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := 0; step < 6; step++ {
+			kind := rng.Intn(5)
+			batch := make([][]Value, 1+rng.Intn(6))
+			for i := range batch {
+				batch[i] = streamRow(rng, kind)
+			}
+			if _, err := lt.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			// The two states advance at once, racing to extend the
+			// parent's reference side into the new version's.
+			var wg sync.WaitGroup
+			var errs [len(states)]error
+			for i, m := range states {
+				wg.Add(1)
+				go func(i int, m *Maintained) {
+					defer wg.Done()
+					_, errs[i] = m.Advance()
+				}(i, m)
+			}
+			wg.Wait()
+			for i, m := range states {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				requireColdEqual(t, lt, m, streamQueries[i], opts)
+			}
+			for _, spec := range states[0].gen.Specs() {
+				r0, _, err := states[0].gen.LayoutStats(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r1, _, err := states[1].gen.LayoutStats(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r0 != r1 {
+					t.Fatalf("step %d: the maintained states scan %v over two reference sides", step, spec)
+				}
+			}
+		}
+		for _, m := range states {
+			st := m.Stats()
+			extended += st.Extended
+			rebuilt += st.Rebuilt
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+		t.Error(err)
+	}
+	if extended == 0 || rebuilt == 0 {
+		t.Fatalf("streams extended %d and rebuilt %d times: both paths must run", extended, rebuilt)
 	}
 }

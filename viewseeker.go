@@ -335,30 +335,32 @@ func runExplorationQuery(ctx context.Context, table *Table, query string) (*Tabl
 // buildVersion runs the offline phase of query over table — the one path
 // that makes an offline version: the exploration query carves DQ, the
 // view space is enumerated and the feature pass runs (on an α-sample when
-// cfg's alpha < 1). The version carries its DQ. An owning version keeps
-// the generator for life (a maintained state, whose scans the next
-// Advance extends); any other lends this pass's warm scans to its
-// sessions (OfflineResult.Generator).
-func buildVersion(ctx context.Context, table *Table, query string, cfg offlineConfig, workers int, own bool) (*store.OfflineResult, error) {
+// cfg's alpha < 1). The version carries its DQ and is lent this pass's
+// generator, warm scans and all (OfflineResult.Generator), which it
+// returns too: a maintained state holds it for its next Advance to extend.
+func buildVersion(ctx context.Context, table *Table, query string, cfg offlineConfig, workers int) (*store.OfflineResult, *view.Generator, error) {
 	target, err := runExplorationQuery(ctx, table, query)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	gen, err := view.NewGenerator(table, target, cfg.spaceCfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The α-sample pass at α = 1 is the exact pass.
 	matrix, err := feature.ComputePartialWorkersCtx(ctx, gen, cfg.registry, cfg.key.Alpha, workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if own {
-		return store.NewVersion(matrix, target, gen), nil
-	}
-	v := store.NewVersion(matrix, target, nil)
+	return newVersion(matrix, target, gen), gen, nil
+}
+
+// newVersion makes the offline version of matrix over target and lends it
+// gen, the generator matrix was computed on.
+func newVersion(matrix *feature.Matrix, target *Table, gen *view.Generator) *store.OfflineResult {
+	v := store.NewVersion(matrix, target)
 	v.Generator(func() (*view.Generator, error) { return gen, nil })
-	return v, nil
+	return v
 }
 
 // New builds a session: query carves the exploration subset DQ out of the
@@ -411,7 +413,7 @@ func NewCtx(ctx context.Context, table *Table, query string, opts Options) (*See
 			// collision or corruption) degrades to recomputation.
 		}
 	}
-	v, err := buildVersion(ctx, table, query, cfg, opts.Workers, false)
+	v, _, err := buildVersion(ctx, table, query, cfg, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
