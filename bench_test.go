@@ -468,56 +468,6 @@ func classifierOnlySession(tb *exp.Testbed, user *sim.User, k, budget int, seed 
 	return sim.Precision(pred, user.Scores(), k)
 }
 
-// BenchmarkAblationBinning compares equal-width against equal-depth
-// binning of the SYN numeric dimensions on labels-to-precision.
-func BenchmarkAblationBinning(b *testing.B) {
-	fn := sim.IdealFunctions()[1] // 1.0*EMD
-	for _, equalDepth := range []bool{false, true} {
-		name := "equal-width"
-		if equalDepth {
-			name = "equal-depth"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.StopTimer()
-			ref := dataset.GenerateSYN(dataset.SYNConfig{Rows: 30_000, Seed: 1})
-			cat := sqlCatalogFor(b, ref)
-			tgt, err := cat.Query(dataset.SYNQuery)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tgt.Name = "dq"
-			gen, err := view.NewGenerator(ref, tgt, view.SpaceConfig{BinCounts: []int{3, 4}, EqualDepth: equalDepth})
-			if err != nil {
-				b.Fatal(err)
-			}
-			reg := feature.StandardRegistry()
-			matrix, err := feature.ComputeWorkers(gen, reg, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			user, err := sim.NewUser(fn, matrix)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			total := 0.0
-			for i := 0; i < b.N; i++ {
-				seeker, err := core.NewSeeker(matrix, core.Config{K: 10}, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := (&sim.Runner{Seeker: seeker, User: user, K: 10,
-					MaxLabels: 100, Criterion: sim.StopAtFullPrecision}).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += float64(res.LabelsUsed)
-			}
-			b.ReportMetric(total/float64(b.N), "labels")
-		})
-	}
-}
-
 func sqlCatalogFor(b *testing.B, tables ...*dataset.Table) *sql.Catalog {
 	b.Helper()
 	c := sql.NewCatalog()

@@ -50,15 +50,12 @@ b,6,92`
 	if err := viewseeker.AssignRoles(table, []string{"kind"}, []string{"size", "weight"}); err != nil {
 		panic(err)
 	}
-	s, err := viewseeker.New(table, "SELECT * FROM items WHERE kind = 'b'", viewseeker.Options{
-		K:    1,
-		Aggs: []string{"AVG"},
-	})
+	s, err := viewseeker.New(table, "SELECT * FROM items WHERE kind = 'b'", viewseeker.Options{K: 1})
 	if err != nil {
 		panic(err)
 	}
-	// The "user" loves the weight view and shrugs at the size view.
-	for i := 0; i < 2; i++ {
+	// The "user" loves the weight views and shrugs at the size views.
+	for i := 0; i < 4; i++ {
 		v, err := s.Next()
 		if err != nil {
 			panic(err)
@@ -74,8 +71,8 @@ b,6,92`
 	fmt.Printf("%d candidate views, %d labelled\n", s.NumViews(), s.NumLabels())
 	fmt.Printf("top view: %s\n", s.TopK()[0].Spec)
 	// Output:
-	// 2 candidate views, 2 labelled
-	// top view: AVG(weight) BY kind
+	// 10 candidate views, 4 labelled
+	// top view: MIN(weight) BY kind
 }
 
 // ExampleSeeker_SQL exports a recommended view back to SQL.
@@ -85,15 +82,20 @@ x,1
 y,2`
 	table, _ := viewseeker.ReadCSV("t", strings.NewReader(csv))
 	_ = viewseeker.AssignRoles(table, []string{"kind"}, []string{"v"})
-	s, err := viewseeker.New(table, "SELECT * FROM t WHERE kind = 'x'", viewseeker.Options{Aggs: []string{"SUM"}})
+	s, err := viewseeker.New(table, "SELECT * FROM t WHERE kind = 'x'", viewseeker.Options{})
 	if err != nil {
 		panic(err)
 	}
-	query, err := s.SQL(0)
-	if err != nil {
-		panic(err)
+	for i, spec := range s.Specs() {
+		if spec.Agg != "SUM" {
+			continue
+		}
+		query, err := s.SQL(i)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Println(query)
 	}
-	fmt.Println(query)
 	// Output:
 	// SELECT kind, SUM(v) AS val FROM t GROUP BY kind ORDER BY kind
 }

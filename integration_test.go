@@ -141,12 +141,4 @@ func TestEndToEndWorkflow(t *testing.T) {
 		}
 	}
 
-	// 7. Diversified view of the same session.
-	diverse, err := resumed.TopKDiverse(0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diverse) != 3 {
-		t.Fatalf("diverse topk = %d", len(diverse))
-	}
 }

@@ -26,8 +26,6 @@ const refineCap = 24
 type Config struct {
 	// K is the recommendation size (default 10).
 	K int
-	// M is the number of views presented per iteration (Table 1 default 1).
-	M int
 	// Strategy is the main-phase query strategy (default
 	// &active.Uncertainty{}).
 	Strategy active.Strategy
@@ -51,9 +49,6 @@ func (c Config) withDefaults() Config {
 	if c.K <= 0 {
 		c.K = 10
 	}
-	if c.M <= 0 {
-		c.M = 1
-	}
 	if c.Strategy == nil {
 		c.Strategy = &active.Uncertainty{}
 	}
@@ -61,8 +56,8 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.K < 0 || c.M < 0 {
-		return fmt.Errorf("core: negative K or M")
+	if c.K < 0 {
+		return fmt.Errorf("core: negative K")
 	}
 	return nil
 }

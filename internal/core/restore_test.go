@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"viewseeker/internal/active"
@@ -13,7 +14,7 @@ import (
 // density cache has to follow the rows refinement rewrote, exactly as the
 // restored session computes it from the rows as they stand.
 func TestDensityRestoreMatchesOriginal(t *testing.T) {
-	cfg := func() Config { return Config{K: 5, M: 5, Strategy: &active.DensityWeighted{}} }
+	cfg := func() Config { return Config{K: 5, Strategy: &active.DensityWeighted{}} }
 	orig, err := NewSeeker(buildMatrix(t, 0.25), cfg(), true)
 	if err != nil {
 		t.Fatal(err)
@@ -48,20 +49,29 @@ func TestDensityRestoreMatchesOriginal(t *testing.T) {
 	if err := restored.Restore(orig.State()); err != nil {
 		t.Fatal(err)
 	}
-	want, err := restored.NextViews()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := orig.NextViews()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("original picks %v, restored picks %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("original picks %v, restored picks %v", got, want)
+	// Each presents one view per iteration; both follow the same labels
+	// for a few rounds and must pick the same view every time.
+	for round := 0; round < 5; round++ {
+		want, err := restored.NextViews()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := orig.NextViews()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: original picks %v, restored picks %v", round, got, want)
+		}
+		if len(got) == 0 {
+			break
+		}
+		label := float64(round%2)*0.8 + 0.1
+		if err := orig.Feedback(got[0], label); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Feedback(want[0], label); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -104,9 +104,10 @@ func (s *Seeker) Labels() (indices []int, labels []float64) {
 // positive and negative labels.
 func (s *Seeker) InColdStart() bool { return !(s.havePositive && s.haveNegative) }
 
-// NextViews selects the views to present this iteration: the cold-start
-// walk until both a positive and a negative label exist, then the
-// configured query strategy. It returns nil when every view is labelled.
+// NextViews selects the view to present this iteration (Table 1: one per
+// iteration): the cold-start walk until both a positive and a negative
+// label exist, then the configured query strategy. It returns nil when
+// every view is labelled.
 func (s *Seeker) NextViews() ([]int, error) {
 	return s.NextViewsCtx(context.Background())
 }
@@ -131,11 +132,11 @@ func (s *Seeker) NextViewsCtx(ctx context.Context) ([]int, error) {
 	var idxs []int
 	var err error
 	if s.InColdStart() {
-		idxs, err = s.cold.Select(s.matrix.Rows, nil, s.labeled, s.cfg.M)
+		idxs, err = s.cold.Select(s.matrix.Rows, nil, s.labeled, 1)
 	} else {
 		var scaler *ml.Scaler
 		if scaler, err = s.wholeSpaceScaler(); err == nil {
-			idxs, err = s.cfg.Strategy.Select(s.matrix.Rows, scaler, s.labeled, s.cfg.M)
+			idxs, err = s.cfg.Strategy.Select(s.matrix.Rows, scaler, s.labeled, 1)
 		}
 	}
 	if reg != nil {

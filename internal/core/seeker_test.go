@@ -67,7 +67,7 @@ func TestSeekerColdStartTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(next) != 1 {
-		t.Fatalf("M defaults to 1, got %d views", len(next))
+		t.Fatalf("an iteration presents one view, got %d", len(next))
 	}
 	// A positive then a negative label ends cold start.
 	if err := s.Feedback(next[0], 0.9); err != nil {

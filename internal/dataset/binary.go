@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // binaryTable is the gob wire format: schema plus raw column slices. It
@@ -82,24 +81,4 @@ func ReadBinary(r io.Reader) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// WriteBinaryFile writes the table to a file.
-func WriteBinaryFile(t *Table, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return WriteBinary(t, f)
-}
-
-// ReadBinaryFile reads a table from a file written by WriteBinaryFile.
-func ReadBinaryFile(path string) (*Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
 }

@@ -38,17 +38,6 @@ func WriteSchema(t *Table, w io.Writer) error {
 	return enc.Encode(sf)
 }
 
-// ApplySchema reads a schema sidecar and applies its roles (and name) to a
-// freshly loaded table. Kinds are verified, not coerced: a mismatch means
-// the CSV and sidecar have drifted apart and is reported as an error.
-func ApplySchema(t *Table, r io.Reader) error {
-	sf, err := decodeSchemaFile(r)
-	if err != nil {
-		return err
-	}
-	return sf.apply(t)
-}
-
 func decodeSchemaFile(r io.Reader) (*schemaFile, error) {
 	var sf schemaFile
 	if err := json.NewDecoder(r).Decode(&sf); err != nil {

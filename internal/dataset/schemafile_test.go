@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -124,10 +125,21 @@ func TestBinaryFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.bin")
 	orig := GenerateSYN(SYNConfig{Rows: 100, Seed: 1})
-	if err := WriteBinaryFile(orig, path); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinaryFile(path)
+	if err := WriteBinary(orig, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = os.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	back, err := ReadBinary(f)
 	if err != nil {
 		t.Fatal(err)
 	}

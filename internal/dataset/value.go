@@ -167,12 +167,6 @@ func Compare(a, b Value) int {
 	}
 }
 
-// Equal reports whether two values compare equal under Compare semantics,
-// except that NULL never equals anything, including NULL (SQL semantics are
-// applied by the SQL evaluator; Equal here is the storage-level notion used
-// for grouping, where NULLs do group together).
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
 // ParseValue infers the most specific kind for a CSV token: int, then
 // float, then bool, then string. Empty strings parse as NULL.
 func ParseValue(s string) Value {

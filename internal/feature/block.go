@@ -77,15 +77,14 @@ func measureBlockFor(rs, ts *view.Stats, measure string) (measureBlock, error) {
 // χ² score remain. Rows are bit-identical to Registry.Vector, the
 // per-pair oracle the tests hold them to. That oracle takes its deviation
 // columns from metric.DeviationsAll too, so it checks the distribution
-// extraction, USABILITY, ACCURACY, the χ² score and the custom and
-// quadratic columns; the deviation arithmetic itself is pinned by
-// metric's scalar oracle (TestDeviationsAllMatchesScalar).
+// extraction, USABILITY, ACCURACY, the χ² score and the custom columns;
+// the deviation arithmetic itself is pinned by metric's scalar oracle
+// (TestDeviationsAllMatchesScalar).
 //
 // rows[j], the row of view idxs[j], must be pre-sized to the registry's
 // length; the standard-eight prefix is written in place. Custom columns
 // come from per-pair computation over a Histogram pair assembled from the
-// same statistics, and quadratic columns last, as products of the row's
-// own columns.
+// same statistics.
 func (r *Registry) fillBlockRows(rs, ts *view.Stats,
 	specs []view.Spec, idxs []int, rows [][]float64, sc *blockScratch) error {
 	nb := ts.Layout.NumBins()
@@ -128,13 +127,10 @@ func (r *Registry) fillBlockRows(rs, ts *view.Stats,
 			return fmt.Errorf("feature: computing %s for %s: %w", PValue, s, err)
 		}
 		row[7] = pv
-		if r.custom > 0 {
+		if len(r.feats) > numStd {
 			if err := r.customFromStats(s, rs, ts, row); err != nil {
 				return err
 			}
-		}
-		for _, p := range r.products {
-			row[p.col] = row[p.a] * row[p.b]
 		}
 	}
 	return nil
@@ -151,9 +147,6 @@ func (r *Registry) customFromStats(s view.Spec, rs, ts *view.Stats, row []float6
 	}
 	for j := numStd; j < len(r.feats); j++ {
 		f := r.feats[j]
-		if f.Compute == nil {
-			continue // a quadratic column, filled from the row
-		}
 		v, err := f.Compute(p)
 		if err != nil {
 			return fmt.Errorf("feature: computing %s for %s: %w", f.Name, s, err)

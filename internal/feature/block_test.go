@@ -53,23 +53,16 @@ func randomTable(t *testing.T, rng *rand.Rand) (ref, tgt *dataset.Table) {
 }
 
 // oracleRegistries returns the registries the block kernel is checked
-// under: the standard eight, a registry with one custom feature, and that
-// registry with quadratic products. Columns past the eighth ride the
-// per-pair interface on top of a block fill.
+// under: the standard eight and a registry with one custom feature.
+// Columns past the eighth ride the per-pair interface on top of a block
+// fill.
 func oracleRegistries(t *testing.T) map[string]*Registry {
 	t.Helper()
 	custom := StandardRegistry()
 	if err := custom.Add(trendDiff); err != nil {
 		t.Fatal(err)
 	}
-	quadratic := StandardRegistry()
-	if err := quadratic.Add(trendDiff); err != nil {
-		t.Fatal(err)
-	}
-	if err := AddQuadratic(quadratic); err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*Registry{"standard": StandardRegistry(), "custom": custom, "quadratic": quadratic}
+	return map[string]*Registry{"standard": StandardRegistry(), "custom": custom}
 }
 
 // trendDiff is a custom feature that reads the pair's bar heights, not
@@ -82,12 +75,12 @@ var trendDiff = Feature{Name: "TREND_DIFF", Compute: func(p *view.Pair) (float64
 // TestBlockFillMatchesPerPairQuick is the property test pinning the
 // layout-block fill bit-identical to the per-pair oracle: across random
 // tables, null patterns and bin configurations, the exact and α-sampled
-// matrices must match perPairMatrix float for float — for the standard,
-// custom and quadratic registries alike.
+// matrices must match perPairMatrix float for float — for the standard
+// and custom registries alike.
 func TestBlockFillMatchesPerPairQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	regs := oracleRegistries(t)
-	names := []string{"standard", "custom", "quadratic"}
+	names := []string{"standard", "custom"}
 	for trial := 0; trial < 12; trial++ {
 		ref, tgt := randomTable(t, rng)
 		cfg := view.SpaceConfig{BinCounts: []int{2 + rng.Intn(4), 6 + rng.Intn(6)}}

@@ -23,8 +23,7 @@
 // Add only appends), so every matrix is filled layout-block-at-a-time
 // through internal/metric's fused kernels (block.go); custom features
 // past the eighth column ride the per-pair Feature interface over a pair
-// assembled from the same statistics, and quadratic columns are products
-// of the filled row's columns. The whole-row per-pair path —
+// assembled from the same statistics. The whole-row per-pair path —
 // Registry.Vector over each view's Histogram pair, with the standard
 // eight's per-pair closures — is kept in test code as the bit-identity
 // oracle the block fill must match exactly. Rows from an

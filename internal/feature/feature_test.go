@@ -247,63 +247,3 @@ func TestCustomFeature(t *testing.T) {
 		t.Errorf("custom feature = %v", m.Rows[0][8])
 	}
 }
-
-func TestAddQuadratic(t *testing.T) {
-	r := StandardRegistry()
-	mustAdd := func(f Feature) {
-		if err := r.Add(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAdd(Feature{Name: "A", Compute: func(p *view.Pair) (float64, error) { return 2, nil }})
-	mustAdd(Feature{Name: "B", Compute: func(p *view.Pair) (float64, error) { return 3, nil }})
-	if err := AddQuadratic(r); err != nil {
-		t.Fatal(err)
-	}
-	// 10 base features + their 55 products, squares included.
-	if r.Len() != 65 {
-		t.Fatalf("features = %d, want 65", r.Len())
-	}
-	g := demoGenerator(t)
-	p, err := g.Pair(view.Spec{Dimension: "cat", Measure: "m", Agg: "COUNT"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec, err := r.Vector(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, w := range map[string]float64{"A": 2, "B": 3, "A*A": 4, "A*B": 6, "B*B": 9} {
-		if got := vec[r.Index(name)]; got != w {
-			t.Errorf("feature %s = %v, want %v", name, got, w)
-		}
-	}
-	// Calling twice duplicates names and must fail cleanly.
-	if err := AddQuadratic(r); err == nil {
-		t.Error("second AddQuadratic should fail on duplicate names")
-	}
-}
-
-func TestQuadraticCapturesProductTarget(t *testing.T) {
-	// u* = KL·EMD is not linear in the base features but is linear in the
-	// quadratic expansion — the estimator must fit it exactly.
-	g := demoGenerator(t)
-	r := StandardRegistry()
-	if err := AddQuadratic(r); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ComputeWorkers(g, r, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prodIdx := r.Index("KL*EMD")
-	if prodIdx < 0 {
-		t.Fatal("missing KL*EMD feature")
-	}
-	kl, emd := r.Index("KL"), r.Index("EMD")
-	for i, row := range m.Rows {
-		if diff := row[prodIdx] - row[kl]*row[emd]; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("row %d product feature mismatch", i)
-		}
-	}
-}

@@ -27,22 +27,14 @@ type Feature struct {
 
 // Registry is an ordered, name-unique collection of features. Every
 // registry starts with the standard eight of StandardRegistry, in order:
-// StandardRegistry is the only constructor, and Add and AddQuadratic only
-// append. The layout-block kernel (block.go) fills the first eight
-// columns straight from layout statistics; custom features ride behind
-// them, from column eight on, through their per-pair Compute; quadratic
-// columns are products of earlier columns of the same row.
+// StandardRegistry is the only constructor, and Add only appends. The
+// layout-block kernel (block.go) fills the first eight columns straight
+// from layout statistics; custom features ride behind them, from column
+// eight on, through their per-pair Compute.
 type Registry struct {
 	feats []Feature
 	index map[string]int
-	// custom counts the features Add registered (those with a Compute).
-	custom int
-	// products are AddQuadratic's columns: row[col] = row[a] * row[b].
-	products []product
 }
-
-// product is one quadratic column and the two columns it multiplies.
-type product struct{ col, a, b int }
 
 // StandardRegistry returns the paper's eight utility features: the five
 // deviation measures between target and reference distributions, plus
@@ -58,28 +50,6 @@ func StandardRegistry() *Registry {
 	return r
 }
 
-// AddQuadratic extends a registry with the pairwise products of its
-// current features (including squares), named "A*B". A linear estimator
-// over the extended space captures multiplicative utility functions —
-// e.g. u* = EMD·KL — that the paper's linear composition (Eq. 4) cannot.
-// Call it after all base features are registered.
-func AddQuadratic(r *Registry) error {
-	n := len(r.feats)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			name := r.feats[i].Name + "*" + r.feats[j].Name
-			if _, dup := r.index[name]; dup {
-				return fmt.Errorf("feature: duplicate feature %q", name)
-			}
-			col := len(r.feats)
-			r.index[name] = col
-			r.feats = append(r.feats, Feature{Name: name})
-			r.products = append(r.products, product{col: col, a: i, b: j})
-		}
-	}
-	return nil
-}
-
 // Add appends a custom feature. Names must be unique and non-empty.
 func (r *Registry) Add(f Feature) error {
 	if f.Name == "" || f.Compute == nil {
@@ -90,7 +60,6 @@ func (r *Registry) Add(f Feature) error {
 	}
 	r.index[f.Name] = len(r.feats)
 	r.feats = append(r.feats, f)
-	r.custom++
 	return nil
 }
 

@@ -74,22 +74,13 @@ func (m *Matrix) RefreshRow(i int) error {
 
 // Vector computes all features for one pair, in registry order: the
 // per-pair specification of one matrix row. Standard columns come from
-// standardOracle, custom ones from their Compute, and quadratic ones are
-// products of the two per-pair values they multiply.
+// standardOracle, custom ones from their Compute.
 func (r *Registry) Vector(p *view.Pair) ([]float64, error) {
 	out := make([]float64, len(r.feats))
-	products := make(map[int]product, len(r.products))
-	for _, q := range r.products {
-		products[q.col] = q
-	}
 	for i, f := range r.feats {
 		compute := f.Compute
 		if i < numStd {
 			compute = standardOracle[i]
-		}
-		if q, ok := products[i]; ok {
-			out[i] = out[q.a] * out[q.b]
-			continue
 		}
 		v, err := compute(p)
 		if err != nil {

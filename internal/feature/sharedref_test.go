@@ -40,8 +40,8 @@ func offlinePasses(ref, tgt *dataset.Table, cfg view.SpaceConfig, workers int) (
 }
 
 // TestSharedRefMatchesPrivate is the shared ≡ private differential test:
-// over random tables (NULLs, categorical and numeric dimensions,
-// equal-depth on and off), generators with different targets run their
+// over random tables (NULLs, categorical and numeric dimensions),
+// generators with different targets run their
 // exact and α-sampled passes concurrently against one shared reference
 // side, and every matrix must be bit-identical to the one computed over a
 // deep copy of the reference, which shares nothing.
@@ -49,7 +49,7 @@ func TestSharedRefMatchesPrivate(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ref, _ := randomTable(t, rng)
-		cfg := view.SpaceConfig{BinCounts: []int{3, 4}, EqualDepth: seed%2 == 0}
+		cfg := view.SpaceConfig{BinCounts: []int{3, 4}}
 		targets := make([]*dataset.Table, 6)
 		for i := range targets {
 			var sel []int

@@ -126,11 +126,6 @@ var DurationBuckets = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
-// ByteBuckets is the standard size layout: 1 KiB up to 256 MiB.
-var ByteBuckets = []float64{
-	1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20,
-}
-
 // Registry is a named collection of metrics. Handle lookups get-or-create
 // under a short critical section; the returned handles are stable and
 // lock-free, so callers on hot paths resolve once and hold the pointer.

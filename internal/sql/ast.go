@@ -278,9 +278,9 @@ var aggregateFuncs = map[string]bool{
 	"VARIANCE": true, "STDDEV": true,
 }
 
-// IsAggregateCall reports whether the expression is a direct aggregate
+// isAggregateCall reports whether the expression is a direct aggregate
 // function call.
-func IsAggregateCall(e Expr) bool {
+func isAggregateCall(e Expr) bool {
 	c, ok := e.(*Call)
 	return ok && aggregateFuncs[c.Func]
 }

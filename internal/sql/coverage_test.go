@@ -59,13 +59,13 @@ func TestNullArithmeticAndNot(t *testing.T) {
 
 func TestIsAggregateCall(t *testing.T) {
 	s := mustParse(t, "SELECT SUM(a), SUM(a) + 1, b FROM t GROUP BY b")
-	if !IsAggregateCall(s.Items[0].Expr) {
+	if !isAggregateCall(s.Items[0].Expr) {
 		t.Error("SUM(a) is an aggregate call")
 	}
-	if IsAggregateCall(s.Items[1].Expr) {
+	if isAggregateCall(s.Items[1].Expr) {
 		t.Error("SUM(a)+1 is not a *direct* aggregate call")
 	}
-	if IsAggregateCall(s.Items[2].Expr) {
+	if isAggregateCall(s.Items[2].Expr) {
 		t.Error("b is not an aggregate call")
 	}
 }

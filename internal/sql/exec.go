@@ -519,7 +519,7 @@ func groupCompiler(groupKeys []string, slotIndex map[string]int, grp *groupOut) 
 				return func(int) (dataset.Value, error) { return v, nil }, true, nil
 			}
 		}
-		if c, ok := e.(*Call); ok && aggregateFuncs[c.Func] {
+		if isAggregateCall(e) {
 			i, ok := slotIndex[s]
 			if !ok {
 				return nil, false, fmt.Errorf("sql: internal: unregistered aggregate %s", s)

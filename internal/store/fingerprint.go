@@ -11,6 +11,7 @@ import (
 	"strconv"
 
 	"viewseeker/internal/dataset"
+	"viewseeker/internal/view"
 )
 
 // hashWriter wraps a hash with the length-prefixed primitives the
@@ -156,13 +157,11 @@ type Key struct {
 	Alpha float64
 	// Features are the registry's feature names in registry order.
 	Features []string
-	// Aggs, BinCounts and EqualDepth are the view-space enumeration
-	// parameters exactly as configured (nil and explicit defaults hash
-	// differently only if the caller spells them differently; the public
-	// facade always passes its resolved configuration).
-	Aggs       []string
-	BinCounts  []int
-	EqualDepth bool
+	// BinCounts is the view-space enumeration parameter exactly as
+	// configured (nil and explicit defaults hash differently only if the
+	// caller spells them differently; the public facade always passes its
+	// resolved configuration).
+	BinCounts []int
 }
 
 // fingerprintVersion is bumped whenever the fingerprint encoding or the
@@ -186,15 +185,13 @@ func (k Key) Fingerprint() string {
 	}
 	w.f64(alpha)
 	w.strs(k.Features)
-	w.strs(k.Aggs)
+	// The retired aggregate-set and binning-mode slots hash their one
+	// remaining value, keeping every existing fingerprint byte-identical.
+	w.strs(view.Aggregates)
 	w.u64(uint64(len(k.BinCounts)))
 	for _, b := range k.BinCounts {
 		w.u64(uint64(b))
 	}
-	if k.EqualDepth {
-		w.u64(1)
-	} else {
-		w.u64(0)
-	}
+	w.u64(0)
 	return w.sum()
 }

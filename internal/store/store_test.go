@@ -48,8 +48,7 @@ func TestHashTableSeesCellChanges(t *testing.T) {
 func baseKey() Key {
 	return Key{
 		RefHash: "r", Query: "q", Alpha: 1,
-		Features: []string{"KL", "EMD"}, Aggs: []string{"COUNT"},
-		BinCounts: []int{4}, EqualDepth: false,
+		Features: []string{"KL", "EMD"}, BinCounts: []int{4},
 	}
 }
 
@@ -72,14 +71,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 	k.Features = []string{"EMD", "KL"}
 	mutations["feature order"] = k
 	k = baseKey()
-	k.Aggs = []string{"SUM"}
-	mutations["aggs"] = k
-	k = baseKey()
 	k.BinCounts = []int{3, 4}
 	mutations["bin counts"] = k
-	k = baseKey()
-	k.EqualDepth = true
-	mutations["equal depth"] = k
 	for name, mk := range mutations {
 		if mk.Fingerprint() == base {
 			t.Errorf("changing %s did not change the fingerprint", name)
@@ -96,7 +89,9 @@ func TestFingerprintSensitivity(t *testing.T) {
 
 // TestFingerprintGolden pins the query-addressed encoding, so existing
 // cache directories stay warm: these digests were written by the encoder
-// that still had a target-contents slot, for keys that left it empty.
+// that still keyed the aggregate set and the binning mode, for keys with
+// the standard aggregates and equal-width bins — the only space the
+// facade enumerates.
 func TestFingerprintGolden(t *testing.T) {
 	query := "SELECT * FROM diab WHERE age_group = '[80-90)'"
 	for _, tc := range []struct {
@@ -104,11 +99,11 @@ func TestFingerprintGolden(t *testing.T) {
 		want string
 	}{
 		{Key{RefHash: "r", Query: query, Alpha: 1, Features: []string{"KL", "EMD"},
-			Aggs: []string{"COUNT"}, BinCounts: []int{4}},
-			"258c221caffed8939a72643c733f102a79c3bac3fc13a8e9b88e7a99e1146727"},
+			BinCounts: []int{4}},
+			"6b3b58c30a55fe064069ed2072f81d3262c6face180ead3b3915937168d1d1fe"},
 		{Key{RefHash: "r", Query: query, Alpha: 0.3, Features: []string{"KL", "EMD"},
-			Aggs: []string{"COUNT"}, BinCounts: []int{3, 4}, EqualDepth: true},
-			"fcae3069f648e38823e3d6bd09f682c95720510a89151b10d6af92a0a19a10ab"},
+			BinCounts: []int{3, 4}},
+			"44d404dd9e2ec0362f29d32d384fed3fadc83ba8fd06adac95d311fa6024cfcc"},
 	} {
 		if got := tc.key.Fingerprint(); got != tc.want {
 			t.Errorf("%+v fingerprints as %s, want %s", tc.key, got, tc.want)

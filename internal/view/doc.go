@@ -20,7 +20,7 @@
 // Shared reference side (DESIGN.md §7): the reference half of the
 // offline pass — layouts fit to DR, DR's bin indexes and layout
 // statistics — is owned by the reference table's version, one per layout
-// shape (bin counts and equal-depth flag), and every NewGenerator over
+// shape (its bin counts), and every NewGenerator over
 // that version scans DR through it. It lives in the table's per-version
 // memo (dataset.Table.Memo), so a mutation or an append gives the next
 // generator a fresh side and the old one is freed with its version. On a

@@ -37,11 +37,10 @@ import (
 // table l was fit to leaves the fit unchanged, judged from the appended
 // rows alone: every non-NULL categorical value is already a label, and
 // every non-NULL, non-NaN numeric value lies within the fitted [Lo, top]
-// (NaN places no boundary, see ComputeLayoutEqualDepth). An equal-depth
-// layout's quantiles move with any append, so its fit never holds.
+// (NaN places no bound: NumericRange skips it).
 func (l *BinLayout) fitHolds(t *dataset.Table, from int) bool {
 	col := t.Column(l.Dimension)
-	if col == nil || l.edges != nil {
+	if col == nil {
 		return false
 	}
 	for r := from; r < t.NumRows(); r++ {
@@ -181,8 +180,8 @@ func (s *Stats) clone() *Stats {
 // (the MVCC discipline of the live-table layer).
 //
 // ok is false, with a nil generator, when the appended reference rows
-// change some layout's fit (fitHolds): a new numeric extreme, a new
-// category, or any row under an equal-depth layout. Only a fresh
+// change some layout's fit (fitHolds): a new numeric extreme or a new
+// category. Only a fresh
 // generator over newRef, which refits, is then exact.
 //
 // Otherwise the extended reference side is content-identical to a fresh

@@ -58,10 +58,8 @@ func appendedKernelTable(t *testing.T, rng *rand.Rand) (base, appended *dataset.
 }
 
 // kernelBundles returns the layout bundles ExtendBinIndexAll is called
-// with, one per (dimension, binning): every bin configuration of a
-// numeric dimension together — equal-width, and separately equal-depth,
-// as a generator with EqualDepth set would fit them — and the single
-// configuration of each categorical dimension.
+// with, one per dimension: every bin configuration of a numeric dimension
+// together, and the single configuration of each categorical dimension.
 func kernelBundles(t *testing.T, tab *dataset.Table) [][]*BinLayout {
 	t.Helper()
 	bundles := [][]*BinLayout{}
@@ -73,23 +71,15 @@ func kernelBundles(t *testing.T, tab *dataset.Table) [][]*BinLayout {
 		bundles = append(bundles, []*BinLayout{l})
 	}
 	for _, dim := range []string{"num", "numint", "constd"} {
-		for _, depth := range []bool{false, true} {
-			var bundle []*BinLayout
-			for _, bins := range []int{3, 4, 6} {
-				var l *BinLayout
-				var err error
-				if depth {
-					l, err = ComputeLayoutEqualDepth(tab, dim, bins)
-				} else {
-					l, err = ComputeLayout(tab, dim, bins)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				bundle = append(bundle, l)
+		var bundle []*BinLayout
+		for _, bins := range []int{3, 4, 6} {
+			l, err := ComputeLayout(tab, dim, bins)
+			if err != nil {
+				t.Fatal(err)
 			}
-			bundles = append(bundles, bundle)
+			bundle = append(bundle, l)
 		}
+		bundles = append(bundles, bundle)
 	}
 	return bundles
 }
@@ -102,7 +92,7 @@ func kernelBundles(t *testing.T, tab *dataset.Table) [][]*BinLayout {
 // post-append table as the stats oracle. The layouts stay the base's, so
 // appended values outside them exercise the bin -1 path on both sides.
 // Each layout's fitHolds must say exactly whether a fresh fit of the
-// appended table returns the layout again (never, for equal-depth).
+// appended table returns the layout again.
 func TestExtendMatchesRebuild(t *testing.T) {
 	measures := []string{"m1", "m2", "mconst", "mbool"}
 	f := func(seed int64) bool {
@@ -133,7 +123,7 @@ func TestExtendMatchesRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := l.fitHolds(appended, from), l.edges == nil && reflect.DeepEqual(refit, l); got != want {
+				if got, want := l.fitHolds(appended, from), reflect.DeepEqual(refit, l); got != want {
 					t.Fatalf("dim %q/%d: fitHolds = %v, fresh fit unchanged = %v", dim, l.NumBins(), got, want)
 				}
 
@@ -319,7 +309,7 @@ func TestApplyAppendMatchesScratch(t *testing.T) {
 // TestApplyAppendRefitDecision pins when an append changes a fit: a value
 // past the fitted minimum or maximum or a new category does, while NULLs,
 // NaN and values inside the range do not; a constant column's fit holds
-// only for its constant, and an equal-depth fit never holds.
+// only for its constant.
 func TestApplyAppendRefitDecision(t *testing.T) {
 	schema := dataset.MustSchema(
 		dataset.ColumnDef{Name: "d", Kind: dataset.KindFloat, Role: dataset.RoleDimension},
@@ -347,23 +337,20 @@ func TestApplyAppendRefitDecision(t *testing.T) {
 		{"new category", []dataset.Value{f(1), s("z"), k(4), f(1)}, false},
 		{"constant moves", []dataset.Value{f(1), s("a"), k(5), f(1)}, false},
 	} {
-		for _, equalDepth := range []bool{false, true} {
-			cfg := SpaceConfig{BinCounts: []int{3}, EqualDepth: equalDepth}
-			g, err := NewGenerator(base, base, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			appended, err := base.WithAppended([][]dataset.Value{c.row})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ng, ok, err := g.ApplyAppend(appended, appended)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := c.fits && !equalDepth; ok != want || (ng != nil) != want {
-				t.Errorf("%s (equalDepth=%v): extended %v, want %v", c.name, equalDepth, ok, want)
-			}
+		g, err := NewGenerator(base, base, SpaceConfig{BinCounts: []int{3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appended, err := base.WithAppended([][]dataset.Value{c.row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ng, ok, err := g.ApplyAppend(appended, appended)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != c.fits || (ng != nil) != c.fits {
+			t.Errorf("%s: extended %v, want %v", c.name, ok, c.fits)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"viewseeker/internal/dataset"
 )
@@ -12,23 +11,19 @@ import (
 // BinLayout fixes the bin structure of one dimension so target and
 // reference histograms align. Categorical layouts enumerate the reference
 // dataset's distinct values; numeric layouts split the reference range
-// into equal-width bins, or into equal-depth (quantile) bins when built
-// with ComputeLayoutEqualDepth.
+// into equal-width bins.
 type BinLayout struct {
 	Dimension string
 	Numeric   bool
 	Labels    []string
-	// Numeric equal-width layouts: [Lo, Hi) split into Bins equal bins.
+	// Numeric layouts: [Lo, Hi) split into Bins equal bins.
 	// Hi is nudged above the data maximum so the max value falls in the
 	// last bin.
 	Lo, Hi float64
 	Bins   int
-	// top is an equal-width layout's data maximum before Hi's nudge: with
-	// Lo, the fit an append is checked against (fitHolds).
+	// top is a numeric layout's data maximum before Hi's nudge: with Lo,
+	// the fit an append is checked against (fitHolds).
 	top float64
-	// Numeric equal-depth layouts: bin i covers [edges[i], edges[i+1]),
-	// with the last bin closed above. nil for equal-width layouts.
-	edges []float64
 
 	index map[string]int // categorical group key → bin
 }
@@ -81,57 +76,6 @@ func ComputeLayout(ref *dataset.Table, dim string, bins int) (*BinLayout, error)
 	}
 }
 
-// ComputeLayoutEqualDepth builds an equal-depth (quantile) layout for a
-// numeric dimension: bin boundaries are chosen so that the reference data
-// spreads as evenly as possible across bins, which keeps heavily skewed
-// dimensions readable where equal-width binning would dump everything
-// into one bar. Duplicate quantile boundaries collapse, so the layout may
-// end up with fewer bins than requested.
-func ComputeLayoutEqualDepth(ref *dataset.Table, dim string, bins int) (*BinLayout, error) {
-	col := ref.Column(dim)
-	if col == nil {
-		return nil, fmt.Errorf("view: table %q has no column %q", ref.Name, dim)
-	}
-	if col.Def.Kind != dataset.KindInt && col.Def.Kind != dataset.KindFloat {
-		return nil, fmt.Errorf("view: equal-depth binning needs a numeric dimension, %q is %s", dim, col.Def.Kind)
-	}
-	if bins <= 0 {
-		return nil, fmt.Errorf("view: equal-depth binning needs a positive bin count")
-	}
-	vals := make([]float64, 0, ref.NumRows())
-	for r := 0; r < ref.NumRows(); r++ {
-		// NaN is outside every numeric layout (binOfFloat), so it must not
-		// place a boundary either: sorted first, it would collapse the fit.
-		if v, ok := col.Float(r); ok && !math.IsNaN(v) {
-			vals = append(vals, v)
-		}
-	}
-	if len(vals) == 0 {
-		return nil, fmt.Errorf("view: dimension %q has no numeric values", dim)
-	}
-	sort.Float64s(vals)
-	// Interior quantile boundaries, deduplicated.
-	edges := []float64{vals[0]}
-	for i := 1; i < bins; i++ {
-		q := vals[i*len(vals)/bins]
-		if q > edges[len(edges)-1] {
-			edges = append(edges, q)
-		}
-	}
-	top := vals[len(vals)-1]
-	if top <= edges[len(edges)-1] {
-		top = edges[len(edges)-1] + 1
-	} else {
-		top += (top - vals[0]) * 1e-9 // include the max in the last bin
-	}
-	edges = append(edges, top)
-	l := &BinLayout{Dimension: dim, Numeric: true, Lo: edges[0], Hi: top, Bins: len(edges) - 1, edges: edges}
-	for i := 0; i+1 < len(edges); i++ {
-		l.Labels = append(l.Labels, fmt.Sprintf("[%.3g,%.3g)", edges[i], edges[i+1]))
-	}
-	return l, nil
-}
-
 // NumBins returns the layout's bin count.
 func (l *BinLayout) NumBins() int { return len(l.Labels) }
 
@@ -165,20 +109,6 @@ func (l *BinLayout) binOfFloat(f float64) int {
 			return l.Bins - 1
 		}
 		return -1
-	}
-	if l.edges != nil {
-		// Equal-depth: binary search the boundary list.
-		i := sort.SearchFloat64s(l.edges, f)
-		// SearchFloat64s returns the first edge ≥ f; bin i covers
-		// [edges[i], edges[i+1]), so an exact boundary hit belongs to the
-		// bin starting there.
-		if i < len(l.edges) && l.edges[i] == f {
-			if i == len(l.edges)-1 {
-				return l.Bins - 1
-			}
-			return i
-		}
-		return i - 1
 	}
 	x := (f - l.Lo) / (l.Hi - l.Lo) * float64(l.Bins)
 	if math.IsNaN(x) {

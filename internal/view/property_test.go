@@ -303,7 +303,7 @@ func kernelTable(rng *rand.Rand, rows int) *dataset.Table {
 }
 
 // kernelLayouts builds one layout per dimension kind over the reference
-// table, including an equal-depth layout.
+// table.
 func kernelLayouts(t *testing.T, tab *dataset.Table) []*BinLayout {
 	t.Helper()
 	var out []*BinLayout
@@ -317,16 +317,12 @@ func kernelLayouts(t *testing.T, tab *dataset.Table) []*BinLayout {
 		}
 		out = append(out, l)
 	}
-	depth, err := ComputeLayoutEqualDepth(tab, "num", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(out, depth)
+	return out
 }
 
 // TestFlatKernelMatchesReference is the kernel property test: over
 // randomized tables (NULLs, constant columns, bool/int/float/string
-// dimensions, equal-depth layouts) the columnar all-rows scan must produce
+// dimensions) the columnar all-rows scan must produce
 // Stats and Histograms bit-identical to the row-at-a-time reference
 // implementation, including on a subset table with empty bins.
 func TestFlatKernelMatchesReference(t *testing.T) {

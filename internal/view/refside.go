@@ -54,15 +54,13 @@ type refSide struct {
 }
 
 // refSideKey addresses a table's shared reference sides among its
-// memoised values. Only the bin counts and the binning mode shape the
-// layouts; the aggregate set picks histograms out of the same statistics.
+// memoised values. Only the bin counts shape the layouts.
 type refSideKey struct {
-	binCounts  string
-	equalDepth bool
+	binCounts string
 }
 
 func (c SpaceConfig) refSideKey() refSideKey {
-	return refSideKey{binCounts: fmt.Sprint(c.binCounts()), equalDepth: c.EqualDepth}
+	return refSideKey{binCounts: fmt.Sprint(c.binCounts())}
 }
 
 // sharedRefSide returns the reference side the table's current version
@@ -82,13 +80,9 @@ func newRefSide(ref *dataset.Table, cfg SpaceConfig) *refSide {
 			if _, ok := rs.layouts[k]; ok {
 				continue
 			}
-			var l *BinLayout
-			if cfg.EqualDepth && bins > 0 {
-				l, rs.err = ComputeLayoutEqualDepth(ref, d, bins)
-			} else {
-				l, rs.err = ComputeLayout(ref, d, bins)
-			}
-			if rs.err != nil {
+			l, err := ComputeLayout(ref, d, bins)
+			if err != nil {
+				rs.err = err
 				return rs
 			}
 			rs.layouts[k] = l

@@ -46,8 +46,8 @@ func nanTable(rng *rand.Rand, rows int) *dataset.Table {
 }
 
 // TestNaNAndInfDimensionsMatchReference holds every binning and scan path
-// to the row-at-a-time oracle on dimensions with NaN and ±Inf values,
-// equal-width and equal-depth: BinOf, the columnar fillBins, the fused
+// to the row-at-a-time oracle on dimensions with NaN and ±Inf values:
+// BinOf, the columnar fillBins, the fused
 // multi-layout BinIndexAll and every CollectStats shape must agree, every
 // bin must be a real bin or −1, and a NaN cell is never placed.
 func TestNaNAndInfDimensionsMatchReference(t *testing.T) {
@@ -61,64 +61,56 @@ func TestNaNAndInfDimensionsMatchReference(t *testing.T) {
 		}
 		for _, dim := range []string{"nan", "pinf", "ninf"} {
 			col := tab.Column(dim)
-			for _, equalDepth := range []bool{false, true} {
-				var layouts []*BinLayout
-				for _, bins := range []int{3, 4} {
-					var l *BinLayout
-					var err error
-					if equalDepth {
-						l, err = ComputeLayoutEqualDepth(tab, dim, bins)
-					} else {
-						l, err = ComputeLayout(tab, dim, bins)
-					}
-					if err != nil {
-						t.Fatalf("seed %d %s: %v", seed, dim, err)
-					}
-					layouts = append(layouts, l)
+			var layouts []*BinLayout
+			for _, bins := range []int{3, 4} {
+				l, err := ComputeLayout(tab, dim, bins)
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, dim, err)
 				}
-				all, err := BinIndexAll(tab, layouts)
+				layouts = append(layouts, l)
+			}
+			all, err := BinIndexAll(tab, layouts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, l := range layouts {
+				idx := binIndex(t, tab, l)
+				for r := 0; r < tab.NumRows(); r++ {
+					want := l.BinOf(col, r)
+					if want < -1 || want >= l.NumBins() {
+						t.Fatalf("seed %d %s row %d: BinOf = %d, not a bin", seed, dim, r, want)
+					}
+					if f, ok := col.Float(r); ok && math.IsNaN(f) && want != -1 {
+						t.Fatalf("seed %d %s row %d: NaN placed in bin %d", seed, dim, r, want)
+					}
+					if int(idx[r]) != want || int(all[i][r]) != want {
+						t.Fatalf("seed %d %s row %d: BinOf %d, fillBins %d, BinIndexAll %d",
+							seed, dim, r, want, idx[r], all[i][r])
+					}
+				}
+				full, err := collectStatsReference(tab, l, measures, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, l := range layouts {
-					idx := binIndex(t, tab, l)
-					for r := 0; r < tab.NumRows(); r++ {
-						want := l.BinOf(col, r)
-						if want < -1 || want >= l.NumBins() {
-							t.Fatalf("seed %d %s depth=%v row %d: BinOf = %d, not a bin", seed, dim, equalDepth, r, want)
-						}
-						if f, ok := col.Float(r); ok && math.IsNaN(f) && want != -1 {
-							t.Fatalf("seed %d %s depth=%v row %d: NaN placed in bin %d", seed, dim, equalDepth, r, want)
-						}
-						if int(idx[r]) != want || int(all[i][r]) != want {
-							t.Fatalf("seed %d %s depth=%v row %d: BinOf %d, fillBins %d, BinIndexAll %d",
-								seed, dim, equalDepth, r, want, idx[r], all[i][r])
-						}
-					}
-					full, err := collectStatsReference(tab, l, measures, nil)
+				sub, err := collectStatsReference(tab, l, measures, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					name string
+					want *Stats
+					got  func() (*Stats, error)
+				}{
+					{"indexed", full, func() (*Stats, error) { return CollectStats(tab, l, measures, nil, idx) }},
+					{"fused", full, func() (*Stats, error) { return CollectStats(tab, l, measures, nil, all[i]) }},
+					{"sampled", sub, func() (*Stats, error) { return CollectStats(tab, l, measures, sel, idx) }},
+				} {
+					got, err := c.got()
 					if err != nil {
 						t.Fatal(err)
 					}
-					sub, err := collectStatsReference(tab, l, measures, sel)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, c := range []struct {
-						name string
-						want *Stats
-						got  func() (*Stats, error)
-					}{
-						{"indexed", full, func() (*Stats, error) { return CollectStats(tab, l, measures, nil, idx) }},
-						{"fused", full, func() (*Stats, error) { return CollectStats(tab, l, measures, nil, all[i]) }},
-						{"sampled", sub, func() (*Stats, error) { return CollectStats(tab, l, measures, sel, idx) }},
-					} {
-						got, err := c.got()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := statsEqual(c.want, got); err != nil {
-							t.Fatalf("seed %d %s depth=%v %s: %v", seed, dim, equalDepth, c.name, err)
-						}
+					if err := statsEqual(c.want, got); err != nil {
+						t.Fatalf("seed %d %s %s: %v", seed, dim, c.name, err)
 					}
 				}
 			}
@@ -127,8 +119,7 @@ func TestNaNAndInfDimensionsMatchReference(t *testing.T) {
 }
 
 // TestNaNDimensionFiveRows is the minimal reproduction: one NaN among
-// five rows used to land in the first equal-width bar, and collapsed the
-// equal-depth fit to edges [NaN NaN] so the scan panicked.
+// five rows used to land in the first bar.
 func TestNaNDimensionFiveRows(t *testing.T) {
 	schema := dataset.MustSchema(
 		dataset.ColumnDef{Name: "d", Kind: dataset.KindFloat, Role: dataset.RoleDimension},
@@ -138,33 +129,28 @@ func TestNaNDimensionFiveRows(t *testing.T) {
 	for _, d := range []float64{1, 2, math.NaN(), 3, 4} {
 		tab.MustAppendRow(dataset.Float(d), dataset.Float(1))
 	}
-	for _, equalDepth := range []bool{false, true} {
-		g, err := NewGenerator(tab, tab, SpaceConfig{BinCounts: []int{2}, EqualDepth: equalDepth})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := g.Pair(Spec{Dimension: "d", Measure: "m", Agg: "COUNT", Bins: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if total := p.Reference.TotalCount(); total != 4 {
-			t.Errorf("equalDepth=%v: %v rows binned, want the 4 non-NaN rows (bars %v)", equalDepth, total, p.Reference.Values)
-		}
+	g, err := NewGenerator(tab, tab, SpaceConfig{BinCounts: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := g.Pair(Spec{Dimension: "d", Measure: "m", Agg: "COUNT", Bins: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total := p.Reference.TotalCount(); total != 4 {
+		t.Errorf("%v rows binned, want the 4 non-NaN rows (bars %v)", total, p.Reference.Values)
 	}
 
 	allNaN := dataset.NewTable("allnan", schema)
 	allNaN.MustAppendRow(dataset.Float(math.NaN()), dataset.Float(1))
 	if _, err := ComputeLayout(allNaN, "d", 2); err == nil {
-		t.Error("equal-width layout over an all-NaN dimension succeeded")
-	}
-	if _, err := ComputeLayoutEqualDepth(allNaN, "d", 2); err == nil {
-		t.Error("equal-depth layout over an all-NaN dimension succeeded")
+		t.Error("layout over an all-NaN dimension succeeded")
 	}
 }
 
 // TestSharedRefSideLifetime pins who owns a reference side: generators
 // over one table version and layout shape share one, whatever their
-// target or aggregate set; another layout shape, a mutated table or an
+// target; another layout shape, a mutated table or an
 // appended version gets its own; an ApplyAppend generator's extended side
 // is the appended version's, which later generators over it share.
 func TestSharedRefSideLifetime(t *testing.T) {
@@ -174,7 +160,7 @@ func TestSharedRefSideLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := NewGenerator(ref, ref, SpaceConfig{BinCounts: []int{3, 4}, Aggs: []string{"SUM"}})
+	g2, err := NewGenerator(ref, ref, SpaceConfig{BinCounts: []int{3, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

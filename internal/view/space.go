@@ -11,22 +11,10 @@ import (
 
 // SpaceConfig controls view-space enumeration.
 type SpaceConfig struct {
-	// Aggs is the aggregate-function set; nil means the standard five.
-	Aggs []string
 	// BinCounts lists the bin configurations applied to numeric dimensions
 	// (the SYN testbed uses {3, 4}); nil means {4}. Categorical dimensions
 	// always get exactly one configuration (their distinct values).
 	BinCounts []int
-	// EqualDepth switches numeric dimensions from equal-width to
-	// equal-depth (quantile) binning, computed on the reference data.
-	EqualDepth bool
-}
-
-func (c SpaceConfig) aggs() []string {
-	if len(c.Aggs) == 0 {
-		return Aggregates
-	}
-	return c.Aggs
 }
 
 func (c SpaceConfig) binCounts() []int {
@@ -50,7 +38,7 @@ func (c SpaceConfig) binConfigs(t *dataset.Table, dim string) []int {
 // spellings of the same space (nil vs the literal default set) enumerate,
 // compare and fingerprint identically.
 func (c SpaceConfig) Normalized() SpaceConfig {
-	return SpaceConfig{Aggs: c.aggs(), BinCounts: c.binCounts(), EqualDepth: c.EqualDepth}
+	return SpaceConfig{BinCounts: c.binCounts()}
 }
 
 // Enumerate lists every view spec over the table's dimension and measure
@@ -68,7 +56,7 @@ func Enumerate(t *dataset.Table, cfg SpaceConfig) ([]Spec, error) {
 	for _, d := range dims {
 		for _, bins := range cfg.binConfigs(t, d) {
 			for _, m := range measures {
-				for _, f := range cfg.aggs() {
+				for _, f := range Aggregates {
 					specs = append(specs, Spec{Dimension: d, Measure: m, Agg: f, Bins: bins})
 				}
 			}

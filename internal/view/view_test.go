@@ -3,6 +3,7 @@ package view
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,6 +288,9 @@ func TestSpecSQLAgainstEngine(t *testing.T) {
 			t.Errorf("bin %d: sql=%v generator=%v", i, got, p.Reference.Values[i])
 		}
 	}
+	requireSQLBars(t, spec, g.Layout(spec), query, res, p.Reference)
+	query = spec.SQL("tgt", g.Layout(spec))
+	requireSQLBars(t, spec, g.Layout(spec), query, mustQuery(t, tgt, query), p.Target)
 }
 
 func TestSpecSQLNumericBins(t *testing.T) {
@@ -306,6 +310,92 @@ func TestSpecSQLNumericBins(t *testing.T) {
 	}
 	if total != p.Reference.TotalCount() {
 		t.Errorf("sql total = %v, generator total = %v", total, p.Reference.TotalCount())
+	}
+	requireSQLBars(t, spec, g.Layout(spec), query, res, p.Reference)
+	query = spec.SQL("tgt", g.Layout(spec))
+	requireSQLBars(t, spec, g.Layout(spec), query, mustQuery(t, tgt, query), p.Target)
+}
+
+// TestSpecSQLMatchesGenerator holds every view to the SQL it is served
+// as: for every spec of SYN 20k under {3, 4} bins and of DIAB 20k, the
+// query Spec.SQL prints, run through the SQL engine over DR and over DQ,
+// must return the generator's reference and target bar heights bit for
+// bit. SQL returns only non-empty groups, so bins the view leaves empty
+// are skipped, and a NULL dimension group (in no bin of the view) must
+// not occur; every non-empty bin must appear exactly once.
+func TestSpecSQLMatchesGenerator(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ref   *dataset.Table
+		query string
+		cfg   SpaceConfig
+	}{
+		{"SYN", dataset.GenerateSYN(dataset.SYNConfig{Rows: 20_000, Seed: 1}), dataset.SYNQuery,
+			SpaceConfig{BinCounts: []int{3, 4}}},
+		{"DIAB", dataset.GenerateDIAB(dataset.DIABConfig{Rows: 20_000, Seed: 1}), dataset.DIABQuery,
+			SpaceConfig{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tgt := mustQuery(t, tc.ref, tc.query)
+			tgt.Name = "dq"
+			g, err := NewGenerator(tc.ref, tgt, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range g.Specs() {
+				p, err := g.Pair(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				layout := g.Layout(spec)
+				for _, side := range []struct {
+					tab  *dataset.Table
+					hist *Histogram
+				}{{tc.ref, p.Reference}, {tgt, p.Target}} {
+					query := spec.SQL(side.tab.Name, layout)
+					requireSQLBars(t, spec, layout, query, mustQuery(t, side.tab, query), side.hist)
+				}
+			}
+		})
+	}
+}
+
+// requireSQLBars checks one executed view query against a histogram: each
+// result row names a non-empty bin — by WIDTH_BUCKET number for numeric
+// layouts, by label otherwise — whose bar height must equal the row's val
+// bit for bit, and every non-empty bin must be named.
+func requireSQLBars(t *testing.T, spec Spec, layout *BinLayout, query string, res *dataset.Table, h *Histogram) {
+	t.Helper()
+	keys, vals := res.Column(spec.Dimension), res.Column("val")
+	if layout.Numeric {
+		keys = res.Column("bin")
+	}
+	seen := make([]bool, h.Bins())
+	for r := 0; r < res.NumRows(); r++ {
+		if keys.IsNull(r) {
+			t.Fatalf("%s: %q returns a NULL group, which the view bins nowhere", spec, query)
+		}
+		b := -1
+		if layout.Numeric {
+			if n, ok := keys.Float(r); ok {
+				b = int(n) - 1
+			}
+		} else {
+			b = slices.Index(layout.Labels, keys.GroupKey(r))
+		}
+		if b < 0 || b >= h.Bins() || seen[b] {
+			t.Fatalf("%s: %q row %d names bin %v, not a fresh bin of %d", spec, query, r, keys.GroupKey(r), h.Bins())
+		}
+		seen[b] = true
+		v, ok := vals.Float(r)
+		if !ok || h.Counts[b] == 0 || math.Float64bits(v) != math.Float64bits(h.Values[b]) {
+			t.Fatalf("%s: %q bin %d is %v (ok=%v), view has %v over %v rows", spec, query, b, v, ok, h.Values[b], h.Counts[b])
+		}
+	}
+	for b, c := range h.Counts {
+		if c > 0 && !seen[b] {
+			t.Fatalf("%s: %q omits non-empty bin %d", spec, query, b)
+		}
 	}
 }
 

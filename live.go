@@ -150,8 +150,7 @@ func (m *Maintained) rebuild(ref *Table, seq uint64) error {
 // query is row-local (rowLocal), so its result over the appended rows is
 // exactly what the new data adds, and the appended rows leave every bin
 // layout's fit unchanged: no numeric value past a dimension's fitted
-// minimum or maximum, no new category, and no equal-depth layout (whose
-// quantiles move with any append). Every other Advance rebuilds, refitting
+// minimum or maximum and no new category. Every other Advance rebuilds, refitting
 // the layouts to the current table. Either way the result is what
 // Maintain over the current table would produce.
 //
@@ -227,11 +226,11 @@ func seqRange(from, to int) []int {
 // later Advances never mutate it.
 func (m *Maintained) NewSession() (*Seeker, error) { return m.NewSessionWith(m.opts) }
 
-// NewSessionWith is NewSession with per-session interaction knobs — K, M,
+// NewSessionWith is NewSession with per-session interaction knobs — K,
 // Strategy, Seed, Workers, RefineHook — so one maintained offline state
 // can serve sessions with different recommendation sizes or query
-// strategies. Knobs that shape the offline state itself (aggregates, bin
-// counts, features, alpha) come from the Maintained and are ignored here.
+// strategies. Knobs that shape the offline state itself (bin counts,
+// features, alpha) come from the Maintained and are ignored here.
 func (m *Maintained) NewSessionWith(opts Options) (*Seeker, error) {
 	v, ref, _ := m.Version()
 	return m.NewSessionOn(ref, v, opts)

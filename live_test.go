@@ -524,14 +524,14 @@ func streamRow(rng *rand.Rand, kind int) []Value {
 // TestMaintainedMatchesColdProperty is the IVM ≡ rebuild property test:
 // random append streams — in-range batches, new minima and maxima, NaN
 // and ±Inf, NULLs and new categories, an all-NULL measure gaining its
-// first value — drive two maintained queries on one live table, under
-// {3,4} equal-width and under equal-depth bin configurations. The two
+// first value — drive two maintained queries on one live table under
+// {3,4} bin configurations. The two
 // states advance concurrently; after every Advance each must equal a
 // fresh Maintain and a cold exact New at that version bit for bit
 // (requireColdEqual), and the two must scan one reference side.
 func TestMaintainedMatchesColdProperty(t *testing.T) {
 	var extended, rebuilt int
-	f := func(seed int64, equalDepth bool) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		base := dataset.NewTable("t", streamSchema)
 		base.MustAppendRow(streamRow(rng, 0)...)
@@ -545,7 +545,7 @@ func TestMaintainedMatchesColdProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer lt.Close()
-		opts := Options{K: 3, BinCounts: []int{3, 4}, EqualDepth: equalDepth}
+		opts := Options{K: 3, BinCounts: []int{3, 4}}
 		var states [len(streamQueries)]*Maintained
 		for i, q := range streamQueries {
 			if states[i], err = Maintain(lt, q, opts); err != nil {

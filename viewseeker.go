@@ -30,7 +30,6 @@ import (
 	"viewseeker/internal/active"
 	"viewseeker/internal/core"
 	"viewseeker/internal/dataset"
-	"viewseeker/internal/diversify"
 	"viewseeker/internal/explain"
 	"viewseeker/internal/feature"
 	"viewseeker/internal/obs"
@@ -174,16 +173,9 @@ func StaticTopK(table *Table, query, featureName string, k int, opts Options) ([
 type Options struct {
 	// K is the recommendation size (default 10).
 	K int
-	// M is how many views each iteration presents (default 1).
-	M int
-	// Aggs overrides the aggregate set (default COUNT/SUM/AVG/MIN/MAX).
-	Aggs []string
 	// BinCounts are the bin configurations for numeric dimensions
 	// (default {4}; the paper's SYN testbed uses {3, 4}).
 	BinCounts []int
-	// EqualDepth switches numeric dimensions to equal-depth (quantile)
-	// binning, which keeps skewed dimensions readable.
-	EqualDepth bool
 	// Alpha < 1 enables the optimisation: the offline pass computes
 	// utility features on an Alpha fraction of the data and refines
 	// incrementally during the session (default 1 = exact).
@@ -196,12 +188,6 @@ type Options struct {
 	// ExtraFeatures appends custom utility components to the standard
 	// eight (Section 3.1: "users may customise the utility features").
 	ExtraFeatures []Feature
-	// Quadratic additionally registers all pairwise products of the base
-	// features (standard + extra), letting the linear estimator capture
-	// multiplicative utility functions such as u* = EMD·KL that Eq. 4's
-	// linear form cannot represent. It grows the feature count from n to
-	// n + n(n+1)/2.
-	Quadratic bool
 	// Workers bounds the parallelism of the offline phase (layout scans
 	// and per-view feature vectors) and of per-iteration incremental
 	// refinement. ≤ 0 selects runtime.NumCPU(); 1 forces the sequential
@@ -210,7 +196,7 @@ type Options struct {
 	Workers int
 	// Cache, when non-nil, consults and fills the offline-result store: a
 	// session whose fingerprint — table contents, query text, Alpha,
-	// feature names, aggregate and bin configuration — is already cached
+	// feature names and bin configuration — is already cached
 	// skips the exploration query and the offline feature pass entirely
 	// (CacheHit reports which path was taken). Note that ExtraFeatures
 	// participate in the fingerprint by name only: registering two
@@ -293,15 +279,9 @@ func resolveOffline(opts Options) (offlineConfig, error) {
 			return offlineConfig{}, err
 		}
 	}
-	if opts.Quadratic {
-		if err := feature.AddQuadratic(registry); err != nil {
-			return offlineConfig{}, err
-		}
-	}
-	cfg := view.SpaceConfig{Aggs: opts.Aggs, BinCounts: opts.BinCounts, EqualDepth: opts.EqualDepth}.Normalized()
+	cfg := view.SpaceConfig{BinCounts: opts.BinCounts}.Normalized()
 	return offlineConfig{registry: registry, spaceCfg: cfg, key: store.Key{
-		Alpha: normalizeAlpha(opts.Alpha), Features: registry.Names(),
-		Aggs: cfg.Aggs, BinCounts: cfg.BinCounts, EqualDepth: cfg.EqualDepth,
+		Alpha: normalizeAlpha(opts.Alpha), Features: registry.Names(), BinCounts: cfg.BinCounts,
 	}}, nil
 }
 
@@ -457,7 +437,7 @@ func sessionOn(ref *Table, v *store.OfflineResult, opts Options, cfg offlineConf
 	}
 	s.matrix = matrix
 	s.inner, err = core.NewSeeker(matrix, core.Config{
-		K: opts.K, M: opts.M, Strategy: strategy, ColdStartSeed: opts.Seed,
+		K: opts.K, Strategy: strategy, ColdStartSeed: opts.Seed,
 		Workers: opts.Workers, RefineHook: opts.RefineHook,
 	}, withRefinement)
 	if err != nil {
@@ -531,8 +511,8 @@ func (s *Seeker) FeatureRows() [][]float64 {
 	return out
 }
 
-// Next returns the single next view to label. It is a convenience wrapper
-// around NextViews for the default M = 1.
+// Next returns the next view to label. It is a convenience wrapper around
+// NextViews, whose batch holds one view.
 func (s *Seeker) Next() (View, error) {
 	vs, err := s.NextViews()
 	if err != nil {
@@ -544,8 +524,9 @@ func (s *Seeker) Next() (View, error) {
 	return vs[0], nil
 }
 
-// NextViews returns the next batch of views to label (cold start first,
-// then the configured query strategy). Empty when everything is labelled.
+// NextViews returns the next batch of views to label — one view (cold
+// start first, then the configured query strategy). Empty when everything
+// is labelled.
 func (s *Seeker) NextViews() ([]View, error) {
 	return s.NextViewsCtx(context.Background())
 }
@@ -594,27 +575,6 @@ func (s *Seeker) TopK() []View {
 		out[i] = s.viewAt(idx)
 	}
 	return out
-}
-
-// TopKDiverse returns a diversity-aware top-k (DiVE-style): views are
-// selected by Maximal Marginal Relevance, trading predicted utility
-// against similarity to already-selected views. lambda = 1 reproduces
-// TopK; lower values diversify harder.
-func (s *Seeker) TopKDiverse(lambda float64) ([]View, error) {
-	scores := make([]float64, s.NumViews())
-	for i := range scores {
-		scores[i] = s.inner.Predict(i)
-	}
-	k := len(s.inner.TopK())
-	idxs, err := diversify.MMR(scores, s.matrix.Rows, k, lambda)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]View, len(idxs))
-	for i, idx := range idxs {
-		out[i] = s.viewAt(idx)
-	}
-	return out, nil
 }
 
 // Score returns the estimator's current utility prediction for one view.

@@ -118,9 +118,10 @@ func TestCacheMissOnDifferentInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opts := range map[string]viewseeker.Options{
-		"different alpha":    {K: 5, Cache: cache, Alpha: 0.5},
-		"different bins":     {K: 5, Cache: cache, BinCounts: []int{3, 4}},
-		"quadratic features": {K: 5, Cache: cache, Quadratic: true},
+		"different alpha": {K: 5, Cache: cache, Alpha: 0.5},
+		"different bins":  {K: 5, Cache: cache, BinCounts: []int{3, 4}},
+		"extra feature": {K: 5, Cache: cache, ExtraFeatures: []viewseeker.Feature{{
+			Name: "ZERO", Compute: func(*viewseeker.Pair) (float64, error) { return 0, nil }}}},
 	} {
 		s, err := viewseeker.New(table, cacheTestQuery, opts)
 		if err != nil {

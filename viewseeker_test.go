@@ -2,10 +2,8 @@ package viewseeker
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -313,8 +311,8 @@ func TestStandardFeatureNames(t *testing.T) {
 }
 
 func TestNextViewsExhaustion(t *testing.T) {
-	// Tiny space: 1 dim × 1 measure × 1 agg = 1 view; label it, then Next
-	// must report exhaustion.
+	// Tiny space: 1 dim × 1 measure × 5 aggs = 5 views; label them all,
+	// then Next must report exhaustion.
 	schema := dataset.MustSchema(
 		dataset.ColumnDef{Name: "d", Kind: dataset.KindString, Role: dataset.RoleDimension},
 		dataset.ColumnDef{Name: "m", Kind: dataset.KindFloat, Role: dataset.RoleMeasure},
@@ -323,16 +321,21 @@ func TestNextViewsExhaustion(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tab.MustAppendRow(dataset.StringVal(string(rune('a'+i%2))), dataset.Float(float64(i)))
 	}
-	s, err := New(tab, "SELECT * FROM tiny WHERE d = 'a'", Options{Aggs: []string{"COUNT"}, K: 1})
+	s, err := New(tab, "SELECT * FROM tiny WHERE d = 'a'", Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.Next()
-	if err != nil {
-		t.Fatal(err)
+	if s.NumViews() != 5 {
+		t.Fatalf("tiny space has %d views, want 5", s.NumViews())
 	}
-	if err := s.Feedback(v.Index, 1); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 5; i++ {
+		v, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Feedback(v.Index, float64(i%2)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := s.Next(); err == nil {
 		t.Error("exhausted space should error on Next")
@@ -387,43 +390,6 @@ func TestFacadeSaveLoad(t *testing.T) {
 	}
 }
 
-func TestTopKDiverse(t *testing.T) {
-	table := facadeTable(t)
-	s, err := New(table, "SELECT * FROM diab WHERE diag_group = 'diabetes'", Options{K: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		v, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Feedback(v.Index, float64(i%2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plain := s.TopK()
-	same, err := s.TopKDiverse(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if plain[i].Index != same[i].Index {
-			t.Fatalf("lambda=1 must reproduce TopK")
-		}
-	}
-	diverse, err := s.TopKDiverse(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diverse) != len(plain) {
-		t.Fatalf("diverse topk length = %d", len(diverse))
-	}
-	if _, err := s.TopKDiverse(-1); err == nil {
-		t.Error("bad lambda should fail")
-	}
-}
-
 func TestFacadeSQL(t *testing.T) {
 	table := facadeTable(t)
 	s, err := New(table, "SELECT * FROM diab WHERE diag_group = 'diabetes'", Options{})
@@ -441,81 +407,6 @@ func TestFacadeSQL(t *testing.T) {
 	if _, err := s.SQL(-1); err == nil {
 		t.Error("out-of-range SQL should fail")
 	}
-}
-
-func TestQuadraticOptionLearnsProductUtility(t *testing.T) {
-	table := facadeTable(t)
-	const query = "SELECT * FROM diab WHERE diag_group = 'diabetes'"
-	// Hidden utility: KL·EMD — outside Eq. 4's linear family.
-	target := func(s *Seeker, idx int) float64 {
-		p, err := s.Pair(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, _ := emdOf(p)
-		kl := klOf(p)
-		return e * kl
-	}
-	run := func(quadratic bool) float64 {
-		s, err := New(table, query, Options{K: 10, Seed: 3, Quadratic: quadratic})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Normalise labels by the max product over the space.
-		maxT := 0.0
-		truths := make([]float64, s.NumViews())
-		for i := range truths {
-			truths[i] = target(s, i)
-			if truths[i] > maxT {
-				maxT = truths[i]
-			}
-		}
-		for i := 0; i < 25; i++ {
-			v, err := s.Next()
-			if err != nil {
-				break
-			}
-			if err := s.Feedback(v.Index, truths[v.Index]/maxT); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Tie-aware top-10 hits against the true product utility.
-		pred := s.TopK()
-		sorted := append([]float64(nil), truths...)
-		sort.Float64s(sorted)
-		threshold := sorted[len(sorted)-10]
-		hits := 0
-		for _, v := range pred {
-			if truths[v.Index] >= threshold-1e-9 {
-				hits++
-			}
-		}
-		return float64(hits) / 10
-	}
-	quad := run(true)
-	if quad < 0.9 {
-		t.Errorf("quadratic session precision = %.2f, want ≥ 0.9", quad)
-	}
-}
-
-func klOf(p *Pair) float64 {
-	tgt := p.Target.Distribution()
-	ref := p.Reference.Distribution()
-	d := 0.0
-	for i := range tgt {
-		if tgt[i] <= 0 {
-			continue
-		}
-		q := ref[i]
-		if q < 1e-9 {
-			q = 1e-9
-		}
-		d += tgt[i] * math.Log(tgt[i]/q)
-	}
-	if d < 0 {
-		return 0
-	}
-	return d
 }
 
 func TestStaticTopK(t *testing.T) {
