@@ -323,14 +323,14 @@ func BenchmarkAblationColdStart(b *testing.B) {
 			rnd := &active.Random{Seed: int64(i + 1)}
 			labels := 0
 			for warm := 0; warm < 8; warm++ {
-				picks, err := rnd.Select(tb.Exact.Rows, nil, labeledOf(seeker), 1)
+				pick, ok, err := rnd.Select(tb.Exact.Rows, nil, labeledOf(seeker))
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(picks) == 0 {
+				if !ok {
 					break
 				}
-				if err := seeker.Feedback(picks[0], user.Label(picks[0])); err != nil {
+				if err := seeker.Feedback(pick, user.Label(pick)); err != nil {
 					b.Fatal(err)
 				}
 				labels++
@@ -419,19 +419,19 @@ func classifierOnlySession(tb *exp.Testbed, user *sim.User, k, budget int, seed 
 	var model ml.LogisticRegression
 	havePos, haveNeg := false, false
 	for len(labeled) < budget {
-		var picks []int
+		var v int
+		var ok bool
 		if !(havePos && haveNeg) {
-			picks, err = cold.Select(rows, nil, labeled, 1)
+			v, ok, err = cold.Select(rows, nil, labeled)
 		} else {
-			picks, err = strategy.Select(rows, space, labeled, 1)
+			v, ok, err = strategy.Select(rows, space, labeled)
 		}
 		if err != nil {
 			return 0, err
 		}
-		if len(picks) == 0 {
+		if !ok {
 			break
 		}
-		v := picks[0]
 		labeled[v] = user.Label(v)
 		if labeled[v] >= active.PositiveThreshold {
 			havePos = true
@@ -620,7 +620,7 @@ func BenchmarkLiveAppend(b *testing.B) {
 			pending[i][r] = pool.Row(i*batchRows + r)
 		}
 	}
-	lt, _, err := viewseeker.OpenLiveTable(filepath.Join(b.TempDir(), "syn.wal"), base, 1<<20)
+	lt, _, err := viewseeker.OpenLiveTableOptions(filepath.Join(b.TempDir(), "syn.wal"), base, viewseeker.LiveOptions{SyncEvery: 1 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}

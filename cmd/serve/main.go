@@ -156,7 +156,7 @@ func main() {
 			defer lt.Close()
 			if rec.LastSeq > 0 {
 				fmt.Printf("Replayed %d append batch(es) for %q (now %d rows)\n",
-					len(rec.Batches), t.Name, lt.Current().NumRows())
+					rec.Replayed, t.Name, lt.Current().NumRows())
 			}
 			if rec.SkippedFrames > 0 {
 				fmt.Printf("Loaded %q from its checkpoint snapshot (%d already-covered WAL frames skipped)\n",

@@ -175,8 +175,11 @@ func run(table *viewseeker.Table, query string, k int, alpha float64, workers in
 
 	in := bufio.NewScanner(os.Stdin)
 	for iter := 1; iter <= maxIters; iter++ {
-		v, err := s.Next()
+		v, ok, err := s.Next()
 		if err != nil {
+			return err
+		}
+		if !ok {
 			fmt.Println("Every view has been labelled.")
 			break
 		}

@@ -56,7 +56,7 @@ b,6,92`
 	}
 	// The "user" loves the weight views and shrugs at the size views.
 	for i := 0; i < 4; i++ {
-		v, err := s.Next()
+		v, _, err := s.Next()
 		if err != nil {
 			panic(err)
 		}

@@ -65,8 +65,11 @@ func main() {
 		return 0.7*c + 0.3*sup, nil
 	}
 	for i := 0; i < 14; i++ {
-		v, err := s.Next()
+		v, ok, err := s.Next()
 		if err != nil {
+			log.Fatal(err)
+		}
+		if !ok {
 			break
 		}
 		label, err := taste(v.Index)

@@ -38,14 +38,13 @@ func main() {
 
 	labels := 0
 	for labels < 50 {
-		next, err := seeker.NextViews()
+		v, ok, err := seeker.Next()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(next) == 0 {
+		if !ok {
 			break
 		}
-		v := next[0]
 		label := user.Label(v.Index)
 		if err := seeker.Feedback(v.Index, label); err != nil {
 			log.Fatal(err)

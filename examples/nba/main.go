@@ -32,8 +32,11 @@ func main() {
 	// profile diverges from the league's. This negative feedback is
 	// exactly what ViewSeeker exists to learn.
 	for i := 0; i < 15; i++ {
-		v, err := s.Next()
+		v, ok, err := s.Next()
 		if err != nil {
+			log.Fatal(err)
+		}
+		if !ok {
 			break
 		}
 		label := 0.05

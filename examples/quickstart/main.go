@@ -36,8 +36,11 @@ func main() {
 	// to a person; this scripted user rates each view by how far the
 	// target histogram deviates from the reference (L1 distance).
 	for i := 0; i < 10; i++ {
-		v, err := s.Next()
+		v, ok, err := s.Next()
 		if err != nil {
+			log.Fatal(err)
+		}
+		if !ok {
 			break
 		}
 		p, err := s.Pair(v.Index)

@@ -89,8 +89,11 @@ func TestEndToEndWorkflow(t *testing.T) {
 		return m
 	}
 	for i := 0; i < 12; i++ {
-		v, err := s.Next()
+		v, ok, err := s.Next()
 		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
 			break
 		}
 		if err := s.Feedback(v.Index, taste(v.Index)); err != nil {

@@ -44,9 +44,12 @@ func TestUnlabeledIndices(t *testing.T) {
 }
 
 func TestTopByScoreTies(t *testing.T) {
-	got := topByScore([]int{3, 1, 2}, func(i int) float64 { return 1 }, 2)
-	if got[0] != 1 || got[1] != 2 {
+	got := topByScore([]int{3, 1, 2}, func(i int) float64 { return 1 })
+	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("ties must break by ascending index: %v", got)
+	}
+	if idx, ok := best(4, map[int]float64{0: 1}, func(i int) float64 { return 1 }); !ok || idx != 1 {
+		t.Errorf("best of a tie = %d, %v; want the lowest unlabelled index 1", idx, ok)
 	}
 }
 
@@ -55,29 +58,29 @@ func TestColdStartWalksFeatures(t *testing.T) {
 	c := &ColdStart{Seed: 1}
 	labeled := map[int]float64{}
 	// First call: top of feature 0 → view 0.
-	got, err := c.Select(rows, nil, labeled, 1)
+	got, _, err := c.Select(rows, nil, labeled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 0 {
-		t.Errorf("first cold-start pick = %d, want 0", got[0])
+	if got != 0 {
+		t.Errorf("first cold-start pick = %d, want 0", got)
 	}
 	labeled[0] = 0.9
 	if c.cursor >= 2 {
 		t.Error("not yet exhausted after one feature")
 	}
 	// Second call: top of feature 1 → view 5.
-	got, _ = c.Select(rows, nil, labeled, 1)
-	if got[0] != 5 {
-		t.Errorf("second cold-start pick = %d, want 5", got[0])
+	got, _, _ = c.Select(rows, nil, labeled)
+	if got != 5 {
+		t.Errorf("second cold-start pick = %d, want 5", got)
 	}
 	labeled[5] = 0.1
 	// Third call: features exhausted → random among the rest.
-	got, _ = c.Select(rows, nil, labeled, 1)
+	got, ok, _ := c.Select(rows, nil, labeled)
 	if c.cursor < 2 {
 		t.Error("should be exhausted after both features")
 	}
-	if _, already := labeled[got[0]]; already {
+	if _, already := labeled[got]; !ok || already {
 		t.Error("random fallback must pick an unlabelled view")
 	}
 }
@@ -86,12 +89,12 @@ func TestColdStartSkipsLabeled(t *testing.T) {
 	rows := twoClusterRows()
 	c := &ColdStart{}
 	labeled := map[int]float64{0: 0.9}
-	got, err := c.Select(rows, nil, labeled, 1)
+	got, _, err := c.Select(rows, nil, labeled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 1 {
-		t.Errorf("should pick next-best by feature 0: got %d, want 1", got[0])
+	if got != 1 {
+		t.Errorf("should pick next-best by feature 0: got %d, want 1", got)
 	}
 }
 
@@ -104,28 +107,25 @@ func TestUncertaintySelectsBoundary(t *testing.T) {
 	}
 	labeled := map[int]float64{0: 0, 1: 0, 9: 1, 10: 1}
 	u := &Uncertainty{}
-	got, err := u.Select(rows, spaceScaler(t, rows), labeled, 1)
+	got, _, err := u.Select(rows, spaceScaler(t, rows), labeled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] < 3 || got[0] > 7 {
-		t.Errorf("uncertainty picked %d, want a middle view", got[0])
+	if got < 3 || got > 7 {
+		t.Errorf("uncertainty picked %d, want a middle view", got)
 	}
 }
 
 func TestUncertaintyNoLabelsActsUniform(t *testing.T) {
 	rows := twoClusterRows()
 	u := &Uncertainty{}
-	got, err := u.Select(rows, spaceScaler(t, rows), map[int]float64{}, 3)
+	got, ok, err := u.Select(rows, spaceScaler(t, rows), map[int]float64{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("selected %d views", len(got))
-	}
-	// Untrained model: all uncertainties equal → deterministic index order.
-	if got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Errorf("untrained selection = %v", got)
+	// Untrained model: all uncertainties equal → the lowest index.
+	if !ok || got != 0 {
+		t.Errorf("untrained selection = %d, %v; want view 0", got, ok)
 	}
 }
 
@@ -133,12 +133,12 @@ func TestUncertaintyAllLabeled(t *testing.T) {
 	rows := [][]float64{{1}, {2}}
 	labeled := map[int]float64{0: 1, 1: 0}
 	u := &Uncertainty{}
-	got, err := u.Select(rows, spaceScaler(t, rows), labeled, 1)
+	got, ok, err := u.Select(rows, spaceScaler(t, rows), labeled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != nil {
-		t.Errorf("nothing to select, got %v", got)
+	if ok {
+		t.Errorf("nothing to select, got %d", got)
 	}
 }
 
@@ -146,23 +146,24 @@ func TestRandomDeterministicBySeed(t *testing.T) {
 	rows := twoClusterRows()
 	a := &Random{Seed: 7}
 	b := &Random{Seed: 7}
-	ga, _ := a.Select(rows, nil, map[int]float64{}, 4)
-	gb, _ := b.Select(rows, nil, map[int]float64{}, 4)
-	for i := range ga {
-		if ga[i] != gb[i] {
-			t.Fatal("same seed must select identically")
+	for step := 0; step < 4; step++ {
+		ga, _, _ := a.Select(rows, nil, map[int]float64{})
+		gb, _, _ := b.Select(rows, nil, map[int]float64{})
+		if ga != gb {
+			t.Fatalf("step %d: same seed must select identically (%d vs %d)", step, ga, gb)
 		}
 	}
-	// Never returns labelled views.
+	// Never returns labelled views, and stops once all are labelled.
 	labeled := map[int]float64{0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
-	got, _ := a.Select(rows, nil, labeled, 10)
-	if len(got) != 5 {
-		t.Fatalf("selected %d, want the 5 unlabelled", len(got))
-	}
-	for _, g := range got {
-		if g < 5 {
-			t.Errorf("selected labelled view %d", g)
+	for len(labeled) < len(rows) {
+		g, ok, _ := a.Select(rows, nil, labeled)
+		if _, already := labeled[g]; !ok || already {
+			t.Fatalf("selected %d, %v with %d of %d labelled", g, ok, len(labeled), len(rows))
 		}
+		labeled[g] = 1
+	}
+	if g, ok, _ := a.Select(rows, nil, labeled); ok {
+		t.Errorf("selected %d from an exhausted space", g)
 	}
 }
 
@@ -173,24 +174,27 @@ func TestCommitteeSelectsDisagreement(t *testing.T) {
 	}
 	labeled := map[int]float64{0: 0, 1: 0, 2: 0, 18: 1, 19: 1, 20: 1}
 	c := &Committee{Seed: 3}
-	got, err := c.Select(rows, spaceScaler(t, rows), labeled, 1)
+	got, _, err := c.Select(rows, spaceScaler(t, rows), labeled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The committee should disagree near the middle of the gap.
-	if got[0] < 5 || got[0] > 15 {
-		t.Errorf("committee picked %d, want middle region", got[0])
+	if got < 5 || got > 15 {
+		t.Errorf("committee picked %d, want middle region", got)
 	}
 }
 
 func TestStrategyValidation(t *testing.T) {
 	one := [][]float64{{1}}
 	for _, s := range []Strategy{&Uncertainty{}, &ColdStart{}, &Random{}, &Committee{}, &DensityWeighted{}} {
-		if _, err := s.Select(nil, nil, nil, 1); err == nil {
+		if _, _, err := s.Select(nil, nil, nil); err == nil {
 			t.Errorf("%T: empty rows should fail", s)
 		}
-		if _, err := s.Select(one, spaceScaler(t, one), nil, 0); err == nil {
-			t.Errorf("%T: m=0 should fail", s)
+		if got, ok, err := s.Select(one, spaceScaler(t, one), nil); err != nil || !ok || got != 0 {
+			t.Errorf("%T: one-view space = %d, %v, %v; want view 0", s, got, ok, err)
+		}
+		if got, ok, err := s.Select(one, spaceScaler(t, one), map[int]float64{0: 1}); err != nil || ok {
+			t.Errorf("%T: exhausted space = %d, %v, %v; want none", s, got, ok, err)
 		}
 	}
 }
@@ -205,11 +209,11 @@ func TestDensityWeightedPrefersDenseRegions(t *testing.T) {
 		{50, 50}, // outlier
 	}
 	d := &DensityWeighted{}
-	got, err := d.Select(rows, spaceScaler(t, rows), map[int]float64{}, 1)
+	got, _, err := d.Select(rows, spaceScaler(t, rows), map[int]float64{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] == 5 {
+	if got == 5 {
 		t.Errorf("density weighting picked the outlier")
 	}
 }
@@ -219,35 +223,30 @@ func TestDensityWeightedBasics(t *testing.T) {
 	d := &DensityWeighted{}
 	scaler := spaceScaler(t, rows)
 	labeled := map[int]float64{0: 0.9, 5: 0.1}
-	got, err := d.Select(rows, scaler, labeled, 3)
+	got, ok, err := d.Select(rows, scaler, labeled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("selected %d", len(got))
-	}
-	for _, v := range got {
-		if _, already := labeled[v]; already {
-			t.Errorf("selected labelled view %d", v)
-		}
+	if _, already := labeled[got]; !ok || already {
+		t.Errorf("selected %d, %v; want an unlabelled view", got, ok)
 	}
 	// Density cache reused across calls with the same scaler.
 	cached := d.densities
-	if _, err := d.Select(rows, scaler, labeled, 1); err != nil {
+	if _, _, err := d.Select(rows, scaler, labeled); err != nil {
 		t.Fatal(err)
 	}
 	if &d.densities[0] != &cached[0] {
 		t.Error("same scaler recomputed the densities")
 	}
 	// A new scaler means the rows moved: the densities are recomputed.
-	if _, err := d.Select(rows, spaceScaler(t, rows), labeled, 1); err != nil {
+	if _, _, err := d.Select(rows, spaceScaler(t, rows), labeled); err != nil {
 		t.Fatal(err)
 	}
 	if &d.densities[0] == &cached[0] {
 		t.Error("a new scaler kept the stale densities")
 	}
 	// The scaler is required.
-	if _, err := d.Select(rows, nil, labeled, 1); err == nil {
+	if _, _, err := d.Select(rows, nil, labeled); err == nil {
 		t.Error("a nil scaler should fail")
 	}
 }

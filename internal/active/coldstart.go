@@ -4,7 +4,7 @@ import "viewseeker/internal/ml"
 
 // ColdStart acquires the first positive and negative labels: it walks the
 // utility features in order, each iteration presenting the unlabelled
-// views ranked highest by the current feature; once every feature has had
+// view ranked highest by the current feature; once every feature has had
 // a turn it falls back to seeded random sampling (Section 3.2).
 type ColdStart struct {
 	// Seed drives the random fallback.
@@ -15,9 +15,9 @@ type ColdStart struct {
 }
 
 // Select implements Strategy; it ignores the scaler.
-func (c *ColdStart) Select(rows [][]float64, _ *ml.Scaler, labeled map[int]float64, m int) ([]int, error) {
-	if err := validateSelect(rows, m); err != nil {
-		return nil, err
+func (c *ColdStart) Select(rows [][]float64, _ *ml.Scaler, labeled map[int]float64) (int, bool, error) {
+	if err := validateSelect(rows); err != nil {
+		return 0, false, err
 	}
 	f := c.cursor
 	if f >= len(rows[0]) {
@@ -25,12 +25,11 @@ func (c *ColdStart) Select(rows [][]float64, _ *ml.Scaler, labeled map[int]float
 		if c.fallback == nil {
 			c.fallback = &Random{Seed: c.Seed}
 		}
-		return c.fallback.Select(rows, nil, labeled, m)
+		return c.fallback.Select(rows, nil, labeled)
 	}
-	candidates := unlabeledIndices(len(rows), labeled)
-	if len(candidates) == 0 {
-		return nil, nil
+	idx, ok := best(len(rows), labeled, func(i int) float64 { return rows[i][f] })
+	if ok {
+		c.cursor++
 	}
-	c.cursor++
-	return topByScore(candidates, func(i int) float64 { return rows[i][f] }, m), nil
+	return idx, ok, nil
 }

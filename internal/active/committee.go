@@ -9,7 +9,7 @@ import (
 
 // Committee implements query-by-committee [24]: it trains several
 // uncertainty estimators on bootstrap resamples of the labelled set and
-// presents the views the committee disagrees on most (vote entropy). It is
+// presents the view the committee disagrees on most (vote entropy). It is
 // an alternative to least-confidence sampling and one of the ablation
 // points DESIGN.md calls out.
 type Committee struct {
@@ -23,13 +23,9 @@ type Committee struct {
 const committeeSize = 5
 
 // Select implements Strategy.
-func (c *Committee) Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64, m int) ([]int, error) {
-	if err := validateSelect(rows, m); err != nil {
-		return nil, err
-	}
-	candidates := unlabeledIndices(len(rows), labeled)
-	if len(candidates) == 0 {
-		return nil, nil
+func (c *Committee) Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64) (int, bool, error) {
+	if err := validateSelect(rows); err != nil {
+		return 0, false, err
 	}
 	if c.rng == nil {
 		c.rng = rand.New(rand.NewSource(c.Seed))
@@ -59,7 +55,7 @@ func (c *Committee) Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]
 				warm = members[k-1]
 			}
 			if err := model.Fit(x, y, scaler, warm); err != nil {
-				return nil, err
+				return 0, false, err
 			}
 		}
 		members = append(members, model)
@@ -77,5 +73,6 @@ func (c *Committee) Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]
 		}
 		return -(p*math.Log2(p) + (1-p)*math.Log2(1-p))
 	}
-	return topByScore(candidates, entropy, m), nil
+	idx, ok := best(len(rows), labeled, entropy)
+	return idx, ok, nil
 }

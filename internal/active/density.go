@@ -30,26 +30,23 @@ type DensityWeighted struct {
 const densityBeta = 1
 
 // Select implements Strategy.
-func (d *DensityWeighted) Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64, m int) ([]int, error) {
-	if err := validateSelect(rows, m); err != nil {
-		return nil, err
+func (d *DensityWeighted) Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64) (int, bool, error) {
+	if err := validateSelect(rows); err != nil {
+		return 0, false, err
 	}
 	if scaler == nil {
-		return nil, fmt.Errorf("active: density weighting needs the whole-space scaler")
-	}
-	candidates := unlabeledIndices(len(rows), labeled)
-	if len(candidates) == 0 {
-		return nil, nil
+		return 0, false, fmt.Errorf("active: density weighting needs the whole-space scaler")
 	}
 	d.ensureDensities(rows, scaler)
 	model, err := fitUncertainty(rows, scaler, labeled)
 	if err != nil {
-		return nil, err
+		return 0, false, err
 	}
 	score := func(i int) float64 {
 		return model.Uncertainty(rows[i]) * math.Pow(d.densities[i], densityBeta)
 	}
-	return topByScore(candidates, score, m), nil
+	idx, ok := best(len(rows), labeled, score)
+	return idx, ok, nil
 }
 
 // ensureDensities computes (once per scaler, so once per version of the

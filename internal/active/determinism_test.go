@@ -13,7 +13,7 @@ func TestUncertaintySelectDeterministic(t *testing.T) {
 	rows := twoClusterRows()
 	scaler := spaceScaler(t, rows)
 	pairs := [][2]float64{{0, 0.9}, {1, 0.8}, {5, 0.1}, {6, 0.2}, {2, 0.7}, {7, 0.3}}
-	var want []int
+	want := -1
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		labeled := make(map[int]float64)
@@ -21,21 +21,16 @@ func TestUncertaintySelectDeterministic(t *testing.T) {
 			labeled[int(pairs[j][0])] = pairs[j][1]
 		}
 		u := &Uncertainty{}
-		got, err := u.Select(rows, scaler, labeled, 2)
+		got, _, err := u.Select(rows, scaler, labeled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want == nil {
+		if want < 0 {
 			want = got
 			continue
 		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: selection size %d vs %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: selection %v differs from %v — training order leaked map randomness", trial, got, want)
-			}
+		if got != want {
+			t.Fatalf("trial %d: selection %d differs from %d — training order leaked map randomness", trial, got, want)
 		}
 	}
 }

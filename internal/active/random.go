@@ -13,24 +13,19 @@ type Random struct {
 	rng  *rand.Rand
 }
 
-// Select implements Strategy; it ignores the scaler.
-func (r *Random) Select(rows [][]float64, _ *ml.Scaler, labeled map[int]float64, m int) ([]int, error) {
-	if err := validateSelect(rows, m); err != nil {
-		return nil, err
+// Select implements Strategy; it ignores the scaler. The pick is the head
+// of a permutation of the unlabelled views, which fixes how far each pick
+// advances the seeded stream, so a replayed session draws the same views.
+func (r *Random) Select(rows [][]float64, _ *ml.Scaler, labeled map[int]float64) (int, bool, error) {
+	if err := validateSelect(rows); err != nil {
+		return 0, false, err
 	}
 	candidates := unlabeledIndices(len(rows), labeled)
 	if len(candidates) == 0 {
-		return nil, nil
+		return 0, false, nil
 	}
 	if r.rng == nil {
 		r.rng = rand.New(rand.NewSource(r.Seed))
 	}
-	if m > len(candidates) {
-		m = len(candidates)
-	}
-	out := make([]int, 0, m)
-	for _, p := range r.rng.Perm(len(candidates))[:m] {
-		out = append(out, candidates[p])
-	}
-	return out, nil
+	return candidates[r.rng.Perm(len(candidates))[0]], true, nil
 }

@@ -12,15 +12,15 @@ import (
 // the cold-start stage's exit test uses the same split.
 const PositiveThreshold = 0.5
 
-// Strategy selects up to m unlabelled view indices to present next.
-// rows is the feature matrix of the whole view space and scaler its
-// standardiser (ml.FitScaler over rows): the session fits it once per
-// feature-matrix version and passes the same pointer until the rows
-// change. The model- and distance-based strategies require it; ColdStart
-// and Random ignore it. labeled maps view index → the user's label for
-// every view already labelled.
+// Strategy selects the unlabelled view index to present next; ok is false
+// once every view is labelled. rows is the feature matrix of the whole
+// view space and scaler its standardiser (ml.FitScaler over rows): the
+// session fits it once per feature-matrix version and passes the same
+// pointer until the rows change. The model- and distance-based strategies
+// require it; ColdStart and Random ignore it. labeled maps view index →
+// the user's label for every view already labelled.
 type Strategy interface {
-	Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64, m int) ([]int, error)
+	Select(rows [][]float64, scaler *ml.Scaler, labeled map[int]float64) (idx int, ok bool, err error)
 }
 
 // binarized returns the labelled rows in ascending index order with their
@@ -74,39 +74,27 @@ func unlabeledIndices(n int, labeled map[int]float64) []int {
 	return out
 }
 
-// topByScore returns up to m indices from candidates with the highest
-// scores, ties broken by ascending index for determinism.
-func topByScore(candidates []int, score func(i int) float64, m int) []int {
-	type scored struct {
-		idx   int
-		score float64
-	}
-	ss := make([]scored, len(candidates))
-	for i, c := range candidates {
-		ss[i] = scored{c, score(c)}
-	}
-	sort.SliceStable(ss, func(a, b int) bool {
-		if ss[a].score != ss[b].score {
-			return ss[a].score > ss[b].score
+// best returns the unlabelled view of [0, n) with the highest score in one
+// pass: the lowest index wins a tie, and a NaN score never beats a number
+// (an all-NaN field goes to its lowest index). ok is false when every view
+// is labelled.
+func best(n int, labeled map[int]float64, score func(i int) float64) (idx int, ok bool) {
+	var top float64
+	for i := 0; i < n; i++ {
+		if _, done := labeled[i]; done {
+			continue
 		}
-		return ss[a].idx < ss[b].idx
-	})
-	if m > len(ss) {
-		m = len(ss)
+		s := score(i)
+		if !ok || s > top || (top != top && s == s) {
+			idx, top, ok = i, s, true
+		}
 	}
-	out := make([]int, m)
-	for i := 0; i < m; i++ {
-		out[i] = ss[i].idx
-	}
-	return out
+	return idx, ok
 }
 
-func validateSelect(rows [][]float64, m int) error {
+func validateSelect(rows [][]float64) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("active: empty view space")
-	}
-	if m <= 0 {
-		return fmt.Errorf("active: must request at least one view, got %d", m)
 	}
 	return nil
 }

@@ -14,28 +14,21 @@ func TestCommitteeWarmChainDeterministic(t *testing.T) {
 	a := &Committee{Seed: 7}
 	b := &Committee{Seed: 7}
 	for step := 0; step < 3; step++ {
-		ga, err := a.Select(rows, scaler, labeled, 2)
+		ga, _, err := a.Select(rows, scaler, labeled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gb, err := b.Select(rows, scaler, labeled, 2)
+		gb, _, err := b.Select(rows, scaler, labeled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ga) != len(gb) {
-			t.Fatalf("step %d: %v vs %v", step, ga, gb)
+		if ga != gb {
+			t.Fatalf("step %d: %d vs %d", step, ga, gb)
 		}
-		for i := range ga {
-			if ga[i] != gb[i] {
-				t.Fatalf("step %d: %v vs %v", step, ga, gb)
-			}
-		}
-		for _, v := range ga {
-			if v < 5 {
-				labeled[v] = 0.8
-			} else {
-				labeled[v] = 0.2
-			}
+		if ga < 5 {
+			labeled[ga] = 0.8
+		} else {
+			labeled[ga] = 0.2
 		}
 	}
 }

@@ -15,10 +15,11 @@
 // is latency-hiding work, equivalent to an exhausted budget) — the label
 // recording and estimator refit still complete, so a caller never sees a
 // half-applied label and in-memory state never diverges from the journal.
-// NextViewsCtx is pure in-memory ranking and does not block, so its
-// context carries only instrumentation.
+// NextCtx, which selects the one view an iteration presents, is pure
+// in-memory ranking and does not block, so its context carries only
+// instrumentation.
 //
-// Observability: NextViewsCtx and FeedbackCtx record per-iteration
+// Observability: NextCtx and FeedbackCtx record per-iteration
 // selection, refit and label metrics plus "select"/"feedback" spans
 // against the context's obs registry; without one they are bit-identical
 // to the plain Next/Feedback paths.

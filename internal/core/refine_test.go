@@ -39,14 +39,14 @@ func TestRefinedSessionMatchesExactSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 20; i++ {
-			next, err := s.NextViews()
+			next, ok, err := s.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(next) == 0 {
+			if !ok {
 				break
 			}
-			if err := s.Feedback(next[0], label(next[0])); err != nil {
+			if err := s.Feedback(next, label(next)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -66,10 +66,10 @@ func TestRefinedSessionMatchesExactSession(t *testing.T) {
 			}
 		}
 	}
-	if partial.ExactCount() == 0 {
+	if exactCount(partial) == 0 {
 		t.Fatal("session never refreshed anything")
 	}
-	if partial.ExactCount() == partial.Len() {
+	if exactCount(partial) == partial.Len() {
 		t.Log("note: every view was refreshed; pruning saved nothing at this scale")
 	}
 
@@ -162,18 +162,29 @@ func TestRefineCapActuallyPrunes(t *testing.T) {
 	s.refineCap = 6
 	s.refineBudget = time.Hour
 	for i := 0; i < 4; i++ {
-		next, err := s.NextViews()
+		next, _, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Feedback(next[0], 0.5); err != nil {
+		if err := s.Feedback(next, 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := partial.ExactCount(); got > 4*6 {
+	if got := exactCount(partial); got > 4*6 {
 		t.Errorf("refreshed %d rows with cap 6 over 4 labels", got)
 	}
 	if partial.AllExact() {
 		t.Error("small cap must leave the tail rough")
 	}
+}
+
+// exactCount returns how many of m's rows are exact.
+func exactCount(m *feature.Matrix) int {
+	n := 0
+	for _, e := range m.Exact {
+		if e {
+			n++
+		}
+	}
+	return n
 }

@@ -47,15 +47,15 @@ func TestRefitMatchesFromScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		next, err := s.NextViews()
+		next, ok, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(next) == 0 {
+		if !ok {
 			break
 		}
 		label := float64(i%2)*0.8 + 0.1 // alternate 0.1 / 0.9
-		if err := s.Feedback(next[0], label); err != nil {
+		if err := s.Feedback(next, label); err != nil {
 			t.Fatal(err)
 		}
 		wantW, wantB := fromScratchWeights(t, s)
@@ -85,14 +85,14 @@ func TestRefitIncrementalPath(t *testing.T) {
 	ctx := obs.NewContext(context.Background(), reg, nil)
 	var first int
 	for i := 0; i < 6; i++ {
-		next, err := s.NextViewsCtx(ctx)
+		next, _, err := s.NextCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			first = next[0]
+			first = next
 		}
-		if err := s.FeedbackCtx(ctx, next[0], float64(i%2)); err != nil {
+		if err := s.FeedbackCtx(ctx, next, float64(i%2)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"viewseeker/internal/active"
@@ -21,17 +20,17 @@ func TestDensityRestoreMatchesOriginal(t *testing.T) {
 	}
 	var densityVer uint64
 	for i := 0; i < 12; i++ {
-		next, err := orig.NextViews()
+		next, ok, err := orig.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(next) == 0 {
+		if !ok {
 			t.Fatal("view space exhausted")
 		}
 		if i == 2 {
 			densityVer = orig.matrix.Version() // first selection past cold start
 		}
-		if err := orig.Feedback(next[0], float64(i%2)*0.8+0.1); err != nil {
+		if err := orig.Feedback(next, float64(i%2)*0.8+0.1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,25 +51,25 @@ func TestDensityRestoreMatchesOriginal(t *testing.T) {
 	// Each presents one view per iteration; both follow the same labels
 	// for a few rounds and must pick the same view every time.
 	for round := 0; round < 5; round++ {
-		want, err := restored.NextViews()
+		want, wantOK, err := restored.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := orig.NextViews()
+		got, ok, err := orig.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("round %d: original picks %v, restored picks %v", round, got, want)
+		if got != want || ok != wantOK {
+			t.Fatalf("round %d: original picks %d (%v), restored picks %d (%v)", round, got, ok, want, wantOK)
 		}
-		if len(got) == 0 {
+		if !ok {
 			break
 		}
 		label := float64(round%2)*0.8 + 0.1
-		if err := orig.Feedback(got[0], label); err != nil {
+		if err := orig.Feedback(got, label); err != nil {
 			t.Fatal(err)
 		}
-		if err := restored.Feedback(want[0], label); err != nil {
+		if err := restored.Feedback(want, label); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -104,23 +104,23 @@ func (s *Seeker) Labels() (indices []int, labels []float64) {
 // positive and negative labels.
 func (s *Seeker) InColdStart() bool { return !(s.havePositive && s.haveNegative) }
 
-// NextViews selects the view to present this iteration (Table 1: one per
+// Next selects the view to present this iteration (Table 1: one per
 // iteration): the cold-start walk until both a positive and a negative
-// label exist, then the configured query strategy. It returns nil when
-// every view is labelled.
-func (s *Seeker) NextViews() ([]int, error) {
-	return s.NextViewsCtx(context.Background())
+// label exist, then the configured query strategy. ok is false once every
+// view is labelled.
+func (s *Seeker) Next() (idx int, ok bool, err error) {
+	return s.NextCtx(context.Background())
 }
 
-// NextViewsCtx is NextViews with per-iteration selection timing recorded
-// against the context's observability registry and tracer (the
-// active-learning layer's half of the interaction loop; FeedbackCtx
-// records the other half). Selection itself never blocks on the context —
-// it is pure in-memory ranking — so there is no cancellation semantics to
-// define here; the context only carries instrumentation.
-func (s *Seeker) NextViewsCtx(ctx context.Context) ([]int, error) {
+// NextCtx is Next with per-iteration selection timing recorded against
+// the context's observability registry and tracer (the active-learning
+// layer's half of the interaction loop; FeedbackCtx records the other
+// half). Selection itself never blocks on the context — it is pure
+// in-memory ranking — so there is no cancellation semantics to define
+// here; the context only carries instrumentation.
+func (s *Seeker) NextCtx(ctx context.Context) (idx int, ok bool, err error) {
 	if len(s.labeled) >= s.matrix.Len() {
-		return nil, nil
+		return 0, false, nil
 	}
 	_, span := obs.StartSpan(ctx, "select")
 	defer span.End()
@@ -129,14 +129,12 @@ func (s *Seeker) NextViewsCtx(ctx context.Context) ([]int, error) {
 	if reg != nil {
 		start = time.Now()
 	}
-	var idxs []int
-	var err error
 	if s.InColdStart() {
-		idxs, err = s.cold.Select(s.matrix.Rows, nil, s.labeled, 1)
+		idx, ok, err = s.cold.Select(s.matrix.Rows, nil, s.labeled)
 	} else {
 		var scaler *ml.Scaler
 		if scaler, err = s.wholeSpaceScaler(); err == nil {
-			idxs, err = s.cfg.Strategy.Select(s.matrix.Rows, scaler, s.labeled, 1)
+			idx, ok, err = s.cfg.Strategy.Select(s.matrix.Rows, scaler, s.labeled)
 		}
 	}
 	if reg != nil {
@@ -144,7 +142,7 @@ func (s *Seeker) NextViewsCtx(ctx context.Context) ([]int, error) {
 			ObserveDuration(time.Since(start))
 		reg.Counter("viewseeker_active_selects_total").Inc()
 	}
-	return idxs, err
+	return idx, ok, err
 }
 
 // Feedback records the user's label (0–1) for a view, runs the incremental

@@ -62,22 +62,22 @@ func TestSeekerColdStartTransitions(t *testing.T) {
 	if !s.InColdStart() {
 		t.Error("session must start in cold start")
 	}
-	next, err := s.NextViews()
+	next, ok, err := s.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(next) != 1 {
-		t.Fatalf("an iteration presents one view, got %d", len(next))
+	if !ok {
+		t.Fatal("a fresh session presents a view")
 	}
 	// A positive then a negative label ends cold start.
-	if err := s.Feedback(next[0], 0.9); err != nil {
+	if err := s.Feedback(next, 0.9); err != nil {
 		t.Fatal(err)
 	}
 	if !s.InColdStart() {
 		t.Error("one class is not enough to exit cold start")
 	}
-	next, _ = s.NextViews()
-	if err := s.Feedback(next[0], 0.1); err != nil {
+	next, _, _ = s.Next()
+	if err := s.Feedback(next, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	if s.InColdStart() {
@@ -120,18 +120,18 @@ func TestSeekerLearnsLinearTarget(t *testing.T) {
 		}
 	}
 	for iter := 0; iter < 30; iter++ {
-		next, err := s.NextViews()
+		next, ok, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(next) == 0 {
+		if !ok {
 			break
 		}
-		label := truth[next[0]] / maxTruth
+		label := truth[next] / maxTruth
 		if label > 1 {
 			label = 1
 		}
-		if err := s.Feedback(next[0], label); err != nil {
+		if err := s.Feedback(next, label); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,10 +186,10 @@ func TestSeekerTopK(t *testing.T) {
 		}
 	}
 	// After feedback, the list is sorted by prediction.
-	next, _ := s.NextViews()
-	_ = s.Feedback(next[0], 1.0)
-	next, _ = s.NextViews()
-	_ = s.Feedback(next[0], 0.0)
+	next, _, _ := s.Next()
+	_ = s.Feedback(next, 1.0)
+	next, _, _ = s.Next()
+	_ = s.Feedback(next, 0.0)
 	top = s.TopK()
 	for i := 1; i < len(top); i++ {
 		if s.Predict(top[i-1]) < s.Predict(top[i]) {
@@ -204,12 +204,12 @@ func TestSeekerWithRefinement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := m.ExactCount()
-	next, _ := s.NextViews()
-	if err := s.Feedback(next[0], 0.8); err != nil {
+	before := exactCount(m)
+	next, _, _ := s.Next()
+	if err := s.Feedback(next, 0.8); err != nil {
 		t.Fatal(err)
 	}
-	if m.ExactCount() <= before {
+	if exactCount(m) <= before {
 		t.Error("feedback should trigger refinement of rough rows")
 	}
 }
@@ -235,11 +235,11 @@ func TestSeekerCustomStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exit cold start first.
-	next, _ := s.NextViews()
-	_ = s.Feedback(next[0], 1.0)
-	next, _ = s.NextViews()
-	_ = s.Feedback(next[0], 0.0)
-	if _, err := s.NextViews(); err != nil {
+	next, _, _ := s.Next()
+	_ = s.Feedback(next, 1.0)
+	next, _, _ = s.Next()
+	_ = s.Feedback(next, 0.0)
+	if _, _, err := s.Next(); err != nil {
 		t.Fatalf("custom strategy selection failed: %v", err)
 	}
 }
@@ -251,12 +251,12 @@ func TestSessionStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		next, err := s1.NextViews()
+		next, _, err := s1.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		label := 0.1 * float64(i+1)
-		if err := s1.Feedback(next[0], label); err != nil {
+		if err := s1.Feedback(next, label); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,16 +283,16 @@ func TestSessionStateRoundTrip(t *testing.T) {
 		}
 	}
 	// Cold-start position restored too: next selection matches.
-	n1, err := s1.NextViews()
+	n1, ok1, err := s1.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := s2.NextViews()
+	n2, ok2, err := s2.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(n1) != len(n2) || n1[0] != n2[0] {
-		t.Errorf("next views diverge after restore: %v vs %v", n1, n2)
+	if n1 != n2 || ok1 != ok2 {
+		t.Errorf("next views diverge after restore: %d (%v) vs %d (%v)", n1, ok1, n2, ok2)
 	}
 }
 

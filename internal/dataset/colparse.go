@@ -9,7 +9,7 @@ import (
 // Every other token is parsed straight into the typed slice — ParseFloat
 // for a float column, ParseInt for an int column, the token itself for a
 // string column — with no Value boxing. A token the direct parse rejects,
-// or would read differently from ParseValue, goes through coerceCell and
+// or would read differently from parseValue, goes through coerceCell and
 // Append instead, so every coercion and every error is the boxed path's.
 // On error it returns the index of the failing token, with the tokens
 // before it stored; otherwise len(toks).
@@ -31,7 +31,7 @@ func (c *Column) appendParsed(tok string) bool {
 	switch c.Def.Kind {
 	case KindFloat:
 		f, err := strconv.ParseFloat(tok, 64)
-		// ParseValue tries ParseInt first, which reads "-0" as +0.
+		// parseValue tries ParseInt first, which reads "-0" as +0.
 		if err != nil || f == 0 && math.Signbit(f) {
 			return false
 		}
@@ -45,7 +45,7 @@ func (c *Column) appendParsed(tok string) bool {
 	case KindString:
 		c.Strs = append(c.Strs, tok)
 	case KindBool:
-		// "1" and "0" are ints to ParseValue, which a bool column rejects.
+		// "1" and "0" are ints to parseValue, which a bool column rejects.
 		b, err := strconv.ParseBool(tok)
 		if err != nil || tok == "1" || tok == "0" {
 			return false
@@ -64,7 +64,7 @@ func coerceCell(cell string, kind Kind) Value {
 	if cell == "" {
 		return Null
 	}
-	v := ParseValue(cell)
+	v := parseValue(cell)
 	if v.Kind == kind {
 		return v
 	}
@@ -90,7 +90,7 @@ func coerceCell(cell string, kind Kind) Value {
 func (c *Column) nullsAs(kind Kind) *Column {
 	def := c.Def
 	def.Kind = kind
-	out := NewColumn(def)
+	out := newColumn(def)
 	for i := c.Len(); i > 0; i-- {
 		out.Append(Null) // a NULL fits every kind
 	}

@@ -48,8 +48,8 @@ type Column struct {
 	}
 }
 
-// NewColumn allocates an empty column for the definition.
-func NewColumn(def ColumnDef) *Column { return &Column{Def: def} }
+// newColumn allocates an empty column for the definition.
+func newColumn(def ColumnDef) *Column { return &Column{Def: def} }
 
 // appended returns a new column holding c's cells plus column j of rows,
 // which check accepted, leaving c untouched: the typed cells go into c's

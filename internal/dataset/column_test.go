@@ -11,7 +11,7 @@ import (
 // nulls at rows 0, 63, 64, 127 and 200 must be readable through IsNull,
 // Value and the raw bitmap, with everything else non-null.
 func TestNullBitmap(t *testing.T) {
-	c := NewColumn(ColumnDef{Name: "x", Kind: KindFloat, Role: RoleMeasure})
+	c := newColumn(ColumnDef{Name: "x", Kind: KindFloat, Role: RoleMeasure})
 	nullAt := map[int]bool{0: true, 63: true, 64: true, 127: true, 200: true}
 	for i := 0; i < 256; i++ {
 		v := Float(float64(i))
@@ -45,7 +45,7 @@ func TestNullBitmap(t *testing.T) {
 
 // TestColumnNoNullsBitmapNil: a column without NULLs keeps a nil bitmap.
 func TestColumnNoNullsBitmapNil(t *testing.T) {
-	c := NewColumn(ColumnDef{Name: "x", Kind: KindInt, Role: RoleMeasure})
+	c := newColumn(ColumnDef{Name: "x", Kind: KindInt, Role: RoleMeasure})
 	for i := 0; i < 10; i++ {
 		if err := c.Append(Int(int64(i))); err != nil {
 			t.Fatal(err)
@@ -64,9 +64,9 @@ func TestColumnNoNullsBitmapNil(t *testing.T) {
 func TestNumericView(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cols := []*Column{
-		NewColumn(ColumnDef{Name: "f", Kind: KindFloat}),
-		NewColumn(ColumnDef{Name: "i", Kind: KindInt}),
-		NewColumn(ColumnDef{Name: "b", Kind: KindBool}),
+		newColumn(ColumnDef{Name: "f", Kind: KindFloat}),
+		newColumn(ColumnDef{Name: "i", Kind: KindInt}),
+		newColumn(ColumnDef{Name: "b", Kind: KindBool}),
 	}
 	appendRandom := func(n int) {
 		for r := 0; r < n; r++ {
@@ -113,7 +113,7 @@ func TestNumericView(t *testing.T) {
 	appendRandom(50)
 	check()
 	// String columns have no numeric view.
-	s := NewColumn(ColumnDef{Name: "s", Kind: KindString})
+	s := newColumn(ColumnDef{Name: "s", Kind: KindString})
 	if err := s.Append(StringVal("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestNumericView(t *testing.T) {
 // TestNumericViewConcurrent races the lazy decode from many goroutines;
 // run under -race this proves the cache's locking.
 func TestNumericViewConcurrent(t *testing.T) {
-	c := NewColumn(ColumnDef{Name: "i", Kind: KindInt})
+	c := newColumn(ColumnDef{Name: "i", Kind: KindInt})
 	for i := 0; i < 5_000; i++ {
 		v := Int(int64(i))
 		if i%97 == 0 {

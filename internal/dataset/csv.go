@@ -67,7 +67,7 @@ func readCSV(name string, r io.Reader, sf *schemaFile) (*Table, error) {
 	}
 	cols := make([]*csvColumn, len(defs))
 	for j, def := range defs {
-		cols[j] = &csvColumn{c: NewColumn(def)}
+		cols[j] = &csvColumn{c: newColumn(def)}
 	}
 	if err := src.parse(cols); err != nil {
 		return nil, err
@@ -151,7 +151,7 @@ func (s *csvSource) inferKinds(defs []ColumnDef) error {
 		s.buffered = append(s.buffered, slices.Clone(rec))
 		for j, cell := range rec {
 			if defs[j].Kind == KindNull && cell != "" {
-				defs[j].Kind = ParseValue(cell).Kind
+				defs[j].Kind = parseValue(cell).Kind
 				pending--
 			}
 		}
@@ -284,7 +284,7 @@ func (col *csvColumn) parse(cells []string) {
 	if !col.seen {
 		if i := slices.IndexFunc(cells, func(c string) bool { return c != "" }); i >= 0 {
 			col.seen = true
-			k := ParseValue(cells[i]).Kind
+			k := parseValue(cells[i]).Kind
 			if k != col.c.Def.Kind && !(k == KindInt && col.c.Def.Kind == KindFloat) {
 				col.c = col.c.nullsAs(k)
 			}
@@ -311,8 +311,8 @@ func readCSVFile(path string, sf *schemaFile) (*Table, error) {
 	return readCSV(base, f, sf)
 }
 
-// WriteCSV writes the table, header first.
-func WriteCSV(t *Table, w io.Writer) error {
+// writeCSV writes the table, header first.
+func writeCSV(t *Table, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := make([]string, t.Schema.Len())
 	for i, def := range t.Schema.Columns {
@@ -339,14 +339,14 @@ func WriteCSV(t *Table, w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteCSVFile writes the table to a file path.
-func WriteCSVFile(t *Table, path string) error {
+// writeCSVFile writes the table to a file path.
+func writeCSVFile(t *Table, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return WriteCSV(t, f)
+	return writeCSV(t, f)
 }
 
 // AssignRoles marks the named columns as dimensions and measures. Unlisted

@@ -39,7 +39,7 @@ func oracleReadCSV(name string, r io.Reader) (*Table, error) {
 			if row[j] == "" {
 				continue // NULL tells us nothing about the kind
 			}
-			kind = ParseValue(row[j]).Kind
+			kind = parseValue(row[j]).Kind
 			break
 		}
 		defs[j] = ColumnDef{Name: strings.TrimSpace(h), Kind: kind}
@@ -87,7 +87,7 @@ func sidecarReference(text, sidecar string) (*Table, error) {
 		defs[j] = ColumnDef{Name: strings.TrimSpace(h), Kind: KindNull}
 		for _, row := range rows {
 			if row[j] != "" {
-				defs[j].Kind = ParseValue(row[j]).Kind
+				defs[j].Kind = parseValue(row[j]).Kind
 				break
 			}
 		}

@@ -56,7 +56,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(orig, &buf); err != nil {
+	if err := writeCSV(orig, &buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCSV("t", &buf)
@@ -83,7 +83,7 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSVFile(orig, path); err != nil {
+	if err := writeCSVFile(orig, path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCSVFile(path)
@@ -223,7 +223,7 @@ func TestReadCSVAllocsPerRow(t *testing.T) {
 	// stays within two mallocs per row (the boxed loader took ~32).
 	const rows = 20_000
 	var buf bytes.Buffer
-	if err := WriteCSV(GenerateSYN(SYNConfig{Rows: rows, Seed: 1}), &buf); err != nil {
+	if err := writeCSV(GenerateSYN(SYNConfig{Rows: rows, Seed: 1}), &buf); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {

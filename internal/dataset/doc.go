@@ -33,7 +33,7 @@
 // would differ, so tables, coercions and errors (and their order) are
 // those of the boxed row-at-a-time loader the tests keep as an oracle.
 // The one difference: a column the sidecar calls float accepts a whole
-// first cell, so a float column that WriteCSV wrote as "2" round-trips.
+// first cell, so a float column that writeCSV wrote as "2" round-trips.
 //
 // Bit-identity: the numeric view yields exactly the values the
 // row-at-a-time accessors yield, in the same row order, so scan kernels

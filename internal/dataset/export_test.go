@@ -37,3 +37,9 @@ func ReadCSVSidecar(name string, r io.Reader, sidecar string) (*Table, error) {
 	}
 	return readCSV(name, r, sf)
 }
+
+// Writers the differential tests serialise their random tables with.
+var (
+	WriteCSV    = writeCSV
+	WriteSchema = writeSchema
+)

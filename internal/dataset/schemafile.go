@@ -24,9 +24,9 @@ type schemaFileCol struct {
 
 const schemaFileVersion = 1
 
-// WriteSchema writes the table's schema (kinds and roles) as JSON, the
-// sidecar companion to WriteCSV.
-func WriteSchema(t *Table, w io.Writer) error {
+// writeSchema writes the table's schema (kinds and roles) as JSON, the
+// sidecar companion to writeCSV.
+func writeSchema(t *Table, w io.Writer) error {
 	sf := schemaFile{Version: schemaFileVersion, Table: t.Name}
 	for _, def := range t.Schema.Columns {
 		sf.Columns = append(sf.Columns, schemaFileCol{
@@ -109,7 +109,7 @@ func schemaPathFor(csvPath string) string {
 // WriteCSVWithSchema writes the table to csvPath plus a .schema.json
 // sidecar next to it.
 func WriteCSVWithSchema(t *Table, csvPath string) error {
-	if err := WriteCSVFile(t, csvPath); err != nil {
+	if err := writeCSVFile(t, csvPath); err != nil {
 		return err
 	}
 	f, err := os.Create(schemaPathFor(csvPath))
@@ -117,7 +117,7 @@ func WriteCSVWithSchema(t *Table, csvPath string) error {
 		return err
 	}
 	defer f.Close()
-	return WriteSchema(t, f)
+	return writeSchema(t, f)
 }
 
 // ReadCSVWithSchema loads a CSV with the .schema.json sidecar next to it,

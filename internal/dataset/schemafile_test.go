@@ -34,7 +34,7 @@ func TestReadCSVWithSchemaNoSidecar(t *testing.T) {
 	orig := GenerateDIAB(DIABConfig{Rows: 50, Seed: 1})
 	dir := t.TempDir()
 	path := filepath.Join(dir, "plain.csv")
-	if err := WriteCSVFile(orig, path); err != nil {
+	if err := writeCSVFile(orig, path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCSVWithSchema(path)
@@ -49,7 +49,7 @@ func TestReadCSVWithSchemaNoSidecar(t *testing.T) {
 func TestApplySchemaValidation(t *testing.T) {
 	tab := GenerateDIAB(DIABConfig{Rows: 20, Seed: 1})
 	var buf bytes.Buffer
-	if err := WriteSchema(tab, &buf); err != nil {
+	if err := writeSchema(tab, &buf); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.String()

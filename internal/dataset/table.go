@@ -36,7 +36,7 @@ type memoEntry struct {
 func NewTable(name string, schema *Schema) *Table {
 	cols := make([]*Column, schema.Len())
 	for i, def := range schema.Columns {
-		cols[i] = NewColumn(def)
+		cols[i] = newColumn(def)
 	}
 	return &Table{Name: name, Schema: schema, Cols: cols}
 }

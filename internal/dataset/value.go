@@ -167,9 +167,9 @@ func Compare(a, b Value) int {
 	}
 }
 
-// ParseValue infers the most specific kind for a CSV token: int, then
+// parseValue infers the most specific kind for a CSV token: int, then
 // float, then bool, then string. Empty strings parse as NULL.
-func ParseValue(s string) Value {
+func parseValue(s string) Value {
 	if s == "" {
 		return Null
 	}

@@ -137,8 +137,8 @@ func TestParseValue(t *testing.T) {
 		{"12abc", KindString},
 	}
 	for _, c := range cases {
-		if got := ParseValue(c.in).Kind; got != c.kind {
-			t.Errorf("ParseValue(%q).Kind = %v, want %v", c.in, got, c.kind)
+		if got := parseValue(c.in).Kind; got != c.kind {
+			t.Errorf("parseValue(%q).Kind = %v, want %v", c.in, got, c.kind)
 		}
 	}
 }
@@ -148,7 +148,7 @@ func TestParseValueRoundTrip(t *testing.T) {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return true
 		}
-		v := ParseValue(Float(x).String())
+		v := parseValue(Float(x).String())
 		got, ok := v.AsFloat()
 		return ok && got == x
 	}

@@ -173,7 +173,7 @@ func TestReportEffort(t *testing.T) {
 
 func TestWriteTable(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteTable(&buf, []string{"a", "long-header"}, [][]string{{"1", "2"}, {"333", "4"}})
+	err := writeTable(&buf, []string{"a", "long-header"}, [][]string{{"1", "2"}, {"333", "4"}})
 	if err != nil {
 		t.Fatal(err)
 	}

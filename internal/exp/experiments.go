@@ -8,8 +8,8 @@ import (
 	"viewseeker/internal/sim"
 )
 
-// DefaultKs is the k sweep of Figures 3, 4, 6 and 7.
-var DefaultKs = []int{5, 10, 15, 20, 25, 30}
+// defaultKs is the k sweep of Figures 3, 4, 6 and 7.
+var defaultKs = []int{5, 10, 15, 20, 25, 30}
 
 // defaultMaxLabels bounds simulated sessions; the paper's sessions finish
 // in 7–16 labels, so 100 is a generous safety margin.
@@ -41,7 +41,7 @@ func meanLabels(tb *Testbed, components int, ks []int, criterion sim.StopCriteri
 		return nil, fmt.Errorf("exp: no ideal functions with %d components", components)
 	}
 	if len(ks) == 0 {
-		ks = DefaultKs
+		ks = defaultKs
 	}
 	curve := &EffortCurve{Dataset: tb.Name, Components: components, Ks: ks, Converged: true}
 	for _, k := range ks {
@@ -85,9 +85,9 @@ func run(s *viewseeker.Seeker, user sim.Labeller, k int, criterion sim.StopCrite
 // indices.
 type indexed struct{ *viewseeker.Seeker }
 
-func (s indexed) NextViews() ([]int, error) {
-	vs, err := s.Seeker.NextViews()
-	return indices(vs), err
+func (s indexed) Next() (int, bool, error) {
+	v, ok, err := s.Seeker.Next()
+	return v.Index, ok, err
 }
 
 func (s indexed) TopK() []int { return indices(s.Seeker.TopK()) }
@@ -170,7 +170,7 @@ func OptimizationStudy(tb *Testbed, components int, ks []int, alpha float64) (*O
 		return nil, fmt.Errorf("exp: no ideal functions with %d components", components)
 	}
 	if len(ks) == 0 {
-		ks = DefaultKs
+		ks = defaultKs
 	}
 	if alpha <= 0 {
 		alpha = 0.1

@@ -76,7 +76,7 @@ func renderFigures(t *testing.T) []byte {
 		tb   *Testbed
 	}{{"Figure 3", diab}, {"Figure 4", syn}} {
 		for components := 1; components <= 3; components++ {
-			curve, err := LabelsToFullPrecision(fig.tb, components, DefaultKs)
+			curve, err := LabelsToFullPrecision(fig.tb, components, defaultKs)
 			check(err)
 			panel := fmt.Sprintf("%s%c", fig.name, 'a'+components-1)
 			check(ReportEffort(&buf, panel, []*EffortCurve{curve}))
@@ -91,7 +91,7 @@ func renderFigures(t *testing.T) []byte {
 	// labels are those of the warm testbed's sessions; only its timing
 	// needs the cold copy (Testbed.ColdRun).
 	for components := 1; components <= 3; components++ {
-		curve, err := meanLabels(diab, components, DefaultKs, sim.StopAtZeroUD)
+		curve, err := meanLabels(diab, components, defaultKs, sim.StopAtZeroUD)
 		check(err)
 		fmt.Fprintf(&buf, "Figures 6/7: labels to UD = 0 without optimisation — %s, %d-component u*()\n",
 			diab.Name, components)
@@ -99,7 +99,7 @@ func renderFigures(t *testing.T) []byte {
 		for i, k := range curve.Ks {
 			cells = append(cells, []string{fmt.Sprint(k), fmt.Sprintf("%.1f", curve.Labels[i])})
 		}
-		check(WriteTable(&buf, []string{"k", "labels (no opt)"}, cells))
+		check(writeTable(&buf, []string{"k", "labels (no opt)"}, cells))
 		fmt.Fprintln(&buf)
 	}
 	return buf.Bytes()

@@ -9,8 +9,8 @@ import (
 	"viewseeker/internal/sim"
 )
 
-// WriteTable renders an aligned text table.
-func WriteTable(w io.Writer, headers []string, rows [][]string) error {
+// writeTable renders an aligned text table.
+func writeTable(w io.Writer, headers []string, rows [][]string) error {
 	widths := make([]int, len(headers))
 	for i, h := range headers {
 		widths[i] = len(h)
@@ -58,7 +58,7 @@ func ReportTable1(w io.Writer, rows []Table1Row) error {
 		cells[i] = []string{r.Parameter, r.Value}
 	}
 	fmt.Fprintln(w, "Table 1: Testbed Parameters")
-	return WriteTable(w, []string{"Parameter", "Value"}, cells)
+	return writeTable(w, []string{"Parameter", "Value"}, cells)
 }
 
 // ReportTable2 prints the simulated ideal utility functions.
@@ -68,7 +68,7 @@ func ReportTable2(w io.Writer) error {
 	for _, f := range sim.IdealFunctions() {
 		cells = append(cells, []string{fmt.Sprint(f.ID), f.Name()})
 	}
-	return WriteTable(w, []string{"#", "Involved utility features and weights"}, cells)
+	return writeTable(w, []string{"#", "Involved utility features and weights"}, cells)
 }
 
 // ReportEffort prints one Figure 3/4 panel.
@@ -80,7 +80,7 @@ func ReportEffort(w io.Writer, figure string, curves []*EffortCurve) error {
 		for i, k := range c.Ks {
 			cells = append(cells, []string{fmt.Sprint(k), fmt.Sprintf("%.1f", c.Labels[i])})
 		}
-		if err := WriteTable(w, []string{"k", "labels"}, cells); err != nil {
+		if err := writeTable(w, []string{"k", "labels"}, cells); err != nil {
 			return err
 		}
 		if !c.Converged {
@@ -98,7 +98,7 @@ func ReportBaselines(w io.Writer, fnName string, results []BaselineResult) error
 	for _, r := range results {
 		cells = append(cells, []string{r.Name, fmt.Sprintf("%.2f", r.Precision)})
 	}
-	return WriteTable(w, []string{"ranker", "precision"}, cells)
+	return writeTable(w, []string{"ranker", "precision"}, cells)
 }
 
 // ReportOptimization prints one Figure 6 + Figure 7 panel pair.
@@ -115,7 +115,7 @@ func ReportOptimization(w io.Writer, c *OptimizationCurve) error {
 			p.TimeOptimized.Round(100 * time.Microsecond).String(),
 		})
 	}
-	return WriteTable(w,
+	return writeTable(w,
 		[]string{"k", "labels (no opt)", "labels (opt)", "runtime (no opt)", "runtime (opt)"},
 		cells)
 }

@@ -9,35 +9,35 @@ import (
 	"viewseeker/internal/view"
 )
 
-// Kind classifies a finding.
-type Kind string
+// kind classifies a finding.
+type kind string
 
 // The finding kinds, roughly ordered by how specific they are.
 const (
-	KindOutstandingBin Kind = "outstanding-bin" // one bar carries the deviation
-	KindMissingBin     Kind = "missing-bin"     // the subset is absent where the population is not
-	KindTrendReversal  Kind = "trend-reversal"  // subset trends against the population
-	KindSignificance   Kind = "significance"    // χ² test verdict on the whole view
-	KindConcentration  Kind = "concentration"   // subset mass concentrated in few bars
-	KindNothingNotable Kind = "nothing-notable" // the view looks like the population
+	kindOutstandingBin kind = "outstanding-bin" // one bar carries the deviation
+	kindMissingBin     kind = "missing-bin"     // the subset is absent where the population is not
+	kindTrendReversal  kind = "trend-reversal"  // subset trends against the population
+	kindSignificance   kind = "significance"    // χ² test verdict on the whole view
+	kindConcentration  kind = "concentration"   // subset mass concentrated in few bars
+	kindNothingNotable kind = "nothing-notable" // the view looks like the population
 )
 
-// Finding is one explanation, scored for ranking (higher = stronger).
-type Finding struct {
-	Kind    Kind
+// finding is one explanation, scored for ranking (higher = stronger).
+type finding struct {
+	kind    kind
 	Score   float64
 	Message string
 }
 
-// Explain inspects a pair and returns findings sorted strongest-first.
+// explainPair inspects a pair and returns findings sorted strongest-first.
 // It never returns an empty slice: when nothing stands out it says so.
-func Explain(p *view.Pair) ([]Finding, error) {
+func explainPair(p *view.Pair) ([]finding, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	tgt := p.Target.Distribution()
 	ref := p.Reference.Distribution()
-	var out []Finding
+	var out []finding
 
 	// Outstanding and missing bins.
 	type binDiff struct {
@@ -56,8 +56,8 @@ func Explain(p *view.Pair) ([]Finding, error) {
 		if top.diff < 0 {
 			direction = "under-represented"
 		}
-		out = append(out, Finding{
-			Kind:  KindOutstandingBin,
+		out = append(out, finding{
+			kind:  kindOutstandingBin,
 			Score: math.Abs(top.diff),
 			Message: fmt.Sprintf("%s is strongly %s in the subset: it carries %.0f%% of the chart's total vs %.0f%% on the reference side",
 				p.Target.Labels[top.idx], direction, tgt[top.idx]*100, ref[top.idx]*100),
@@ -65,8 +65,8 @@ func Explain(p *view.Pair) ([]Finding, error) {
 	}
 	for i := range tgt {
 		if p.Target.Counts[i] == 0 && ref[i] >= 0.1 {
-			out = append(out, Finding{
-				Kind:  KindMissingBin,
+			out = append(out, finding{
+				kind:  kindMissingBin,
 				Score: ref[i],
 				Message: fmt.Sprintf("the subset has no data at all in %s, which carries %.0f%% of the reference chart",
 					p.Target.Labels[i], ref[i]*100),
@@ -82,8 +82,8 @@ func Explain(p *view.Pair) ([]Finding, error) {
 		if tSlope < 0 {
 			dir, opp = opp, dir
 		}
-		out = append(out, Finding{
-			Kind:  KindTrendReversal,
+		out = append(out, finding{
+			kind:  kindTrendReversal,
 			Score: math.Abs(tSlope - rSlope),
 			Message: fmt.Sprintf("across the bins the subset %s where the population %s (normalised slopes %+.2f vs %+.2f)",
 				dir, opp, tSlope, rSlope),
@@ -96,8 +96,8 @@ func Explain(p *view.Pair) ([]Finding, error) {
 		return nil, err
 	}
 	if pScore >= 0.95 {
-		out = append(out, Finding{
-			Kind:  KindSignificance,
+		out = append(out, finding{
+			kind:  kindSignificance,
 			Score: pScore - 0.9,
 			Message: fmt.Sprintf("the deviation is statistically significant (p < %.3g under a χ² test against the population distribution)",
 				1-pScore+1e-3),
@@ -113,8 +113,8 @@ func Explain(p *view.Pair) ([]Finding, error) {
 		}
 	}
 	if maxT >= 0.5 && ref[maxIdx] <= maxT/2 {
-		out = append(out, Finding{
-			Kind:  KindConcentration,
+		out = append(out, finding{
+			kind:  kindConcentration,
 			Score: maxT - ref[maxIdx],
 			Message: fmt.Sprintf("over half the subset (%.0f%%) falls in %s alone",
 				maxT*100, p.Target.Labels[maxIdx]),
@@ -126,8 +126,8 @@ func Explain(p *view.Pair) ([]Finding, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Finding{
-			Kind:    KindNothingNotable,
+		out = append(out, finding{
+			kind:    kindNothingNotable,
 			Score:   0,
 			Message: fmt.Sprintf("the subset closely follows the population on this view (L1 distance %.3f)", l1),
 		})
@@ -139,7 +139,7 @@ func Explain(p *view.Pair) ([]Finding, error) {
 // Summarize renders the strongest findings (up to max) as a bulleted
 // plain-text block.
 func Summarize(p *view.Pair, max int) (string, error) {
-	findings, err := Explain(p)
+	findings, err := explainPair(p)
 	if err != nil {
 		return "", err
 	}

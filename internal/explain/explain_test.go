@@ -25,22 +25,22 @@ func pairOf(labels []string, tgtCounts, refCounts []float64) *view.Pair {
 	}
 }
 
-func kinds(fs []Finding) map[Kind]bool {
-	out := map[Kind]bool{}
+func kinds(fs []finding) map[kind]bool {
+	out := map[kind]bool{}
 	for _, f := range fs {
-		out[f.Kind] = true
+		out[f.kind] = true
 	}
 	return out
 }
 
 func TestExplainOutstandingBin(t *testing.T) {
 	p := pairOf([]string{"a", "b", "c"}, []float64{80, 10, 10}, []float64{100, 100, 100})
-	fs, err := Explain(p)
+	fs, err := explainPair(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ks := kinds(fs)
-	if !ks[KindOutstandingBin] {
+	if !ks[kindOutstandingBin] {
 		t.Errorf("expected outstanding-bin finding, got %+v", fs)
 	}
 	if !strings.Contains(fs[0].Message, "a") {
@@ -56,11 +56,11 @@ func TestExplainOutstandingBin(t *testing.T) {
 
 func TestExplainMissingBin(t *testing.T) {
 	p := pairOf([]string{"a", "b"}, []float64{50, 0}, []float64{50, 50})
-	fs, err := Explain(p)
+	fs, err := explainPair(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !kinds(fs)[KindMissingBin] {
+	if !kinds(fs)[kindMissingBin] {
 		t.Errorf("expected missing-bin finding, got %+v", fs)
 	}
 }
@@ -69,15 +69,15 @@ func TestExplainTrendReversal(t *testing.T) {
 	p := pairOf([]string{"q1", "q2", "q3", "q4"},
 		[]float64{10, 20, 30, 40}, // rising
 		[]float64{40, 30, 20, 10}) // falling
-	fs, err := Explain(p)
+	fs, err := explainPair(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !kinds(fs)[KindTrendReversal] {
+	if !kinds(fs)[kindTrendReversal] {
 		t.Errorf("expected trend-reversal finding, got %+v", fs)
 	}
 	for _, f := range fs {
-		if f.Kind == KindTrendReversal && !strings.Contains(f.Message, "rises") {
+		if f.kind == kindTrendReversal && !strings.Contains(f.Message, "rises") {
 			t.Errorf("trend message = %q", f.Message)
 		}
 	}
@@ -86,33 +86,33 @@ func TestExplainTrendReversal(t *testing.T) {
 func TestExplainSignificance(t *testing.T) {
 	// Big counts with a clear skew: significant.
 	p := pairOf([]string{"a", "b"}, []float64{900, 100}, []float64{500, 500})
-	fs, err := Explain(p)
+	fs, err := explainPair(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !kinds(fs)[KindSignificance] {
+	if !kinds(fs)[kindSignificance] {
 		t.Errorf("expected significance finding, got %+v", fs)
 	}
 }
 
 func TestExplainConcentration(t *testing.T) {
 	p := pairOf([]string{"a", "b", "c", "d"}, []float64{70, 10, 10, 10}, []float64{25, 25, 25, 25})
-	fs, err := Explain(p)
+	fs, err := explainPair(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !kinds(fs)[KindConcentration] {
+	if !kinds(fs)[kindConcentration] {
 		t.Errorf("expected concentration finding, got %+v", fs)
 	}
 }
 
 func TestExplainNothingNotable(t *testing.T) {
 	p := pairOf([]string{"a", "b"}, []float64{51, 49}, []float64{50, 50})
-	fs, err := Explain(p)
+	fs, err := explainPair(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fs) != 1 || fs[0].Kind != KindNothingNotable {
+	if len(fs) != 1 || fs[0].kind != kindNothingNotable {
 		t.Errorf("expected only nothing-notable, got %+v", fs)
 	}
 }
@@ -122,7 +122,7 @@ func TestExplainValidates(t *testing.T) {
 		Target:    &view.Histogram{Values: []float64{1}},
 		Reference: &view.Histogram{Values: []float64{1, 2}},
 	}
-	if _, err := Explain(bad); err == nil {
+	if _, err := explainPair(bad); err == nil {
 		t.Error("mismatched pair should fail")
 	}
 }

@@ -297,7 +297,7 @@ func TestRefreshFamilyFailureLeavesMatrix(t *testing.T) {
 		if fail {
 			return 0, errors.New("injected feature failure")
 		}
-		return p.Target.TotalCount(), nil
+		return totalCount(p.Target), nil
 	}}); err != nil {
 		t.Fatal(err)
 	}

@@ -193,17 +193,6 @@ func (m *Matrix) AllExact() bool {
 	return true
 }
 
-// ExactCount returns how many rows are exact.
-func (m *Matrix) ExactCount() int {
-	n := 0
-	for _, e := range m.Exact {
-		if e {
-			n++
-		}
-	}
-	return n
-}
-
 // RefreshFamily recomputes the given views on the full data and marks
 // them exact, one (dimension, bins, measure) family at a time. The
 // family's statistics are fetched once through Generator.FamilyStats (a

@@ -230,7 +230,7 @@ func TestCustomFeature(t *testing.T) {
 	err := r.Add(Feature{
 		Name: "TARGET_MASS",
 		Compute: func(p *view.Pair) (float64, error) {
-			return p.Target.TotalCount(), nil
+			return totalCount(p.Target), nil
 		},
 	})
 	if err != nil {

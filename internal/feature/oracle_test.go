@@ -120,3 +120,23 @@ func deviation(pos int) func(p *view.Pair) (float64, error) {
 		return out[pos], nil
 	}
 }
+
+// ExactCount returns how many rows are exact.
+func (m *Matrix) ExactCount() int {
+	n := 0
+	for _, e := range m.Exact {
+		if e {
+			n++
+		}
+	}
+	return n
+}
+
+// totalCount returns the number of rows a histogram's bins hold.
+func totalCount(h *view.Histogram) float64 {
+	t := 0.0
+	for _, c := range h.Counts {
+		t += c
+	}
+	return t
+}

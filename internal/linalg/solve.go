@@ -6,8 +6,8 @@ import (
 	"math"
 )
 
-// ErrSingular reports a numerically singular system.
-var ErrSingular = errors.New("linalg: matrix is singular")
+// errSingular reports a numerically singular system.
+var errSingular = errors.New("linalg: matrix is singular")
 
 // Solve solves A·x = b by Gaussian elimination with partial pivoting. A is
 // destroyed; pass a copy to preserve it. b is not modified.
@@ -31,7 +31,7 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 		if maxAbs < 1e-14 {
-			return nil, ErrSingular
+			return nil, errSingular
 		}
 		if pivot != col {
 			for j := col; j < n; j++ {

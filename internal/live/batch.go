@@ -8,13 +8,6 @@ import (
 	"viewseeker/internal/dataset"
 )
 
-// Batch is one committed append: a contiguous run of rows (boxed values in
-// schema order) under its WAL sequence number.
-type Batch struct {
-	Seq  uint64
-	Rows [][]dataset.Value
-}
-
 // Value kind tags of the batch payload encoding.
 const (
 	tagNull = iota

@@ -57,7 +57,7 @@ func fixtureRows(i int) [][]dataset.Value {
 
 // TestParentFormatWALReplays opens a WAL written before the frame log and
 // the batch codec were split apart and checks it replays to the same
-// batches: the split did not move a byte of the on-disk format.
+// rows: the split did not move a byte of the on-disk format.
 func TestParentFormatWALReplays(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "wal", "testdata", "parent-v1.wal"))
 	if err != nil {
@@ -79,15 +79,21 @@ func TestParentFormatWALReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lt.Close()
-	var want []Batch
+	if rec.TornTail || rec.Replayed != 4 || rec.LastSeq != 4 {
+		t.Fatalf("fixture replay: torn %v, %d batches through seq %d", rec.TornTail, rec.Replayed, rec.LastSeq)
+	}
+	var want [][]dataset.Value
 	for i := 0; i < 4; i++ {
-		want = append(want, Batch{Seq: uint64(i + 1), Rows: fixtureRows(i)})
+		want = append(want, fixtureRows(i)...)
 	}
-	if rec.TornTail || !reflect.DeepEqual(rec.Batches, want) {
-		t.Fatalf("fixture replay: torn %v, batches %+v", rec.TornTail, rec.Batches)
+	got := lt.Current()
+	if got.NumRows() != len(want) {
+		t.Fatalf("replayed table has %d rows, want %d", got.NumRows(), len(want))
 	}
-	if lt.Current().NumRows() != 14 {
-		t.Fatalf("replayed table has %d rows, want 14", lt.Current().NumRows())
+	for r, row := range want {
+		if !reflect.DeepEqual(got.Row(r), row) {
+			t.Fatalf("replayed row %d = %v, fixture %v", r, got.Row(r), row)
+		}
 	}
 	// Re-encoding the replayed batches reproduces the fixture's payloads.
 	lt.Close()
@@ -98,8 +104,8 @@ func TestParentFormatWALReplays(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range want {
-		enc, err := encodeBatch(b.Rows)
+	for i := 0; i < 4; i++ {
+		enc, err := encodeBatch(fixtureRows(i))
 		if err != nil || !bytes.Equal(enc, frames[i]) {
 			t.Fatalf("batch %d re-encodes differently (err %v)", i, err)
 		}
@@ -107,24 +113,43 @@ func TestParentFormatWALReplays(t *testing.T) {
 }
 
 // TestUndecodableFrameIsAHardError: a frame that passes its checksum but
-// is not a batch was written whole, so it is not a torn tail. Open must
-// refuse it rather than truncate it and every batch after it.
+// is not a batch, or is a batch whose rows do not fit the table (here the
+// fixture's five columns against a two-column base), was written whole,
+// so it is not a torn tail. Open must refuse it, naming the frame, rather
+// than truncate it and every batch after it, and leave the log untouched.
 func TestUndecodableFrameIsAHardError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.wal")
-	l, _, err := wal.Open(nil, path, wal.Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
+	enc := func(rows [][]dataset.Value) []byte {
+		b, err := encodeBatch(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	if _, err := l.Append([]byte("not a batch")); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	before, _ := os.ReadFile(path)
-	if _, _, err := Open(nil, path, baseTable(t, 3), Options{}); err == nil || !strings.Contains(err.Error(), "frame 1") {
-		t.Fatalf("Open over an undecodable frame: %v", err)
-	}
-	if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
-		t.Fatal("refused log was modified")
+	for _, c := range []struct {
+		frames  [][]byte
+		wantErr string
+	}{
+		{[][]byte{[]byte("not a batch")}, "frame 1"},
+		{[][]byte{enc(batch(3, 2)), enc(fixtureRows(0)), enc(batch(5, 2))}, "batch 2"},
+	} {
+		path := filepath.Join(t.TempDir(), "t.wal")
+		l, _, err := wal.Open(nil, path, wal.Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range c.frames {
+			if _, err := l.Append(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+		before, _ := os.ReadFile(path)
+		if _, _, err := Open(nil, path, baseTable(t, 3), Options{}); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Fatalf("Open over a refused frame: %v, want an error naming %s", err, c.wantErr)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(before, after) {
+			t.Fatal("refused log was modified")
+		}
 	}
 }
 

@@ -99,20 +99,24 @@ func Open(fs faultfs.FS, path string, base *dataset.Table, opts Options) (*Table
 	start := base
 	var ckptSeq uint64
 	var ckptAt int64
-	ck, ckTable, err := readCheckpoint(fs, CheckpointPath(path))
+	ck, ckTable, err := readCheckpoint(fs, checkpointPath(path))
 	if err != nil {
 		return nil, nil, err
 	}
 	if ck != nil {
 		if want := store.HashTable(base); ck.BaseHash != want {
 			return nil, nil, fmt.Errorf("live: checkpoint %s was taken against base %s, not %s",
-				CheckpointPath(path), ck.BaseHash, want)
+				checkpointPath(path), ck.BaseHash, want)
 		}
 		start = ckTable
 		ckptSeq = ck.Seq
 		ckptAt = ck.WrittenUnix
 	}
+	// Each committed batch is applied as the scan decodes it, so recovery
+	// holds one decoded batch at a time. A failing frame stops the scan
+	// before the WAL layer opens or truncates anything.
 	rec := &Recovery{}
+	cur := start
 	w, wrec, err := wal.Open(fs, path, wal.Options{
 		SyncEvery: opts.SyncEvery, Retry: opts.Retry, SkipThrough: ckptSeq,
 	}, func(seq uint64, payload []byte) error {
@@ -120,22 +124,18 @@ func Open(fs faultfs.FS, path string, base *dataset.Table, opts Options) (*Table
 		if err != nil {
 			return fmt.Errorf("live: WAL %s frame %d: %w", path, seq, err)
 		}
-		rec.Batches = append(rec.Batches, Batch{Seq: seq, Rows: rows})
+		next, err := cur.WithAppended(rows)
+		if err != nil {
+			return fmt.Errorf("live: replaying batch %d: %w", seq, err)
+		}
+		cur = next
+		rec.Replayed++
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	rec.Recovery = *wrec
-	cur := start
-	for _, b := range rec.Batches {
-		next, err := cur.WithAppended(b.Rows)
-		if err != nil {
-			w.Close()
-			return nil, nil, fmt.Errorf("live: replaying batch %d: %w", b.Seq, err)
-		}
-		cur = next
-	}
 	t := &Table{
 		base: base, cur: cur, w: w, seq: rec.LastSeq,
 		fs: fs, path: path, ckptBytes: opts.CheckpointBytes,
@@ -145,12 +145,12 @@ func Open(fs faultfs.FS, path string, base *dataset.Table, opts Options) (*Table
 	return t, rec, nil
 }
 
-// Recovery reports what Open found: the WAL's recovery scan plus the
-// batches it replayed, in sequence order.
+// Recovery reports what Open found: the WAL's recovery scan plus how many
+// batches it replayed.
 type Recovery struct {
 	wal.Recovery
-	// Batches are the committed batches past the checkpoint.
-	Batches []Batch
+	// Replayed counts the committed batches past the checkpoint.
+	Replayed int
 }
 
 // Instrument registers the live-table metrics (and the underlying WAL's)
@@ -170,7 +170,7 @@ func (t *Table) Instrument(reg *obs.Registry, rec *Recovery) {
 	recovered := reg.Counter("viewseeker_wal_recovered_batches_total")
 	tornTails := reg.Counter("viewseeker_wal_torn_tails_total")
 	if rec != nil {
-		recovered.Add(int64(len(rec.Batches)))
+		recovered.Add(int64(rec.Replayed))
 		if rec.TornTail {
 			tornTails.Inc()
 		}
@@ -319,8 +319,8 @@ type checkpointFile struct {
 	Table       []byte
 }
 
-// CheckpointPath returns where the snapshot for the WAL at walPath lives.
-func CheckpointPath(walPath string) string { return walPath + ".ckpt" }
+// checkpointPath returns where the snapshot for the WAL at walPath lives.
+func checkpointPath(walPath string) string { return walPath + ".ckpt" }
 
 // readCheckpoint loads and validates the snapshot at path. A missing file
 // is (nil, nil, nil); a file that exists but fails to decode is an error —
@@ -386,7 +386,7 @@ func (t *Table) Checkpoint() (uint64, error) {
 		Table:       buf.Bytes(),
 	}
 	// Readers only ever see the old snapshot or the complete new one.
-	path := CheckpointPath(t.path)
+	path := checkpointPath(t.path)
 	if err := faultfs.WriteFileAtomic(t.fs, path, filepath.Base(path)+".tmp-*", func(w io.Writer) error {
 		return gob.NewEncoder(w).Encode(ck)
 	}); err != nil {
@@ -409,16 +409,17 @@ func (t *Table) Checkpoint() (uint64, error) {
 // Status is a point-in-time summary of the table's streaming state, the
 // shape /healthz reports.
 type Status struct {
-	// Seq is the last committed WAL sequence number.
-	Seq uint64
+	// Seq is the last committed WAL sequence number (0 = base only).
+	Seq uint64 `json:"seq"`
 	// Rows is the current version's row count.
-	Rows int
-	// WalBytes is the on-disk size of the (compacted) log.
-	WalBytes int64
+	Rows int `json:"rows"`
+	// WalBytes is the on-disk size of the (compacted) log: replay cost on
+	// the next restart is proportional to it.
+	WalBytes int64 `json:"walBytes"`
 	// CheckpointSeq is the seq covered by the newest snapshot (0: none).
-	CheckpointSeq uint64
+	CheckpointSeq uint64 `json:"checkpointSeq"`
 	// CheckpointAgeSeconds is the snapshot's age (-1: none).
-	CheckpointAgeSeconds int64
+	CheckpointAgeSeconds int64 `json:"checkpointAgeSeconds"`
 }
 
 // Status returns the current streaming status.

@@ -185,9 +185,9 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	defer lt2.Close()
 	// Bounded replay: only the one post-checkpoint batch, nothing skipped
 	// (the log was compacted).
-	if len(rec.Batches) != 1 || rec.SkippedFrames != 0 || rec.LastSeq != 4 {
+	if rec.Replayed != 1 || rec.SkippedFrames != 0 || rec.LastSeq != 4 {
 		t.Fatalf("recovery: %d batches, %d skipped, seq %d; want 1, 0, 4",
-			len(rec.Batches), rec.SkippedFrames, rec.LastSeq)
+			rec.Replayed, rec.SkippedFrames, rec.LastSeq)
 	}
 	if got := tableRows(lt2.Current()); !reflect.DeepEqual(got, want) {
 		t.Fatal("recovered table differs from the pre-restart version")
@@ -245,9 +245,9 @@ func TestCheckpointCrashBeforeRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lt2.Close()
-	if rec.LastSeq != 2 || rec.SkippedFrames != 0 || len(rec.Batches) != 2 {
+	if rec.LastSeq != 2 || rec.SkippedFrames != 0 || rec.Replayed != 2 {
 		t.Fatalf("recovery: %d batches, %d skipped, seq %d; want 2, 0, 2",
-			len(rec.Batches), rec.SkippedFrames, rec.LastSeq)
+			rec.Replayed, rec.SkippedFrames, rec.LastSeq)
 	}
 	if got := tableRows(lt2.Current()); !reflect.DeepEqual(got, want) {
 		t.Fatal("recovered table differs from the last committed version")
@@ -292,9 +292,9 @@ func TestCheckpointCrashBeforeTruncate(t *testing.T) {
 	defer lt2.Close()
 	// Frames 1..3 are duplicates of the snapshot: validated, skipped, never
 	// re-applied. Only batch 4 replays.
-	if rec.SkippedFrames != 3 || len(rec.Batches) != 1 || rec.LastSeq != 4 {
+	if rec.SkippedFrames != 3 || rec.Replayed != 1 || rec.LastSeq != 4 {
 		t.Fatalf("recovery: %d batches, %d skipped, seq %d; want 1, 3, 4",
-			len(rec.Batches), rec.SkippedFrames, rec.LastSeq)
+			rec.Replayed, rec.SkippedFrames, rec.LastSeq)
 	}
 	if got := tableRows(lt2.Current()); !reflect.DeepEqual(got, want) {
 		t.Fatal("recovered table differs from the last committed version")
@@ -329,9 +329,9 @@ func TestAutoCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lt2.Close()
-	if rec.LastSeq != 5 || len(rec.Batches) >= 5 {
+	if rec.LastSeq != 5 || rec.Replayed >= 5 {
 		t.Fatalf("recovery: %d batches, seq %d; want bounded replay to seq 5",
-			len(rec.Batches), rec.LastSeq)
+			rec.Replayed, rec.LastSeq)
 	}
 	if got := tableRows(lt2.Current()); !reflect.DeepEqual(got, want) {
 		t.Fatal("recovered table differs from the pre-restart version")
@@ -362,7 +362,7 @@ func TestCheckpointHardErrors(t *testing.T) {
 		t.Fatal("open with a different base accepted a foreign checkpoint")
 	}
 	// Corrupt snapshot: hard error, no silent fallback.
-	if err := os.WriteFile(CheckpointPath(path), []byte("not a checkpoint"), 0o644); err != nil {
+	if err := os.WriteFile(checkpointPath(path), []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(nil, path, baseTable(t, 10), Options{}); err == nil {
@@ -532,7 +532,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	lt.Close()
-	seed, err := os.ReadFile(CheckpointPath(path))
+	seed, err := os.ReadFile(checkpointPath(path))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func BenchmarkPValueScore(b *testing.B) {
 
 func BenchmarkChiSquareCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ChiSquareCDF(12.5, 9); err != nil {
+		if _, err := chiSquareCDF(12.5, 9); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -120,7 +120,7 @@ func PValueScoreN(targetCounts []float64, n float64, refDist []float64) (float64
 	if df < 1 {
 		return 0, nil
 	}
-	cdf, err := ChiSquareCDF(chi2, df)
+	cdf, err := chiSquareCDF(chi2, df)
 	if err != nil {
 		return 0, err
 	}

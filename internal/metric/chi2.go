@@ -5,10 +5,10 @@ import (
 	"math"
 )
 
-// ChiSquareCDF returns P(X ≤ x) for a χ² distribution with k degrees of
+// chiSquareCDF returns P(X ≤ x) for a χ² distribution with k degrees of
 // freedom, computed as the regularised lower incomplete gamma function
 // P(k/2, x/2).
-func ChiSquareCDF(x float64, k int) (float64, error) {
+func chiSquareCDF(x float64, k int) (float64, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("metric: chi-square needs k ≥ 1, got %d", k)
 	}

@@ -260,27 +260,27 @@ func TestAccuracyEmptyBinsIgnored(t *testing.T) {
 func TestChiSquareCDFKnown(t *testing.T) {
 	// χ²(k=1): CDF(x) = erf(√(x/2)).
 	for _, x := range []float64{0.1, 1, 2, 5} {
-		got, err := ChiSquareCDF(x, 1)
+		got, err := chiSquareCDF(x, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := math.Erf(math.Sqrt(x / 2))
 		if math.Abs(got-want) > 1e-10 {
-			t.Errorf("ChiSquareCDF(%v, 1) = %v, want %v", x, got, want)
+			t.Errorf("chiSquareCDF(%v, 1) = %v, want %v", x, got, want)
 		}
 	}
 	// χ²(k=2) is Exp(1/2): CDF(x) = 1 − e^{−x/2}.
 	for _, x := range []float64{0.5, 2, 10} {
-		got, _ := ChiSquareCDF(x, 2)
+		got, _ := chiSquareCDF(x, 2)
 		want := 1 - math.Exp(-x/2)
 		if math.Abs(got-want) > 1e-10 {
-			t.Errorf("ChiSquareCDF(%v, 2) = %v, want %v", x, got, want)
+			t.Errorf("chiSquareCDF(%v, 2) = %v, want %v", x, got, want)
 		}
 	}
-	if got, _ := ChiSquareCDF(-1, 3); got != 0 {
+	if got, _ := chiSquareCDF(-1, 3); got != 0 {
 		t.Errorf("CDF of negative x = %v, want 0", got)
 	}
-	if _, err := ChiSquareCDF(1, 0); err == nil {
+	if _, err := chiSquareCDF(1, 0); err == nil {
 		t.Error("expected error for k=0")
 	}
 }
@@ -291,8 +291,8 @@ func TestChiSquareCDFMonotone(t *testing.T) {
 		k := 1 + rng.Intn(20)
 		x1 := rng.Float64() * 30
 		x2 := x1 + rng.Float64()*10
-		c1, err1 := ChiSquareCDF(x1, k)
-		c2, err2 := ChiSquareCDF(x2, k)
+		c1, err1 := chiSquareCDF(x1, k)
+		c2, err2 := chiSquareCDF(x2, k)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -52,15 +52,8 @@ func FitScaler(rows [][]float64) (*Scaler, error) {
 	return s, nil
 }
 
-// Transform returns the standardised copy of one row.
-func (s *Scaler) Transform(row []float64) []float64 {
-	out := make([]float64, len(row))
-	s.TransformInto(row, out)
-	return out
-}
-
 // TransformInto standardises one row into a caller-owned buffer of the
-// same length, allocating nothing. The arithmetic is Transform's own.
+// same length, allocating nothing.
 func (s *Scaler) TransformInto(row, out []float64) {
 	for j, v := range row {
 		out[j] = (v - s.Mean[j]) / s.Std[j]

@@ -393,3 +393,10 @@ func TestLogisticWarmStart(t *testing.T) {
 		}
 	}
 }
+
+// Transform returns the standardised copy of one row.
+func (s *Scaler) Transform(row []float64) []float64 {
+	out := make([]float64, len(row))
+	s.TransformInto(row, out)
+	return out
+}

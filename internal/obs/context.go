@@ -34,8 +34,8 @@ func RegistryFrom(ctx context.Context) *Registry {
 	return r
 }
 
-// TracerFrom returns the context's tracer, or nil.
-func TracerFrom(ctx context.Context) *Tracer {
+// tracerFrom returns the context's tracer, or nil.
+func tracerFrom(ctx context.Context) *Tracer {
 	t, _ := ctx.Value(tracerKey{}).(*Tracer)
 	return t
 }
@@ -55,7 +55,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	var tr *Tracer
 	if parent != nil {
 		tr = parent.tracer
-	} else if tr = TracerFrom(ctx); tr == nil {
+	} else if tr = tracerFrom(ctx); tr == nil {
 		return ctx, nil
 	}
 	now := time.Now()

@@ -41,10 +41,10 @@ func joinSeries(base, suffix, labels, extra string) string {
 	return sb.String()
 }
 
-// WithSuffix splices a suffix into a series name ahead of any label set:
-// WithSuffix(`h{route="x"}`, "_count") is `h_count{route="x"}`. Snapshot
+// withSuffix splices a suffix into a series name ahead of any label set:
+// withSuffix(`h{route="x"}`, "_count") is `h_count{route="x"}`. Snapshot
 // keys for histogram sums and counts are built this way.
-func WithSuffix(name, suffix string) string {
+func withSuffix(name, suffix string) string {
 	base, labels := splitSeries(name)
 	return joinSeries(base, suffix, labels, "")
 }
@@ -230,8 +230,8 @@ func (r *Registry) Snapshot() map[string]float64 {
 		out[name] = float64(fn())
 	}
 	for name, h := range r.hists {
-		out[WithSuffix(name, "_sum")] = h.Sum()
-		out[WithSuffix(name, "_count")] = float64(h.Count())
+		out[withSuffix(name, "_sum")] = h.Sum()
+		out[withSuffix(name, "_count")] = float64(h.Count())
 	}
 	return out
 }

@@ -39,14 +39,14 @@ func TestRefineCancelledContextStopsWithinOneRow(t *testing.T) {
 func TestRefinePreCancelledContextRefreshesNothing(t *testing.T) {
 	m := partialMatrix(t)
 	r := NewRefiner(m)
-	before := m.ExactCount()
+	before := exactCount(m)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	n, err := r.RefineCtx(ctx, nil, time.Hour)
 	if !errors.Is(err, context.Canceled) || n != 0 {
 		t.Fatalf("n, err = %d, %v", n, err)
 	}
-	if m.ExactCount() != before {
+	if exactCount(m) != before {
 		t.Errorf("pre-cancelled refine changed the matrix")
 	}
 }

@@ -10,14 +10,12 @@ import (
 	"viewseeker/internal/par"
 )
 
-// Clock abstracts time for deterministic tests.
-type Clock func() time.Time
-
 // Refiner incrementally upgrades inexact feature rows to exact ones.
 type Refiner struct {
 	Matrix *feature.Matrix
-	// Now is the clock (default time.Now).
-	Now Clock
+	// Now is the clock (default time.Now); tests fake it to make the
+	// budget deterministic.
+	Now func() time.Time
 	// Workers bounds how many rows a batch holds and how many of its
 	// family groups refresh concurrently: rows over the same (dimension,
 	// bins, measure) share one narrow scan via RefreshFamily, and the

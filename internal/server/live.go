@@ -8,6 +8,7 @@ import (
 
 	"viewseeker"
 	"viewseeker/internal/dataset"
+	"viewseeker/internal/live"
 	"viewseeker/internal/obs"
 )
 
@@ -36,17 +37,7 @@ func (s *Server) HostLive(lt *viewseeker.LiveTable, rec *viewseeker.LiveRecovery
 // liveStatus is one live table's streaming state in GET /healthz.
 type liveStatus struct {
 	Table string `json:"table"`
-	// Seq is the last committed WAL sequence number (0 = base only).
-	Seq uint64 `json:"seq"`
-	// Rows is the current version's row count.
-	Rows int `json:"rows"`
-	// WalBytes is the on-disk size of the (compacted) log: replay cost on
-	// the next restart is proportional to it.
-	WalBytes int64 `json:"walBytes"`
-	// CheckpointSeq is the seq covered by the newest snapshot (0: none).
-	CheckpointSeq uint64 `json:"checkpointSeq"`
-	// CheckpointAgeSeconds is the snapshot's age (-1: none).
-	CheckpointAgeSeconds int64 `json:"checkpointAgeSeconds"`
+	live.Status
 	// Maintained counts the offline states the table's maintainer hosts.
 	Maintained int `json:"maintained"`
 	// MaintainerLag is how many versions the slowest hosted offline state
@@ -71,11 +62,7 @@ func (s *Server) liveStatuses() []liveStatus {
 	s.mu.Unlock()
 	out := make([]liveStatus, len(names))
 	for i, name := range names {
-		st := lts[i].Status()
-		out[i] = liveStatus{
-			Table: name, Seq: st.Seq, Rows: st.Rows, WalBytes: st.WalBytes,
-			CheckpointSeq: st.CheckpointSeq, CheckpointAgeSeconds: st.CheckpointAgeSeconds,
-		}
+		out[i] = liveStatus{Table: name, Status: lts[i].Status()}
 		if mts[i] != nil {
 			out[i].MaintainerLag, out[i].Maintained = mts[i].lag()
 		}

@@ -475,3 +475,38 @@ func FuzzDecodeRows(f *testing.F) {
 		}
 	})
 }
+
+// TestHealthzLiveKeys pins the keys of a live table's /healthz entry and
+// their order: the entry embeds live.Status between the table name and
+// the maintainer fields, and the serve smoke in CI and the benchmark
+// harness both parse this JSON.
+func TestHealthzLiveKeys(t *testing.T) {
+	ts, _ := liveTestServer(t)
+	var health struct {
+		Live []json.RawMessage `json:"live"`
+	}
+	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, &health)
+	if len(health.Live) != 1 {
+		t.Fatalf("healthz live = %s", health.Live)
+	}
+	dec := json.NewDecoder(bytes.NewReader(health.Live[0]))
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "table,seq,rows,walBytes,checkpointSeq,checkpointAgeSeconds,maintained,maintainerLag"
+	if got := strings.Join(keys, ","); got != want {
+		t.Fatalf("healthz live keys = %s, want %s", got, want)
+	}
+}

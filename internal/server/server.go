@@ -100,11 +100,6 @@ type Server struct {
 	liveRebuilds *obs.Counter
 }
 
-// New builds a server hosting the given tables with default Options.
-func New(tables ...*viewseeker.Table) *Server {
-	return NewWithOptions(Options{}, tables...)
-}
-
 // NewWithOptions builds a server hosting the given tables.
 func NewWithOptions(opts Options, tables ...*viewseeker.Table) *Server {
 	s := &Server{
@@ -233,10 +228,10 @@ func (s *Server) Handler() http.Handler {
 // requestIDKey carries the per-request id through the request context.
 type requestIDKey struct{}
 
-// RequestIDFrom returns the request id the instrumentation middleware
+// requestIDFrom returns the request id the instrumentation middleware
 // assigned ("" outside a request context). Handlers and hooks use it to
 // correlate their own logs with the server's access lines.
-func RequestIDFrom(ctx context.Context) string {
+func requestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey{}).(string)
 	return id
 }
@@ -320,7 +315,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 			}
 			s.panics.Inc()
 			s.log.Error("panic serving request",
-				"id", RequestIDFrom(r.Context()), "method", r.Method, "path", r.URL.Path,
+				"id", requestIDFrom(r.Context()), "method", r.Method, "path", r.URL.Path,
 				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
 			// Best effort: if the handler already wrote a status line this
 			// header is a no-op, but the connection still closes with the
@@ -714,16 +709,15 @@ type nextResponse struct {
 }
 
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request, id string, hd *session.Handle) {
-	vs, err := hd.Seeker().NextViewsCtx(r.Context())
+	v, ok, err := hd.Seeker().NextCtx(r.Context())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if len(vs) == 0 {
+	if !ok {
 		writeJSON(w, http.StatusOK, nextResponse{Done: true})
 		return
 	}
-	v := vs[0]
 	writeJSON(w, http.StatusOK, nextResponse{
 		viewJSON: viewJSON{Index: v.Index, Spec: v.Spec.String(), Score: v.Score},
 	})

@@ -214,3 +214,8 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 	doJSON(t, "GET", ts.URL+"/api/sessions/"+sess.ID+"/views/xx/explain", nil, http.StatusBadRequest, nil)
 }
+
+// New builds a server hosting the given tables with default Options.
+func New(tables ...*dataset.Table) *Server {
+	return NewWithOptions(Options{}, tables...)
+}

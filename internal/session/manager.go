@@ -407,13 +407,6 @@ func (m *Manager) Delete(id string) bool {
 	return true
 }
 
-// Has reports whether id is registered (resident or cold).
-func (m *Manager) Has(id string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.entries[id] != nil
-}
-
 // EvictIdle drops every idle resident session regardless of the budget,
 // returning how many were evicted — the operator/test hook behind
 // Server.EvictIdleSessions and its bit-identity test.

@@ -399,3 +399,10 @@ func TestConcurrentAcquire(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
+
+// Has reports whether id is registered (resident or cold).
+func (m *Manager) Has(id string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.entries[id] != nil
+}

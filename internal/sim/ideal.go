@@ -35,27 +35,6 @@ func (f IdealFunction) Name() string {
 // NumComponents returns the number of weighted terms.
 func (f IdealFunction) NumComponents() int { return len(f.Components) }
 
-// RawScore computes the weighted sum over one un-normalised feature row.
-// Prefer Scores for whole-space evaluation: there each feature column is
-// min-max normalised first, so Table 2's weights compare like with like.
-func (f IdealFunction) RawScore(names []string, row []float64) (float64, error) {
-	s := 0.0
-	for _, c := range f.Components {
-		idx := -1
-		for j, n := range names {
-			if n == c.Feature {
-				idx = j
-				break
-			}
-		}
-		if idx < 0 {
-			return 0, fmt.Errorf("sim: ideal function references unknown feature %q", c.Feature)
-		}
-		s += c.Weight * row[idx]
-	}
-	return s, nil
-}
-
 // Scores computes u*(v) for every view of a feature matrix. Each
 // referenced feature column is min-max normalised over the view space
 // before weighting: the raw utility components have wildly different

@@ -33,11 +33,11 @@ func Precision(pred []int, idealScores []float64, k int) (float64, error) {
 	return float64(hit) / float64(k), nil
 }
 
-// UtilityDistance computes Eq. 8: the per-view gap between the total ideal
+// utilityDistance computes Eq. 8: the per-view gap between the total ideal
 // utility of the ideal top-k and of the predicted top-k. It is 0 exactly
 // when the prediction's views are collectively as good as the ideal set,
 // even if tied views swapped places.
-func UtilityDistance(pred []int, idealScores []float64, k int) (float64, error) {
+func utilityDistance(pred []int, idealScores []float64, k int) (float64, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("sim: k must be positive, got %d", k)
 	}

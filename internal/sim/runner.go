@@ -32,7 +32,7 @@ type Labeller interface {
 // Seeker is the session a runner drives, over view indices. core.Seeker
 // satisfies it; internal/exp adapts the public viewseeker.Seeker to it.
 type Seeker interface {
-	NextViews() ([]int, error)
+	Next() (idx int, ok bool, err error)
 	Feedback(viewIdx int, label float64) error
 	TopK() []int
 }
@@ -71,19 +71,17 @@ func (r *Runner) Run() (*Result, error) {
 	res := &Result{}
 	start := time.Now()
 	for res.LabelsUsed < maxLabels {
-		next, err := r.Seeker.NextViews()
+		v, ok, err := r.Seeker.Next()
 		if err != nil {
 			return nil, err
 		}
-		if len(next) == 0 {
+		if !ok {
 			break // everything labelled
 		}
-		for _, v := range next {
-			if err := r.Seeker.Feedback(v, r.User.Label(v)); err != nil {
-				return nil, err
-			}
-			res.LabelsUsed++
+		if err := r.Seeker.Feedback(v, r.User.Label(v)); err != nil {
+			return nil, err
 		}
+		res.LabelsUsed++
 		done, err := r.evaluate(res)
 		if err != nil {
 			return nil, err
@@ -111,7 +109,7 @@ func (r *Runner) evaluate(res *Result) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	ud, err := UtilityDistance(pred, r.User.Scores(), r.K)
+	ud, err := utilityDistance(pred, r.User.Scores(), r.K)
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -133,14 +134,14 @@ func TestPrecisionExactAndTies(t *testing.T) {
 
 func TestUtilityDistance(t *testing.T) {
 	scores := []float64{1.0, 0.9, 0.8, 0.8, 0.1}
-	ud, err := UtilityDistance([]int{0, 1, 3}, scores, 3)
+	ud, err := utilityDistance([]int{0, 1, 3}, scores, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ud != 0 {
 		t.Errorf("tied swap UD = %v, want 0", ud)
 	}
-	ud, _ = UtilityDistance([]int{0, 1, 4}, scores, 3)
+	ud, _ = utilityDistance([]int{0, 1, 4}, scores, 3)
 	want := (0.8 - 0.1) / 3
 	if math.Abs(ud-want) > 1e-12 {
 		t.Errorf("UD = %v, want %v", ud, want)
@@ -292,4 +293,23 @@ func TestRunnerWithNoisyUser(t *testing.T) {
 	if res.FinalPrecision < 0.6 {
 		t.Errorf("precision under mild noise = %v", res.FinalPrecision)
 	}
+}
+
+// RawScore computes the weighted sum over one un-normalised feature row.
+func (f IdealFunction) RawScore(names []string, row []float64) (float64, error) {
+	s := 0.0
+	for _, c := range f.Components {
+		idx := -1
+		for j, n := range names {
+			if n == c.Feature {
+				idx = j
+				break
+			}
+		}
+		if idx < 0 {
+			return 0, fmt.Errorf("sim: ideal function references unknown feature %q", c.Feature)
+		}
+		s += c.Weight * row[idx]
+	}
+	return s, nil
 }

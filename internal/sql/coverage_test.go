@@ -155,7 +155,7 @@ func TestSelectItemQuotedAliasRoundTrip(t *testing.T) {
 
 func TestExecuteNilTableWithFrom(t *testing.T) {
 	s := mustParse(t, "SELECT a FROM ghost")
-	if _, err := Execute(s, nil); err == nil {
+	if _, err := execute(s, nil); err == nil {
 		t.Error("FROM without a table should fail")
 	}
 }

@@ -8,7 +8,7 @@
 //
 // # Two executors, one semantics
 //
-// Execute lowers the parsed statement into a physical plan (Lower, in
+// Catalog.Query lowers the parsed statement into a physical plan (lower, in
 // plan.go) and runs the planned executor (plan_exec.go): a selection
 // vector over the scan, then either a projection or one fused aggregation
 // pass that accumulates every aggregate slot of the statement into flat
@@ -28,7 +28,7 @@
 //
 // EXPLAIN (via Catalog.Query) returns the lowered plan as one JSON
 // document — a one-row, one-column "plan" table — whose schema is
-// versioned by PlanVersion and pinned by a golden-file test.
+// versioned by planVersion and pinned by a golden-file test.
 //
 // # Contracts
 //

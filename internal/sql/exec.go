@@ -10,12 +10,12 @@ import (
 	"viewseeker/internal/dataset"
 )
 
-// Execute runs a parsed statement against a table through the planned
+// execute runs a parsed statement against a table through the planned
 // executor (see plan.go / plan_exec.go). The table may be nil only for
 // table-less statements (no FROM clause). The result is a new table named
 // "result". The tree-walking interpreter it is tested against lives in
 // interp_test.go.
-func Execute(stmt *SelectStmt, table *dataset.Table) (*dataset.Table, error) {
+func execute(stmt *SelectStmt, table *dataset.Table) (*dataset.Table, error) {
 	if stmt.From != "" && table == nil {
 		return nil, fmt.Errorf("sql: statement references table %q but none was supplied", stmt.From)
 	}
@@ -643,11 +643,11 @@ func (c *Catalog) Query(query string) (*dataset.Table, error) {
 		if stmt.From != "" {
 			tbl = c.tables[stmt.From]
 		}
-		plan, err := Lower(stmt, tbl)
+		p, err := lower(stmt, tbl)
 		if err != nil {
 			return nil, err
 		}
-		doc, err := plan.JSON()
+		doc, err := p.JSON()
 		if err != nil {
 			return nil, err
 		}
@@ -672,5 +672,5 @@ func (c *Catalog) Query(query string) (*dataset.Table, error) {
 			return nil, fmt.Errorf("sql: unknown table %q", stmt.From)
 		}
 	}
-	return Execute(stmt, t)
+	return execute(stmt, t)
 }

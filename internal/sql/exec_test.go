@@ -473,13 +473,13 @@ func TestCaseStringRoundTrip(t *testing.T) {
 }
 
 // explainDoc runs an EXPLAIN query and decodes the one-row JSON plan.
-func explainDoc(t *testing.T, c *Catalog, query string) *Plan {
+func explainDoc(t *testing.T, c *Catalog, query string) *plan {
 	t.Helper()
 	res := q(t, c, query)
 	if res.NumRows() != 1 {
 		t.Fatalf("EXPLAIN rows = %d, want 1", res.NumRows())
 	}
-	var p Plan
+	var p plan
 	if err := json.Unmarshal([]byte(res.Column("plan").Strs[0]), &p); err != nil {
 		t.Fatalf("EXPLAIN output is not JSON: %v", err)
 	}
@@ -487,7 +487,7 @@ func explainDoc(t *testing.T, c *Catalog, query string) *Plan {
 }
 
 // ops flattens the plan's operator chain outermost-first.
-func ops(p *Plan) []string {
+func ops(p *plan) []string {
 	var out []string
 	for n := p.Root; n != nil; n = n.Input {
 		out = append(out, n.Op)
@@ -498,8 +498,8 @@ func ops(p *Plan) []string {
 func TestExplain(t *testing.T) {
 	c := salesCatalog(t)
 	p := explainDoc(t, c, "EXPLAIN SELECT region, COUNT(*) AS n FROM sales WHERE qty > 1 GROUP BY region HAVING COUNT(*) > 1 ORDER BY n DESC LIMIT 3")
-	if p.Version != PlanVersion {
-		t.Errorf("version = %d, want %d", p.Version, PlanVersion)
+	if p.Version != planVersion {
+		t.Errorf("version = %d, want %d", p.Version, planVersion)
 	}
 	got := ops(p)
 	want := []string{"limit", "sort", "project", "filter", "aggregate", "filter", "scan"}
@@ -545,7 +545,7 @@ func TestExplain(t *testing.T) {
 	if agg.Strategy != "fused-global" {
 		t.Errorf("strategy = %q", agg.Strategy)
 	}
-	byCall := make(map[string]PlanAggregate)
+	byCall := make(map[string]planAggregate)
 	for _, a := range agg.Aggregates {
 		byCall[a.Call] = a
 	}

@@ -209,7 +209,7 @@ func TestPassThroughColumnsKeepSourceKind(t *testing.T) {
 		"SELECT qty, COUNT(*) FROM sales WHERE qty IS NULL GROUP BY qty",
 	} {
 		for name, exec := range map[string]func(*SelectStmt, *dataset.Table) (*dataset.Table, error){
-			"planned": Execute, "interpreted": ExecuteInterpreted,
+			"planned": execute, "interpreted": ExecuteInterpreted,
 		} {
 			res, err := exec(mustParse(t, query), c.Table("sales"))
 			if err != nil {

@@ -5,11 +5,11 @@ import (
 	"strings"
 )
 
-// Lex scans a query into tokens. String literals use single quotes with ”
+// lex scans a query into tokens. String literals use single quotes with ”
 // escaping. Identifiers may be double-quoted to include spaces or clash
 // with keywords.
-func Lex(input string) ([]Token, error) {
-	var toks []Token
+func lex(input string) ([]token, error) {
+	var toks []token
 	i := 0
 	n := len(input)
 	for i < n {
@@ -46,7 +46,7 @@ func Lex(input string) ([]Token, error) {
 				}
 				break
 			}
-			toks = append(toks, Token{Kind: TokNumber, Text: input[start:i], Pos: start})
+			toks = append(toks, token{Kind: tokNumber, Text: input[start:i], Pos: start})
 		case c == '\'':
 			start := i
 			i++
@@ -69,7 +69,7 @@ func Lex(input string) ([]Token, error) {
 			if !closed {
 				return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
 			}
-			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Pos: start})
+			toks = append(toks, token{Kind: tokString, Text: sb.String(), Pos: start})
 		case c == '"':
 			start := i
 			i++
@@ -77,7 +77,7 @@ func Lex(input string) ([]Token, error) {
 			if j < 0 {
 				return nil, fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
 			}
-			toks = append(toks, Token{Kind: TokIdent, Text: input[i : i+j], Pos: start})
+			toks = append(toks, token{Kind: tokIdent, Text: input[i : i+j], Pos: start})
 			i += j + 1
 		case isIdentStart(c):
 			start := i
@@ -87,9 +87,9 @@ func Lex(input string) ([]Token, error) {
 			word := input[start:i]
 			upper := strings.ToUpper(word)
 			if keywords[upper] {
-				toks = append(toks, Token{Kind: TokKeyword, Text: upper, Pos: start})
+				toks = append(toks, token{Kind: tokKeyword, Text: upper, Pos: start})
 			} else {
-				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: start})
+				toks = append(toks, token{Kind: tokIdent, Text: word, Pos: start})
 			}
 		default:
 			start := i
@@ -118,11 +118,11 @@ func Lex(input string) ([]Token, error) {
 			default:
 				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
 			}
-			toks = append(toks, Token{Kind: TokOp, Text: op, Pos: start})
+			toks = append(toks, token{Kind: tokOp, Text: op, Pos: start})
 			i += len(op)
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Pos: n})
+	toks = append(toks, token{Kind: tokEOF, Pos: n})
 	return toks, nil
 }
 

@@ -3,11 +3,11 @@ package sql
 import "testing"
 
 func TestLexBasics(t *testing.T) {
-	toks, err := Lex("SELECT a, count(*) FROM t WHERE x >= 1.5 AND name = 'o''brien'")
+	toks, err := lex("SELECT a, count(*) FROM t WHERE x >= 1.5 AND name = 'o''brien'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kinds []TokenKind
+	var kinds []tokenKind
 	var texts []string
 	for _, tok := range toks {
 		kinds = append(kinds, tok.Kind)
@@ -23,32 +23,32 @@ func TestLexBasics(t *testing.T) {
 			t.Errorf("token %d = %q, want %q", i, texts[i], wantTexts[i])
 		}
 	}
-	if kinds[0] != TokKeyword || kinds[1] != TokIdent || kinds[16] != TokString {
+	if kinds[0] != tokKeyword || kinds[1] != tokIdent || kinds[16] != tokString {
 		t.Errorf("kinds wrong: %v", kinds)
 	}
 }
 
 func TestLexNumbers(t *testing.T) {
 	for _, in := range []string{"1", "12.5", ".5", "1e3", "2.5E-2", "3e+4"} {
-		toks, err := Lex(in)
+		toks, err := lex(in)
 		if err != nil {
-			t.Fatalf("Lex(%q): %v", in, err)
+			t.Fatalf("lex(%q): %v", in, err)
 		}
-		if len(toks) != 2 || toks[0].Kind != TokNumber || toks[0].Text != in {
-			t.Errorf("Lex(%q) = %v", in, toks)
+		if len(toks) != 2 || toks[0].Kind != tokNumber || toks[0].Text != in {
+			t.Errorf("lex(%q) = %v", in, toks)
 		}
 	}
 }
 
 func TestLexKeywordCaseInsensitive(t *testing.T) {
-	toks, err := Lex("select From wHeRe")
+	toks, err := lex("select From wHeRe")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"SELECT", "FROM", "WHERE"} {
 		found := false
 		for _, tok := range toks {
-			if tok.Kind == TokKeyword && tok.Text == want {
+			if tok.Kind == tokKeyword && tok.Text == want {
 				found = true
 			}
 		}
@@ -59,17 +59,17 @@ func TestLexKeywordCaseInsensitive(t *testing.T) {
 }
 
 func TestLexQuotedIdent(t *testing.T) {
-	toks, err := Lex(`"group by" = 1`)
+	toks, err := lex(`"group by" = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Kind != TokIdent || toks[0].Text != "group by" {
+	if toks[0].Kind != tokIdent || toks[0].Text != "group by" {
 		t.Errorf("quoted identifier = %v", toks[0])
 	}
 }
 
 func TestLexComment(t *testing.T) {
-	toks, err := Lex("SELECT 1 -- trailing comment\n")
+	toks, err := lex("SELECT 1 -- trailing comment\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +80,14 @@ func TestLexComment(t *testing.T) {
 
 func TestLexErrors(t *testing.T) {
 	for _, in := range []string{"'unterminated", `"unterminated`, "a ! b", "a @ b"} {
-		if _, err := Lex(in); err == nil {
-			t.Errorf("Lex(%q) should fail", in)
+		if _, err := lex(in); err == nil {
+			t.Errorf("lex(%q) should fail", in)
 		}
 	}
 }
 
 func TestLexOperators(t *testing.T) {
-	toks, err := Lex("<> != <= >= < > = + - * / %")
+	toks, err := lex("<> != <= >= < > = + - * / %")
 	if err != nil {
 		t.Fatal(err)
 	}

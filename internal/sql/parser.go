@@ -10,7 +10,7 @@ import (
 
 // Parse parses one SELECT statement. A trailing semicolon is allowed.
 func Parse(query string) (*SelectStmt, error) {
-	toks, err := Lex(query)
+	toks, err := lex(query)
 	if err != nil {
 		return nil, err
 	}
@@ -19,27 +19,27 @@ func Parse(query string) (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().Kind == TokOp && p.peek().Text == ";" {
+	if p.peek().Kind == tokOp && p.peek().Text == ";" {
 		p.next()
 	}
-	if p.peek().Kind != TokEOF {
+	if p.peek().Kind != tokEOF {
 		return nil, fmt.Errorf("sql: unexpected %s after statement", p.peek())
 	}
 	return stmt, nil
 }
 
 type parser struct {
-	toks []Token
+	toks []token
 	pos  int
 }
 
-func (p *parser) peek() Token   { return p.toks[p.pos] }
-func (p *parser) next() Token   { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) peek() token   { return p.toks[p.pos] }
+func (p *parser) next() token   { t := p.toks[p.pos]; p.pos++; return t }
 func (p *parser) save() int     { return p.pos }
 func (p *parser) restore(s int) { p.pos = s }
 
 func (p *parser) acceptKeyword(kw string) bool {
-	if t := p.peek(); t.Kind == TokKeyword && t.Text == kw {
+	if t := p.peek(); t.Kind == tokKeyword && t.Text == kw {
 		p.next()
 		return true
 	}
@@ -54,7 +54,7 @@ func (p *parser) expectKeyword(kw string) error {
 }
 
 func (p *parser) acceptOp(op string) bool {
-	if t := p.peek(); t.Kind == TokOp && t.Text == op {
+	if t := p.peek(); t.Kind == tokOp && t.Text == op {
 		p.next()
 		return true
 	}
@@ -88,7 +88,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 
 	if p.acceptKeyword("FROM") {
 		t := p.peek()
-		if t.Kind != TokIdent {
+		if t.Kind != tokIdent {
 			return nil, fmt.Errorf("sql: expected table name after FROM, found %s", t)
 		}
 		stmt.From = p.next().Text
@@ -145,7 +145,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	}
 	if p.acceptKeyword("LIMIT") {
 		t := p.peek()
-		if t.Kind != TokNumber {
+		if t.Kind != tokNumber {
 			return nil, fmt.Errorf("sql: expected number after LIMIT, found %s", t)
 		}
 		p.next()
@@ -169,11 +169,11 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	item := SelectItem{Expr: e}
 	if p.acceptKeyword("AS") {
 		t := p.peek()
-		if t.Kind != TokIdent {
+		if t.Kind != tokIdent {
 			return SelectItem{}, fmt.Errorf("sql: expected alias after AS, found %s", t)
 		}
 		item.Alias = p.next().Text
-	} else if t := p.peek(); t.Kind == TokIdent {
+	} else if t := p.peek(); t.Kind == tokIdent {
 		// Bare alias: SELECT count(*) n FROM ...
 		item.Alias = p.next().Text
 	}
@@ -242,19 +242,19 @@ func (p *parser) parsePredicate() (Expr, error) {
 		return nil, err
 	}
 	neg := false
-	if t := p.peek(); t.Kind == TokKeyword && t.Text == "NOT" {
+	if t := p.peek(); t.Kind == tokKeyword && t.Text == "NOT" {
 		// Lookahead for NOT IN / NOT BETWEEN / NOT LIKE; a bare NOT here
 		// belongs to a boolean context and is not ours.
 		s := p.save()
 		p.next()
-		if t2 := p.peek(); t2.Kind == TokKeyword && (t2.Text == "IN" || t2.Text == "BETWEEN" || t2.Text == "LIKE") {
+		if t2 := p.peek(); t2.Kind == tokKeyword && (t2.Text == "IN" || t2.Text == "BETWEEN" || t2.Text == "LIKE") {
 			neg = true
 		} else {
 			p.restore(s)
 		}
 	}
 	switch t := p.peek(); {
-	case t.Kind == TokOp && isCompareOp(t.Text):
+	case t.Kind == tokOp && isCompareOp(t.Text):
 		if neg {
 			return nil, fmt.Errorf("sql: unexpected NOT before %q", t.Text)
 		}
@@ -268,7 +268,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 			op = "!="
 		}
 		return &Binary{Op: op, L: l, R: r}, nil
-	case t.Kind == TokKeyword && t.Text == "IN":
+	case t.Kind == tokKeyword && t.Text == "IN":
 		p.next()
 		if err := p.expectOp("("); err != nil {
 			return nil, err
@@ -288,7 +288,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 			return nil, err
 		}
 		return &InList{X: l, List: list, Neg: neg}, nil
-	case t.Kind == TokKeyword && t.Text == "BETWEEN":
+	case t.Kind == tokKeyword && t.Text == "BETWEEN":
 		p.next()
 		lo, err := p.parseAdd()
 		if err != nil {
@@ -302,14 +302,14 @@ func (p *parser) parsePredicate() (Expr, error) {
 			return nil, err
 		}
 		return &Between{X: l, Lo: lo, Hi: hi, Neg: neg}, nil
-	case t.Kind == TokKeyword && t.Text == "LIKE":
+	case t.Kind == tokKeyword && t.Text == "LIKE":
 		p.next()
 		pat, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
 		return &Like{X: l, Pattern: pat, Neg: neg}, nil
-	case t.Kind == TokKeyword && t.Text == "IS":
+	case t.Kind == tokKeyword && t.Text == "IS":
 		if neg {
 			return nil, fmt.Errorf("sql: unexpected NOT before IS")
 		}
@@ -342,7 +342,7 @@ func (p *parser) parseAdd() (Expr, error) {
 	}
 	for {
 		t := p.peek()
-		if t.Kind != TokOp || (t.Text != "+" && t.Text != "-") {
+		if t.Kind != tokOp || (t.Text != "+" && t.Text != "-") {
 			return l, nil
 		}
 		p.next()
@@ -361,7 +361,7 @@ func (p *parser) parseMul() (Expr, error) {
 	}
 	for {
 		t := p.peek()
-		if t.Kind != TokOp || (t.Text != "*" && t.Text != "/" && t.Text != "%") {
+		if t.Kind != tokOp || (t.Text != "*" && t.Text != "/" && t.Text != "%") {
 			return l, nil
 		}
 		p.next()
@@ -427,7 +427,7 @@ func (p *parser) parseUnary() (Expr, error) {
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.Kind {
-	case TokNumber:
+	case tokNumber:
 		p.next()
 		if strings.ContainsAny(t.Text, ".eE") {
 			f, err := strconv.ParseFloat(t.Text, 64)
@@ -441,10 +441,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return nil, fmt.Errorf("sql: invalid number %q", t.Text)
 		}
 		return &Literal{Val: dataset.Int(i)}, nil
-	case TokString:
+	case tokString:
 		p.next()
 		return &Literal{Val: dataset.StringVal(t.Text)}, nil
-	case TokKeyword:
+	case tokKeyword:
 		switch t.Text {
 		case "NULL":
 			p.next()
@@ -459,7 +459,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return p.parseCase()
 		}
 		return nil, fmt.Errorf("sql: unexpected keyword %s in expression", t)
-	case TokIdent:
+	case tokIdent:
 		p.next()
 		if p.acceptOp("(") {
 			call := &Call{Func: strings.ToUpper(t.Text)}
@@ -489,7 +489,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return call, nil
 		}
 		return &ColumnRef{Name: t.Text}, nil
-	case TokOp:
+	case tokOp:
 		if t.Text == "(" {
 			p.next()
 			e, err := p.parseExpr()

@@ -7,21 +7,21 @@ import (
 	"viewseeker/internal/dataset"
 )
 
-// PlanVersion identifies the EXPLAIN JSON schema. Consumers should reject
+// planVersion identifies the EXPLAIN JSON schema. Consumers should reject
 // documents with a version they do not understand; bump it whenever a
 // field changes meaning or the operator set changes shape.
-const PlanVersion = 1
+const planVersion = 1
 
-// Plan is the physical plan a statement lowers to: a linear operator
+// plan is the physical plan a statement lowers to: a linear operator
 // chain, outermost first (Root consumes its Input, down to the leaf scan
 // or values node). EXPLAIN serialises exactly this structure as indented
 // JSON, so the document is stable across runs for a given statement.
-type Plan struct {
+type plan struct {
 	Version int       `json:"version"`
-	Root    *PlanNode `json:"root"`
+	Root    *planNode `json:"root"`
 }
 
-// PlanNode is one physical operator. Which fields are populated depends on
+// planNode is one physical operator. Which fields are populated depends on
 // Op:
 //
 //	scan      Table
@@ -34,25 +34,25 @@ type Plan struct {
 //	distinct  (no operands)
 //	sort      Keys
 //	limit     Count
-type PlanNode struct {
+type planNode struct {
 	Op         string          `json:"op"`
 	Table      string          `json:"table,omitempty"`
 	Predicate  string          `json:"predicate,omitempty"`
 	Phase      string          `json:"phase,omitempty"`
 	GroupBy    []string        `json:"group_by,omitempty"`
 	Strategy   string          `json:"strategy,omitempty"`
-	Aggregates []PlanAggregate `json:"aggregates,omitempty"`
+	Aggregates []planAggregate `json:"aggregates,omitempty"`
 	Columns    []string        `json:"columns,omitempty"`
-	Keys       []PlanSortKey   `json:"keys,omitempty"`
+	Keys       []planSortKey   `json:"keys,omitempty"`
 	Count      *int            `json:"count,omitempty"`
-	Input      *PlanNode       `json:"input,omitempty"`
+	Input      *planNode       `json:"input,omitempty"`
 }
 
-// PlanAggregate is one fused aggregate slot, in canonical slot order (the
+// planAggregate is one fused aggregate slot, in canonical slot order (the
 // order both executors accumulate and materialise them). Columnar reports
 // whether the fused executor will feed this slot from a decoded numeric
 // column view instead of boxed per-row evaluation.
-type PlanAggregate struct {
+type planAggregate struct {
 	Call     string `json:"call"`
 	Fn       string `json:"fn"`
 	Arg      string `json:"arg,omitempty"`
@@ -60,25 +60,25 @@ type PlanAggregate struct {
 	Columnar bool   `json:"columnar"`
 }
 
-// PlanSortKey is one ORDER BY key.
-type PlanSortKey struct {
+// planSortKey is one ORDER BY key.
+type planSortKey struct {
 	Expr string `json:"expr"`
 	Desc bool   `json:"desc,omitempty"`
 }
 
-// Lower turns a parsed statement into its physical plan. Lowering is
+// lower turns a parsed statement into its physical plan. Lowering is
 // structural: expressions are carried as their canonical strings —
-// compilation stays in the executor, which Lower only asks whether the
-// WHERE predicate compiles to a typed kernel — so Lower never needs row
+// compilation stays in the executor, which lower only asks whether the
+// WHERE predicate compiles to a typed kernel — so lower never needs row
 // context and works with a nil table (the table only refines the
 // strategies: per-aggregate Columnar, the typed filter and the gathered
-// projection then report the boxed paths for columns Lower cannot see).
-func Lower(stmt *SelectStmt, table *dataset.Table) (*Plan, error) {
-	var node *PlanNode
+// projection then report the boxed paths for columns lower cannot see).
+func lower(stmt *SelectStmt, table *dataset.Table) (*plan, error) {
+	var node *planNode
 	if stmt.From != "" {
-		node = &PlanNode{Op: "scan", Table: stmt.From}
+		node = &planNode{Op: "scan", Table: stmt.From}
 	} else {
-		node = &PlanNode{Op: "values"}
+		node = &planNode{Op: "values"}
 	}
 	if stmt.Where != nil {
 		if isAggregate(stmt) && ContainsAggregate(stmt.Where) {
@@ -88,7 +88,7 @@ func Lower(stmt *SelectStmt, table *dataset.Table) (*Plan, error) {
 		if _, ok := compileKernel(stmt.Where, table, false); ok {
 			strategy = "typed"
 		}
-		node = &PlanNode{Op: "filter", Predicate: stmt.Where.String(), Strategy: strategy, Input: node}
+		node = &planNode{Op: "filter", Predicate: stmt.Where.String(), Strategy: strategy, Input: node}
 	}
 	if isAggregate(stmt) {
 		for _, it := range stmt.Items {
@@ -105,9 +105,9 @@ func Lower(stmt *SelectStmt, table *dataset.Table) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		aggs := make([]PlanAggregate, len(calls))
+		aggs := make([]planAggregate, len(calls))
 		for i, c := range calls {
-			aggs[i] = PlanAggregate{
+			aggs[i] = planAggregate{
 				Call:     keys[i],
 				Fn:       c.Func,
 				Star:     c.Star,
@@ -117,7 +117,7 @@ func Lower(stmt *SelectStmt, table *dataset.Table) (*Plan, error) {
 				aggs[i].Arg = c.Args[0].String()
 			}
 		}
-		agg := &PlanNode{Op: "aggregate", Aggregates: aggs, Input: node}
+		agg := &planNode{Op: "aggregate", Aggregates: aggs, Input: node}
 		if len(stmt.GroupBy) > 0 {
 			agg.Strategy = "fused-hash"
 			agg.GroupBy = make([]string, len(stmt.GroupBy))
@@ -129,7 +129,7 @@ func Lower(stmt *SelectStmt, table *dataset.Table) (*Plan, error) {
 		}
 		node = agg
 		if stmt.Having != nil {
-			node = &PlanNode{Op: "filter", Predicate: stmt.Having.String(), Phase: "having", Input: node}
+			node = &planNode{Op: "filter", Predicate: stmt.Having.String(), Phase: "having", Input: node}
 		}
 	}
 	cols := make([]string, len(stmt.Items))
@@ -140,25 +140,25 @@ func Lower(stmt *SelectStmt, table *dataset.Table) (*Plan, error) {
 			cols[i] = it.OutputName()
 		}
 	}
-	node = &PlanNode{Op: "project", Columns: cols, Input: node}
+	node = &planNode{Op: "project", Columns: cols, Input: node}
 	if !isAggregate(stmt) && gatherable(stmt, table) {
 		node.Strategy = "gather"
 	}
 	if stmt.Distinct {
-		node = &PlanNode{Op: "distinct", Input: node}
+		node = &planNode{Op: "distinct", Input: node}
 	}
 	if len(stmt.OrderBy) > 0 {
-		sortKeys := make([]PlanSortKey, len(stmt.OrderBy))
+		sortKeys := make([]planSortKey, len(stmt.OrderBy))
 		for i, o := range stmt.OrderBy {
-			sortKeys[i] = PlanSortKey{Expr: o.Expr.String(), Desc: o.Desc}
+			sortKeys[i] = planSortKey{Expr: o.Expr.String(), Desc: o.Desc}
 		}
-		node = &PlanNode{Op: "sort", Keys: sortKeys, Input: node}
+		node = &planNode{Op: "sort", Keys: sortKeys, Input: node}
 	}
 	if stmt.Limit >= 0 {
 		n := stmt.Limit
-		node = &PlanNode{Op: "limit", Count: &n, Input: node}
+		node = &planNode{Op: "limit", Count: &n, Input: node}
 	}
-	return &Plan{Version: PlanVersion, Root: node}, nil
+	return &plan{Version: planVersion, Root: node}, nil
 }
 
 // columnarAggregate reports whether the fused executor will drive this
@@ -169,7 +169,7 @@ func columnarAggregate(c *Call, table *dataset.Table) bool {
 }
 
 // JSON renders the plan as an indented, stable JSON document.
-func (p *Plan) JSON() (string, error) {
+func (p *plan) JSON() (string, error) {
 	b, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
 		return "", err

@@ -6,7 +6,7 @@ import (
 	"viewseeker/internal/dataset"
 )
 
-// executePlanned is the planned executor behind Execute: a selection
+// executePlanned is the planned executor behind execute: a selection
 // vector over the scan, then either a projection or one fused aggregation
 // pass that accumulates every aggregate slot into flat per-slot
 // accumulator banks (the same shape internal/view uses for its flat Stats

@@ -31,7 +31,7 @@ func TestSumIntExact(t *testing.T) {
 	tab := intTable(t, dataset.Int(1<<53), dataset.Int(1), dataset.Int(1), dataset.Int(1))
 	stmt := mustParse(t, "SELECT SUM(x) FROM t")
 	for name, exec := range map[string]func(*SelectStmt, *dataset.Table) (*dataset.Table, error){
-		"planned": Execute, "interpreted": ExecuteInterpreted,
+		"planned": execute, "interpreted": ExecuteInterpreted,
 	} {
 		res, err := exec(stmt, tab)
 		if err != nil {
@@ -49,7 +49,7 @@ func TestSumIntExact(t *testing.T) {
 func TestSumIntOverflow(t *testing.T) {
 	tab := intTable(t, dataset.Int(math.MaxInt64), dataset.Int(1))
 	stmt := mustParse(t, "SELECT SUM(x) FROM t")
-	if _, err := Execute(stmt, tab); err == nil {
+	if _, err := execute(stmt, tab); err == nil {
 		t.Error("planned: overflowing SUM should fail")
 	}
 	if _, err := ExecuteInterpreted(stmt, tab); err == nil {
@@ -57,7 +57,7 @@ func TestSumIntOverflow(t *testing.T) {
 	}
 	// Negative direction too.
 	tab = intTable(t, dataset.Int(math.MinInt64), dataset.Int(-1))
-	if _, err := Execute(stmt, tab); err == nil {
+	if _, err := execute(stmt, tab); err == nil {
 		t.Error("negative overflowing SUM should fail")
 	}
 }
@@ -75,7 +75,7 @@ func TestStddevLargeMean(t *testing.T) {
 	want := math.Sqrt(2.0 / 3.0)
 	for _, query := range []string{"SELECT STDDEV(x) FROM t", "SELECT VARIANCE(x) FROM t"} {
 		stmt := mustParse(t, query)
-		res, err := Execute(stmt, tab)
+		res, err := execute(stmt, tab)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestStddevLargeMean(t *testing.T) {
 }
 
 // TestInterpretedNilTableWithFrom keeps the nil-table guard on the
-// interpreter too (Execute is covered in coverage_test.go).
+// interpreter too (execute is covered in coverage_test.go).
 func TestInterpretedNilTableWithFrom(t *testing.T) {
 	stmt := mustParse(t, "SELECT COUNT(*) FROM t")
 	if _, err := ExecuteInterpreted(stmt, nil); err == nil {
@@ -139,7 +139,7 @@ func checkEngines(t *testing.T, tab *dataset.Table, query string) {
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", query, err)
 	}
-	planned, errP := Execute(stmt, tab)
+	planned, errP := execute(stmt, tab)
 	interp, errI := ExecuteInterpreted(stmt, tab)
 	if (errP == nil) != (errI == nil) {
 		t.Fatalf("%q: planned err = %v, interpreted err = %v", query, errP, errI)
@@ -244,7 +244,7 @@ func TestQuickPlannedMatchesInterpreter(t *testing.T) {
 			t.Logf("Parse(%q): %v", query, err)
 			return false
 		}
-		planned, errP := Execute(stmt, tab)
+		planned, errP := execute(stmt, tab)
 		interp, errI := ExecuteInterpreted(stmt, tab)
 		if (errP == nil) != (errI == nil) {
 			t.Logf("%q: planned err = %v, interpreted err = %v", query, errP, errI)

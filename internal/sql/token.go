@@ -2,31 +2,31 @@ package sql
 
 import "fmt"
 
-// TokenKind enumerates lexical token categories.
-type TokenKind int
+// tokenKind enumerates lexical token categories.
+type tokenKind int
 
 // Token kinds.
 const (
-	TokEOF TokenKind = iota
-	TokIdent
-	TokKeyword
-	TokNumber
-	TokString
-	TokOp
+	tokEOF tokenKind = iota
+	tokIdent
+	tokKeyword
+	tokNumber
+	tokString
+	tokOp
 )
 
-// Token is one lexical token with its source position (byte offset).
-type Token struct {
-	Kind TokenKind
+// token is one lexical token with its source position (byte offset).
+type token struct {
+	Kind tokenKind
 	Text string // keywords are upper-cased; identifiers keep their case
 	Pos  int
 }
 
-func (t Token) String() string {
+func (t token) String() string {
 	switch t.Kind {
-	case TokEOF:
+	case tokEOF:
 		return "end of query"
-	case TokString:
+	case tokString:
 		return fmt.Sprintf("'%s'", t.Text)
 	default:
 		return t.Text
@@ -34,7 +34,7 @@ func (t Token) String() string {
 }
 
 // keywords is the reserved-word set. Identifiers matching these (case
-// insensitively) lex as TokKeyword with upper-cased text.
+// insensitively) lex as tokKeyword with upper-cased text.
 var keywords = map[string]bool{
 	"SELECT": true, "DISTINCT": true, "AS": true, "FROM": true,
 	"WHERE": true, "GROUP": true, "BY": true, "HAVING": true,

@@ -58,16 +58,16 @@ type cacheEntry struct {
 	res *OfflineResult
 }
 
-// DefaultCapacity is the in-memory LRU size used when a caller passes
+// defaultCapacity is the in-memory LRU size used when a caller passes
 // capacity <= 0: entries are a few MB each at typical view-space sizes, so
 // a few dozen hot (table, query) pairs stay resident — one entry each.
-const DefaultCapacity = 32
+const defaultCapacity = 32
 
 // NewCache returns a memory-only cache holding at most capacity entries
-// (<= 0 selects DefaultCapacity).
+// (<= 0 selects defaultCapacity).
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
-		capacity = DefaultCapacity
+		capacity = defaultCapacity
 	}
 	return &Cache{
 		cap: capacity, fs: faultfs.OS{}, policy: retry.Default(),

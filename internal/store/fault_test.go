@@ -78,7 +78,7 @@ func TestJournalFaultENOSPCDegradesAndRecovers(t *testing.T) {
 		t.Error("successful append did not clear the degraded flag")
 	}
 
-	recs, err := ReadJournalFS(fs, path)
+	recs, err := readJournalFS(fs, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestJournalFaultTransientErrorIsRetriedAway(t *testing.T) {
 	if len(slept) != 2 {
 		t.Errorf("slept %v, want 2 backoffs", slept)
 	}
-	recs, err := ReadJournalFS(fs, path)
+	recs, err := readJournalFS(fs, path)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("replay = %+v, %v", recs, err)
 	}
@@ -150,7 +150,7 @@ func TestJournalFaultTornWriteDoesNotCorruptNeighbours(t *testing.T) {
 	if j.Degraded() {
 		t.Error("successful append did not clear the degraded flag")
 	}
-	recs, err := ReadJournalFS(fs, path)
+	recs, err := readJournalFS(fs, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,11 +194,11 @@ func (j *Journal) Close() error { return j.log.Close() }
 // it was written whole, so skipping it would replay a session with a
 // label missing.
 func ReadJournal(path string) ([]Record, error) {
-	return ReadJournalFS(faultfs.OS{}, path)
+	return readJournalFS(faultfs.OS{}, path)
 }
 
-// ReadJournalFS is ReadJournal over an explicit filesystem.
-func ReadJournalFS(fs faultfs.FS, path string) ([]Record, error) {
+// readJournalFS is ReadJournal over an explicit filesystem.
+func readJournalFS(fs faultfs.FS, path string) ([]Record, error) {
 	if err := refuseJSONL(fs, path); err != nil {
 		return nil, err
 	}

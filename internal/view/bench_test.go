@@ -25,7 +25,7 @@ func benchGenerator(b *testing.B, rows int) *Generator {
 func BenchmarkCollectStats(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	tab := randomTable(rng, 100_000)
-	layout, err := ComputeLayout(tab, "cat", 0)
+	layout, err := computeLayout(tab, "cat", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func BenchmarkFullViewSpacePairs(b *testing.B) {
 func BenchmarkCollectStatsReference(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	tab := randomTable(rng, 100_000)
-	layout, err := ComputeLayout(tab, "cat", 0)
+	layout, err := computeLayout(tab, "cat", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func BenchmarkCollectStatsReference(b *testing.B) {
 func BenchmarkCollectStatsSampled(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	tab := randomTable(rng, 100_000)
-	layout, err := ComputeLayout(tab, "cat", 0)
+	layout, err := computeLayout(tab, "cat", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func BenchmarkBinIndex(b *testing.B) {
 		dim  string
 		bins int
 	}{{"cat", 0}, {"num", 4}} {
-		layout, err := ComputeLayout(tab, spec.dim, spec.bins)
+		layout, err := computeLayout(tab, spec.dim, spec.bins)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestBinIndexAllocations(t *testing.T) {
 		dim  string
 		bins int
 	}{{"cat", 0}, {"num", 4}} {
-		layout, err := ComputeLayout(tab, spec.dim, spec.bins)
+		layout, err := computeLayout(tab, spec.dim, spec.bins)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,10 +10,10 @@
 //
 // Bit-identity (DESIGN.md §9): one scan path turns rows into statistics.
 // BinIndexAll materialises a dimension's bin indexes with one columnar
-// kernel, which ExtendBinIndexAll reuses for an appended suffix, and
+// kernel, which extendBinIndexAll reuses for an appended suffix, and
 // CollectStats accumulates every measure through such an index, over all
 // rows or a gathered sample. Both are bit-identical to the per-row spec —
-// BinOf, and the row-at-a-time reference scan kept in test code — same
+// BinOf and the row-at-a-time reference scan, both kept in test code — same
 // values, same ascending row order into every accumulator, one shared
 // binning expression — enforced by randomised property tests.
 //

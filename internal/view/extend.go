@@ -26,7 +26,7 @@ import (
 //     scan would perform — non-associativity never gets a chance to bite;
 //   - the variance shift is a full-column property (first non-null).
 //     Appends cannot change it unless the base column was all-null, which
-//     ExtendStats detects and reports so the caller falls back to a full
+//     extendStats detects and reports so the caller falls back to a full
 //     recompute for that layout.
 //
 // The property tests in extend_test.go and live_test.go hold
@@ -58,7 +58,7 @@ func (l *BinLayout) fitHolds(t *dataset.Table, from int) bool {
 	return true
 }
 
-// ExtendBinIndexAll extends cached bin indexes to cover an appended table:
+// extendBinIndexAll extends cached bin indexes to cover an appended table:
 // t must extend the indexes' original table row-for-row, old must be a
 // BinIndexAll result over the same layouts (all on one dimension), backs
 // holds the Backing each old index lives on (nil for a fresh BinIndexAll
@@ -70,7 +70,7 @@ func (l *BinLayout) fitHolds(t *dataset.Table, from int) bool {
 // — appended values outside a layout (new categoricals, out-of-range
 // numerics, NaN) map to bin -1, as in a full re-index under that layout —
 // returned with the Backing of each index.
-func ExtendBinIndexAll(t *dataset.Table, layouts []*BinLayout, old [][]int32, backs []*dataset.Backing[int32], from int) ([][]int32, []*dataset.Backing[int32], error) {
+func extendBinIndexAll(t *dataset.Table, layouts []*BinLayout, old [][]int32, backs []*dataset.Backing[int32], from int) ([][]int32, []*dataset.Backing[int32], error) {
 	if len(layouts) == 0 {
 		return nil, nil, nil
 	}
@@ -106,7 +106,7 @@ func ExtendBinIndexAll(t *dataset.Table, layouts []*BinLayout, old [][]int32, ba
 	return out, nbacks, nil
 }
 
-// ExtendStats extends full-data group statistics to cover an appended
+// extendStats extends full-data group statistics to cover an appended
 // table: t extends the stats' original table row-for-row, old is a
 // full-scan Stats under a layout whose fit the append leaves unchanged
 // (never a sampled one — partial accumulators cannot be extended), bins
@@ -120,7 +120,7 @@ func ExtendBinIndexAll(t *dataset.Table, layouts []*BinLayout, old [][]int32, ba
 // non-null value, re-anchoring SumSqs. The caller must then recompute that
 // layout from scratch (the only case where a delta cannot reproduce the
 // full scan bit-for-bit).
-func ExtendStats(t *dataset.Table, old *Stats, bins []int32, from int) (s *Stats, ok bool, err error) {
+func extendStats(t *dataset.Table, old *Stats, bins []int32, from int) (s *Stats, ok bool, err error) {
 	n := t.NumRows()
 	if len(bins) != n {
 		return nil, false, fmt.Errorf("view: bin index has %d entries for %d rows", len(bins), n)
@@ -237,7 +237,7 @@ func (rs *refSide) extendScans(old, nw *scans, newT *dataset.Table, from int) er
 		for i, k := range keys {
 			layouts[i] = rs.layouts[k]
 		}
-		idx, backs, err := ExtendBinIndexAll(newT, layouts, oldBundle.idx, oldBundle.backs, from)
+		idx, backs, err := extendBinIndexAll(newT, layouts, oldBundle.idx, oldBundle.backs, from)
 		if err != nil {
 			return err
 		}
@@ -252,7 +252,7 @@ func (rs *refSide) extendScans(old, nw *scans, newT *dataset.Table, from int) er
 		if bins == nil {
 			return nil, fmt.Errorf("view: stats of layout %s/%d bins have no bin index", k.dim, k.bins)
 		}
-		ns, ok, err := ExtendStats(newT, st, bins, from)
+		ns, ok, err := extendStats(newT, st, bins, from)
 		if err != nil || ok {
 			return ns, err
 		}

@@ -57,14 +57,14 @@ func appendedKernelTable(t *testing.T, rng *rand.Rand) (base, appended *dataset.
 	return base, appended, from
 }
 
-// kernelBundles returns the layout bundles ExtendBinIndexAll is called
+// kernelBundles returns the layout bundles extendBinIndexAll is called
 // with, one per dimension: every bin configuration of a numeric dimension
 // together, and the single configuration of each categorical dimension.
 func kernelBundles(t *testing.T, tab *dataset.Table) [][]*BinLayout {
 	t.Helper()
 	bundles := [][]*BinLayout{}
 	for _, dim := range []string{"cat", "flag"} {
-		l, err := ComputeLayout(tab, dim, 0)
+		l, err := computeLayout(tab, dim, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func kernelBundles(t *testing.T, tab *dataset.Table) [][]*BinLayout {
 	for _, dim := range []string{"num", "numint", "constd"} {
 		var bundle []*BinLayout
 		for _, bins := range []int{3, 4, 6} {
-			l, err := ComputeLayout(tab, dim, bins)
+			l, err := computeLayout(tab, dim, bins)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestExtendMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ext, _, err := ExtendBinIndexAll(appended, bundle, old, nil, from)
+			ext, _, err := extendBinIndexAll(appended, bundle, old, nil, from)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestExtendMatchesRebuild(t *testing.T) {
 							dim, l.NumBins(), r, ext[i][r], want)
 					}
 				}
-				refit, err := ComputeLayout(appended, dim, l.Bins)
+				refit, err := computeLayout(appended, dim, l.Bins)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +131,7 @@ func TestExtendMatchesRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				extStats, ok, err := ExtendStats(appended, oldStats, ext[i], from)
+				extStats, ok, err := extendStats(appended, oldStats, ext[i], from)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,7 +163,7 @@ func TestExtendMatchesRebuild(t *testing.T) {
 
 // TestExtendStatsShiftDrift: a measure that is all-null in the base gets
 // its variance shift from the first appended non-null, which re-anchors
-// SumSqs — ExtendStats must refuse so the caller rebuilds.
+// SumSqs — extendStats must refuse so the caller rebuilds.
 func TestExtendStatsShiftDrift(t *testing.T) {
 	schema := dataset.MustSchema(
 		dataset.ColumnDef{Name: "cat", Kind: dataset.KindString, Role: dataset.RoleDimension},
@@ -172,7 +172,7 @@ func TestExtendStatsShiftDrift(t *testing.T) {
 	base := dataset.NewTable("t", schema)
 	base.MustAppendRow(dataset.StringVal("a"), dataset.Null)
 	base.MustAppendRow(dataset.StringVal("b"), dataset.Null)
-	layout, err := ComputeLayout(base, "cat", 0)
+	layout, err := computeLayout(base, "cat", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestExtendStatsShiftDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, _, err := ExtendBinIndexAll(appended, []*BinLayout{layout}, [][]int32{oldBins}, nil, 2)
+	ext, _, err := extendBinIndexAll(appended, []*BinLayout{layout}, [][]int32{oldBins}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := ExtendStats(appended, oldStats, ext[0], 2); err != nil || ok {
+	if _, ok, err := extendStats(appended, oldStats, ext[0], 2); err != nil || ok {
 		t.Fatalf("shift drift not detected: ok=%v err=%v", ok, err)
 	}
 	// An all-null append over the all-null base keeps shift 0: extendable.
@@ -197,11 +197,11 @@ func TestExtendStatsShiftDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext2, _, err := ExtendBinIndexAll(appended2, []*BinLayout{layout}, [][]int32{oldBins}, nil, 2)
+	ext2, _, err := extendBinIndexAll(appended2, []*BinLayout{layout}, [][]int32{oldBins}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := ExtendStats(appended2, oldStats, ext2[0], 2); err != nil || !ok {
+	if _, ok, err := extendStats(appended2, oldStats, ext2[0], 2); err != nil || !ok {
 		t.Fatalf("all-null extension refused: ok=%v err=%v", ok, err)
 	}
 }
@@ -376,7 +376,7 @@ func extendChain(t *testing.T, n, b, appends int) ([]*dataset.Table, []*BinLayou
 	}
 	var layouts []*BinLayout
 	for _, bins := range []int{4, 8} {
-		l, err := ComputeLayout(versions[0], "num", bins)
+		l, err := computeLayout(versions[0], "num", bins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +403,7 @@ func TestExtendBinIndexAllAllocationBound(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i, v := range versions[1:] {
-		if idx, backs, err = ExtendBinIndexAll(v, layouts, idx, backs, versions[i].NumRows()); err != nil {
+		if idx, backs, err = extendBinIndexAll(v, layouts, idx, backs, versions[i].NumRows()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -431,7 +431,7 @@ func TestExtendBinIndexAllForkStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, backs, err := ExtendBinIndexAll(base, layouts, idx, nil, versions[0].NumRows())
+	idx, backs, err := extendBinIndexAll(base, layouts, idx, nil, versions[0].NumRows())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestExtendBinIndexAllForkStaysExact(t *testing.T) {
 	}
 	var got [2][][]int32
 	for i, v := range []*dataset.Table{left, right} {
-		if got[i], _, err = ExtendBinIndexAll(v, layouts, idx, backs, base.NumRows()); err != nil {
+		if got[i], _, err = extendBinIndexAll(v, layouts, idx, backs, base.NumRows()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,11 +28,11 @@ type BinLayout struct {
 	index map[string]int // categorical group key → bin
 }
 
-// ComputeLayout builds the layout for a dimension from the reference
+// computeLayout builds the layout for a dimension from the reference
 // table. bins > 0 requests numeric equal-width binning and is required for
 // numeric dimensions; categorical (string/bool) dimensions ignore it and
 // get one bin per distinct non-NULL value.
-func ComputeLayout(ref *dataset.Table, dim string, bins int) (*BinLayout, error) {
+func computeLayout(ref *dataset.Table, dim string, bins int) (*BinLayout, error) {
 	col := ref.Column(dim)
 	if col == nil {
 		return nil, fmt.Errorf("view: table %q has no column %q", ref.Name, dim)
@@ -79,29 +79,10 @@ func ComputeLayout(ref *dataset.Table, dim string, bins int) (*BinLayout, error)
 // NumBins returns the layout's bin count.
 func (l *BinLayout) NumBins() int { return len(l.Labels) }
 
-// BinOf maps one cell to its bin index, or -1 for NULLs, NaNs and values
-// outside the layout (e.g. a categorical value present in DQ but absent
-// from DR — impossible when DQ ⊆ DR, but guarded anyway).
-func (l *BinLayout) BinOf(col *dataset.Column, row int) int {
-	if col.IsNull(row) {
-		return -1
-	}
-	if !l.Numeric {
-		if i, ok := l.index[col.GroupKey(row)]; ok {
-			return i
-		}
-		return -1
-	}
-	f, ok := col.Float(row)
-	if !ok {
-		return -1
-	}
-	return l.binOfFloat(f)
-}
-
 // binOfFloat maps a numeric value to its bin, or -1 outside [Lo, Hi). It
-// is the single binning expression shared by BinOf and the columnar
-// bin-index kernel, so the two can never disagree on boundary rounding.
+// is the single binning expression of the columnar bin-index kernel and
+// the per-row oracle its tests hold it to (BinOf, in test code), so the
+// two can never disagree on boundary rounding.
 // NaN is outside every layout, like NULL: it fails both range tests.
 func (l *BinLayout) binOfFloat(f float64) int {
 	if !(f >= l.Lo && f < l.Hi) {
@@ -215,11 +196,12 @@ func isNull(nulls []uint64, r int) bool {
 
 // BinIndexAll materialises the bin index of every supplied layout — all
 // bin configurations of one dimension — as dictionary-encoded dimension
-// columns: entry r of result i is layouts[i].BinOf(dimension column, r),
-// -1 for NULLs and out-of-layout values. Scans that reuse an index avoid
-// the per-row lookup that otherwise dominates grouping, and the fused
-// pass pays one column read and one null test per row for a
-// multi-configuration numeric dimension instead of one per configuration.
+// columns: entry r of result i is the bin layouts[i] places row r's
+// dimension value in, -1 for NULLs, NaNs and out-of-layout values. Scans
+// that reuse an index avoid the per-row lookup that otherwise dominates
+// grouping, and the fused pass pays one column read and one null test per
+// row for a multi-configuration numeric dimension instead of one per
+// configuration.
 func BinIndexAll(t *dataset.Table, layouts []*BinLayout) ([][]int32, error) {
 	if len(layouts) == 0 {
 		return nil, nil
@@ -285,10 +267,10 @@ func binRows(col *dataset.Column, layouts []*BinLayout, out [][]int32, from int)
 
 // fillBins is the one-layout bin-index kernel for rows from..len(bins)-1:
 // it switches on the dimension column's kind once and walks the backing
-// slice directly, instead of paying BinOf's kind switch — and, for
-// categorical dimensions, GroupKey's boxing — once per row. Every path
-// produces exactly BinOf's result (the bin-index property tests hold the
-// two together).
+// slice directly, instead of paying a kind switch — and, for categorical
+// dimensions, GroupKey's boxing — once per row. Every path produces
+// exactly the per-row oracle's result (BinOf; the bin-index property
+// tests hold the two together).
 func (l *BinLayout) fillBins(col *dataset.Column, bins []int32, from int) {
 	if !l.Numeric {
 		nulls := col.NullBitmap()
@@ -378,7 +360,13 @@ func (l *BinLayout) fillBins(col *dataset.Column, bins []int32, from int) {
 			}
 		default:
 			for r := from; r < len(bins); r++ {
-				bins[r] = int32(l.BinOf(col, r))
+				bins[r] = -1
+				if col.IsNull(r) {
+					continue
+				}
+				if i, ok := l.index[col.GroupKey(r)]; ok {
+					bins[r] = int32(i)
+				}
 			}
 		}
 		return

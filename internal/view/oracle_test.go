@@ -103,3 +103,32 @@ func binIndex(tb testing.TB, t *dataset.Table, layout *BinLayout) []int32 {
 	}
 	return all[0]
 }
+
+// BinOf maps one cell to its bin index, or -1 for NULLs, NaNs and values
+// outside the layout (e.g. a categorical value present in DQ but absent
+// from DR — impossible when DQ ⊆ DR, but guarded anyway).
+func (l *BinLayout) BinOf(col *dataset.Column, row int) int {
+	if col.IsNull(row) {
+		return -1
+	}
+	if !l.Numeric {
+		if i, ok := l.index[col.GroupKey(row)]; ok {
+			return i
+		}
+		return -1
+	}
+	f, ok := col.Float(row)
+	if !ok {
+		return -1
+	}
+	return l.binOfFloat(f)
+}
+
+// TotalCount returns the number of underlying rows across bins.
+func (h *Histogram) TotalCount() float64 {
+	t := 0.0
+	for _, c := range h.Counts {
+		t += c
+	}
+	return t
+}

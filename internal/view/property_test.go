@@ -45,7 +45,7 @@ func TestBinIndexMatchesBinOf(t *testing.T) {
 			dim  string
 			bins int
 		}{{"cat", 0}, {"num", 4}} {
-			layout, err := ComputeLayout(tab, spec.dim, spec.bins)
+			layout, err := computeLayout(tab, spec.dim, spec.bins)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestBinIndexMatchesBinOf(t *testing.T) {
 func TestCollectStatsIndexedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tab := randomTable(rng, 500)
-	layout, err := ComputeLayout(tab, "cat", 0)
+	layout, err := computeLayout(tab, "cat", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestStatsAdditivity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, 300)
-		layout, err := ComputeLayout(tab, "cat", 0)
+		layout, err := computeLayout(tab, "cat", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestDistributionSumsToOne(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomTable(rng, 150)
-		layout, err := ComputeLayout(tab, "num", 3)
+		layout, err := computeLayout(tab, "num", 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func kernelLayouts(t *testing.T, tab *dataset.Table) []*BinLayout {
 		dim  string
 		bins int
 	}{{"cat", 0}, {"flag", 0}, {"num", 3}, {"numint", 4}, {"constd", 3}} {
-		l, err := ComputeLayout(tab, spec.dim, spec.bins)
+		l, err := computeLayout(tab, spec.dim, spec.bins)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ type scans struct {
 // binBundle is one dimension's bin indexes, one per layout in dimLayouts
 // order, with the Backing each index lives on (nil entries, or a nil
 // slice, for indexes built from scratch), so a delta-extended generator
-// writes only the appended rows (ExtendBinIndexAll).
+// writes only the appended rows (extendBinIndexAll).
 type binBundle struct {
 	idx   [][]int32
 	backs []*dataset.Backing[int32]
@@ -80,7 +80,7 @@ func newRefSide(ref *dataset.Table, cfg SpaceConfig) *refSide {
 			if _, ok := rs.layouts[k]; ok {
 				continue
 			}
-			l, err := ComputeLayout(ref, d, bins)
+			l, err := computeLayout(ref, d, bins)
 			if err != nil {
 				rs.err = err
 				return rs

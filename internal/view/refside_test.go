@@ -63,7 +63,7 @@ func TestNaNAndInfDimensionsMatchReference(t *testing.T) {
 			col := tab.Column(dim)
 			var layouts []*BinLayout
 			for _, bins := range []int{3, 4} {
-				l, err := ComputeLayout(tab, dim, bins)
+				l, err := computeLayout(tab, dim, bins)
 				if err != nil {
 					t.Fatalf("seed %d %s: %v", seed, dim, err)
 				}
@@ -143,7 +143,7 @@ func TestNaNDimensionFiveRows(t *testing.T) {
 
 	allNaN := dataset.NewTable("allnan", schema)
 	allNaN.MustAppendRow(dataset.Float(math.NaN()), dataset.Float(1))
-	if _, err := ComputeLayout(allNaN, "d", 2); err == nil {
+	if _, err := computeLayout(allNaN, "d", 2); err == nil {
 		t.Error("layout over an all-NaN dimension succeeded")
 	}
 }

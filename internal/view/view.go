@@ -35,9 +35,6 @@ func (s Spec) String() string {
 // Numeric dimensions bin via WIDTH_BUCKET using the supplied layout range.
 func (s Spec) SQL(table string, layout *BinLayout) string {
 	agg := fmt.Sprintf("%s(%s)", s.Agg, s.Measure)
-	if s.Agg == "COUNT" {
-		agg = "COUNT(*)"
-	}
 	if s.Bins > 0 && layout != nil && layout.Numeric {
 		bucket := fmt.Sprintf("WIDTH_BUCKET(%s, %g, %g, %d)", s.Dimension, layout.Lo, layout.Hi, s.Bins)
 		return fmt.Sprintf("SELECT %s AS bin, %s AS val FROM %s GROUP BY %s ORDER BY bin",
@@ -69,15 +66,6 @@ func (h *Histogram) Bins() int { return len(h.Values) }
 // (Eq. 5). Negative bars carry no mass; an all-empty histogram normalises
 // to uniform.
 func (h *Histogram) Distribution() []float64 { return metric.Normalize(h.Values) }
-
-// TotalCount returns the number of underlying rows across bins.
-func (h *Histogram) TotalCount() float64 {
-	t := 0.0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
 
 // Pair is a target view with its aligned reference view (Figure 2): the
 // same (a, m, f) computed over DQ and DR on identical bins.

@@ -37,7 +37,7 @@ func demoTables(t *testing.T) (ref, tgt *dataset.Table) {
 
 func TestComputeLayoutCategorical(t *testing.T) {
 	ref, _ := demoTables(t)
-	l, err := ComputeLayout(ref, "cat", 0)
+	l, err := computeLayout(ref, "cat", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestComputeLayoutCategorical(t *testing.T) {
 
 func TestComputeLayoutNumeric(t *testing.T) {
 	ref, _ := demoTables(t)
-	l, err := ComputeLayout(ref, "z", 3)
+	l, err := computeLayout(ref, "z", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +71,10 @@ func TestComputeLayoutNumeric(t *testing.T) {
 
 func TestComputeLayoutErrors(t *testing.T) {
 	ref, _ := demoTables(t)
-	if _, err := ComputeLayout(ref, "nope", 0); err == nil {
+	if _, err := computeLayout(ref, "nope", 0); err == nil {
 		t.Error("expected unknown-column error")
 	}
-	if _, err := ComputeLayout(ref, "z", 0); err == nil {
+	if _, err := computeLayout(ref, "z", 0); err == nil {
 		t.Error("numeric dim without bins should fail")
 	}
 }
@@ -88,7 +88,7 @@ func TestComputeLayoutConstantColumn(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tab.MustAppendRow(dataset.Float(7), dataset.Float(float64(i)))
 	}
-	l, err := ComputeLayout(tab, "k", 3)
+	l, err := computeLayout(tab, "k", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestComputeLayoutConstantColumn(t *testing.T) {
 
 func TestCollectStatsAndHistogram(t *testing.T) {
 	ref, _ := demoTables(t)
-	l, _ := ComputeLayout(ref, "cat", 0)
+	l, _ := computeLayout(ref, "cat", 0)
 	s, err := CollectStats(ref, l, []string{"m"}, nil, binIndex(t, ref, l))
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestCollectStatsAndHistogram(t *testing.T) {
 
 func TestCollectStatsRowSubset(t *testing.T) {
 	ref, _ := demoTables(t)
-	l, _ := ComputeLayout(ref, "cat", 0)
+	l, _ := computeLayout(ref, "cat", 0)
 	s, err := CollectStats(ref, l, []string{"m"}, []int{0, 1, 2}, binIndex(t, ref, l))
 	if err != nil {
 		t.Fatal(err)
@@ -269,28 +269,42 @@ func TestSpecString(t *testing.T) {
 
 func TestSpecSQLAgainstEngine(t *testing.T) {
 	// The SQL the spec prints must actually run on the engine and agree
-	// with the generator's histogram.
+	// with the generator's histogram, over DR and over DQ.
 	ref, tgt := demoTables(t)
-	g, _ := NewGenerator(ref, tgt, SpaceConfig{BinCounts: []int{3}})
-	spec := Spec{Dimension: "cat", Measure: "m", Agg: "SUM"}
-	p, err := g.Pair(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	query := spec.SQL("ref", g.Layout(spec))
-	res := mustQuery(t, ref, query)
-	if res.NumRows() != 3 {
-		t.Fatalf("sql rows = %d", res.NumRows())
-	}
-	for i := 0; i < 3; i++ {
-		got, _ := res.Column("val").Float(i)
-		if math.Abs(got-p.Reference.Values[i]) > 1e-9 {
-			t.Errorf("bin %d: sql=%v generator=%v", i, got, p.Reference.Values[i])
+	// A COUNT view counts the measure's non-NULL values, so its SQL must
+	// too: d alternates a, b and m is NULL in rows 0, 3, 6 and 9, which
+	// leaves three values in each group of five rows.
+	nulls := dataset.NewTable("nulls", dataset.MustSchema(
+		dataset.ColumnDef{Name: "d", Kind: dataset.KindString, Role: dataset.RoleDimension},
+		dataset.ColumnDef{Name: "m", Kind: dataset.KindFloat, Role: dataset.RoleMeasure},
+	))
+	for i := 0; i < 10; i++ {
+		m := dataset.Float(float64(i))
+		if i%3 == 0 {
+			m = dataset.Null
 		}
+		nulls.MustAppendRow(dataset.StringVal(string(rune('a'+i%2))), m)
 	}
-	requireSQLBars(t, spec, g.Layout(spec), query, res, p.Reference)
-	query = spec.SQL("tgt", g.Layout(spec))
-	requireSQLBars(t, spec, g.Layout(spec), query, mustQuery(t, tgt, query), p.Target)
+	for _, c := range []struct {
+		ref, tgt *dataset.Table
+		spec     Spec
+	}{
+		{ref, tgt, Spec{Dimension: "cat", Measure: "m", Agg: "SUM"}},
+		{nulls, nulls.Subset("nulls_dq", []int{0, 1, 2, 3, 4, 5, 7}), Spec{Dimension: "d", Measure: "m", Agg: "COUNT"}},
+	} {
+		g, err := NewGenerator(c.ref, c.tgt, SpaceConfig{BinCounts: []int{3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := g.Pair(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		query := c.spec.SQL(c.ref.Name, g.Layout(c.spec))
+		requireSQLBars(t, c.spec, g.Layout(c.spec), query, mustQuery(t, c.ref, query), p.Reference)
+		query = c.spec.SQL(c.tgt.Name, g.Layout(c.spec))
+		requireSQLBars(t, c.spec, g.Layout(c.spec), query, mustQuery(t, c.tgt, query), p.Target)
+	}
 }
 
 func TestSpecSQLNumericBins(t *testing.T) {
@@ -442,7 +456,7 @@ func TestCategoricalLayoutSkipsNull(t *testing.T) {
 	tab.MustAppendRow(dataset.Null, dataset.Null, dataset.Float(2))
 	tab.MustAppendRow(dataset.StringVal("a"), dataset.Bool(false), dataset.Float(3))
 	for dim, want := range map[string][]string{"s": {"a", "b"}, "b": {"false", "true"}} {
-		l, err := ComputeLayout(tab, dim, 0)
+		l, err := computeLayout(tab, dim, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

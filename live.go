@@ -27,19 +27,14 @@ type LiveRecovery = live.Recovery
 // policy, and the auto-checkpoint threshold (see live.Options).
 type LiveOptions = live.Options
 
-// OpenLiveTable opens (creating if needed) the write-ahead log at walPath
-// and replays its committed batches over base (or over the newest
+// OpenLiveTableOptions opens (creating if needed) the write-ahead log at
+// walPath and replays its committed batches over base (or over the newest
 // checkpoint snapshot, when one exists), returning the live table at its
 // last committed version. base must be the same snapshot the log was
-// started against. syncEvery batches one fsync per that many appends
-// (<= 1 syncs every append — full durability).
-func OpenLiveTable(walPath string, base *Table, syncEvery int) (*LiveTable, *LiveRecovery, error) {
-	return OpenLiveTableOptions(walPath, base, LiveOptions{SyncEvery: syncEvery})
-}
-
-// OpenLiveTableOptions is OpenLiveTable with the full option set —
-// notably CheckpointBytes, which bounds recovery replay by periodically
-// persisting the current version as a snapshot and compacting the log.
+// started against. opts.SyncEvery batches one fsync per that many appends
+// (<= 1 syncs every append — full durability), and opts.CheckpointBytes
+// bounds recovery replay by periodically persisting the current version as
+// a snapshot and compacting the log.
 func OpenLiveTableOptions(walPath string, base *Table, opts LiveOptions) (*LiveTable, *LiveRecovery, error) {
 	return live.Open(nil, walPath, base, opts)
 }
@@ -48,8 +43,8 @@ func OpenLiveTableOptions(walPath string, base *Table, opts LiveOptions) (*LiveT
 // table: the view-space bin indexes, scan statistics and utility-feature
 // matrix for one exploration query, kept current as the table grows.
 // Advance folds newly appended rows into the cached scans instead of
-// rerunning the offline pass; NewSession mints interactive sessions from
-// the current state without paying the offline phase again.
+// rerunning the offline pass; NewSessionOn mints interactive sessions from
+// a published version without paying the offline phase again.
 //
 // Maintenance is exact-only: Options.Alpha is forced to 1, because
 // α-sampled matrices are tied to one session's refinement run and cannot
@@ -220,22 +215,6 @@ func seqRange(from, to int) []int {
 	return out
 }
 
-// NewSession mints an interactive session from the maintained state —
-// the offline phase is already paid, so this is the warm path regardless
-// of any Options.Cache. The session keeps the version it was built on:
-// later Advances never mutate it.
-func (m *Maintained) NewSession() (*Seeker, error) { return m.NewSessionWith(m.opts) }
-
-// NewSessionWith is NewSession with per-session interaction knobs — K,
-// Strategy, Seed, Workers, RefineHook — so one maintained offline state
-// can serve sessions with different recommendation sizes or query
-// strategies. Knobs that shape the offline state itself (bin counts,
-// features, alpha) come from the Maintained and are ignored here.
-func (m *Maintained) NewSessionWith(opts Options) (*Seeker, error) {
-	v, ref, _ := m.Version()
-	return m.NewSessionOn(ref, v, opts)
-}
-
 // OfflineVersion is one immutable offline version: the view space,
 // utility-feature rows, target subset and view generator of one (table
 // version, query, α, space config), shared read-only by every session
@@ -250,11 +229,16 @@ func (m *Maintained) Version() (*OfflineVersion, *Table, uint64) {
 	return m.cur, m.gen.Ref, m.seq
 }
 
-// NewSessionOn is NewSessionWith on a version this Maintained published
-// and the table version it was computed over (Version), however far the
-// table has advanced since: a fresh session over exactly that version,
-// which is how a journalled session is replayed bit-identically after
-// eviction.
+// NewSessionOn mints an interactive session on a version this Maintained
+// published and the table version it was computed over (Version), however
+// far the table has advanced since: a fresh session over exactly that
+// version, which is how a journalled session is replayed bit-identically
+// after eviction. The offline phase is already paid, so this is the warm
+// path regardless of any Options.Cache, and later Advances never mutate
+// the session. opts supplies the per-session interaction knobs — K,
+// Strategy, Seed, Workers, RefineHook; knobs that shape the offline state
+// itself (bin counts, features, alpha) come from the Maintained and are
+// ignored here.
 func (m *Maintained) NewSessionOn(ref *Table, v *OfflineVersion, opts Options) (*Seeker, error) {
 	return sessionOn(ref, v, opts, m.cfg, true)
 }
@@ -282,14 +266,4 @@ func (m *Maintained) Stats() MaintainedStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MaintainedStats{Extended: m.extended, Rebuilt: m.rebuilt}
-}
-
-// Matrix returns the current version's feature matrix (read-only: its
-// rows are the version's).
-func (m *Maintained) Matrix() *feature.Matrix {
-	m.mu.Lock()
-	v, gen := m.cur, m.gen
-	m.mu.Unlock()
-	matrix, _ := feature.Rebuild(gen, m.cfg.registry, v.Specs, v.Rows, v.Exact)
-	return matrix
 }

@@ -49,9 +49,16 @@ func inFitBatch(base *Table, n int) [][]Value {
 	return out
 }
 
+// currentSession mints a session on m's current version with the options m
+// was maintained with.
+func currentSession(m *Maintained) (*Seeker, error) {
+	v, ref, _ := m.Version()
+	return m.NewSessionOn(ref, v, m.opts)
+}
+
 func TestMaintainedAdvanceMatchesRebuild(t *testing.T) {
 	base, _ := liveSYN(t, 3000, 0)
-	lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "syn.wal"), base, 0)
+	lt, _, err := OpenLiveTableOptions(filepath.Join(t.TempDir(), "syn.wal"), base, LiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +135,11 @@ func requireColdEqual(t *testing.T, lt *LiveTable, m *Maintained, query string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.NewSession()
+	got, err := currentSession(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := fresh.NewSession()
+	warm, err := currentSession(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +170,7 @@ func requireColdEqual(t *testing.T, lt *LiveTable, m *Maintained, query string, 
 
 func TestMaintainedSessionsAcrossAppends(t *testing.T) {
 	base, batch := liveSYN(t, 2000, 200)
-	lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "syn.wal"), base, 0)
+	lt, _, err := OpenLiveTableOptions(filepath.Join(t.TempDir(), "syn.wal"), base, LiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +179,11 @@ func TestMaintainedSessionsAcrossAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := m.NewSession()
+	s1, err := currentSession(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldRows := s1.Reference().NumRows()
+	oldRows := s1.ref.NumRows()
 
 	if _, err := lt.Append(batch); err != nil {
 		t.Fatal(err)
@@ -184,19 +191,19 @@ func TestMaintainedSessionsAcrossAppends(t *testing.T) {
 	if _, err := m.Advance(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := m.NewSession()
+	s2, err := currentSession(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// s1 keeps the version it was built on; s2 sees the appended rows.
-	if s1.Reference().NumRows() != oldRows {
+	if s1.ref.NumRows() != oldRows {
 		t.Fatal("existing session's reference changed under it")
 	}
-	if got := s2.Reference().NumRows(); got != oldRows+len(batch) {
+	if got := s2.ref.NumRows(); got != oldRows+len(batch) {
 		t.Fatalf("new session sees %d rows, want %d", got, oldRows+len(batch))
 	}
 	for _, s := range []*Seeker{s1, s2} {
-		v, err := s.Next()
+		v, _, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +218,7 @@ func TestMaintainedSessionsAcrossAppends(t *testing.T) {
 
 func TestMaintainedForcesExact(t *testing.T) {
 	base, _ := liveSYN(t, 1000, 0)
-	lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "syn.wal"), base, 0)
+	lt, _, err := OpenLiveTableOptions(filepath.Join(t.TempDir(), "syn.wal"), base, LiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +227,8 @@ func TestMaintainedForcesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range m.Matrix().Exact {
+	v, _, _ := m.Version()
+	for i, e := range v.Exact {
 		if !e {
 			t.Fatalf("row %d is inexact: Maintain must force Alpha = 1", i)
 		}
@@ -259,7 +267,7 @@ func TestMaintainedRefitRebuild(t *testing.T) {
 		if err := dataset.AssignRoles(base, full.Schema.Dimensions(), full.Schema.Measures()); err != nil {
 			t.Fatal(err)
 		}
-		lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "syn.wal"), base, 0)
+		lt, _, err := OpenLiveTableOptions(filepath.Join(t.TempDir(), "syn.wal"), base, LiveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +312,7 @@ func TestMaintainedProjectionSuffix(t *testing.T) {
 	query := "SELECT d1, d2, d3, d4, d5, m1, m2, m3, m4, m5 FROM syn WHERE d1 < 0.0707 AND d2 < 0.0707"
 	base, _ := liveSYN(t, 2000, 0)
 	batch := inFitBatch(base, 300)
-	lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "syn.wal"), base, 0)
+	lt, _, err := OpenLiveTableOptions(filepath.Join(t.TempDir(), "syn.wal"), base, LiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +331,7 @@ func TestMaintainedProjectionSuffix(t *testing.T) {
 		t.Fatalf("stats %+v: the projection did not take the suffix fast path", st)
 	}
 
-	s, err := m.NewSession()
+	s, err := currentSession(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +356,7 @@ func TestMaintainedProjectionSuffix(t *testing.T) {
 func TestMaintainedOrderByRebuilds(t *testing.T) {
 	query := dataset.SYNQuery + " ORDER BY m1"
 	base, batch := liveSYN(t, 2000, 300)
-	lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "syn.wal"), base, 0)
+	lt, _, err := OpenLiveTableOptions(filepath.Join(t.TempDir(), "syn.wal"), base, LiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,19 +380,18 @@ func TestMaintainedOrderByRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := m.Matrix(), fresh.Matrix()
-	if !reflect.DeepEqual(got.Specs, want.Specs) {
+	gv, _, _ := m.Version()
+	wv, _, _ := fresh.Version()
+	if !reflect.DeepEqual(gv.Specs, wv.Specs) {
 		t.Fatal("view spaces differ from a fresh Maintain")
 	}
-	for i := range got.Rows {
-		for j := range got.Rows[i] {
-			if math.Float64bits(got.Rows[i][j]) != math.Float64bits(want.Rows[i][j]) {
-				t.Fatalf("matrix[%d][%d] = %v, fresh Maintain %v", i, j, got.Rows[i][j], want.Rows[i][j])
+	for i := range gv.Rows {
+		for j := range gv.Rows[i] {
+			if math.Float64bits(gv.Rows[i][j]) != math.Float64bits(wv.Rows[i][j]) {
+				t.Fatalf("matrix[%d][%d] = %v, fresh Maintain %v", i, j, gv.Rows[i][j], wv.Rows[i][j])
 			}
 		}
 	}
-	gv, _, _ := m.Version()
-	wv, _, _ := fresh.Version()
 	gt, wt := gv.TargetTable(), wv.TargetTable()
 	if gt.NumRows() != wt.NumRows() {
 		t.Fatalf("target has %d rows, fresh Maintain %d", gt.NumRows(), wt.NumRows())
@@ -415,7 +422,7 @@ func TestMaintainedAllNullColumnExtends(t *testing.T) {
 			base.MustAppendRow(dataset.StringVal("a"), dataset.Float(float64(i)))
 		}
 	}
-	lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "t.wal"), base, 0)
+	lt, _, err := OpenLiveTableOptions(filepath.Join(t.TempDir(), "t.wal"), base, LiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +443,7 @@ func TestMaintainedAllNullColumnExtends(t *testing.T) {
 	if st := m.Stats(); st.Extended != 1 {
 		t.Fatalf("stats = %+v, want one suffix extension", st)
 	}
-	maintained, err := m.NewSession()
+	maintained, err := currentSession(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +547,7 @@ func TestMaintainedMatchesColdProperty(t *testing.T) {
 		for i := 0; i < 40+rng.Intn(40); i++ {
 			base.MustAppendRow(streamRow(rng, 0)...)
 		}
-		lt, _, err := OpenLiveTable(filepath.Join(t.TempDir(), "t.wal"), base, 0)
+		lt, _, err := OpenLiveTableOptions(filepath.Join(t.TempDir(), "t.wal"), base, LiveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

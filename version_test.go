@@ -75,7 +75,7 @@ func TestSessionsShareOneOfflineVersion(t *testing.T) {
 
 	refined := 0
 	for i := 0; i < 6; i++ {
-		v, err := a.Next()
+		v, _, err := a.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestSharedVersionConcurrentSessions(t *testing.T) {
 			if err == nil {
 				for j := 0; j < 5 && err == nil; j++ {
 					var v View
-					if v, err = s.Next(); err == nil {
+					if v, _, err = s.Next(); err == nil {
 						err = s.Feedback(v.Index, float64(v.Index%2))
 					}
 				}

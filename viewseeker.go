@@ -11,7 +11,7 @@
 //	viewseeker.AssignRoles(table, dims, measures)
 //	s, _ := viewseeker.New(table, "SELECT * FROM patients WHERE age > 80", viewseeker.Options{K: 5})
 //	for !satisfied {
-//		v, _ := s.Next()
+//		v, _, _ := s.Next()
 //		s.Feedback(v.Index, askUser(s.Render(v.Index)))
 //		show(s.TopK())
 //	}
@@ -97,9 +97,6 @@ func SaveCSVWithSchema(t *Table, path string) error { return dataset.WriteCSVWit
 // ReadCSV reads CSV from a reader into a table named name.
 func ReadCSV(name string, r io.Reader) (*Table, error) { return dataset.ReadCSV(name, r) }
 
-// SaveCSV writes a table to a CSV file.
-func SaveCSV(t *Table, path string) error { return dataset.WriteCSVFile(t, path) }
-
 // AssignRoles marks columns as dimensions and measures; only such columns
 // enter the view space.
 func AssignRoles(t *Table, dims, measures []string) error {
@@ -115,11 +112,6 @@ func Query(t *Table, query string) (*Table, error) {
 	c.Register(t)
 	return c.Query(query)
 }
-
-// StandardFeatureNames returns the eight built-in utility feature names in
-// their canonical order: KL, EMD, L1, L2, MAX_DIFF, USABILITY, ACCURACY,
-// P_VALUE.
-func StandardFeatureNames() []string { return feature.StandardRegistry().Names() }
 
 // StaticTopK is the classical one-shot recommender ViewSeeker improves on
 // (SeeDB-style): it ranks every view by a single fixed utility feature —
@@ -481,9 +473,6 @@ func (s *Seeker) MemoryBytes() int64 {
 	return b
 }
 
-// Reference returns the full dataset DR.
-func (s *Seeker) Reference() *Table { return s.ref }
-
 // Target returns the exploration subset DQ.
 func (s *Seeker) Target() *Table { return s.target }
 
@@ -511,39 +500,22 @@ func (s *Seeker) FeatureRows() [][]float64 {
 	return out
 }
 
-// Next returns the next view to label. It is a convenience wrapper around
-// NextViews, whose batch holds one view.
-func (s *Seeker) Next() (View, error) {
-	vs, err := s.NextViews()
-	if err != nil {
-		return View{}, err
-	}
-	if len(vs) == 0 {
-		return View{}, fmt.Errorf("viewseeker: every view is labelled")
-	}
-	return vs[0], nil
-}
-
-// NextViews returns the next batch of views to label — one view (cold
-// start first, then the configured query strategy). Empty when everything
+// Next returns the view to label this iteration: the cold-start walk
+// first, then the configured query strategy. ok is false once every view
 // is labelled.
-func (s *Seeker) NextViews() ([]View, error) {
-	return s.NextViewsCtx(context.Background())
+func (s *Seeker) Next() (v View, ok bool, err error) {
+	return s.NextCtx(context.Background())
 }
 
-// NextViewsCtx is NextViews with the selection timed against the context's
+// NextCtx is Next with the selection timed against the context's
 // observability registry and tracer (see internal/obs); selection itself
 // is pure in-memory ranking and does not block on the context.
-func (s *Seeker) NextViewsCtx(ctx context.Context) ([]View, error) {
-	idxs, err := s.inner.NextViewsCtx(ctx)
-	if err != nil {
-		return nil, err
+func (s *Seeker) NextCtx(ctx context.Context) (v View, ok bool, err error) {
+	idx, ok, err := s.inner.NextCtx(ctx)
+	if !ok || err != nil {
+		return View{}, false, err
 	}
-	out := make([]View, len(idxs))
-	for i, idx := range idxs {
-		out[i] = s.viewAt(idx)
-	}
-	return out, nil
+	return s.viewAt(idx), true, nil
 }
 
 func (s *Seeker) viewAt(idx int) View {
@@ -576,9 +548,6 @@ func (s *Seeker) TopK() []View {
 	}
 	return out
 }
-
-// Score returns the estimator's current utility prediction for one view.
-func (s *Seeker) Score(index int) float64 { return s.inner.Predict(index) }
 
 // SQL returns the GROUP BY query that computes one view over the
 // reference table — handy for exporting recommendations to other tools.

@@ -24,7 +24,7 @@ const cacheTestQuery = "SELECT * FROM diab WHERE age_group = '[80-90)'"
 func driveSession(t *testing.T, s *viewseeker.Seeker) {
 	t.Helper()
 	for i := 0; i < 10; i++ {
-		v, err := s.Next()
+		v, _, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestNewAndSessionLoop(t *testing.T) {
 	if got := len(s.FeatureNames()); got != 8 {
 		t.Errorf("features = %d", got)
 	}
-	if s.Target().NumRows() == 0 || s.Reference() != table {
+	if s.Target().NumRows() == 0 || s.ref != table {
 		t.Error("tables wrong")
 	}
 	// Drive a few iterations with a deviation-loving user: label by EMD.
@@ -57,7 +57,7 @@ func TestNewAndSessionLoop(t *testing.T) {
 		}
 	}
 	for i := 0; i < 15; i++ {
-		v, err := s.Next()
+		v, _, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestOptionsStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("strategy %q: %v", strat, err)
 		}
-		v, err := s.Next()
+		v, _, err := s.Next()
 		if err != nil {
 			t.Fatalf("strategy %q next: %v", strat, err)
 		}
@@ -163,7 +163,7 @@ func TestAlphaPartialSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := s.Next()
+	v, _, _ := s.Next()
 	if err := s.Feedback(v.Index, 0.7); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestFeatureRows(t *testing.T) {
 	if before == len(want.Rows) {
 		t.Fatal("an α-sampled session starts with every row exact")
 	}
-	v, err := sampled.Next()
+	v, _, err := sampled.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +236,14 @@ func TestCustomFeatureOption(t *testing.T) {
 	table := facadeTable(t)
 	s, err := New(table, "SELECT * FROM diab WHERE diag_group = 'diabetes'", Options{
 		ExtraFeatures: []Feature{{
-			Name:    "TARGET_ROWS",
-			Compute: func(p *Pair) (float64, error) { return p.Target.TotalCount(), nil },
+			Name: "TARGET_ROWS",
+			Compute: func(p *Pair) (float64, error) {
+				total := 0.0
+				for _, c := range p.Target.Counts {
+					total += c
+				}
+				return total, nil
+			},
 		}},
 	})
 	if err != nil {
@@ -284,7 +290,7 @@ func TestCSVRoundTripViaFacade(t *testing.T) {
 	table := facadeTable(t)
 	dir := t.TempDir()
 	path := dir + "/diab.csv"
-	if err := SaveCSV(table, path); err != nil {
+	if err := SaveCSVWithSchema(table, path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadCSV(path)
@@ -294,9 +300,11 @@ func TestCSVRoundTripViaFacade(t *testing.T) {
 	if back.NumRows() != table.NumRows() {
 		t.Errorf("rows = %d, want %d", back.NumRows(), table.NumRows())
 	}
-	// Roles are not stored in CSV; reassign and rebuild a session.
-	if err := AssignRoles(back, table.Schema.Dimensions(), table.Schema.Measures()); err != nil {
-		t.Fatal(err)
+	// The sidecar carries the roles, so the loaded table builds a session.
+	if !slices.Equal(back.Schema.Dimensions(), table.Schema.Dimensions()) ||
+		!slices.Equal(back.Schema.Measures(), table.Schema.Measures()) {
+		t.Errorf("roles = %v / %v, want %v / %v", back.Schema.Dimensions(), back.Schema.Measures(),
+			table.Schema.Dimensions(), table.Schema.Measures())
 	}
 	if _, err := New(back, "SELECT * FROM diab WHERE diag_group = 'diabetes'", Options{}); err != nil {
 		t.Fatal(err)
@@ -304,13 +312,17 @@ func TestCSVRoundTripViaFacade(t *testing.T) {
 }
 
 func TestStandardFeatureNames(t *testing.T) {
-	names := StandardFeatureNames()
-	if len(names) != 8 || names[0] != "KL" || names[7] != "P_VALUE" {
-		t.Errorf("names = %v", names)
+	s, err := New(facadeTable(t), "SELECT * FROM diab WHERE diag_group = 'diabetes'", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"KL", "EMD", "L1", "L2", "MAX_DIFF", "USABILITY", "ACCURACY", "P_VALUE"}
+	if names := s.FeatureNames(); !slices.Equal(names, want) {
+		t.Errorf("names = %v, want %v", names, want)
 	}
 }
 
-func TestNextViewsExhaustion(t *testing.T) {
+func TestNextExhaustion(t *testing.T) {
 	// Tiny space: 1 dim × 1 measure × 5 aggs = 5 views; label them all,
 	// then Next must report exhaustion.
 	schema := dataset.MustSchema(
@@ -329,20 +341,16 @@ func TestNextViewsExhaustion(t *testing.T) {
 		t.Fatalf("tiny space has %d views, want 5", s.NumViews())
 	}
 	for i := 0; i < 5; i++ {
-		v, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
+		v, ok, err := s.Next()
+		if err != nil || !ok {
+			t.Fatalf("Next %d = %v, %v, %v", i, v, ok, err)
 		}
 		if err := s.Feedback(v.Index, float64(i%2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Next(); err == nil {
-		t.Error("exhausted space should error on Next")
-	}
-	vs, err := s.NextViews()
-	if err != nil || len(vs) != 0 {
-		t.Errorf("NextViews after exhaustion = %v, %v", vs, err)
+	if v, ok, err := s.Next(); ok || err != nil {
+		t.Errorf("Next after exhaustion = %v, %v, %v; want none", v, ok, err)
 	}
 }
 
@@ -354,7 +362,7 @@ func TestFacadeSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		v, err := s1.Next()
+		v, _, err := s1.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
