@@ -8,6 +8,7 @@ package viewseeker_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -638,5 +639,67 @@ func BenchmarkLiveAppend(b *testing.B) {
 		if _, err := m.Advance(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCheckpoint times one checkpoint of a 16,000-row suffix (16
+// appends of 1,000 SYN rows, made outside the timer) over a SYN base of
+// 200k and of 1M rows. A checkpoint persists the rows appended since the
+// previous one as one segment, so B/op and the segment bytes it writes
+// (seg-bytes/op) track the suffix and must not grow with the base. Run
+// it with a fixed -benchtime (say 20x): each op appends 16,000 rows to
+// the table.
+func BenchmarkCheckpoint(b *testing.B) {
+	const batchRows, batches = 1000, 16
+	pool := dataset.GenerateSYN(dataset.SYNConfig{Rows: batches * batchRows, Seed: 2})
+	pending := make([][][]dataset.Value, batches)
+	for i := range pending {
+		pending[i] = make([][]dataset.Value, batchRows)
+		for r := range pending[i] {
+			pending[i][r] = pool.Row(i*batchRows + r)
+		}
+	}
+	for _, rows := range []int{200_000, 1_000_000} {
+		b.Run(fmt.Sprintf("base=%d", rows), func(b *testing.B) {
+			base := dataset.GenerateSYN(dataset.SYNConfig{Rows: rows, Seed: 1})
+			path := filepath.Join(b.TempDir(), "syn.wal")
+			lt, _, err := viewseeker.OpenLiveTableOptions(path, base, viewseeker.LiveOptions{SyncEvery: 1 << 20})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer lt.Close()
+			suffix := func() {
+				for _, batch := range pending {
+					if _, err := lt.Append(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			// The first checkpoint also hashes the base, once per table.
+			suffix()
+			if _, err := lt.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			before, err := os.Stat(path + ".seg")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				suffix()
+				b.StartTimer()
+				if _, err := lt.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			after, err := os.Stat(path + ".seg")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(after.Size()-before.Size())/float64(b.N), "seg-bytes/op")
+		})
 	}
 }

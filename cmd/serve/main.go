@@ -66,7 +66,7 @@ func main() {
 		traceLog   = flag.String("trace-log", "", "append every completed phase trace as one JSON line to this file (empty = traces only in the in-memory ring at /debug/vars)")
 		walDir     = flag.String("wal-dir", "", "host every table as a live (appendable) table, write-ahead-logged under this directory as <name>.wal; POST /api/tables/{name}/append grows a table, a restart with the same tables and directory replays committed appends")
 		syncEvery  = flag.Int("wal-sync-every", 1, "fsync the WAL once per this many append batches (1 = every batch; higher trades a bounded durability window for append throughput)")
-		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "auto-checkpoint a live table whenever its WAL reaches this many bytes: the current version is snapshotted and the log compacted, bounding restart replay (0 = manual checkpoints only via POST /api/tables/{name}/checkpoint)")
+		ckptBytes  = flag.Int64("checkpoint-bytes", 0, "auto-checkpoint a live table whenever its WAL reaches this many bytes: the rows appended since the last checkpoint are written as one segment beside the WAL and the log is compacted, bounding restart replay (0 = manual checkpoints only via POST /api/tables/{name}/checkpoint)")
 		sessBudget = flag.Int64("session-budget-bytes", 0, "memory budget across all interactive sessions: over it, the coldest idle sessions are evicted and rebuilt transparently from the journal on their next touch; when even eviction cannot make room the server sheds with 429 + Retry-After (0 = unbudgeted; see the Scaling section of README.md for sizing)")
 	)
 	flag.Parse()
@@ -158,9 +158,9 @@ func main() {
 				fmt.Printf("Replayed %d append batch(es) for %q (now %d rows)\n",
 					rec.Replayed, t.Name, lt.Current().NumRows())
 			}
-			if rec.SkippedFrames > 0 {
-				fmt.Printf("Loaded %q from its checkpoint snapshot (%d already-covered WAL frames skipped)\n",
-					t.Name, rec.SkippedFrames)
+			if rec.Segments > 0 {
+				fmt.Printf("Loaded %d checkpoint segment(s) for %q (%d already-covered WAL frames skipped)\n",
+					rec.Segments, t.Name, rec.SkippedFrames)
 			}
 			if rec.TornTail {
 				fmt.Printf("serve: truncated a torn WAL tail for %q (%d bytes of an uncommitted append)\n",

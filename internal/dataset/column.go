@@ -51,18 +51,19 @@ type Column struct {
 // newColumn allocates an empty column for the definition.
 func newColumn(def ColumnDef) *Column { return &Column{Def: def} }
 
-// appended returns a new column holding c's cells plus column j of rows,
-// which check accepted, leaving c untouched: the typed cells go into c's
-// tail when c can claim it, else into a copy, and the bitmap is shared
-// unless the batch holds a NULL (or c may still set bits in its own).
-func (c *Column) appended(rows [][]Value, j int) *Column {
+// appended returns a new column holding c's cells plus the ones extend
+// appends to it in place, leaving c untouched: the typed cells go into
+// c's tail when c can claim it, else into a copy, and the bitmap is
+// shared unless the new cells hold a NULL (or c may still set bits in its
+// own).
+func (c *Column) appended(extend func(out *Column)) *Column {
 	out := &Column{Def: c.Def, Ints: c.Ints, Floats: c.Floats, Strs: c.Strs, Bools: c.Bools,
 		back: c.back, nulls: c.nulls, sharedNulls: true}
 	if !c.sharedNulls {
 		// c may still set bits in the bitmap it owns: out takes a copy.
 		out.nulls, out.sharedNulls = slices.Clone(c.nulls), false
 	}
-	out.extend(rows, j)
+	extend(out)
 	out.sharedNulls = true // published: later versions may share it
 	if c.Def.Kind == KindInt || c.Def.Kind == KindBool {
 		c.dec.mu.Lock()
@@ -92,14 +93,19 @@ func (c *Column) extend(rows [][]Value, j int) {
 	}
 }
 
-// appendCells appends conv(row[j]) for each row to s through Extend, so
-// the cells land in back's tail when s may claim it.
+// appendCells appends conv(row[j]) for each row to s through extendCells.
 func appendCells[T any](s []T, back any, rows [][]Value, j int, conv func(Value) T) ([]T, any) {
+	return extendCells(s, back, len(rows), func(i int) T { return conv(rows[i][j]) })
+}
+
+// extendCells appends cell(0), …, cell(k-1) to s through Extend, so the
+// cells land in back's tail when s may claim it.
+func extendCells[T any](s []T, back any, k int, cell func(i int) T) ([]T, any) {
 	b, _ := back.(*Backing[T])
 	n := len(s)
-	s, b = Extend(s, b, len(rows))
-	for i, r := range rows {
-		s[n+i] = conv(r[j])
+	s, b = Extend(s, b, k)
+	for i := range k {
+		s[n+i] = cell(i)
 	}
 	return s, b
 }

@@ -137,7 +137,7 @@ func (t *Table) WithAppended(rows [][]Value) (*Table, error) {
 	}
 	out := &Table{Name: t.Name, Schema: t.Schema, Cols: make([]*Column, len(t.Cols)), rows: t.rows + len(rows), version: 1}
 	for j, c := range t.Cols {
-		out.Cols[j] = c.appended(rows, j)
+		out.Cols[j] = c.appended(func(o *Column) { o.extend(rows, j) })
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -186,8 +187,8 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// recordingFS logs the file operations that publish a file: every Sync
-// and Close of a file it created, and every Rename.
+// recordingFS logs the file operations that publish a file: every Write
+// and Sync of a file it created or opened, and every Rename and Truncate.
 type recordingFS struct {
 	faultfs.FS
 	mu  sync.Mutex
@@ -206,6 +207,19 @@ func (r *recordingFS) CreateTemp(dir, pattern string) (faultfs.File, error) {
 		return nil, err
 	}
 	return &recordingFile{File: f, fs: r}, nil
+}
+
+func (r *recordingFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := r.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &recordingFile{File: f, fs: r}, nil
+}
+
+func (r *recordingFS) Truncate(name string, size int64) error {
+	r.log("truncate", name)
+	return r.FS.Truncate(name, size)
 }
 
 func (r *recordingFS) Rename(oldpath, newpath string) error {
@@ -228,11 +242,13 @@ func (f *recordingFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestAtomicPublishSyncsBeforeRename: the three writers that publish a
-// file by rename — the cache snapshot, the live checkpoint and WAL
-// compaction — must fsync the temp file after its last write and before
-// the rename makes it visible. Otherwise a crash can leave a renamed but
-// empty or partial file under the real name.
+// TestAtomicPublishSyncsBeforeRename: the two writers that publish a file
+// by rename — the cache snapshot and WAL compaction — must fsync the temp
+// file after its last write and before the rename makes it visible.
+// Otherwise a crash can leave a renamed but empty or partial file under
+// the real name. The live checkpoint appends a segment instead, and must
+// fsync the WAL before writing it and the segment log after, before the
+// compaction drops the WAL frames the segment covers.
 func TestAtomicPublishSyncsBeforeRename(t *testing.T) {
 	dir := t.TempDir()
 	fs := &recordingFS{FS: faultfs.OS{}}
@@ -298,13 +314,23 @@ func TestAtomicPublishSyncsBeforeRename(t *testing.T) {
 		switch {
 		case strings.HasPrefix(name, ".vscache-"):
 			renamed["cache snapshot"] = true
-		case strings.HasPrefix(name, "t.wal.ckpt.tmp-"):
-			renamed["live checkpoint"] = true
 		case strings.HasPrefix(name, "c.wal.compact-"):
 			renamed["WAL compaction"] = true
 		}
 	}
-	if len(renamed) != 3 {
-		t.Fatalf("published by rename: %v, want all three writers; ops %q", renamed, fs.ops)
+	if len(renamed) != 2 {
+		t.Fatalf("published by rename: %v, want both writers; ops %q", renamed, fs.ops)
+	}
+	segWrite := slices.Index(fs.ops, "write t.wal.seg")
+	compact := slices.Index(fs.ops, "truncate t.wal")
+	if segWrite < 0 || compact < segWrite {
+		t.Fatalf("no segment write before the WAL compaction; ops %q", fs.ops)
+	}
+	if !slices.Contains(fs.ops[:segWrite], "sync t.wal") {
+		t.Errorf("segment written before the WAL was synced; ops %q", fs.ops)
+	}
+	if last := segWrite + slices.Index(fs.ops[segWrite:compact], "sync t.wal.seg"); last < segWrite ||
+		slices.Contains(fs.ops[last:compact], "write t.wal.seg") {
+		t.Errorf("WAL compacted before the segment was synced; ops %q", fs.ops)
 	}
 }

@@ -26,22 +26,32 @@
 //     sequence number (store.VersionedRef). The offline cache addresses
 //     entries by it, so appends mint new addresses instead of forcing
 //     whole-table re-hashing, and ancestor versions' entries survive.
-//   - Bounded recovery: Checkpoint persists the current version as an
-//     atomic snapshot (faultfs.WriteFileAtomic beside the WAL) and compacts
-//     the log to the post-checkpoint suffix, so restart replay is
-//     snapshot + suffix however long the table has lived. The snapshot
-//     records the ORIGINAL base hash — VersionRef stays baseHash@seq,
-//     monotone across checkpoints. A crash in either window (before the
-//     rename: old state, full replay; after it, before the truncate:
-//     snapshot wins, duplicate frames skipped by sequence) recovers
-//     bit-identically; a corrupt or wrong-base snapshot is a hard Open
-//     error, because the log behind it may already be compacted.
-//     Checkpoints are single-flight, manual (Checkpoint) or automatic
-//     past Options.CheckpointBytes of WAL growth.
+//   - Bounded recovery: Checkpoint persists the rows appended since the
+//     previous checkpoint as one typed column segment (segment.go, built
+//     on dataset.AppendSegment), a frame of a second frame log beside the
+//     WAL (path + ".seg"), then compacts the WAL through the seq the
+//     segment covers. Open recovers the base, then the segments (which
+//     extend the base's own column storage, dataset.Table.WithSegment),
+//     then the WAL tail, so restart reads each appended row once however
+//     long the table has lived. Segments never merge: together they are
+//     exactly the appended rows. Each records the ORIGINAL base hash —
+//     VersionRef stays baseHash@seq, monotone across checkpoints. The WAL
+//     is synced before a segment is written and compacted only after it
+//     is synced, so a crash in any window (segment torn: dropped, the WAL
+//     replays its batches; segment synced, WAL not compacted: duplicate
+//     frames skipped by sequence; WAL compacted) recovers bit-identically.
+//     A torn segment the WAL no longer covers, or a segment that does not
+//     decode, names another base, or leaves a gap, is a hard Open error,
+//     because dropping it would lose rows. A format-1 whole-table
+//     checkpoint (path + ".ckpt") is migrated to one segment on first
+//     Open (migrate.go). Checkpoints are single-flight, manual
+//     (Checkpoint) or automatic past Options.CheckpointBytes of WAL
+//     growth, and Close waits out the one in flight.
 //
 // Observability follows the DESIGN.md §11 schema: appended-rows counter,
-// last-sequence gauge, checkpoint counters and the checkpoint-age and
-// WAL-size gauges, plus the viewseeker_wal_* append, fsync and recovery
-// series it wires into its frame log. Status
-// snapshots the same numbers for /healthz.
+// last-sequence gauge, checkpoint counters, bytes and duration histogram,
+// the checkpoint-age and WAL-size gauges, a live.checkpoint span per
+// checkpoint, plus the viewseeker_wal_* append, fsync and recovery
+// series it wires into its frame log. Status snapshots the same numbers
+// for /healthz.
 package live

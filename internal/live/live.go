@@ -1,12 +1,8 @@
 package live
 
 import (
-	"bytes"
-	"encoding/gob"
+	"context"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,10 +22,10 @@ type Options struct {
 	// Retry is the WAL append retry schedule; zero selects retry.Default().
 	Retry retry.Policy
 	// CheckpointBytes, when > 0, auto-checkpoints the table whenever the
-	// WAL's on-disk size reaches it: the current version is persisted as a
-	// snapshot and the log is compacted, bounding recovery replay to the
-	// appends since the last checkpoint. 0 disables auto-checkpointing
-	// (manual Checkpoint still works).
+	// WAL's on-disk size reaches it: the rows appended since the previous
+	// checkpoint are persisted as one segment and the log is compacted,
+	// bounding recovery replay to the appends since the last checkpoint.
+	// 0 disables auto-checkpointing (manual Checkpoint still works).
 	CheckpointBytes int64
 }
 
@@ -42,50 +38,66 @@ type Options struct {
 // number, a monotone O(1) identity that lets offline-cache entries survive
 // appends as ancestors instead of being invalidated wholesale.
 type Table struct {
-	mu   sync.Mutex
-	base *dataset.Table
-	cur  *dataset.Table
-	w    *wal.Log
-	seq  uint64
+	mu          sync.Mutex
+	base        *dataset.Table
+	cur         *dataset.Table
+	w           *wal.Log
+	seq         uint64
+	closed      bool // Close has begun: no new background checkpoint starts
+	ckptPending bool // a background checkpoint is scheduled or running
 
-	fs        faultfs.FS
-	path      string
 	ckptBytes int64
 
-	checkpointing atomic.Bool   // single-flight latch for Checkpoint
-	ckptSeq       atomic.Uint64 // seq covered by the newest durable snapshot
-	ckptAtUnix    atomic.Int64  // when it was written (unix seconds; 0 = never)
-	wg            sync.WaitGroup
+	// ckptMu is held by the running checkpoint: Checkpoint only tries it
+	// (checkpoints are single-flight), Close waits for it. It guards segs'
+	// writes and ckptRows.
+	ckptMu     sync.Mutex
+	segs       *wal.Log      // the checkpoint segment log beside the WAL
+	ckptRows   int           // rows the segments (with base) hold
+	ckptSeq    atomic.Uint64 // seq covered by the newest segment
+	ckptAtUnix atomic.Int64  // when it was written (unix seconds; 0 = never)
+	wg         sync.WaitGroup
 
+	tracer        *obs.Tracer
 	mAppendRows   *obs.Counter
 	mVersions     *obs.Gauge
 	mCheckpoints  *obs.Counter
 	mCkptFailures *obs.Counter
+	mCkptBytes    *obs.Counter
+	mCkptSeconds  *obs.Histogram
 	mCkptSeqGauge *obs.Gauge
 }
 
-// Open opens (creating if needed) the WAL at path and replays its
-// committed batches, returning the live table at its last committed
-// version. base must be the same snapshot the log was started against —
-// the WAL stores row deltas, not contents, so replaying against a
-// different base silently builds a different table. A torn tail from a
-// crash mid-append is truncated by the WAL layer; the table comes back at
-// the last fully committed batch with no partial rows (batches commit
+// Open opens (creating if needed) the WAL at path and its checkpoint
+// segment log at path + ".seg", and recovers the live table at its last
+// committed version: base, extended by every checkpoint segment in order,
+// then by the WAL's committed batches past the last segment. base must be
+// the same snapshot the log was started against — segments and the WAL
+// store rows past it, not its contents, so recovering against a different
+// base silently builds a different table; each segment records base's
+// content hash and a mismatch fails Open. A torn WAL tail from a crash
+// mid-append is truncated by the WAL layer; the table comes back at the
+// last fully committed batch with no partial rows (batches commit
 // atomically: one WAL record, one WithAppended).
 //
-// When a checkpoint snapshot exists next to the log (path + ".ckpt"),
-// replay starts from it instead of base and the log's already-covered
-// prefix — still present after a crash between the snapshot rename and
-// the log truncation — is detected by seq and skipped, so recovery cost
-// is bounded by the appends since the last checkpoint regardless of total
-// history. The snapshot records base's content hash and Open refuses a
-// snapshot taken against a different base. A snapshot that exists but no
-// longer decodes is a hard error, not a silent fallback: the log may
-// have been compacted, so replaying from base could lose data.
+// Segments extend base's own column storage (dataset.Table.WithSegment),
+// so the recovered table holds the base rows once. The WAL frames the
+// last segment already covers — still present after a crash between the
+// segment sync and the log compaction — are skipped by seq, so recovery
+// reads each appended row once however long the table has lived.
 //
-// A frame that passes its checksum but does not decode as a batch is a
-// hard error too: it was written whole, so it is not a torn tail, and
+// A segment log is refused, not repaired, when dropping its torn tail
+// would lose rows: a torn segment is dropped only while the WAL still
+// holds every batch past the intact segments, as it does after a crash
+// mid-checkpoint. A segment that passes its checksum but does not decode,
+// carries another base's hash, or leaves a gap in row indices or seqs is a
+// hard error too. So is a WAL frame that passes its checksum but does not
+// decode as a batch: it was written whole, so it is not a torn tail, and
 // dropping it would silently lose every later batch.
+//
+// A whole-table checkpoint written by the previous format (path +
+// ".ckpt") is migrated once: Open writes one segment holding every row it
+// has past base, syncs it, then removes the file.
 //
 // fs is the filesystem (nil selects the OS); tests inject faultfs.Faulty.
 // The returned Recovery reports what replay found.
@@ -96,29 +108,49 @@ func Open(fs faultfs.FS, path string, base *dataset.Table, opts Options) (*Table
 	if fs == nil {
 		fs = faultfs.OS{}
 	}
-	start := base
-	var ckptSeq uint64
-	var ckptAt int64
-	ck, ckTable, err := readCheckpoint(fs, checkpointPath(path))
+	segPath := segmentPath(path)
+	ck, segRec, err := readSegments(fs, segPath, base)
 	if err != nil {
 		return nil, nil, err
 	}
-	if ck != nil {
-		if want := store.HashTable(base); ck.BaseHash != want {
-			return nil, nil, fmt.Errorf("live: checkpoint %s was taken against base %s, not %s",
-				checkpointPath(path), ck.BaseHash, want)
+	var v1 *v1Checkpoint
+	var v1Table *dataset.Table
+	if ck.segments == 0 {
+		if v1, v1Table, err = readV1Checkpoint(fs, checkpointPath(path), base); err != nil {
+			return nil, nil, err
 		}
-		start = ckTable
-		ckptSeq = ck.Seq
-		ckptAt = ck.WrittenUnix
+	}
+	// A torn tail the format-1 checkpoint covers is its interrupted
+	// migration; any other is dropped only if the WAL still covers it.
+	if segRec.TornTail && v1 == nil {
+		if err := walCovers(fs, path, ck.seq); err != nil {
+			return nil, nil, err
+		}
+	}
+	segs, _, err := wal.Open(fs, segPath, wal.Options{Retry: opts.Retry}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if v1 != nil {
+		ck, err = migrateV1(fs, path, base, v1, v1Table, segs)
+	} else if ck.segments > 0 {
+		// The segments are durable; a format-1 checkpoint beside them is
+		// left over from a migration interrupted before its removal.
+		if err = segs.Sync(); err == nil {
+			err = removeV1Checkpoint(fs, checkpointPath(path))
+		}
+	}
+	if err != nil {
+		segs.Close()
+		return nil, nil, err
 	}
 	// Each committed batch is applied as the scan decodes it, so recovery
 	// holds one decoded batch at a time. A failing frame stops the scan
 	// before the WAL layer opens or truncates anything.
-	rec := &Recovery{}
-	cur := start
+	rec := &Recovery{Segments: ck.segments}
+	cur := ck.cur
 	w, wrec, err := wal.Open(fs, path, wal.Options{
-		SyncEvery: opts.SyncEvery, Retry: opts.Retry, SkipThrough: ckptSeq,
+		SyncEvery: opts.SyncEvery, Retry: opts.Retry, SkipThrough: ck.seq,
 	}, func(seq uint64, payload []byte) error {
 		rows, err := decodeBatch(payload)
 		if err != nil {
@@ -133,29 +165,33 @@ func Open(fs faultfs.FS, path string, base *dataset.Table, opts Options) (*Table
 		return nil
 	})
 	if err != nil {
+		segs.Close()
 		return nil, nil, err
 	}
 	rec.Recovery = *wrec
 	t := &Table{
-		base: base, cur: cur, w: w, seq: rec.LastSeq,
-		fs: fs, path: path, ckptBytes: opts.CheckpointBytes,
+		base: base, cur: cur, w: w, seq: rec.LastSeq, ckptBytes: opts.CheckpointBytes,
+		segs: segs, ckptRows: ck.cur.NumRows(),
 	}
-	t.ckptSeq.Store(ckptSeq)
-	t.ckptAtUnix.Store(ckptAt)
+	t.ckptSeq.Store(ck.seq)
+	t.ckptAtUnix.Store(ck.at)
 	return t, rec, nil
 }
 
 // Recovery reports what Open found: the WAL's recovery scan plus how many
-// batches it replayed.
+// checkpoint segments it applied and batches it replayed.
 type Recovery struct {
 	wal.Recovery
-	// Replayed counts the committed batches past the checkpoint.
+	// Segments counts the checkpoint segments applied over base.
+	Segments int
+	// Replayed counts the committed batches past the last segment.
 	Replayed int
 }
 
 // Instrument registers the live-table metrics (and the underlying WAL's)
-// against reg, and feeds rec — when non-nil — into the recovery counters.
-func (t *Table) Instrument(reg *obs.Registry, rec *Recovery) {
+// against reg, records checkpoints as live.checkpoint spans into tr (nil:
+// none), and feeds rec — when non-nil — into the recovery counters.
+func (t *Table) Instrument(reg *obs.Registry, tr *obs.Tracer, rec *Recovery) {
 	t.w.Instrument(wal.Metrics{
 		Appends:       reg.Counter("viewseeker_wal_appends_total"),
 		Bytes:         reg.Counter("viewseeker_wal_bytes_total"),
@@ -177,11 +213,14 @@ func (t *Table) Instrument(reg *obs.Registry, rec *Recovery) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.tracer = tr
 	t.mAppendRows = reg.Counter("viewseeker_live_appended_rows_total")
 	t.mVersions = reg.Gauge("viewseeker_live_last_seq")
 	t.mVersions.Set(int64(t.seq))
 	t.mCheckpoints = reg.Counter("viewseeker_live_checkpoints_total")
 	t.mCkptFailures = reg.Counter("viewseeker_live_checkpoint_failures_total")
+	t.mCkptBytes = reg.Counter("viewseeker_live_checkpoint_bytes_total")
+	t.mCkptSeconds = reg.Histogram("viewseeker_live_checkpoint_seconds", obs.DurationBuckets)
 	t.mCkptSeqGauge = reg.Gauge("viewseeker_live_checkpoint_seq")
 	t.mCkptSeqGauge.Set(int64(t.ckptSeq.Load()))
 	// Age is computed at scrape time so it stays fresh without a ticker;
@@ -230,21 +269,23 @@ func (t *Table) Append(rows [][]dataset.Value) (uint64, error) {
 
 // maybeCheckpointLocked kicks off a background checkpoint when the WAL has
 // grown past the configured threshold. Called with t.mu held; the
-// checkpoint itself runs on its own goroutine (serialising a large table
-// under the append lock would stall writers). The single-flight latch in
-// Checkpoint makes a storm of triggers harmless.
+// checkpoint itself runs on its own goroutine, and at most one is
+// scheduled at a time, so a storm of triggers is harmless. None starts
+// once Close has begun.
 func (t *Table) maybeCheckpointLocked() {
-	if t.ckptBytes <= 0 || t.checkpointing.Load() || t.w.Bytes() < t.ckptBytes {
+	if t.ckptBytes <= 0 || t.closed || t.ckptPending || t.w.Bytes() < t.ckptBytes {
 		return
 	}
+	t.ckptPending = true
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		if _, err := t.Checkpoint(); err != nil {
-			// Failure is already counted; the next threshold crossing
-			// retries. The log keeps growing but stays fully recoverable.
-			_ = err
-		}
+		// Failure is already counted; the next threshold crossing retries.
+		// The log keeps growing but stays fully recoverable.
+		_, _ = t.Checkpoint()
+		t.mu.Lock()
+		t.ckptPending = false
+		t.mu.Unlock()
 	}()
 }
 
@@ -292,113 +333,84 @@ func (t *Table) VersionRef() string {
 // Sync flushes the WAL to stable storage.
 func (t *Table) Sync() error { return t.w.Sync() }
 
-// Close waits for any in-flight background checkpoint, then syncs and
-// closes the WAL. The current version stays readable; further appends
-// fail.
+// Close waits for any in-flight checkpoint, then syncs and closes the WAL
+// and the segment log. The current version stays readable; further
+// appends and checkpoints fail.
 func (t *Table) Close() error {
+	t.mu.Lock()
+	t.closed = true
+	t.mu.Unlock()
 	t.wg.Wait()
-	return t.w.Close()
+	t.ckptMu.Lock()
+	defer t.ckptMu.Unlock()
+	err := t.w.Close()
+	if serr := t.segs.Close(); err == nil {
+		err = serr
+	}
+	return err
 }
 
-// checkpointVersion is the snapshot file format version; bump on any
-// incompatible change so stale files error instead of misloading.
-const checkpointVersion = 1
-
-// checkpointFile is the gob-encoded snapshot: the serialised table version
-// at Seq, plus the ORIGINAL base table's content hash. Storing the
-// original hash — not the checkpointed table's — keeps VersionRef
-// addresses (baseHash@seq) stable across checkpoints and restarts, so
-// offline-cache entries keyed by them stay valid. The table bytes are the
-// dataset binary encoding wrapped as one gob field, keeping the file a
-// single self-delimiting gob stream.
-type checkpointFile struct {
-	Version     int
-	BaseHash    string
-	Seq         uint64
-	WrittenUnix int64
-	Table       []byte
-}
-
-// checkpointPath returns where the snapshot for the WAL at walPath lives.
-func checkpointPath(walPath string) string { return walPath + ".ckpt" }
-
-// readCheckpoint loads and validates the snapshot at path. A missing file
-// is (nil, nil, nil); a file that exists but fails to decode is an error —
-// see Open for why there is no silent fallback.
-func readCheckpoint(fs faultfs.FS, path string) (*checkpointFile, *dataset.Table, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, nil
-		}
-		return nil, nil, fmt.Errorf("live: opening checkpoint %s: %w", path, err)
-	}
-	defer f.Close()
-	var ck checkpointFile
-	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
-		return nil, nil, fmt.Errorf("live: decoding checkpoint %s: %w", path, err)
-	}
-	if ck.Version != checkpointVersion {
-		return nil, nil, fmt.Errorf("live: checkpoint %s has version %d, want %d", path, ck.Version, checkpointVersion)
-	}
-	tab, err := dataset.ReadBinary(bytes.NewReader(ck.Table))
-	if err != nil {
-		return nil, nil, fmt.Errorf("live: decoding checkpoint table %s: %w", path, err)
-	}
-	return &ck, tab, nil
-}
-
-// Checkpoint persists the current version as a durable snapshot and
-// compacts the WAL to the entries past it, returning the sequence number
-// covered. It returns (0, nil) when there is nothing to do — no appends
-// since the last checkpoint, or another checkpoint already in flight
-// (checkpoints are single-flighted; concurrent callers don't stack).
+// Checkpoint persists the rows appended since the previous checkpoint as
+// one segment of the segment log and compacts the WAL to the entries past
+// it, returning the sequence number covered. It returns (0, nil) when
+// there is nothing to do — no appends since the last checkpoint, or
+// another checkpoint already in flight (checkpoints are single-flighted;
+// concurrent callers don't stack).
 //
 // Appends proceed concurrently: the version and seq are captured
-// atomically up front and serialisation happens outside the table lock.
-// Crash atomicity is two-step. Before the snapshot rename, the old
-// snapshot and full log are intact — recovery replays as if the
-// checkpoint never started. After the rename but before the log
-// compaction, the new snapshot wins and the log's duplicate prefix is
-// skipped by seq during recovery. There is no window where data is only
-// partially covered.
+// atomically up front, and the segment is encoded from that immutable
+// version outside the table lock. The WAL is synced before the segment is
+// written, and compacted only after the segment is synced, so there is no
+// window where rows are only partially covered. Killed while the segment
+// is written, the torn segment is dropped at recovery and the WAL, which
+// still holds its batches, replays them. Killed after the segment sync but
+// before the compaction, recovery applies the segment and skips the WAL's
+// covered prefix by seq.
 func (t *Table) Checkpoint() (uint64, error) {
-	if !t.checkpointing.CompareAndSwap(false, true) {
+	if !t.ckptMu.TryLock() {
 		return 0, nil
 	}
-	defer t.checkpointing.Store(false)
+	defer t.ckptMu.Unlock()
 	t.mu.Lock()
-	cur, seq := t.cur, t.seq
+	cur, seq, tr := t.cur, t.seq, t.tracer
 	t.mu.Unlock()
 	if seq == 0 || seq <= t.ckptSeq.Load() {
 		return 0, nil
 	}
-	var buf bytes.Buffer
-	if err := dataset.WriteBinary(cur, &buf); err != nil {
+	start := time.Now()
+	defer func() { t.mCkptSeconds.ObserveDuration(time.Since(start)) }()
+	_, span := obs.StartSpan(obs.NewContext(context.Background(), nil, tr), "live.checkpoint")
+	defer span.End()
+	from, to := t.ckptRows, cur.NumRows()
+	at := start.Unix()
+	payload := encodeSegment(store.HashTable(t.base), cur, from, to, seq, at)
+	span.SetAttr("seq", seq)
+	span.SetAttr("rows", to-from)
+	span.SetAttr("bytes", len(payload))
+	if err := t.w.Sync(); err != nil {
 		t.mCkptFailures.Inc()
-		return 0, fmt.Errorf("live: serialising checkpoint: %w", err)
+		return 0, fmt.Errorf("live: syncing the WAL before checkpoint %d: %w", seq, err)
 	}
-	ck := &checkpointFile{
-		Version:     checkpointVersion,
-		BaseHash:    store.HashTable(t.base),
-		Seq:         seq,
-		WrittenUnix: time.Now().Unix(),
-		Table:       buf.Bytes(),
-	}
-	// Readers only ever see the old snapshot or the complete new one.
-	path := checkpointPath(t.path)
-	if err := faultfs.WriteFileAtomic(t.fs, path, filepath.Base(path)+".tmp-*", func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(ck)
-	}); err != nil {
+	fseq, err := t.segs.Append(payload)
+	if fseq == 0 {
 		t.mCkptFailures.Inc()
-		return 0, fmt.Errorf("live: publishing checkpoint: %w", err)
+		return 0, fmt.Errorf("live: writing checkpoint segment: %w", err)
 	}
+	// The segment is committed to its log, so the next one starts past it
+	// whether or not its fsync succeeded.
+	t.ckptRows = to
 	t.ckptSeq.Store(seq)
-	t.ckptAtUnix.Store(ck.WrittenUnix)
+	t.ckptAtUnix.Store(at)
 	t.mCheckpoints.Inc()
+	t.mCkptBytes.Add(int64(len(payload)))
 	t.mCkptSeqGauge.Set(int64(seq))
+	if err != nil {
+		// Not yet durable: keep the WAL until a later sync covers it.
+		t.mCkptFailures.Inc()
+		return seq, fmt.Errorf("live: checkpoint %d written but not synced: %w", seq, err)
+	}
 	if err := t.w.CompactThrough(seq); err != nil {
-		// The snapshot is durable, so nothing is lost — recovery skips the
+		// The segment is durable, so nothing is lost — recovery skips the
 		// log's covered prefix by seq. The log just didn't shrink.
 		t.mCkptFailures.Inc()
 		return seq, fmt.Errorf("live: checkpoint %d persisted but log compaction failed: %w", seq, err)
@@ -416,9 +428,10 @@ type Status struct {
 	// WalBytes is the on-disk size of the (compacted) log: replay cost on
 	// the next restart is proportional to it.
 	WalBytes int64 `json:"walBytes"`
-	// CheckpointSeq is the seq covered by the newest snapshot (0: none).
+	// CheckpointSeq is the seq covered by the newest checkpoint segment
+	// (0: none).
 	CheckpointSeq uint64 `json:"checkpointSeq"`
-	// CheckpointAgeSeconds is the snapshot's age (-1: none).
+	// CheckpointAgeSeconds is the newest segment's age (-1: none).
 	CheckpointAgeSeconds int64 `json:"checkpointAgeSeconds"`
 }
 

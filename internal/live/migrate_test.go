@@ -49,9 +49,12 @@ const (
 )
 
 // TestParentFormatCheckpointLoads opens a live table whose checkpoint was
-// written by the whole-table format (testdata/parent-v1.wal.ckpt, covering
-// batches 1–3, beside a WAL compacted to batches 4–5) and requires the
-// table the fixture's batches build, row for row.
+// written by the whole-table format 1 (testdata/parent-v1.wal.ckpt,
+// covering batches 1–3, beside a WAL compacted to batches 4–5) and
+// requires the table the fixture's batches build, row for row. The first
+// Open migrates the checkpoint: one segment holding every row past the
+// base replaces the file, and a second Open recovers the same table from
+// that segment.
 func TestParentFormatCheckpointLoads(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.wal")
@@ -64,47 +67,66 @@ func TestParentFormatCheckpointLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	want := tableRows(migrationBase())
+	for i := 0; i < migrationBatches; i++ {
+		want = append(want, migrationRows(i)...)
+	}
+	for pass := 0; pass < 2; pass++ {
+		lt, rec, err := Open(nil, path, migrationBase(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Segments != 1 || rec.LastSeq != migrationBatches || rec.Replayed != migrationBatches-migrationCovered {
+			t.Fatalf("pass %d: %d segments, %d batches through seq %d", pass, rec.Segments, rec.Replayed, rec.LastSeq)
+		}
+		if got := tableRows(lt.Current()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: fixture table differs:\n got %v\nwant %v", pass, got, want)
+		}
+		if st := lt.Status(); st.CheckpointSeq != migrationCovered || st.CheckpointAgeSeconds < 0 {
+			t.Fatalf("pass %d: checkpoint state %+v", pass, st)
+		}
+		if err := lt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(checkpointPath(path)); !os.IsNotExist(err) {
+			t.Fatalf("pass %d: the format-1 checkpoint is still there (%v)", pass, err)
+		}
+	}
+}
+
+// TestMigrationLeftoverRemoved: a crash after the migration's segment was
+// synced but before the format-1 file was removed leaves both; the next
+// Open recovers from the segment and removes the leftover file unread.
+func TestMigrationLeftoverRemoved(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	for _, suffix := range []string{"", ".ckpt"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "parent-v1.wal"+suffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+suffix, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lt, _, err := Open(nil, path, migrationBase(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := lt.Current()
+	lt.Close()
+	if err := os.WriteFile(checkpointPath(path), []byte("leftover"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	lt, rec, err := Open(nil, path, migrationBase(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lt.Close()
-	if rec.LastSeq != migrationBatches || rec.Replayed != migrationBatches-migrationCovered {
-		t.Fatalf("fixture recovery: %d batches through seq %d", rec.Replayed, rec.LastSeq)
+	if rec.Segments != 1 {
+		t.Fatalf("recovered %d segments, want 1", rec.Segments)
 	}
-	want := tableRows(migrationBase())
-	for i := 0; i < migrationBatches; i++ {
-		want = append(want, migrationRows(i)...)
-	}
-	if got := tableRows(lt.Current()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fixture table differs:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestWriteParentFormatFixture regenerates the fixture with this tree's
-// checkpoint format when UPDATE_FIXTURE=1.
-func TestWriteParentFormatFixture(t *testing.T) {
-	if os.Getenv("UPDATE_FIXTURE") != "1" {
-		t.Skip("set UPDATE_FIXTURE=1 to regenerate testdata/parent-v1.wal{,.ckpt}")
-	}
-	path := filepath.Join("testdata", "parent-v1.wal")
-	os.Remove(path)
-	os.Remove(path + ".ckpt")
-	lt, _, err := Open(nil, path, migrationBase(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < migrationBatches; i++ {
-		if _, err := lt.Append(migrationRows(i)); err != nil {
-			t.Fatal(err)
-		}
-		if i+1 == migrationCovered {
-			if _, err := lt.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := lt.Close(); err != nil {
-		t.Fatal(err)
+	requireSameTable(t, lt.Current(), want)
+	if _, err := os.Stat(checkpointPath(path)); !os.IsNotExist(err) {
+		t.Fatalf("the leftover checkpoint is still there (%v)", err)
 	}
 }

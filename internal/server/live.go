@@ -24,7 +24,7 @@ import (
 // one.
 func (s *Server) HostLive(lt *viewseeker.LiveTable, rec *viewseeker.LiveRecovery) {
 	cur := lt.Current()
-	lt.Instrument(s.metrics, rec)
+	lt.Instrument(s.metrics, s.tracer, rec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.live[cur.Name] = lt

@@ -3,9 +3,10 @@
 // CRC-32C-checksummed frame under a monotone sequence number, so a crash
 // can lose at most the frames inside the current fsync window and can
 // never corrupt what came before. It knows nothing about its payloads.
-// Two users share it: live tables (internal/live) log append batches
-// through their row-batch codec, and the session journal (internal/store)
-// logs JSON session records.
+// Its users: live tables (internal/live) log append batches through their
+// row-batch codec and checkpoint segments through the typed column codec,
+// each in a log of its own, and the session journal (internal/store) logs
+// JSON session records.
 //
 // # Frame format
 //
@@ -33,17 +34,18 @@
 // rename); an up-to-date log is simply truncated to empty. A compacted log
 // no longer starts at sequence 1, so it must be opened with
 // Options.SkipThrough set to the compaction point — internal/live records
-// it in its checkpoint snapshot. During recovery, frames at or below
+// it in its checkpoint segments. During recovery, frames at or below
 // SkipThrough are validated but not replayed (Recovery.SkippedFrames);
-// that makes recovery idempotent when a crash lands between "snapshot
-// durable" and "log compacted", when snapshot and full log briefly
+// that makes recovery idempotent when a crash lands between "checkpoint
+// durable" and "log compacted", when checkpoint and full log briefly
 // coexist. Opening a compacted log without its SkipThrough is reported as
 // a torn tail, never replayed against the wrong base.
 //
 // # Failure semantics
 //
-// Append writes the whole frame in one Write and retries torn writes by
-// completing the missing suffix. If retries exhaust, the partial frame is
+// Append writes the frame's header and then the caller's payload where it
+// lies, without copying it into a frame buffer, and retries torn writes
+// by completing the missing suffix. If retries exhaust, the partial frame is
 // truncated away and the append fails with the log intact; if even
 // truncation fails, the log poisons itself and refuses further appends
 // and compactions until reopened — an unrepaired tear must not be buried

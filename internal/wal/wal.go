@@ -36,9 +36,10 @@ type Options struct {
 	// with seq <= SkipThrough are not handed to the replay function
 	// (counted in Recovery.SkippedFrames instead). This is how a
 	// checkpointed log tolerates the crash window between the snapshot
-	// rename and the log truncation — duplicate prefix frames are detected
-	// by seq and skipped. The log may legitimately begin at any seq in
-	// [1, SkipThrough+1]; the chain must be contiguous from there.
+	// becoming durable and the log truncation — duplicate prefix frames
+	// are detected by seq and skipped. The log may legitimately begin at
+	// any seq in [1, SkipThrough+1]; the chain must be contiguous from
+	// there.
 	SkipThrough uint64
 }
 
@@ -297,12 +298,19 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if err := l.writableLocked(); err != nil {
 		return 0, err
 	}
+	if len(payload) > maxPayload-seqLen {
+		return 0, fmt.Errorf("wal: %d-byte payload exceeds the %d-byte frame bound", len(payload), maxPayload-seqLen)
+	}
 	seq := l.seq + 1
-	frame := make([]byte, headerLen+seqLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(seqLen+len(payload)))
-	binary.LittleEndian.PutUint64(frame[headerLen:], seq)
-	copy(frame[headerLen+seqLen:], payload)
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[headerLen:], crcTable))
+	// The frame is the header (length, CRC, seq) followed by the caller's
+	// payload, written from where it lies rather than copied behind the
+	// header.
+	var head [headerLen + seqLen]byte
+	binary.LittleEndian.PutUint32(head[0:4], uint32(seqLen+len(payload)))
+	binary.LittleEndian.PutUint64(head[headerLen:], seq)
+	crc := crc32.Update(crc32.Checksum(head[headerLen:], crcTable), crcTable, payload)
+	binary.LittleEndian.PutUint32(head[4:8], crc)
+	frameLen := len(head) + len(payload)
 
 	policy := l.policy
 	policy.Backoffs = l.m.RetryBackoffs
@@ -312,9 +320,18 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	// rather than rewriting (and thereby corrupting) the frame.
 	written := 0
 	err := policy.Do(context.Background(), func() error {
-		n, werr := l.f.Write(frame[written:])
-		written += n
-		return werr
+		for written < frameLen {
+			rest := payload[max(written-len(head), 0):]
+			if written < len(head) {
+				rest = head[written:]
+			}
+			n, werr := l.f.Write(rest)
+			written += n
+			if werr != nil {
+				return werr
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		if written > 0 {
@@ -323,16 +340,16 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			if terr := l.fs.Truncate(l.path, l.committed); terr != nil {
 				l.poisoned = terr
 				return 0, fmt.Errorf("wal: append tore at %d/%d bytes and truncation failed: %w",
-					written, len(frame), terr)
+					written, frameLen, terr)
 			}
 			l.m.Truncations.Inc()
 		}
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.seq = seq
-	l.committed += int64(len(frame))
+	l.committed += int64(frameLen)
 	l.m.Appends.Inc()
-	l.m.Bytes.Add(int64(len(frame)))
+	l.m.Bytes.Add(int64(frameLen))
 	l.m.LastSeq.Set(int64(seq))
 	l.m.DiskBytes.Set(l.committed)
 	l.sinceSync++

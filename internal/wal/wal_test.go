@@ -122,6 +122,18 @@ func TestParentFormatFixture(t *testing.T) {
 	if !bytes.Equal(encodeFrames(frames), raw) {
 		t.Fatal("recovered frames do not re-encode to the fixture")
 	}
+	// Append writes the same bytes: header, then the payload in place.
+	again := filepath.Join(t.TempDir(), "again.wal")
+	l, _, _ := openT(t, nil, again, Options{})
+	for _, f := range frames {
+		if _, err := l.Append(f.Payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	if written, err := os.ReadFile(again); err != nil || !bytes.Equal(written, raw) {
+		t.Fatalf("Append wrote %d bytes that differ from the fixture (err %v)", len(written), err)
+	}
 }
 
 // TestRecoveryFaultTornTail appends through a tearing FS so a partial

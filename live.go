@@ -17,10 +17,10 @@ import (
 // readers and recommendation sessions are never invalidated mid-flight.
 type LiveTable = live.Table
 
-// LiveRecovery reports what replaying a live table's write-ahead log
-// found: the last committed sequence, whether a torn tail from a crash
-// mid-append was truncated, and how many already-checkpointed frames were
-// skipped.
+// LiveRecovery reports what recovering a live table found: how many
+// checkpoint segments it applied, the last committed sequence, whether a
+// torn tail from a crash mid-append was truncated, and how many
+// already-checkpointed WAL frames were skipped.
 type LiveRecovery = live.Recovery
 
 // LiveOptions configures a live table: WAL fsync batching, append retry
@@ -28,13 +28,14 @@ type LiveRecovery = live.Recovery
 type LiveOptions = live.Options
 
 // OpenLiveTableOptions opens (creating if needed) the write-ahead log at
-// walPath and replays its committed batches over base (or over the newest
-// checkpoint snapshot, when one exists), returning the live table at its
-// last committed version. base must be the same snapshot the log was
-// started against. opts.SyncEvery batches one fsync per that many appends
-// (<= 1 syncs every append — full durability), and opts.CheckpointBytes
-// bounds recovery replay by periodically persisting the current version as
-// a snapshot and compacting the log.
+// walPath and its checkpoint segment log beside it, and recovers the live
+// table at its last committed version: base, extended by every checkpoint
+// segment, then by the WAL's committed batches past them. base must be
+// the same snapshot the log was started against. opts.SyncEvery batches
+// one fsync per that many appends (<= 1 syncs every append — full
+// durability), and opts.CheckpointBytes bounds recovery replay by
+// periodically persisting the rows appended since the last checkpoint as
+// one segment and compacting the log.
 func OpenLiveTableOptions(walPath string, base *Table, opts LiveOptions) (*LiveTable, *LiveRecovery, error) {
 	return live.Open(nil, walPath, base, opts)
 }

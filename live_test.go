@@ -614,3 +614,108 @@ func TestMaintainedMatchesColdProperty(t *testing.T) {
 		t.Fatalf("streams extended %d and rebuilt %d times: both paths must run", extended, rebuilt)
 	}
 }
+
+// TestCheckpointStressRecoversModel interleaves appends with every other
+// writer of a live table's durable state: auto-checkpoints at a tiny
+// CheckpointBytes, explicit Checkpoint calls, a maintainer's Advance loop
+// and, while those still run, Close. Reopened, the table must equal the
+// in-memory model of every committed batch bit for bit: its row count and
+// every int, float, string and bool cell, NULLs included. Run it under
+// -race: it is the concurrency test of checkpoint, append, maintenance
+// and shutdown.
+func TestCheckpointStressRecoversModel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := dataset.NewTable("t", streamSchema)
+		for i := 0; i < 40; i++ {
+			base.MustAppendRow(streamRow(rng, 0)...)
+		}
+		model := make([][]Value, base.NumRows())
+		for i := range model {
+			model[i] = base.Row(i)
+		}
+		path := filepath.Join(t.TempDir(), "t.wal")
+		lt, _, err := OpenLiveTableOptions(path, base, LiveOptions{SyncEvery: 4, CheckpointBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Maintain(lt, streamQueries[0], Options{K: 3, BinCounts: []int{3, 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		loop := func(step func()) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						step()
+					}
+				}
+			}()
+		}
+		// Errors are expected once Close has run; only the recovered table
+		// is judged.
+		loop(func() { lt.Checkpoint() })
+		loop(func() { m.Advance() })
+		// Close lands while appends are still arriving: every append
+		// before it committed, and the first one after it fails whole.
+		closeAt, closed := make(chan struct{}), make(chan error, 1)
+		go func() {
+			<-closeAt
+			closed <- lt.Close()
+		}()
+		committed := 0
+		for b := 0; ; b++ {
+			if b == 100 {
+				close(closeAt)
+			}
+			batch := make([][]Value, 1+rng.Intn(8))
+			kind := rng.Intn(5)
+			for i := range batch {
+				batch[i] = streamRow(rng, kind)
+			}
+			if seq, _ := lt.Append(batch); seq == 0 {
+				break
+			}
+			model = append(model, batch...)
+			committed++
+		}
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		wg.Wait()
+		if committed < 100 {
+			t.Fatalf("seed %d: only %d appends committed before Close", seed, committed)
+		}
+
+		lt2, rec, err := OpenLiveTableOptions(path, base, LiveOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		got := lt2.Current()
+		if got.NumRows() != len(model) || rec.LastSeq != uint64(committed) {
+			t.Fatalf("seed %d: recovered %d rows through seq %d, model %d rows through %d",
+				seed, got.NumRows(), rec.LastSeq, len(model), committed)
+		}
+		for r, row := range model {
+			for j, want := range row {
+				v := got.Cols[j].Value(r)
+				if v.Kind != want.Kind || v.I != want.I || v.S != want.S || v.B != want.B ||
+					math.Float64bits(v.F) != math.Float64bits(want.F) {
+					t.Fatalf("seed %d: row %d column %q recovered %v, model %v", seed, r, got.Cols[j].Def.Name, v, want)
+				}
+			}
+		}
+		if rec.Segments == 0 {
+			t.Fatalf("seed %d: no checkpoint segment was written", seed)
+		}
+		lt2.Close()
+	}
+}
